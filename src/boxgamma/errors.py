@@ -45,6 +45,10 @@ class NoParticularSolution(DomainError):
     """Integer system has no solution; internal error when rays generate N."""
 
 
+class NoBaseElement(DomainError):
+    """Shadow quotient has no base element for a target box element."""
+
+
 class ZeroCoordinate(DomainError):
     """Evaluation point has a zero coordinate."""
 

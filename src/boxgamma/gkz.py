@@ -11,7 +11,6 @@ of the assembled solution matrix.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,18 +27,21 @@ from .box import (
 from .errors import (
     DegenerateHeights,
     InvalidFan,
+    NoBaseElement,
     NoParticularSolution,
     ZeroCoordinate,
 )
 from .fan import StackyFan, validate
 from .linalg import (
+    as_gaussian,
+    format_gaussian,
+    hermite_normal_form,
     im_part,
     integer_kernel_basis,
-    mat_inverse,
     re_part,
     scalar_from_parts,
     singular_values,
-    solve_integer,
+    solve_with_hnf,
 )
 from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
@@ -58,6 +60,8 @@ _BERNOULLI = (
 )
 
 _STIRLING_CUT = 20.0
+
+IntRows = tuple[tuple[int, ...], ...]
 
 
 def poly_mul_trunc(a: Sequence[complex], b: Sequence[complex], order: int) -> tuple[complex, ...]:
@@ -174,6 +178,10 @@ class GkzInstance:
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
+    # row HNF (H, U) of the markers, U * rays = H: particular solutions
+    marker_hnf: tuple[IntRows, IntRows]
+    # relation-lattice basis in row echelon form, pivots strictly increasing
+    relations: IntRows
 
 
 @dataclass(frozen=True)
@@ -235,67 +243,78 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     quotient = build_quotient(
         ModuleSpec(fan, corr.beta_delta, xi=xi, complex_beta=b if has_im else None)
     )
-    return GkzInstance(fan, b, corr, quotient)
+    h, u = hermite_normal_form(fan.rays)
+    kernel = integer_kernel_basis(fan.rays)
+    relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]
+    return GkzInstance(
+        fan,
+        b,
+        corr,
+        quotient,
+        marker_hnf=(tuple(map(tuple, h)), tuple(map(tuple, u))),
+        relations=tuple(map(tuple, relations)),
+    )
 
 
-def _reduce_particular(part: Sequence[int], kernel: Sequence[Sequence[int]]):
-    """Shift a particular solution near the l1 ball center of the lattice."""
-    if not kernel:
-        return tuple(part), []
-    r = len(kernel)
-    gram = [[sum(a * b for a, b in zip(kernel[i], kernel[j])) for j in range(r)] for i in range(r)]
-    ginv = mat_inverse(gram)
-    # G = gram^{-1} K maps m to its exact lattice coordinates
-    g = [
-        [sum(ginv[i][j] * kernel[j][c] for j in range(r)) for c in range(len(part))]
-        for i in range(r)
-    ]
-    coords = [sum(g[i][c] * part[c] for c in range(len(part))) for i in range(r)]
-    shifted = list(part)
-    for i in range(r):
-        q = round(coords[i])
-        for c in range(len(shifted)):
-            shifted[c] -= q * kernel[i][c]
-    return tuple(shifted), g
+def _window_offsets(part, relations, B: int) -> list[tuple[int, ...]]:
+    """Every m = part + sum_i c_i h_i with |m|_1 <= B, in lexicographic order.
+
+    The h_i are in row echelon form with pivots p_0 < p_1 < ... .  Once
+    c_0..c_i are fixed, the columns before p_(i+1) are final: their l1 norm
+    is an exact lower bound on |m|_1, and |m[p_(i+1)]| <= B - (that norm)
+    bounds c_(i+1) to an integer range.  Ascending c_i walk ascending
+    m[p_i], so the offsets come out sorted.
+    """
+    k = len(part)
+    pivots = [next(j for j, x in enumerate(h) if x) for h in relations]
+    ends = pivots[1:] + [k]
+    out: list[tuple[int, ...]] = []
+
+    def scan(i: int, m: list[int], used: int) -> None:
+        if i == len(relations):
+            out.append(tuple(m))
+            return
+        p, width = pivots[i], ends[i] - pivots[i]
+        head, tail, h = m[:p], m[p:], relations[i][p:]
+        room = B - used
+        for c in range(-((room + tail[0]) // h[0]), (room - tail[0]) // h[0] + 1):
+            mc = [x + c * y for x, y in zip(tail, h)]
+            seg = used + sum(map(abs, mc[:width]))
+            if seg <= B:
+                scan(i + 1, head + mc, seg)
+
+    head = pivots[0] if pivots else k
+    used = sum(abs(x) for x in part[:head])
+    if used <= B:
+        scan(0, list(part), used)
+    return out
 
 
 def enumerate_L(
     instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int
 ) -> tuple[LVector, ...]:
-    """All l with the exact defining relations and integer offset of l1 size <= B."""
-    fan = instance.fan
+    """All l with the exact defining relations and integer offset of l1 size <= B,
+    ordered by offset."""
     if B < 0:
         raise ValueError("window bound must be nonnegative")
     v = tuple(int(x) for x in v)
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
-    part = solve_integer(fan.rays, target)
+    part = solve_with_hnf(*instance.marker_hnf, target)
     if part is None:
         raise NoParticularSolution(
             "markers do not reach the requested translate; the marker lattice is degenerate"
         )
-    kernel = integer_kernel_basis(fan.rays)
-    part, g = _reduce_particular(part, kernel)
-    base_norm = sum(abs(x) for x in part)
-    ranges = []
-    for i in range(len(kernel)):
-        bound = max(abs(x) for x in g[i]) * (B + base_norm)
-        bound = math.floor(bound)
-        ranges.append(range(-bound, bound + 1))
-    out = []
-    for cs in itertools.product(*ranges):
-        m = list(part)
-        for i, c in enumerate(cs):
-            if c:
-                for pos in range(fan.k):
-                    m[pos] += c * kernel[i][pos]
-        if sum(abs(x) for x in m) > B:
-            continue
-        l = tuple(
-            scalar_from_parts(re_part(a) + mi, im_part(a)) for a, mi in zip(alpha.alpha, m)
+    res = [re_part(a) for a in alpha.alpha]
+    ims = [im_part(a) for a in alpha.alpha]
+    return tuple(
+        LVector(
+            tuple(scalar_from_parts(r + mi, im) for r, im, mi in zip(res, ims, m)),
+            alpha,
+            v,
+            m,
         )
-        out.append(LVector(l, alpha, v, tuple(m)))
-    out.sort(key=lambda lv: lv.offset)
-    return tuple(out)
+        for m in _window_offsets(part, instance.relations, B)
+    )
 
 
 def _as_complex(c: Coord) -> complex:
@@ -346,8 +365,15 @@ def _prepare(instance: GkzInstance, xs, arg_offsets=None) -> _Prepared:
 
 def _base_vector(instance: GkzInstance, tgt) -> tuple[complex, ...]:
     q = instance.quotient
+    index = q.base_index.get(alpha_key(tgt.alpha))
+    if index is None:
+        alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
+        raise NoBaseElement(
+            f"series: the shadow quotient has no base element for the target box element "
+            f"alpha=({alpha}), n={tgt.lattice_point}"
+        )
     evec = [0j] * q.dim
-    evec[q.base_index[alpha_key(tgt.alpha)]] = 1 + 0j
+    evec[index] = 1 + 0j
     return tuple(evec)
 
 

@@ -88,17 +88,11 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
 
     def __str__(self):
         return format_gaussian(self)
@@ -111,9 +105,6 @@ def as_gaussian(x) -> GaussianRational:
         return GaussianRational(Fraction(x))
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
-
-GR_ZERO = GaussianRational(Fraction(0))
-GR_ONE = GaussianRational(Fraction(1))
 
 _GAUSSIAN_RE = _re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
@@ -177,22 +168,6 @@ def scalar_from_parts(re: Fraction, im: Fraction):
 
 # ---------------------------------------------------------------------------
 # rational vectors and matrices (tuples / lists of Fractions)
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(s, a):
-    return tuple(s * x for x in a)
-
-
-def dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence) -> tuple:
@@ -422,8 +397,14 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
 
 def solve_integer(rays: Sequence[Sequence[int]], target: Sequence[int]):
     """Integer solution m of sum_i m_i * rays[i] = target, or None."""
-    h, u = hermite_normal_form(rays)
-    k = len(rays)
+    return solve_with_hnf(*hermite_normal_form(rays), target)
+
+
+def solve_with_hnf(
+    h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], target: Sequence[int]
+):
+    """solve_integer for rows whose row HNF (H, U) is already known."""
+    k = len(h)
     d = len(target)
     y = [0] * k
     resid = [int(x) for x in target]

@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
-from .errors import DimensionOvershoot, NoStabilizationWindow, UnboundedDegree
+from .errors import (
+    DependentGenerators,
+    DimensionOvershoot,
+    NoStabilizationWindow,
+    NotInSpan,
+    UnboundedDegree,
+)
 from .fan import StackyFan, minimal_cone, normalized_volume, tangent_member
 from .linalg import (
     GaussianRational,
@@ -136,7 +142,7 @@ def module_product(spec_or_fan, nprime: Sequence[int], elem: TaggedPoint):
         gens = [fan.rays[i] for i in sigma]
         try:
             cn = solve_simplicial_coords(gens, list(nprime))
-        except Exception:
+        except (DependentGenerators, NotInSpan):
             continue
         if any(re_part(c) < 0 or im_part(c) != 0 for c in cn):
             continue

@@ -338,3 +338,21 @@ def test_console_invocation(seed_dir):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["volume"] == 2
+
+
+def test_missing_base_element_exit_1(seed_dir, tmp_path):
+    beta = tmp_path / "beta_outside.json"
+    beta.write_text(json.dumps({"beta": ["-3", "0"]}))
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(beta),
+            "--x", str(seed_dir / "x_f1.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "NoBaseElement"
+    assert doc["error"]["message"].startswith("series: ")

@@ -1,13 +1,16 @@
 import cmath
+import functools
 import json
 import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgamma.box import alpha_key, box_of_fan
-from boxgamma.errors import DegenerateHeights, InvalidFan, ZeroCoordinate
+from boxgamma.errors import DegenerateHeights, InvalidFan, NoBaseElement, ZeroCoordinate
 from boxgamma.fan import StackyFan, tangent_member, triangulate_from_heights
 from boxgamma.gkz import (
     build_gkz,
@@ -34,6 +37,22 @@ from boxgamma.quotient import ModuleSpec, graded_piece
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+
+
+def cone_over(points):
+    """Triangulated cone over lattice points p: markers (1, p), lifting
+    heights |p|^2 + (i^2 + 1)/101."""
+    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
+    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
+
+
+def triangle_points(side):
+    return [(a, b) for a in range(side + 1) for b in range(side + 1 - a)]
+
+
+HEX5 = cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1)))
+TRI2 = cone_over(triangle_points(2))
+TRI3 = cone_over(triangle_points(3))
 
 BETA_ZERO = (Fraction(0), Fraction(0))
 BETA_QUARTER = (Fraction(1, 4), Fraction(0))
@@ -114,6 +133,85 @@ def test_enumerate_window_f1():
     assert {lv.offset for lv in ls} == {(-1, 0, 0), (0, -2, 1)}
     ls = enumerate_L(inst, alpha, (0, 0), 0)
     assert tuple(lv.offset for lv in ls) == ((0, 0, 0),)
+
+
+def l1_ball(k, radius):
+    """Every integer vector of length k and l1 norm at most radius."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(-radius, radius + 1):
+        for rest in l1_ball(k - 1, radius - abs(first)):
+            yield (first,) + rest
+
+
+def ball_by_image(rays, B):
+    """Brute-force windows: the l1 ball of radius B grouped by sum m_i v_i,
+    each group in lexicographic order."""
+    d = len(rays[0])
+    images = {}
+    for m in l1_ball(len(rays), B):
+        image = tuple(sum(mi * v[r] for mi, v in zip(m, rays) if mi) for r in range(d))
+        images.setdefault(image, []).append(m)
+    return {t: sorted(ms) for t, ms in images.items()}
+
+
+WINDOW_FANS = {
+    "F1": (F1, (Fraction(1, 4), 0)),
+    "SQUARE": (SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))),
+    "HEX5": (HEX5, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13))),
+    "TRI2": (TRI2, (Fraction(3, 7), Fraction(1, 11), Fraction(6, 13))),
+}
+
+
+@functools.cache
+def window_ball(name, B):
+    return ball_by_image(WINDOW_FANS[name][0].rays, B)
+
+
+@pytest.fixture(scope="module")
+def window_instances():
+    return {name: build_gkz(fan, beta) for name, (fan, beta) in WINDOW_FANS.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(WINDOW_FANS)), B=st.integers(0, 6), data=st.data())
+def test_enumerate_matches_l1_ball(window_instances, name, B, data):
+    inst = window_instances[name]
+    src = data.draw(st.sampled_from([s for s, _, _ in inst.correspondence.triples]))
+    v = data.draw(st.tuples(*[st.integers(-4, 4)] * inst.fan.rank))
+    target = tuple(-a - n for a, n in zip(v, src.lattice_point))
+    want = window_ball(name, B).get(target, [])
+    assert [lv.offset for lv in enumerate_L(inst, src, v, B)] == want
+
+
+@pytest.fixture(scope="module")
+def tri3_zero():
+    inst = build_gkz(TRI3, (0, 0, 0))
+    ((src, _, _),) = inst.correspondence.triples
+    return inst, src
+
+
+def test_enumerate_tri3_matches_l1_ball(tri3_zero):
+    inst, src = tri3_zero
+    vs = [(0, 0, 0)] + [inst.fan.rays[j] for j in (0, 4, 9)]
+    want = ball_by_image(inst.fan.rays, 6)
+    for v in vs:
+        target = tuple(-a - n for a, n in zip(v, src.lattice_point))
+        assert [lv.offset for lv in enumerate_L(inst, src, v, 6)] == want[target]
+
+
+def test_enumerate_tri3_window_eight(tri3_zero):
+    inst, src = tri3_zero
+    # 1849 is the brute-force count over the radius-8 ball (1.26M points,
+    # too slow for the test suite)
+    ls = enumerate_L(inst, src, (0, 0, 0), 8)
+    assert len(ls) == 1849
+    offsets = [lv.offset for lv in ls]
+    assert offsets == sorted(set(offsets))
+    for m in offsets:
+        assert sum(abs(x) for x in m) <= 8
+        assert all(sum(mi * ray[r] for mi, ray in zip(m, inst.fan.rays)) == 0 for r in range(3))
 
 
 def test_enumerate_exact_relations():
@@ -215,6 +313,18 @@ def test_zero_coordinate_rejected():
     inst = build_gkz(F1, BETA_ZERO)
     with pytest.raises(ZeroCoordinate):
         gamma_series(inst, (0, 0), (1.0, 0.0, 1.0), 4)
+
+
+def test_missing_base_element_is_domain_error():
+    inst = build_gkz(F1, (-3, 0))
+    calls = (
+        lambda: gamma_series(inst, (0, 0), X_F1, 4),
+        lambda: gamma_series_derivative(inst, (0, 0), X_F1, 4, 1),
+        lambda: solution_system(inst, X_F1, 4),
+    )
+    for call in calls:
+        with pytest.raises(NoBaseElement, match=r"^series: .*alpha=\(0, 0, 0\), n=\(3, 0\)"):
+            call()
 
 
 def test_ineligible_fan_rejected():
