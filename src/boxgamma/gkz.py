@@ -12,7 +12,7 @@ of the assembled solution matrix.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -182,6 +182,9 @@ class GkzInstance:
     marker_hnf: tuple[IntRows, IntRows]
     # relation-lattice basis in row echelon form, pivots strictly increasing
     relations: IntRows
+    # the series evaluator of the last point evaluated (see _evaluator); a
+    # cache, so neither compared, hashed, shown nor copied by replace()
+    _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -290,35 +293,42 @@ def _window_offsets(part, relations, B: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_L(
-    instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int
-) -> tuple[LVector, ...]:
-    """All l with the exact defining relations and integer offset of l1 size <= B,
-    ordered by offset."""
+def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
+    """Offsets l - alpha of the window of l1 size <= B at index v, in order."""
     if B < 0:
         raise ValueError("window bound must be nonnegative")
-    v = tuple(int(x) for x in v)
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     part = solve_with_hnf(*instance.marker_hnf, target)
     if part is None:
         raise NoParticularSolution(
             "markers do not reach the requested translate; the marker lattice is degenerate"
         )
-    res = [re_part(a) for a in alpha.alpha]
-    ims = [im_part(a) for a in alpha.alpha]
+    return _window_offsets(part, instance.relations, B)
+
+
+def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
+    parts = [(re_part(a), im_part(a)) for a in alpha.alpha]
+    coords: dict = {}  # (i, m_i) -> l_i, shared by the vectors through it
+
+    def coord(i: int, mi: int):
+        c = coords.get((i, mi))
+        if c is None:
+            re, im = parts[i]
+            c = coords[i, mi] = scalar_from_parts(re + mi, im)
+        return c
+
     return tuple(
-        LVector(
-            tuple(scalar_from_parts(r + mi, im) for r, im, mi in zip(res, ims, m)),
-            alpha,
-            v,
-            m,
-        )
-        for m in _window_offsets(part, instance.relations, B)
+        LVector(tuple(coord(i, mi) for i, mi in enumerate(m)), alpha, v, m) for m in offsets
     )
 
 
-def _as_complex(c: Coord) -> complex:
-    return complex(float(re_part(c)), float(im_part(c)))
+def enumerate_L(
+    instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int
+) -> tuple[LVector, ...]:
+    """All l with the exact defining relations and integer offset of l1 size <= B,
+    ordered by offset."""
+    v = tuple(int(x) for x in v)
+    return _lvectors(alpha, v, _window(instance, alpha, v, B))
 
 
 def _apply_jet(mat, jet, vec):
@@ -336,33 +346,6 @@ def _apply_jet(mat, jet, vec):
     return out
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    logs: tuple[complex, ...]
-    dmats: tuple
-    ray_set: frozenset
-    order: int
-
-
-def _prepare(instance: GkzInstance, xs, arg_offsets=None) -> _Prepared:
-    q = instance.quotient
-    dmats = tuple(
-        tuple(tuple(complex(float(entry)) for entry in row) for row in mat)
-        for mat in q.dmats
-    )
-    # principal branch by default; offsets turn the argument by whole radians
-    # per coordinate, selecting another sheet of the multivalued powers
-    offs = (0.0,) * len(xs) if arg_offsets is None else tuple(arg_offsets)
-    if len(offs) != len(xs):
-        raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
-    return _Prepared(
-        logs=tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs)),
-        dmats=dmats,
-        ray_set=frozenset(instance.fan.fan_indices()),
-        order=q.dim,
-    )
-
-
 def _base_vector(instance: GkzInstance, tgt) -> tuple[complex, ...]:
     q = instance.quotient
     index = q.base_index.get(alpha_key(tgt.alpha))
@@ -377,22 +360,114 @@ def _base_vector(instance: GkzInstance, tgt) -> tuple[complex, ...]:
     return tuple(evec)
 
 
-def _term(prep: _Prepared, lv: LVector, evec):
-    """Scalar prefactor x^l and the jet-transported quotient vector."""
-    scalar = cmath.exp(sum(_as_complex(li) * lg for li, lg in zip(lv.l, prep.logs)))
-    w = list(evec)
-    for i in range(len(lv.l)):
-        li = _as_complex(lv.l[i])
-        if i in prep.ray_set:
-            jet = poly_mul_trunc(
-                exp_jet((0j, prep.logs[i]), prep.order),
-                reciprocal_gamma_jet(li, prep.order),
-                prep.order,
-            )
-            w = _apply_jet(prep.dmats[i], jet, w)
-        else:
-            scalar *= reciprocal_gamma_jet(li, 1)[0]
-    return scalar, w
+class _SeriesEvaluator:
+    """The series terms of one instance at one point, each computed once.
+
+    A term at exponent l = alpha + m is the scalar x^l times the product of
+    1/Gamma(l_i + 1) over the non-ray markers, and the base vector of its
+    triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
+    through the nilpotent ray operators.  It depends on the triple t and the
+    offset m only, not on the index v, so every window that reaches (t, m)
+    shares it.  Windows are kept as integer offsets by (t, v, B); coordinates
+    and ray jets by (t, i, m_i); terms by (t, m); reciprocal-Gamma jets by
+    (l, order), each a reciprocal_gamma_jet evaluation at its own l.  It
+    holds no reference to the instance, which holds it.
+    """
+
+    def __init__(self, instance: GkzInstance, xs, logs):
+        q = instance.quotient
+        self.xs = xs
+        self.logs = logs
+        self.dim = q.dim
+        self.dmats = tuple(
+            tuple(tuple(complex(float(entry)) for entry in row) for row in mat)
+            for mat in q.dmats
+        )
+        self.rays = frozenset(instance.fan.fan_indices())
+        self.xjets = {i: exp_jet((0j, logs[i]), q.dim) for i in self.rays}
+        self.parts = tuple(
+            tuple((re_part(a), float(im_part(a))) for a in src.alpha)
+            for src, _, _ in instance.correspondence.triples
+        )
+        self.windows: dict = {}
+        self.coords: dict = {}
+        self.factors: dict = {}
+        self.terms: dict = {}
+        self.jets: dict = {}
+
+    def window(self, instance: GkzInstance, t: int, src: BoxElement, v: tuple[int, ...], B: int):
+        key = (t, v, B)
+        offsets = self.windows.get(key)
+        if offsets is None:
+            offsets = self.windows[key] = _window(instance, src, v, B)
+        return offsets
+
+    def coord(self, t: int, i: int, mi: int) -> complex:
+        key = (t, i, mi)
+        c = self.coords.get(key)
+        if c is None:
+            re, im = self.parts[t][i]
+            c = self.coords[key] = complex(float(re + mi), im)
+        return c
+
+    def jet(self, l: complex, order: int) -> tuple[complex, ...]:
+        key = (l, order)
+        jet = self.jets.get(key)
+        if jet is None:
+            jet = self.jets[key] = reciprocal_gamma_jet(l, order)
+        return jet
+
+    def factor(self, t: int, i: int, mi: int):
+        """The ray jet at l_i for a ray, the scalar 1/Gamma(l_i + 1) otherwise."""
+        key = (t, i, mi)
+        f = self.factors.get(key)
+        if f is None:
+            li = self.coord(t, i, mi)
+            if i in self.rays:
+                f = poly_mul_trunc(self.xjets[i], self.jet(li, self.dim), self.dim)
+            else:
+                f = self.jet(li, 1)[0]
+            self.factors[key] = f
+        return f
+
+    def term(self, t: int, m: tuple[int, ...], evec):
+        """Scalar prefactor x^l and the jet-transported base vector evec of
+        triple t (the same vector on every call for that t)."""
+        key = (t, m)
+        hit = self.terms.get(key)
+        if hit is None:
+            coords = [self.coord(t, i, mi) for i, mi in enumerate(m)]
+            scalar = cmath.exp(sum(li * lg for li, lg in zip(coords, self.logs)))
+            w = evec
+            for i, mi in enumerate(m):
+                if i in self.rays:
+                    w = _apply_jet(self.dmats[i], self.factor(t, i, mi), w)
+                else:
+                    scalar *= self.factor(t, i, mi)
+            hit = self.terms[key] = (scalar, w)
+        return hit
+
+
+def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
+    """The instance's evaluator at x, built on the first call at that point.
+
+    Only the last point's evaluator is kept, so memory stays bounded by one
+    point's terms however many points an instance is evaluated at.
+    """
+    xs = _check_x(instance.fan, x)
+    # principal branch by default; offsets turn the argument by whole radians
+    # per coordinate, selecting another sheet of the multivalued powers
+    offs = (0.0,) * len(xs) if arg_offsets is None else tuple(arg_offsets)
+    if len(offs) != len(xs):
+        raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
+    logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
+    # repr tells 0.0 from -0.0, which == and hash do not
+    key = repr((xs, logs))
+    ev = instance._series.get(key)
+    if ev is None:
+        instance._series.clear()
+        ev = instance._series[key] = _SeriesEvaluator(instance, xs, logs)
+    return ev
 
 
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
@@ -412,24 +487,22 @@ def gamma_series(
     The tail estimate is the max-norm of the outermost window shell, i.e. the
     difference between the values at bounds B and B-1.
     """
-    fan = instance.fan
-    q = instance.quotient
-    xs = _check_x(fan, x)
-    prep = _prepare(instance, xs, arg_offsets)
+    ev = _evaluator(instance, x, arg_offsets)
     v = tuple(int(c) for c in v)
-    total = [0j] * q.dim
-    shell = [0j] * q.dim
-    for src, tgt, _ in instance.correspondence.triples:
+    dim = ev.dim
+    total = [0j] * dim
+    shell = [0j] * dim
+    for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
         evec = _base_vector(instance, tgt)
-        for lv in enumerate_L(instance, src, v, B):
-            scalar, w = _term(prep, lv, evec)
-            for r in range(q.dim):
+        for m in ev.window(instance, t, src, v, B):
+            scalar, w = ev.term(t, m, evec)
+            for r in range(dim):
                 total[r] += scalar * w[r]
-            if sum(abs(o) for o in lv.offset) == B:
-                for r in range(q.dim):
+            if sum(abs(o) for o in m) == B:
+                for r in range(dim):
                     shell[r] += scalar * w[r]
     tail = max((abs(c) for c in shell), default=0.0)
-    return SeriesValue(v, xs, tuple(total), B, tail)
+    return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
 
 def gamma_series_derivative(
@@ -441,44 +514,37 @@ def gamma_series_derivative(
     element of the term set at index v + v_j; the result is truncated in the
     window of that target set, so it is comparable to gamma_series at v + v_j
     term for term.  The two computations still take independent routes through
-    the reciprocal Gamma factors, which is what makes the comparison a check.
+    the reciprocal Gamma factors, which is what makes the comparison a check:
+    the derivative takes the jet at l_j = s_j + 1 where the shifted series
+    takes it at s_j, and each is its own reciprocal_gamma_jet evaluation,
+    never derived from the other by the functional equation.  Windows, terms
+    and jets are cached per (instance, point) and shared with gamma_series: a
+    term depends only on its exponent, not on which series reaches it, and a
+    jet only on its exact argument.
     """
-    fan = instance.fan
-    q = instance.quotient
-    xs = _check_x(fan, x)
-    prep = _prepare(instance, xs, arg_offsets)
+    ev = _evaluator(instance, x, arg_offsets)
     v = tuple(int(c) for c in v)
-    v2 = tuple(a + b for a, b in zip(v, fan.rays[j]))
-    total = [0j] * q.dim
-    shell = [0j] * q.dim
-    for src, tgt, _ in instance.correspondence.triples:
+    v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
+    dim = ev.dim
+    dmat = ev.dmats[j]
+    xj = ev.xs[j]
+    total = [0j] * dim
+    shell = [0j] * dim
+    for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
         evec = _base_vector(instance, tgt)
-        for shifted in enumerate_L(instance, src, v2, B):
-            lv = LVector(
-                l=tuple(
-                    scalar_from_parts(re_part(c) + (1 if i == j else 0), im_part(c))
-                    for i, c in enumerate(shifted.l)
-                ),
-                alpha=shifted.alpha,
-                v=v,
-                offset=tuple(
-                    o + (1 if i == j else 0) for i, o in enumerate(shifted.offset)
-                ),
-            )
-            scalar, w = _term(prep, lv, evec)
-            lj = _as_complex(lv.l[j])
-            dw = [
-                sum(prep.dmats[j][r][c] * w[c] for c in range(q.dim))
-                for r in range(q.dim)
-            ]
-            term = [scalar * (lj * w[r] + dw[r]) / xs[j] for r in range(q.dim)]
-            for r in range(q.dim):
+        for shifted in ev.window(instance, t, src, v2, B):
+            m = tuple(o + 1 if i == j else o for i, o in enumerate(shifted))
+            scalar, w = ev.term(t, m, evec)
+            lj = ev.coord(t, j, m[j])
+            dw = [sum(dmat[r][c] * w[c] for c in range(dim)) for r in range(dim)]
+            term = [scalar * (lj * w[r] + dw[r]) / xj for r in range(dim)]
+            for r in range(dim):
                 total[r] += term[r]
-            if sum(abs(o) for o in shifted.offset) == B:
-                for r in range(q.dim):
+            if sum(abs(o) for o in shifted) == B:
+                for r in range(dim):
                     shell[r] += term[r]
     tail = max((abs(c) for c in shell), default=0.0)
-    return SeriesValue(v, xs, tuple(total), B, tail)
+    return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
 
 def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -> TermShiftReport:
@@ -488,27 +554,27 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     Offsets of l1 size within B - 1 must match exactly; anything outside that
     core window is collected as the boundary, never silently dropped.
     """
-    fan = instance.fan
     v = tuple(int(x) for x in v)
-    v2 = tuple(a + b for a, b in zip(v, fan.rays[j]))
+    v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core = B - 1
     ok = True
     boundary: list[LVector] = []
     for src, _, _ in instance.correspondence.triples:
-        left = {}
-        for lv in enumerate_L(instance, src, v, B):
-            m2 = tuple(o - (1 if i == j else 0) for i, o in enumerate(lv.offset))
-            if sum(abs(x) for x in m2) <= core:
-                left[m2] = lv
+        left, left_out = set(), []
+        for m in _window(instance, src, v, B):
+            m2 = tuple(o - 1 if i == j else o for i, o in enumerate(m))
+            if sum(map(abs, m2)) <= core:
+                left.add(m2)
             else:
-                boundary.append(lv)
-        right = {}
-        for lv in enumerate_L(instance, src, v2, B):
-            if sum(abs(x) for x in lv.offset) <= core:
-                right[lv.offset] = lv
+                left_out.append(m)
+        right, right_out = set(), []
+        for m in _window(instance, src, v2, B):
+            if sum(map(abs, m)) <= core:
+                right.add(m)
             else:
-                boundary.append(lv)
-        if set(left) != set(right):
+                right_out.append(m)
+        boundary += _lvectors(src, v, left_out) + _lvectors(src, v2, right_out)
+        if left != right:
             ok = False
     return TermShiftReport(ok, tuple(boundary))
 

@@ -163,7 +163,9 @@ def im_part(x) -> Fraction:
 
 def scalar_from_parts(re: Fraction, im: Fraction):
     """Fraction when im == 0, GaussianRational otherwise."""
-    return Fraction(re) if im == 0 else GaussianRational(re, im)
+    if im != 0:
+        return GaussianRational(re, im)
+    return re if isinstance(re, Fraction) else Fraction(re)
 
 
 # ---------------------------------------------------------------------------

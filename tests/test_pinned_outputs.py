@@ -1,0 +1,83 @@
+"""Replay the pinned outputs in tests/data: byte-exact CLI stdout on the seed
+examples, and bit-exact series values by repr.
+
+tests/data/generate_pinned_outputs.py wrote both from an earlier version of
+the library; a refactor of the evaluation path must reproduce them exactly.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from boxgamma.cli import main
+from boxgamma.fan import StackyFan
+from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative, solution_system
+from boxgamma.linalg import parse_gaussian
+
+DATA = Path(__file__).parent / "data"
+CLI_CASES = json.loads((DATA / "cli_golden" / "manifest.json").read_text())
+SERIES = json.loads((DATA / "series_golden.json").read_text())["entries"]
+
+
+def test_cli_golden_covers_every_command():
+    commands = {case["args"][0] for case in CLI_CASES}
+    assert commands == {
+        "seed-examples", "validate", "box", "cohomology", "kring", "gkz-solve", "gkz-verify"
+    }
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c["name"] for c in CLI_CASES])
+def test_cli_stdout_matches_golden(case, tmp_path):
+    assert main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([a.replace("{dir}", str(tmp_path)) for a in case["args"]])
+    assert code == case["exit"]
+    want = (DATA / "cli_golden" / f"{case['name']}.json").read_bytes()
+    assert buf.getvalue().encode() == want
+
+
+def _fan(doc):
+    return StackyFan(
+        rank=doc["rank"],
+        rays=tuple(map(tuple, doc["rays"])),
+        max_cones=tuple(map(tuple, doc["max_cones"])),
+    )
+
+
+def _call(instance, x, offsets, call, args):
+    if call == "gamma_series":
+        v, B = args
+        return gamma_series(instance, v, x, B, arg_offsets=offsets)
+    if call == "gamma_series_derivative":
+        v, B, j = args
+        return gamma_series_derivative(instance, v, x, B, j, arg_offsets=offsets)
+    B, cap = args
+    return solution_system(instance, x, B, cap, arg_offsets=offsets)
+
+
+def _instances():
+    """One instance per (fan, beta), shared by its points as when pinned."""
+    seen = {}
+    for entry in SERIES:
+        key = (entry["fan"], entry["beta_kind"])
+        if key not in seen:
+            beta = tuple(parse_gaussian(b) for b in entry["beta"])
+            seen[key] = build_gkz(_fan(entry["fan_doc"]), beta)
+        yield seen[key], entry
+
+
+def test_series_golden_reprs():
+    checked = 0
+    for instance, entry in _instances():
+        x = [complex(re, im) for re, im in entry["x"]]
+        for res in entry["results"]:
+            got = _call(instance, x, entry["arg_offsets"], res["call"], res["args"])
+            assert repr(got) == res["repr"], (entry["fan"], entry["beta_kind"], res["args"])
+            checked += 1
+    kinds = {(e["fan"], e["beta_kind"], e["arg_offsets"] is not None) for e in SERIES}
+    assert len(kinds) == 12
+    assert checked == sum(len(e["results"]) for e in SERIES)

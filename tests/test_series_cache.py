@@ -1,0 +1,168 @@
+"""The per-point series evaluator: each reciprocal-Gamma jet computed once,
+values independent of what was evaluated before, and the integer-offset
+term-shift check equal to its LVector formulation."""
+
+import dataclasses
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import boxgamma.gkz as gkz
+from boxgamma.cli import main
+from boxgamma.fan import StackyFan, triangulate_from_heights
+from boxgamma.gkz import (
+    build_gkz,
+    enumerate_L,
+    gamma_series,
+    gamma_series_derivative,
+    solution_system,
+    verify_term_shift,
+)
+from boxgamma.linalg import GaussianRational, scalar_from_parts
+from boxgamma.quotient import ModuleSpec, graded_piece
+
+F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+PENTAGON = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
+# the cone over it, triangulated by the heights |p|^2 + (i^2 + 1)/101
+HEX5 = triangulate_from_heights(
+    [(1, a, b) for a, b in PENTAGON],
+    [a * a + b * b + Fraction(i * i + 1, 101) for i, (a, b) in enumerate(PENTAGON)],
+)
+X_F1 = (1.0, 10.0, 1.0)
+X_F1_B = (0.75 + 0.25j, 8.0 - 1.5j, 1.25)
+X_SQUARE = (1.0, 0.1, 0.1, 1.0)
+X_SQUARE_B = (0.9 + 0.1j, 0.12 + 0.01j, 0.08 - 0.02j, 1.1)
+TWO_PI = 6.283185307179586
+
+
+def low_degree_points(fan, cap):
+    spec0 = ModuleSpec(fan, tuple(Fraction(0) for _ in range(fan.rank)))
+    return [v for m in range(cap + 1) for v in graded_piece(spec0, m).points]
+
+
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """Counts reciprocal_gamma_jet calls by their (l, order) key."""
+    calls = Counter()
+    real = gkz.reciprocal_gamma_jet
+
+    def counting(l, order):
+        calls[(l, order)] += 1
+        return real(l, order)
+
+    monkeypatch.setattr(gkz, "reciprocal_gamma_jet", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fan,beta,x", [("f1", "beta_f1", "x_f1"), ("square", "beta_square", "x_square")])
+def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
+    main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")])
+    code = main([
+        "gkz-verify",
+        "--fan", str(tmp_path / f"fan_{fan}.json"),
+        "--beta", str(tmp_path / f"{beta}.json"),
+        "--x", str(tmp_path / f"{x}.json"),
+        "--bound", "12",
+        "--vcap", "2",
+        "--out", str(tmp_path / "out.json"),
+    ])
+    assert code == 0
+    assert len(jet_calls) > 40
+    assert set(jet_calls.values()) == {1}
+
+
+def _suite(instance, x, offsets):
+    """repr of every series, derivative and solution-system value at x."""
+    fan = instance.fan
+    out = []
+    for v in low_degree_points(fan, 1):
+        out.append(repr(gamma_series(instance, v, x, 10, arg_offsets=offsets)))
+        for j in sorted(fan.fan_indices()):
+            out.append(repr(gamma_series_derivative(instance, v, x, 10, j, arg_offsets=offsets)))
+    out.append(repr(solution_system(instance, x, 10, 1, arg_offsets=offsets)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fan,beta,points",
+    [
+        (
+            F1,
+            (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5)),
+            [(X_F1, None), (X_F1, (0.0, TWO_PI, 0.0)), (X_F1_B, None), (X_F1_B, (0.0, 0.0, -TWO_PI))],
+        ),
+        (
+            SQUARE,
+            (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)),
+            [(X_SQUARE, None), (X_SQUARE_B, (0.0, 0.0, TWO_PI, 0.0)), (X_SQUARE_B, None)],
+        ),
+    ],
+)
+def test_reused_instance_matches_fresh(fan, beta, points):
+    shared = build_gkz(fan, beta)
+    fresh = {p: _suite(build_gkz(fan, beta), *p) for p in points}
+    # each point, then the first again: x1, x2, x1, ..., with and without offsets
+    for p in points + points[:1] + points[::-1]:
+        assert _suite(shared, *p) == fresh[p]
+
+
+def test_cache_leaves_equality_and_hash_alone():
+    a = build_gkz(F1, (Fraction(1, 4), 0))
+    before = hash(a)
+    gamma_series(a, (0, 0), X_F1, 8)
+    assert a._series and hash(a) == before
+    assert "_series" not in repr(a)
+    # a copy starts with its own empty cache and still equals the original
+    copy = dataclasses.replace(a)
+    assert copy._series == {} and copy == a and hash(copy) == before
+
+
+def reference_term_shift(instance, v, j, B):
+    """The term-shift check on LVectors from enumerate_L, window by window."""
+    v = tuple(v)
+    v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
+    ok = True
+    boundary = []
+    for src, _, _ in instance.correspondence.triples:
+        left = {}
+        for lv in enumerate_L(instance, src, v, B):
+            m2 = tuple(o - (1 if i == j else 0) for i, o in enumerate(lv.offset))
+            if sum(map(abs, m2)) <= B - 1:
+                left[m2] = lv
+            else:
+                boundary.append(lv)
+        right = {}
+        for lv in enumerate_L(instance, src, v2, B):
+            if sum(map(abs, lv.offset)) <= B - 1:
+                right[lv.offset] = lv
+            else:
+                boundary.append(lv)
+        ok = ok and set(left) == set(right)
+    return ok, tuple(boundary)
+
+
+@pytest.mark.parametrize(
+    "fan,beta",
+    [
+        (F1, (Fraction(0), Fraction(0))),
+        (F1, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))),
+        (SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))),
+        (HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))),
+    ],
+)
+def test_term_shift_offsets_match_lvector_reference(fan, beta):
+    inst = build_gkz(fan, beta)
+    for v in low_degree_points(inst.fan, 1):
+        for j in sorted(inst.fan.fan_indices()):
+            for B in (0, 1, 4, 6):
+                rep = verify_term_shift(inst, v, j, B)
+                assert (rep.ok, rep.boundary) == reference_term_shift(inst, v, j, B)
+
+
+def test_scalar_from_parts_keeps_fractions():
+    half = Fraction(1, 2)
+    assert scalar_from_parts(half, Fraction(0)) is half
+    assert scalar_from_parts(3, 0) == Fraction(3) and type(scalar_from_parts(3, 0)) is Fraction
+    assert scalar_from_parts(half, Fraction(1)) == GaussianRational(half, Fraction(1))
