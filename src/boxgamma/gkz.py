@@ -513,11 +513,13 @@ def gamma_series_derivative(
     Each term at exponent l differentiates to the shifted exponent l - e_j, an
     element of the term set at index v + v_j; the result is truncated in the
     window of that target set, so it is comparable to gamma_series at v + v_j
-    term for term.  The two computations still take independent routes through
-    the reciprocal Gamma factors, which is what makes the comparison a check:
-    the derivative takes the jet at l_j = s_j + 1 where the shifted series
-    takes it at s_j, and each is its own reciprocal_gamma_jet evaluation,
-    never derived from the other by the functional equation.  Windows, terms
+    term for term.  The two computations take separate routes through the
+    reciprocal Gamma factors, which is what makes the comparison a check: the
+    derivative takes the jet at l_j = s_j + 1 where the shifted series takes
+    it at s_j, and each is its own reciprocal_gamma_jet evaluation, never
+    derived from the other by the functional equation.  Both reach the same
+    Stirling evaluation point, though, so the comparison does not see an
+    error in the Stirling tail; the golden jets check that.  Windows, terms
     and jets are cached per (instance, point) and shared with gamma_series: a
     term depends only on its exponent, not on which series reaches it, and a
     jet only on its exact argument.
