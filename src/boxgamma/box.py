@@ -19,14 +19,12 @@ from .fan import ConeRef, StackyFan, minimal_cone
 from .linalg import (
     GaussianRational,
     as_gaussian,
-    gaussian_floor_reduce,
     im_part,
-    mat_inverse,
-    mat_vec,
+    integer_adjugate,
     re_part,
     scalar_from_parts,
+    scaled_numerators,
     smith_normal_form,
-    solve_simplicial_coords,
 )
 
 Coord = Union[Fraction, GaussianRational]
@@ -94,21 +92,20 @@ def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
     return tuple(out)
 
 
-def _floor_reduce(c: Coord) -> tuple[Coord, int]:
-    if isinstance(c, GaussianRational):
-        reduced, f = gaussian_floor_reduce(c)
-        return scalar_from_parts(reduced.re, reduced.im), f
-    f = math.floor(c)
-    return c - f, f
-
-
 def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple[ConeRef, ...]:
     wits = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
     return wits if wits else (cone,)
 
 
 def _cone_branches(fan, cone, beta):
-    """(residue, floors, BoxElement) triples in residue enumeration order."""
+    """(residue, floors, BoxElement) triples in residue enumeration order.
+
+    With S V T = D the Smith form of the generator matrix V, the residues r
+    of Z^d / V Z^d give the lattice points n0 = S^-1 r, and the cone
+    coordinates of n0 + beta are (adj n0 + adj beta) / det.  adj beta is
+    formed once, over a common denominator of beta's parts; each residue
+    then costs integer products and one Fraction per coordinate and part.
+    """
     d = fan.rank
     cone = tuple(cone)
     if len(cone) != d:
@@ -119,16 +116,25 @@ def _cone_branches(fan, cone, beta):
     diag = [dmat[i][i] for i in range(d)]
     if any(x == 0 for x in diag):
         raise NotFullDimensional(f"generators of cone {cone} are linearly dependent")
-    s_inv = [[int(x) for x in row] for row in mat_inverse(s)]
+    s_inv, _ = integer_adjugate(s)  # S is unimodular, so its adjugate is S^-1
+    adj, det = integer_adjugate(v)
+    re = [re_part(b) for b in beta]
+    im = [im_part(b) for b in beta]
+    den = math.lcm(*(x.denominator for x in re + im))
+    big = det * den
+    b_re = scaled_numerators(re, den)
+    b_im = scaled_numerators(im, den)
+    adj_re = [sum(a * b for a, b in zip(row, b_re)) for row in adj]
+    adj_im = [sum(a * b for a, b in zip(row, b_im)) for row in adj]
     out = []
     for residue in itertools.product(*[range(x) for x in diag]):
-        n0 = [int(x) for x in mat_vec(s_inv, residue)]
-        coords = solve_simplicial_coords(gens, [n0[r] + beta[r] for r in range(d)])
+        n0 = [sum(a * b for a, b in zip(row, residue)) for row in s_inv]
         alpha = [Fraction(0)] * fan.k
         floors = []
         for pos, i in enumerate(cone):
-            reduced, f = _floor_reduce(coords[pos])
-            alpha[i] = scalar_from_parts(re_part(reduced), im_part(reduced))
+            num = den * sum(a * b for a, b in zip(adj[pos], n0)) + adj_re[pos]
+            f = num // big
+            alpha[i] = scalar_from_parts(Fraction(num - f * big, big), Fraction(adj_im[pos], big))
             floors.append(f)
         point = tuple(
             n0[r] - sum(floors[pos] * gens[pos][r] for pos in range(d)) for r in range(d)
@@ -208,7 +214,11 @@ def _signature(fan: StackyFan, source, delta: Fraction):
 def correspondence_at(fan: StackyFan, beta, delta: Fraction) -> DeltaCorrespondence:
     """Build the correspondence at a given delta without running the halving search."""
     b = normalize_beta(fan, beta)
-    source = box_of_fan(fan, b)
+    return _correspondence(fan, b, box_of_fan(fan, b), delta)
+
+
+def _correspondence(fan: StackyFan, b, source, delta: Fraction) -> DeltaCorrespondence:
+    """correspondence_at for a normalized beta whose box set is already built."""
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
     target = box_of_fan(fan, beta_delta)
     index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
@@ -246,7 +256,7 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     for _ in range(41):
         sig = _signature(fan, source, delta)
         if previous is not None and previous[1] == sig:
-            return correspondence_at(fan, b, previous[0])
+            return _correspondence(fan, b, source, previous[0])
         previous = (delta, sig)
         delta = delta / 2
     raise NoStabilization("combinatorial data did not settle within 40 halvings")

@@ -29,7 +29,7 @@ from .gkz import (
     verify_euler,
     verify_term_shift,
 )
-from .kring import spectrum, wall_report
+from .kring import _wall_records, spectrum
 from .linalg import (
     as_gaussian,
     format_gaussian,
@@ -222,7 +222,7 @@ def cmd_kring(args):
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     points = spectrum(fan, beta)
-    walls = wall_report(fan, beta)
+    walls = _wall_records(p.alpha_class for p in points)
     return {
         "points": [
             {

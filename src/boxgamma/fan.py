@@ -10,9 +10,9 @@ marker indices; JSON I/O is 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,9 +24,11 @@ from .errors import (
 from .linalg import (
     GaussianRational,
     as_gaussian,
-    det_rational,
     in_span_coords,
+    integer_adjugate,
+    integer_corank_one_kernel,
     lattice_generates,
+    scaled_numerators,
     solve_integer,
     solve_simplicial_coords,
 )
@@ -81,14 +83,9 @@ class ValidationReport:
 
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector on the ray through v, preserving orientation."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    ints = scaled_numerators(fr, math.lcm(*(x.denominator for x in fr)))
+    g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(x // g for x in ints)
@@ -155,11 +152,11 @@ def normalized_volume(fan: StackyFan) -> int:
     for cone in fan.max_cones:
         if len(cone) != fan.rank:
             raise NotFullDimensional(f"cone {cone} is not full-dimensional")
-        m = [[fan.rays[i][r] for i in cone] for r in range(fan.rank)]
-        d = det_rational(m)
-        if d == 0:
-            raise NotFullDimensional(f"cone {cone} has dependent generators")
-        total += abs(int(d))
+        try:
+            _, d = integer_adjugate(fan.gens(cone))
+        except DependentGenerators:
+            raise NotFullDimensional(f"cone {cone} has dependent generators") from None
+        total += d
     return total
 
 
@@ -186,6 +183,8 @@ def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[in
     g1 = fan.gens(c1)
     g2 = fan.gens(c2)
     d = fan.rank
+    if len(g1) == d and len(g2) == d:
+        return _full_intersection_rays(g1, g2, d)
     # span intersection: solve V1*a - V2*b = 0
     cols = len(g1) + len(g2)
     rows = [
@@ -238,6 +237,29 @@ def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[in
                 )
                 if any(x):
                     rays_out.add(primitive_direction(x))
+                break
+    return rays_out
+
+
+def _full_intersection_rays(g1, g2, d: int) -> set[tuple[int, ...]]:
+    """_intersection_rays for two full-dimensional simplicial cones.
+
+    The intersection is {x : adj1 x >= 0, adj2 x >= 0}, adj the cones'
+    sign-normalised adjugates.  Its extreme rays are the admissible kernel
+    directions of the (d-1)-row subsets of rank d - 1, all in integers.
+    """
+    rows = []
+    for gens in (g1, g2):
+        adj, _ = integer_adjugate([[g[r] for g in gens] for r in range(d)])
+        rows.extend(adj)
+    rays_out: set[tuple[int, ...]] = set()
+    for subset in itertools.combinations(rows, d - 1):
+        t = integer_corank_one_kernel(subset, d)
+        if t is None:
+            continue
+        for x in (t, tuple(-v for v in t)):
+            if all(sum(a * b for a, b in zip(row, x)) >= 0 for row in rows):
+                rays_out.add(primitive_direction(x))
                 break
     return rays_out
 
@@ -421,17 +443,22 @@ def triangulate_from_heights(
     hs = [Fraction(h) for h in heights]
     if len(hs) != len(pts):
         raise ValueError("heights and points must have equal length")
+    # integer heights H = den * hs; with adj, det the sign-normalised adjugate
+    # of the subset's point matrix, w = adj h_S / det, so p . w <= h_j
+    # compares p . (adj H_S) with det * H_j
+    den = math.lcm(*(h.denominator for h in hs))
+    h_int = scaled_numerators(hs, den)
     cells: set[ConeRef] = set()
     for subset in itertools.combinations(range(len(pts)), d):
-        # columns of the subset's point matrix; solve w . v_i = h_i on subset
-        cols = [tuple(pts[i][r] for i in subset) for r in range(d)]
-        if det_rational(cols) == 0:
+        try:
+            adj, det = integer_adjugate([pts[i] for i in subset])
+        except DependentGenerators:
             continue
-        w = solve_simplicial_coords(cols, [hs[i] for i in subset])
-        vals = [sum((Fraction(x) * wi for x, wi in zip(p, w)), start=Fraction(0)) for p in pts]
-        if any(vals[j] > hs[j] for j in range(len(pts))):
+        u = [sum(a * h_int[i] for a, i in zip(row, subset)) for row in adj]
+        vals = [sum(x * y for x, y in zip(p, u)) - det * h for p, h in zip(pts, h_int)]
+        if any(v > 0 for v in vals):
             continue
-        cell = tuple(sorted(j for j in range(len(pts)) if vals[j] == hs[j]))
+        cell = tuple(j for j, v in enumerate(vals) if v == 0)
         if len(cell) > d:
             raise DegenerateHeights(
                 f"heights are degenerate: lower facet on markers {tuple(i + 1 for i in cell)}"

@@ -12,7 +12,7 @@ offset between the two unreduced solutions as an exact witness.
 import cmath
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .box import (
     Branch,
@@ -83,9 +83,14 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
 
 def wall_report(fan: StackyFan, beta: Sequence) -> tuple[WallRecord, ...]:
     """One record per colliding branch pair; empty exactly off the walls."""
-    b = normalize_beta(fan, beta)
+    return _wall_records(collisions(fan, normalize_beta(fan, beta)))
+
+
+def _wall_records(classes: Iterable[CollisionClass]) -> tuple[WallRecord, ...]:
+    """wall_report from collision classes already built, e.g. the spectrum
+    points' alpha_class."""
     records = []
-    for cls in collisions(fan, b):
+    for cls in classes:
         brs = cls.branches
         for i, j in itertools.combinations(range(len(brs)), 2):
             diff = tuple(x - y for x, y in zip(brs[j].floors, brs[i].floors))

@@ -12,7 +12,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,12 +153,17 @@ def gaussian_floor_reduce(c: GaussianRational) -> tuple[GaussianRational, int]:
     return GaussianRational(c.re - f, c.im), f
 
 
+_ZERO = Fraction(0)
+
+
 def re_part(x) -> Fraction:
-    return x.re if isinstance(x, GaussianRational) else Fraction(x)
+    if isinstance(x, GaussianRational):
+        return x.re
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def im_part(x) -> Fraction:
-    return x.im if isinstance(x, GaussianRational) else Fraction(0)
+    return x.im if isinstance(x, GaussianRational) else _ZERO
 
 
 def scalar_from_parts(re: Fraction, im: Fraction):
@@ -169,11 +174,8 @@ def scalar_from_parts(re: Fraction, im: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# rational vectors and matrices (tuples / lists of Fractions)
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence) -> tuple:
-    return tuple(sum((r[j] * v[j] for j in range(len(v))), start=r[0] * 0) for r in rows)
+# Fraction inverse and determinant: the reference the integer kernel below is
+# tested against
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -218,17 +220,114 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     return det
 
 
+# ---------------------------------------------------------------------------
+# fraction-free integer elimination (Bareiss 1968)
+
+
+def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows m, in place.
+
+    Columns 0..ncols-1 are eliminated in order; a column with no pivot left
+    is skipped.  Each step replaces every other row by
+    (pivot * row - row[col] * pivot_row) / previous pivot, a division that is
+    always exact, so every entry stays a minor of the input.  Returns the
+    pivot columns and the last pivot p: the i-th row holds p in the i-th
+    pivot column and 0 in the other pivot columns, and rows past the rank
+    are zero.  For a square matrix of full rank p is the determinant up to
+    the sign of the row swaps.
+    """
+    nrows = len(m)
+    prev = 1
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        prow = m[row]
+        p = prow[col]
+        for r in range(nrows):
+            if r == row:
+                continue
+            f = m[r][col]
+            if f:
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], prow)]
+            elif p != prev:
+                m[r] = [p * x // prev for x in m[r]]
+        prev = p
+        pivots.append(col)
+    return pivots, prev
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """(adj, det) of a square integer matrix with det > 0 and adj * A = det * I.
+
+    So A^-1 = adj / det.  The sign is normalised: for det(A) < 0 both the
+    adjugate and the determinant come back negated.  Raises
+    DependentGenerators for a singular matrix.
+    """
+    n = len(rows)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, det = _bareiss(m, n)
+    if len(pivots) < n:
+        raise DependentGenerators("matrix is singular")
+    if det < 0:
+        return [[-x for x in row[n:]] for row in m], -det
+    return [row[n:] for row in m], det
+
+
+def integer_corank_one_kernel(rows: Sequence[Sequence[int]], ncols: int):
+    """Integer vector spanning the kernel of rows when it has dimension
+    exactly one, else None.  The vector is proportional to the generalized
+    cross product of the rows' maximal minors; it need not be primitive."""
+    m = [[int(x) for x in row] for row in rows]
+    pivots, prev = _bareiss(m, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    t = [0] * ncols
+    t[free] = prev
+    for row, c in zip(m, pivots):
+        t[c] = -row[free]
+    return tuple(t)
+
+
+def scaled_numerators(values: Sequence[Fraction], den: int) -> list[int]:
+    """The integers den * x, for a common denominator den of the values."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple:
     """Coordinates of p in linearly independent generators (columns).
 
     p may have Fraction or GaussianRational entries; the coordinate vector is
     returned with entries of the same kind.  Raises DependentGenerators if the
     generators are dependent and NotInSpan if p lies outside their span.
+
+    With as many generators as coordinates the solve is adj * P / (det * L),
+    where P / L is p over a common denominator: one Fraction per coordinate
+    and part.  Otherwise the system is eliminated over the rationals.
     """
     d = len(gens[0])
     m = len(gens)
-    pg = [as_gaussian(x) if not isinstance(x, GaussianRational) else x for x in p]
     complex_input = any(isinstance(x, GaussianRational) for x in p)
+    if m == d:
+        adj, det = integer_adjugate([[g[r] for g in gens] for r in range(d)])
+        parts = [[re_part(x) for x in p]]
+        if complex_input:
+            parts.append([im_part(x) for x in p])
+        den = math.lcm(*(x.denominator for part in parts for x in part))
+        coords = [
+            [Fraction(sum(a * b for a, b in zip(row, nums)), det * den) for row in adj]
+            for nums in (scaled_numerators(part, den) for part in parts)
+        ]
+        if not complex_input:
+            return tuple(coords[0])
+        return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
+    pg = [as_gaussian(x) if not isinstance(x, GaussianRational) else x for x in p]
     # augmented system [A | re p | im p], A[d][m] with columns the generators
     a = [[Fraction(gens[j][i]) for j in range(m)] + [pg[i].re, pg[i].im] for i in range(d)]
     pivots = []
@@ -437,8 +536,8 @@ def lattice_generates(rays: Sequence[Sequence[int]]) -> bool:
     nonzero = [row for row in h if any(row)]
     if len(nonzero) < d:
         return False
-    idx = abs(det_rational([row[:d] for row in nonzero[:d]]))
-    return idx == 1
+    # full column rank: the pivot of row i sits in column i
+    return math.prod(row[i] for i, row in enumerate(nonzero)) == 1
 
 
 def rank_over_C(matrix, rtol: float = 1e-9) -> int:

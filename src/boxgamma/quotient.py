@@ -35,6 +35,7 @@ from .linalg import (
 Coord = Union[Fraction, GaussianRational]
 
 STOP_WINDOW = 3
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class _Summand:
         self.pieces: dict[int, list[tuple[int, ...]]] = {}
         self.lattice: dict[int, list[tuple[int, ...]]] = {}
         self.cols: dict[int, dict[tuple[int, ...], int]] = {}
-        self.ech: dict[int, list[tuple[int, list[Fraction]]]] = {}
+        self.ech: dict[int, dict[int, list[Fraction]]] = {}
         self.quot: dict[int, list[int]] = {}
 
     def _monomials(self, t: int):
@@ -236,63 +237,75 @@ class _Summand:
         col = {m: c for c, m in enumerate(mons)}
         self.cols[t] = col
         rows = []
-        ray_idx = sorted(fan.fan_indices())
+        ray_idx = [i for i in sorted(fan.fan_indices()) if any(fan.rays[i])]
         for mprev in self.pieces.get(t - 1, []):
-            for j in range(fan.rank):
-                vec = [Fraction(0)] * len(mons)
-                nonzero = False
-                for i in ray_idx:
-                    coeff = fan.rays[i][j]
-                    if coeff == 0:
-                        continue
-                    m2 = tuple(
-                        mprev[x] + (1 if x == i else 0) for x in range(fan.k)
+            # column of mprev + e_i for each ray i that keeps it admissible
+            targets = []
+            for i in ray_idx:
+                m2 = tuple(mprev[x] + (1 if x == i else 0) for x in range(fan.k))
+                if not self._admissible(m2):
+                    continue
+                c = col.get(m2)
+                if c is None:
+                    raise RuntimeError(
+                        "internal: shadow filter is not closed under the ray action"
                     )
-                    if not self._admissible(m2):
-                        continue
-                    c = col.get(m2)
-                    if c is None:
-                        raise RuntimeError(
-                            "internal: shadow filter is not closed under the ray action"
-                        )
-                    vec[c] += coeff
-                    nonzero = True
+                targets.append((fan.rays[i], c))
+            for j in range(fan.rank):
+                vec = [0] * len(mons)
+                nonzero = False
+                for ray, c in targets:
+                    if ray[j]:
+                        vec[c] += ray[j]
+                        nonzero = True
                 if nonzero:
                     rows.append(vec)
-        ech = _rref(rows, len(mons))
+        ech = dict(_rref(rows, len(mons)))
         self.ech[t] = ech
-        pivots = {pc for pc, _ in ech}
-        self.quot[t] = [c for c in range(len(mons)) if c not in pivots]
+        self.quot[t] = [c for c in range(len(mons)) if c not in ech]
         return len(self.quot[t])
 
-    def reduce(self, t: int, vec: list[Fraction]) -> list[Fraction]:
-        for pc, row in self.ech[t]:
-            if vec[pc] != 0:
-                f = vec[pc]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return [vec[c] for c in self.quot[t]]
+    def reduce(self, t: int, c: int) -> list[Fraction]:
+        """Quotient coordinates of the degree-t monomial in column c."""
+        row = self.ech[t].get(c)
+        if row is None:
+            return [Fraction(int(q == c)) for q in self.quot[t]]
+        return [-row[q] for q in self.quot[t]]
 
 
 def _rref(rows, ncols):
-    ech: list[tuple[int, list[Fraction]]] = []
+    """Reduced row echelon form of integer rows: (pivot column, row) pairs in
+    pivot order, each row scaled to pivot 1 with Fraction entries.
+
+    Rows are eliminated fraction-free, each divided by its content once it
+    is reduced, and kept zero in every other row's pivot column.  Fractions
+    are formed only when the reduced rows are emitted.
+    """
+    ech: list[tuple[int, list[int]]] = []
     for r in rows:
         v = list(r)
         for pc, er in ech:
-            if v[pc] != 0:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, er)]
-        pc = next((c for c in range(ncols) if v[c] != 0), None)
+            f = v[pc]
+            if f:
+                p = er[pc]
+                v = [p * x - f * y for x, y in zip(v, er)]
+        pc = next((c for c in range(ncols) if v[c]), None)
         if pc is None:
             continue
-        inv = Fraction(1) / v[pc]
-        v = [x * inv for x in v]
+        g = math.gcd(*v)
+        if v[pc] < 0:
+            g = -g
+        v = [x // g for x in v]
+        p = v[pc]
         for idx, (pc2, er) in enumerate(ech):
-            if er[pc] != 0:
-                f = er[pc]
-                ech[idx] = (pc2, [x - f * y for x, y in zip(er, v)])
+            f = er[pc]
+            if f:
+                w = [p * x - f * y for x, y in zip(er, v)]
+                g = math.gcd(*w)
+                ech[idx] = (pc2, [x // g for x in w])
         ech.append((pc, v))
     ech.sort(key=lambda pr: pr[0])
-    return ech
+    return [(pc, [Fraction(x, row[pc]) if x else _ZERO for x in row]) for pc, row in ech]
 
 
 def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
@@ -369,9 +382,7 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
                     raise RuntimeError(
                         "internal: shadow filter is not closed under the ray action"
                     )
-                vec = [Fraction(0)] * len(s.pieces[t2])
-                vec[c2] = Fraction(1)
-                coords = s.reduce(t2, vec)
+                coords = s.reduce(t2, c2)
                 for local, value in enumerate(coords):
                     if value != 0:
                         tgt = index[(s_i, t2, s.quot[t2][local])]
