@@ -34,7 +34,6 @@ from .linalg import (
     as_gaussian,
     format_gaussian,
     format_rational,
-    im_part,
     parse_gaussian,
     parse_rational,
 )
@@ -179,10 +178,7 @@ def cmd_box(args):
 
 def _quotient_for(fan: StackyFan, beta, xi=None):
     corr = stabilize(fan, beta)
-    has_im = any(im_part(b) != 0 for b in beta)
-    return build_quotient(
-        ModuleSpec(fan, corr.beta_delta, xi=xi, complex_beta=beta if has_im else None)
-    )
+    return build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi))
 
 
 def cmd_cohomology(args):

@@ -26,7 +26,7 @@ from .linalg import (
     as_gaussian,
     in_span_coords,
     integer_adjugate,
-    integer_corank_one_kernel,
+    integer_kernel,
     lattice_generates,
     scaled_numerators,
     solve_integer,
@@ -94,13 +94,6 @@ def primitive_direction(v: Sequence) -> tuple[int, ...]:
 def _cone_coords(fan: StackyFan, cone: Sequence[int], p: Sequence):
     """Coordinates of p in the cone's generators, or None if not in the span."""
     return in_span_coords(fan.gens(cone), p)
-
-
-def cone_contains(fan: StackyFan, cone: Sequence[int], p: Sequence) -> bool:
-    coords = _cone_coords(fan, cone, p)
-    if coords is None:
-        return False
-    return all(c.im == 0 and c.re >= 0 if isinstance(c, GaussianRational) else c >= 0 for c in coords)
 
 
 def minimal_cone(fan: StackyFan, p: Sequence, use_real_part: bool = False):
@@ -179,135 +172,38 @@ def is_complete(fan: StackyFan) -> bool:
 
 
 def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[int, ...]]:
-    """Primitive directions of the extreme rays of cone(c1) ∩ cone(c2)."""
+    """Primitive directions of the extreme rays of cone(c1) ∩ cone(c2), for
+    simplicial cones of any dimension.
+
+    The pairs (a, b) with V1 a = V2 b form K, the kernel of [V1 | -V2].
+    Each cone's generators must be independent (validate checks that first),
+    so (a, b) -> V1 a is one-to-one on K and the intersection is the image of
+    {k in K : k >= 0}.  Writing k = sum t_j K_j in the integer kernel basis,
+    each coordinate of k is an inequality on t; a subset of dim K - 1 of them
+    with a one-dimensional kernel gives an extreme ray when one sign of its
+    kernel vector satisfies all of them.
+    """
     g1 = fan.gens(c1)
     g2 = fan.gens(c2)
-    d = fan.rank
-    if len(g1) == d and len(g2) == d:
-        return _full_intersection_rays(g1, g2, d)
-    # span intersection: solve V1*a - V2*b = 0
-    cols = len(g1) + len(g2)
-    rows = [
-        [Fraction(g1[j][r]) for j in range(len(g1))]
-        + [Fraction(-g2[j][r]) for j in range(len(g2))]
-        for r in range(d)
-    ]
-    kernel = _rational_kernel(rows, cols)
-    # basis of L = span(c1) ∩ span(c2), as vectors V1*a
-    cand = []
-    for vec in kernel:
-        x = tuple(
-            sum((vec[j] * g1[j][r] for j in range(len(g1))), start=Fraction(0))
-            for r in range(d)
-        )
-        cand.append(x)
-    basis = _independent_subset(cand)
+    rows = [[g[r] for g in g1] + [-g[r] for g in g2] for r in range(fan.rank)]
+    basis = integer_kernel(rows, len(g1) + len(g2))
     m = len(basis)
     if m == 0:
         return set()
-    p_rows: list[list[Fraction]] = []
-    for gens in (g1, g2):
-        coeff_cols = [solve_simplicial_coords(gens, basis[col]) for col in range(m)]
-        for i in range(len(gens)):
-            p_rows.append([coeff_cols[col][i] for col in range(m)])
+    ineqs = list(zip(*basis))
+    # x = V1 a is linear in t: row r holds the r-th entry of each V1 a_j
+    image = [[sum(g[r] * c for g, c in zip(g1, k)) for k in basis] for r in range(fan.rank)]
     rays_out: set[tuple[int, ...]] = set()
-
-    def admit(t):
-        vals = [sum((row[j] * t[j] for j in range(m)), start=Fraction(0)) for row in p_rows]
-        return all(v >= 0 for v in vals)
-
-    if m == 1:
-        for t in ((Fraction(1),), (Fraction(-1),)):
-            if admit(t):
-                x = tuple(basis[0][r] * t[0] for r in range(d))
-                if any(x):
-                    rays_out.add(primitive_direction(x))
-        return rays_out
-    for subset in itertools.combinations(range(len(p_rows)), m - 1):
-        sub = [p_rows[i] for i in subset]
-        ker = _rational_kernel(sub, m)
+    for subset in itertools.combinations(ineqs, m - 1):
+        ker = integer_kernel(subset, m)
         if len(ker) != 1:
             continue
-        t = ker[0]
-        for cand_t in (t, tuple(-x for x in t)):
-            if admit(cand_t):
-                x = tuple(
-                    sum((basis[j][r] * cand_t[j] for j in range(m)), start=Fraction(0))
-                    for r in range(d)
-                )
-                if any(x):
-                    rays_out.add(primitive_direction(x))
-                break
-    return rays_out
-
-
-def _full_intersection_rays(g1, g2, d: int) -> set[tuple[int, ...]]:
-    """_intersection_rays for two full-dimensional simplicial cones.
-
-    The intersection is {x : adj1 x >= 0, adj2 x >= 0}, adj the cones'
-    sign-normalised adjugates.  Its extreme rays are the admissible kernel
-    directions of the (d-1)-row subsets of rank d - 1, all in integers.
-    """
-    rows = []
-    for gens in (g1, g2):
-        adj, _ = integer_adjugate([[g[r] for g in gens] for r in range(d)])
-        rows.extend(adj)
-    rays_out: set[tuple[int, ...]] = set()
-    for subset in itertools.combinations(rows, d - 1):
-        t = integer_corank_one_kernel(subset, d)
-        if t is None:
-            continue
-        for x in (t, tuple(-v for v in t)):
-            if all(sum(a * b for a, b in zip(row, x)) >= 0 for row in rows):
+        for t in (ker[0], tuple(-x for x in ker[0])):
+            if all(sum(a * b for a, b in zip(row, t)) >= 0 for row in ineqs):
+                x = [sum(a * b for a, b in zip(row, t)) for row in image]
                 rays_out.add(primitive_direction(x))
                 break
     return rays_out
-
-
-def _rational_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the kernel of a rational matrix given by rows."""
-    a = [list(map(Fraction, row)) for row in rows]
-    nrows = len(a)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -a[i][f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _independent_subset(vectors: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    basis: list[tuple[Fraction, ...]] = []
-    reduced: list[list[Fraction]] = []
-    for v in vectors:
-        w = list(v)
-        for r in reduced:
-            piv = next((j for j, x in enumerate(r) if x != 0), None)
-            if piv is not None and w[piv] != 0:
-                f = w[piv] / r[piv]
-                w = [x - f * y for x, y in zip(w, r)]
-        if any(w):
-            basis.append(v)
-            reduced.append(w)
-    return basis
 
 
 def validate(fan: StackyFan) -> ValidationReport:

@@ -241,11 +241,8 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         fan = StackyFan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones, deg=report.deg)
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    has_im = any(im_part(x) != 0 for x in b)
     xi = tuple(re_part(x) for x in b)
-    quotient = build_quotient(
-        ModuleSpec(fan, corr.beta_delta, xi=xi, complex_beta=b if has_im else None)
-    )
+    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi))
     h, u = hermite_normal_form(fan.rays)
     kernel = integer_kernel_basis(fan.rays)
     relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]

@@ -68,10 +68,7 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     """
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    has_im = any(im_part(x) != 0 for x in b)
-    quotient = build_quotient(
-        ModuleSpec(fan, corr.beta_delta, complex_beta=b if has_im else None)
-    )
+    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta))
     amap = {alpha_key(src.alpha): alpha_key(tgt.alpha) for src, tgt, _ in corr.triples}
     points = []
     for cls in collisions(fan, b):

@@ -2,8 +2,9 @@
 
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Integer lattice work (Hermite and Smith
-normal forms, integer solving) uses arbitrary-precision ints.  The only
-floating-point routine is `rank_over_C`.
+normal forms, integer solving) and every cone solve, through one
+fraction-free elimination, use arbitrary-precision ints.  The only
+floating-point routine is `singular_values`.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
     always exact, so every entry stays a minor of the input.  Returns the
     pivot columns and the last pivot p: the i-th row holds p in the i-th
     pivot column and 0 in the other pivot columns, and rows past the rank
-    are zero.  For a square matrix of full rank p is the determinant up to
-    the sign of the row swaps.
+    are zero in columns 0..ncols-1.  For a square matrix of full rank p is
+    the determinant up to the sign of the row swaps.
     """
     nrows = len(m)
     prev = 1
@@ -279,20 +280,25 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     return [row[n:] for row in m], det
 
 
-def integer_corank_one_kernel(rows: Sequence[Sequence[int]], ncols: int):
-    """Integer vector spanning the kernel of rows when it has dimension
-    exactly one, else None.  The vector is proportional to the generalized
-    cross product of the rows' maximal minors; it need not be primitive."""
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer vectors t with rows * t = 0, one per non-pivot column.
+
+    For the free column f the vector has t[f] = p, the last pivot, and
+    t[c_i] = -row_i[f] in the i-th pivot column after elimination, 0
+    elsewhere.  The vectors are a basis of the kernel over Q, not a lattice
+    basis of its integer points as `integer_kernel_basis` gives, and need not
+    be primitive.  A corank-one matrix gives exactly one vector.
+    """
     m = [[int(x) for x in row] for row in rows]
-    pivots, prev = _bareiss(m, ncols)
-    if len(pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    t = [0] * ncols
-    t[free] = prev
-    for row, c in zip(m, pivots):
-        t[c] = -row[free]
-    return tuple(t)
+    pivots, last = _bareiss(m, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        t = [0] * ncols
+        t[free] = last
+        for row, c in zip(m, pivots):
+            t[c] = -row[free]
+        basis.append(tuple(t))
+    return basis
 
 
 def scaled_numerators(values: Sequence[Fraction], den: int) -> list[int]:
@@ -307,53 +313,31 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     returned with entries of the same kind.  Raises DependentGenerators if the
     generators are dependent and NotInSpan if p lies outside their span.
 
-    With as many generators as coordinates the solve is adj * P / (det * L),
-    where P / L is p over a common denominator: one Fraction per coordinate
-    and part.  Otherwise the system is eliminated over the rationals.
+    With P / L the re and im parts of p over a common denominator, the
+    integer matrix [V | P_re | P_im] is eliminated over the generator
+    columns: each coordinate is rhs / (pivot * L), one Fraction per
+    coordinate and part, and a row past the rank with a nonzero right-hand
+    side puts p outside the span.
     """
     d = len(gens[0])
     m = len(gens)
     complex_input = any(isinstance(x, GaussianRational) for x in p)
-    if m == d:
-        adj, det = integer_adjugate([[g[r] for g in gens] for r in range(d)])
-        parts = [[re_part(x) for x in p]]
-        if complex_input:
-            parts.append([im_part(x) for x in p])
-        den = math.lcm(*(x.denominator for part in parts for x in part))
-        coords = [
-            [Fraction(sum(a * b for a, b in zip(row, nums)), det * den) for row in adj]
-            for nums in (scaled_numerators(part, den) for part in parts)
-        ]
-        if not complex_input:
-            return tuple(coords[0])
-        return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
-    pg = [as_gaussian(x) if not isinstance(x, GaussianRational) else x for x in p]
-    # augmented system [A | re p | im p], A[d][m] with columns the generators
-    a = [[Fraction(gens[j][i]) for j in range(m)] + [pg[i].re, pg[i].im] for i in range(d)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, d) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(d):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
+    parts = [[re_part(x) for x in p]]
+    if complex_input:
+        parts.append([im_part(x) for x in p])
+    den = math.lcm(*(x.denominator for part in parts for x in part))
+    nums = [scaled_numerators(part, den) for part in parts]
+    a = [[g[r] for g in gens] + [num[r] for num in nums] for r in range(d)]
+    pivots, last = _bareiss(a, m)
     if len(pivots) < m:
         raise DependentGenerators("generators are linearly dependent")
-    for r in range(row, d):
-        if a[r][m] != 0 or a[r][m + 1] != 0:
-            raise NotInSpan("point is not in the span of the generators")
-    coords = [GaussianRational(a[i][m], a[i][m + 1]) for i in range(m)]
-    if complex_input:
-        return tuple(coords)
-    return tuple(c.re for c in coords)
+    if any(any(row[m:]) for row in a[m:]):
+        raise NotInSpan("point is not in the span of the generators")
+    q = last * den
+    coords = [[Fraction(row[m + j], q) for row in a[:m]] for j in range(len(parts))]
+    if not complex_input:
+        return tuple(coords[0])
+    return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
 
 
 def in_span_coords(gens: Sequence[Sequence[int]], p: Sequence):
@@ -538,17 +522,6 @@ def lattice_generates(rays: Sequence[Sequence[int]]) -> bool:
         return False
     # full column rank: the pivot of row i sits in column i
     return math.prod(row[i] for i, row in enumerate(nonzero)) == 1
-
-
-def rank_over_C(matrix, rtol: float = 1e-9) -> int:
-    """Numerical rank of a complex matrix via singular values."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
 
 
 def singular_values(matrix) -> list[float]:

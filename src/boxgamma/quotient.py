@@ -40,14 +40,12 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """Real rational shift chi, optional shadow direction xi restricting to
-    points whose translate admits xi as a tangent direction, and the original
-    complex parameter when chi arose by stabilization."""
+    """Real rational shift chi and optional shadow direction xi restricting to
+    points whose translate admits xi as a tangent direction."""
 
     fan: StackyFan
     chi: tuple[Fraction, ...]
     xi: Optional[tuple[Fraction, ...]] = None
-    complex_beta: Optional[tuple[Coord, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "chi", tuple(Fraction(c) for c in self.chi))

@@ -36,7 +36,6 @@ from boxgamma.kring import spectrum
 from boxgamma.linalg import (
     GaussianRational,
     det_rational,
-    im_part,
     mat_inverse,
     re_part,
 )
@@ -239,10 +238,7 @@ def test_criterion_3_box_examples():
 def quotient_for(fan, beta):
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    has_im = any(im_part(x) != 0 for x in b)
-    return build_quotient(
-        ModuleSpec(fan, corr.beta_delta, complex_beta=b if has_im else None)
-    )
+    return build_quotient(ModuleSpec(fan, corr.beta_delta))
 
 
 @pytest.fixture(scope="module")

@@ -57,6 +57,35 @@ def test_validate_non_primitive_markers_ok():
     assert not rep.gkz_eligible  # no integral functional with value 1 on (2,0)
 
 
+E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "rays,cones,valid",
+    [
+        # two 2-cones sharing the ray e2
+        (E3, ((0, 1), (1, 2)), True),
+        # two 2-cones in the plane z = 0 overlapping in cone((1,1,0), (1,2,0))
+        (((1, 0, 0), (1, 2, 0), (1, 1, 0), (0, 1, 0)), ((0, 1), (2, 3)), False),
+        # a 2-cone and a ray whose spans meet only at the origin
+        (E3, ((0, 1), (2,)), True),
+        # 2-cones in the planes z = 0 and x = y crossing along (1,1,0)
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, -1)), ((0, 1), (2, 3)), False),
+        # the positive octant and a 2-cone sharing its ray e1
+        (E3 + ((0, 0, -1),), ((0, 1, 2), (0, 3)), True),
+    ],
+)
+def test_validate_lower_dimensional_cones_rank_3(rays, cones, valid):
+    rep = validate(StackyFan(rank=3, rays=rays, max_cones=cones))
+    assert rep.valid is valid
+    if valid:
+        assert rep.violations == ()
+        assert rep.volume is None
+        assert "maximal cones are not all full-dimensional" in rep.gkz_notes
+    else:
+        assert rep.violations == ("cones (1, 2) and (3, 4) do not intersect in a common face",)
+
+
 def test_minimal_cone():
     assert minimal_cone(F1, (1, 1)) == (1,)
     assert minimal_cone(F1, (2, 3)) == (1, 2)

@@ -1,9 +1,10 @@
 """The fraction-free integer kernels against Fraction oracles: the adjugate
-and the square cone-coordinate solve against mat_inverse, the quotient's
-integer RREF and the corank-one kernel against a Fraction Gauss-Jordan, and
-the full-dimensional cone intersection against the Fraction route it
-replaced.  Also counts the box-set builds of stabilize and build_gkz and the
-collision builds of the kring command."""
+and the square cone-coordinate solve against mat_inverse, the solve with
+fewer generators than the rank, the quotient's integer RREF and the integer
+kernel against a Fraction Gauss-Jordan, and the cone intersection, for cones
+of any dimension, against the Fraction route it replaced.  Also counts the
+box-set builds of stabilize and build_gkz and the collision builds of the
+kring command."""
 
 import itertools
 from fractions import Fraction
@@ -17,7 +18,7 @@ import boxgamma.kring as kring
 import boxgamma.quotient as quotient
 from boxgamma.box import stabilize
 from boxgamma.cli import main
-from boxgamma.errors import DependentGenerators
+from boxgamma.errors import DependentGenerators, NotInSpan
 from boxgamma.fan import (
     StackyFan,
     _intersection_rays,
@@ -29,7 +30,7 @@ from boxgamma.linalg import (
     GaussianRational,
     det_rational,
     integer_adjugate,
-    integer_corank_one_kernel,
+    integer_kernel,
     mat_inverse,
     solve_simplicial_coords,
 )
@@ -158,22 +159,6 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert all(type(x) is Fraction for _, row in got for x in row)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=integer_rows())
-def test_corank_one_kernel_matches_fraction_rank(case):
-    rows, ncols = case
-    t = integer_corank_one_kernel(rows, ncols)
-    if len(fraction_rref(rows, ncols)) != ncols - 1:
-        assert t is None
-        return
-    assert any(t)
-    assert all(sum(a * b for a, b in zip(row, t)) == 0 for row in rows)
-
-
-# --- the Fraction route of _intersection_rays, with the cone coordinates
-# solved by Fraction elimination as well
-
-
 def _kernel(rows, ncols):
     ech = fraction_rref(rows, ncols)
     pivots = [c for c, _ in ech]
@@ -194,6 +179,80 @@ def fraction_coords(gens, p):
     ech = fraction_rref(rows, len(gens))
     assert len(ech) == len(gens)
     return [row[-1] for _, row in ech]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_rows())
+def test_integer_kernel_matches_fraction_kernel(case):
+    """One integer vector per free column, a nonzero multiple (the last pivot,
+    which may be negative) of the Fraction kernel vector with a 1 there."""
+    rows, ncols = case
+    got = integer_kernel(rows, ncols)
+    want = _kernel(rows, ncols)
+    pivots = [c for c, _ in fraction_rref(rows, ncols)]
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    assert len(got) == len(want) == len(free_cols)
+    for t, vec, free in zip(got, want, free_cols):
+        assert t[free] != 0
+        assert [Fraction(x, t[free]) for x in t] == list(vec)
+        assert all(type(x) is int for x in t)
+
+
+@st.composite
+def narrow_systems(draw):
+    """1..d-1 generators in rank d = 2..4, sometimes dependent, and a point
+    whose real and imaginary parts each lie in their span (two times in
+    three) or are drawn at random (then almost always outside it)."""
+    d = draw(st.integers(2, 4))
+    m = draw(st.integers(1, d - 1))
+    gens = [tuple(draw(small_int) for _ in range(d)) for _ in range(m)]
+    if m > 1 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(small_int), draw(small_int)
+        gens[-1] = tuple(a * x + b * y for x, y in zip(gens[0], gens[-2]))
+
+    def part():
+        if draw(st.integers(0, 2)):
+            c = draw(st.lists(rational, min_size=m, max_size=m))
+            return [sum((ci * g[r] for ci, g in zip(c, gens)), start=Fraction(0)) for r in range(d)]
+        return draw(st.lists(rational, min_size=d, max_size=d))
+
+    re = part()
+    im = part() if draw(st.booleans()) else None
+    return gens, re, im
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=narrow_systems())
+def test_narrow_solve_matches_fraction_elimination(case):
+    gens, re, im = case
+    d, m = len(re), len(gens)
+    gaussian = im is not None
+    if gaussian:
+        p = [GaussianRational(a, b) for a, b in zip(re, im)]
+    else:
+        im = [Fraction(0)] * d
+        p = re
+    rows = [[Fraction(g[r]) for g in gens] + [re[r], im[r]] for r in range(d)]
+    if len(fraction_rref(rows, m)) < m:
+        with pytest.raises(DependentGenerators):
+            solve_simplicial_coords(gens, p)
+        return
+    if len(fraction_rref(rows, m + 2)) > m:
+        with pytest.raises(NotInSpan):
+            solve_simplicial_coords(gens, p)
+        return
+    got = solve_simplicial_coords(gens, p)
+    if gaussian:
+        assert all(type(c) is GaussianRational for c in got)
+        assert [c.re for c in got] == fraction_coords(gens, re)
+        assert [c.im for c in got] == fraction_coords(gens, im)
+    else:
+        assert all(type(c) is Fraction for c in got)
+        assert list(got) == fraction_coords(gens, re)
+
+
+# --- the Fraction route of _intersection_rays, with the cone coordinates
+# solved by Fraction elimination as well
 
 
 def fraction_intersection_rays(fan, c1, c2):
@@ -243,13 +302,14 @@ def fraction_intersection_rays(fan, c1, c2):
 @st.composite
 def cone_pairs(draw):
     """Two simplicial cones in rank 2..4 sharing 0..d-1 rays; mostly
-    full-dimensional, sometimes one of lower dimension.  Nothing forces the
-    pair to meet in a common face."""
+    full-dimensional, sometimes either or both of lower dimension.  Nothing
+    forces the pair to meet in a common face."""
     d = draw(st.integers(2, 4))
     vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
     rays = draw(st.lists(vec.map(tuple), min_size=d + 1, max_size=2 * d, unique=True))
     k = len(rays)
-    c1 = tuple(range(d))
+    size1 = d if draw(st.integers(0, 3)) else draw(st.integers(1, d))
+    c1 = tuple(range(size1))
     size2 = d if draw(st.integers(0, 3)) else draw(st.integers(1, d))
     c2 = tuple(sorted(draw(st.permutations(range(k)))[:size2]))
     return StackyFan(rank=d, rays=tuple(rays), max_cones=(c1, c2)), c1, c2

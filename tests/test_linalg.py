@@ -16,7 +16,6 @@ from boxgamma.linalg import (
     mat_inverse,
     parse_gaussian,
     parse_rational,
-    rank_over_C,
     smith_normal_form,
     solve_integer,
     solve_simplicial_coords,
@@ -171,10 +170,3 @@ def test_lattice_generates():
     assert lattice_generates([(1, 0), (1, 1), (1, 2)])
     assert not lattice_generates([(2, 0), (0, 1)])
     assert not lattice_generates([(1, 0)])
-
-
-def test_rank_over_C():
-    assert rank_over_C([[1.0, 2.0], [2.0, 4.0]]) == 1
-    assert rank_over_C([[1.0, 0.0], [0.0, 1e-3]]) == 2
-    assert rank_over_C([[1.0, 0.0], [0.0, 1e-12]]) == 1
-    assert rank_over_C([[0.0, 0.0]]) == 0
