@@ -12,12 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import NoStabilization, NotFullDimensional
+from .errors import NotFullDimensional
 from .fan import ConeRef, StackyFan, minimal_cone
 from .linalg import (
-    GaussianRational,
+    Coord,
     as_gaussian,
     im_part,
     integer_adjugate,
@@ -26,9 +26,6 @@ from .linalg import (
     scaled_numerators,
     smith_normal_form,
 )
-
-Coord = Union[Fraction, GaussianRational]
-
 
 @dataclass(frozen=True)
 class BoxElement:
@@ -200,19 +197,8 @@ def _alpha_delta(alpha: Sequence[Coord], delta: Fraction):
     return tuple(values), tuple(floors)
 
 
-def _signature(fan: StackyFan, source, delta: Fraction):
-    per = []
-    vecs = []
-    for e in source:
-        values, floors = _alpha_delta(e.alpha, delta)
-        support = tuple(i for i, v in enumerate(values) if v != 0)
-        per.append((floors, support, _witnesses(fan, support, e.witness_cones[0])))
-        vecs.append(values)
-    return tuple(per), len(set(vecs)) == len(vecs)
-
-
 def correspondence_at(fan: StackyFan, beta, delta: Fraction) -> DeltaCorrespondence:
-    """Build the correspondence at a given delta without running the halving search."""
+    """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta)."""
     b = normalize_beta(fan, beta)
     return _correspondence(fan, b, box_of_fan(fan, b), delta)
 
@@ -246,17 +232,31 @@ def _correspondence(fan: StackyFan, b, source, delta: Fraction) -> DeltaCorrespo
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
-    """Find a certified small delta by halving from 1/16 until the combinatorial
-    data (floors, supports, witness sets, injectivity) agrees on two consecutive
-    levels; the first level of the agreeing pair is returned."""
+    """The correspondence at the largest delta = 2^-j <= 1/16 below every wall.
+
+    A coordinate r + i*m of a source element, m != 0, has the image
+    r + delta*m.  It first reaches an integer at delta = (1 - r)/m for m > 0
+    and at delta = (r or 1)/(-m) for m < 0: from r = 0 it drops below 0 at
+    once and its fractional part 1 + delta*m falls to 0 there.  Below the
+    least such bound every floor and support equals its delta -> 0+ limit:
+    the floor is -1 exactly where Re alpha_i = 0 and Im alpha_i < 0, and the
+    support is supp alpha.  Two images cannot coincide there.  Equal images
+    share a support, which spans one face of a simplicial cone; both
+    imaginary parts write Im beta in that face's independent generators, so
+    they agree, and then so do the real parts.  The checks in
+    _correspondence still guard the bijection.
+    """
     b = normalize_beta(fan, beta)
     source = box_of_fan(fan, b)
-    previous = None
+    wall = Fraction(1)
+    for e in source:
+        for a in e.alpha:
+            r, m = re_part(a), im_part(a)
+            if m > 0:
+                wall = min(wall, (1 - r) / m)
+            elif m < 0:
+                wall = min(wall, (r or 1) / -m)
     delta = Fraction(1, 16)
-    for _ in range(41):
-        sig = _signature(fan, source, delta)
-        if previous is not None and previous[1] == sig:
-            return _correspondence(fan, b, source, previous[0])
-        previous = (delta, sig)
-        delta = delta / 2
-    raise NoStabilization("combinatorial data did not settle within 40 halvings")
+    while delta >= wall:
+        delta /= 2
+    return _correspondence(fan, b, source, delta)

@@ -29,10 +29,6 @@ class UnboundedDegree(DomainError):
     """No degree functional with finite graded pieces is available."""
 
 
-class NoStabilization(DomainError):
-    """Halving search for the stabilization parameter hit the iteration cap."""
-
-
 class DimensionOvershoot(DomainError):
     """Cumulative quotient dimension exceeded the normalized volume."""
 

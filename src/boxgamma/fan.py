@@ -19,12 +19,10 @@ from .errors import (
     DegenerateHeights,
     DependentGenerators,
     NotFullDimensional,
+    NotInSpan,
     PointOutsideSupport,
 )
 from .linalg import (
-    GaussianRational,
-    as_gaussian,
-    in_span_coords,
     integer_adjugate,
     integer_kernel,
     lattice_generates,
@@ -93,22 +91,16 @@ def primitive_direction(v: Sequence) -> tuple[int, ...]:
 
 def _cone_coords(fan: StackyFan, cone: Sequence[int], p: Sequence):
     """Coordinates of p in the cone's generators, or None if not in the span."""
-    return in_span_coords(fan.gens(cone), p)
+    try:
+        return solve_simplicial_coords(fan.gens(cone), p)
+    except NotInSpan:
+        return None
 
 
-def minimal_cone(fan: StackyFan, p: Sequence, use_real_part: bool = False):
-    """Smallest face of the fan containing p, as a ConeRef, or None.
-
-    For points with Gaussian-rational entries the test applies to the real
-    part when use_real_part is set; otherwise complex input is rejected.
-    """
-    pt = list(p)
-    if any(isinstance(x, GaussianRational) for x in pt):
-        if not all(as_gaussian(x).im == 0 for x in pt) and not use_real_part:
-            raise ValueError("complex point requires use_real_part")
-        pt = [as_gaussian(x).re for x in pt]
+def minimal_cone(fan: StackyFan, p: Sequence):
+    """Smallest face of the fan containing the real point p, as a ConeRef, or None."""
     for cone in fan.max_cones:
-        coords = _cone_coords(fan, cone, pt)
+        coords = _cone_coords(fan, cone, p)
         if coords is None:
             continue
         if all(c >= 0 for c in coords):

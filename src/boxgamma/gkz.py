@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .box import (
     BoxElement,
-    Coord,
     DeltaCorrespondence,
     alpha_key,
     normalize_beta,
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .fan import StackyFan, validate
 from .linalg import (
+    Coord,
     as_gaussian,
     format_gaussian,
     hermite_normal_form,

@@ -17,14 +17,13 @@ from typing import Iterable, Sequence
 from .box import (
     Branch,
     CollisionClass,
-    Coord,
     alpha_key,
     collisions,
     normalize_beta,
     stabilize,
 )
 from .fan import StackyFan
-from .linalg import im_part, re_part
+from .linalg import Coord, im_part, re_part
 from .quotient import ModuleSpec, build_quotient
 
 

@@ -13,13 +13,12 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DependentGenerators, NotInSpan
 
-Rational = Fraction
 IntMatrix = list[list[int]]
 
 
@@ -42,7 +41,11 @@ def parse_rational(s) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Complex number with rational real and imaginary parts."""
+    """Exact complex value with rational real and imaginary parts.
+
+    It carries no arithmetic: the library splits every coordinate into its
+    parts with re_part / im_part and computes on Fractions and ints.
+    """
 
     re: Fraction
     im: Fraction = Fraction(0)
@@ -51,52 +54,12 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    def __add__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return as_gaussian(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_gaussian(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __str__(self):
         return format_gaussian(self)
+
+
+# an exact coordinate: a Fraction, or a GaussianRational with im != 0
+Coord = Union[Fraction, GaussianRational]
 
 
 def as_gaussian(x) -> GaussianRational:
@@ -105,12 +68,6 @@ def as_gaussian(x) -> GaussianRational:
     if isinstance(x, (int, Fraction)):
         return GaussianRational(Fraction(x))
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
-
-
-_GAUSSIAN_RE = _re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<im>[+-]\s*\d+(?:/\d+)?)?\s*(?P<i>i)?\s*$"
-)
 
 
 def format_gaussian(z: GaussianRational) -> str:
@@ -146,12 +103,6 @@ def parse_gaussian(s) -> GaussianRational:
         re_part = parse_rational(head) if head not in ("", "+", "-") else Fraction(0)
         return GaussianRational(re_part, parse_rational(imag))
     raise ValueError(f"cannot parse Gaussian rational from {s!r}")
-
-
-def gaussian_floor_reduce(c: GaussianRational) -> tuple[GaussianRational, int]:
-    """Split c into (c - floor(Re c), floor(Re c)); result has Re in [0,1)."""
-    f = math.floor(c.re)
-    return GaussianRational(c.re - f, c.im), f
 
 
 _ZERO = Fraction(0)
@@ -338,14 +289,6 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     if not complex_input:
         return tuple(coords[0])
     return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
-
-
-def in_span_coords(gens: Sequence[Sequence[int]], p: Sequence):
-    """Like solve_simplicial_coords but returns None instead of NotInSpan."""
-    try:
-        return solve_simplicial_coords(gens, p)
-    except NotInSpan:
-        return None
 
 
 # ---------------------------------------------------------------------------

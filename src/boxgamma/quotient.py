@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
 from .errors import (
@@ -25,14 +25,12 @@ from .errors import (
 )
 from .fan import StackyFan, minimal_cone, normalized_volume, tangent_member
 from .linalg import (
-    GaussianRational,
+    Coord,
     im_part,
     re_part,
     scalar_from_parts,
     solve_simplicial_coords,
 )
-
-Coord = Union[Fraction, GaussianRational]
 
 STOP_WINDOW = 3
 _ZERO = Fraction(0)
@@ -128,11 +126,10 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     return GradedPiece(m, tuple(points))
 
 
-def module_product(spec_or_fan, nprime: Sequence[int], elem: TaggedPoint):
+def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
     """[n'] . [point, alpha]: search for a maximal cone containing n' whose
     index set carries alpha and in which the point sits on the alpha branch
     (coordinates minus alpha are nonnegative integers); None means zero."""
-    fan = spec_or_fan.fan if isinstance(spec_or_fan, ModuleSpec) else spec_or_fan
     supp = {i for i, a in enumerate(elem.alpha) if a != 0}
     result = None
     for sigma in fan.max_cones:

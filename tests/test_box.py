@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgamma.box import (
     BoxElement,
@@ -13,7 +16,7 @@ from boxgamma.box import (
     stabilize,
 )
 from boxgamma.errors import NotFullDimensional
-from boxgamma.fan import StackyFan
+from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.linalg import (
     GaussianRational,
     det_rational,
@@ -24,6 +27,12 @@ from boxgamma.linalg import (
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
+SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+HEX5_POINTS = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
+HEX5 = triangulate_from_heights(
+    [(1,) + p for p in HEX5_POINTS],
+    [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(HEX5_POINTS)],
+)
 
 i_unit = GaussianRational(0, 1)
 
@@ -212,14 +221,15 @@ def test_stabilize_imaginary_beta():
     assert tgt1.lattice_point == (1, 2)
 
 
+def pairing(corr):
+    return [(alpha_key(s.alpha), t.lattice_point, t.support) for s, t, _ in corr.triples]
+
+
 def test_stabilize_halved_delta_same_pairing():
     beta = (i_unit, 0)
     corr = stabilize(F1, beta)
     again = correspondence_at(F1, beta, corr.delta / 2)
-    key = lambda c: [
-        (alpha_key(s.alpha), t.lattice_point, t.support) for s, t, _ in c.triples
-    ]
-    assert key(corr) == key(again)
+    assert pairing(corr) == pairing(again)
 
 
 def test_stabilize_f2_complex():
@@ -229,3 +239,40 @@ def test_stabilize_f2_complex():
     for src, tgt, point in corr.triples:
         assert src.support == tgt.support
         check_reconstruction(F2, corr.beta_delta, tgt)
+
+
+def check_limit(corr):
+    """The floors and supports at corr.delta are their delta -> 0+ limits."""
+    d = corr.delta
+    assert d <= Fraction(1, 16) and d.numerator == 1
+    assert d.denominator & (d.denominator - 1) == 0
+    for src, tgt, _ in corr.triples:
+        for a, t in zip(src.alpha, tgt.alpha):
+            r, m = re_part(a), im_part(a)
+            val = r + d * m
+            assert math.floor(val) == (-1 if r == 0 and m < 0 else 0)
+            assert t == val - math.floor(val)
+        assert tgt.support == tuple(i for i, a in enumerate(src.alpha) if a != 0)
+
+
+def gaussian_coord():
+    tiny = st.fractions(Fraction(-1, 10000), Fraction(1, 10000), max_denominator=10**6)
+    rational = st.fractions(-3, 3, max_denominator=12)
+    real = st.one_of(st.just(Fraction(0)), tiny, rational)
+    return st.builds(GaussianRational, real, st.fractions(-9, 9, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan=st.sampled_from([F1, F2, SQUARE, HEX5]), data=st.data())
+def test_stabilize_reaches_limit_chamber(fan, data):
+    beta = tuple(data.draw(gaussian_coord()) for _ in range(fan.rank))
+    corr = stabilize(fan, beta)
+    check_limit(corr)
+    assert pairing(correspondence_at(fan, beta, corr.delta / 2**20)) == pairing(corr)
+
+
+def test_stabilize_tiny_real_part():
+    beta = (GaussianRational(Fraction(1, 10000), -1), Fraction(0))
+    corr = stabilize(F1, beta)
+    assert corr.delta < Fraction(1, 10000)
+    check_limit(corr)

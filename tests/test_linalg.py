@@ -9,7 +9,6 @@ from boxgamma.linalg import (
     det_rational,
     format_gaussian,
     format_rational,
-    gaussian_floor_reduce,
     hermite_normal_form,
     integer_kernel_basis,
     lattice_generates,
@@ -31,17 +30,6 @@ def test_rational_roundtrip():
     assert parse_rational(parse_rational("2/6")) == Fraction(1, 3)
 
 
-def test_gaussian_arithmetic():
-    a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
-    b = GaussianRational(Fraction(2), Fraction(-1))
-    assert a + b == GaussianRational(Fraction(5, 2), Fraction(-2, 3))
-    assert a * b == GaussianRational(Fraction(4, 3), Fraction(1, 6))
-    assert (a * b) / b == a
-    assert -a + a == GaussianRational(0)
-    assert not GaussianRational(0)
-    assert a.conjugate().im == -a.im
-
-
 def test_gaussian_parse_format():
     z = GaussianRational(Fraction(2, 15), Fraction(1, 7))
     assert format_gaussian(z) == "2/15+1/7i"
@@ -52,14 +40,6 @@ def test_gaussian_parse_format():
         Fraction(1, 3), Fraction(-2, 5)
     )
     assert format_gaussian(GaussianRational(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
-
-
-def test_gaussian_floor_reduce():
-    z = GaussianRational(Fraction(9, 4), Fraction(1, 7))
-    r, f = gaussian_floor_reduce(z)
-    assert f == 2 and r == GaussianRational(Fraction(1, 4), Fraction(1, 7))
-    r, f = gaussian_floor_reduce(GaussianRational(Fraction(-1, 4)))
-    assert f == -1 and r == GaussianRational(Fraction(3, 4))
 
 
 def test_hnf_example():
