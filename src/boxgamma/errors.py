@@ -34,7 +34,11 @@ class DimensionOvershoot(DomainError):
 
 
 class NoStabilizationWindow(DomainError):
-    """Quotient did not reach a stable window within the offset cap."""
+    """Quotient ended, at its proven last degree, below the normalized volume."""
+
+
+class ShadowNotSubmodule(DomainError):
+    """Shadow direction selects points that are not closed under the ray action."""
 
 
 class NoParticularSolution(DomainError):

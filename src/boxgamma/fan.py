@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -145,18 +146,16 @@ def normalized_volume(fan: StackyFan) -> int:
     return total
 
 
+def _facet_counts(fan: StackyFan) -> Counter:
+    """Number of maximal cones holding each facet of a maximal cone."""
+    return Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
+
+
 def is_complete(fan: StackyFan) -> bool:
     """True iff every facet of a maximal cone is shared by exactly two cones."""
-    if not fan.max_cones:
+    if not fan.max_cones or any(len(c) != fan.rank for c in fan.max_cones):
         return False
-    counts: dict[ConeRef, int] = {}
-    for cone in fan.max_cones:
-        if len(cone) != fan.rank:
-            return False
-        for i in cone:
-            facet = tuple(j for j in cone if j != i)
-            counts[facet] = counts.get(facet, 0) + 1
-    return all(v == 2 for v in counts.values())
+    return all(v == 2 for v in _facet_counts(fan).values())
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +205,8 @@ def validate(fan: StackyFan) -> ValidationReport:
     cone on the shared marker subset.  GKZ eligibility additionally needs an
     integral degree functional taking value 1 on every marker, markers that
     generate Z^d, full-dimensional cones, and support covering the cone over
-    the marker polytope (checked by volume accounting against an auxiliary
-    regular triangulation).
+    the marker polytope (checked facet by facet: every marker on the inner
+    side of every boundary facet).
     """
     violations: list[str] = []
     d = fan.rank
@@ -275,12 +274,12 @@ def validate(fan: StackyFan) -> ValidationReport:
         if volume is None:
             gkz_notes.append("maximal cones are not all full-dimensional")
         if deg is not None and volume is not None:
-            hull_vol = _configuration_volume(fan.rays)
-            if hull_vol is None:
-                gkz_notes.append("could not triangulate the marker configuration")
-            elif hull_vol != volume:
+            outside = _uncovered_marker(fan)
+            if outside is not None:
+                j, cone = outside
                 gkz_notes.append(
-                    f"support volume {volume} differs from marker hull volume {hull_vol}"
+                    f"support does not cover the marker cone: marker {j + 1} lies beyond "
+                    f"a boundary facet of cone {tuple(i + 1 for i in cone)}"
                 )
     gkz_eligible = valid and not gkz_notes
     return ValidationReport(
@@ -302,17 +301,22 @@ def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     return tuple(g) if g is not None else None
 
 
-def _configuration_volume(points: Sequence[Sequence[int]]) -> Optional[int]:
-    """Normalized volume of the cone over the marker polytope, via an
-    auxiliary regular triangulation with deterministic generic heights."""
-    k = len(points)
-    for attempt in range(6):
-        heights = [Fraction((i + 1) ** (attempt + 2) + attempt * i, 1 + attempt) for i in range(k)]
-        try:
-            aux = triangulate_from_heights(points, heights)
-        except DegenerateHeights:
-            continue
-        return normalized_volume(aux)
+def _uncovered_marker(fan: StackyFan) -> Optional[tuple[int, ConeRef]]:
+    """A marker outside the support of a valid full-dimensional fan, with the
+    cone of the boundary facet it lies beyond, or None.  Boundary facets are
+    those of one maximal cone; column i of the cone's adjugate is the inner
+    normal of its facet opposite generator i.  A segment from the support to
+    a point outside it leaves through a boundary facet, so the support is
+    the cone over the markers iff no marker is beyond one."""
+    facets = _facet_counts(fan)
+    for cone in fan.max_cones:
+        adj, _ = integer_adjugate(fan.gens(cone))
+        for pos in range(len(cone)):
+            if facets[cone[:pos] + cone[pos + 1:]] > 1:
+                continue
+            for j, v in enumerate(fan.rays):
+                if sum(v[r] * adj[r][pos] for r in range(fan.rank)) < 0:
+                    return j, cone
     return None
 
 

@@ -21,6 +21,7 @@ from .errors import (
     DimensionOvershoot,
     NoStabilizationWindow,
     NotInSpan,
+    ShadowNotSubmodule,
     UnboundedDegree,
 )
 from .fan import StackyFan, minimal_cone, normalized_volume, tangent_member
@@ -32,7 +33,6 @@ from .linalg import (
     solve_simplicial_coords,
 )
 
-STOP_WINDOW = 3
 _ZERO = Fraction(0)
 
 
@@ -183,7 +183,9 @@ def _compositions(total: int, slots: int):
 
 
 class _Summand:
-    """Degree-by-degree state of one alpha summand."""
+    """Degree-by-degree state of one alpha summand.  moves[t][c] lists the
+    (ray, degree-t column) pairs of x_ray times the degree-(t-1) monomial in
+    column c; the relation rows and the ray operators both read it."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement):
         self.spec = spec
@@ -192,7 +194,7 @@ class _Summand:
         self.witnesses = alpha_elem.witness_cones
         self.pieces: dict[int, list[tuple[int, ...]]] = {}
         self.lattice: dict[int, list[tuple[int, ...]]] = {}
-        self.cols: dict[int, dict[tuple[int, ...], int]] = {}
+        self.moves: dict[int, list[list[tuple[int, int]]]] = {}
         self.ech: dict[int, dict[int, list[Fraction]]] = {}
         self.quot: dict[int, list[int]] = {}
 
@@ -225,16 +227,16 @@ class _Summand:
         return any(supp <= set(sigma) for sigma in self.witnesses)
 
     def extend(self, t: int) -> int:
+        """Compute degree t and return the dimension of its quotient."""
         fan = self.fan
         mons, lattice = self._monomials(t)
         self.pieces[t] = mons
         self.lattice[t] = lattice
         col = {m: c for c, m in enumerate(mons)}
-        self.cols[t] = col
+        ray_idx = sorted(fan.fan_indices())
+        moves = []
         rows = []
-        ray_idx = [i for i in sorted(fan.fan_indices()) if any(fan.rays[i])]
         for mprev in self.pieces.get(t - 1, []):
-            # column of mprev + e_i for each ray i that keeps it admissible
             targets = []
             for i in ray_idx:
                 m2 = tuple(mprev[x] + (1 if x == i else 0) for x in range(fan.k))
@@ -242,19 +244,21 @@ class _Summand:
                     continue
                 c = col.get(m2)
                 if c is None:
-                    raise RuntimeError(
-                        "internal: shadow filter is not closed under the ray action"
+                    xi = ", ".join(str(x) for x in self.spec.xi)
+                    raise ShadowNotSubmodule(
+                        f"quotient: the shadow direction xi=({xi}) does not give a "
+                        f"submodule: monomial {mprev} passes it, its product with "
+                        f"ray {i + 1} does not"
                     )
-                targets.append((fan.rays[i], c))
+                targets.append((i, c))
+            moves.append(targets)
+            # Z_j applied to mprev; a zero row is dropped by _rref
             for j in range(fan.rank):
                 vec = [0] * len(mons)
-                nonzero = False
-                for ray, c in targets:
-                    if ray[j]:
-                        vec[c] += ray[j]
-                        nonzero = True
-                if nonzero:
-                    rows.append(vec)
+                for i, c in targets:
+                    vec[c] = fan.rays[i][j]
+                rows.append(vec)
+        self.moves[t] = moves
         ech = dict(_rref(rows, len(mons)))
         self.ech[t] = ech
         self.quot[t] = [c for c in range(len(mons)) if c not in ech]
@@ -304,16 +308,24 @@ def _rref(rows, ncols):
 
 
 def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
-    """Quotient of the chi-shifted module by (Z_1..Z_d), degree by degree,
-    stopping once the cumulative dimension reaches the normalized volume and
-    three further degrees contribute nothing."""
+    """Quotient Q of the chi-shifted module M by (Z_1..Z_d), degree by degree,
+    up to the first degree t >= g with Q_t = 0 (g = 0, or rank with a shadow
+    direction); every later degree of Q is 0.  Proof: the ray operators
+    commute with the Z_j, so if Q_t = 0 and every degree-(t+1) monomial is
+    x_i times a degree-t one, M_(t+1) = sum_i x_i sum_j Z_j M_(t-1) lies in
+    (ZM)_(t+1) and Q_(t+1) = 0.  Without a shadow every monomial of positive
+    degree is such a multiple.  A shadow passes m on supp(alpha) + supp(m)
+    alone, as the maximal cones containing sum (alpha_i + m_i) v_i are those
+    holding that support; so a monomial with no passing m - e_i is the 0/1
+    vector of at most rank rays, of degree at most g.  Each degree is checked
+    against the normalized volume (DimensionOvershoot); ending below it
+    raises NoStabilizationWindow."""
     fan = spec.fan
     vol = normalized_volume(fan)
     alphas = box_of_fan(fan, spec.chi)
     summands = [_Summand(spec, a) for a in alphas]
-    cap = 10 * fan.rank + 10
+    g = 0 if spec.xi is None else fan.rank
     cum = 0
-    streak = 0
     t = 0
     while True:
         contrib = sum(s.extend(t) for s in summands)
@@ -322,16 +334,14 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
             raise DimensionOvershoot(
                 f"cumulative dimension {cum} exceeds the normalized volume {vol}"
             )
-        if cum == vol:
-            streak = streak + 1 if contrib == 0 else 0
-            if streak >= STOP_WINDOW:
-                break
-        if t >= cap:
-            raise NoStabilizationWindow(
-                f"no stable window below the offset cap {cap} (reached {cum} of {vol})"
-            )
+        if contrib == 0 and t >= g:
+            break
         t += 1
-    top = t - STOP_WINDOW
+    if cum < vol:
+        raise NoStabilizationWindow(
+            f"the quotient ends at degree {t} with dimension {cum}, "
+            f"below the normalized volume {vol}"
+        )
 
     basis: list[BasisElement] = []
     index: dict[tuple[int, int, int], int] = {}
@@ -339,9 +349,8 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     summand_dims: dict[tuple, int] = {}
     for s_i, s in enumerate(summands):
         akey = alpha_key(s.elem.alpha)
-        count = 0
-        for deg_t in range(top + 1):
-            for c in s.quot.get(deg_t, []):
+        for deg_t, quot in s.quot.items():
+            for c in quot:
                 m = s.pieces[deg_t][c]
                 n = s.lattice[deg_t][c]
                 if fan.deg is not None:
@@ -351,44 +360,25 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
                 index[(s_i, deg_t, c)] = len(basis)
                 if deg_t == 0 and all(x == 0 for x in m):
                     base_index[akey] = len(basis)
-                basis.append(
-                    BasisElement(offset, n, s.elem.alpha, m, deg_t)
-                )
-                count += 1
-        summand_dims[akey] = count
+                basis.append(BasisElement(offset, n, s.elem.alpha, m, deg_t))
+        summand_dims[akey] = sum(len(quot) for quot in s.quot.values())
     dim = len(basis)
 
-    dmats = []
-    ray_idx = set(fan.fan_indices())
-    for i in range(fan.k):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        if i in ray_idx:
-            for (s_i, deg_t, c), g_idx in index.items():
-                s = summands[s_i]
-                m = s.pieces[deg_t][c]
-                m2 = tuple(m[x] + (1 if x == i else 0) for x in range(fan.k))
-                if not s._admissible(m2):
-                    continue
-                t2 = deg_t + 1
-                if t2 not in s.pieces:
-                    continue
-                c2 = s.cols[t2].get(m2)
-                if c2 is None:
-                    raise RuntimeError(
-                        "internal: shadow filter is not closed under the ray action"
-                    )
-                coords = s.reduce(t2, c2)
-                for local, value in enumerate(coords):
-                    if value != 0:
-                        tgt = index[(s_i, t2, s.quot[t2][local])]
-                        mat[tgt][g_idx] = value
-        dmats.append(tuple(tuple(row) for row in mat))
+    # D_i sends a basis monomial to the reduced class of its move along ray i;
+    # the last degree has no basis element, so every move is tabled
+    dmats = [[[_ZERO] * dim for _ in range(dim)] for _ in range(fan.k)]
+    for (s_i, deg_t, c), g_idx in index.items():
+        s = summands[s_i]
+        for i, c2 in s.moves[deg_t + 1][c]:
+            for q, value in zip(s.quot[deg_t + 1], s.reduce(deg_t + 1, c2)):
+                if value != 0:
+                    dmats[i][index[(s_i, deg_t + 1, q)]][g_idx] = value
 
     return QuotientAlgebra(
         spec=spec,
         basis=tuple(basis),
         dim=dim,
-        dmats=tuple(dmats),
+        dmats=tuple(tuple(tuple(row) for row in mat) for mat in dmats),
         summand_dims=summand_dims,
         alphas=alphas,
         base_index=base_index,

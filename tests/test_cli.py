@@ -239,6 +239,23 @@ def test_domain_error_exit_1(seed_dir, tmp_path):
     assert doc["error"]["message"]
 
 
+
+def test_shadow_not_submodule_exit_1(tmp_path):
+    # three quadrants: the shadow direction (1, 0) leaves the support at (0, -1)
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],'
+                   ' "max_cones": [[1, 2], [2, 3], [3, 4]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["0", "0"]}')
+    xi = tmp_path / "xi.json"
+    xi.write_text('{"xi": ["1", "0"]}')
+    code, doc = run_cli(
+        ["cohomology", "--fan", str(fan), "--beta", str(beta), "--shadow", str(xi)], tmp_path
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "ShadowNotSubmodule"
+    assert doc["error"]["message"].startswith("quotient: ")
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

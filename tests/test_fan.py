@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxgamma.errors import DegenerateHeights, NotFullDimensional, PointOutsideSupport
 from boxgamma.fan import (
@@ -154,3 +156,34 @@ def test_triangulate_square_cone():
     assert rep.volume == 2
     other = triangulate_from_heights(pts, [1, 0, 0, 1])
     assert other.max_cones == ((0, 1, 2), (1, 2, 3))
+
+
+def test_coverage_note_names_marker_and_cone():
+    rep = validate(StackyFan(rank=2, rays=F1.rays, max_cones=((0, 1),)))
+    assert rep.valid and not rep.gkz_eligible
+    assert rep.gkz_notes == (
+        "support does not cover the marker cone: marker 3 lies beyond "
+        "a boundary facet of cone (1, 2)",
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_coverage_note_matches_volume_oracle(data):
+    # sub-fans of a regular triangulation of a degree-1 point set; the
+    # support is the cone over all markers iff the volumes agree
+    d = data.draw(st.integers(2, 4))
+    coords = st.tuples(*[st.integers(0, 2)] * (d - 1))
+    points = data.draw(st.lists(coords, min_size=d, max_size=d + 3, unique=True))
+    rays = [(1,) + p for p in points]
+    heights = data.draw(st.lists(st.integers(0, 10**6), min_size=len(rays), max_size=len(rays)))
+    try:
+        full = triangulate_from_heights(rays, heights)
+    except DegenerateHeights:
+        assume(False)
+    cones = data.draw(st.lists(st.sampled_from(full.max_cones), min_size=1, unique=True))
+    fan = StackyFan(rank=d, rays=full.rays, max_cones=tuple(cones))
+    rep = validate(fan)
+    assert rep.valid and rep.volume is not None
+    uncovered = normalized_volume(full) != normalized_volume(fan)
+    assert any(n.startswith("support does not cover") for n in rep.gkz_notes) == uncovered

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boxgamma.box import alpha_key, stabilize
-from boxgamma.errors import UnboundedDegree
-from boxgamma.fan import StackyFan
-from boxgamma.linalg import GaussianRational
+from boxgamma.box import alpha_key, normalize_beta, stabilize
+from boxgamma.errors import DimensionOvershoot, ShadowNotSubmodule, UnboundedDegree
+from boxgamma.fan import StackyFan, triangulate_from_heights
+from boxgamma.gkz import build_gkz
+from boxgamma.linalg import GaussianRational, re_part
 from boxgamma.quotient import (
     ModuleSpec,
     TaggedPoint,
+    _Summand,
     build_quotient,
     graded_piece,
     module_product,
@@ -17,6 +21,12 @@ from boxgamma.quotient import (
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)), deg=(1, 0))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
+SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+HEX5_POINTS = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
+HEX5 = triangulate_from_heights(
+    [(1,) + p for p in HEX5_POINTS],
+    [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(HEX5_POINTS)],
+)
 
 
 def mat_mul(a, b):
@@ -149,3 +159,78 @@ def test_def2_isomorphism_f2_complex():
     beta = (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))
     corr = stabilize(F2, beta)
     assert verify_def2_isomorphism(F2, beta, corr, 2)
+
+
+def beta_coord():
+    rational = st.fractions(-3, 3, max_denominator=12)
+    return st.one_of(rational, st.builds(GaussianRational, rational, rational))
+
+
+@st.composite
+def fan_and_beta(draw):
+    fan = draw(st.sampled_from([F1, F2, SQUARE, HEX5]))
+    return fan, tuple(draw(beta_coord()) for _ in range(fan.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fan_and_beta(), shadow=st.booleans())
+# the shadow filters out degree 0 and the quotient starts in degree 1
+@example(case=(F1, (Fraction(-3), Fraction(0))), shadow=True)
+def test_quotient_ends_at_its_last_degree(case, shadow):
+    fan, beta = case
+    beta = normalize_beta(fan, beta)
+    xi = tuple(re_part(b) for b in beta) if shadow else None
+    spec = ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi=xi)
+    q = build_quotient(spec)
+    last = max(b.degree for b in q.basis)
+    top = last + fan.rank + 3
+    counts = [0] * (top + 1)
+    for alpha in q.alphas:
+        summand = _Summand(spec, alpha)
+        for t in range(top + 1):
+            counts[t] += summand.extend(t)
+    assert not any(counts[last + 1:])
+    assert counts == [sum(b.degree == t for b in q.basis) for t in range(top + 1)]
+
+
+def extended_degrees(monkeypatch, build):
+    """Degrees passed to _Summand.extend while build() runs, in call order."""
+    calls = []
+    extend = _Summand.extend
+
+    def counting(self, t):
+        calls.append(t)
+        return extend(self, t)
+
+    monkeypatch.setattr(_Summand, "extend", counting)
+    build()
+    return calls
+
+
+def test_quotient_stops_at_first_empty_degree(monkeypatch):
+    f1 = ModuleSpec(F1, (Fraction(1, 4), Fraction(0)))
+    assert extended_degrees(monkeypatch, lambda: build_quotient(f1)) == [0, 0, 1, 1]
+    square = ModuleSpec(SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
+    assert extended_degrees(monkeypatch, lambda: build_quotient(square)) == [0, 0, 1, 1]
+
+
+def test_shadow_quotient_stops_at_rank(monkeypatch):
+    calls = extended_degrees(monkeypatch, lambda: build_gkz(F1, (Fraction(1, 4), 0)))
+    assert calls == [0, 0, 1, 1, 2, 2]
+
+
+def test_dimension_overshoot():
+    fan = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2), (1, 3)), max_cones=((0, 1), (2, 3)))
+    with pytest.raises(DimensionOvershoot, match="cumulative dimension 3 exceeds the normalized volume 2"):
+        build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
+
+
+def test_shadow_not_submodule():
+    # three quadrants: the shadow direction (1, 0) leaves the support at (0, -1)
+    fan = StackyFan(
+        rank=2, rays=((1, 0), (0, 1), (-1, 0), (0, -1)), max_cones=((0, 1), (1, 2), (2, 3))
+    )
+    spec = ModuleSpec(fan, (Fraction(0), Fraction(0)), xi=(Fraction(1), Fraction(0)))
+    with pytest.raises(ShadowNotSubmodule, match=r"monomial \(0, 0, 0, 0\) .* ray 4"):
+        build_quotient(spec)
+
