@@ -49,6 +49,10 @@ class NoBaseElement(DomainError):
     """Shadow quotient has no base element for a target box element."""
 
 
+class NoConvergence(DomainError):
+    """Jacobi sweeps for singular values did not converge within their cap."""
+
+
 class ZeroCoordinate(DomainError):
     """Evaluation point has a zero coordinate."""
 

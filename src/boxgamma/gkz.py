@@ -182,9 +182,11 @@ class GkzInstance:
     marker_hnf: tuple[IntRows, IntRows]
     # relation-lattice basis in row echelon form, pivots strictly increasing
     relations: IntRows
-    # the series evaluator of the last point evaluated (see _evaluator); a
-    # cache, so neither compared, hashed, shown nor copied by replace()
+    # caches, so neither compared, hashed, shown nor copied by replace(): the
+    # series evaluator of the last point evaluated (see _evaluator) and the
+    # window offsets of the last bound B by (target, B) (see _window)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     )
 
 
-def _window_offsets(part, relations, B: int) -> list[tuple[int, ...]]:
+def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
     """Every m = part + sum_i c_i h_i with |m|_1 <= B, in lexicographic order.
 
     The h_i are in row echelon form with pivots p_0 < p_1 < ... .  Once
@@ -287,20 +289,33 @@ def _window_offsets(part, relations, B: int) -> list[tuple[int, ...]]:
     used = sum(abs(x) for x in part[:head])
     if used <= B:
         scan(0, list(part), used)
-    return out
+    return tuple(out)
 
 
 def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
-    """Offsets l - alpha of the window of l1 size <= B at index v, in order."""
+    """Offsets l - alpha of the window of l1 size <= B at index v, in order.
+
+    The offsets depend on v and alpha only through the target -v - n, so
+    each (target, B) is scanned once per instance, whichever series, shift
+    check or box element reaches it.  Only the last B's windows are kept, so
+    memory stays bounded by one bound's windows however many are used.
+    """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
-    part = solve_with_hnf(*instance.marker_hnf, target)
-    if part is None:
-        raise NoParticularSolution(
-            "markers do not reach the requested translate; the marker lattice is degenerate"
-        )
-    return _window_offsets(part, instance.relations, B)
+    cache = instance._windows
+    key = (target, B)
+    offsets = cache.get(key)
+    if offsets is None:
+        part = solve_with_hnf(*instance.marker_hnf, target)
+        if part is None:
+            raise NoParticularSolution(
+                "markers do not reach the requested translate; the marker lattice is degenerate"
+            )
+        if cache and next(iter(cache))[1] != B:
+            cache.clear()
+        offsets = cache[key] = _window_offsets(part, instance.relations, B)
+    return offsets
 
 
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
@@ -365,10 +380,10 @@ class _SeriesEvaluator:
     triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
     through the nilpotent ray operators.  It depends on the triple t and the
     offset m only, not on the index v, so every window that reaches (t, m)
-    shares it.  Windows are kept as integer offsets by (t, v, B); coordinates
-    and ray jets by (t, i, m_i); terms by (t, m); reciprocal-Gamma jets by
-    (l, order), each a reciprocal_gamma_jet evaluation at its own l.  It
-    holds no reference to the instance, which holds it.
+    shares it.  Coordinates and ray jets are kept by (t, i, m_i); terms by
+    (t, m); reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
+    evaluation at its own l.  Windows come from the instance (see _window).
+    It holds no reference to the instance, which holds it.
     """
 
     def __init__(self, instance: GkzInstance, xs, logs):
@@ -386,18 +401,10 @@ class _SeriesEvaluator:
             tuple((re_part(a), float(im_part(a))) for a in src.alpha)
             for src, _, _ in instance.correspondence.triples
         )
-        self.windows: dict = {}
         self.coords: dict = {}
         self.factors: dict = {}
         self.terms: dict = {}
         self.jets: dict = {}
-
-    def window(self, instance: GkzInstance, t: int, src: BoxElement, v: tuple[int, ...], B: int):
-        key = (t, v, B)
-        offsets = self.windows.get(key)
-        if offsets is None:
-            offsets = self.windows[key] = _window(instance, src, v, B)
-        return offsets
 
     def coord(self, t: int, i: int, mi: int) -> complex:
         key = (t, i, mi)
@@ -491,7 +498,7 @@ def gamma_series(
     shell = [0j] * dim
     for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
         evec = _base_vector(instance, tgt)
-        for m in ev.window(instance, t, src, v, B):
+        for m in _window(instance, src, v, B):
             scalar, w = ev.term(t, m, evec)
             for r in range(dim):
                 total[r] += scalar * w[r]
@@ -516,10 +523,10 @@ def gamma_series_derivative(
     it at s_j, and each is its own reciprocal_gamma_jet evaluation, never
     derived from the other by the functional equation.  Both reach the same
     Stirling evaluation point, though, so the comparison does not see an
-    error in the Stirling tail; the golden jets check that.  Windows, terms
-    and jets are cached per (instance, point) and shared with gamma_series: a
-    term depends only on its exponent, not on which series reaches it, and a
-    jet only on its exact argument.
+    error in the Stirling tail; the golden jets check that.  Windows
+    are cached per instance, terms and jets per (instance, point), all shared
+    with gamma_series: a term depends only on its exponent, not on which
+    series reaches it, and a jet only on its exact argument.
     """
     ev = _evaluator(instance, x, arg_offsets)
     v = tuple(int(c) for c in v)
@@ -531,7 +538,7 @@ def gamma_series_derivative(
     shell = [0j] * dim
     for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
         evec = _base_vector(instance, tgt)
-        for shifted in ev.window(instance, t, src, v2, B):
+        for shifted in _window(instance, src, v2, B):
             m = tuple(o + 1 if i == j else o for i, o in enumerate(shifted))
             scalar, w = ev.term(t, m, evec)
             lj = ev.coord(t, j, m[j])

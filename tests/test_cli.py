@@ -2,11 +2,14 @@
 byte determinism, and input round-trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import boxgamma
 from boxgamma.cli import SEED_FILES, emit_json, main, parse_fan
 from boxgamma.fan import StackyFan
 
@@ -373,3 +376,28 @@ def test_missing_base_element_exit_1(seed_dir, tmp_path):
     assert code == 1
     assert doc["error"]["type"] == "NoBaseElement"
     assert doc["error"]["message"].startswith("series: ")
+
+
+def test_runs_without_numpy(tmp_path):
+    """The library imports and solves with numpy blocked: the gkz-solve pin
+    is reproduced byte for byte, and importing boxgamma loads no numpy."""
+    golden = Path(__file__).parent / "data" / "cli_golden"
+    case = next(
+        c for c in json.loads((golden / "manifest.json").read_text())
+        if c["name"] == "gkz_solve_square_b12"
+    )
+    argv = [a.replace("{dir}", str(tmp_path)) for a in case["args"]]
+    script = (
+        "import sys\n"
+        "import boxgamma\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.modules['numpy'] = None\n"
+        "from boxgamma.cli import main\n"
+        f"assert main(['seed-examples', '--dir', {str(tmp_path)!r}, '--out', {str(tmp_path / 'm.json')!r}]) == 0\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(boxgamma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == case["exit"] == 0, proc.stderr.decode()
+    assert proc.stdout == (golden / "gkz_solve_square_b12.json").read_bytes()

@@ -1,6 +1,7 @@
 """The per-point series evaluator: each reciprocal-Gamma jet computed once,
-values independent of what was evaluated before, and the integer-offset
-term-shift check equal to its LVector formulation."""
+each window scanned once per instance, values independent of what was
+evaluated before, and the integer-offset term-shift check equal to its
+LVector formulation."""
 
 import dataclasses
 from collections import Counter
@@ -73,6 +74,32 @@ def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
     assert set(jet_calls.values()) == {1}
 
 
+def test_gkz_verify_scans_each_window_once(monkeypatch, tmp_path):
+    """One _window_offsets call per distinct (target, B) over the whole
+    gkz-verify loop: the particular solution determines the target."""
+    calls = Counter()
+    real = gkz._window_offsets
+
+    def counting(part, relations, B):
+        calls[(tuple(part), B)] += 1
+        return real(part, relations, B)
+
+    monkeypatch.setattr(gkz, "_window_offsets", counting)
+    main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")])
+    code = main([
+        "gkz-verify",
+        "--fan", str(tmp_path / "fan_square.json"),
+        "--beta", str(tmp_path / "beta_square.json"),
+        "--x", str(tmp_path / "x_square.json"),
+        "--bound", "12",
+        "--vcap", "2",
+        "--out", str(tmp_path / "out.json"),
+    ])
+    assert code == 0
+    assert len(calls) > 20
+    assert set(calls.values()) == {1}
+
+
 def _suite(instance, x, offsets):
     """repr of every series, derivative and solution-system value at x."""
     fan = instance.fan
@@ -117,6 +144,16 @@ def test_cache_leaves_equality_and_hash_alone():
     # a copy starts with its own empty cache and still equals the original
     copy = dataclasses.replace(a)
     assert copy._series == {} and copy == a and hash(copy) == before
+
+
+def test_window_cache_keeps_the_last_bound():
+    a = build_gkz(F1, (Fraction(1, 4), 0))
+    before = hash(a)
+    for B in (4, 6):
+        verify_term_shift(a, (0, 0), 1, B)
+        assert a._windows and {key[1] for key in a._windows} == {B}
+    assert hash(a) == before and "_windows" not in repr(a)
+    assert dataclasses.replace(a)._windows == {}
 
 
 def reference_term_shift(instance, v, j, B):
