@@ -14,17 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotFullDimensional
-from .fan import ConeRef, StackyFan, minimal_cone
+from .errors import DependentGenerators, NotFullDimensional
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, minimal_cone
 from .linalg import (
     Coord,
     as_gaussian,
     im_part,
-    integer_adjugate,
     re_part,
     scalar_from_parts,
     scaled_numerators,
-    smith_normal_form,
 )
 
 @dataclass(frozen=True)
@@ -102,19 +100,19 @@ def _cone_branches(fan, cone, beta):
     coordinates of n0 + beta are (adj n0 + adj beta) / det.  adj beta is
     formed once, over a common denominator of beta's parts; each residue
     then costs integer products and one Fraction per coordinate and part.
+    V's inverse and Smith data come from the fan's cone table.
     """
     d = fan.rank
     cone = tuple(cone)
     if len(cone) != d:
         raise NotFullDimensional(f"cone {cone} is not full-dimensional in rank {d}")
+    try:
+        inv = _cone_inverse(fan, cone)
+    except DependentGenerators:
+        raise NotFullDimensional(f"generators of cone {cone} are linearly dependent") from None
+    adj, det = inv.rows, inv.den
+    diag, s_inv = _cone_smith(fan, cone)
     gens = [fan.rays[i] for i in cone]
-    v = [[gens[j][r] for j in range(d)] for r in range(d)]
-    dmat, s, _t = smith_normal_form(v)
-    diag = [dmat[i][i] for i in range(d)]
-    if any(x == 0 for x in diag):
-        raise NotFullDimensional(f"generators of cone {cone} are linearly dependent")
-    s_inv, _ = integer_adjugate(s)  # S is unimodular, so its adjugate is S^-1
-    adj, det = integer_adjugate(v)
     re = [re_part(b) for b in beta]
     im = [im_part(b) for b in beta]
     den = math.lcm(*(x.denominator for x in re + im))

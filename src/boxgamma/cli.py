@@ -37,7 +37,7 @@ from .linalg import (
     parse_gaussian,
     parse_rational,
 )
-from .quotient import ModuleSpec, build_quotient, graded_piece
+from .quotient import ModuleSpec, _stabilized_quotient, graded_piece
 
 
 def _fmt_float(x: float) -> str:
@@ -177,8 +177,7 @@ def cmd_box(args):
 
 
 def _quotient_for(fan: StackyFan, beta, xi=None):
-    corr = stabilize(fan, beta)
-    return build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi))
+    return _stabilized_quotient(fan, stabilize(fan, beta), xi)
 
 
 def cmd_cohomology(args):

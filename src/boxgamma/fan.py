@@ -4,7 +4,8 @@ A stacky fan is a rational simplicial fan in Z^d together with a marked
 lattice vector on each ray (markers need not be primitive).  Marked vectors
 that appear in no cone are allowed; they only participate through the index
 set of the configuration.  Cones are referenced by sorted 0-based tuples of
-marker indices; JSON I/O is 1-based.
+marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
+table (_ConeTable), filled once per fan.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,19 +21,40 @@ from .errors import (
     DegenerateHeights,
     DependentGenerators,
     NotFullDimensional,
-    NotInSpan,
     PointOutsideSupport,
 )
 from .linalg import (
+    ConeInverse,
+    IntMatrix,
+    cone_inverse,
     integer_adjugate,
     integer_kernel,
     lattice_generates,
     scaled_numerators,
+    smith_normal_form,
     solve_integer,
-    solve_simplicial_coords,
 )
 
 ConeRef = tuple[int, ...]
+
+
+class _ConeTable:
+    """What a fan's cone solves read, none of it depending on a parameter.
+
+    Filled on first use: the ConeInverse of each cone solved in (maximal
+    cones, or the cones box_of_cone is given), the Smith data of each
+    full-dimensional one, and the fan's ValidationReport.  Its size is
+    bounded by the fan's cones, and a StackyFan is frozen, so no entry can
+    go stale.  inverses and smith hold only rays and cones, so a copy of
+    the fan with its degree functional filled in shares them.
+    """
+
+    __slots__ = ("inverses", "smith", "report")
+
+    def __init__(self, inverses=None, smith=None):
+        self.inverses: dict[ConeRef, ConeInverse] = {} if inverses is None else inverses
+        self.smith: dict[ConeRef, tuple[tuple[int, ...], IntMatrix]] = {} if smith is None else smith
+        self.report: Optional[ValidationReport] = None
 
 
 @dataclass(frozen=True)
@@ -41,6 +63,10 @@ class StackyFan:
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[ConeRef, ...]
     deg: Optional[tuple[int, ...]] = None
+    # a cache, so neither compared, hashed, shown nor copied by replace()
+    _table: _ConeTable = field(
+        default_factory=_ConeTable, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in v) for v in self.rays))
@@ -80,33 +106,84 @@ class ValidationReport:
     deg: Optional[tuple[int, ...]] = None
 
 
+def _real_numerators(p: Sequence) -> list[int]:
+    """The rational point p over a common denominator: the integers L * p."""
+    fr = [x if isinstance(x, Fraction) else Fraction(x) for x in p]
+    return scaled_numerators(fr, math.lcm(*(x.denominator for x in fr)))
+
+
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector on the ray through v, preserving orientation."""
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    ints = scaled_numerators(fr, math.lcm(*(x.denominator for x in fr)))
+    ints = _real_numerators(v)
     g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(x // g for x in ints)
 
 
-def _cone_coords(fan: StackyFan, cone: Sequence[int], p: Sequence):
-    """Coordinates of p in the cone's generators, or None if not in the span."""
-    try:
-        return solve_simplicial_coords(fan.gens(cone), p)
-    except NotInSpan:
-        return None
+def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
+    """The cone's ConeInverse from the fan's table; raises
+    DependentGenerators (and stores nothing) for dependent generators."""
+    inv = fan._table.inverses.get(cone)
+    if inv is None:
+        inv = fan._table.inverses[cone] = cone_inverse(fan.gens(cone))
+    return inv
+
+
+def _cone_smith(fan: StackyFan, cone: ConeRef) -> tuple[tuple[int, ...], IntMatrix]:
+    """Diagonal D and S^-1 of the Smith form S V T = D of a full-dimensional
+    cone's generator matrix V (columns), from the fan's table."""
+    entry = fan._table.smith.get(cone)
+    if entry is None:
+        v = [[fan.rays[j][r] for j in cone] for r in range(fan.rank)]
+        dmat, s, _t = smith_normal_form(v)
+        s_inv, _ = integer_adjugate(s)  # S is unimodular, so its adjugate is S^-1
+        entry = fan._table.smith[cone] = (tuple(dmat[i][i] for i in range(len(cone))), s_inv)
+    return entry
+
+
+def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:
+    """The fan with its degree functional set; it shares the cone entries."""
+    out = StackyFan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones, deg=deg)
+    object.__setattr__(out, "_table", _ConeTable(fan._table.inverses, fan._table.smith))
+    return out
 
 
 def minimal_cone(fan: StackyFan, p: Sequence):
     """Smallest face of the fan containing the real point p, as a ConeRef, or None."""
+    nums = _real_numerators(p)
     for cone in fan.max_cones:
-        coords = _cone_coords(fan, cone, p)
-        if coords is None:
-            continue
-        if all(c >= 0 for c in coords):
-            return tuple(i for i, c in zip(cone, coords) if c != 0)
+        coords = _cone_inverse(fan, cone).numerators(nums)
+        if coords is not None and all(c >= 0 for c in coords):
+            return tuple(i for i, c in zip(cone, coords) if c)
     return None
+
+
+def _tangent_test(fan: StackyFan, xi: Sequence):
+    """tangent_member(fan, ., xi) with xi's cone coordinates solved once:
+    per maximal cone, None when xi is outside its span, else which of its
+    coordinates are nonnegative."""
+    xnums = _real_numerators(xi)
+    signs = []
+    for cone in fan.max_cones:
+        xc = _cone_inverse(fan, cone).numerators(xnums)
+        signs.append(None if xc is None else [c >= 0 for c in xc])
+
+    def member(p: Sequence) -> bool:
+        nums = _real_numerators(p)
+        in_support = False
+        for cone, xs in zip(fan.max_cones, signs):
+            pc = _cone_inverse(fan, cone).numerators(nums)
+            if pc is None or any(c < 0 for c in pc):
+                continue
+            in_support = True
+            if xs is not None and all(c > 0 or x for c, x in zip(pc, xs)):
+                return True
+        if not in_support:
+            raise PointOutsideSupport(f"point {tuple(p)} is outside the fan support")
+        return False
+
+    return member
 
 
 def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
@@ -116,20 +193,7 @@ def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
     facet inequalities that are binding at p nonnegative on xi.  Raises
     PointOutsideSupport when p is in no cone.
     """
-    in_support = False
-    for cone in fan.max_cones:
-        pc = _cone_coords(fan, cone, p)
-        if pc is None or any(c < 0 for c in pc):
-            continue
-        in_support = True
-        xc = _cone_coords(fan, cone, xi)
-        if xc is None:
-            continue
-        if all(pc[i] > 0 or xc[i] >= 0 for i in range(len(pc))):
-            return True
-    if not in_support:
-        raise PointOutsideSupport(f"point {tuple(p)} is outside the fan support")
-    return False
+    return _tangent_test(fan, xi)(p)
 
 
 def normalized_volume(fan: StackyFan) -> int:
@@ -139,10 +203,9 @@ def normalized_volume(fan: StackyFan) -> int:
         if len(cone) != fan.rank:
             raise NotFullDimensional(f"cone {cone} is not full-dimensional")
         try:
-            _, d = integer_adjugate(fan.gens(cone))
+            total += _cone_inverse(fan, cone).den
         except DependentGenerators:
             raise NotFullDimensional(f"cone {cone} has dependent generators") from None
-        total += d
     return total
 
 
@@ -198,7 +261,8 @@ def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[in
 
 
 def validate(fan: StackyFan) -> ValidationReport:
-    """Check the fan axioms and GKZ eligibility.
+    """Check the fan axioms and GKZ eligibility, once per fan: the report is
+    kept in the fan's cone table.
 
     Fan axioms: markers nonzero and distinct, every listed maximal cone
     simplicial, and each pairwise intersection of maximal cones equal to the
@@ -208,6 +272,12 @@ def validate(fan: StackyFan) -> ValidationReport:
     the marker polytope (checked facet by facet: every marker on the inner
     side of every boundary facet).
     """
+    if fan._table.report is None:
+        fan._table.report = _validate(fan)
+    return fan._table.report
+
+
+def _validate(fan: StackyFan) -> ValidationReport:
     violations: list[str] = []
     d = fan.rank
     k = fan.k
@@ -231,9 +301,8 @@ def validate(fan: StackyFan) -> ValidationReport:
         if len(set(cone)) != len(cone):
             violations.append(f"cone {tuple(i + 1 for i in cone)} repeats an index")
             continue
-        gens = fan.gens(cone)
         try:
-            solve_simplicial_coords(gens, [Fraction(0)] * d)
+            _cone_inverse(fan, cone)
         except DependentGenerators:
             violations.append(f"cone {tuple(i + 1 for i in cone)} is not simplicial")
     if len(set(fan.max_cones)) != len(fan.max_cones):
@@ -304,18 +373,18 @@ def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
 def _uncovered_marker(fan: StackyFan) -> Optional[tuple[int, ConeRef]]:
     """A marker outside the support of a valid full-dimensional fan, with the
     cone of the boundary facet it lies beyond, or None.  Boundary facets are
-    those of one maximal cone; column i of the cone's adjugate is the inner
-    normal of its facet opposite generator i.  A segment from the support to
+    those of one maximal cone; row i of the cone's inverse (its adjugate) is
+    the inner normal of its facet opposite generator i.  A segment from the support to
     a point outside it leaves through a boundary facet, so the support is
     the cone over the markers iff no marker is beyond one."""
     facets = _facet_counts(fan)
     for cone in fan.max_cones:
-        adj, _ = integer_adjugate(fan.gens(cone))
+        normals = _cone_inverse(fan, cone).rows
         for pos in range(len(cone)):
             if facets[cone[:pos] + cone[pos + 1:]] > 1:
                 continue
             for j, v in enumerate(fan.rays):
-                if sum(v[r] * adj[r][pos] for r in range(fan.rank)) < 0:
+                if sum(a * b for a, b in zip(v, normals[pos])) < 0:
                     return j, cone
     return None
 

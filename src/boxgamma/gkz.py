@@ -30,7 +30,7 @@ from .errors import (
     NoParticularSolution,
     ZeroCoordinate,
 )
-from .fan import StackyFan, validate
+from .fan import StackyFan, _with_deg, validate
 from .linalg import (
     Coord,
     as_gaussian,
@@ -43,7 +43,7 @@ from .linalg import (
     singular_values,
     solve_with_hnf,
 )
-from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
+from .quotient import ModuleSpec, QuotientAlgebra, _stabilized_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
 _BERNOULLI = (
@@ -240,11 +240,10 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         notes = "; ".join(report.violations + report.gkz_notes)
         raise InvalidFan(f"no extended hypergeometric system on this fan: {notes}")
     if fan.deg is None:
-        fan = StackyFan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones, deg=report.deg)
+        fan = _with_deg(fan, report.deg)
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    xi = tuple(re_part(x) for x in b)
-    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi))
+    quotient = _stabilized_quotient(fan, corr, tuple(re_part(x) for x in b))
     h, u = hermite_normal_form(fan.rays)
     kernel = integer_kernel_basis(fan.rays)
     relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]

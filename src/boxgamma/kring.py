@@ -24,7 +24,7 @@ from .box import (
 )
 from .fan import StackyFan
 from .linalg import Coord, im_part, re_part
-from .quotient import ModuleSpec, build_quotient
+from .quotient import _stabilized_quotient
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     """
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta))
+    quotient = _stabilized_quotient(fan, corr)
     amap = {alpha_key(src.alpha): alpha_key(tgt.alpha) for src, tgt, _ in corr.triples}
     points = []
     for cls in collisions(fan, b):

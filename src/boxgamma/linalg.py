@@ -11,11 +11,12 @@ Python.
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DependentGenerators, NoConvergence, NotInSpan
 
@@ -219,16 +220,11 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
 
     So A^-1 = adj / det.  The sign is normalised: for det(A) < 0 both the
     adjugate and the determinant come back negated.  Raises
-    DependentGenerators for a singular matrix.
+    DependentGenerators for a singular matrix.  It is the cone_inverse of
+    the columns of A.
     """
-    n = len(rows)
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, det = _bareiss(m, n)
-    if len(pivots) < n:
-        raise DependentGenerators("matrix is singular")
-    if det < 0:
-        return [[-x for x in row[n:]] for row in m], -det
-    return [row[n:] for row in m], det
+    inv = cone_inverse(list(zip(*rows)))
+    return [list(row) for row in inv.rows], inv.den
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -257,38 +253,84 @@ def scaled_numerators(values: Sequence[Fraction], den: int) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in values]
 
 
+def _dot(row: Sequence[int], vec: Sequence[int]) -> int:
+    return sum(map(operator.mul, row, vec))
+
+
+@dataclass(frozen=True)
+class ConeInverse:
+    """Integer left inverse of m independent generators in Z^d.
+
+    With V the d x m matrix of the generators as columns, one fraction-free
+    elimination of [V | I] over V's columns turns I into T with
+    T V = den * [I; 0].  For a point p = V c the first m rows of T give
+    row . p = den * c_i, and the other d - m rows give 0; as T is invertible,
+    p lies in the span of V exactly when those rows vanish on it.  den is
+    made positive, the rows negated with it, so for m = d the rows are the
+    sign-normalised adjugate of V and den = |det V|.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    span: tuple[tuple[int, ...], ...]
+    den: int
+
+    def numerators(self, nums: Sequence[int]) -> Optional[list[int]]:
+        """den * (cone coordinates) of the integer point nums, or None when
+        it lies outside the span."""
+        if any(_dot(row, nums) for row in self.span):
+            return None
+        return [_dot(row, nums) for row in self.rows]
+
+    def coords(self, p: Sequence) -> tuple:
+        """Coordinates of p, entries of the same kind as p's: Fractions, or
+        GaussianRationals once any entry of p is one.  Raises NotInSpan.
+
+        With P / L the re and im parts of p over a common denominator L,
+        each coordinate is (row . P) / (den * L), one Fraction per
+        coordinate and part.
+        """
+        complex_input = any(isinstance(x, GaussianRational) for x in p)
+        parts = [[re_part(x) for x in p]]
+        if complex_input:
+            parts.append([im_part(x) for x in p])
+        den = math.lcm(*(x.denominator for part in parts for x in part))
+        coords = []
+        for part in parts:
+            nums = self.numerators(scaled_numerators(part, den))
+            if nums is None:
+                raise NotInSpan("point is not in the span of the generators")
+            coords.append([Fraction(x, self.den * den) for x in nums])
+        if not complex_input:
+            return tuple(coords[0])
+        return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
+
+
+def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
+    """The ConeInverse of independent generators; raises DependentGenerators."""
+    d = len(gens[0])
+    m = len(gens)
+    a = [[int(g[r]) for g in gens] + [int(r == j) for j in range(d)] for r in range(d)]
+    pivots, last = _bareiss(a, m)
+    if len(pivots) < m:
+        raise DependentGenerators("generators are linearly dependent")
+    sign = -1 if last < 0 else 1
+    return ConeInverse(
+        rows=tuple(tuple(sign * x for x in row[m:]) for row in a[:m]),
+        span=tuple(tuple(row[m:]) for row in a[m:]),
+        den=sign * last,
+    )
+
+
 def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple:
     """Coordinates of p in linearly independent generators (columns).
 
     p may have Fraction or GaussianRational entries; the coordinate vector is
     returned with entries of the same kind.  Raises DependentGenerators if the
     generators are dependent and NotInSpan if p lies outside their span.
-
-    With P / L the re and im parts of p over a common denominator, the
-    integer matrix [V | P_re | P_im] is eliminated over the generator
-    columns: each coordinate is rhs / (pivot * L), one Fraction per
-    coordinate and part, and a row past the rank with a nonzero right-hand
-    side puts p outside the span.
+    The one-shot form of cone_inverse(gens).coords(p); a fan keeps each
+    maximal cone's ConeInverse, so its cone solves skip the elimination.
     """
-    d = len(gens[0])
-    m = len(gens)
-    complex_input = any(isinstance(x, GaussianRational) for x in p)
-    parts = [[re_part(x) for x in p]]
-    if complex_input:
-        parts.append([im_part(x) for x in p])
-    den = math.lcm(*(x.denominator for part in parts for x in part))
-    nums = [scaled_numerators(part, den) for part in parts]
-    a = [[g[r] for g in gens] + [num[r] for num in nums] for r in range(d)]
-    pivots, last = _bareiss(a, m)
-    if len(pivots) < m:
-        raise DependentGenerators("generators are linearly dependent")
-    if any(any(row[m:]) for row in a[m:]):
-        raise NotInSpan("point is not in the span of the generators")
-    q = last * den
-    coords = [[Fraction(row[m + j], q) for row in a[:m]] for j in range(len(parts))]
-    if not complex_input:
-        return tuple(coords[0])
-    return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
+    return cone_inverse(gens).coords(p)
 
 
 # ---------------------------------------------------------------------------

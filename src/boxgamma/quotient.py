@@ -6,7 +6,8 @@ alpha, points are monomials m >= 0 supported together with alpha in a common
 maximal cone, via p = sum((alpha_i + m_i) v_i); the correspondence is a
 bijection because cone coordinates are unique.  Quotients by the ideal
 (Z_1..Z_d), Z_j = sum_i g_j(v_i) [v_i], are computed degree by degree in |m|
-with exact rational elimination.
+by integer elimination, each reduced row divided by its content; Fractions
+appear only in the emitted echelon rows.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
+from .box import BoxElement, DeltaCorrespondence, alpha_key, box_of_fan, normalize_beta
 from .errors import (
     DependentGenerators,
     DimensionOvershoot,
@@ -24,14 +25,14 @@ from .errors import (
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from .fan import StackyFan, minimal_cone, normalized_volume, tangent_member
-from .linalg import (
-    Coord,
-    im_part,
-    re_part,
-    scalar_from_parts,
-    solve_simplicial_coords,
+from .fan import (
+    StackyFan,
+    _cone_inverse,
+    _tangent_test,
+    minimal_cone,
+    normalized_volume,
 )
+from .linalg import Coord, im_part, re_part, scalar_from_parts
 
 _ZERO = Fraction(0)
 
@@ -105,6 +106,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     if s < 0:
         return GradedPiece(m, ())
     idx = sorted(fan.fan_indices())
+    tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     points = []
     ranges = []
     for r in range(fan.rank):
@@ -119,7 +121,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
         p = tuple(n[r] + chi[r] for r in range(fan.rank))
         if minimal_cone(fan, p) is None:
             continue
-        if spec.xi is not None and not tangent_member(fan, p, spec.xi):
+        if tangent is not None and not tangent(p):
             continue
         points.append(tuple(n))
     points.sort()
@@ -135,14 +137,14 @@ def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
     for sigma in fan.max_cones:
         if not supp <= set(sigma):
             continue
-        gens = [fan.rays[i] for i in sigma]
         try:
-            cn = solve_simplicial_coords(gens, list(nprime))
+            inv = _cone_inverse(fan, sigma)
+            cn = inv.coords(nprime)
         except (DependentGenerators, NotInSpan):
             continue
         if any(re_part(c) < 0 or im_part(c) != 0 for c in cn):
             continue
-        c_in = solve_simplicial_coords(gens, list(elem.point))
+        c_in = inv.coords(elem.point)
         ok = True
         for pos, i in enumerate(sigma):
             dre = re_part(c_in[pos]) - re_part(elem.alpha[i])
@@ -190,6 +192,9 @@ class _Summand:
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement):
         self.spec = spec
         self.fan = spec.fan
+        # the shadow filter: tangent_member with xi's cone coordinates solved
+        # once here, not once per monomial
+        self.tangent = None if spec.xi is None else _tangent_test(spec.fan, spec.xi)
         self.elem = alpha_elem
         self.witnesses = alpha_elem.witness_cones
         self.pieces: dict[int, list[tuple[int, ...]]] = {}
@@ -214,9 +219,9 @@ class _Summand:
                     + sum(m[i] * fan.rays[i][r] for i in range(fan.k))
                     for r in range(fan.rank)
                 )
-                if self.spec.xi is not None:
+                if self.tangent is not None:
                     p = tuple(n[r] + self.spec.chi[r] for r in range(fan.rank))
-                    if not tangent_member(fan, p, self.spec.xi):
+                    if not self.tangent(p):
                         continue
                 found[m] = n
         mons = sorted(found, key=lambda m: (found[m], m))
@@ -320,9 +325,24 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     vector of at most rank rays, of degree at most g.  Each degree is checked
     against the normalized volume (DimensionOvershoot); ending below it
     raises NoStabilizationWindow."""
+    return _build_quotient(spec, box_of_fan(spec.fan, spec.chi))
+
+
+def _stabilized_quotient(
+    fan: StackyFan, corr: DeltaCorrespondence, xi: Optional[Sequence] = None
+) -> QuotientAlgebra:
+    """build_quotient(ModuleSpec(fan, corr.beta_delta, xi)), reusing the box
+    set at beta_delta that stabilize built: _correspondence pairs each of its
+    elements with exactly one source, so the triples' targets in alpha_key
+    order are box_of_fan(fan, corr.beta_delta)."""
+    alphas = sorted((tgt for _, tgt, _ in corr.triples), key=lambda e: alpha_key(e.alpha))
+    return _build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi), tuple(alphas))
+
+
+def _build_quotient(spec: ModuleSpec, alphas: tuple[BoxElement, ...]) -> QuotientAlgebra:
+    """build_quotient given the box set at chi."""
     fan = spec.fan
     vol = normalized_volume(fan)
-    alphas = box_of_fan(fan, spec.chi)
     summands = [_Summand(spec, a) for a in alphas]
     g = 0 if spec.xi is None else fan.rank
     cum = 0

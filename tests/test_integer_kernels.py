@@ -369,8 +369,8 @@ def test_box_set_built_once_per_parameter(box_calls, fan, beta):
     assert box_calls[1] == corr.beta_delta
     box_calls.clear()
     build_gkz(fan, beta)
-    # stabilize's two, then build_quotient's at beta_delta
-    assert len(box_calls) == 3
+    # stabilize's two only: the quotient takes the target set from the triples
+    assert len(box_calls) == 2
 
 
 def test_kring_command_builds_collisions_once(monkeypatch, tmp_path):
