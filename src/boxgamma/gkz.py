@@ -183,10 +183,13 @@ class GkzInstance:
     # relation-lattice basis in row echelon form, pivots strictly increasing
     relations: IntRows
     # caches, so neither compared, hashed, shown nor copied by replace(): the
-    # series evaluator of the last point evaluated (see _evaluator) and the
-    # window offsets of the last bound B by (target, B) (see _window)
+    # series evaluator of the last point evaluated (see _evaluator), the
+    # window offsets of the last bound B by (target, B) (see _window), and
+    # the exact coordinates l_i = alpha_i + m_i of those windows by (t, i, m_i),
+    # t the source's position in correspondence.triples (see _lvectors)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,9 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
 
     The offsets depend on v and alpha only through the target -v - n, so
     each (target, B) is scanned once per instance, whichever series, shift
-    check or box element reaches it.  Only the last B's windows are kept, so
-    memory stays bounded by one bound's windows however many are used.
+    check or box element reaches it.  Only the last B's windows, and the
+    coordinates built from them, are kept, so memory stays bounded by one
+    bound's windows however many are used.
     """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
@@ -309,37 +313,69 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
         part = solve_with_hnf(*instance.marker_hnf, target)
         if part is None:
             raise NoParticularSolution(
-                "markers do not reach the requested translate; the marker lattice is degenerate"
+                f"window: markers do not reach the target {target} of v={v}, "
+                f"n={alpha.lattice_point}; the marker lattice is degenerate"
             )
         if cache and next(iter(cache))[1] != B:
             cache.clear()
+            instance._coords.clear()
         offsets = cache[key] = _window_offsets(part, instance.relations, B)
     return offsets
 
 
-def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
-    parts = [(re_part(a), im_part(a)) for a in alpha.alpha]
-    coords: dict = {}  # (i, m_i) -> l_i, shared by the vectors through it
+def _lvectors(instance: GkzInstance, t: int, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
+    """The LVectors of source t at the given offsets, each coordinate
+    l_i = alpha_i + m_i read from the instance's table (see GkzInstance)."""
+    alpha = instance.correspondence.triples[t][0]
+    coords = instance._coords
+    out = []
+    for m in offsets:
+        l = []
+        for i, mi in enumerate(m):
+            key = (t, i, mi)
+            c = coords.get(key)
+            if c is None:
+                a = alpha.alpha[i]
+                c = coords[key] = scalar_from_parts(re_part(a) + mi, im_part(a))
+            l.append(c)
+        out.append(LVector(tuple(l), alpha, v, m))
+    return tuple(out)
 
-    def coord(i: int, mi: int):
-        c = coords.get((i, mi))
-        if c is None:
-            re, im = parts[i]
-            c = coords[i, mi] = scalar_from_parts(re + mi, im)
-        return c
 
-    return tuple(
-        LVector(tuple(coord(i, mi) for i, mi in enumerate(m)), alpha, v, m) for m in offsets
-    )
+def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
+    """The series index v as integers; ValueError names a non-integral coordinate."""
+    out = []
+    for r, x in enumerate(v, start=1):
+        n = int(x)
+        if n != x:
+            raise ValueError(f"coordinate {r} of v is {x!r}, not an integer")
+        out.append(n)
+    if len(out) != fan.rank:
+        raise ValueError(f"v must have {fan.rank} coordinates, got {len(out)}")
+    return tuple(out)
+
+
+def _check_ray(fan: StackyFan, j) -> None:
+    rays = fan.fan_indices()
+    if j not in rays:
+        raise ValueError(f"j={j!r} is not a ray index of the fan; expected one of {sorted(rays)}")
 
 
 def enumerate_L(
     instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int
 ) -> tuple[LVector, ...]:
     """All l with the exact defining relations and integer offset of l1 size <= B,
-    ordered by offset."""
-    v = tuple(int(x) for x in v)
-    return _lvectors(alpha, v, _window(instance, alpha, v, B))
+    ordered by offset.
+
+    alpha must be one of the instance's sources (the first entries of
+    correspondence.triples): for any other element, l = alpha + m would not
+    satisfy sum(l_i v_i) = beta - v, and ValueError is raised.
+    """
+    v = _index_point(instance.fan, v)
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        if src == alpha:
+            return _lvectors(instance, t, v, _window(instance, src, v, B))
+    raise ValueError("enumerate_L: alpha is not a source box element of this instance")
 
 
 def _apply_jet(mat, jet, vec):
@@ -477,8 +513,11 @@ def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
     xs = tuple(complex(c) for c in x)
     if len(xs) != fan.k:
         raise ValueError(f"x must have {fan.k} coordinates, got {len(xs)}")
-    if any(c == 0 for c in xs):
-        raise ZeroCoordinate("series evaluation needs nonzero coordinates")
+    for i, c in enumerate(xs, start=1):
+        if c == 0:
+            raise ZeroCoordinate(
+                f"series: coordinate {i} of x is zero; evaluation needs nonzero coordinates"
+            )
     return xs
 
 
@@ -490,8 +529,8 @@ def gamma_series(
     The tail estimate is the max-norm of the outermost window shell, i.e. the
     difference between the values at bounds B and B-1.
     """
+    v = _index_point(instance.fan, v)
     ev = _evaluator(instance, x, arg_offsets)
-    v = tuple(int(c) for c in v)
     dim = ev.dim
     total = [0j] * dim
     shell = [0j] * dim
@@ -527,8 +566,9 @@ def gamma_series_derivative(
     with gamma_series: a term depends only on its exponent, not on which
     series reaches it, and a jet only on its exact argument.
     """
+    v = _index_point(instance.fan, v)
+    _check_ray(instance.fan, j)
     ev = _evaluator(instance, x, arg_offsets)
-    v = tuple(int(c) for c in v)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     dim = ev.dim
     dmat = ev.dmats[j]
@@ -559,12 +599,13 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     Offsets of l1 size within B - 1 must match exactly; anything outside that
     core window is collected as the boundary, never silently dropped.
     """
-    v = tuple(int(x) for x in v)
+    v = _index_point(instance.fan, v)
+    _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core = B - 1
     ok = True
     boundary: list[LVector] = []
-    for src, _, _ in instance.correspondence.triples:
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
         left, left_out = set(), []
         for m in _window(instance, src, v, B):
             m2 = tuple(o - 1 if i == j else o for i, o in enumerate(m))
@@ -578,7 +619,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
                 right.add(m)
             else:
                 right_out.append(m)
-        boundary += _lvectors(src, v, left_out) + _lvectors(src, v2, right_out)
+        boundary += _lvectors(instance, t, v, left_out) + _lvectors(instance, t, v2, right_out)
         if left != right:
             ok = False
     return TermShiftReport(ok, tuple(boundary))
@@ -586,23 +627,22 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
 
 def verify_euler(instance: GkzInstance) -> bool:
     """True iff every degree functional kills the assembled shift operators,
-    exactly in rational arithmetic."""
+    exactly in rational arithmetic.
+
+    Only the nonzero entries of each ray operator D_i are summed: entry
+    (a, b) of the r-th operator is sum_i (v_i)_r D_i[a][b].
+    """
     q = instance.quotient
     fan = instance.fan
-    dim = q.dim
-    for r in range(fan.rank):
-        acc = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in fan.fan_indices():
-            coef = fan.rays[i][r]
-            if coef == 0:
-                continue
-            mat = q.dmats[i]
-            for a in range(dim):
-                for b in range(dim):
-                    acc[a][b] += coef * mat[a][b]
-        if any(any(x != 0 for x in row) for row in acc):
-            return False
-    return True
+    acc: list[dict] = [{} for _ in range(fan.rank)]
+    for i in fan.fan_indices():
+        coefs = [(acc[r], c) for r, c in enumerate(fan.rays[i]) if c]
+        for a, row in enumerate(q.dmats[i]):
+            for b, x in enumerate(row):
+                if x:
+                    for sums, c in coefs:
+                        sums[a, b] = sums.get((a, b), 0) + c * x
+    return not any(any(sums.values()) for sums in acc)
 
 
 def solution_system(

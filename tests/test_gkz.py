@@ -311,8 +311,12 @@ def test_empty_window_gives_zero_vector():
 
 def test_zero_coordinate_rejected():
     inst = build_gkz(F1, BETA_ZERO)
-    with pytest.raises(ZeroCoordinate):
-        gamma_series(inst, (0, 0), (1.0, 0.0, 1.0), 4)
+    for x, i in (((1.0, 0.0, 1.0), 2), ((0j, 1.0, 0.0), 1)):
+        with pytest.raises(ZeroCoordinate) as err:
+            gamma_series(inst, (0, 0), x, 4)
+        assert str(err.value) == (
+            f"series: coordinate {i} of x is zero; evaluation needs nonzero coordinates"
+        )
 
 
 def test_missing_base_element_is_domain_error():

@@ -156,6 +156,57 @@ def test_window_cache_keeps_the_last_bound():
     assert dataclasses.replace(a)._windows == {}
 
 
+def test_coordinate_table_leaves_equality_and_hash_alone():
+    a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
+    before, shown = hash(a), repr(a)
+    verify_term_shift(a, (0, 0, 0), 1, 4)
+    assert a._coords and hash(a) == before and repr(a) == shown
+    # a copy starts with an empty table and still equals the original
+    copy = dataclasses.replace(a)
+    assert copy._coords == {} and copy == a and hash(copy) == before
+
+
+def test_coordinate_table_keeps_the_last_bound():
+    beta = (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
+    a = build_gkz(HEX5, beta)
+    for B in (4, 6, 5):
+        for j in sorted(a.fan.fan_indices()):
+            verify_term_shift(a, (0, 0, 0), j, B)
+        # what a fresh instance builds at this bound alone
+        fresh = build_gkz(HEX5, beta)
+        for j in sorted(a.fan.fan_indices()):
+            verify_term_shift(fresh, (0, 0, 0), j, B)
+        assert a._coords == fresh._coords
+
+
+def test_repeated_term_shift_adds_no_coordinate():
+    a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
+    first = verify_term_shift(a, (0, 0, 0), 2, 5)
+    table = dict(a._coords)
+    again = verify_term_shift(a, (0, 0, 0), 2, 5)
+    assert again == first and first.boundary
+    assert a._coords == table
+    # the boundary vectors share the stored coordinates
+    for lv in again.boundary:
+        t = next(t for t, (src, _, _) in enumerate(a.correspondence.triples) if src == lv.alpha)
+        assert all(c is table[t, i, mi] for i, (c, mi) in enumerate(zip(lv.l, lv.offset)))
+
+
+def test_enumerate_L_rejects_a_foreign_element():
+    a = build_gkz(F1, (Fraction(1, 4), 0))
+    src = a.correspondence.triples[0][0]
+    assert enumerate_L(a, dataclasses.replace(src), (0, 0), 4)
+    foreign = (
+        dataclasses.replace(src, lattice_point=(src.lattice_point[0] + 1, src.lattice_point[1])),
+        build_gkz(F1, (Fraction(1, 3), 0)).correspondence.triples[0][0],
+    )
+    table = dict(a._coords)
+    for alpha in foreign:
+        with pytest.raises(ValueError, match="not a source box element of this instance"):
+            enumerate_L(a, alpha, (0, 0), 4)
+    assert a._coords == table
+
+
 def reference_term_shift(instance, v, j, B):
     """The term-shift check on LVectors from enumerate_L, window by window."""
     v = tuple(v)
