@@ -104,12 +104,13 @@ def _cone_branches(fan, cone, beta):
     """
     d = fan.rank
     cone = tuple(cone)
+    named = tuple(i + 1 for i in cone)
     if len(cone) != d:
-        raise NotFullDimensional(f"cone {cone} is not full-dimensional in rank {d}")
+        raise NotFullDimensional(f"box: cone {named} is not full-dimensional in rank {d}")
     try:
         inv = _cone_inverse(fan, cone)
     except DependentGenerators:
-        raise NotFullDimensional(f"generators of cone {cone} are linearly dependent") from None
+        raise NotFullDimensional(f"box: generators of cone {named} are linearly dependent") from None
     adj, det = inv.rows, inv.den
     diag, s_inv = _cone_smith(fan, cone)
     gens = [fan.rays[i] for i in cone]
@@ -152,18 +153,9 @@ def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
 
 
 def box_of_fan(fan: StackyFan, beta) -> tuple[BoxElement, ...]:
-    """Union over the maximal cones, deduplicated by exact alpha equality."""
-    b = normalize_beta(fan, beta)
-    seen: dict[tuple, BoxElement] = {}
-    for mc in fan.max_cones:
-        for _, _, e in _cone_branches(fan, mc, b):
-            key = alpha_key(e.alpha)
-            prior = seen.get(key)
-            if prior is None:
-                seen[key] = e
-            elif prior.lattice_point != e.lattice_point:
-                raise RuntimeError("internal: equal alpha with distinct lattice points")
-    return tuple(seen[k] for k in sorted(seen))
+    """Union over the maximal cones, deduplicated by exact alpha equality:
+    the element of each collision class's first branch."""
+    return tuple(cls.branches[0].element for cls in collisions(fan, beta))
 
 
 def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
@@ -176,6 +168,8 @@ def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     classes = []
     for key in sorted(groups):
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
+        if len({br.element.lattice_point for br in branches}) > 1:
+            raise RuntimeError("internal: equal alpha with distinct lattice points")
         base = branches[0].floors
         diffs = tuple(
             tuple(x - y for x, y in zip(br.floors, base)) for br in branches
@@ -184,15 +178,10 @@ def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     return tuple(classes)
 
 
-def _alpha_delta(alpha: Sequence[Coord], delta: Fraction):
-    """Per-coordinate fractional parts of Re + delta*Im, with the floors."""
-    values, floors = [], []
-    for a in alpha:
-        val = re_part(a) + delta * im_part(a)
-        f = math.floor(val)
-        values.append(val - f)
-        floors.append(f)
-    return tuple(values), tuple(floors)
+def _alpha_delta(alpha: Sequence[Coord], delta: Fraction) -> tuple[Fraction, ...]:
+    """Per-coordinate fractional parts of Re + delta*Im."""
+    values = (re_part(a) + delta * im_part(a) for a in alpha)
+    return tuple(v - math.floor(v) for v in values)
 
 
 def correspondence_at(fan: StackyFan, beta, delta: Fraction) -> DeltaCorrespondence:
@@ -209,7 +198,7 @@ def _correspondence(fan: StackyFan, b, source, delta: Fraction) -> DeltaCorrespo
     used = set()
     triples = []
     for e in source:
-        values, _ = _alpha_delta(e.alpha, delta)
+        values = _alpha_delta(e.alpha, delta)
         j = index.get(tuple((v, Fraction(0)) for v in values))
         if j is None or j in used:
             raise RuntimeError("internal: stabilized elements do not biject")

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .box import alpha_key, box_of_fan, normalize_beta, stabilize
 from .errors import DomainError
@@ -37,7 +36,7 @@ from .linalg import (
     parse_gaussian,
     parse_rational,
 )
-from .quotient import ModuleSpec, _stabilized_quotient, graded_piece
+from .quotient import _stabilized_quotient
 
 
 def _fmt_float(x: float) -> str:
@@ -176,10 +175,6 @@ def cmd_box(args):
     return out
 
 
-def _quotient_for(fan: StackyFan, beta, xi=None):
-    return _stabilized_quotient(fan, stabilize(fan, beta), xi)
-
-
 def cmd_cohomology(args):
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
@@ -189,7 +184,7 @@ def cmd_cohomology(args):
         xi = tuple(parse_rational(v) for v in doc["xi"])
         if len(xi) != fan.rank:
             raise ValueError(f"xi must have {fan.rank} entries")
-    q = _quotient_for(fan, beta, xi)
+    q = _stabilized_quotient(fan, stabilize(fan, beta), xi)
     report = validate(fan)
     return {
         "dim": q.dim,
@@ -268,14 +263,11 @@ def cmd_gkz_verify(args):
     instance = build_gkz(fan, beta)
     xs, offs = parse_x(_load(args.x), fan)
     fan = instance.fan
-    spec0 = ModuleSpec(fan, tuple(Fraction(0) for _ in range(fan.rank)))
-    vs = []
-    for m in range(args.vcap + 1):
-        vs.extend(graded_piece(spec0, m).points)
+    system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
     shifts_ok = True
     boundary_terms = 0
     max_residual = 0.0
-    for v in vs:
+    for v in system.vs:
         for j in sorted(fan.fan_indices()):
             rep = verify_term_shift(instance, v, j, args.bound)
             shifts_ok = shifts_ok and rep.ok
@@ -287,7 +279,6 @@ def cmd_gkz_verify(args):
             shifted = gamma_series(instance, v2, xs, args.bound, arg_offsets=offs)
             for a, b in zip(deriv.value, shifted.value):
                 max_residual = max(max_residual, abs(a - b))
-    system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
     euler_ok = verify_euler(instance)
     tol = max(1e-8, 10.0 * system.tail_estimate)
     passed = (

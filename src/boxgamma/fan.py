@@ -25,9 +25,7 @@ from .errors import (
 )
 from .linalg import (
     ConeInverse,
-    IntMatrix,
     cone_inverse,
-    integer_adjugate,
     integer_kernel,
     lattice_generates,
     scaled_numerators,
@@ -45,15 +43,15 @@ class _ConeTable:
     cones, or the cones box_of_cone is given), the Smith data of each
     full-dimensional one, and the fan's ValidationReport.  Its size is
     bounded by the fan's cones, and a StackyFan is frozen, so no entry can
-    go stale.  inverses and smith hold only rays and cones, so a copy of
-    the fan with its degree functional filled in shares them.
+    go stale.  build_gkz's copy of an eligible fan with its degree
+    functional filled in shares the whole table (see _with_deg).
     """
 
     __slots__ = ("inverses", "smith", "report")
 
-    def __init__(self, inverses=None, smith=None):
-        self.inverses: dict[ConeRef, ConeInverse] = {} if inverses is None else inverses
-        self.smith: dict[ConeRef, tuple[tuple[int, ...], IntMatrix]] = {} if smith is None else smith
+    def __init__(self):
+        self.inverses: dict[ConeRef, ConeInverse] = {}
+        self.smith: dict[ConeRef, tuple[tuple[int, ...], Sequence[Sequence[int]]]] = {}
         self.report: Optional[ValidationReport] = None
 
 
@@ -130,22 +128,24 @@ def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     return inv
 
 
-def _cone_smith(fan: StackyFan, cone: ConeRef) -> tuple[tuple[int, ...], IntMatrix]:
+def _cone_smith(fan: StackyFan, cone: ConeRef) -> tuple[tuple[int, ...], Sequence[Sequence[int]]]:
     """Diagonal D and S^-1 of the Smith form S V T = D of a full-dimensional
     cone's generator matrix V (columns), from the fan's table."""
     entry = fan._table.smith.get(cone)
     if entry is None:
         v = [[fan.rays[j][r] for j in cone] for r in range(fan.rank)]
         dmat, s, _t = smith_normal_form(v)
-        s_inv, _ = integer_adjugate(s)  # S is unimodular, so its adjugate is S^-1
+        s_inv = cone_inverse(list(zip(*s))).rows  # S is unimodular: den 1, rows S^-1
         entry = fan._table.smith[cone] = (tuple(dmat[i][i] for i in range(len(cone))), s_inv)
     return entry
 
 
 def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:
-    """The fan with its degree functional set; it shares the cone entries."""
+    """The fan with its degree functional set, sharing the whole cone table:
+    build_gkz passes an eligible fan's report.deg, which is 1 on every
+    marker, so _validate of the copy returns an equal report."""
     out = StackyFan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones, deg=deg)
-    object.__setattr__(out, "_table", _ConeTable(fan._table.inverses, fan._table.smith))
+    object.__setattr__(out, "_table", fan._table)
     return out
 
 
@@ -180,7 +180,7 @@ def _tangent_test(fan: StackyFan, xi: Sequence):
             if xs is not None and all(c > 0 or x for c, x in zip(pc, xs)):
                 return True
         if not in_support:
-            raise PointOutsideSupport(f"point {tuple(p)} is outside the fan support")
+            raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
         return False
 
     return member
@@ -200,12 +200,13 @@ def normalized_volume(fan: StackyFan) -> int:
     """Sum of |det| of generator matrices over maximal cones."""
     total = 0
     for cone in fan.max_cones:
+        named = tuple(i + 1 for i in cone)
         if len(cone) != fan.rank:
-            raise NotFullDimensional(f"cone {cone} is not full-dimensional")
+            raise NotFullDimensional(f"volume: cone {named} is not full-dimensional")
         try:
             total += _cone_inverse(fan, cone).den
         except DependentGenerators:
-            raise NotFullDimensional(f"cone {cone} has dependent generators") from None
+            raise NotFullDimensional(f"volume: cone {named} has dependent generators") from None
     return total
 
 
@@ -404,19 +405,19 @@ def triangulate_from_heights(
     hs = [Fraction(h) for h in heights]
     if len(hs) != len(pts):
         raise ValueError("heights and points must have equal length")
-    # integer heights H = den * hs; with adj, det the sign-normalised adjugate
-    # of the subset's point matrix, w = adj h_S / det, so p . w <= h_j
-    # compares p . (adj H_S) with det * H_j
+    # integer heights H = den * hs; the subset's points as generators V give
+    # rows T with T V = det * I, det = |det V|, so w = T^t h_S / det and
+    # p . w <= h_j compares p . (T^t H_S) with det * H_j
     den = math.lcm(*(h.denominator for h in hs))
     h_int = scaled_numerators(hs, den)
     cells: set[ConeRef] = set()
     for subset in itertools.combinations(range(len(pts)), d):
         try:
-            adj, det = integer_adjugate([pts[i] for i in subset])
+            inv = cone_inverse([pts[i] for i in subset])
         except DependentGenerators:
             continue
-        u = [sum(a * h_int[i] for a, i in zip(row, subset)) for row in adj]
-        vals = [sum(x * y for x, y in zip(p, u)) - det * h for p, h in zip(pts, h_int)]
+        u = [sum(row[r] * h_int[i] for row, i in zip(inv.rows, subset)) for r in range(d)]
+        vals = [sum(x * y for x, y in zip(p, u)) - inv.den * h for p, h in zip(pts, h_int)]
         if any(v > 0 for v in vals):
             continue
         cell = tuple(j for j, v in enumerate(vals) if v == 0)

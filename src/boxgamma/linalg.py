@@ -127,53 +127,6 @@ def scalar_from_parts(re: Fraction, im: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Fraction inverse and determinant: the reference the integer kernel below is
-# tested against
-
-
-def identity_rational(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix; raises DependentGenerators."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + identity_rational(n)[i] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DependentGenerators("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-# ---------------------------------------------------------------------------
 # fraction-free integer elimination (Bareiss 1968)
 
 
@@ -213,18 +166,6 @@ def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
         prev = p
         pivots.append(col)
     return pivots, prev
-
-
-def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
-    """(adj, det) of a square integer matrix with det > 0 and adj * A = det * I.
-
-    So A^-1 = adj / det.  The sign is normalised: for det(A) < 0 both the
-    adjugate and the determinant come back negated.  Raises
-    DependentGenerators for a singular matrix.  It is the cone_inverse of
-    the columns of A.
-    """
-    inv = cone_inverse(list(zip(*rows)))
-    return [list(row) for row in inv.rows], inv.den
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -319,18 +260,6 @@ def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
         span=tuple(tuple(row[m:]) for row in a[m:]),
         den=sign * last,
     )
-
-
-def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple:
-    """Coordinates of p in linearly independent generators (columns).
-
-    p may have Fraction or GaussianRational entries; the coordinate vector is
-    returned with entries of the same kind.  Raises DependentGenerators if the
-    generators are dependent and NotInSpan if p lies outside their span.
-    The one-shot form of cone_inverse(gens).coords(p); a fan keeps each
-    maximal cone's ConeInverse, so its cone solves skip the elimination.
-    """
-    return cone_inverse(gens).coords(p)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,10 @@ class TaggedPoint:
 
 def _check_graded(fan: StackyFan):
     if fan.deg is None:
-        raise UnboundedDegree("fan carries no degree functional")
+        raise UnboundedDegree("quotient: fan carries no degree functional")
     for i in fan.fan_indices():
         if sum(fan.deg[r] * fan.rays[i][r] for r in range(fan.rank)) <= 0:
-            raise UnboundedDegree("degree functional is not positive on the support")
+            raise UnboundedDegree("quotient: degree functional is not positive on the support")
 
 
 def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
@@ -352,14 +352,14 @@ def _build_quotient(spec: ModuleSpec, alphas: tuple[BoxElement, ...]) -> Quotien
         cum += contrib
         if cum > vol:
             raise DimensionOvershoot(
-                f"cumulative dimension {cum} exceeds the normalized volume {vol}"
+                f"quotient: cumulative dimension {cum} exceeds the normalized volume {vol}"
             )
         if contrib == 0 and t >= g:
             break
         t += 1
     if cum < vol:
         raise NoStabilizationWindow(
-            f"the quotient ends at degree {t} with dimension {cum}, "
+            f"quotient: the quotient ends at degree {t} with dimension {cum}, "
             f"below the normalized volume {vol}"
         )
 

@@ -33,18 +33,14 @@ from boxgamma.gkz import (
     verify_term_shift,
 )
 from boxgamma.kring import spectrum
-from boxgamma.linalg import (
-    GaussianRational,
-    det_rational,
-    mat_inverse,
-    re_part,
-)
+from boxgamma.linalg import GaussianRational, re_part
 from boxgamma.quotient import (
     ModuleSpec,
     build_quotient,
     graded_piece,
     verify_def2_isomorphism,
 )
+from exact_oracles import det_rational, mat_inverse
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(

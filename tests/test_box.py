@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxgamma.box as box
 from boxgamma.box import (
     BoxElement,
     alpha_key,
@@ -17,13 +19,9 @@ from boxgamma.box import (
 )
 from boxgamma.errors import NotFullDimensional
 from boxgamma.fan import StackyFan, triangulate_from_heights
-from boxgamma.linalg import (
-    GaussianRational,
-    det_rational,
-    im_part,
-    mat_inverse,
-    re_part,
-)
+from boxgamma.kring import wall_report
+from boxgamma.linalg import GaussianRational, im_part, re_part
+from exact_oracles import det_rational, mat_inverse
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -276,3 +274,27 @@ def test_stabilize_tiny_real_part():
     corr = stabilize(F1, beta)
     assert corr.delta < Fraction(1, 10000)
     check_limit(corr)
+
+
+def test_equal_alpha_with_distinct_lattice_points_raises(monkeypatch):
+    """Branches of two cones with equal alpha must share their lattice
+    point; every reader of the branch grouping checks it."""
+    real = box._cone_branches
+
+    def forged(fan, cone, beta):
+        out = real(fan, cone, beta)
+        if cone != fan.max_cones[-1]:
+            return out
+        moved = []
+        for residue, floors, e in out:
+            point = tuple(x + 1 for x in e.lattice_point)
+            moved.append((residue, floors, dataclasses.replace(e, lattice_point=point)))
+        return moved
+
+    beta = (Fraction(0), Fraction(0))
+    # at beta = 0 both cones of F1 have the branch alpha = 0
+    assert [len(cls.branches) for cls in collisions(F1, beta)] == [2]
+    monkeypatch.setattr(box, "_cone_branches", forged)
+    for call in (box_of_fan, collisions, wall_report):
+        with pytest.raises(RuntimeError, match="equal alpha with distinct lattice points"):
+            call(F1, beta)

@@ -259,6 +259,34 @@ def test_shadow_not_submodule_exit_1(tmp_path):
     assert doc["error"]["type"] == "ShadowNotSubmodule"
     assert doc["error"]["message"].startswith("quotient: ")
 
+
+@pytest.mark.parametrize("command", ["box", "cohomology"])
+def test_low_dimensional_cone_is_named_by_file_index(command, tmp_path):
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[1]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["1/3", "1/5"]}')
+    code, doc = run_cli([command, "--fan", str(fan), "--beta", str(beta)], tmp_path)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "NotFullDimensional",
+        "message": "box: cone (1,) is not full-dimensional in rank 2",
+    }
+
+
+def test_dependent_cone_is_named_by_file_index(tmp_path):
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [2, 0], [1, 2]], "max_cones": [[1, 2], [2, 3]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["1/3", "1/5"]}')
+    code, doc = run_cli(["kring", "--fan", str(fan), "--beta", str(beta)], tmp_path)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "NotFullDimensional",
+        "message": "box: generators of cone (1, 2) are linearly dependent",
+    }
+
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

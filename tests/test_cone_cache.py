@@ -1,7 +1,8 @@
 """The fan's cone table as a cache: it stays out of equality, hash, repr and
 replace(), a fan's cone data is computed once however many parameters it
 is used with, its size does not grow with them, and build_gkz's copy of a
-fan without a degree functional shares the caller's entries."""
+fan without a degree functional shares the caller's whole table, report
+included."""
 
 import dataclasses
 import random
@@ -14,7 +15,7 @@ import pytest
 import boxgamma.fan as fanmod
 import boxgamma.linalg as linalg
 from boxgamma.box import box_of_fan, collisions, stabilize
-from boxgamma.fan import StackyFan, minimal_cone, validate
+from boxgamma.fan import StackyFan, minimal_cone, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz
 from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational
@@ -26,6 +27,13 @@ CONES = ((0, 1), (1, 2))
 def f1():
     """A fresh F1, so no earlier test has filled its table."""
     return StackyFan(rank=2, rays=RAYS, max_cones=CONES)
+
+
+def cone_over(points):
+    """Triangulated cone over lattice points p: markers (1, p), lifting
+    heights |p|^2 + (i^2 + 1)/101."""
+    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
+    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
 
 
 def draw_beta(rng):
@@ -40,11 +48,11 @@ def draw_beta(rng):
 
 @pytest.fixture
 def elimination_calls(monkeypatch):
-    """Counts smith_normal_form, integer_adjugate and cone_inverse calls
-    under every name a boxgamma module looks them up by."""
+    """Counts smith_normal_form and cone_inverse calls under every name a
+    boxgamma module looks them up by."""
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n == "boxgamma" or n.startswith("boxgamma.")]
-    for fn_name in ("smith_normal_form", "integer_adjugate", "cone_inverse"):
+    for fn_name in ("smith_normal_form", "cone_inverse"):
         real = getattr(linalg, fn_name)
 
         def counting(*args, _name=fn_name, _real=real):
@@ -117,3 +125,25 @@ def test_build_gkz_shares_the_callers_cone_entries():
     assert inst.fan._table.inverses is fan._table.inverses
     assert inst.fan._table.smith is fan._table.smith
     assert set(fan._table.inverses) == set(CONES)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        f1,
+        lambda: triangulate_from_heights(
+            ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0)
+        ),
+        lambda: cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
+        lambda: cone_over([(a, b) for a in range(3) for b in range(3 - a)]),
+    ],
+    ids=["F1", "SQUARE", "HEX5", "tri2"],
+)
+def test_build_gkz_shares_an_exact_report(make):
+    """The copy carries the caller's report; validating the copy afresh,
+    with its degree functional, gives an equal one."""
+    fan = dataclasses.replace(make(), deg=None)
+    inst = build_gkz(fan, (0,) * fan.rank)
+    assert inst.fan.deg is not None
+    assert inst.fan._table is fan._table
+    assert fanmod._validate(inst.fan) == validate(fan)

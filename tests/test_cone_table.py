@@ -32,15 +32,9 @@ from boxgamma.fan import (
     triangulate_from_heights,
     validate,
 )
-from boxgamma.linalg import (
-    GaussianRational,
-    cone_inverse,
-    det_rational,
-    im_part,
-    mat_inverse,
-    re_part,
-)
+from boxgamma.linalg import GaussianRational, cone_inverse, im_part, re_part
 from boxgamma.quotient import ModuleSpec, _stabilized_quotient, build_quotient
+from exact_oracles import det_rational, mat_inverse
 
 small_int = st.integers(-3, 3)
 rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))

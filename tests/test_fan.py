@@ -103,15 +103,21 @@ def test_tangent_member():
     assert tangent_member(F1, (2, 0), (0, -1)) is False  # exits through the base ray
     assert tangent_member(F1, (2, 0), (0, 1)) is True
     assert tangent_member(F1, (1, 0), (0, 1)) is True
-    with pytest.raises(PointOutsideSupport):
+    outside = r"^fan: point \(-1, 0\) is outside the fan support$"
+    with pytest.raises(PointOutsideSupport, match=outside):
         tangent_member(F1, (-1, 0), (1, 0))
 
 
 def test_normalized_volume():
     assert normalized_volume(F1) == 2
     assert normalized_volume(F2) == 4
-    with pytest.raises(NotFullDimensional):
+    # errors name the stage and the cone by its 1-based file indices
+    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(1,\) is not full-dimensional$"):
         normalized_volume(StackyFan(rank=2, rays=((1, 0),), max_cones=((0,),)))
+    dependent = StackyFan(rank=2, rays=((1, 0), (2, 0), (1, 2)), max_cones=((0, 1), (1, 2)))
+    message = r"^volume: cone \(1, 2\) has dependent generators$"
+    with pytest.raises(NotFullDimensional, match=message):
+        normalized_volume(dependent)
 
 
 def test_is_complete():

@@ -26,13 +26,9 @@ from boxgamma.gkz import (
     verify_euler,
     verify_term_shift,
 )
-from boxgamma.linalg import (
-    GaussianRational,
-    im_part,
-    re_part,
-    solve_simplicial_coords,
-)
+from boxgamma.linalg import GaussianRational, im_part, re_part
 from boxgamma.quotient import ModuleSpec, graded_piece
+from exact_oracles import solve_simplicial_coords
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))

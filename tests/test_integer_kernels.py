@@ -1,5 +1,6 @@
-"""The fraction-free integer kernels against Fraction oracles: the adjugate
-and the square cone-coordinate solve against mat_inverse, the solve with
+"""The fraction-free integer kernels against Fraction oracles: cone_inverse
+of square generators (the sign-normalised adjugate) and the square
+cone-coordinate solve against mat_inverse, the solve with
 fewer generators than the rank, the quotient's integer RREF and the integer
 kernel against a Fraction Gauss-Jordan, and the cone intersection, for cones
 of any dimension, against the Fraction route it replaced.  Also counts the
@@ -26,15 +27,9 @@ from boxgamma.fan import (
     triangulate_from_heights,
 )
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import (
-    GaussianRational,
-    det_rational,
-    integer_adjugate,
-    integer_kernel,
-    mat_inverse,
-    solve_simplicial_coords,
-)
+from boxgamma.linalg import GaussianRational, cone_inverse, integer_kernel
 from boxgamma.quotient import _rref
+from exact_oracles import det_rational, mat_inverse, solve_simplicial_coords
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -63,16 +58,19 @@ def frac_mat_vec(m, v):
 @settings(max_examples=150, deadline=None)
 @given(rows=square_matrices())
 def test_integer_adjugate_matches_fraction_inverse(rows):
+    """cone_inverse of the columns of A: rows adj with adj * A = d * I and
+    d = |det A|, so adj is the adjugate, negated with det A when det A < 0."""
     n = len(rows)
     det = det_rational(rows)
     if det == 0:
         with pytest.raises(DependentGenerators):
-            integer_adjugate(rows)
+            cone_inverse(list(zip(*rows)))
         return
-    adj, d = integer_adjugate(rows)
+    inv = cone_inverse(list(zip(*rows)))
+    adj, d = inv.rows, inv.den
     assert d == abs(det) and d > 0
-    inv = mat_inverse(rows)
-    assert [[Fraction(x, d) for x in row] for row in adj] == inv
+    assert inv.span == ()
+    assert [[Fraction(x, d) for x in row] for row in adj] == mat_inverse(rows)
     product = [[sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
 

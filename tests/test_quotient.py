@@ -4,8 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boxgamma.quotient as quotient
 from boxgamma.box import alpha_key, normalize_beta, stabilize
-from boxgamma.errors import DimensionOvershoot, ShadowNotSubmodule, UnboundedDegree
+from boxgamma.errors import (
+    DimensionOvershoot,
+    NoStabilizationWindow,
+    ShadowNotSubmodule,
+    UnboundedDegree,
+)
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import build_gkz
 from boxgamma.linalg import GaussianRational, re_part
@@ -51,8 +57,11 @@ def test_graded_piece_f1():
 
 
 def test_graded_piece_requires_degree():
-    with pytest.raises(UnboundedDegree):
+    with pytest.raises(UnboundedDegree, match="^quotient: fan carries no degree functional$"):
         graded_piece(ModuleSpec(F2, (Fraction(0), Fraction(0))), 0)
+    negative = StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones, deg=(-1, 0))
+    with pytest.raises(UnboundedDegree, match="^quotient: degree functional is not positive"):
+        graded_piece(ModuleSpec(negative, (Fraction(0), Fraction(0))), 0)
 
 
 def test_module_product_examples():
@@ -221,7 +230,8 @@ def test_shadow_quotient_stops_at_rank(monkeypatch):
 
 def test_dimension_overshoot():
     fan = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2), (1, 3)), max_cones=((0, 1), (2, 3)))
-    with pytest.raises(DimensionOvershoot, match="cumulative dimension 3 exceeds the normalized volume 2"):
+    message = "^quotient: cumulative dimension 3 exceeds the normalized volume 2$"
+    with pytest.raises(DimensionOvershoot, match=message):
         build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
 
 
@@ -234,3 +244,13 @@ def test_shadow_not_submodule():
     with pytest.raises(ShadowNotSubmodule, match=r"monomial \(0, 0, 0, 0\) .* ray 4"):
         build_quotient(spec)
 
+
+def test_quotient_ending_below_the_volume(monkeypatch):
+    # a volume above the true one: the quotient ends at dimension 2 below it
+    monkeypatch.setattr(quotient, "normalized_volume", lambda fan: 3)
+    message = (
+        r"^quotient: the quotient ends at degree \d+ with dimension 2, "
+        r"below the normalized volume 3$"
+    )
+    with pytest.raises(NoStabilizationWindow, match=message):
+        build_quotient(ModuleSpec(F1, (Fraction(1, 4), Fraction(0))))
