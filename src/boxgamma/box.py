@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, minimal_cone
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, minimal_cone
 from .linalg import (
     Coord,
     as_gaussian,
@@ -159,8 +159,13 @@ def box_of_fan(fan: StackyFan, beta) -> tuple[BoxElement, ...]:
 
 
 def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
-    """Partition of the per-cone branches by equal reduced exponent vectors."""
+    """Partition of the per-cone branches by equal reduced exponent vectors,
+    built once per parameter (the fan's parameter memo)."""
     b = normalize_beta(fan, beta)
+    return _memo(fan, b, "collisions", lambda: _collisions(fan, b))
+
+
+def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
         for residue, floors, e in _cone_branches(fan, mc, b):
@@ -187,17 +192,17 @@ def _alpha_delta(alpha: Sequence[Coord], delta: Fraction) -> tuple[Fraction, ...
 def correspondence_at(fan: StackyFan, beta, delta: Fraction) -> DeltaCorrespondence:
     """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta)."""
     b = normalize_beta(fan, beta)
-    return _correspondence(fan, b, box_of_fan(fan, b), delta)
+    return _correspondence(fan, b, delta)
 
 
-def _correspondence(fan: StackyFan, b, source, delta: Fraction) -> DeltaCorrespondence:
-    """correspondence_at for a normalized beta whose box set is already built."""
+def _correspondence(fan: StackyFan, b, delta: Fraction) -> DeltaCorrespondence:
+    """correspondence_at for a normalized beta."""
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
     target = box_of_fan(fan, beta_delta)
     index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
     used = set()
     triples = []
-    for e in source:
+    for e in box_of_fan(fan, b):
         values = _alpha_delta(e.alpha, delta)
         j = index.get(tuple((v, Fraction(0)) for v in values))
         if j is None or j in used:
@@ -231,12 +236,16 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     share a support, which spans one face of a simplicial cone; both
     imaginary parts write Im beta in that face's independent generators, so
     they agree, and then so do the real parts.  The checks in
-    _correspondence still guard the bijection.
+    _correspondence still guard the bijection.  Built once per parameter
+    (the fan's parameter memo).
     """
     b = normalize_beta(fan, beta)
-    source = box_of_fan(fan, b)
+    return _memo(fan, b, "stabilize", lambda: _stabilize(fan, b))
+
+
+def _stabilize(fan: StackyFan, b) -> DeltaCorrespondence:
     wall = Fraction(1)
-    for e in source:
+    for e in box_of_fan(fan, b):
         for a in e.alpha:
             r, m = re_part(a), im_part(a)
             if m > 0:
@@ -246,4 +255,4 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     delta = Fraction(1, 16)
     while delta >= wall:
         delta /= 2
-    return _correspondence(fan, b, source, delta)
+    return _correspondence(fan, b, delta)

@@ -36,7 +36,7 @@ from .linalg import (
     parse_gaussian,
     parse_rational,
 )
-from .quotient import _stabilized_quotient
+from .quotient import ModuleSpec, build_quotient
 
 
 def _fmt_float(x: float) -> str:
@@ -184,7 +184,7 @@ def cmd_cohomology(args):
         xi = tuple(parse_rational(v) for v in doc["xi"])
         if len(xi) != fan.rank:
             raise ValueError(f"xi must have {fan.rank} entries")
-    q = _stabilized_quotient(fan, stabilize(fan, beta), xi)
+    q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {
         "dim": q.dim,

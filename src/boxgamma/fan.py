@@ -5,7 +5,10 @@ lattice vector on each ray (markers need not be primitive).  Marked vectors
 that appear in no cone are allowed; they only participate through the index
 set of the configuration.  Cones are referenced by sorted 0-based tuples of
 marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
-table (_ConeTable), filled once per fan.
+table (_ConeTable), filled once per fan.  The same table keeps the
+parameter memo (_memo): the collision classes, stabilization and quotients
+of the two most recently used parameters beta, each quotient under its
+shadow direction and the fan's degree functional.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DegenerateHeights,
@@ -37,22 +40,44 @@ ConeRef = tuple[int, ...]
 
 
 class _ConeTable:
-    """What a fan's cone solves read, none of it depending on a parameter.
+    """What a fan's cone solves read, and the results of its last parameters.
 
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given), the Smith data of each
-    full-dimensional one, and the fan's ValidationReport.  Its size is
+    full-dimensional one, and the fan's ValidationReport.  Their size is
     bounded by the fan's cones, and a StackyFan is frozen, so no entry can
-    go stale.  build_gkz's copy of an eligible fan with its degree
+    go stale.  params is the parameter memo (see _memo), bounded by two
+    parameters.  build_gkz's copy of an eligible fan with its degree
     functional filled in shares the whole table (see _with_deg).
     """
 
-    __slots__ = ("inverses", "smith", "report")
+    __slots__ = ("inverses", "smith", "report", "params")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.smith: dict[ConeRef, tuple[tuple[int, ...], Sequence[Sequence[int]]]] = {}
         self.report: Optional[ValidationReport] = None
+        self.params: dict[tuple, dict] = {}
+
+
+# a parameter and its delta-stabilized beta_delta
+_PARAMS_KEPT = 2
+
+
+def _memo(fan: StackyFan, beta: tuple, key, build: Callable):
+    """build(), kept in the fan's table under the normalized parameter beta
+    and key ("collisions", "stabilize", or (xi, deg) for a quotient, as
+    BasisElement.offset reads fan.deg and _with_deg's copy shares the
+    table).  Only the _PARAMS_KEPT most recently used parameters are kept,
+    so the memo stays bounded however many parameters the fan sees.  A build
+    that raises stores nothing."""
+    params = fan._table.params
+    entry = params[beta] = params.pop(beta, {})  # most recently used last
+    while len(params) > _PARAMS_KEPT:
+        del params[next(iter(params))]
+    if key not in entry:
+        entry[key] = build()
+    return entry[key]
 
 
 @dataclass(frozen=True)
@@ -208,18 +233,6 @@ def normalized_volume(fan: StackyFan) -> int:
         except DependentGenerators:
             raise NotFullDimensional(f"volume: cone {named} has dependent generators") from None
     return total
-
-
-def _facet_counts(fan: StackyFan) -> Counter:
-    """Number of maximal cones holding each facet of a maximal cone."""
-    return Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
-
-
-def is_complete(fan: StackyFan) -> bool:
-    """True iff every facet of a maximal cone is shared by exactly two cones."""
-    if not fan.max_cones or any(len(c) != fan.rank for c in fan.max_cones):
-        return False
-    return all(v == 2 for v in _facet_counts(fan).values())
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +391,8 @@ def _uncovered_marker(fan: StackyFan) -> Optional[tuple[int, ConeRef]]:
     the inner normal of its facet opposite generator i.  A segment from the support to
     a point outside it leaves through a boundary facet, so the support is
     the cone over the markers iff no marker is beyond one."""
-    facets = _facet_counts(fan)
+    # number of maximal cones holding each facet of a maximal cone
+    facets = Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
     for cone in fan.max_cones:
         normals = _cone_inverse(fan, cone).rows
         for pos in range(len(cone)):
@@ -423,11 +437,11 @@ def triangulate_from_heights(
         cell = tuple(j for j, v in enumerate(vals) if v == 0)
         if len(cell) > d:
             raise DegenerateHeights(
-                f"heights are degenerate: lower facet on markers {tuple(i + 1 for i in cell)}"
+                f"fan: heights are degenerate: lower facet on markers {tuple(i + 1 for i in cell)}"
             )
         cells.add(cell)
     if not cells:
-        raise DegenerateHeights("no full-dimensional lower facet")
+        raise DegenerateHeights("fan: heights give no full-dimensional lower facet")
     deg = infer_deg(pts)
     if deg is None:
         raise ValueError("markers do not lie on an integral degree-1 hyperplane")

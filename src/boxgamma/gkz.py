@@ -43,7 +43,7 @@ from .linalg import (
     singular_values,
     solve_with_hnf,
 )
-from .quotient import ModuleSpec, QuotientAlgebra, _stabilized_quotient, graded_piece
+from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
 _BERNOULLI = (
@@ -246,7 +246,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         fan = _with_deg(fan, report.deg)
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    quotient = _stabilized_quotient(fan, corr, tuple(re_part(x) for x in b))
+    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
     h, u = hermite_normal_form(fan.rays)
     kernel = integer_kernel_basis(fan.rays)
     relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]
@@ -703,7 +703,7 @@ def suggest_x(instance: GkzInstance, heights: Sequence, target: float = 1e-2) ->
         s = sum(h * g for h, g in zip(hs, gen))
         if s == 0:
             raise DegenerateHeights(
-                "heights pair to zero with a relation-lattice generator"
+                f"series: heights pair to zero with the relation-lattice generator {tuple(gen)}"
             )
         pairings.append(abs(s))
     rho = target ** (1 / float(min(pairings)))

@@ -24,7 +24,7 @@ from .box import (
 )
 from .fan import StackyFan
 from .linalg import Coord, im_part, re_part
-from .quotient import _stabilized_quotient
+from .quotient import ModuleSpec, build_quotient
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     """
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
-    quotient = _stabilized_quotient(fan, corr)
+    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta))
     amap = {alpha_key(src.alpha): alpha_key(tgt.alpha) for src, tgt, _ in corr.triples}
     points = []
     for cls in collisions(fan, b):
@@ -96,19 +96,3 @@ def _wall_records(classes: Iterable[CollisionClass]) -> tuple[WallRecord, ...]:
 
 def is_semisimple(fan: StackyFan, beta: Sequence) -> bool:
     return all(p.multiplicity == 1 for p in spectrum(fan, beta))
-
-
-def minimal_non_faces(fan: StackyFan) -> tuple[tuple[int, ...], ...]:
-    """Inclusion-minimal index sets inside the fan that no maximal cone contains."""
-    idx = sorted(fan.fan_indices())
-    faces = [set(mc) for mc in fan.max_cones]
-    out: list[tuple[int, ...]] = []
-    for size in range(1, len(idx) + 1):
-        for sub in itertools.combinations(idx, size):
-            ss = set(sub)
-            if any(ss <= f for f in faces):
-                continue
-            if any(set(m) <= ss for m in out):
-                continue
-            out.append(sub)
-    return tuple(out)

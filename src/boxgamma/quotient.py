@@ -14,9 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
-from .box import BoxElement, DeltaCorrespondence, alpha_key, box_of_fan, normalize_beta
+from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
 from .errors import (
     DependentGenerators,
     DimensionOvershoot,
@@ -28,6 +29,7 @@ from .errors import (
 from .fan import (
     StackyFan,
     _cone_inverse,
+    _memo,
     _tangent_test,
     minimal_cone,
     normalized_volume,
@@ -69,13 +71,17 @@ class BasisElement:
 
 @dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
+    """The graded quotient; build_quotient hands one instance to every caller
+    with the same fan and spec, so summand_dims and base_index are read-only
+    views (MappingProxyType) keyed by alpha_key."""
+
     spec: ModuleSpec
     basis: tuple[BasisElement, ...]
     dim: int
     dmats: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    summand_dims: dict = field(repr=False)
+    summand_dims: Mapping = field(repr=False)
     alphas: tuple[BoxElement, ...] = ()
-    base_index: dict = field(default_factory=dict, repr=False)
+    base_index: Mapping = field(default_factory=lambda: MappingProxyType({}), repr=False)
 
 
 @dataclass(frozen=True)
@@ -324,24 +330,15 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     holding that support; so a monomial with no passing m - e_i is the 0/1
     vector of at most rank rays, of degree at most g.  Each degree is checked
     against the normalized volume (DimensionOvershoot); ending below it
-    raises NoStabilizationWindow."""
-    return _build_quotient(spec, box_of_fan(spec.fan, spec.chi))
+    raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
+    (the fan's parameter memo)."""
+    chi = normalize_beta(spec.fan, spec.chi)
+    return _memo(spec.fan, chi, (spec.xi, spec.fan.deg), lambda: _build_quotient(spec))
 
 
-def _stabilized_quotient(
-    fan: StackyFan, corr: DeltaCorrespondence, xi: Optional[Sequence] = None
-) -> QuotientAlgebra:
-    """build_quotient(ModuleSpec(fan, corr.beta_delta, xi)), reusing the box
-    set at beta_delta that stabilize built: _correspondence pairs each of its
-    elements with exactly one source, so the triples' targets in alpha_key
-    order are box_of_fan(fan, corr.beta_delta)."""
-    alphas = sorted((tgt for _, tgt, _ in corr.triples), key=lambda e: alpha_key(e.alpha))
-    return _build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi), tuple(alphas))
-
-
-def _build_quotient(spec: ModuleSpec, alphas: tuple[BoxElement, ...]) -> QuotientAlgebra:
-    """build_quotient given the box set at chi."""
+def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan = spec.fan
+    alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
     summands = [_Summand(spec, a) for a in alphas]
     g = 0 if spec.xi is None else fan.rank
@@ -399,9 +396,9 @@ def _build_quotient(spec: ModuleSpec, alphas: tuple[BoxElement, ...]) -> Quotien
         basis=tuple(basis),
         dim=dim,
         dmats=tuple(tuple(tuple(row) for row in mat) for mat in dmats),
-        summand_dims=summand_dims,
+        summand_dims=MappingProxyType(summand_dims),
         alphas=alphas,
-        base_index=base_index,
+        base_index=MappingProxyType(base_index),
     )
 
 

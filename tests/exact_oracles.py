@@ -1,7 +1,9 @@
 """Fraction inverse and determinant, and the one-shot cone solve: the
 references the library's fraction-free integer kernels are tested against.
-Only tests read them."""
+Also a fan's completeness and its minimal non-faces.  Only tests read them."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,3 +63,27 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     maximal cone's ConeInverse, so its cone solves skip the elimination.
     """
     return cone_inverse(gens).coords(p)
+
+
+def is_complete(fan) -> bool:
+    """True iff every facet of a maximal cone is shared by exactly two cones."""
+    if not fan.max_cones or any(len(c) != fan.rank for c in fan.max_cones):
+        return False
+    facets = Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
+    return all(v == 2 for v in facets.values())
+
+
+def minimal_non_faces(fan) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-minimal index sets inside the fan that no maximal cone contains."""
+    idx = sorted(fan.fan_indices())
+    faces = [set(mc) for mc in fan.max_cones]
+    out: list[tuple[int, ...]] = []
+    for size in range(1, len(idx) + 1):
+        for sub in itertools.combinations(idx, size):
+            ss = set(sub)
+            if any(ss <= f for f in faces):
+                continue
+            if any(set(m) <= ss for m in out):
+                continue
+            out.append(sub)
+    return tuple(out)

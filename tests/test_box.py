@@ -295,6 +295,9 @@ def test_equal_alpha_with_distinct_lattice_points_raises(monkeypatch):
     # at beta = 0 both cones of F1 have the branch alpha = 0
     assert [len(cls.branches) for cls in collisions(F1, beta)] == [2]
     monkeypatch.setattr(box, "_cone_branches", forged)
+    # a copy with an empty cone table, whose parameter memo cannot answer
+    # without the forged branches
+    fan = dataclasses.replace(F1)
     for call in (box_of_fan, collisions, wall_report):
         with pytest.raises(RuntimeError, match="equal alpha with distinct lattice points"):
-            call(F1, beta)
+            call(fan, beta)

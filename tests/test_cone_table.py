@@ -5,9 +5,11 @@ test against mat_inverse of the generators completed by unit vectors,
 minimal_cone and tangent_member against a per-cone solve by that oracle,
 facet normals and normalized_volume against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
-consulted for.  Also the quotient built from a stabilization's target set
-against build_quotient."""
+consulted for.  Also the quotient at a stabilization's target, built
+through the fan's parameter memo, against one built on a fresh copy of
+the fan."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from boxgamma.fan import (
     validate,
 )
 from boxgamma.linalg import GaussianRational, cone_inverse, im_part, re_part
-from boxgamma.quotient import ModuleSpec, _stabilized_quotient, build_quotient
+from boxgamma.quotient import ModuleSpec, build_quotient
 from exact_oracles import det_rational, mat_inverse
 
 small_int = st.integers(-3, 3)
@@ -268,8 +270,11 @@ def test_quotient_from_stabilization_target(fan, data, shadow):
     beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
     corr = stabilize(fan, beta)
     xi = tuple(re_part(b) for b in beta) if shadow else None
-    got = quotient_outcome(lambda: _stabilized_quotient(fan, corr, xi))
-    assert got == quotient_outcome(lambda: build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi)))
+    got = quotient_outcome(lambda: build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi)))
+    # a copy with an empty cone table builds the box set and quotient anew
+    fresh = dataclasses.replace(fan)
+    want = quotient_outcome(lambda: build_quotient(ModuleSpec(fresh, corr.beta_delta, xi=xi)))
+    assert got == want
 
 
 def quotient_outcome(build):

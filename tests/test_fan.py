@@ -8,7 +8,6 @@ from boxgamma.errors import DegenerateHeights, NotFullDimensional, PointOutsideS
 from boxgamma.fan import (
     StackyFan,
     infer_deg,
-    is_complete,
     minimal_cone,
     normalized_volume,
     primitive_direction,
@@ -16,6 +15,7 @@ from boxgamma.fan import (
     triangulate_from_heights,
     validate,
 )
+from exact_oracles import is_complete
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -143,8 +143,16 @@ def test_triangulate_from_heights_f1():
     assert fan.max_cones == ((0, 1), (1, 2))
     assert fan.deg == (1, 0)
     assert validate(fan).valid
-    with pytest.raises(DegenerateHeights):
+    message = r"^fan: heights are degenerate: lower facet on markers \(1, 2, 3\)$"
+    with pytest.raises(DegenerateHeights, match=message):
         triangulate_from_heights([(1, 0), (1, 1), (1, 2)], [0, 0, 0])
+
+
+def test_triangulate_from_collinear_points():
+    # every pair of markers is dependent, so no cell is full-dimensional
+    message = "^fan: heights give no full-dimensional lower facet$"
+    with pytest.raises(DegenerateHeights, match=message):
+        triangulate_from_heights([(1, 0), (2, 0)], [0, 1])
 
 
 def test_triangulate_from_heights_segment():

@@ -438,7 +438,9 @@ def test_nilpotent_and_commuting():
 def test_suggest_x_values():
     inst = build_gkz(F1, BETA_ZERO)
     assert suggest_x(inst, (1, 0, 1)) == (0.1, 1.0, 0.1)
-    with pytest.raises(DegenerateHeights):
+    # (1, 1, 1) pairs to 1 - 2 + 1 = 0 with the relation v1 - 2 v2 + v3 = 0
+    message = r"^series: heights pair to zero with the relation-lattice generator \(1, -2, 1\)$"
+    with pytest.raises(DegenerateHeights, match=message):
         suggest_x(inst, (1, 1, 1))
     sq = build_gkz(SQUARE, BETA_SQUARE)
     assert suggest_x(sq, (0, 1, 1, 0)) == (1.0, 0.1, 0.1, 1.0)

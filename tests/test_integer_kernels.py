@@ -7,6 +7,7 @@ of any dimension, against the Fraction route it replaced.  Also counts the
 box-set builds of stabilize and build_gkz and the collision builds of the
 kring command."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 
 import boxgamma.box as box
 import boxgamma.kring as kring
-import boxgamma.quotient as quotient
-from boxgamma.box import stabilize
+from boxgamma.box import normalize_beta, stabilize
 from boxgamma.cli import main
 from boxgamma.errors import DependentGenerators, NotInSpan
 from boxgamma.fan import (
@@ -338,17 +338,17 @@ def test_overlapping_cones_report_their_true_intersection():
 
 
 @pytest.fixture
-def box_calls(monkeypatch):
-    """Counts box_of_fan calls under every name the package looks it up by."""
+def box_builds(monkeypatch):
+    """The parameter of every per-cone branch build: a box set built anew
+    runs one per maximal cone."""
     calls = []
-    real = box.box_of_fan
+    real = box._cone_branches
 
-    def counting(fan, beta):
+    def counting(fan, cone, beta):
         calls.append(tuple(beta))
-        return real(fan, beta)
+        return real(fan, cone, beta)
 
-    monkeypatch.setattr(box, "box_of_fan", counting)
-    monkeypatch.setattr(quotient, "box_of_fan", counting)
+    monkeypatch.setattr(box, "_cone_branches", counting)
     return calls
 
 
@@ -360,15 +360,19 @@ def box_calls(monkeypatch):
         (SQUARE, (Fraction(0), GaussianRational(Fraction(1, 5), Fraction(-1, 3)), Fraction(1, 2))),
     ],
 )
-def test_box_set_built_once_per_parameter(box_calls, fan, beta):
+def test_box_set_built_once_per_parameter(box_builds, fan, beta):
+    fan = dataclasses.replace(fan)  # an empty cone table
+    b = normalize_beta(fan, beta)
     corr = stabilize(fan, beta)
-    # the source box set at beta and the target at beta_delta
-    assert len(box_calls) == 2
-    assert box_calls[1] == corr.beta_delta
-    box_calls.clear()
+    # the source box set at beta and the target at beta_delta, which is
+    # beta itself for a real beta
+    per_set = len(fan.max_cones)
+    targets = [] if corr.beta_delta == b else [corr.beta_delta] * per_set
+    assert box_builds == [b] * per_set + targets
+    box_builds.clear()
     build_gkz(fan, beta)
-    # stabilize's two only: the quotient takes the target set from the triples
-    assert len(box_calls) == 2
+    # the stabilization and the quotient's box set are both memo hits
+    assert box_builds == []
 
 
 def test_kring_command_builds_collisions_once(monkeypatch, tmp_path):

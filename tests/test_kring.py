@@ -6,12 +6,12 @@ from boxgamma.box import alpha_key, normalize_beta
 from boxgamma.fan import StackyFan, normalized_volume
 from boxgamma.kring import (
     is_semisimple,
-    minimal_non_faces,
     spectrum,
     unit_phase,
     wall_report,
 )
 from boxgamma.linalg import GaussianRational, im_part, re_part
+from exact_oracles import minimal_non_faces
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))

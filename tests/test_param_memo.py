@@ -1,0 +1,146 @@
+"""The fan's parameter memo: collisions, stabilize and build_quotient read
+through it equal the same calls on a fresh copy of the fan, whichever of a
+fan and its copy with the degree functional filled in they go through; the
+memo keeps two parameters; one algebra_sweep-style sequence builds each
+box set and the quotient once; and the shared quotient's maps are
+read-only."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import boxgamma.box as box
+import boxgamma.quotient as quotient
+from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
+from boxgamma.errors import DomainError
+from boxgamma.fan import StackyFan, _with_deg, triangulate_from_heights, validate
+from boxgamma.kring import spectrum, wall_report
+from boxgamma.linalg import GaussianRational, re_part
+from boxgamma.quotient import ModuleSpec, build_quotient
+
+F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
+SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+# every fan without its degree functional; F2 has none
+FANS = {
+    name: StackyFan(rank=f.rank, rays=f.rays, max_cones=f.max_cones)
+    for name, f in (("F1", F1), ("F2", F2), ("SQUARE", SQUARE))
+}
+
+rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+beta_coord = st.one_of(rational, st.builds(GaussianRational, rational, rational))
+
+
+def outcome(call):
+    """call()'s result, or the type and text of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def quotient_outcome(fan, chi, xi):
+    def build():
+        q = build_quotient(ModuleSpec(fan, chi, xi=xi))
+        return q.alphas, repr(q), dict(q.summand_dims), dict(q.base_index)
+
+    return outcome(build)
+
+
+def stages(fan, beta, chi, xi, order):
+    calls = {
+        "collisions": lambda: outcome(lambda: collisions(fan, beta)),
+        "stabilize": lambda: outcome(lambda: stabilize(fan, beta)),
+        "quotient": lambda: quotient_outcome(fan, chi, xi),
+    }
+    return {name: calls[name]() for name in order}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FANS)), data=st.data())
+def test_memo_matches_a_fresh_fan(name, data):
+    fan = dataclasses.replace(FANS[name])  # an empty memo for each example
+    deg = validate(fan).deg
+    views = [fan] if deg is None else [fan, _with_deg(fan, deg)]
+    drawn = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        view = data.draw(st.sampled_from(views))
+        if drawn and data.draw(st.booleans()):
+            beta = data.draw(st.sampled_from(drawn))
+        else:
+            beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
+            drawn.append(beta)
+        xi = tuple(re_part(b) for b in beta) if data.draw(st.booleans()) else None
+        order = data.draw(st.permutations(["collisions", "stabilize", "quotient"]))
+        fresh = dataclasses.replace(view)
+        chi = stabilize(fresh, beta).beta_delta
+        assert stages(view, beta, chi, xi, order) == stages(fresh, beta, chi, xi, order)
+
+
+def test_memo_keeps_two_parameters():
+    fan = dataclasses.replace(F1)
+    params = fan._table.params
+    for k in range(1, 7):
+        beta = (GaussianRational(Fraction(1, k + 2), Fraction(1, 3)), Fraction(k, 5))
+        b = normalize_beta(fan, beta)
+        corr = stabilize(fan, beta)
+        assert set(params) == {b, corr.beta_delta}
+        build_quotient(ModuleSpec(fan, corr.beta_delta))
+        spectrum(fan, beta)
+        assert list(params) == [corr.beta_delta, b]
+        # a third parameter drops the least recently used one
+        box_of_fan(fan, (Fraction(k, 7), Fraction(0)))
+        assert list(params) == [b, (Fraction(k, 7), Fraction(0))]
+
+
+@pytest.mark.parametrize(
+    "fan,beta",
+    [
+        (SQUARE, (Fraction(1, 3), GaussianRational(Fraction(1, 5), Fraction(-1, 3)), Fraction(1, 2))),
+        (F2, (Fraction(1, 3), Fraction(1, 5))),
+    ],
+)
+def test_each_stage_built_once(monkeypatch, fan, beta):
+    """box_of_fan, stabilize, build_quotient, spectrum and wall_report on one
+    (fan, beta), as one algebra_sweep op runs them."""
+    fan = dataclasses.replace(fan)
+    branches = []
+    quotients = []
+    real_branches = box._cone_branches
+    real_quotient = quotient._build_quotient
+
+    def counting_branches(fan, cone, beta):
+        branches.append((cone, tuple(beta)))
+        return real_branches(fan, cone, beta)
+
+    def counting_quotient(spec):
+        quotients.append(spec)
+        return real_quotient(spec)
+
+    monkeypatch.setattr(box, "_cone_branches", counting_branches)
+    monkeypatch.setattr(quotient, "_build_quotient", counting_quotient)
+    box_of_fan(fan, beta)
+    corr = stabilize(fan, beta)
+    q = build_quotient(ModuleSpec(fan, corr.beta_delta))
+    points = spectrum(fan, beta)
+    wall_report(fan, beta)
+    b = normalize_beta(fan, beta)
+    params = [b] if corr.beta_delta == b else [b, corr.beta_delta]
+    assert branches == [(cone, p) for p in params for cone in fan.max_cones]
+    assert quotients == [q.spec]
+    assert sum(p.multiplicity for p in points) == q.dim
+
+
+def test_shared_quotient_maps_are_read_only():
+    fan = dataclasses.replace(F1)
+    q = build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
+    zero_key = ((Fraction(0), Fraction(0)),) * fan.k
+    assert q.summand_dims == {zero_key: 2}
+    assert q.base_index == {zero_key: 0}
+    for mapping in (q.summand_dims, q.base_index):
+        with pytest.raises(TypeError):
+            mapping[zero_key] = 1
+    assert build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0)))) is q

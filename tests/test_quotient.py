@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -217,14 +218,17 @@ def extended_degrees(monkeypatch, build):
 
 
 def test_quotient_stops_at_first_empty_degree(monkeypatch):
-    f1 = ModuleSpec(F1, (Fraction(1, 4), Fraction(0)))
+    # fresh copies: a quotient in a fan's parameter memo runs no extend
+    f1 = ModuleSpec(dataclasses.replace(F1), (Fraction(1, 4), Fraction(0)))
     assert extended_degrees(monkeypatch, lambda: build_quotient(f1)) == [0, 0, 1, 1]
-    square = ModuleSpec(SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
+    chi = (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))
+    square = ModuleSpec(dataclasses.replace(SQUARE), chi)
     assert extended_degrees(monkeypatch, lambda: build_quotient(square)) == [0, 0, 1, 1]
 
 
 def test_shadow_quotient_stops_at_rank(monkeypatch):
-    calls = extended_degrees(monkeypatch, lambda: build_gkz(F1, (Fraction(1, 4), 0)))
+    fan = dataclasses.replace(F1)
+    calls = extended_degrees(monkeypatch, lambda: build_gkz(fan, (Fraction(1, 4), 0)))
     assert calls == [0, 0, 1, 1, 2, 2]
 
 
@@ -252,5 +256,8 @@ def test_quotient_ending_below_the_volume(monkeypatch):
         r"^quotient: the quotient ends at degree \d+ with dimension 2, "
         r"below the normalized volume 3$"
     )
+    # a fresh copy, whose parameter memo holds no quotient built with the
+    # true volume
+    fan = dataclasses.replace(F1)
     with pytest.raises(NoStabilizationWindow, match=message):
-        build_quotient(ModuleSpec(F1, (Fraction(1, 4), Fraction(0))))
+        build_quotient(ModuleSpec(fan, (Fraction(1, 4), Fraction(0))))
