@@ -28,7 +28,7 @@ from .gkz import (
     verify_euler,
     verify_term_shift,
 )
-from .kring import _wall_records, spectrum
+from .kring import spectrum, wall_report
 from .linalg import (
     as_gaussian,
     format_gaussian,
@@ -115,22 +115,16 @@ def parse_fan(doc) -> StackyFan:
 
 
 def parse_beta(doc, fan: StackyFan):
-    vals = doc["beta"]
-    if len(vals) != fan.rank:
-        raise ValueError(f"beta must have {fan.rank} entries, got {len(vals)}")
-    return normalize_beta(fan, tuple(parse_gaussian(v) for v in vals))
+    return normalize_beta(fan, tuple(parse_gaussian(v) for v in doc["beta"]))
 
 
-def parse_x(doc, fan: StackyFan):
-    vals = doc["x"]
-    if len(vals) != fan.k:
-        raise ValueError(f"x must have {fan.k} entries, got {len(vals)}")
-    xs = tuple(complex(float(p[0]), float(p[1])) for p in vals)
+def parse_x(doc):
+    """The point x and the optional arg_offsets; the library checks both
+    lengths."""
+    xs = tuple(complex(float(p[0]), float(p[1])) for p in doc["x"])
     offs = doc.get("arg_offsets")
     if offs is not None:
         offs = tuple(float(o) for o in offs)
-        if len(offs) != fan.k:
-            raise ValueError(f"arg_offsets must have {fan.k} entries")
     return xs, offs
 
 
@@ -212,7 +206,7 @@ def cmd_kring(args):
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     points = spectrum(fan, beta)
-    walls = _wall_records(p.alpha_class for p in points)
+    walls = wall_report(fan, beta)
     return {
         "points": [
             {
@@ -243,7 +237,7 @@ def cmd_gkz_solve(args):
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     instance = build_gkz(fan, beta)
-    xs, offs = parse_x(_load(args.x), fan)
+    xs, offs = parse_x(_load(args.x))
     system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
     return {
         "vs": [list(v) for v in system.vs],
@@ -261,7 +255,7 @@ def cmd_gkz_verify(args):
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     instance = build_gkz(fan, beta)
-    xs, offs = parse_x(_load(args.x), fan)
+    xs, offs = parse_x(_load(args.x))
     fan = instance.fan
     system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
     shifts_ok = True

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     DegenerateHeights,
     DependentGenerators,
+    InvalidFan,
     NotFullDimensional,
     PointOutsideSupport,
 )
@@ -184,41 +185,40 @@ def minimal_cone(fan: StackyFan, p: Sequence):
     return None
 
 
-def _tangent_test(fan: StackyFan, xi: Sequence):
-    """tangent_member(fan, ., xi) with xi's cone coordinates solved once:
-    per maximal cone, None when xi is outside its span, else which of its
-    coordinates are nonnegative."""
+def _tangent_test(fan: StackyFan, xi: Sequence) -> Callable[[frozenset], bool]:
+    """The shadow filter as a face test, xi solved once per maximal cone:
+    member(face) tells whether p + eps*xi stays in the support for p in the
+    relative interior of the face (marker indices): iff some maximal cone
+    sigma holding the face has xi's coordinates >= 0 on sigma minus the
+    face.  In a fan the cones holding p are those holding its minimal face
+    (Fulton, Introduction to Toric Varieties, 1.2), so raises InvalidFan,
+    naming the first violation, for a fan validate rejects."""
+    report = validate(fan)
+    if not report.valid:
+        raise InvalidFan(f"fan: the shadow filter needs a valid fan: {report.violations[0]}")
     xnums = _real_numerators(xi)
-    signs = []
+    cones = []
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
-        signs.append(None if xc is None else [c >= 0 for c in xc])
+        if xc is not None:
+            cones.append((frozenset(cone), frozenset(i for i, c in zip(cone, xc) if c >= 0)))
 
-    def member(p: Sequence) -> bool:
-        nums = _real_numerators(p)
-        in_support = False
-        for cone, xs in zip(fan.max_cones, signs):
-            pc = _cone_inverse(fan, cone).numerators(nums)
-            if pc is None or any(c < 0 for c in pc):
-                continue
-            in_support = True
-            if xs is not None and all(c > 0 or x for c, x in zip(pc, xs)):
-                return True
-        if not in_support:
-            raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
-        return False
+    def member(face: frozenset) -> bool:
+        return any(face <= sigma and sigma - face <= ok for sigma, ok in cones)
 
     return member
 
 
 def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
-    """True iff p + eps*xi stays in the support of the fan for small eps > 0.
-
-    Checked cone by cone: some maximal cone containing p must have all of its
-    facet inequalities that are binding at p nonnegative on xi.  Raises
-    PointOutsideSupport when p is in no cone.
+    """True iff p + eps*xi stays in the support of the fan for small eps > 0:
+    the face test of _tangent_test on p's minimal cone.  Raises InvalidFan
+    for a fan validate rejects and PointOutsideSupport when p is in no cone.
     """
-    return _tangent_test(fan, xi)(p)
+    member = _tangent_test(fan, xi)
+    face = minimal_cone(fan, p)
+    if face is None:
+        raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
+    return member(frozenset(face))
 
 
 def normalized_volume(fan: StackyFan) -> int:
@@ -321,11 +321,6 @@ def _validate(fan: StackyFan) -> ValidationReport:
             violations.append(f"cone {tuple(i + 1 for i in cone)} is not simplicial")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         violations.append("duplicate maximal cones")
-    if fan.deg is not None and not violations:
-        for i, v in enumerate(fan.rays):
-            if fan.deg_of(v) != 1:
-                violations.append(f"deg is not 1 on marker {i + 1}")
-                break
     if not violations:
         for c1, c2 in itertools.combinations(fan.max_cones, 2):
             shared = sorted(set(c1) & set(c2))
@@ -352,6 +347,10 @@ def _validate(fan: StackyFan) -> ValidationReport:
             deg = infer_deg(fan.rays)
             if deg is None:
                 gkz_notes.append("no integral degree functional equal to 1 on all markers")
+        else:
+            off = next((i for i, v in enumerate(fan.rays) if fan.deg_of(v) != 1), None)
+            if off is not None:
+                gkz_notes.append(f"deg is not 1 on marker {off + 1}")
         if not lattice_generates(fan.rays):
             gkz_notes.append("markers do not generate the lattice")
         if volume is None:

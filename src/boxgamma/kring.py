@@ -12,7 +12,7 @@ offset between the two unreduced solutions as an exact witness.
 import cmath
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .box import (
     Branch,
@@ -63,15 +63,18 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
 
     The multiplicity of a point is the dimension of the graded quotient
     summand at the stabilized real parameter paired with its exponent
-    vector, so the multiplicities always sum to the normalized volume.
+    vector, so the multiplicities always sum to the normalized volume.  The
+    stabilization's triples are in collision-class order, as its source box
+    set is the classes' projection.
     """
     b = normalize_beta(fan, beta)
     corr = stabilize(fan, b)
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta))
-    amap = {alpha_key(src.alpha): alpha_key(tgt.alpha) for src, tgt, _ in corr.triples}
     points = []
-    for cls in collisions(fan, b):
-        mult = quotient.summand_dims[amap[alpha_key(cls.alpha)]]
+    for cls, (src, tgt, _) in zip(collisions(fan, b), corr.triples, strict=True):
+        if src.alpha != cls.alpha:
+            raise RuntimeError("internal: stabilization out of collision-class order")
+        mult = quotient.summand_dims[alpha_key(tgt.alpha)]
         y = tuple(unit_phase(a) for a in cls.alpha)
         points.append(KPoint(y, cls, mult))
     return tuple(points)
@@ -79,14 +82,8 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
 
 def wall_report(fan: StackyFan, beta: Sequence) -> tuple[WallRecord, ...]:
     """One record per colliding branch pair; empty exactly off the walls."""
-    return _wall_records(collisions(fan, normalize_beta(fan, beta)))
-
-
-def _wall_records(classes: Iterable[CollisionClass]) -> tuple[WallRecord, ...]:
-    """wall_report from collision classes already built, e.g. the spectrum
-    points' alpha_class."""
     records = []
-    for cls in classes:
+    for cls in collisions(fan, beta):
         brs = cls.branches
         for i, j in itertools.combinations(range(len(brs)), 2):
             diff = tuple(x - y for x, y in zip(brs[j].floors, brs[i].floors))

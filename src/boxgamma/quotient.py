@@ -115,19 +115,21 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     points = []
     ranges = []
+    # the degree-s slice of a cone is the hull of its s * v / deg(v)
+    ends = [[s * x / fan.deg_of(fan.rays[i]) for x in fan.rays[i]] for i in idx]
     for r in range(fan.rank):
-        lo = min(s * fan.rays[i][r] for i in idx)
-        hi = max(s * fan.rays[i][r] for i in idx)
+        lo = min(e[r] for e in ends)
+        hi = max(e[r] for e in ends)
         if s == 0:
             lo = hi = Fraction(0)
         ranges.append(range(math.ceil(lo - chi[r]), math.floor(hi - chi[r]) + 1))
     for n in itertools.product(*ranges):
         if sum(deg[r] * n[r] for r in range(fan.rank)) != m:
             continue
-        p = tuple(n[r] + chi[r] for r in range(fan.rank))
-        if minimal_cone(fan, p) is None:
+        face = minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
+        if face is None:
             continue
-        if tangent is not None and not tangent(p):
+        if tangent is not None and not tangent(frozenset(face)):
             continue
         points.append(tuple(n))
     points.sort()
@@ -193,16 +195,17 @@ def _compositions(total: int, slots: int):
 class _Summand:
     """Degree-by-degree state of one alpha summand.  moves[t][c] lists the
     (ray, degree-t column) pairs of x_ray times the degree-(t-1) monomial in
-    column c; the relation rows and the ray operators both read it."""
+    column c; the relation rows and the ray operators both read it.  Both
+    per-monomial tests, the shadow filter tangent (or None) and
+    admissibility, read the face supp(alpha) + supp(m)."""
 
-    def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement):
+    def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
         self.spec = spec
         self.fan = spec.fan
-        # the shadow filter: tangent_member with xi's cone coordinates solved
-        # once here, not once per monomial
-        self.tangent = None if spec.xi is None else _tangent_test(spec.fan, spec.xi)
+        self.tangent = tangent
         self.elem = alpha_elem
-        self.witnesses = alpha_elem.witness_cones
+        self.support = frozenset(alpha_elem.support)
+        self.witnesses = [frozenset(sigma) for sigma in alpha_elem.witness_cones]
         self.pieces: dict[int, list[tuple[int, ...]]] = {}
         self.lattice: dict[int, list[tuple[int, ...]]] = {}
         self.moves: dict[int, list[list[tuple[int, int]]]] = {}
@@ -212,7 +215,7 @@ class _Summand:
     def _monomials(self, t: int):
         fan = self.fan
         found = {}
-        for sigma in self.witnesses:
+        for sigma in self.elem.witness_cones:
             for comp in _compositions(t, len(sigma)):
                 m = [0] * fan.k
                 for pos, i in enumerate(sigma):
@@ -220,22 +223,23 @@ class _Summand:
                 m = tuple(m)
                 if m in found:
                     continue
-                n = tuple(
+                if self.tangent is not None and not self.tangent(self._face(m)):
+                    continue
+                found[m] = tuple(
                     self.elem.lattice_point[r]
                     + sum(m[i] * fan.rays[i][r] for i in range(fan.k))
                     for r in range(fan.rank)
                 )
-                if self.tangent is not None:
-                    p = tuple(n[r] + self.spec.chi[r] for r in range(fan.rank))
-                    if not self.tangent(p):
-                        continue
-                found[m] = n
         mons = sorted(found, key=lambda m: (found[m], m))
         return mons, [found[m] for m in mons]
 
+    def _face(self, m: tuple[int, ...]) -> frozenset:
+        """supp(alpha) + supp(m), the minimal face of the monomial's point."""
+        return self.support.union(i for i, x in enumerate(m) if x)
+
     def _admissible(self, m: tuple[int, ...]) -> bool:
-        supp = {i for i in range(self.fan.k) if m[i] > 0}
-        return any(supp <= set(sigma) for sigma in self.witnesses)
+        face = self._face(m)
+        return any(face <= sigma for sigma in self.witnesses)
 
     def extend(self, t: int) -> int:
         """Compute degree t and return the dimension of its quotient."""
@@ -325,10 +329,11 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     commute with the Z_j, so if Q_t = 0 and every degree-(t+1) monomial is
     x_i times a degree-t one, M_(t+1) = sum_i x_i sum_j Z_j M_(t-1) lies in
     (ZM)_(t+1) and Q_(t+1) = 0.  Without a shadow every monomial of positive
-    degree is such a multiple.  A shadow passes m on supp(alpha) + supp(m)
-    alone, as the maximal cones containing sum (alpha_i + m_i) v_i are those
-    holding that support; so a monomial with no passing m - e_i is the 0/1
-    vector of at most rank rays, of degree at most g.  Each degree is checked
+    degree is such a multiple.  The shadow filter reads the face
+    supp(alpha) + supp(m) alone (fan._tangent_test): the maximal cones
+    containing sum (alpha_i + m_i) v_i are those holding that face.  So a
+    monomial with no passing m - e_i is the 0/1 vector of at most rank
+    rays, of degree at most g.  Each degree is checked
     against the normalized volume (DimensionOvershoot); ending below it
     raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
     (the fan's parameter memo)."""
@@ -338,9 +343,11 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan = spec.fan
+    # the shadow filter, xi solved once per build
+    tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
-    summands = [_Summand(spec, a) for a in alphas]
+    summands = [_Summand(spec, a, tangent) for a in alphas]
     g = 0 if spec.xi is None else fan.rank
     cum = 0
     t = 0

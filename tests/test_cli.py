@@ -308,7 +308,40 @@ def test_wrong_length_beta_exit_2(seed_dir, tmp_path):
         tmp_path,
     )
     assert code == 2
-    assert doc["error"]["type"] == "ValueError"
+    assert doc["error"] == {"type": "ValueError", "message": "beta must have 2 coordinates, got 1"}
+
+
+X_F1 = "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0]]"
+
+
+@pytest.mark.parametrize(
+    "beta,x,message",
+    [
+        ('["1/4", "0", "1/5"]', f'{{"x": {X_F1}}}', "beta must have 2 coordinates, got 3"),
+        ('["1/4", "0"]', '{"x": [[1.0, 0.0], [10.0, 0.0]]}', "x must have 3 coordinates, got 2"),
+        (
+            '["1/4", "0"]',
+            f'{{"x": {X_F1}, "arg_offsets": [0.0, 0.0]}}',
+            "arg_offsets must have 3 entries, got 2",
+        ),
+    ],
+    ids=["beta", "x", "arg_offsets"],
+)
+def test_wrong_length_input_has_the_library_message(seed_dir, tmp_path, beta, x, message):
+    (tmp_path / "beta.json").write_text(f'{{"beta": {beta}}}')
+    (tmp_path / "x.json").write_text(x)
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(tmp_path / "beta.json"),
+            "--x", str(tmp_path / "x.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
 
 
 def test_cone_index_out_of_range_exit_2(tmp_path):

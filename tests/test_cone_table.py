@@ -2,8 +2,10 @@
 
 Cones of dimension 1..d in Z^d, d <= 4: the table's coordinates and span
 test against mat_inverse of the generators completed by unit vectors,
-minimal_cone and tangent_member against a per-cone solve by that oracle,
-facet normals and normalized_volume against det_rational, dependent
+minimal_cone and tangent_member against a per-cone solve by that oracle
+(tangent_member on fans validate accepts; on the rest it raises
+InvalidFan), the shadow filter's one solve of xi per maximal cone, facet
+normals and normalized_volume against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
 consulted for.  Also the quotient at a stabilization's target, built
 through the fan's parameter memo, against one built on a fresh copy of
@@ -19,8 +21,10 @@ from hypothesis import strategies as st
 
 from boxgamma.box import normalize_beta, stabilize
 from boxgamma.errors import (
+    DegenerateHeights,
     DependentGenerators,
     DomainError,
+    InvalidFan,
     NotFullDimensional,
     NotInSpan,
     PointOutsideSupport,
@@ -34,8 +38,8 @@ from boxgamma.fan import (
     triangulate_from_heights,
     validate,
 )
-from boxgamma.linalg import GaussianRational, cone_inverse, im_part, re_part
-from boxgamma.quotient import ModuleSpec, build_quotient
+from boxgamma.linalg import ConeInverse, GaussianRational, cone_inverse, im_part, re_part
+from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import det_rational, mat_inverse
 
 small_int = st.integers(-3, 3)
@@ -151,7 +155,7 @@ def test_full_cone_rows_are_facet_normals(data):
 @st.composite
 def small_fans(draw):
     """1 to 3 cones of independent generators drawn from up to 6 markers in
-    Z^d; the cones need not form a fan, as both sides solve cone by cone."""
+    Z^d; the cones need not form a fan."""
     d = draw(st.integers(1, 4))
     rays = draw(st.lists(st.tuples(*[small_int] * d), min_size=1, max_size=6, unique=True))
     subsets = [
@@ -163,6 +167,24 @@ def small_fans(draw):
     assume(subsets)
     cones = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=3, unique=True))
     return StackyFan(rank=d, rays=tuple(rays), max_cones=tuple(cones))
+
+
+@st.composite
+def regular_subfans(draw):
+    """A nonempty subset of the cells of a regular triangulation of up to 7
+    points (1, p), p in [-2, 2]^(d-1): always a fan, with several cones and
+    often a support that is not convex."""
+    d = draw(st.integers(2, 3))
+    pts = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * (d - 1)), min_size=d + 1, max_size=7, unique=True)
+    )
+    heights = draw(st.lists(rational, min_size=len(pts), max_size=len(pts)))
+    try:
+        fan = triangulate_from_heights([(1,) + p for p in pts], heights)
+    except (DegenerateHeights, ValueError):
+        assume(False)
+    cones = draw(st.lists(st.sampled_from(fan.max_cones), min_size=1, unique=True))
+    return StackyFan(rank=d, rays=fan.rays, max_cones=tuple(cones))
 
 
 def cone_point(draw, fan):
@@ -199,20 +221,92 @@ def oracle_tangent_member(fan, p, xi):
     return False
 
 
-@settings(max_examples=200, deadline=None)
-@given(fan=small_fans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(fan=st.one_of(small_fans(), regular_subfans()), data=st.data())
 def test_minimal_cone_and_tangent_member_match_per_cone_solve(fan, data):
     p = cone_point(data.draw, fan)
     xi = cone_point(data.draw, fan)
     assert minimal_cone(fan, p) == oracle_minimal_cone(fan, p)
-    try:
-        want = oracle_tangent_member(fan, p, xi)
-    except PointOutsideSupport:
-        with pytest.raises(PointOutsideSupport):
+    if not validate(fan).valid:
+        # the face rule is exact only on a fan
+        with pytest.raises(InvalidFan, match="^fan: "):
             tangent_member(fan, p, xi)
     else:
-        assert tangent_member(fan, p, xi) is want
+        try:
+            want = oracle_tangent_member(fan, p, xi)
+        except PointOutsideSupport:
+            with pytest.raises(PointOutsideSupport):
+                tangent_member(fan, p, xi)
+        else:
+            assert tangent_member(fan, p, xi) is want
     assert set(fan._table.inverses) <= set(fan.max_cones)
+
+
+def test_shadow_filter_refuses_overlapping_cones():
+    """cone((1,0),(0,1)) and cone((1,1),(1,-1)) overlap.  At p = (2,0) with
+    xi = (0,-1) the per-cone rule passes p in the second cone, where it is
+    interior, while the face rule reads p's minimal face {1} of the first
+    cone, whose only maximal cone does not contain xi's direction."""
+    rays = ((1, 0), (0, 1), (1, 1), (1, -1))
+    fan = StackyFan(rank=2, rays=rays, max_cones=((0, 1), (2, 3)))
+    p, xi = (2, 0), (0, -1)
+    assert oracle_tangent_member(fan, p, xi) is True
+    assert tangent_member(StackyFan(rank=2, rays=rays, max_cones=((0, 1),)), p, xi) is False
+    overlap = r"^fan: .*cones \(1, 2\) and \(3, 4\) do not intersect in a common face$"
+    with pytest.raises(InvalidFan, match=overlap):
+        tangent_member(fan, p, xi)
+    chi = (Fraction(1, 3), Fraction(1, 5))
+    with pytest.raises(InvalidFan, match=overlap):
+        build_quotient(ModuleSpec(fan, chi, xi))
+    # a degree functional positive on the markers; it cannot be 1 on all four
+    graded = dataclasses.replace(fan, deg=(2, 1))
+    with pytest.raises(InvalidFan, match=overlap):
+        graded_piece(ModuleSpec(graded, (0, 0), xi), 2)
+    # quotients without a shadow direction do not need a fan
+    assert graded_piece(ModuleSpec(graded, (0, 0)), 2).points
+    assert build_quotient(ModuleSpec(fan, chi)).alphas
+
+
+def test_shadow_filter_needs_a_fan_not_a_degree_one_functional():
+    """deg = 1 on the markers is GKZ eligibility, not a fan axiom: F1 with
+    deg (2, 0) is a valid fan, its shadow pieces are the lattice points the
+    per-cone oracle keeps, and its shadow quotient builds as before."""
+    fan = dataclasses.replace(F1, deg=(2, 0))
+    rep = validate(fan)
+    assert rep.valid and rep.violations == ()
+    assert not rep.gkz_eligible and rep.gkz_notes == ("deg is not 1 on marker 1",)
+    # xi leaves the support through the base ray, so points on it drop out
+    chi, xi = (Fraction(1, 3), 0), (0, -1)
+    box = list(itertools.product(range(-6, 7), repeat=2))
+    for m in range(6):
+        on = [n for n in box if 2 * n[0] == m and oracle_minimal_cone(fan, [n[0] + chi[0], n[1]]) is not None]
+        kept = [n for n in on if oracle_tangent_member(fan, [n[0] + chi[0], n[1]], xi)]
+        assert graded_piece(ModuleSpec(fan, chi), m).points == tuple(on)
+        assert graded_piece(ModuleSpec(fan, chi, xi), m).points == tuple(kept)
+        assert len(kept) == len(on) - (m % 2 == 0)
+    lattice = lambda q: [b.lattice_point for b in q.basis]
+    assert lattice(build_quotient(ModuleSpec(fan, chi))) == [(1, 2), (0, 0)]
+    assert lattice(build_quotient(ModuleSpec(fan, chi, xi))) == [(1, 2), (1, 1)]
+
+
+def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):
+    """The shadow filter is a face test: one cone solve of xi per maximal
+    cone, whatever the number of monomials it filters."""
+    pts = [p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]
+    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(pts)]
+    fan = triangulate_from_heights([(1,) + p for p in pts], heights)
+    calls = []
+    real = ConeInverse.numerators
+
+    def counting(self, nums):
+        calls.append(1)
+        return real(self, nums)
+
+    monkeypatch.setattr(ConeInverse, "numerators", counting)
+    beta = (Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5), Fraction(3, 11))
+    q = build_quotient(ModuleSpec(fan, beta, beta))
+    assert q.dim == normalized_volume(fan) == 8
+    assert len(calls) == len(fan.max_cones) == 8
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import boxgamma.box as box
-import boxgamma.kring as kring
 from boxgamma.box import normalize_beta, stabilize
 from boxgamma.cli import main
 from boxgamma.errors import DependentGenerators, NotInSpan
@@ -376,14 +375,16 @@ def test_box_set_built_once_per_parameter(box_builds, fan, beta):
 
 
 def test_kring_command_builds_collisions_once(monkeypatch, tmp_path):
+    """spectrum and wall_report both read collisions; the second read is a
+    hit in the fan's parameter memo."""
     calls = []
-    real = box.collisions
+    real = box._collisions
 
     def counting(fan, beta):
         calls.append(1)
         return real(fan, beta)
 
-    monkeypatch.setattr(kring, "collisions", counting)
+    monkeypatch.setattr(box, "_collisions", counting)
     main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")])
     code = main([
         "kring",

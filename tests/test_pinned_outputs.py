@@ -1,11 +1,13 @@
 """Replay the pinned outputs in tests/data: byte-exact CLI stdout on the seed
-examples, and bit-exact series values by repr.
+examples, bit-exact series values by repr, and shadow quotients by the
+digest of their repr.
 
-tests/data/generate_pinned_outputs.py wrote both from an earlier version of
+tests/data/generate_pinned_outputs.py wrote them from an earlier version of
 the library; a refactor of the evaluation path must reproduce them exactly.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -13,13 +15,17 @@ from pathlib import Path
 import pytest
 
 from boxgamma.cli import main
+from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan
 from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative, solution_system
-from boxgamma.linalg import parse_gaussian
+from boxgamma.linalg import parse_gaussian, parse_rational
+from boxgamma.quotient import ModuleSpec, build_quotient
 
 DATA = Path(__file__).parent / "data"
 CLI_CASES = json.loads((DATA / "cli_golden" / "manifest.json").read_text())
 SERIES = json.loads((DATA / "series_golden.json").read_text())["entries"]
+SHADOW_DOC = json.loads((DATA / "shadow_quotient_golden.json").read_text())
+SHADOW = SHADOW_DOC["entries"]
 
 
 def test_cli_golden_covers_every_command():
@@ -45,6 +51,7 @@ def _fan(doc):
         rank=doc["rank"],
         rays=tuple(map(tuple, doc["rays"])),
         max_cones=tuple(map(tuple, doc["max_cones"])),
+        deg=doc.get("deg"),
     )
 
 
@@ -81,3 +88,24 @@ def test_series_golden_reprs():
     kinds = {(e["fan"], e["beta_kind"], e["arg_offsets"] is not None) for e in SERIES}
     assert len(kinds) == 12
     assert checked == sum(len(e["results"]) for e in SERIES)
+
+
+def test_shadow_quotient_golden():
+    # one fan per name, as when pinned
+    fans = {name: _fan(doc) for name, doc in SHADOW_DOC["fans"].items()}
+    for entry in SHADOW:
+        fan = fans[entry["fan"]]
+        chi = tuple(map(parse_rational, entry["chi"]))
+        xi = tuple(map(parse_rational, entry["xi"]))
+        case = (entry["fan"], entry["chi"], entry["xi"])
+        try:
+            q = build_quotient(ModuleSpec(fan, chi, xi))
+        except DomainError as exc:
+            assert f"{type(exc).__name__}: {exc}" == entry.get("error"), case
+            continue
+        text = repr((q.basis, dict(q.summand_dims), q.dmats))
+        assert (q.dim, hashlib.sha256(text.encode()).hexdigest()) == (
+            entry.get("dim"), entry.get("sha256")
+        ), case
+    assert {e["fan"] for e in SHADOW} >= {"F1", "SQUARE", "HEX5", "tri2", "simplex3x2", "simplex3x3"}
+    assert any(e.get("error", "").startswith("ShadowNotSubmodule") for e in SHADOW)

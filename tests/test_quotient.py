@@ -13,7 +13,7 @@ from boxgamma.errors import (
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from boxgamma.fan import StackyFan, triangulate_from_heights
+from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz
 from boxgamma.linalg import GaussianRational, re_part
 from boxgamma.quotient import (
@@ -195,8 +195,9 @@ def test_quotient_ends_at_its_last_degree(case, shadow):
     last = max(b.degree for b in q.basis)
     top = last + fan.rank + 3
     counts = [0] * (top + 1)
+    tangent = None if xi is None else _tangent_test(fan, xi)
     for alpha in q.alphas:
-        summand = _Summand(spec, alpha)
+        summand = _Summand(spec, alpha, tangent)
         for t in range(top + 1):
             counts[t] += summand.extend(t)
     assert not any(counts[last + 1:])
