@@ -11,7 +11,9 @@ of the assembled solution matrix.
 """
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -97,26 +99,45 @@ def linear_mul(jet: Sequence[complex], a: complex, order: int) -> tuple[complex,
     return tuple(out)
 
 
+# log Gamma's Stirling constants float(B_2n) / (2n (2n - 1)); the tail only
+# multiplies each by its power of 1/z, so forming them once keeps every float
+_LOG_GAMMA_COEFFS = tuple(
+    float(b) / ((2 * n) * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, start=1)
+)
+
+
+@functools.lru_cache(maxsize=32)
+def _polygamma_constants(m: int) -> tuple:
+    """m!, (m - 1)! and the Stirling constants of psi^(m), once per m; the
+    tail only multiplies each constant by its power of 1/z."""
+    if m == 0:
+        return 1, None, tuple(float(b) / (2 * n) for n, b in enumerate(_BERNOULLI, start=1))
+    return math.factorial(m), math.factorial(m - 1), tuple(
+        float(b) * math.factorial(2 * n + m - 1) / math.factorial(2 * n)
+        for n, b in enumerate(_BERNOULLI, start=1)
+    )
+
+
 def polygamma(m: int, z: complex) -> complex:
     """psi^(m)(z) off the poles: upward recurrence, then the Stirling tail."""
+    fact_m, fact_m1, coeffs = _polygamma_constants(m)
     z = complex(z)
     acc = 0j
     sign = -1.0 if m % 2 == 0 else 1.0
-    fact_m = math.factorial(m)
     while z.real < _STIRLING_CUT:
         acc += sign * fact_m * z ** (-(m + 1))
         z += 1
     if m == 0:
         val = cmath.log(z) - 0.5 / z
         p = 1 / (z * z)
-        for n, b in enumerate(_BERNOULLI, start=1):
-            val -= float(b) / (2 * n) * p
+        for c in coeffs:
+            val -= c * p
             p /= z * z
     else:
-        val = math.factorial(m - 1) * z ** (-m) + fact_m / 2 * z ** (-(m + 1))
+        val = fact_m1 * z ** (-m) + fact_m / 2 * z ** (-(m + 1))
         p = z ** (-2 - m)
-        for n, b in enumerate(_BERNOULLI, start=1):
-            val += float(b) * math.factorial(2 * n + m - 1) / math.factorial(2 * n) * p
+        for c in coeffs:
+            val += c * p
             p /= z * z
         if m % 2 == 0:
             val = -val
@@ -137,8 +158,8 @@ def log_gamma(z: complex) -> complex:
         z += 1
     val = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
     p = 1 / z
-    for n, b in enumerate(_BERNOULLI, start=1):
-        val += float(b) / ((2 * n) * (2 * n - 1)) * p
+    for c in _LOG_GAMMA_COEFFS:
+        val += c * p
         p /= z * z
     return val - shift
 
@@ -184,7 +205,8 @@ class GkzInstance:
     relations: IntRows
     # caches, so neither compared, hashed, shown nor copied by replace(): the
     # series evaluator of the last point evaluated (see _evaluator), the
-    # window offsets of the last bound B by (target, B) (see _window), and
+    # window offsets and their norms of the last bound B by (target, B)
+    # (see _window), and
     # the exact coordinates l_i = alpha_i + m_i of those windows by (t, i, m_i),
     # t the source's position in correspondence.triples (see _lvectors)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -295,21 +317,23 @@ def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
-    """Offsets l - alpha of the window of l1 size <= B at index v, in order.
+    """(offsets, norms): the offsets l - alpha of the window of l1 size <= B
+    at index v, in lexicographic order, and each offset's l1 norm beside it.
 
     The offsets depend on v and alpha only through the target -v - n, so
-    each (target, B) is scanned once per instance, whichever series, shift
-    check or box element reaches it.  Only the last B's windows, and the
-    coordinates built from them, are kept, so memory stays bounded by one
-    bound's windows however many are used.
+    each (target, B) is scanned, and its norms summed, once per instance,
+    whichever series, shift check or box element reaches it; the series
+    read their outermost shell as norm == B.  Only the last B's windows,
+    and the coordinates built from them, are kept, so memory stays bounded
+    by one bound's windows however many are used.
     """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     cache = instance._windows
     key = (target, B)
-    offsets = cache.get(key)
-    if offsets is None:
+    win = cache.get(key)
+    if win is None:
         part = solve_with_hnf(*instance.marker_hnf, target)
         if part is None:
             raise NoParticularSolution(
@@ -319,8 +343,9 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
         if cache and next(iter(cache))[1] != B:
             cache.clear()
             instance._coords.clear()
-        offsets = cache[key] = _window_offsets(part, instance.relations, B)
-    return offsets
+        offsets = _window_offsets(part, instance.relations, B)
+        win = cache[key] = (offsets, tuple(sum(map(abs, m)) for m in offsets))
+    return win
 
 
 def _lvectors(instance: GkzInstance, t: int, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
@@ -374,37 +399,22 @@ def enumerate_L(
     v = _index_point(instance.fan, v)
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         if src == alpha:
-            return _lvectors(instance, t, v, _window(instance, src, v, B))
+            return _lvectors(instance, t, v, _window(instance, src, v, B)[0])
     raise ValueError("enumerate_L: alpha is not a source box element of this instance")
 
 
 def _apply_jet(mat, jet, vec):
     """sum_t jet[t] * mat^t vec; mat is nilpotent so the loop is short."""
-    n = len(vec)
     out = [jet[0] * x for x in vec]
     cur = vec
     for t in range(1, len(jet)):
-        cur = [sum(mat[r][c] * cur[c] for c in range(n)) for r in range(n)]
-        if all(x == 0 for x in cur):
+        cur = [sum(map(operator.mul, row, cur)) for row in mat]
+        if not any(cur):
             break
-        if jet[t] != 0:
-            for r in range(n):
-                out[r] += jet[t] * cur[r]
+        jt = jet[t]
+        if jt != 0:
+            out = [o + jt * c for o, c in zip(out, cur)]
     return out
-
-
-def _base_vector(instance: GkzInstance, tgt) -> tuple[complex, ...]:
-    q = instance.quotient
-    index = q.base_index.get(alpha_key(tgt.alpha))
-    if index is None:
-        alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
-        raise NoBaseElement(
-            f"series: the shadow quotient has no base element for the target box element "
-            f"alpha=({alpha}), n={tgt.lattice_point}"
-        )
-    evec = [0j] * q.dim
-    evec[index] = 1 + 0j
-    return tuple(evec)
 
 
 class _SeriesEvaluator:
@@ -415,10 +425,17 @@ class _SeriesEvaluator:
     triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
     through the nilpotent ray operators.  It depends on the triple t and the
     offset m only, not on the index v, so every window that reaches (t, m)
-    shares it.  Coordinates and ray jets are kept by (t, i, m_i); terms by
-    (t, m); reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
-    evaluation at its own l.  Windows come from the instance (see _window).
-    It holds no reference to the instance, which holds it.
+    shares it.  Kept here: base vectors by t (a missing one is raised again
+    on every call, never stored); coordinates and ray jets by (t, i, m_i);
+    terms by (t, m), each with its products scalar * w[r]; reciprocal-Gamma
+    jets by (l, order), each a reciprocal_gamma_jet evaluation at its own l;
+    and gamma_series values by v, for the last bound B only, as the
+    instance keeps its windows (see _window).
+
+    Every float is formed from the same operands in the same order as an
+    uncached evaluation would form it: a cache returns a stored float, it
+    never rearranges a sum, so values do not depend on what was evaluated
+    before.  It holds no reference to the instance, which holds it.
     """
 
     def __init__(self, instance: GkzInstance, xs, logs):
@@ -436,10 +453,31 @@ class _SeriesEvaluator:
             tuple((re_part(a), float(im_part(a))) for a in src.alpha)
             for src, _, _ in instance.correspondence.triples
         )
+        self.evecs: dict = {}
         self.coords: dict = {}
         self.factors: dict = {}
         self.terms: dict = {}
         self.jets: dict = {}
+        self.values: dict = {}
+        self.values_bound = None
+
+    def base(self, instance: GkzInstance, t: int) -> tuple[complex, ...]:
+        """The base vector of triple t's target; NoBaseElement when the
+        shadow quotient has none."""
+        evec = self.evecs.get(t)
+        if evec is None:
+            tgt = instance.correspondence.triples[t][1]
+            index = instance.quotient.base_index.get(alpha_key(tgt.alpha))
+            if index is None:
+                alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
+                raise NoBaseElement(
+                    f"series: the shadow quotient has no base element for the target box "
+                    f"element alpha=({alpha}), n={tgt.lattice_point}"
+                )
+            evec = [0j] * self.dim
+            evec[index] = 1 + 0j
+            evec = self.evecs[t] = tuple(evec)
+        return evec
 
     def coord(self, t: int, i: int, mi: int) -> complex:
         key = (t, i, mi)
@@ -470,8 +508,9 @@ class _SeriesEvaluator:
         return f
 
     def term(self, t: int, m: tuple[int, ...], evec):
-        """Scalar prefactor x^l and the jet-transported base vector evec of
-        triple t (the same vector on every call for that t)."""
+        """(scalar, w, products): the prefactor x^l, the base vector evec of
+        triple t (the same vector on every call for that t) transported by
+        the ray jets, and the products scalar * w[r]."""
         key = (t, m)
         hit = self.terms.get(key)
         if hit is None:
@@ -483,7 +522,7 @@ class _SeriesEvaluator:
                     w = _apply_jet(self.dmats[i], self.factor(t, i, mi), w)
                 else:
                     scalar *= self.factor(t, i, mi)
-            hit = self.terms[key] = (scalar, w)
+            hit = self.terms[key] = (scalar, w, tuple(scalar * c for c in w))
         return hit
 
 
@@ -527,22 +566,32 @@ def gamma_series(
     """Window truncation of the series solution indexed by v, at the point x.
 
     The tail estimate is the max-norm of the outermost window shell, i.e. the
-    difference between the values at bounds B and B-1.
+    difference between the values at bounds B and B-1.  Each (v, B) is
+    summed once per instance and point: the value is kept by the point's
+    evaluator, for the last B only (see _SeriesEvaluator).
     """
     v = _index_point(instance.fan, v)
     ev = _evaluator(instance, x, arg_offsets)
-    dim = ev.dim
-    total = [0j] * dim
-    shell = [0j] * dim
-    for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
-        evec = _base_vector(instance, tgt)
-        for m in _window(instance, src, v, B):
-            scalar, w = ev.term(t, m, evec)
-            for r in range(dim):
-                total[r] += scalar * w[r]
-            if sum(abs(o) for o in m) == B:
-                for r in range(dim):
-                    shell[r] += scalar * w[r]
+    if ev.values_bound != B:
+        ev.values.clear()
+        ev.values_bound = B
+    value = ev.values.get(v)
+    if value is None:
+        value = ev.values[v] = _series_sum(instance, ev, v, B)
+    return value
+
+
+def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> SeriesValue:
+    """The v-series summed over its window, term by term in window order."""
+    total = [0j] * ev.dim
+    shell = [0j] * ev.dim
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        evec = ev.base(instance, t)
+        for m, nm in zip(*_window(instance, src, v, B)):
+            products = ev.term(t, m, evec)[2]
+            total = list(map(operator.add, total, products))
+            if nm == B:
+                shell = list(map(operator.add, shell, products))
     tail = max((abs(c) for c in shell), default=0.0)
     return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
@@ -564,30 +613,28 @@ def gamma_series_derivative(
     error in the Stirling tail; the golden jets check that.  Windows
     are cached per instance, terms and jets per (instance, point), all shared
     with gamma_series: a term depends only on its exponent, not on which
-    series reaches it, and a jet only on its exact argument.
+    series reaches it, and a jet only on its exact argument.  D_j is applied
+    to each term's own w, never to a sum of them.
     """
     v = _index_point(instance.fan, v)
     _check_ray(instance.fan, j)
     ev = _evaluator(instance, x, arg_offsets)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
-    dim = ev.dim
     dmat = ev.dmats[j]
     xj = ev.xs[j]
-    total = [0j] * dim
-    shell = [0j] * dim
-    for t, (src, tgt, _) in enumerate(instance.correspondence.triples):
-        evec = _base_vector(instance, tgt)
-        for shifted in _window(instance, src, v2, B):
-            m = tuple(o + 1 if i == j else o for i, o in enumerate(shifted))
-            scalar, w = ev.term(t, m, evec)
+    total = [0j] * ev.dim
+    shell = [0j] * ev.dim
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        evec = ev.base(instance, t)
+        for shifted, nm in zip(*_window(instance, src, v2, B)):
+            m = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1 :]
+            scalar, w, _ = ev.term(t, m, evec)
             lj = ev.coord(t, j, m[j])
-            dw = [sum(dmat[r][c] * w[c] for c in range(dim)) for r in range(dim)]
-            term = [scalar * (lj * w[r] + dw[r]) / xj for r in range(dim)]
-            for r in range(dim):
-                total[r] += term[r]
-            if sum(abs(o) for o in shifted) == B:
-                for r in range(dim):
-                    shell[r] += term[r]
+            dw = [sum(map(operator.mul, row, w)) for row in dmat]
+            term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
+            total = list(map(operator.add, total, term))
+            if nm == B:
+                shell = list(map(operator.add, shell, term))
     tail = max((abs(c) for c in shell), default=0.0)
     return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
@@ -597,7 +644,10 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     reproduces the term set of the series at v + v_j.
 
     Offsets of l1 size within B - 1 must match exactly; anything outside that
-    core window is collected as the boundary, never silently dropped.
+    core window is collected as the boundary, never silently dropped.  The
+    shifted norm |m - e_j|_1 is the window's norm of m with |m_j| traded for
+    |m_j - 1|.  Both windows are in lexicographic order, which m -> m - e_j
+    keeps, so the two cores are compared as lists.
     """
     v = _index_point(instance.fan, v)
     _check_ray(instance.fan, j)
@@ -606,19 +656,16 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     ok = True
     boundary: list[LVector] = []
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        left, left_out = set(), []
-        for m in _window(instance, src, v, B):
-            m2 = tuple(o - 1 if i == j else o for i, o in enumerate(m))
-            if sum(map(abs, m2)) <= core:
-                left.add(m2)
+        left, left_out = [], []
+        for m, nm in zip(*_window(instance, src, v, B)):
+            mj = m[j]
+            if nm - abs(mj) + abs(mj - 1) <= core:
+                left.append(m[:j] + (mj - 1,) + m[j + 1 :])
             else:
                 left_out.append(m)
-        right, right_out = set(), []
-        for m in _window(instance, src, v2, B):
-            if sum(map(abs, m)) <= core:
-                right.add(m)
-            else:
-                right_out.append(m)
+        right, right_out = [], []
+        for m, nm in zip(*_window(instance, src, v2, B)):
+            (right if nm <= core else right_out).append(m)
         boundary += _lvectors(instance, t, v, left_out) + _lvectors(instance, t, v2, right_out)
         if left != right:
             ok = False

@@ -239,7 +239,8 @@ class ConeInverse:
         for part in parts:
             nums = self.numerators(scaled_numerators(part, den))
             if nums is None:
-                raise NotInSpan("point is not in the span of the generators")
+                point = ", ".join(format_gaussian(as_gaussian(x)) for x in p)
+                raise NotInSpan(f"cone: the point ({point}) is not in the span of the generators")
             coords.append([Fraction(x, self.den * den) for x in nums])
         if not complex_input:
             return tuple(coords[0])
@@ -253,7 +254,8 @@ def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
     a = [[int(g[r]) for g in gens] + [int(r == j) for j in range(d)] for r in range(d)]
     pivots, last = _bareiss(a, m)
     if len(pivots) < m:
-        raise DependentGenerators("generators are linearly dependent")
+        named = ", ".join(str(tuple(g)) for g in gens)
+        raise DependentGenerators(f"cone: the generators {named} are linearly dependent")
     sign = -1 if last < 0 else 1
     return ConeInverse(
         rows=tuple(tuple(sign * x for x in row[m:]) for row in a[:m]),
@@ -493,6 +495,6 @@ def singular_values(matrix) -> list[float]:
         if not rotated:
             return sorted((math.ldexp(n, e) for n in norms), reverse=True)
     raise NoConvergence(
-        f"singular values: Jacobi sweeps on a {len(rows)}x{len(rows[0])} matrix "
+        f"svd: Jacobi sweeps on a {len(rows)}x{len(rows[0])} matrix "
         f"did not converge in {_JACOBI_SWEEPS} sweeps"
     )

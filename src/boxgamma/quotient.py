@@ -116,7 +116,10 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     points = []
     ranges = []
     # the degree-s slice of a cone is the hull of its s * v / deg(v)
-    ends = [[s * x / fan.deg_of(fan.rays[i]) for x in fan.rays[i]] for i in idx]
+    ends = []
+    for i in idx:
+        d = fan.deg_of(fan.rays[i])
+        ends.append([s * x / d for x in fan.rays[i]])
     for r in range(fan.rank):
         lo = min(e[r] for e in ends)
         hi = max(e[r] for e in ends)

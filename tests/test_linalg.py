@@ -6,6 +6,7 @@ import pytest
 from boxgamma.errors import DependentGenerators, NotInSpan
 from boxgamma.linalg import (
     GaussianRational,
+    cone_inverse,
     format_gaussian,
     format_rational,
     hermite_normal_form,
@@ -120,6 +121,16 @@ def test_solve_simplicial_coords():
     z = GaussianRational(Fraction(1, 3), Fraction(1, 7))
     coords = solve_simplicial_coords([(1, 0), (0, 1)], (z, z))
     assert coords == (z, z)
+
+
+def test_cone_errors_name_their_stage_and_data():
+    with pytest.raises(DependentGenerators) as err:
+        cone_inverse([(1, 1), (2, 2)])
+    assert str(err.value) == "cone: the generators (1, 1), (2, 2) are linearly dependent"
+    inv = cone_inverse([(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(NotInSpan) as err:
+        inv.coords((Fraction(1, 2), 0, GaussianRational(Fraction(1), Fraction(1, 3))))
+    assert str(err.value) == "cone: the point (1/2, 0, 1+1/3i) is not in the span of the generators"
 
 
 def test_mat_inverse():

@@ -1,16 +1,20 @@
 """The per-point series evaluator: each reciprocal-Gamma jet computed once,
-each window scanned once per instance, values independent of what was
-evaluated before, and the integer-offset term-shift check equal to its
-LVector formulation."""
+each window scanned once per instance, each (v, B) series summed once per
+point, values independent of what was evaluated before, and the
+integer-offset term-shift check equal to its LVector formulation."""
 
 import dataclasses
+import functools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxgamma.gkz as gkz
 from boxgamma.cli import main
+from boxgamma.errors import NoBaseElement
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import (
     build_gkz,
@@ -57,10 +61,13 @@ def jet_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("fan,beta,x", [("f1", "beta_f1", "x_f1"), ("square", "beta_square", "x_square")])
-def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
+VERIFY_INPUTS = [("f1", "beta_f1", "x_f1"), ("square", "beta_square", "x_square")]
+
+
+def run_gkz_verify(tmp_path, fan, beta, x):
+    """gkz-verify at B = 12, vcap 2 on the seed examples' files."""
     main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")])
-    code = main([
+    return main([
         "gkz-verify",
         "--fan", str(tmp_path / f"fan_{fan}.json"),
         "--beta", str(tmp_path / f"{beta}.json"),
@@ -69,9 +76,30 @@ def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
         "--vcap", "2",
         "--out", str(tmp_path / "out.json"),
     ])
-    assert code == 0
+
+
+@pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
+def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
+    assert run_gkz_verify(tmp_path, fan, beta, x) == 0
     assert len(jet_calls) > 40
     assert set(jet_calls.values()) == {1}
+
+
+@pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
+def test_gkz_verify_sums_each_series_once(monkeypatch, tmp_path, fan, beta, x):
+    """gkz-verify reaches most (v, B) from the solution matrix and again as a
+    shifted series v + v_j; the evaluator sums each of them once."""
+    calls = Counter()
+    real = gkz._series_sum
+
+    def counting(instance, ev, v, B):
+        calls[(v, B)] += 1
+        return real(instance, ev, v, B)
+
+    monkeypatch.setattr(gkz, "_series_sum", counting)
+    assert run_gkz_verify(tmp_path, fan, beta, x) == 0
+    assert len(calls) > 5
+    assert set(calls.values()) == {1}
 
 
 def test_gkz_verify_scans_each_window_once(monkeypatch, tmp_path):
@@ -85,17 +113,7 @@ def test_gkz_verify_scans_each_window_once(monkeypatch, tmp_path):
         return real(part, relations, B)
 
     monkeypatch.setattr(gkz, "_window_offsets", counting)
-    main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")])
-    code = main([
-        "gkz-verify",
-        "--fan", str(tmp_path / "fan_square.json"),
-        "--beta", str(tmp_path / "beta_square.json"),
-        "--x", str(tmp_path / "x_square.json"),
-        "--bound", "12",
-        "--vcap", "2",
-        "--out", str(tmp_path / "out.json"),
-    ])
-    assert code == 0
+    assert run_gkz_verify(tmp_path, *VERIFY_INPUTS[1]) == 0
     assert len(calls) > 20
     assert set(calls.values()) == {1}
 
@@ -133,6 +151,55 @@ def test_reused_instance_matches_fresh(fan, beta, points):
     # each point, then the first again: x1, x2, x1, ..., with and without offsets
     for p in points + points[:1] + points[::-1]:
         assert _suite(shared, *p) == fresh[p]
+
+
+BETA_F1 = (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))
+POINTS_F1 = ((X_F1, None), (X_F1, (0.0, TWO_PI, 0.0)), (X_F1_B, None))
+CALLS = st.tuples(
+    st.sampled_from(("series", "derivative", "shift", "system")),
+    # the index points of degree <= 1
+    st.sampled_from(((0, 0), (1, 0), (1, 1), (1, 2))),
+    st.sampled_from(sorted(F1.fan_indices())),
+    st.sampled_from((4, 6)),
+    st.sampled_from(POINTS_F1),
+)
+
+
+def run_call(instance, call):
+    kind, v, j, B, (x, offsets) = call
+    if kind == "series":
+        return repr(gamma_series(instance, v, x, B, arg_offsets=offsets))
+    if kind == "derivative":
+        return repr(gamma_series_derivative(instance, v, x, B, j, arg_offsets=offsets))
+    if kind == "shift":
+        return repr(verify_term_shift(instance, v, j, B))
+    return repr(solution_system(instance, x, B, 1, arg_offsets=offsets))
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_call(call):
+    return run_call(build_gkz(F1, BETA_F1), call)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(CALLS, min_size=2, max_size=12))
+def test_interleaved_calls_match_fresh_instances(calls):
+    """Any order of series, derivatives, shift checks and solution systems,
+    across bounds, points and sheets, gives on one shared instance the repr
+    a fresh instance gives: no memo changes a float."""
+    shared = build_gkz(F1, BETA_F1)
+    for call in calls:
+        assert run_call(shared, call) == fresh_call(call)
+
+
+def test_missing_base_element_raises_on_every_call():
+    """The evaluator stores base vectors, never their absence."""
+    inst = build_gkz(F1, (-3, 0))
+    for _ in range(3):
+        with pytest.raises(NoBaseElement, match=r"no base element .* n=\(3, 0\)"):
+            gamma_series(inst, (0, 0), X_F1, 6)
+        with pytest.raises(NoBaseElement):
+            gamma_series_derivative(inst, (0, 0), X_F1, 6, 1)
 
 
 def test_cache_leaves_equality_and_hash_alone():
