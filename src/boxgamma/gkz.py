@@ -324,8 +324,8 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     each (target, B) is scanned, and its norms summed, once per instance,
     whichever series, shift check or box element reaches it; the series
     read their outermost shell as norm == B.  Only the last B's windows,
-    and the coordinates built from them, are kept, so memory stays bounded
-    by one bound's windows however many are used.
+    and the coordinates and series values built from them, are kept, so
+    memory stays bounded by one bound's windows however many are used.
     """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
@@ -343,6 +343,8 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
         if cache and next(iter(cache))[1] != B:
             cache.clear()
             instance._coords.clear()
+            for ev in instance._series.values():
+                ev.values.clear()
         offsets = _window_offsets(part, instance.relations, B)
         win = cache[key] = (offsets, tuple(sum(map(abs, m)) for m in offsets))
     return win
@@ -427,10 +429,9 @@ class _SeriesEvaluator:
     offset m only, not on the index v, so every window that reaches (t, m)
     shares it.  Kept here: base vectors by t (a missing one is raised again
     on every call, never stored); coordinates and ray jets by (t, i, m_i);
-    terms by (t, m), each with its products scalar * w[r]; reciprocal-Gamma
-    jets by (l, order), each a reciprocal_gamma_jet evaluation at its own l;
-    and gamma_series values by v, for the last bound B only, as the
-    instance keeps its windows (see _window).
+    terms by (t, m); reciprocal-Gamma jets by (l, order), each a
+    reciprocal_gamma_jet evaluation at its own l; and gamma_series values by
+    (v, B), dropped by _window together with the windows when B changes.
 
     Every float is formed from the same operands in the same order as an
     uncached evaluation would form it: a cache returns a stored float, it
@@ -459,7 +460,6 @@ class _SeriesEvaluator:
         self.terms: dict = {}
         self.jets: dict = {}
         self.values: dict = {}
-        self.values_bound = None
 
     def base(self, instance: GkzInstance, t: int) -> tuple[complex, ...]:
         """The base vector of triple t's target; NoBaseElement when the
@@ -508,9 +508,9 @@ class _SeriesEvaluator:
         return f
 
     def term(self, t: int, m: tuple[int, ...], evec):
-        """(scalar, w, products): the prefactor x^l, the base vector evec of
+        """(scalar, w): the prefactor x^l and the base vector evec of
         triple t (the same vector on every call for that t) transported by
-        the ray jets, and the products scalar * w[r]."""
+        the ray jets."""
         key = (t, m)
         hit = self.terms.get(key)
         if hit is None:
@@ -522,7 +522,7 @@ class _SeriesEvaluator:
                     w = _apply_jet(self.dmats[i], self.factor(t, i, mi), w)
                 else:
                     scalar *= self.factor(t, i, mi)
-            hit = self.terms[key] = (scalar, w, tuple(scalar * c for c in w))
+            hit = self.terms[key] = (scalar, w)
         return hit
 
 
@@ -568,16 +568,14 @@ def gamma_series(
     The tail estimate is the max-norm of the outermost window shell, i.e. the
     difference between the values at bounds B and B-1.  Each (v, B) is
     summed once per instance and point: the value is kept by the point's
-    evaluator, for the last B only (see _SeriesEvaluator).
+    evaluator as long as the instance keeps B's windows (see _window).
     """
     v = _index_point(instance.fan, v)
     ev = _evaluator(instance, x, arg_offsets)
-    if ev.values_bound != B:
-        ev.values.clear()
-        ev.values_bound = B
-    value = ev.values.get(v)
+    value = ev.values.get((v, B))
     if value is None:
-        value = ev.values[v] = _series_sum(instance, ev, v, B)
+        value = _series_sum(instance, ev, v, B)
+        ev.values[v, B] = value
     return value
 
 
@@ -588,7 +586,8 @@ def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> Serie
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         evec = ev.base(instance, t)
         for m, nm in zip(*_window(instance, src, v, B)):
-            products = ev.term(t, m, evec)[2]
+            scalar, w = ev.term(t, m, evec)
+            products = [scalar * c for c in w]
             total = list(map(operator.add, total, products))
             if nm == B:
                 shell = list(map(operator.add, shell, products))
@@ -628,7 +627,7 @@ def gamma_series_derivative(
         evec = ev.base(instance, t)
         for shifted, nm in zip(*_window(instance, src, v2, B)):
             m = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1 :]
-            scalar, w, _ = ev.term(t, m, evec)
+            scalar, w = ev.term(t, m, evec)
             lj = ev.coord(t, j, m[j])
             dw = [sum(map(operator.mul, row, w)) for row in dmat]
             term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]

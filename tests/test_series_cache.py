@@ -223,6 +223,19 @@ def test_window_cache_keeps_the_last_bound():
     assert dataclasses.replace(a)._windows == {}
 
 
+def test_series_values_follow_the_window_bound():
+    """The evaluator's (v, B) values are dropped with the windows, whichever
+    call moves the instance to another bound."""
+    a = build_gkz(F1, (Fraction(1, 4), 0))
+    for B in (4, 6):
+        gamma_series(a, (0, 0), X_F1, B)
+        gamma_series(a, (1, 0), X_F1, B)
+        (ev,) = a._series.values()
+        assert {key[1] for key in ev.values} == {B} and len(ev.values) == 2
+    verify_term_shift(a, (0, 0), 1, 8)
+    assert ev.values == {}
+
+
 def test_coordinate_table_leaves_equality_and_hash_alone():
     a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
     before, shown = hash(a), repr(a)
