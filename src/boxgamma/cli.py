@@ -7,6 +7,10 @@ floats as [re, im] pairs printed with 17 significant digits.  Output key
 order is fixed by construction, so identical inputs give byte-identical
 bytes.
 
+The stage modules (box, quotient, kring, gkz) are imported inside the
+commands that run them: a short command's time is mostly interpreter start
+and import, so each command loads only its own stages.
+
 Exit codes: 0 success, 1 domain error (with a machine-readable error
 object), 2 usage, I/O, or parse error.
 """
@@ -17,18 +21,8 @@ import math
 import os
 import sys
 
-from .box import alpha_key, box_of_fan, normalize_beta, stabilize
 from .errors import DomainError
 from .fan import StackyFan, validate
-from .gkz import (
-    build_gkz,
-    gamma_series,
-    gamma_series_derivative,
-    solution_system,
-    verify_euler,
-    verify_term_shift,
-)
-from .kring import spectrum, wall_report
 from .linalg import (
     as_gaussian,
     format_gaussian,
@@ -36,7 +30,6 @@ from .linalg import (
     parse_gaussian,
     parse_rational,
 )
-from .quotient import ModuleSpec, build_quotient
 
 
 def _fmt_float(x: float) -> str:
@@ -115,6 +108,8 @@ def parse_fan(doc) -> StackyFan:
 
 
 def parse_beta(doc, fan: StackyFan):
+    from .box import normalize_beta
+
     return normalize_beta(fan, tuple(parse_gaussian(v) for v in doc["beta"]))
 
 
@@ -150,6 +145,8 @@ def cmd_validate(args):
 
 
 def cmd_box(args):
+    from .box import box_of_fan, stabilize
+
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     elements = box_of_fan(fan, beta)
@@ -170,6 +167,9 @@ def cmd_box(args):
 
 
 def cmd_cohomology(args):
+    from .box import alpha_key, stabilize
+    from .quotient import ModuleSpec, build_quotient
+
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     xi = None
@@ -203,6 +203,8 @@ def cmd_cohomology(args):
 
 
 def cmd_kring(args):
+    from .kring import spectrum, wall_report
+
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     points = spectrum(fan, beta)
@@ -234,6 +236,8 @@ def _gap_value(gap: float):
 
 
 def cmd_gkz_solve(args):
+    from .gkz import build_gkz, solution_system
+
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     instance = build_gkz(fan, beta)
@@ -252,6 +256,15 @@ def cmd_gkz_solve(args):
 
 
 def cmd_gkz_verify(args):
+    from .gkz import (
+        build_gkz,
+        gamma_series,
+        gamma_series_derivative,
+        solution_system,
+        verify_euler,
+        verify_term_shift,
+    )
+
     fan = parse_fan(_load(args.fan))
     beta = parse_beta(_load(args.beta), fan)
     instance = build_gkz(fan, beta)

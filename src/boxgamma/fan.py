@@ -8,7 +8,8 @@ marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
 table (_ConeTable), filled once per fan.  The same table keeps the
 parameter memo (_memo): the collision classes, stabilization and quotients
 of the two most recently used parameters beta, each quotient under its
-shadow direction and the fan's degree functional.
+shadow direction and the fan's degree functional, and in a memo of its own
+the graded pieces of the two most recently used shifts chi.
 """
 
 from __future__ import annotations
@@ -48,34 +49,40 @@ class _ConeTable:
     full-dimensional one, and the fan's ValidationReport.  Their size is
     bounded by the fan's cones, and a StackyFan is frozen, so no entry can
     go stale.  params is the parameter memo (see _memo), bounded by two
-    parameters.  build_gkz's copy of an eligible fan with its degree
-    functional filled in shares the whole table (see _with_deg).
+    parameters, and graded the same memo for graded pieces, bounded by two
+    shifts: solution_system reads its pieces at chi = 0, which in params
+    would displace a parameter or its beta_delta.  build_gkz's copy of an
+    eligible fan with its degree functional filled in shares the whole table
+    (see _with_deg).
     """
 
-    __slots__ = ("inverses", "smith", "report", "params")
+    __slots__ = ("inverses", "smith", "report", "params", "graded")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.smith: dict[ConeRef, tuple[tuple[int, ...], Sequence[Sequence[int]]]] = {}
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
+        self.graded: dict[tuple, dict] = {}
 
 
 # a parameter and its delta-stabilized beta_delta
 _PARAMS_KEPT = 2
 
 
-def _memo(fan: StackyFan, beta: tuple, key, build: Callable):
-    """build(), kept in the fan's table under the normalized parameter beta
-    and key ("collisions", "stabilize", or (xi, deg) for a quotient, as
-    BasisElement.offset reads fan.deg and _with_deg's copy shares the
-    table).  Only the _PARAMS_KEPT most recently used parameters are kept,
-    so the memo stays bounded however many parameters the fan sees.  A build
-    that raises stores nothing."""
-    params = fan._table.params
-    entry = params[beta] = params.pop(beta, {})  # most recently used last
-    while len(params) > _PARAMS_KEPT:
-        del params[next(iter(params))]
+def _memo(memo: dict, beta: tuple, key, build: Callable):
+    """build(), kept in memo, one of the fan's memos, under beta and key.
+    The table's params memo holds "collisions", "stabilize" and, keyed by
+    (xi, deg), the quotients under the normalized parameter; its graded memo
+    holds the graded pieces, keyed by (xi, deg, m), under the shift chi as
+    given.  deg is in the keys as BasisElement.offset and the graded pieces
+    read fan.deg, and _with_deg's copy shares the table.  Only the
+    _PARAMS_KEPT most recently used parameters are kept, so the memo stays
+    bounded however many parameters the fan sees.  A build that raises
+    stores nothing."""
+    entry = memo[beta] = memo.pop(beta, {})  # most recently used last
+    while len(memo) > _PARAMS_KEPT:
+        del memo[next(iter(memo))]
     if key not in entry:
         entry[key] = build()
     return entry[key]

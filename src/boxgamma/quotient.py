@@ -103,7 +103,14 @@ def _check_graded(fan: StackyFan):
 
 def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """Lattice points n with n + chi in the support, passing the shadow
-    filter, of degree m; requires a positive degree functional."""
+    filter, of degree m; requires a positive degree functional.  Built once
+    per (fan, chi, xi, fan.deg, m), in the graded memo of the fan's table
+    (see fan._memo), under chi as given: the points depend on chi itself."""
+    graded = spec.fan._table.graded
+    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, m), lambda: _graded_piece(spec, m))
+
+
+def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     fan = spec.fan
     _check_graded(fan)
     deg = fan.deg
@@ -341,7 +348,8 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
     (the fan's parameter memo)."""
     chi = normalize_beta(spec.fan, spec.chi)
-    return _memo(spec.fan, chi, (spec.xi, spec.fan.deg), lambda: _build_quotient(spec))
+    params = spec.fan._table.params
+    return _memo(params, chi, (spec.xi, spec.fan.deg), lambda: _build_quotient(spec))
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:

@@ -1,8 +1,9 @@
-"""The fan's parameter memo: collisions, stabilize and build_quotient read
-through it equal the same calls on a fresh copy of the fan, whichever of a
-fan and its copy with the degree functional filled in they go through; the
-memo keeps two parameters; one algebra_sweep-style sequence builds each
-box set and the quotient once; and the shared quotient's maps are
+"""The fan's parameter memo: collisions, stabilize, build_quotient and
+graded_piece read through it equal the same calls on a fresh copy of the
+fan, whichever of a fan and its copy with the degree functional filled in
+they go through; the memo keeps two parameters; one algebra_sweep-style
+sequence builds each box set and the quotient once; solution_system reuses
+the graded pieces already built; and the shared quotient's maps are
 read-only."""
 
 import dataclasses
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 import boxgamma.box as box
 import boxgamma.quotient as quotient
 from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
-from boxgamma.errors import DomainError
+from boxgamma.errors import DomainError, UnboundedDegree
 from boxgamma.fan import StackyFan, _with_deg, triangulate_from_heights, validate
+from boxgamma.gkz import build_gkz, solution_system
 from boxgamma.kring import spectrum, wall_report
 from boxgamma.linalg import GaussianRational, re_part
-from boxgamma.quotient import ModuleSpec, build_quotient
+from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -50,11 +52,12 @@ def quotient_outcome(fan, chi, xi):
     return outcome(build)
 
 
-def stages(fan, beta, chi, xi, order):
+def stages(fan, beta, chi, xi, m, order):
     calls = {
         "collisions": lambda: outcome(lambda: collisions(fan, beta)),
         "stabilize": lambda: outcome(lambda: stabilize(fan, beta)),
         "quotient": lambda: quotient_outcome(fan, chi, xi),
+        "graded": lambda: outcome(lambda: graded_piece(ModuleSpec(fan, chi, xi), m)),
     }
     return {name: calls[name]() for name in order}
 
@@ -74,10 +77,11 @@ def test_memo_matches_a_fresh_fan(name, data):
             beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
             drawn.append(beta)
         xi = tuple(re_part(b) for b in beta) if data.draw(st.booleans()) else None
-        order = data.draw(st.permutations(["collisions", "stabilize", "quotient"]))
+        m = data.draw(st.integers(-1, 2))
+        order = data.draw(st.permutations(["collisions", "stabilize", "quotient", "graded"]))
         fresh = dataclasses.replace(view)
         chi = stabilize(fresh, beta).beta_delta
-        assert stages(view, beta, chi, xi, order) == stages(fresh, beta, chi, xi, order)
+        assert stages(view, beta, chi, xi, m, order) == stages(fresh, beta, chi, xi, m, order)
 
 
 def test_memo_keeps_two_parameters():
@@ -132,6 +136,33 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     assert branches == [(cone, p) for p in params for cone in fan.max_cones]
     assert quotients == [q.spec]
     assert sum(p.multiplicity for p in points) == q.dim
+
+
+def test_solution_system_reuses_graded_pieces(monkeypatch):
+    """Each graded piece is built once, in a memo of its own: the pieces at
+    chi = 0 leave a parameter and its beta_delta in the parameter memo."""
+    fan = dataclasses.replace(F1)
+    instance = build_gkz(fan, (GaussianRational(Fraction(1, 4), Fraction(1, 3)), Fraction(0)))
+    params = list(fan._table.params)
+    assert params == [instance.beta, instance.correspondence.beta_delta]
+    spec0 = ModuleSpec(instance.fan, (Fraction(0), Fraction(0)))
+    built = []
+    real_graded = quotient._graded_piece
+
+    def counting_graded(spec, m):
+        built.append(m)
+        return real_graded(spec, m)
+
+    monkeypatch.setattr(quotient, "_graded_piece", counting_graded)
+    points = [p for m in range(2) for p in graded_piece(spec0, m).points]
+    system = solution_system(instance, (1.0, 10.0, 1.0), 12, v_degree_cap=1)
+    assert built == [0, 1]
+    assert system.vs == tuple(points)
+    assert list(fan._table.params) == params
+    # the fan itself shares the memo with build_gkz's copy but has no
+    # degree functional, so the copy's pieces are not its own
+    with pytest.raises(UnboundedDegree):
+        graded_piece(ModuleSpec(fan, spec0.chi), 1)
 
 
 def test_shared_quotient_maps_are_read_only():
