@@ -201,7 +201,9 @@ class GkzInstance:
     quotient: QuotientAlgebra
     # row HNF (H, U) of the markers, U * rays = H: particular solutions
     marker_hnf: tuple[IntRows, IntRows]
-    # relation-lattice basis in row echelon form, pivots strictly increasing
+    # relation-lattice basis in row echelon form, pivots strictly increasing;
+    # deg is 1 on every marker, so every row sums to 0 (the window scan's
+    # degree bound needs that, see _window_offsets)
     relations: IntRows
     # caches, so neither compared, hashed, shown nor copied by replace(): the
     # series evaluator of the last point evaluated (see _evaluator), the
@@ -285,40 +287,78 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
 def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
     """Every m = part + sum_i c_i h_i with |m|_1 <= B, in lexicographic order.
 
-    The h_i are in row echelon form with pivots p_0 < p_1 < ... .  Once
-    c_0..c_i are fixed, the columns before p_(i+1) are final: their l1 norm
-    is an exact lower bound on |m|_1, and |m[p_(i+1)]| <= B - (that norm)
-    bounds c_(i+1) to an integer range.  Ascending c_i walk ascending
-    m[p_i], so the offsets come out sorted.
+    The h_i are in row echelon form with pivots p_0 < p_1 < ... , and the
+    scan fixes c_0, c_1, ... in turn.  Column j is final once the last row
+    with a nonzero entry in it is fixed (at once when no row touches it).
+    Three exact bounds prune the scan, each dropping only coefficients that
+    lead to no offset:
+
+    - column ranges: a column that fixing c_i finalizes needs |m_j| <= room,
+      the l1 room B leaves after the columns final before; c_i lies in the
+      intersection of these integer ranges (at the last level, over every
+      remaining column);
+    - degree: every h_i sums to 0, so every m in the window has
+      sum(m) = sum(part); since |x|_1 >= |sum(x)|, the columns not yet final
+      need l1 norm at least |sum(part) - (sum of the final columns)|;
+    - convexity: the l1 norm of the final columns plus that degree term is
+      convex in c_i, so the c_i passing both form an interval, and the scan
+      of a level stops at the first failure after a pass.
+
+    Ascending c_i walk ascending m[p_i], so the offsets come out sorted.
+    ValueError when a relation row does not sum to 0, which the degree bound
+    needs.
     """
-    k = len(part)
-    pivots = [next(j for j, x in enumerate(h) if x) for h in relations]
-    ends = pivots[1:] + [k]
+    for h in relations:
+        if sum(h):
+            raise ValueError(
+                f"window: relation row {tuple(h)} sums to {sum(h)}, not 0; "
+                "the degree bound needs relations of degree 0"
+            )
+    last = {j: i for i, h in enumerate(relations) for j, y in enumerate(h) if y}
+    # the (column, entry) pairs that fixing c_i finalizes
+    finals = [[(j, y) for j, y in enumerate(h) if last.get(j) == i]
+              for i, h in enumerate(relations)]
+    degree = sum(part)
     out: list[tuple[int, ...]] = []
 
-    def scan(i: int, m: list[int], used: int) -> None:
+    def scan(i: int, m: list[int], used: int, fixed: int) -> None:
+        # used and fixed: l1 norm and sum of the columns final before level i
         if i == len(relations):
             out.append(tuple(m))
             return
-        p, width = pivots[i], ends[i] - pivots[i]
-        head, tail, h = m[:p], m[p:], relations[i][p:]
+        h, cols = relations[i], finals[i]
         room = B - used
-        for c in range(-((room + tail[0]) // h[0]), (room - tail[0]) // h[0] + 1):
-            mc = [x + c * y for x, y in zip(tail, h)]
-            seg = used + sum(map(abs, mc[:width]))
-            if seg <= B:
-                scan(i + 1, head + mc, seg)
+        # cols holds the pivot, so lo and hi end as ints
+        lo, hi = -math.inf, math.inf
+        for j, y in cols:
+            # -room <= m_j + c * y <= room; a <= c * y <= b for y > 0, and
+            # dividing by y < 0 swaps the two ends
+            a, b = -room - m[j], room - m[j]
+            if y < 0:
+                a, b = b, a
+            lo, hi = max(lo, -(-a // y)), min(hi, b // y)
+        inside = False
+        for c in range(lo, hi + 1):
+            seg = [m[j] + c * y for j, y in cols]
+            norm = used + sum(map(abs, seg))
+            total = fixed + sum(seg)
+            if norm + abs(degree - total) <= B:
+                inside = True
+                scan(i + 1, [x + c * y for x, y in zip(m, h)], norm, total)
+            elif inside:
+                break
 
-    head = pivots[0] if pivots else k
-    used = sum(abs(x) for x in part[:head])
-    if used <= B:
-        scan(0, list(part), used)
+    free = [x for j, x in enumerate(part) if j not in last]
+    used, fixed = sum(map(abs, free)), sum(free)
+    if used + abs(degree - fixed) <= B:
+        scan(0, list(part), used, fixed)
     return tuple(out)
 
 
 def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
     """(offsets, norms): the offsets l - alpha of the window of l1 size <= B
     at index v, in lexicographic order, and each offset's l1 norm beside it.
+    B is an int, as _window_bound returns it.
 
     The offsets depend on v and alpha only through the target -v - n, so
     each (target, B) is scanned, and its norms summed, once per instance,
@@ -327,8 +367,6 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     and the coordinates and series values built from them, are kept, so
     memory stays bounded by one bound's windows however many are used.
     """
-    if B < 0:
-        raise ValueError("window bound must be nonnegative")
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     cache = instance._windows
     key = (target, B)
@@ -382,6 +420,16 @@ def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _window_bound(B) -> int:
+    """The window bound B as an int; ValueError names a non-integral or
+    negative B.  Every entry point calls it before B reaches a memo key or a
+    SeriesValue, so B = 4.0 and B = 4 give the same result in either order."""
+    n = int(B)
+    if n != B or n < 0:
+        raise ValueError(f"window: the bound B is {B!r}, not a nonnegative integer")
+    return n
+
+
 def _check_ray(fan: StackyFan, j) -> None:
     rays = fan.fan_indices()
     if j not in rays:
@@ -399,6 +447,7 @@ def enumerate_L(
     satisfy sum(l_i v_i) = beta - v, and ValueError is raised.
     """
     v = _index_point(instance.fan, v)
+    B = _window_bound(B)
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         if src == alpha:
             return _lvectors(instance, t, v, _window(instance, src, v, B)[0])
@@ -571,6 +620,7 @@ def gamma_series(
     evaluator as long as the instance keeps B's windows (see _window).
     """
     v = _index_point(instance.fan, v)
+    B = _window_bound(B)
     ev = _evaluator(instance, x, arg_offsets)
     value = ev.values.get((v, B))
     if value is None:
@@ -616,6 +666,7 @@ def gamma_series_derivative(
     to each term's own w, never to a sum of them.
     """
     v = _index_point(instance.fan, v)
+    B = _window_bound(B)
     _check_ray(instance.fan, j)
     ev = _evaluator(instance, x, arg_offsets)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
@@ -649,6 +700,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     keeps, so the two cores are compared as lists.
     """
     v = _index_point(instance.fan, v)
+    B = _window_bound(B)
     _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core = B - 1

@@ -187,3 +187,38 @@ def test_unreachable_target_names_the_window_stage():
         f"window: markers do not reach the target (-1, 0) of v=(1, 0), "
         f"n={src.lattice_point}; the marker lattice is degenerate"
     )
+
+
+def test_window_bound_is_validated_before_any_cache():
+    """An integral bound of any type means the integer it equals, whichever
+    type reaches a fresh instance first; anything else names the window."""
+    want = repr(gamma_series(build_gkz(F1, (0, 0)), (0, 0), X_F1, 4))
+    for first, second in ((4.0, 4), (4, 4.0), (Fraction(8, 2), 4.0)):
+        inst = build_gkz(F1, (0, 0))
+        assert repr(gamma_series(inst, (0, 0), X_F1, first)) == want
+        assert repr(gamma_series(inst, (0, 0), X_F1, second)) == want
+    inst = instance("F1 zero")
+    src = inst.correspondence.triples[0][0]
+    assert enumerate_L(inst, src, (0, 0), 4.0) == enumerate_L(inst, src, (0, 0), 4)
+    shift = verify_term_shift(inst, (0, 0), 1, 4)
+    assert verify_term_shift(inst, (0, 0), 1, Fraction(4)) == shift
+    calls = (
+        lambda B: gamma_series(inst, (0, 0), X_F1, B),
+        lambda B: gamma_series_derivative(inst, (0, 0), X_F1, B, 1),
+        lambda B: enumerate_L(inst, src, (0, 0), B),
+        lambda B: verify_term_shift(inst, (0, 0), 1, B),
+    )
+    for call in calls:
+        for B, shown in ((4.5, r"4\.5"), (-1, "-1"), (Fraction(7, 2), r"Fraction\(7, 2\)")):
+            with pytest.raises(ValueError, match=rf"^window: the bound B is {shown}, not a "):
+                call(B)
+
+
+def test_window_scan_rejects_a_relation_of_nonzero_degree():
+    # the degree bound reads sum(m) = sum(part) off relations summing to 0
+    with pytest.raises(ValueError, match=r"^window: relation row \(1, 1, -1\) sums to 1, not 0"):
+        gkz._window_offsets((0, 0, 0), ((1, 1, -1),), 2)
+    inst = build_gkz(F1, (0, 0))
+    skewed = dataclasses.replace(inst, relations=((1, -2, 2),))
+    with pytest.raises(ValueError, match=r"^window: relation row \(1, -2, 2\) sums to 1"):
+        verify_term_shift(skewed, (0, 0), 1, 4)
