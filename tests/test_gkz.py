@@ -184,13 +184,13 @@ def test_enumerate_matches_l1_ball(window_instances, name, B, data):
     assert [lv.offset for lv in enumerate_L(inst, src, v, B)] == want
 
 
+DEEP_FANS = {"tri3": TRI3, "simplex3x2": SIMPLEX3X2}
+
+
 @pytest.fixture(scope="module")
 def deep_relations():
     """The relation bases the window scan runs on with the most levels."""
     return {name: build_gkz(fan, (0,) * fan.rank).relations for name, fan in DEEP_FANS.items()}
-
-
-DEEP_FANS = {"tri3": TRI3, "simplex3x2": SIMPLEX3X2}
 
 
 @functools.cache
