@@ -278,7 +278,7 @@ def cmd_gkz_verify(args):
         for j in sorted(fan.fan_indices()):
             rep = verify_term_shift(instance, v, j, args.bound)
             shifts_ok = shifts_ok and rep.ok
-            boundary_terms += len(rep.boundary)
+            boundary_terms += rep.boundary_count
             deriv = gamma_series_derivative(
                 instance, v, xs, args.bound, j, arg_offsets=offs
             )

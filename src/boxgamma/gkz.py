@@ -209,8 +209,9 @@ class GkzInstance:
     # series evaluator of the last point evaluated (see _evaluator), the
     # window offsets and their norms of the last bound B by (target, B)
     # (see _window), and
-    # the exact coordinates l_i = alpha_i + m_i of those windows by (t, i, m_i),
-    # t the source's position in correspondence.triples (see _lvectors)
+    # the exact coordinates l_i = alpha_i + m_i of those windows by (t, i, m_i)
+    # that enumerate_L and read term-shift boundaries built, t the source's
+    # position in correspondence.triples (see _lvectors)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -238,15 +239,45 @@ class SeriesValue:
     tail_estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TermShiftReport:
-    """Exact comparison of shifted term sets, with the window boundary listed."""
+    """Exact comparison of shifted term sets, with the window boundary listed.
+
+    The boundary is kept as offsets: runs (t, v, offsets) of the window
+    offsets outside the core, shared with the instance's window cache, in
+    boundary order.  Their LVectors are built on the first read of boundary
+    (see _lvectors) and kept, so a report read after the instance moved to
+    another bound still lists its own bound's vectors; boundary_count needs
+    none of them.  Equality, hash and repr are those of (ok, boundary).
+    """
 
     ok: bool
-    boundary: tuple[LVector, ...]
+    _instance: GkzInstance
+    _runs: tuple[tuple[int, tuple[int, ...], IntRows], ...]
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @functools.cached_property
+    def boundary(self) -> tuple[LVector, ...]:
+        return tuple(
+            lv for t, v, offsets in self._runs for lv in _lvectors(self._instance, t, v, offsets)
+        )
+
+    @property
+    def boundary_count(self) -> int:
+        return sum(len(offsets) for _, _, offsets in self._runs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.boundary) == (other.ok, other.boundary)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.boundary))
+
+    def __repr__(self) -> str:
+        return f"TermShiftReport(ok={self.ok!r}, boundary={self.boundary!r})"
 
 
 @dataclass(frozen=True)
@@ -407,12 +438,21 @@ def _lvectors(instance: GkzInstance, t: int, v: tuple[int, ...], offsets) -> tup
     return tuple(out)
 
 
+def _integral(x) -> int | None:
+    """x as the int it equals, or None when it equals none (inf and nan too)."""
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):
+        return None
+    return n if n == x else None
+
+
 def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
     """The series index v as integers; ValueError names a non-integral coordinate."""
     out = []
     for r, x in enumerate(v, start=1):
-        n = int(x)
-        if n != x:
+        n = _integral(x)
+        if n is None:
             raise ValueError(f"coordinate {r} of v is {x!r}, not an integer")
         out.append(n)
     if len(out) != fan.rank:
@@ -421,11 +461,12 @@ def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
 
 
 def _window_bound(B) -> int:
-    """The window bound B as an int; ValueError names a non-integral or
-    negative B.  Every entry point calls it before B reaches a memo key or a
-    SeriesValue, so B = 4.0 and B = 4 give the same result in either order."""
-    n = int(B)
-    if n != B or n < 0:
+    """The window bound B as an int; ValueError names a non-integral,
+    non-finite or negative B.  Every entry point calls it before B reaches a
+    memo key or a SeriesValue, so B = 4.0 and B = 4 give the same result in
+    either order."""
+    n = _integral(B)
+    if n is None or n < 0:
         raise ValueError(f"window: the bound B is {B!r}, not a nonnegative integer")
     return n
 
@@ -697,7 +738,9 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     core window is collected as the boundary, never silently dropped.  The
     shifted norm |m - e_j|_1 is the window's norm of m with |m_j| traded for
     |m_j - 1|.  Both windows are in lexicographic order, which m -> m - e_j
-    keeps, so the two cores are compared as lists.
+    keeps, so the two cores are compared as lists.  No exact coordinate is
+    built here: the report keeps the boundary's offsets and builds its
+    LVectors when boundary is read (see TermShiftReport).
     """
     v = _index_point(instance.fan, v)
     B = _window_bound(B)
@@ -705,7 +748,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core = B - 1
     ok = True
-    boundary: list[LVector] = []
+    runs = []
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         left, left_out = [], []
         for m, nm in zip(*_window(instance, src, v, B)):
@@ -717,10 +760,13 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
         right, right_out = [], []
         for m, nm in zip(*_window(instance, src, v2, B)):
             (right if nm <= core else right_out).append(m)
-        boundary += _lvectors(instance, t, v, left_out) + _lvectors(instance, t, v2, right_out)
+        if left_out:
+            runs.append((t, v, tuple(left_out)))
+        if right_out:
+            runs.append((t, v2, tuple(right_out)))
         if left != right:
             ok = False
-    return TermShiftReport(ok, tuple(boundary))
+    return TermShiftReport(ok, instance, tuple(runs))
 
 
 def verify_euler(instance: GkzInstance) -> bool:
@@ -750,12 +796,19 @@ def solution_system(
     numerical rank of the stacked matrix.
 
     rank_deficient flags rank < dim instead of raising: a too-small window is
-    reported together with its tail estimate for diagnosis.
+    reported together with its tail estimate for diagnosis.  ValueError names
+    a negative or non-integral v_degree_cap; a negative one would otherwise
+    give an empty system that reads as a result.
     """
+    cap = _integral(v_degree_cap)
+    if cap is None or cap < 0:
+        raise ValueError(
+            f"solution_system: v_degree_cap is {v_degree_cap!r}, not a nonnegative integer"
+        )
     fan = instance.fan
     spec0 = ModuleSpec(fan, tuple(Fraction(0) for _ in range(fan.rank)))
     vs: list[tuple[int, ...]] = []
-    for m in range(v_degree_cap + 1):
+    for m in range(cap + 1):
         vs.extend(graded_piece(spec0, m).points)
     rows = []
     tail = 0.0

@@ -344,6 +344,28 @@ def test_wrong_length_input_has_the_library_message(seed_dir, tmp_path, beta, x,
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
+def test_negative_degree_cap_exit_2(seed_dir, tmp_path):
+    """--vcap -1 would leave no index point: an empty system, not a result."""
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--x", str(seed_dir / "x_f1.json"),
+            "--bound", "4",
+            "--vcap", "-1",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc == {
+        "error": {
+            "type": "ValueError",
+            "message": "solution_system: v_degree_cap is -1, not a nonnegative integer",
+        }
+    }
+
+
 def test_cone_index_out_of_range_exit_2(tmp_path):
     fan = tmp_path / "fan_bad.json"
     fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1]], "max_cones": [[1, 5]]}')

@@ -4,6 +4,7 @@ indices are rejected instead of being truncated or wrapped."""
 
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from boxgamma.gkz import (
     enumerate_L,
     gamma_series,
     gamma_series_derivative,
+    solution_system,
     verify_euler,
     verify_term_shift,
 )
@@ -157,6 +159,9 @@ def test_non_integral_index_rejected():
             call((0.5, 0))
         with pytest.raises(ValueError, match="coordinate 2 of v"):
             call((0, Fraction(1, 3)))
+        for x, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^coordinate 2 of v is {shown}, not an integer$"):
+                call((0, x))
         with pytest.raises(ValueError, match="v must have 2 coordinates, got 3"):
             call((0, 0, 0))
     # integral values of any numeric type index as the integers they equal
@@ -209,9 +214,27 @@ def test_window_bound_is_validated_before_any_cache():
         lambda B: verify_term_shift(inst, (0, 0), 1, B),
     )
     for call in calls:
-        for B, shown in ((4.5, r"4\.5"), (-1, "-1"), (Fraction(7, 2), r"Fraction\(7, 2\)")):
+        for B, shown in (
+            (4.5, r"4\.5"),
+            (-1, "-1"),
+            (Fraction(7, 2), r"Fraction\(7, 2\)"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+        ):
             with pytest.raises(ValueError, match=rf"^window: the bound B is {shown}, not a "):
                 call(B)
+
+
+def test_solution_system_rejects_a_bad_degree_cap():
+    """A negative or non-integral cap would leave no index point, an empty
+    system that reads as a result."""
+    inst = instance("F1 zero")
+    for cap, shown in ((-1, "-1"), (1.5, r"1\.5"), (math.inf, "inf"), (math.nan, "nan")):
+        message = rf"^solution_system: v_degree_cap is {shown}, not a nonnegative integer$"
+        with pytest.raises(ValueError, match=message):
+            solution_system(inst, X_F1, 4, cap)
+    assert solution_system(inst, X_F1, 4, 1.0) == solution_system(inst, X_F1, 4, 1)
 
 
 def test_window_scan_rejects_a_relation_of_nonzero_degree():

@@ -1,7 +1,8 @@
 """The per-point series evaluator: each reciprocal-Gamma jet computed once,
 each window scanned once per instance, each (v, B) series summed once per
 point, values independent of what was evaluated before, and the
-integer-offset term-shift check equal to its LVector formulation."""
+integer-offset term-shift check equal to its LVector formulation, with its
+boundary LVectors built only when read."""
 
 import dataclasses
 import functools
@@ -34,6 +35,13 @@ PENTAGON = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
 HEX5 = triangulate_from_heights(
     [(1, a, b) for a, b in PENTAGON],
     [a * a + b * b + Fraction(i * i + 1, 101) for i, (a, b) in enumerate(PENTAGON)],
+)
+# the cone over 2 * simplex, the cap-0 fan the lattice_window benchmark times,
+# lifted by the same rule as HEX5
+TRIANGLE2 = [(a, b) for a in range(3) for b in range(3 - a)]
+TRI2 = triangulate_from_heights(
+    [(1, a, b) for a, b in TRIANGLE2],
+    [a * a + b * b + Fraction(i * i + 1, 101) for i, (a, b) in enumerate(TRIANGLE2)],
 )
 X_F1 = (1.0, 10.0, 1.0)
 X_F1_B = (0.75 + 0.25j, 8.0 - 1.5j, 1.25)
@@ -239,7 +247,8 @@ def test_series_values_follow_the_window_bound():
 def test_coordinate_table_leaves_equality_and_hash_alone():
     a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
     before, shown = hash(a), repr(a)
-    verify_term_shift(a, (0, 0, 0), 1, 4)
+    # reading the boundary fills the coordinate table
+    assert verify_term_shift(a, (0, 0, 0), 1, 4).boundary
     assert a._coords and hash(a) == before and repr(a) == shown
     # a copy starts with an empty table and still equals the original
     copy = dataclasses.replace(a)
@@ -251,25 +260,71 @@ def test_coordinate_table_keeps_the_last_bound():
     a = build_gkz(HEX5, beta)
     for B in (4, 6, 5):
         for j in sorted(a.fan.fan_indices()):
-            verify_term_shift(a, (0, 0, 0), j, B)
+            assert verify_term_shift(a, (0, 0, 0), j, B).boundary
         # what a fresh instance builds at this bound alone
         fresh = build_gkz(HEX5, beta)
         for j in sorted(a.fan.fan_indices()):
-            verify_term_shift(fresh, (0, 0, 0), j, B)
-        assert a._coords == fresh._coords
+            verify_term_shift(fresh, (0, 0, 0), j, B).boundary
+        assert a._coords and a._coords == fresh._coords
 
 
 def test_repeated_term_shift_adds_no_coordinate():
     a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
     first = verify_term_shift(a, (0, 0, 0), 2, 5)
+    assert first.boundary
     table = dict(a._coords)
     again = verify_term_shift(a, (0, 0, 0), 2, 5)
-    assert again == first and first.boundary
-    assert a._coords == table
+    assert again == first
+    assert table and a._coords == table
     # the boundary vectors share the stored coordinates
     for lv in again.boundary:
         t = next(t for t, (src, _, _) in enumerate(a.correspondence.triples) if src == lv.alpha)
         assert all(c is table[t, i, mi] for i, (c, mi) in enumerate(zip(lv.l, lv.offset)))
+
+
+@pytest.fixture
+def lvector_runs(monkeypatch):
+    """Counts _lvectors runs and the LVectors they build."""
+    built = Counter()
+    real = gkz._lvectors
+
+    def counting(instance, t, v, offsets):
+        built["runs"] += 1
+        built["vectors"] += len(offsets)
+        return real(instance, t, v, offsets)
+
+    monkeypatch.setattr(gkz, "_lvectors", counting)
+    return built
+
+
+def test_term_shift_builds_its_boundary_on_first_read(lvector_runs):
+    a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
+    rep = verify_term_shift(a, (0, 0, 0), 1, 5)
+    assert rep.boundary_count > 0 and not lvector_runs and a._coords == {}
+    first = rep.boundary
+    assert lvector_runs["runs"] > 0 and lvector_runs["vectors"] == rep.boundary_count
+    built = dict(lvector_runs)
+    assert rep.boundary is first and len(first) == rep.boundary_count
+    assert lvector_runs == built
+
+
+def test_gkz_verify_builds_no_lvector(lvector_runs, tmp_path):
+    assert run_gkz_verify(tmp_path, "f1", "beta_f1", "x_f1") == 0
+    assert '"boundary_terms": 51,' in (tmp_path / "out.json").read_text()
+    assert not lvector_runs
+
+
+def test_term_shift_report_keeps_its_own_bound():
+    """A report read after its instance moved to another bound lists the
+    vectors of the bound it was made at."""
+    beta = (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
+    a = build_gkz(HEX5, beta)
+    early = verify_term_shift(a, (0, 0, 0), 1, 4)
+    later = verify_term_shift(a, (0, 0, 0), 1, 6)
+    assert {key[1] for key in a._windows} == {6}
+    want = reference_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 4)
+    assert (early.ok, early.boundary) == want
+    assert later == verify_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 6)
 
 
 def test_enumerate_L_rejects_a_foreign_element():
@@ -318,6 +373,7 @@ def reference_term_shift(instance, v, j, B):
         (F1, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))),
         (SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))),
         (HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))),
+        (TRI2, (Fraction(3, 5), Fraction(1, 4), Fraction(2, 9))),
     ],
 )
 def test_term_shift_offsets_match_lvector_reference(fan, beta):
