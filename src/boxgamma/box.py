@@ -162,7 +162,7 @@ def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     """Partition of the per-cone branches by equal reduced exponent vectors,
     built once per parameter (the fan's parameter memo)."""
     b = normalize_beta(fan, beta)
-    return _memo(fan._table.params, b, "collisions", lambda: _collisions(fan, b))
+    return _memo(fan._table.params, b, "collisions", _collisions, fan, b)
 
 
 def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
@@ -240,7 +240,7 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     (the fan's parameter memo).
     """
     b = normalize_beta(fan, beta)
-    return _memo(fan._table.params, b, "stabilize", lambda: _stabilize(fan, b))
+    return _memo(fan._table.params, b, "stabilize", _stabilize, fan, b)
 
 
 def _stabilize(fan: StackyFan, b) -> DeltaCorrespondence:

@@ -92,19 +92,17 @@ def _load(path: str):
 
 
 def parse_fan(doc) -> StackyFan:
-    rank = int(doc["rank"])
-    rays = tuple(tuple(int(x) for x in ray) for ray in doc["rays"])
-    cones = tuple(
-        tuple(sorted(int(i) - 1 for i in cone)) for cone in doc["max_cones"]
-    )
-    for cone in cones:
-        for i in cone:
-            if not 0 <= i < len(rays):
-                raise ValueError(f"cone index {i + 1} out of range")
     deg = doc.get("deg")
-    if deg is not None:
-        deg = tuple(parse_rational(x) for x in deg)
-    return StackyFan(rank=rank, rays=rays, max_cones=cones, deg=deg)
+    fan = StackyFan(
+        rank=doc["rank"],
+        rays=tuple(map(tuple, doc["rays"])),
+        max_cones=tuple(tuple(i - 1 for i in cone) for cone in doc["max_cones"]),
+        deg=None if deg is None else tuple(map(parse_rational, deg)),
+    )
+    outside = [i + 1 for cone in fan.max_cones for i in cone if not 0 <= i < fan.k]
+    if outside:
+        raise ValueError(f"cone index {outside[0]} out of range")
+    return fan
 
 
 def parse_beta(doc, fan: StackyFan):
@@ -176,8 +174,6 @@ def cmd_cohomology(args):
     if args.shadow:
         doc = _load(args.shadow)
         xi = tuple(parse_rational(v) for v in doc["xi"])
-        if len(xi) != fan.rank:
-            raise ValueError(f"xi must have {fan.rank} entries")
     q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {

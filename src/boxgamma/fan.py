@@ -30,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     ConeInverse,
+    _integral,
     cone_inverse,
     integer_kernel,
     lattice_generates,
@@ -70,21 +71,23 @@ class _ConeTable:
 _PARAMS_KEPT = 2
 
 
-def _memo(memo: dict, beta: tuple, key, build: Callable):
-    """build(), kept in memo, one of the fan's memos, under beta and key.
+def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
+    """build(*args), kept in memo under recent and key; every bounded cache is one.
     The table's params memo holds "collisions", "stabilize" and, keyed by
     (xi, deg), the quotients under the normalized parameter; its graded memo
     holds the graded pieces, keyed by (xi, deg, m), under the shift chi as
     given.  deg is in the keys as BasisElement.offset and the graded pieces
-    read fan.deg, and _with_deg's copy shares the table.  Only the
-    _PARAMS_KEPT most recently used parameters are kept, so the memo stays
-    bounded however many parameters the fan sees.  A build that raises
-    stores nothing."""
-    entry = memo[beta] = memo.pop(beta, {})  # most recently used last
-    while len(memo) > _PARAMS_KEPT:
-        del memo[next(iter(memo))]
+    read fan.deg, and _with_deg's copy shares the table.  Only the `kept`
+    most recently used values of recent are kept (two parameters or shifts,
+    one bound or point of a GkzInstance), so the memo stays bounded however
+    many it sees.  A build that raises stores nothing."""
+    entry = memo.get(recent)
+    if entry is None or len(memo) > 1:  # a lone entry is already the last
+        entry = memo[recent] = memo.pop(recent, {})  # most recently used last
+        while len(memo) > kept:
+            del memo[next(iter(memo))]
     if key not in entry:
-        entry[key] = build()
+        entry[key] = build(*args)
     return entry[key]
 
 
@@ -100,12 +103,16 @@ class StackyFan:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in v) for v in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-        )
+        rank = _integral(self.rank)
+        if rank is None:
+            raise ValueError(f"fan: rank {self.rank!r} is not an integer")
+        object.__setattr__(self, "rank", rank)
+        rays = tuple(_integers(v, f"ray {r}") for r, v in enumerate(self.rays, start=1))
+        object.__setattr__(self, "rays", rays)
+        cones = (_integers(c, f"cone {r}") for r, c in enumerate(self.max_cones, start=1))
+        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
         if self.deg is not None:
-            object.__setattr__(self, "deg", tuple(int(x) for x in self.deg))
+            object.__setattr__(self, "deg", _integers(self.deg, "deg"))
 
     @property
     def k(self) -> int:
@@ -125,6 +132,14 @@ class StackyFan:
         if self.deg is None:
             raise ValueError("fan has no degree functional")
         return sum((Fraction(x) * d for x, d in zip(v, self.deg)), start=Fraction(0))
+
+
+def _integers(values: Sequence, field_name: str) -> tuple[int, ...]:
+    """values as ints; ValueError names the first non-integral one by position."""
+    ints = tuple(map(_integral, values))
+    if None in ints:
+        raise ValueError(f"fan: entry {ints.index(None) + 1} of {field_name} is not an integer")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -184,6 +199,8 @@ def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:
 
 def minimal_cone(fan: StackyFan, p: Sequence):
     """Smallest face of the fan containing the real point p, as a ConeRef, or None."""
+    if len(p) != fan.rank:
+        raise ValueError(f"fan: point {tuple(p)} must have {fan.rank} coordinates")
     nums = _real_numerators(p)
     for cone in fan.max_cones:
         coords = _cone_inverse(fan, cone).numerators(nums)
@@ -420,7 +437,7 @@ def triangulate_from_heights(
     exactly on S.  An equality outside S means a non-simplicial lower facet
     and raises DegenerateHeights.
     """
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [_integers(p, f"point {i}") for i, p in enumerate(points, start=1)]
     d = len(pts[0])
     hs = [Fraction(h) for h in heights]
     if len(hs) != len(pts):

@@ -32,9 +32,10 @@ from .errors import (
     NoParticularSolution,
     ZeroCoordinate,
 )
-from .fan import StackyFan, _with_deg, validate
+from .fan import StackyFan, _memo, _with_deg, validate
 from .linalg import (
     Coord,
+    _integral,
     as_gaussian,
     format_gaussian,
     hermite_normal_form,
@@ -206,15 +207,10 @@ class GkzInstance:
     # degree bound needs that, see _window_offsets)
     relations: IntRows
     # caches, so neither compared, hashed, shown nor copied by replace(): the
-    # series evaluator of the last point evaluated (see _evaluator), the
-    # window offsets and their norms of the last bound B by (target, B)
-    # (see _window), and
-    # the exact coordinates l_i = alpha_i + m_i of those windows by (t, i, m_i)
-    # that enumerate_L and read term-shift boundaries built, t the source's
-    # position in correspondence.triples (see _lvectors)
+    # memos (fan._memo) of the last point's series evaluator (see _evaluator)
+    # and of the last bound's window offsets and norms by target (see _window)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -239,42 +235,32 @@ class SeriesValue:
     tail_estimate: float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class TermShiftReport:
     """Exact comparison of shifted term sets, with the window boundary listed.
 
-    The boundary is kept as offsets: runs (t, v, offsets) of the window
-    offsets outside the core, shared with the instance's window cache, in
-    boundary order.  Their LVectors are built on the first read of boundary
-    (see _lvectors) and kept, so a report read after the instance moved to
-    another bound still lists its own bound's vectors; boundary_count needs
-    none of them.  Equality, hash and repr are those of (ok, boundary).
+    The boundary is kept as runs (source, v, offsets) of the window offsets
+    outside the core, one per source and side, in boundary order, and no
+    instance.  Their LVectors are built on the first read of boundary (see
+    _lvectors) and kept; boundary_count needs none.  The two sides of a
+    source have different v, so the runs group the boundary in one way
+    only: two reports are equal exactly when their (ok, boundary) are, and
+    repr shows those.
     """
 
     ok: bool
-    _instance: GkzInstance
-    _runs: tuple[tuple[int, tuple[int, ...], IntRows], ...]
+    _runs: tuple[tuple[BoxElement, tuple[int, ...], IntRows], ...]
 
     def __bool__(self) -> bool:
         return self.ok
 
     @functools.cached_property
     def boundary(self) -> tuple[LVector, ...]:
-        return tuple(
-            lv for t, v, offsets in self._runs for lv in _lvectors(self._instance, t, v, offsets)
-        )
+        return tuple(lv for alpha, v, offsets in self._runs for lv in _lvectors(alpha, v, offsets))
 
     @property
     def boundary_count(self) -> int:
         return sum(len(offsets) for _, _, offsets in self._runs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.boundary) == (other.ok, other.boundary)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.boundary))
 
     def __repr__(self) -> str:
         return f"TermShiftReport(ok={self.ok!r}, boundary={self.boundary!r})"
@@ -303,7 +289,8 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     corr = stabilize(fan, b)
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
     h, u = hermite_normal_form(fan.rays)
-    kernel = integer_kernel_basis(fan.rays)
+    # the relation lattice: the rows of U where H is zero
+    kernel = [row for row, hrow in zip(u, h) if not any(hrow)]
     relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]
     return GkzInstance(
         fan,
@@ -394,57 +381,32 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     The offsets depend on v and alpha only through the target -v - n, so
     each (target, B) is scanned, and its norms summed, once per instance,
     whichever series, shift check or box element reaches it; the series
-    read their outermost shell as norm == B.  Only the last B's windows,
-    and the coordinates and series values built from them, are kept, so
-    memory stays bounded by one bound's windows however many are used.
+    read their outermost shell as norm == B.  Only the last B's windows are
+    kept (fan._memo), so memory stays bounded by one bound's windows however
+    many are used.
     """
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
-    cache = instance._windows
-    key = (target, B)
-    win = cache.get(key)
-    if win is None:
-        part = solve_with_hnf(*instance.marker_hnf, target)
-        if part is None:
-            raise NoParticularSolution(
-                f"window: markers do not reach the target {target} of v={v}, "
-                f"n={alpha.lattice_point}; the marker lattice is degenerate"
-            )
-        if cache and next(iter(cache))[1] != B:
-            cache.clear()
-            instance._coords.clear()
-            for ev in instance._series.values():
-                ev.values.clear()
-        offsets = _window_offsets(part, instance.relations, B)
-        win = cache[key] = (offsets, tuple(sum(map(abs, m)) for m in offsets))
-    return win
+    return _memo(instance._windows, B, target, _scan_window, instance, alpha, v, target, B, kept=1)
 
 
-def _lvectors(instance: GkzInstance, t: int, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
-    """The LVectors of source t at the given offsets, each coordinate
-    l_i = alpha_i + m_i read from the instance's table (see GkzInstance)."""
-    alpha = instance.correspondence.triples[t][0]
-    coords = instance._coords
-    out = []
-    for m in offsets:
-        l = []
-        for i, mi in enumerate(m):
-            key = (t, i, mi)
-            c = coords.get(key)
-            if c is None:
-                a = alpha.alpha[i]
-                c = coords[key] = scalar_from_parts(re_part(a) + mi, im_part(a))
-            l.append(c)
-        out.append(LVector(tuple(l), alpha, v, m))
-    return tuple(out)
+def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
+    part = solve_with_hnf(*instance.marker_hnf, target)
+    if part is None:
+        raise NoParticularSolution(
+            f"window: markers do not reach the target {target} of v={v}, "
+            f"n={alpha.lattice_point}; the marker lattice is degenerate"
+        )
+    offsets = _window_offsets(part, instance.relations, B)
+    return offsets, tuple(sum(map(abs, m)) for m in offsets)
 
 
-def _integral(x) -> int | None:
-    """x as the int it equals, or None when it equals none (inf and nan too)."""
-    try:
-        n = int(x)
-    except (OverflowError, ValueError):
-        return None
-    return n if n == x else None
+def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
+    """The LVectors l = alpha + m at the given offsets m of the window at v."""
+    parts = [(re_part(a), im_part(a)) for a in alpha.alpha]
+    return tuple(
+        LVector(tuple(scalar_from_parts(re + x, im) for (re, im), x in zip(parts, m)), alpha, v, m)
+        for m in offsets
+    )
 
 
 def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
@@ -489,9 +451,9 @@ def enumerate_L(
     """
     v = _index_point(instance.fan, v)
     B = _window_bound(B)
-    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+    for src, _, _ in instance.correspondence.triples:
         if src == alpha:
-            return _lvectors(instance, t, v, _window(instance, src, v, B)[0])
+            return _lvectors(src, v, _window(instance, src, v, B)[0])
     raise ValueError("enumerate_L: alpha is not a source box element of this instance")
 
 
@@ -517,11 +479,11 @@ class _SeriesEvaluator:
     triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
     through the nilpotent ray operators.  It depends on the triple t and the
     offset m only, not on the index v, so every window that reaches (t, m)
-    shares it.  Kept here: base vectors by t (a missing one is raised again
-    on every call, never stored); coordinates and ray jets by (t, i, m_i);
-    terms by (t, m); reciprocal-Gamma jets by (l, order), each a
-    reciprocal_gamma_jet evaluation at its own l; and gamma_series values by
-    (v, B), dropped by _window together with the windows when B changes.
+    shares it.  Kept here: base indices by t, looked up once (a missing one
+    raises on every call); coordinates and ray jets by (t, i, m_i); terms by
+    (t, m); reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
+    evaluation at its own l; and the memo (fan._memo) of the last bound B's
+    gamma_series values by v.
 
     Every float is formed from the same operands in the same order as an
     uncached evaluation would form it: a cache returns a stored float, it
@@ -544,30 +506,27 @@ class _SeriesEvaluator:
             tuple((re_part(a), float(im_part(a))) for a in src.alpha)
             for src, _, _ in instance.correspondence.triples
         )
-        self.evecs: dict = {}
+        self.bases = tuple(
+            (q.base_index.get(alpha_key(tgt.alpha)), tgt)
+            for _, tgt, _ in instance.correspondence.triples
+        )
         self.coords: dict = {}
         self.factors: dict = {}
         self.terms: dict = {}
         self.jets: dict = {}
         self.values: dict = {}
 
-    def base(self, instance: GkzInstance, t: int) -> tuple[complex, ...]:
+    def base(self, t: int) -> tuple[complex, ...]:
         """The base vector of triple t's target; NoBaseElement when the
         shadow quotient has none."""
-        evec = self.evecs.get(t)
-        if evec is None:
-            tgt = instance.correspondence.triples[t][1]
-            index = instance.quotient.base_index.get(alpha_key(tgt.alpha))
-            if index is None:
-                alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
-                raise NoBaseElement(
-                    f"series: the shadow quotient has no base element for the target box "
-                    f"element alpha=({alpha}), n={tgt.lattice_point}"
-                )
-            evec = [0j] * self.dim
-            evec[index] = 1 + 0j
-            evec = self.evecs[t] = tuple(evec)
-        return evec
+        index, tgt = self.bases[t]
+        if index is None:
+            alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
+            raise NoBaseElement(
+                f"series: the shadow quotient has no base element for the target box "
+                f"element alpha=({alpha}), n={tgt.lattice_point}"
+            )
+        return (0j,) * index + (1 + 0j,) + (0j,) * (self.dim - 1 - index)
 
     def coord(self, t: int, i: int, mi: int) -> complex:
         key = (t, i, mi)
@@ -599,8 +558,7 @@ class _SeriesEvaluator:
 
     def term(self, t: int, m: tuple[int, ...], evec):
         """(scalar, w): the prefactor x^l and the base vector evec of
-        triple t (the same vector on every call for that t) transported by
-        the ray jets."""
+        triple t transported by the ray jets."""
         key = (t, m)
         hit = self.terms.get(key)
         if hit is None:
@@ -617,11 +575,8 @@ class _SeriesEvaluator:
 
 
 def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
-    """The instance's evaluator at x, built on the first call at that point.
-
-    Only the last point's evaluator is kept, so memory stays bounded by one
-    point's terms however many points an instance is evaluated at.
-    """
+    """The instance's evaluator at x, built on the first call at that point;
+    only the last point's is kept, so memory stays bounded by one point's terms."""
     xs = _check_x(instance.fan, x)
     # principal branch by default; offsets turn the argument by whole radians
     # per coordinate, selecting another sheet of the multivalued powers
@@ -631,11 +586,7 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
     # repr tells 0.0 from -0.0, which == and hash do not
     key = repr((xs, logs))
-    ev = instance._series.get(key)
-    if ev is None:
-        instance._series.clear()
-        ev = instance._series[key] = _SeriesEvaluator(instance, xs, logs)
-    return ev
+    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, logs, kept=1)
 
 
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
@@ -657,17 +608,13 @@ def gamma_series(
 
     The tail estimate is the max-norm of the outermost window shell, i.e. the
     difference between the values at bounds B and B-1.  Each (v, B) is
-    summed once per instance and point: the value is kept by the point's
-    evaluator as long as the instance keeps B's windows (see _window).
+    summed once per instance and point: the point's evaluator keeps the
+    values of the last B (see _SeriesEvaluator).
     """
     v = _index_point(instance.fan, v)
     B = _window_bound(B)
     ev = _evaluator(instance, x, arg_offsets)
-    value = ev.values.get((v, B))
-    if value is None:
-        value = _series_sum(instance, ev, v, B)
-        ev.values[v, B] = value
-    return value
+    return _memo(ev.values, B, v, _series_sum, instance, ev, v, B, kept=1)
 
 
 def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> SeriesValue:
@@ -675,7 +622,7 @@ def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> Serie
     total = [0j] * ev.dim
     shell = [0j] * ev.dim
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        evec = ev.base(instance, t)
+        evec = ev.base(t)
         for m, nm in zip(*_window(instance, src, v, B)):
             scalar, w = ev.term(t, m, evec)
             products = [scalar * c for c in w]
@@ -716,7 +663,7 @@ def gamma_series_derivative(
     total = [0j] * ev.dim
     shell = [0j] * ev.dim
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        evec = ev.base(instance, t)
+        evec = ev.base(t)
         for shifted, nm in zip(*_window(instance, src, v2, B)):
             m = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1 :]
             scalar, w = ev.term(t, m, evec)
@@ -749,7 +696,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     core = B - 1
     ok = True
     runs = []
-    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+    for src, _, _ in instance.correspondence.triples:
         left, left_out = [], []
         for m, nm in zip(*_window(instance, src, v, B)):
             mj = m[j]
@@ -761,12 +708,12 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
         for m, nm in zip(*_window(instance, src, v2, B)):
             (right if nm <= core else right_out).append(m)
         if left_out:
-            runs.append((t, v, tuple(left_out)))
+            runs.append((src, v, tuple(left_out)))
         if right_out:
-            runs.append((t, v2, tuple(right_out)))
+            runs.append((src, v2, tuple(right_out)))
         if left != right:
             ok = False
-    return TermShiftReport(ok, instance, tuple(runs))
+    return TermShiftReport(ok, tuple(runs))
 
 
 def verify_euler(instance: GkzInstance) -> bool:

@@ -30,6 +30,15 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _integral(x) -> Optional[int]:
+    """x as the int it equals, or None when it equals none (inf and nan too)."""
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):
+        return None
+    return n if n == x else None
+
+
 def parse_rational(s) -> Fraction:
     if isinstance(s, Fraction):
         return s

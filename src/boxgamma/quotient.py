@@ -52,6 +52,10 @@ class ModuleSpec:
         object.__setattr__(self, "chi", tuple(Fraction(c) for c in self.chi))
         if self.xi is not None:
             object.__setattr__(self, "xi", tuple(Fraction(c) for c in self.xi))
+        for name, point in (("chi", self.chi), ("xi", self.xi)):
+            if point is not None and len(point) != self.fan.rank:
+                n = self.fan.rank
+                raise ValueError(f"quotient: {name} must have {n} coordinates, got {len(point)}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     per (fan, chi, xi, fan.deg, m), in the graded memo of the fan's table
     (see fan._memo), under chi as given: the points depend on chi itself."""
     graded = spec.fan._table.graded
-    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, m), lambda: _graded_piece(spec, m))
+    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, m), _graded_piece, spec, m)
 
 
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
@@ -349,7 +353,7 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     (the fan's parameter memo)."""
     chi = normalize_beta(spec.fan, spec.chi)
     params = spec.fan._table.params
-    return _memo(params, chi, (spec.xi, spec.fan.deg), lambda: _build_quotient(spec))
+    return _memo(params, chi, (spec.xi, spec.fan.deg), _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:

@@ -373,6 +373,56 @@ def test_cone_index_out_of_range_exit_2(tmp_path):
     assert code == 2
 
 
+F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("deg", ["3/2", "0"], "fan: entry 1 of deg is not an integer"),
+        ("rays", [[1, 0], [1.9, 1], [1, 2]], "fan: entry 1 of ray 2 is not an integer"),
+        ("max_cones", [[1, 2], [2, 1.5]], "fan: entry 2 of cone 2 is not an integer"),
+        ("rank", 2.5, "fan: rank 2.5 is not an integer"),
+    ],
+)
+def test_non_integral_fan_entry_exit_2(tmp_path, field, value, message):
+    """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"]."""
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({**F1_DOC, field: value}))
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+def test_integral_fan_entries_keep_their_meaning(seed_dir, tmp_path):
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 2.0, "rays": [[1.0, 0], [1, 1], [1, 2]],
+                               "max_cones": [[1, 2.0], [2, 3]], "deg": ["1", "0/3"]}))
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path, "float.json")
+    assert code == 0
+    assert doc == run_cli(["validate", "--fan", str(seed_dir / "fan_f1.json")], tmp_path)[1]
+
+
+@pytest.mark.parametrize("xi,got", [('["1/4"]', 1), ('["1/4", "0", "0"]', 3)])
+def test_wrong_length_xi_has_the_library_message(seed_dir, tmp_path, xi, got):
+    shadow = tmp_path / "xi.json"
+    shadow.write_text(f'{{"xi": {xi}}}')
+    code, doc = run_cli(
+        [
+            "cohomology",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--shadow", str(shadow),
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {
+        "type": "ValueError",
+        "message": f"quotient: xi must have 2 coordinates, got {got}",
+    }
+
+
 def test_output_ends_with_newline(seed_dir, tmp_path):
     out = tmp_path / "nl.json"
     main(["validate", "--fan", str(seed_dir / "fan_f1.json"), "--out", str(out)])

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,50 @@ def test_minimal_cone():
     assert minimal_cone(F1, (0, 0)) == ()
     assert minimal_cone(F1, (-1, 0)) is None
     assert minimal_cone(F1, (Fraction(5, 4), Fraction(2))) == (1, 2)
+
+
+@pytest.mark.parametrize("p", [(1,), (1, 1, 5)])
+def test_minimal_cone_rejects_a_wrong_length_point(p):
+    """zip would read (1,) as a point of the ray 1 and (1, 1, 5) as (1, 1)."""
+    message = rf"^fan: point {re.escape(repr(p))} must have 2 coordinates$"
+    with pytest.raises(ValueError, match=message):
+        minimal_cone(F1, p)
+    with pytest.raises(ValueError, match=message):
+        tangent_member(F1, p, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"rays": ((1, 0), (1.9, 1), (1, 2))}, "entry 1 of ray 2"),
+        ({"rays": ((1, 0), (1, 1), (1, Fraction(5, 2)))}, "entry 2 of ray 3"),
+        ({"max_cones": ((0, 1), (1, 1.5))}, "entry 2 of cone 2"),
+        ({"deg": (Fraction(3, 2), 0)}, "entry 1 of deg"),
+        ({"deg": (1, math.nan)}, "entry 2 of deg"),
+        ({"rank": 2.5}, "rank 2.5"),
+    ],
+)
+def test_non_integral_fan_entry_raises(fields, message):
+    """An entry that equals no integer is named, never truncated."""
+    with pytest.raises(ValueError, match=rf"^fan: {message} is not an integer$"):
+        StackyFan(**{"rank": 2, "rays": F1.rays, "max_cones": F1.max_cones, **fields})
+
+
+def test_non_integral_triangulation_point_raises():
+    with pytest.raises(ValueError, match=r"^fan: entry 2 of point 3 is not an integer$"):
+        triangulate_from_heights(((1, 0), (1, 1), (1, 1.5)), (0, 1, 0))
+
+
+def test_integral_fan_entries_keep_their_meaning():
+    fan = StackyFan(
+        rank=2.0,
+        rays=((1.0, 0), (Fraction(1), 1), (1, 2)),
+        max_cones=((1.0, 0), (1, Fraction(2))),
+        deg=(Fraction(1), 0.0),
+    )
+    assert fan == StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones, deg=(1, 0))
+    entries = [fan.rank, *fan.deg, *sum(fan.rays, ()), *sum(fan.max_cones, ())]
+    assert {type(x) for x in entries} == {int}
 
 
 def test_tangent_member():

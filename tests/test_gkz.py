@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from boxgamma.box import alpha_key, box_of_fan
 from boxgamma.errors import DegenerateHeights, InvalidFan, NoBaseElement, ZeroCoordinate
-from boxgamma.fan import StackyFan, tangent_member, triangulate_from_heights
+from boxgamma.fan import StackyFan, tangent_member, triangulate_from_heights, validate
+import boxgamma.gkz as gkz
+import boxgamma.linalg as linalg
 from boxgamma.gkz import (
     _window_offsets,
     build_gkz,
@@ -496,3 +499,23 @@ def test_series_value_metadata():
     assert sv.v == (0, 0)
     assert sv.x == (1 + 0j, 10 + 0j, 1 + 0j)
     assert sv.tail_estimate >= 0.0
+
+
+def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
+    """The relation lattice is read off the markers' (H, U), not eliminated
+    again.  The fan is validated first: lattice_generates forms its own
+    HNF once per fan."""
+    fan = StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones)
+    validate(fan)
+    formed = Counter()
+    real = linalg.hermite_normal_form
+
+    def counting(a):
+        formed[tuple(map(tuple, a))] += 1
+        return real(a)
+
+    for module in (gkz, linalg):
+        monkeypatch.setattr(module, "hermite_normal_form", counting)
+    inst = build_gkz(fan, (Fraction(1, 4), 0))
+    assert formed[fan.rays] == 1
+    assert inst.relations == build_gkz(F1, (Fraction(1, 4), 0)).relations == ((1, -2, 1),)

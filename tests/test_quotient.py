@@ -98,6 +98,22 @@ def test_quotient_f1_shadow():
     assert sorted(b.offset for b in q.basis) == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "chi,xi,name,got",
+    [
+        ((Fraction(1, 4),), None, "chi", 1),
+        ((Fraction(1, 4), 0, 0), None, "chi", 3),
+        ((Fraction(1, 4), 0), (1,), "xi", 1),
+        ((Fraction(1, 4), 0), (1, 0, 0), "xi", 3),
+    ],
+)
+def test_module_spec_rejects_a_wrong_length_point(chi, xi, name, got):
+    """Through zip's truncation a wrong-length chi or xi would build a quotient."""
+    message = rf"^quotient: {name} must have 2 coordinates, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        build_quotient(ModuleSpec(F1, chi, xi=xi))
+
+
 def test_quotient_unimodular_cone():
     fan = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),), deg=None)
     q = build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))

@@ -6,6 +6,8 @@ boundary LVectors built only when read."""
 
 import dataclasses
 import functools
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -164,7 +166,7 @@ def test_reused_instance_matches_fresh(fan, beta, points):
 BETA_F1 = (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))
 POINTS_F1 = ((X_F1, None), (X_F1, (0.0, TWO_PI, 0.0)), (X_F1_B, None))
 CALLS = st.tuples(
-    st.sampled_from(("series", "derivative", "shift", "system")),
+    st.sampled_from(("series", "derivative", "shift", "boundary", "enumerate", "system")),
     # the index points of degree <= 1
     st.sampled_from(((0, 0), (1, 0), (1, 1), (1, 2))),
     st.sampled_from(sorted(F1.fan_indices())),
@@ -181,6 +183,9 @@ def run_call(instance, call):
         return repr(gamma_series_derivative(instance, v, x, B, j, arg_offsets=offsets))
     if kind == "shift":
         return repr(verify_term_shift(instance, v, j, B))
+    if kind == "enumerate":
+        triples = instance.correspondence.triples
+        return repr(enumerate_L(instance, triples[j % len(triples)][0], v, B))
     return repr(solution_system(instance, x, B, 1, arg_offsets=offsets))
 
 
@@ -192,12 +197,27 @@ def fresh_call(call):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(CALLS, min_size=2, max_size=12))
 def test_interleaved_calls_match_fresh_instances(calls):
-    """Any order of series, derivatives, shift checks and solution systems,
-    across bounds, points and sheets, gives on one shared instance the repr
-    a fresh instance gives: no memo changes a float."""
+    """Any order of series, derivatives, shift checks, enumerate_L calls,
+    boundary reads and solution systems, across bounds, points and sheets,
+    gives on one shared instance the repr a fresh instance gives: no memo
+    changes a float.  A shift check's report is read (its repr builds the
+    boundary) at the next "boundary" call, or after the last call, so the
+    windows and the series values may have moved to another bound between
+    the check and the read, each on its own."""
     shared = build_gkz(F1, BETA_F1)
+    unread = []
     for call in calls:
-        assert run_call(shared, call) == fresh_call(call)
+        kind, v, j, B, _ = call
+        if kind == "shift":
+            unread.append((call, verify_term_shift(shared, v, j, B)))
+        elif kind == "boundary":
+            if unread:
+                shift, rep = unread.pop(0)
+                assert repr(rep) == fresh_call(shift)
+        else:
+            assert run_call(shared, call) == fresh_call(call)
+    for shift, rep in unread:
+        assert repr(rep) == fresh_call(shift)
 
 
 def test_missing_base_element_raises_on_every_call():
@@ -226,60 +246,24 @@ def test_window_cache_keeps_the_last_bound():
     before = hash(a)
     for B in (4, 6):
         verify_term_shift(a, (0, 0), 1, B)
-        assert a._windows and {key[1] for key in a._windows} == {B}
+        assert a._windows and set(a._windows) == {B}
     assert hash(a) == before and "_windows" not in repr(a)
     assert dataclasses.replace(a)._windows == {}
 
 
 def test_series_values_follow_the_window_bound():
-    """The evaluator's (v, B) values are dropped with the windows, whichever
-    call moves the instance to another bound."""
+    """The evaluator keeps the gamma_series values of the last bound it
+    summed at, whatever bound a later call moves the windows to."""
     a = build_gkz(F1, (Fraction(1, 4), 0))
     for B in (4, 6):
         gamma_series(a, (0, 0), X_F1, B)
-        gamma_series(a, (1, 0), X_F1, B)
-        (ev,) = a._series.values()
-        assert {key[1] for key in ev.values} == {B} and len(ev.values) == 2
+        kept = gamma_series(a, (1, 0), X_F1, B)
+        (entry,) = a._series.values()
+        ev = entry["evaluator"]
+        assert set(ev.values) == {B} and len(ev.values[B]) == 2
     verify_term_shift(a, (0, 0), 1, 8)
-    assert ev.values == {}
-
-
-def test_coordinate_table_leaves_equality_and_hash_alone():
-    a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
-    before, shown = hash(a), repr(a)
-    # reading the boundary fills the coordinate table
-    assert verify_term_shift(a, (0, 0, 0), 1, 4).boundary
-    assert a._coords and hash(a) == before and repr(a) == shown
-    # a copy starts with an empty table and still equals the original
-    copy = dataclasses.replace(a)
-    assert copy._coords == {} and copy == a and hash(copy) == before
-
-
-def test_coordinate_table_keeps_the_last_bound():
-    beta = (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
-    a = build_gkz(HEX5, beta)
-    for B in (4, 6, 5):
-        for j in sorted(a.fan.fan_indices()):
-            assert verify_term_shift(a, (0, 0, 0), j, B).boundary
-        # what a fresh instance builds at this bound alone
-        fresh = build_gkz(HEX5, beta)
-        for j in sorted(a.fan.fan_indices()):
-            verify_term_shift(fresh, (0, 0, 0), j, B).boundary
-        assert a._coords and a._coords == fresh._coords
-
-
-def test_repeated_term_shift_adds_no_coordinate():
-    a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
-    first = verify_term_shift(a, (0, 0, 0), 2, 5)
-    assert first.boundary
-    table = dict(a._coords)
-    again = verify_term_shift(a, (0, 0, 0), 2, 5)
-    assert again == first
-    assert table and a._coords == table
-    # the boundary vectors share the stored coordinates
-    for lv in again.boundary:
-        t = next(t for t, (src, _, _) in enumerate(a.correspondence.triples) if src == lv.alpha)
-        assert all(c is table[t, i, mi] for i, (c, mi) in enumerate(zip(lv.l, lv.offset)))
+    assert set(a._windows) == {8} and set(ev.values) == {6}
+    assert gamma_series(a, (1, 0), X_F1, 6) is kept and set(a._windows) == {8}
 
 
 @pytest.fixture
@@ -288,10 +272,10 @@ def lvector_runs(monkeypatch):
     built = Counter()
     real = gkz._lvectors
 
-    def counting(instance, t, v, offsets):
+    def counting(alpha, v, offsets):
         built["runs"] += 1
         built["vectors"] += len(offsets)
-        return real(instance, t, v, offsets)
+        return real(alpha, v, offsets)
 
     monkeypatch.setattr(gkz, "_lvectors", counting)
     return built
@@ -300,7 +284,7 @@ def lvector_runs(monkeypatch):
 def test_term_shift_builds_its_boundary_on_first_read(lvector_runs):
     a = build_gkz(HEX5, (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13)))
     rep = verify_term_shift(a, (0, 0, 0), 1, 5)
-    assert rep.boundary_count > 0 and not lvector_runs and a._coords == {}
+    assert rep.boundary_count > 0 and not lvector_runs
     first = rep.boundary
     assert lvector_runs["runs"] > 0 and lvector_runs["vectors"] == rep.boundary_count
     built = dict(lvector_runs)
@@ -321,10 +305,25 @@ def test_term_shift_report_keeps_its_own_bound():
     a = build_gkz(HEX5, beta)
     early = verify_term_shift(a, (0, 0, 0), 1, 4)
     later = verify_term_shift(a, (0, 0, 0), 1, 6)
-    assert {key[1] for key in a._windows} == {6}
+    assert set(a._windows) == {6}
     want = reference_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 4)
     assert (early.ok, early.boundary) == want
-    assert later == verify_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 6)
+    fresh = verify_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 6)
+    # equal exactly when (ok, boundary) are, across instances
+    assert later == fresh and hash(later) == hash(fresh) and later != early
+
+
+def test_unread_report_outlives_its_instance():
+    """A report holds no instance: its boundary is built after the instance
+    is collected, equal to the LVector reference."""
+    beta = (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
+    a = build_gkz(HEX5, beta)
+    rep = verify_term_shift(a, (0, 0, 0), 1, 5)
+    collected = weakref.ref(a)
+    del a
+    gc.collect()
+    assert collected() is None
+    assert (rep.ok, rep.boundary) == reference_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 5)
 
 
 def test_enumerate_L_rejects_a_foreign_element():
@@ -335,11 +334,11 @@ def test_enumerate_L_rejects_a_foreign_element():
         dataclasses.replace(src, lattice_point=(src.lattice_point[0] + 1, src.lattice_point[1])),
         build_gkz(F1, (Fraction(1, 3), 0)).correspondence.triples[0][0],
     )
-    table = dict(a._coords)
+    windows = {B: dict(entry) for B, entry in a._windows.items()}
     for alpha in foreign:
         with pytest.raises(ValueError, match="not a source box element of this instance"):
             enumerate_L(a, alpha, (0, 0), 4)
-    assert a._coords == table
+    assert a._windows == windows
 
 
 def reference_term_shift(instance, v, j, B):
