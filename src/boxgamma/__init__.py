@@ -19,8 +19,7 @@ _HOME = {
         ("box", ("BoxElement", "CollisionClass", "DeltaCorrespondence", "box_of_cone",
                  "box_of_fan", "collisions", "correspondence_at", "normalize_beta",
                  "stabilize")),
-        ("quotient", ("ModuleSpec", "QuotientAlgebra", "build_quotient", "graded_piece",
-                      "module_product", "verify_def2_isomorphism")),
+        ("quotient", ("ModuleSpec", "QuotientAlgebra", "build_quotient", "graded_piece")),
         ("kring", ("KPoint", "WallRecord", "spectrum", "wall_report", "is_semisimple")),
         ("gkz", ("GkzInstance", "SeriesValue", "SolutionSystem", "build_gkz", "enumerate_L",
                  "gamma_series", "gamma_series_derivative", "reciprocal_gamma_jet",

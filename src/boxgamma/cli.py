@@ -111,6 +111,11 @@ def parse_beta(doc, fan: StackyFan):
     return normalize_beta(fan, tuple(parse_gaussian(v) for v in doc["beta"]))
 
 
+def _fan_beta(args):
+    fan = parse_fan(_load(args.fan))
+    return fan, parse_beta(_load(args.beta), fan)
+
+
 def parse_x(doc):
     """The point x and the optional arg_offsets; the library checks both
     lengths."""
@@ -145,8 +150,7 @@ def cmd_validate(args):
 def cmd_box(args):
     from .box import box_of_fan, stabilize
 
-    fan = parse_fan(_load(args.fan))
-    beta = parse_beta(_load(args.beta), fan)
+    fan, beta = _fan_beta(args)
     elements = box_of_fan(fan, beta)
     out = {"elements": [ser_box_element(e) for e in elements]}
     if args.stabilize:
@@ -168,8 +172,7 @@ def cmd_cohomology(args):
     from .box import alpha_key, stabilize
     from .quotient import ModuleSpec, build_quotient
 
-    fan = parse_fan(_load(args.fan))
-    beta = parse_beta(_load(args.beta), fan)
+    fan, beta = _fan_beta(args)
     xi = None
     if args.shadow:
         doc = _load(args.shadow)
@@ -201,8 +204,7 @@ def cmd_cohomology(args):
 def cmd_kring(args):
     from .kring import spectrum, wall_report
 
-    fan = parse_fan(_load(args.fan))
-    beta = parse_beta(_load(args.beta), fan)
+    fan, beta = _fan_beta(args)
     points = spectrum(fan, beta)
     walls = wall_report(fan, beta)
     return {
@@ -231,14 +233,19 @@ def _gap_value(gap: float):
     return "infinity" if math.isinf(gap) else float(gap)
 
 
-def cmd_gkz_solve(args):
+def _solve(args):
+    """The instance, x, its offsets and the solution system.  build_gkz runs
+    before x is read, so an ineligible fan fails first."""
     from .gkz import build_gkz, solution_system
 
-    fan = parse_fan(_load(args.fan))
-    beta = parse_beta(_load(args.beta), fan)
-    instance = build_gkz(fan, beta)
+    instance = build_gkz(*_fan_beta(args))
     xs, offs = parse_x(_load(args.x))
     system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
+    return instance, xs, offs, system
+
+
+def cmd_gkz_solve(args):
+    instance, _xs, _offs, system = _solve(args)
     return {
         "vs": [list(v) for v in system.vs],
         "matrix": [[ser_complex(z) for z in row] for row in system.matrix],
@@ -252,21 +259,10 @@ def cmd_gkz_solve(args):
 
 
 def cmd_gkz_verify(args):
-    from .gkz import (
-        build_gkz,
-        gamma_series,
-        gamma_series_derivative,
-        solution_system,
-        verify_euler,
-        verify_term_shift,
-    )
+    from .gkz import gamma_series, gamma_series_derivative, verify_euler, verify_term_shift
 
-    fan = parse_fan(_load(args.fan))
-    beta = parse_beta(_load(args.beta), fan)
-    instance = build_gkz(fan, beta)
-    xs, offs = parse_x(_load(args.x))
+    instance, xs, offs, system = _solve(args)
     fan = instance.fan
-    system = solution_system(instance, xs, args.bound, args.vcap, arg_offsets=offs)
     shifts_ok = True
     boundary_terms = 0
     max_residual = 0.0
@@ -341,61 +337,44 @@ def cmd_seed_examples(args):
     return {"written": written}
 
 
+# (name, option group, handler, help); each group holds the options of the
+# groups before it: out, then fan, beta and x (with --bound and --vcap)
+_COMMANDS = (
+    ("validate", "fan", cmd_validate, "check a fan file and report eligibility"),
+    ("box", "beta", cmd_box, "solve for the box set at a parameter"),
+    ("cohomology", "beta", cmd_cohomology, "graded quotient dimensions and basis"),
+    ("kring", "beta", cmd_kring, "ring spectrum points, multiplicities, walls"),
+    ("gkz-solve", "x", cmd_gkz_solve, "evaluate the truncated series system"),
+    ("gkz-verify", "x", cmd_gkz_verify, "run the solver invariant suite"),
+    ("seed-examples", "out", cmd_seed_examples, "write the bundled example inputs"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxgamma",
         description="Exact computations on stacky fans: box sets, graded "
         "quotients, ring spectra, and truncated series solutions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--out", help="write output JSON to this file instead of stdout"
-    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output JSON to this file instead of stdout")
+    fan = argparse.ArgumentParser(add_help=False, parents=[out])
+    fan.add_argument("--fan", required=True)
+    beta = argparse.ArgumentParser(add_help=False, parents=[fan])
+    beta.add_argument("--beta", required=True)
+    x = argparse.ArgumentParser(add_help=False, parents=[beta])
+    x.add_argument("--x", required=True)
+    x.add_argument("--bound", type=int, required=True)
+    x.add_argument("--vcap", type=int, default=2)
+    groups = {"out": out, "fan": fan, "beta": beta, "x": x}
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "validate", help="check a fan file and report eligibility", parents=[common]
-    )
-    p.add_argument("--fan", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("box", help="solve for the box set at a parameter", parents=[common])
-    p.add_argument("--fan", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--stabilize", action="store_true")
-    p.set_defaults(func=cmd_box)
-
-    p = sub.add_parser("cohomology", help="graded quotient dimensions and basis", parents=[common])
-    p.add_argument("--fan", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--shadow", help="JSON file with a direction vector xi")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("kring", help="ring spectrum points, multiplicities, walls", parents=[common])
-    p.add_argument("--fan", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(func=cmd_kring)
-
-    p = sub.add_parser("gkz-solve", help="evaluate the truncated series system", parents=[common])
-    p.add_argument("--fan", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--vcap", type=int, default=2)
-    p.set_defaults(func=cmd_gkz_solve)
-
-    p = sub.add_parser("gkz-verify", help="run the solver invariant suite", parents=[common])
-    p.add_argument("--fan", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--vcap", type=int, default=2)
-    p.set_defaults(func=cmd_gkz_verify)
-
-    p = sub.add_parser("seed-examples", help="write the bundled example inputs", parents=[common])
-    p.add_argument("--dir", default=".")
-    p.set_defaults(func=cmd_seed_examples)
-
+    cmds = {}
+    for name, group, func, text in _COMMANDS:
+        cmds[name] = sub.add_parser(name, help=text, parents=[groups[group]])
+        cmds[name].set_defaults(func=func)
+    cmds["box"].add_argument("--stabilize", action="store_true")
+    cmds["cohomology"].add_argument("--shadow", help="JSON file with a direction vector xi")
+    cmds["seed-examples"].add_argument("--dir", default=".")
     return parser
 
 
@@ -417,12 +396,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(raw)
     try:
         result = args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         _write_out(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1
-    except (OSError, ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
-        _write_out(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
     _write_out(args, result)
     return 0
 

@@ -217,6 +217,8 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> Callable[[frozenset], bool]:
     face.  In a fan the cones holding p are those holding its minimal face
     (Fulton, Introduction to Toric Varieties, 1.2), so raises InvalidFan,
     naming the first violation, for a fan validate rejects."""
+    if len(xi) != fan.rank:
+        raise ValueError(f"fan: xi {tuple(xi)} must have {fan.rank} coordinates")
     report = validate(fan)
     if not report.valid:
         raise InvalidFan(f"fan: the shadow filter needs a valid fan: {report.violations[0]}")

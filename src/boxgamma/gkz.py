@@ -583,6 +583,9 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     offs = (0.0,) * len(xs) if arg_offsets is None else tuple(arg_offsets)
     if len(offs) != len(xs):
         raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
+    for i, o in enumerate(offs, start=1):
+        if not math.isfinite(o):
+            raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
     logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
     # repr tells 0.0 from -0.0, which == and hash do not
     key = repr((xs, logs))
@@ -594,6 +597,8 @@ def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
     if len(xs) != fan.k:
         raise ValueError(f"x must have {fan.k} coordinates, got {len(xs)}")
     for i, c in enumerate(xs, start=1):
+        if not cmath.isfinite(c):
+            raise ValueError(f"series: coordinate {i} of x is {c}, not a finite number")
         if c == 0:
             raise ZeroCoordinate(
                 f"series: coordinate {i} of x is zero; evaluation needs nonzero coordinates"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DependentGenerators, NoConvergence, NotInSpan
+from .errors import DependentGenerators, NoConvergence
 
 IntMatrix = list[list[int]]
 
@@ -230,30 +230,6 @@ class ConeInverse:
         if any(_dot(row, nums) for row in self.span):
             return None
         return [_dot(row, nums) for row in self.rows]
-
-    def coords(self, p: Sequence) -> tuple:
-        """Coordinates of p, entries of the same kind as p's: Fractions, or
-        GaussianRationals once any entry of p is one.  Raises NotInSpan.
-
-        With P / L the re and im parts of p over a common denominator L,
-        each coordinate is (row . P) / (den * L), one Fraction per
-        coordinate and part.
-        """
-        complex_input = any(isinstance(x, GaussianRational) for x in p)
-        parts = [[re_part(x) for x in p]]
-        if complex_input:
-            parts.append([im_part(x) for x in p])
-        den = math.lcm(*(x.denominator for part in parts for x in part))
-        coords = []
-        for part in parts:
-            nums = self.numerators(scaled_numerators(part, den))
-            if nums is None:
-                point = ", ".join(format_gaussian(as_gaussian(x)) for x in p)
-                raise NotInSpan(f"cone: the point ({point}) is not in the span of the generators")
-            coords.append([Fraction(x, self.den * den) for x in nums])
-        if not complex_input:
-            return tuple(coords[0])
-        return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
 
 
 def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:

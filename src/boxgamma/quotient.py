@@ -15,26 +15,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
 from .errors import (
-    DependentGenerators,
     DimensionOvershoot,
     NoStabilizationWindow,
-    NotInSpan,
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from .fan import (
-    StackyFan,
-    _cone_inverse,
-    _memo,
-    _tangent_test,
-    minimal_cone,
-    normalized_volume,
-)
-from .linalg import Coord, im_part, re_part, scalar_from_parts
+from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volume
+from .linalg import Coord, _integral
 
 _ZERO = Fraction(0)
 
@@ -88,15 +79,6 @@ class QuotientAlgebra:
     base_index: Mapping = field(default_factory=lambda: MappingProxyType({}), repr=False)
 
 
-@dataclass(frozen=True)
-class TaggedPoint:
-    """A module element [point, alpha]; the point is n + beta with exact
-    rational or Gaussian-rational coordinates."""
-
-    point: tuple[Coord, ...]
-    alpha: tuple[Coord, ...]
-
-
 def _check_graded(fan: StackyFan):
     if fan.deg is None:
         raise UnboundedDegree("quotient: fan carries no degree functional")
@@ -109,9 +91,14 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """Lattice points n with n + chi in the support, passing the shadow
     filter, of degree m; requires a positive degree functional.  Built once
     per (fan, chi, xi, fan.deg, m), in the graded memo of the fan's table
-    (see fan._memo), under chi as given: the points depend on chi itself."""
+    (see fan._memo), under chi as given: the points depend on chi itself.
+    m is read as the int it equals, so m = 1.0 and m = 1 share one piece;
+    ValueError names an m that equals no integer."""
+    n = _integral(m)
+    if n is None:
+        raise ValueError(f"quotient: the degree m is {m!r}, not an integer")
     graded = spec.fan._table.graded
-    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, m), _graded_piece, spec, m)
+    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, n), _graded_piece, spec, n)
 
 
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
@@ -148,52 +135,6 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
         points.append(tuple(n))
     points.sort()
     return GradedPiece(m, tuple(points))
-
-
-def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
-    """[n'] . [point, alpha]: search for a maximal cone containing n' whose
-    index set carries alpha and in which the point sits on the alpha branch
-    (coordinates minus alpha are nonnegative integers); None means zero."""
-    supp = {i for i, a in enumerate(elem.alpha) if a != 0}
-    result = None
-    for sigma in fan.max_cones:
-        if not supp <= set(sigma):
-            continue
-        try:
-            inv = _cone_inverse(fan, sigma)
-            cn = inv.coords(nprime)
-        except (DependentGenerators, NotInSpan):
-            continue
-        if any(re_part(c) < 0 or im_part(c) != 0 for c in cn):
-            continue
-        c_in = inv.coords(elem.point)
-        ok = True
-        for pos, i in enumerate(sigma):
-            dre = re_part(c_in[pos]) - re_part(elem.alpha[i])
-            dim_ = im_part(c_in[pos]) - im_part(elem.alpha[i])
-            if dim_ != 0 or dre.denominator != 1 or dre < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        alpha_out = [Fraction(0)] * fan.k
-        for pos, i in enumerate(sigma):
-            val_re = re_part(c_in[pos]) + re_part(cn[pos])
-            val_im = im_part(c_in[pos])
-            f = val_re.numerator // val_re.denominator
-            alpha_out[i] = scalar_from_parts(val_re - f, val_im)
-        out_point = tuple(
-            scalar_from_parts(
-                re_part(elem.point[r]) + nprime[r], im_part(elem.point[r])
-            )
-            for r in range(fan.rank)
-        )
-        candidate = TaggedPoint(out_point, tuple(alpha_out))
-        if result is None:
-            result = candidate
-        elif result != candidate:
-            raise RuntimeError("internal: product depends on the witness cone")
-    return result
 
 
 def _compositions(total: int, slots: int):
@@ -422,88 +363,3 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
         alphas=alphas,
         base_index=MappingProxyType(base_index),
     )
-
-
-def _pair_elements(fan: StackyFan, src: BoxElement, max_offset: int):
-    """Module elements [point, alpha] of the alpha summand with |m| <= max_offset."""
-    out = []
-    seen = set()
-    for sigma in src.witness_cones:
-        for t in range(max_offset + 1):
-            for comp in _compositions(t, len(sigma)):
-                m = [0] * fan.k
-                for pos, i in enumerate(sigma):
-                    m[i] = comp[pos]
-                m = tuple(m)
-                if m in seen:
-                    continue
-                seen.add(m)
-                point = tuple(
-                    scalar_from_parts(
-                        sum(
-                            (re_part(src.alpha[i]) + m[i]) * fan.rays[i][r]
-                            for i in range(fan.k)
-                        ),
-                        sum(im_part(src.alpha[i]) * fan.rays[i][r] for i in range(fan.k)),
-                    )
-                    for r in range(fan.rank)
-                )
-                out.append(TaggedPoint(point, src.alpha))
-    return out
-
-
-def _multipliers(fan: StackyFan, max_offset: int):
-    pts = set()
-    for sigma in fan.max_cones:
-        for t in range(max_offset + 1):
-            for comp in _compositions(t, len(sigma)):
-                n = tuple(
-                    sum(comp[pos] * fan.rays[i][r] for pos, i in enumerate(sigma))
-                    for r in range(fan.rank)
-                )
-                pts.add(n)
-    return sorted(pts)
-
-
-def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: int) -> bool:
-    """Check that the correspondence intertwines the two module products on
-    all pairs with monomial part of size <= max_offset against all multiplier
-    points generated by the rays up to that size.
-
-    An element [point, alpha] maps to the pair at the stabilized parameter
-    with the same monomial part; the lattice point shifts by the constant
-    recorded in the correspondence for that summand (nonzero exactly when a
-    coordinate has real part zero and negative imaginary part).
-    """
-    b = normalize_beta(fan, beta)
-    amap = {}
-    for src, tgt, _ in correspondence.triples:
-        shift = tuple(
-            t - s for s, t in zip(src.lattice_point, tgt.lattice_point)
-        )
-        amap[alpha_key(src.alpha)] = (tgt.alpha, shift)
-    beta_delta = correspondence.beta_delta
-
-    def phi(elem: TaggedPoint):
-        key = alpha_key(elem.alpha)
-        if key not in amap:
-            raise RuntimeError("internal: product left the box set")
-        target_alpha, shift = amap[key]
-        n = tuple(
-            re_part(elem.point[r]) - re_part(b[r]) for r in range(fan.rank)
-        )
-        point = tuple(n[r] + shift[r] + beta_delta[r] for r in range(fan.rank))
-        return TaggedPoint(point, target_alpha)
-
-    elements = []
-    for src, _, _ in correspondence.triples:
-        elements.extend(_pair_elements(fan, src, max_offset))
-    for nprime in _multipliers(fan, max_offset):
-        for x in elements:
-            lhs = module_product(fan, nprime, x)
-            rhs = module_product(fan, nprime, phi(x))
-            if (lhs is None) != (rhs is None):
-                return False
-            if lhs is not None and phi(lhs) != rhs:
-                return False
-    return True

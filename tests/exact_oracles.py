@@ -1,14 +1,32 @@
-"""Fraction inverse and determinant, and the one-shot cone solve: the
+"""Fraction inverse and determinant, and the Gaussian cone solve: the
 references the library's fraction-free integer kernels are tested against.
-Also a fan's completeness and its minimal non-faces.  Only tests read them."""
+Also a fan's completeness and its minimal non-faces, and Definition 2's
+module product with the check that a delta-stabilization intertwines it.
+Only tests read them."""
 
 import itertools
+import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from boxgamma.errors import DependentGenerators
-from boxgamma.linalg import cone_inverse
+from boxgamma.box import BoxElement, alpha_key, normalize_beta
+from boxgamma.errors import DependentGenerators, NotInSpan
+from boxgamma.fan import StackyFan, _cone_inverse
+from boxgamma.linalg import (
+    ConeInverse,
+    Coord,
+    GaussianRational,
+    as_gaussian,
+    cone_inverse,
+    format_gaussian,
+    im_part,
+    re_part,
+    scalar_from_parts,
+    scaled_numerators,
+)
+from boxgamma.quotient import _compositions
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -53,16 +71,42 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     return det
 
 
+def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
+    """Coordinates of p in the cone of inv, entries of the same kind as p's:
+    Fractions, or GaussianRationals once any entry of p is one.  Raises
+    NotInSpan.
+
+    With P / L the re and im parts of p over a common denominator L,
+    each coordinate is (row . P) / (den * L), one Fraction per
+    coordinate and part.
+    """
+    complex_input = any(isinstance(x, GaussianRational) for x in p)
+    parts = [[re_part(x) for x in p]]
+    if complex_input:
+        parts.append([im_part(x) for x in p])
+    den = math.lcm(*(x.denominator for part in parts for x in part))
+    coords = []
+    for part in parts:
+        nums = inv.numerators(scaled_numerators(part, den))
+        if nums is None:
+            point = ", ".join(format_gaussian(as_gaussian(x)) for x in p)
+            raise NotInSpan(f"cone: the point ({point}) is not in the span of the generators")
+        coords.append([Fraction(x, inv.den * den) for x in nums])
+    if not complex_input:
+        return tuple(coords[0])
+    return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
+
+
 def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple:
     """Coordinates of p in linearly independent generators (columns).
 
     p may have Fraction or GaussianRational entries; the coordinate vector is
     returned with entries of the same kind.  Raises DependentGenerators if the
     generators are dependent and NotInSpan if p lies outside their span.
-    The one-shot form of cone_inverse(gens).coords(p); a fan keeps each
-    maximal cone's ConeInverse, so its cone solves skip the elimination.
+    The one-shot form of cone_coords(cone_inverse(gens), p); a fan keeps
+    each maximal cone's ConeInverse, so its cone solves skip the elimination.
     """
-    return cone_inverse(gens).coords(p)
+    return cone_coords(cone_inverse(gens), p)
 
 
 def is_complete(fan) -> bool:
@@ -87,3 +131,143 @@ def minimal_non_faces(fan) -> tuple[tuple[int, ...], ...]:
                 continue
             out.append(sub)
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class TaggedPoint:
+    """A module element [point, alpha]; the point is n + beta with exact
+    rational or Gaussian-rational coordinates."""
+
+    point: tuple[Coord, ...]
+    alpha: tuple[Coord, ...]
+
+
+def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
+    """[n'] . [point, alpha]: search for a maximal cone containing n' whose
+    index set carries alpha and in which the point sits on the alpha branch
+    (coordinates minus alpha are nonnegative integers); None means zero."""
+    supp = {i for i, a in enumerate(elem.alpha) if a != 0}
+    result = None
+    for sigma in fan.max_cones:
+        if not supp <= set(sigma):
+            continue
+        try:
+            inv = _cone_inverse(fan, sigma)
+            cn = cone_coords(inv, nprime)
+        except (DependentGenerators, NotInSpan):
+            continue
+        if any(re_part(c) < 0 or im_part(c) != 0 for c in cn):
+            continue
+        c_in = cone_coords(inv, elem.point)
+        ok = True
+        for pos, i in enumerate(sigma):
+            dre = re_part(c_in[pos]) - re_part(elem.alpha[i])
+            dim_ = im_part(c_in[pos]) - im_part(elem.alpha[i])
+            if dim_ != 0 or dre.denominator != 1 or dre < 0:
+                ok = False
+                break
+        if not ok:
+            continue
+        alpha_out = [Fraction(0)] * fan.k
+        for pos, i in enumerate(sigma):
+            val_re = re_part(c_in[pos]) + re_part(cn[pos])
+            val_im = im_part(c_in[pos])
+            f = val_re.numerator // val_re.denominator
+            alpha_out[i] = scalar_from_parts(val_re - f, val_im)
+        out_point = tuple(
+            scalar_from_parts(
+                re_part(elem.point[r]) + nprime[r], im_part(elem.point[r])
+            )
+            for r in range(fan.rank)
+        )
+        candidate = TaggedPoint(out_point, tuple(alpha_out))
+        if result is None:
+            result = candidate
+        elif result != candidate:
+            raise RuntimeError("internal: product depends on the witness cone")
+    return result
+
+
+def _pair_elements(fan: StackyFan, src: BoxElement, max_offset: int):
+    """Module elements [point, alpha] of the alpha summand with |m| <= max_offset."""
+    out = []
+    seen = set()
+    for sigma in src.witness_cones:
+        for t in range(max_offset + 1):
+            for comp in _compositions(t, len(sigma)):
+                m = [0] * fan.k
+                for pos, i in enumerate(sigma):
+                    m[i] = comp[pos]
+                m = tuple(m)
+                if m in seen:
+                    continue
+                seen.add(m)
+                point = tuple(
+                    scalar_from_parts(
+                        sum(
+                            (re_part(src.alpha[i]) + m[i]) * fan.rays[i][r]
+                            for i in range(fan.k)
+                        ),
+                        sum(im_part(src.alpha[i]) * fan.rays[i][r] for i in range(fan.k)),
+                    )
+                    for r in range(fan.rank)
+                )
+                out.append(TaggedPoint(point, src.alpha))
+    return out
+
+
+def _multipliers(fan: StackyFan, max_offset: int):
+    pts = set()
+    for sigma in fan.max_cones:
+        for t in range(max_offset + 1):
+            for comp in _compositions(t, len(sigma)):
+                n = tuple(
+                    sum(comp[pos] * fan.rays[i][r] for pos, i in enumerate(sigma))
+                    for r in range(fan.rank)
+                )
+                pts.add(n)
+    return sorted(pts)
+
+
+def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: int) -> bool:
+    """Check that the correspondence intertwines the two module products on
+    all pairs with monomial part of size <= max_offset against all multiplier
+    points generated by the rays up to that size.
+
+    An element [point, alpha] maps to the pair at the stabilized parameter
+    with the same monomial part; the lattice point shifts by the constant
+    recorded in the correspondence for that summand (nonzero exactly when a
+    coordinate has real part zero and negative imaginary part).
+    """
+    b = normalize_beta(fan, beta)
+    amap = {}
+    for src, tgt, _ in correspondence.triples:
+        shift = tuple(
+            t - s for s, t in zip(src.lattice_point, tgt.lattice_point)
+        )
+        amap[alpha_key(src.alpha)] = (tgt.alpha, shift)
+    beta_delta = correspondence.beta_delta
+
+    def phi(elem: TaggedPoint):
+        key = alpha_key(elem.alpha)
+        if key not in amap:
+            raise RuntimeError("internal: product left the box set")
+        target_alpha, shift = amap[key]
+        n = tuple(
+            re_part(elem.point[r]) - re_part(b[r]) for r in range(fan.rank)
+        )
+        point = tuple(n[r] + shift[r] + beta_delta[r] for r in range(fan.rank))
+        return TaggedPoint(point, target_alpha)
+
+    elements = []
+    for src, _, _ in correspondence.triples:
+        elements.extend(_pair_elements(fan, src, max_offset))
+    for nprime in _multipliers(fan, max_offset):
+        for x in elements:
+            lhs = module_product(fan, nprime, x)
+            rhs = module_product(fan, nprime, phi(x))
+            if (lhs is None) != (rhs is None):
+                return False
+            if lhs is not None and phi(lhs) != rhs:
+                return False
+    return True

@@ -34,13 +34,8 @@ from boxgamma.gkz import (
 )
 from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational, re_part
-from boxgamma.quotient import (
-    ModuleSpec,
-    build_quotient,
-    graded_piece,
-    verify_def2_isomorphism,
-)
-from exact_oracles import det_rational, mat_inverse
+from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
+from exact_oracles import det_rational, mat_inverse, verify_def2_isomorphism
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(

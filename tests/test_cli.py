@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import boxgamma
-from boxgamma.cli import SEED_FILES, emit_json, main, parse_fan
+from boxgamma.cli import SEED_FILES, build_parser, emit_json, main, parse_fan
 from boxgamma.fan import StackyFan
 
 
@@ -342,6 +342,109 @@ def test_wrong_length_input_has_the_library_message(seed_dir, tmp_path, beta, x,
     )
     assert code == 2
     assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "command,x,message",
+    [
+        (
+            "gkz-solve",
+            '{"x": [[NaN, 0.0], [10.0, 0.0], [1.0, 0.0]]}',
+            "series: coordinate 1 of x is (nan+0j), not a finite number",
+        ),
+        (
+            "gkz-verify",
+            f'{{"x": {X_F1}, "arg_offsets": [Infinity, 0, 0]}}',
+            "series: coordinate 1 of arg_offsets is inf, not a finite number",
+        ),
+    ],
+    ids=["x", "arg_offsets"],
+)
+def test_non_finite_x_exit_2(seed_dir, tmp_path, command, x, message):
+    """json.load accepts NaN and Infinity; the series stage names them before
+    the SVD sees a non-finite matrix."""
+    (tmp_path / "x.json").write_text(x)
+    code, doc = run_cli(
+        [
+            command,
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--x", str(tmp_path / "x.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+FAN_BETA = ["--fan", "f.json", "--beta", "b.json"]
+SOLVE = [*FAN_BETA, "--x", "x.json", "--bound", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv,options",
+    [
+        (["validate", "--fan", "f.json"], {"out": None, "fan": "f.json"}),
+        (["box", *FAN_BETA], {"out": None, "fan": "f.json", "beta": "b.json", "stabilize": False}),
+        (
+            ["box", *FAN_BETA, "--stabilize", "--out", "o.json"],
+            {"out": "o.json", "fan": "f.json", "beta": "b.json", "stabilize": True},
+        ),
+        (
+            ["cohomology", *FAN_BETA],
+            {"out": None, "fan": "f.json", "beta": "b.json", "shadow": None},
+        ),
+        (
+            ["cohomology", *FAN_BETA, "--shadow", "s.json"],
+            {"out": None, "fan": "f.json", "beta": "b.json", "shadow": "s.json"},
+        ),
+        (["kring", *FAN_BETA], {"out": None, "fan": "f.json", "beta": "b.json"}),
+        (
+            ["gkz-solve", *SOLVE],
+            {"out": None, "fan": "f.json", "beta": "b.json", "x": "x.json", "bound": 4, "vcap": 2},
+        ),
+        (
+            ["gkz-verify", *SOLVE, "--vcap", "1"],
+            {"out": None, "fan": "f.json", "beta": "b.json", "x": "x.json", "bound": 4, "vcap": 1},
+        ),
+        (["seed-examples"], {"out": None, "dir": "."}),
+        (["seed-examples", "--dir", "d", "--out", "o.json"], {"out": "o.json", "dir": "d"}),
+    ],
+)
+def test_option_table(argv, options):
+    """Each command's options, defaults and handler, as the parser builds them."""
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("func").__name__ == "cmd_" + argv[0].replace("-", "_")
+    assert args == {"command": argv[0], **options}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["validate", "box", "cohomology", "kring", "gkz-solve", "gkz-verify", "seed-examples"],
+)
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: boxgamma {command} [-h] [--out OUT]")
+
+
+def test_ineligible_fan_fails_before_x_is_read(seed_dir, tmp_path):
+    """build_gkz runs before the --x file is opened: F2 exits 1 even with no
+    x file, where reading x first would exit 2 on the missing file."""
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f2.json"),
+            "--beta", str(seed_dir / "beta_f2.json"),
+            "--x", str(tmp_path / "missing.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "InvalidFan"
 
 
 def test_negative_degree_cap_exit_2(seed_dir, tmp_path):

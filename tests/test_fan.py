@@ -108,6 +108,15 @@ def test_minimal_cone_rejects_a_wrong_length_point(p):
         tangent_member(F1, p, (1, 0))
 
 
+@pytest.mark.parametrize("xi", [(0,), (0, -1, 5)])
+def test_tangent_member_rejects_a_wrong_length_xi(xi):
+    """The face test would read (0,) as a direction with no second
+    coordinate and (0, -1, 5) against the first two rows only."""
+    message = rf"^fan: xi {re.escape(repr(xi))} must have 2 coordinates$"
+    with pytest.raises(ValueError, match=message):
+        tangent_member(F1, (2, 0), xi)
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [

@@ -359,6 +359,28 @@ def test_zero_coordinate_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "x,offsets,message",
+    [
+        ((math.nan, 10.0, 1.0), None, "coordinate 1 of x is (nan+0j)"),
+        ((1.0, complex(1.0, math.inf), 1.0), None, "coordinate 2 of x is (1+infj)"),
+        (X_F1, (math.inf, 0.0, 0.0), "coordinate 1 of arg_offsets is inf"),
+        (X_F1, (0.0, 0.0, -math.nan), "coordinate 3 of arg_offsets is nan"),
+    ],
+)
+def test_non_finite_x_is_named(x, offsets, message):
+    inst = build_gkz(F1, BETA_ZERO)
+    calls = (
+        lambda: gamma_series(inst, (0, 0), x, 4, offsets),
+        lambda: gamma_series_derivative(inst, (0, 0), x, 4, 1, offsets),
+        lambda: solution_system(inst, x, 4, arg_offsets=offsets),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"series: {message}, not a finite number"
+
+
 def test_missing_base_element_is_domain_error():
     inst = build_gkz(F1, (-3, 0))
     calls = (

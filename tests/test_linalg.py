@@ -17,7 +17,7 @@ from boxgamma.linalg import (
     smith_normal_form,
     solve_integer,
 )
-from exact_oracles import det_rational, mat_inverse, solve_simplicial_coords
+from exact_oracles import cone_coords, det_rational, mat_inverse, solve_simplicial_coords
 
 
 def test_rational_roundtrip():
@@ -129,7 +129,7 @@ def test_cone_errors_name_their_stage_and_data():
     assert str(err.value) == "cone: the generators (1, 1), (2, 2) are linearly dependent"
     inv = cone_inverse([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(NotInSpan) as err:
-        inv.coords((Fraction(1, 2), 0, GaussianRational(Fraction(1), Fraction(1, 3))))
+        cone_coords(inv, (Fraction(1, 2), 0, GaussianRational(Fraction(1), Fraction(1, 3))))
     assert str(err.value) == "cone: the point (1/2, 0, 1+1/3i) is not in the span of the generators"
 
 

@@ -16,15 +16,8 @@ from boxgamma.errors import (
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz
 from boxgamma.linalg import GaussianRational, re_part
-from boxgamma.quotient import (
-    ModuleSpec,
-    TaggedPoint,
-    _Summand,
-    build_quotient,
-    graded_piece,
-    module_product,
-    verify_def2_isomorphism,
-)
+from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
+from exact_oracles import TaggedPoint, module_product, verify_def2_isomorphism
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)), deg=(1, 0))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -63,6 +56,18 @@ def test_graded_piece_requires_degree():
     negative = StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones, deg=(-1, 0))
     with pytest.raises(UnboundedDegree, match="^quotient: degree functional is not positive"):
         graded_piece(ModuleSpec(negative, (Fraction(0), Fraction(0))), 0)
+
+
+def test_graded_piece_reads_an_integral_degree():
+    """m = 1.0 and m = 1 share one piece with an int offset in either order,
+    and an m that equals no integer is named."""
+    spec = ModuleSpec(dataclasses.replace(F1), (Fraction(0), Fraction(0)))
+    first = graded_piece(spec, 1.0)
+    assert graded_piece(spec, 1) is first
+    assert type(first.offset) is int and first.points == ((1, 0), (1, 1), (1, 2))
+    for m in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^quotient: the degree m is {m!r}, not an integer$"):
+            graded_piece(spec, m)
 
 
 def test_module_product_examples():
