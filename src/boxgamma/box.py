@@ -211,10 +211,8 @@ def _correspondence(fan: StackyFan, b, delta: Fraction) -> DeltaCorrespondence:
         te = target[j]
         if te.support != e.support:
             raise RuntimeError("internal: support changed under stabilization")
-        point = tuple(
-            sum((values[i] * fan.rays[i][r] for i in range(fan.k)), start=Fraction(0))
-            for r in range(fan.rank)
-        )
+        # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solved it
+        point = tuple(n + x for n, x in zip(te.lattice_point, beta_delta))
         if minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
         triples.append((e, te, point))

@@ -117,9 +117,12 @@ def _fan_beta(args):
 
 
 def parse_x(doc):
-    """The point x and the optional arg_offsets; the library checks both
-    lengths."""
-    xs = tuple(complex(float(p[0]), float(p[1])) for p in doc["x"])
+    """The point x, each coordinate an [re, im] pair, and the optional
+    arg_offsets; the library checks both lengths."""
+    for r, p in enumerate(doc["x"], start=1):
+        if not isinstance(p, list) or len(p) != 2:
+            raise ValueError(f"coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
+    xs = tuple(complex(float(re), float(im)) for re, im in doc["x"])
     offs = doc.get("arg_offsets")
     if offs is not None:
         offs = tuple(float(o) for o in offs)

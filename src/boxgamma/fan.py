@@ -8,8 +8,9 @@ marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
 table (_ConeTable), filled once per fan.  The same table keeps the
 parameter memo (_memo): the collision classes, stabilization and quotients
 of the two most recently used parameters beta, each quotient under its
-shadow direction and the fan's degree functional, and in a memo of its own
-the graded pieces of the two most recently used shifts chi.
+shadow direction and the fan's degree functional, in a memo of its own
+the graded pieces of the two most recently used shifts chi, and in a third
+the quotient's summand blocks, one per face supp(alpha) for every beta.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ class _ConeTable:
     go stale.  params is the parameter memo (see _memo), bounded by two
     parameters, and graded the same memo for graded pieces, bounded by two
     shifts: solution_system reads its pieces at chi = 0, which in params
-    would displace a parameter or its beta_delta.  build_gkz's copy of an
+    would displace a parameter or its beta_delta.  blocks, the same memo for
+    quotient._Summand, is bounded by the fan's faces times two shadow
+    signatures (_tangent_test's key; None without xi).  build_gkz's copy of an
     eligible fan with its degree functional filled in shares the whole table
     (see _with_deg).
     """
 
-    __slots__ = ("inverses", "smith", "report", "params", "graded")
+    __slots__ = ("inverses", "smith", "report", "params", "graded", "blocks")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
@@ -65,6 +68,7 @@ class _ConeTable:
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
+        self.blocks: dict[object, dict] = {}
 
 
 # a parameter and its delta-stabilized beta_delta
@@ -76,11 +80,12 @@ def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_K
     The table's params memo holds "collisions", "stabilize" and, keyed by
     (xi, deg), the quotients under the normalized parameter; its graded memo
     holds the graded pieces, keyed by (xi, deg, m), under the shift chi as
-    given.  deg is in the keys as BasisElement.offset and the graded pieces
+    given; its blocks memo the face blocks, keyed by face under the shadow
+    signature.  deg is in the keys as BasisElement.offset and the graded pieces
     read fan.deg, and _with_deg's copy shares the table.  Only the `kept`
     most recently used values of recent are kept (two parameters or shifts,
     one bound or point of a GkzInstance), so the memo stays bounded however
-    many it sees.  A build that raises stores nothing."""
+    many it sees.  A build that raises stores nothing, nor a degree of a block."""
     entry = memo.get(recent)
     if entry is None or len(memo) > 1:  # a lone entry is already the last
         entry = memo[recent] = memo.pop(recent, {})  # most recently used last
@@ -214,9 +219,10 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> Callable[[frozenset], bool]:
     member(face) tells whether p + eps*xi stays in the support for p in the
     relative interior of the face (marker indices): iff some maximal cone
     sigma holding the face has xi's coordinates >= 0 on sigma minus the
-    face.  In a fan the cones holding p are those holding its minimal face
-    (Fulton, Introduction to Toric Varieties, 1.2), so raises InvalidFan,
-    naming the first violation, for a fan validate rejects."""
+    face; member.key, its (sigma, ok) pairs, is xi's sign signature.  In a
+    fan the cones holding p are those holding its minimal face (Fulton,
+    Introduction to Toric Varieties, 1.2), so raises InvalidFan, naming the
+    first violation, for a fan validate rejects."""
     if len(xi) != fan.rank:
         raise ValueError(f"fan: xi {tuple(xi)} must have {fan.rank} coordinates")
     report = validate(fan)
@@ -232,6 +238,7 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> Callable[[frozenset], bool]:
     def member(face: frozenset) -> bool:
         return any(face <= sigma and sigma - face <= ok for sigma, ok in cones)
 
+    member.key = tuple(cones)
     return member
 
 

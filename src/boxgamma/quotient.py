@@ -138,31 +138,30 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
 
 
 def _compositions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    """Every tuple of slots >= 1 naturals summing to total, by stars and bars."""
+    bars = total + slots - 1
+    for cuts in itertools.combinations(range(bars), slots - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (bars,)))
+
+
+class _Unclosed(Exception):
+    """(monomial, ray): the monomial passes the shadow filter, x_ray times it not."""
 
 
 class _Summand:
-    """Degree-by-degree state of one alpha summand.  moves[t][c] lists the
-    (ray, degree-t column) pairs of x_ray times the degree-(t-1) monomial in
-    column c; the relation rows and the ray operators both read it.  Both
-    per-monomial tests, the shadow filter tangent (or None) and
-    admissibility, read the face supp(alpha) + supp(m)."""
+    """Degree-by-degree state of the summands on one face supp(alpha).
+    moves[t][c] lists the (ray, degree-t column) pairs of x_ray times the
+    degree-(t-1) monomial in column c; the relation rows and the ray
+    operators both read it.  Both per-monomial tests, the shadow filter
+    tangent (or None) and admissibility, read the face supp(alpha) + supp(m),
+    and m sorts by (sum m_i v_i, m): nothing here reads alpha beyond its support."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
-        self.spec = spec
         self.fan = spec.fan
         self.tangent = tangent
-        self.elem = alpha_elem
         self.support = frozenset(alpha_elem.support)
         self.witnesses = [frozenset(sigma) for sigma in alpha_elem.witness_cones]
         self.pieces: dict[int, list[tuple[int, ...]]] = {}
-        self.lattice: dict[int, list[tuple[int, ...]]] = {}
         self.moves: dict[int, list[list[tuple[int, int]]]] = {}
         self.ech: dict[int, dict[int, list[Fraction]]] = {}
         self.quot: dict[int, list[int]] = {}
@@ -170,7 +169,7 @@ class _Summand:
     def _monomials(self, t: int):
         fan = self.fan
         found = {}
-        for sigma in self.elem.witness_cones:
+        for sigma in map(sorted, self.witnesses):
             for comp in _compositions(t, len(sigma)):
                 m = [0] * fan.k
                 for pos, i in enumerate(sigma):
@@ -181,12 +180,9 @@ class _Summand:
                 if self.tangent is not None and not self.tangent(self._face(m)):
                     continue
                 found[m] = tuple(
-                    self.elem.lattice_point[r]
-                    + sum(m[i] * fan.rays[i][r] for i in range(fan.k))
-                    for r in range(fan.rank)
+                    sum(m[i] * fan.rays[i][r] for i in range(fan.k)) for r in range(fan.rank)
                 )
-        mons = sorted(found, key=lambda m: (found[m], m))
-        return mons, [found[m] for m in mons]
+        return sorted(found, key=lambda m: (found[m], m))
 
     def _face(self, m: tuple[int, ...]) -> frozenset:
         """supp(alpha) + supp(m), the minimal face of the monomial's point."""
@@ -197,11 +193,12 @@ class _Summand:
         return any(face <= sigma for sigma in self.witnesses)
 
     def extend(self, t: int) -> int:
-        """Compute degree t and return the dimension of its quotient."""
+        """Compute degree t, after t - 1, unless built, and return the dimension
+        of its quotient; raising _Unclosed stores nothing."""
+        if t in self.quot:
+            return len(self.quot[t])
         fan = self.fan
-        mons, lattice = self._monomials(t)
-        self.pieces[t] = mons
-        self.lattice[t] = lattice
+        mons = self._monomials(t)
         col = {m: c for c, m in enumerate(mons)}
         ray_idx = sorted(fan.fan_indices())
         moves = []
@@ -214,12 +211,7 @@ class _Summand:
                     continue
                 c = col.get(m2)
                 if c is None:
-                    xi = ", ".join(str(x) for x in self.spec.xi)
-                    raise ShadowNotSubmodule(
-                        f"quotient: the shadow direction xi=({xi}) does not give a "
-                        f"submodule: monomial {mprev} passes it, its product with "
-                        f"ray {i + 1} does not"
-                    )
+                    raise _Unclosed(mprev, i)
                 targets.append((i, c))
             moves.append(targets)
             # Z_j applied to mprev; a zero row is dropped by _rref
@@ -228,18 +220,19 @@ class _Summand:
                 for i, c in targets:
                     vec[c] = fan.rays[i][j]
                 rows.append(vec)
-        self.moves[t] = moves
         ech = dict(_rref(rows, len(mons)))
-        self.ech[t] = ech
-        self.quot[t] = [c for c in range(len(mons)) if c not in ech]
-        return len(self.quot[t])
+        quot = [c for c in range(len(mons)) if c not in ech]
+        self.pieces[t] = mons
+        self.moves[t] = moves
+        # a pivot column's class: minus its reduced row on the free columns
+        self.ech[t] = {c: [-row[q] for q in quot] for c, row in ech.items()}
+        self.quot[t] = quot
+        return len(quot)
 
     def reduce(self, t: int, c: int) -> list[Fraction]:
         """Quotient coordinates of the degree-t monomial in column c."""
         row = self.ech[t].get(c)
-        if row is None:
-            return [Fraction(int(q == c)) for q in self.quot[t]]
-        return [-row[q] for q in self.quot[t]]
+        return [Fraction(int(q == c)) for q in self.quot[t]] if row is None else row
 
 
 def _rref(rows, ncols):
@@ -291,7 +284,8 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     rays, of degree at most g.  Each degree is checked
     against the normalized volume (DimensionOvershoot); ending below it
     raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
-    (the fan's parameter memo)."""
+    (the fan's parameter memo), from summand blocks built once per face
+    supp(alpha) and sign signature of xi (the fan's blocks memo)."""
     chi = normalize_beta(spec.fan, spec.chi)
     params = spec.fan._table.params
     return _memo(params, chi, (spec.xi, spec.fan.deg), _build_quotient, spec)
@@ -301,14 +295,25 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan = spec.fan
     # the shadow filter, xi solved once per build
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
+    key = None if tangent is None else tangent.key
     alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
-    summands = [_Summand(spec, a, tangent) for a in alphas]
+    blocks = fan._table.blocks
+    summands = [
+        _memo(blocks, key, frozenset(a.support), _Summand, spec, a, tangent) for a in alphas
+    ]
     g = 0 if spec.xi is None else fan.rank
     cum = 0
     t = 0
     while True:
-        contrib = sum(s.extend(t) for s in summands)
+        try:
+            contrib = sum(s.extend(t) for s in summands)
+        except _Unclosed as exc:
+            xi = ", ".join(str(x) for x in spec.xi)
+            raise ShadowNotSubmodule(
+                f"quotient: the shadow direction xi=({xi}) does not give a submodule: monomial "
+                f"{exc.args[0]} passes it, its product with ray {exc.args[1] + 1} does not"
+            ) from None
         cum += contrib
         if cum > vol:
             raise DimensionOvershoot(
@@ -327,21 +332,22 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     index: dict[tuple[int, int, int], int] = {}
     base_index: dict[tuple, int] = {}
     summand_dims: dict[tuple, int] = {}
-    for s_i, s in enumerate(summands):
-        akey = alpha_key(s.elem.alpha)
-        for deg_t, quot in s.quot.items():
-            for c in quot:
+    for s_i, (a, s) in enumerate(zip(alphas, summands)):
+        akey = alpha_key(a.alpha)
+        # a shared block may hold later degrees, all of dimension 0
+        for deg_t in range(t):
+            for c in s.quot[deg_t]:
                 m = s.pieces[deg_t][c]
-                n = s.lattice[deg_t][c]
-                if fan.deg is not None:
-                    offset = sum(fan.deg[r] * n[r] for r in range(fan.rank))
-                else:
-                    offset = deg_t
+                n = tuple(
+                    n0 + sum(x * v[r] for x, v in zip(m, fan.rays))
+                    for r, n0 in enumerate(a.lattice_point)
+                )
+                offset = deg_t if fan.deg is None else sum(fan.deg[r] * x for r, x in enumerate(n))
                 index[(s_i, deg_t, c)] = len(basis)
                 if deg_t == 0 and all(x == 0 for x in m):
                     base_index[akey] = len(basis)
-                basis.append(BasisElement(offset, n, s.elem.alpha, m, deg_t))
-        summand_dims[akey] = sum(len(quot) for quot in s.quot.values())
+                basis.append(BasisElement(offset, n, a.alpha, m, deg_t))
+        summand_dims[akey] = sum(len(s.quot[deg_t]) for deg_t in range(t))
     dim = len(basis)
 
     # D_i sends a basis monomial to the reduced class of its move along ray i;

@@ -378,7 +378,37 @@ def test_non_finite_x_exit_2(seed_dir, tmp_path, command, x, message):
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
-FAN_BETA = ["--fan", "f.json", "--beta", "b.json"]
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        (
+            "[[1.0, 0.0], [1.0], [1.0, 0.0]]",
+            "coordinate 2 of x is [1.0], not an [re, im] pair",
+        ),
+        (
+            "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0, 7.0]]",
+            "coordinate 3 of x is [1.0, 0.0, 7.0], not an [re, im] pair",
+        ),
+    ],
+    ids=["short", "long"],
+)
+def test_x_coordinate_not_a_pair_exit_2(seed_dir, tmp_path, x, message):
+    (tmp_path / "x.json").write_text(f'{{"x": {x}}}')
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--x", str(tmp_path / "x.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+FAN_BETA =["--fan", "f.json", "--beta", "b.json"]
 SOLVE = [*FAN_BETA, "--x", "x.json", "--bound", "4"]
 
 

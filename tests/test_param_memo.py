@@ -17,7 +17,7 @@ import boxgamma.box as box
 import boxgamma.quotient as quotient
 from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
 from boxgamma.errors import DomainError, UnboundedDegree
-from boxgamma.fan import StackyFan, _with_deg, triangulate_from_heights, validate
+from boxgamma.fan import StackyFan, _tangent_test, _with_deg, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz, solution_system
 from boxgamma.kring import spectrum, wall_report
 from boxgamma.linalg import GaussianRational, re_part
@@ -175,3 +175,78 @@ def test_shared_quotient_maps_are_read_only():
         with pytest.raises(TypeError):
             mapping[zero_key] = 1
     assert build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0)))) is q
+
+
+HEX5_POINTS = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
+HEX5 = triangulate_from_heights(
+    [(1,) + p for p in HEX5_POINTS],
+    [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(HEX5_POINTS)],
+)
+LADDER = {**FANS, "HEX5": HEX5}
+
+
+def quotient_fields(fan, chi, xi):
+    """Every field of build_quotient's result, the read-only maps as dicts,
+    or the DomainError it raises."""
+
+    def build():
+        q = build_quotient(ModuleSpec(fan, chi, xi=xi))
+        return {
+            f.name: dict(getattr(q, f.name)) if f.name in ("summand_dims", "base_index")
+            else getattr(q, f.name)
+            for f in dataclasses.fields(q)
+        }
+
+    return outcome(build)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
+def test_quotient_does_not_depend_on_memo_order(name, data):
+    """The face blocks are shared by every parameter and every shadow
+    direction of one sign signature: whatever one fan's table built before,
+    each quotient equals the one built on a fresh copy."""
+    fan = dataclasses.replace(LADDER[name])
+    kinds = st.sampled_from(["rational", "gaussian", "shadow"])
+    # lattice points and halves put alpha on faces below the maximal cones,
+    # where the shadow filter, and so the signature, decides the block
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    coords = {"rational": st.one_of(small, rational), "gaussian": beta_coord, "shadow": small}
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=5)):
+        beta = normalize_beta(fan, [data.draw(coords[kind]) for _ in range(fan.rank)])
+        chi = stabilize(dataclasses.replace(fan), beta).beta_delta
+        xi = None
+        if kind == "shadow":
+            xi = tuple(Fraction(data.draw(st.integers(-2, 2))) for _ in range(fan.rank))
+        assert quotient_fields(fan, chi, xi) == quotient_fields(dataclasses.replace(fan), chi, xi)
+
+
+def test_face_blocks_keep_two_shadow_signatures():
+    fan = dataclasses.replace(F1)
+    xis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)))
+    keys = [_tangent_test(fan, xi).key for xi in xis]
+    assert len(set(keys)) == 3
+    for xi in xis:
+        outcome(lambda: build_quotient(ModuleSpec(fan, (Fraction(1, 4), Fraction(0)), xi=xi)))
+    assert list(fan._table.blocks) == keys[1:]
+
+
+def test_second_parameter_builds_no_monomials(monkeypatch):
+    """Two generic parameters on SQUARE have box elements on the same faces,
+    so the second quotient only reads the face blocks of the first."""
+    fan = dataclasses.replace(SQUARE)
+    built = []
+    real_monomials = quotient._Summand._monomials
+
+    def counting_monomials(self, t):
+        built.append(t)
+        return real_monomials(self, t)
+
+    monkeypatch.setattr(quotient._Summand, "_monomials", counting_monomials)
+    first = build_quotient(ModuleSpec(fan, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))))
+    assert built
+    built.clear()
+    second = build_quotient(ModuleSpec(fan, (Fraction(2, 5), Fraction(-3, 7), Fraction(5, 4))))
+    assert built == []
+    assert second.dim == first.dim == 2

@@ -271,6 +271,23 @@ def test_shadow_not_submodule():
         build_quotient(spec)
 
 
+def test_shadow_not_submodule_names_the_callers_xi():
+    """xi = (1, 0) and (2, 0) have one sign signature, so their builds share
+    the face block of alpha = 0; each error names its own xi, and the degree
+    that raised stays unbuilt."""
+    fan = StackyFan(
+        rank=2, rays=((1, 0), (0, 1), (-1, 0), (0, -1)), max_cones=((0, 1), (1, 2), (2, 3))
+    )
+    for xi in (1, 2, 1):
+        spec = ModuleSpec(fan, (Fraction(0), Fraction(0)), xi=(Fraction(xi), Fraction(0)))
+        message = rf"^quotient: the shadow direction xi=\({xi}, 0\) does not give a submodule"
+        with pytest.raises(ShadowNotSubmodule, match=message):
+            build_quotient(spec)
+    (blocks,) = fan._table.blocks.values()
+    (block,) = blocks.values()
+    assert list(block.quot) == list(block.pieces) == [0]
+
+
 def test_quotient_ending_below_the_volume(monkeypatch):
     # a volume above the true one: the quotient ends at dimension 2 below it
     monkeypatch.setattr(quotient, "normalized_volume", lambda fan: 3)
