@@ -28,6 +28,7 @@ from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volum
 from .linalg import Coord, _integral
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -151,19 +152,20 @@ class _Unclosed(Exception):
 class _Summand:
     """Degree-by-degree state of the summands on one face supp(alpha).
     moves[t][c] lists the (ray, degree-t column) pairs of x_ray times the
-    degree-(t-1) monomial in column c; the relation rows and the ray
-    operators both read it.  Both per-monomial tests, the shadow filter
-    tangent (or None) and admissibility, read the face supp(alpha) + supp(m),
-    and m sorts by (sum m_i v_i, m): nothing here reads alpha beyond its support."""
+    degree-(t-1) monomial in column c, classes[t][c2] the nonzero quotient
+    coordinates of the monomial in column c2.  Kept: free columns' moves,
+    their targets' classes, the free monomials below the last degree.  The
+    shadow filter tangent (or None) and admissibility read supp(alpha) +
+    supp(m) and m sorts by (sum m_i v_i, m): alpha enters by its support."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
         self.fan = spec.fan
         self.tangent = tangent
         self.support = frozenset(alpha_elem.support)
         self.witnesses = [frozenset(sigma) for sigma in alpha_elem.witness_cones]
-        self.pieces: dict[int, list[tuple[int, ...]]] = {}
-        self.moves: dict[int, list[list[tuple[int, int]]]] = {}
-        self.ech: dict[int, dict[int, list[Fraction]]] = {}
+        self.pieces: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.moves: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        self.classes: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
         self.quot: dict[int, list[int]] = {}
 
     def _monomials(self, t: int):
@@ -201,9 +203,9 @@ class _Summand:
         mons = self._monomials(t)
         col = {m: c for c, m in enumerate(mons)}
         ray_idx = sorted(fan.fan_indices())
-        moves = []
+        moves = {}
         rows = []
-        for mprev in self.pieces.get(t - 1, []):
+        for c_prev, mprev in self.pieces.get(t - 1, {}).items():
             targets = []
             for i in ray_idx:
                 m2 = tuple(mprev[x] + (1 if x == i else 0) for x in range(fan.k))
@@ -213,7 +215,7 @@ class _Summand:
                 if c is None:
                     raise _Unclosed(mprev, i)
                 targets.append((i, c))
-            moves.append(targets)
+            moves[c_prev] = targets
             # Z_j applied to mprev; a zero row is dropped by _rref
             for j in range(fan.rank):
                 vec = [0] * len(mons)
@@ -222,17 +224,18 @@ class _Summand:
                 rows.append(vec)
         ech = dict(_rref(rows, len(mons)))
         quot = [c for c in range(len(mons)) if c not in ech]
-        self.pieces[t] = mons
-        self.moves[t] = moves
-        # a pivot column's class: minus its reduced row on the free columns
-        self.ech[t] = {c: [-row[q] for q in quot] for c, row in ech.items()}
+        free = self.quot.get(t - 1, [])
+        self.moves[t] = {c: moves[c] for c in free}
+        # a free column is its own class, a pivot one minus its reduced row
+        self.classes[t] = {
+            c2: [(q, -ech[c2][q]) for q in quot if ech[c2][q]] if c2 in ech else [(c2, _ONE)]
+            for c in free for _, c2 in moves[c]
+        }
+        if t:
+            self.pieces[t - 1] = {c: self.pieces[t - 1][c] for c in free}
+        self.pieces[t] = dict(enumerate(mons))
         self.quot[t] = quot
         return len(quot)
-
-    def reduce(self, t: int, c: int) -> list[Fraction]:
-        """Quotient coordinates of the degree-t monomial in column c."""
-        row = self.ech[t].get(c)
-        return [Fraction(int(q == c)) for q in self.quot[t]] if row is None else row
 
 
 def _rref(rows, ncols):
@@ -298,18 +301,17 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     key = None if tangent is None else tangent.key
     alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
-    blocks = fan._table.blocks
     summands = [
-        _memo(blocks, key, frozenset(a.support), _Summand, spec, a, tangent) for a in alphas
+        _memo(fan._table.blocks, key, frozenset(a.support), _Summand, spec, a, tangent)
+        for a in alphas
     ]
     g = 0 if spec.xi is None else fan.rank
-    cum = 0
-    t = 0
+    cum = t = 0
     while True:
         try:
             contrib = sum(s.extend(t) for s in summands)
         except _Unclosed as exc:
-            xi = ", ".join(str(x) for x in spec.xi)
+            xi = ", ".join(map(str, spec.xi))
             raise ShadowNotSubmodule(
                 f"quotient: the shadow direction xi=({xi}) does not give a submodule: monomial "
                 f"{exc.args[0]} passes it, its product with ray {exc.args[1] + 1} does not"
@@ -356,9 +358,8 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     for (s_i, deg_t, c), g_idx in index.items():
         s = summands[s_i]
         for i, c2 in s.moves[deg_t + 1][c]:
-            for q, value in zip(s.quot[deg_t + 1], s.reduce(deg_t + 1, c2)):
-                if value != 0:
-                    dmats[i][index[(s_i, deg_t + 1, q)]][g_idx] = value
+            for q, value in s.classes[deg_t + 1][c2]:
+                dmats[i][index[(s_i, deg_t + 1, q)]][g_idx] = value
 
     return QuotientAlgebra(
         spec=spec,
