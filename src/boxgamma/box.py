@@ -18,6 +18,7 @@ from .errors import DependentGenerators, NotFullDimensional
 from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, minimal_cone
 from .linalg import (
     Coord,
+    GaussianRational,
     as_gaussian,
     im_part,
     re_part,
@@ -64,7 +65,7 @@ class CollisionClass:
 class DeltaCorrespondence:
     """Pairing of the box sets at beta and at beta_delta = Re(beta) + delta*Im(beta).
 
-    Each triple is (element at beta, element at beta_delta, point sum((alpha_delta)_i v_i)).
+    Each triple is (element at beta, its image at beta_delta, point sum((alpha_delta)_i v_i)).
     """
 
     delta: Fraction
@@ -147,6 +148,9 @@ def _cone_branches(fan, cone, beta):
 def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
     """All alpha with Re in [0,1), supported in the cone, solving a lattice
     translate of beta; exactly |det| of them."""
+    for pos, i in enumerate(cone, start=1):
+        if not 0 <= i < fan.k:
+            raise ValueError(f"box: position {pos} of cone {tuple(cone)} is {i}, not in 0..{fan.k - 1}")
     b = normalize_beta(fan, beta)
     elems = [e for _, _, e in _cone_branches(fan, cone, b)]
     return tuple(sorted(elems, key=lambda e: alpha_key(e.alpha)))
@@ -183,41 +187,42 @@ def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
     return tuple(classes)
 
 
-def _alpha_delta(alpha: Sequence[Coord], delta: Fraction) -> tuple[Fraction, ...]:
-    """Per-coordinate fractional parts of Re + delta*Im."""
-    values = (re_part(a) + delta * im_part(a) for a in alpha)
-    return tuple(v - math.floor(v) for v in values)
-
-
-def correspondence_at(fan: StackyFan, beta, delta: Fraction) -> DeltaCorrespondence:
-    """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta)."""
+def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
+    """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta),
+    for an exact delta: an int or a Fraction."""
+    if not isinstance(delta, (int, Fraction)):
+        raise ValueError(f"box: delta {delta!r} is not an int or a Fraction")
     b = normalize_beta(fan, beta)
     return _correspondence(fan, b, delta)
 
 
-def _correspondence(fan: StackyFan, b, delta: Fraction) -> DeltaCorrespondence:
-    """correspondence_at for a normalized beta."""
+def _correspondence(fan: StackyFan, b, delta) -> DeltaCorrespondence:
+    """correspondence_at for a normalized beta: alpha_i goes to frac(x_i), x_i = Re alpha_i +
+    delta*Im alpha_i, and n to n - sum(floor(x_i) v_i), keeping support and witness cones.  A
+    branch's raw cone coordinates are affine in beta: its image is the same branch at beta_delta."""
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
-    target = box_of_fan(fan, beta_delta)
-    index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
-    used = set()
+    seen = set()
     triples = []
     for e in box_of_fan(fan, b):
-        values = _alpha_delta(e.alpha, delta)
-        j = index.get(tuple((v, Fraction(0)) for v in values))
-        if j is None or j in used:
+        alpha = list(e.alpha)  # a real alpha_i in [0, 1) is its own image
+        n = e.lattice_point
+        for i, a in enumerate(e.alpha):
+            if isinstance(a, GaussianRational):
+                x = a.re + delta * a.im
+                f = math.floor(x)
+                alpha[i] = x - f
+                n = tuple(p - f * c for p, c in zip(n, fan.rays[i]))
+        alpha = tuple(alpha)
+        if alpha in seen:
             raise RuntimeError("internal: stabilized elements do not biject")
-        used.add(j)
-        te = target[j]
-        if te.support != e.support:
+        seen.add(alpha)
+        if tuple(i for i, x in enumerate(alpha) if x) != e.support:
             raise RuntimeError("internal: support changed under stabilization")
-        # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solved it
-        point = tuple(n + x for n, x in zip(te.lattice_point, beta_delta))
+        # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
+        point = tuple(p + x for p, x in zip(n, beta_delta))
         if minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
-        triples.append((e, te, point))
-    if len(used) != len(target):
-        raise RuntimeError("internal: stabilized elements do not biject")
+        triples.append((e, BoxElement(alpha, n, e.support, e.witness_cones), point))
     return DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
 
 
@@ -233,9 +238,9 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     support is supp alpha.  Two images cannot coincide there.  Equal images
     share a support, which spans one face of a simplicial cone; both
     imaginary parts write Im beta in that face's independent generators, so
-    they agree, and then so do the real parts.  The checks in
-    _correspondence still guard the bijection.  Built once per parameter
-    (the fan's parameter memo).
+    they agree, and then so do the real parts.  Each image is its branch at
+    beta_delta (_correspondence), so the images are onto and the box set at
+    beta_delta is not built.  Built once per parameter (the fan's memo).
     """
     b = normalize_beta(fan, beta)
     return _memo(fan._table.params, b, "stabilize", _stabilize, fan, b)

@@ -25,7 +25,7 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volume
-from .linalg import Coord, _integral
+from .linalg import Coord, _integral, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,13 +41,19 @@ class ModuleSpec:
     xi: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", tuple(Fraction(c) for c in self.chi))
-        if self.xi is not None:
-            object.__setattr__(self, "xi", tuple(Fraction(c) for c in self.xi))
         for name, point in (("chi", self.chi), ("xi", self.xi)):
-            if point is not None and len(point) != self.fan.rank:
+            if point is None:
+                continue
+            exact = []
+            for pos, c in enumerate(point, start=1):
+                try:
+                    exact.append(parse_rational(c))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"quotient: entry {pos} of {name} is {c!r}, not a rational") from None
+            if len(exact) != self.fan.rank:
                 n = self.fan.rank
-                raise ValueError(f"quotient: {name} must have {n} coordinates, got {len(point)}")
+                raise ValueError(f"quotient: {name} must have {n} coordinates, got {len(exact)}")
+            object.__setattr__(self, name, tuple(exact))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Fraction inverse and determinant, and the Gaussian cone solve: the
 references the library's fraction-free integer kernels are tested against.
 Also a fan's completeness and its minimal non-faces, and Definition 2's
-module product with the check that a delta-stabilization intertwines it.
-Only tests read them."""
+module product with the check that a delta-stabilization intertwines it,
+and the delta-correspondence found by enumerating and matching the box set
+at beta_delta.  Only tests read them."""
 
 import itertools
 import math
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from boxgamma.box import BoxElement, alpha_key, normalize_beta
+from boxgamma.box import BoxElement, DeltaCorrespondence, alpha_key, box_of_fan, normalize_beta
 from boxgamma.errors import DependentGenerators, NotInSpan
-from boxgamma.fan import StackyFan, _cone_inverse
+from boxgamma.fan import StackyFan, _cone_inverse, minimal_cone
 from boxgamma.linalg import (
     ConeInverse,
     Coord,
@@ -271,3 +272,31 @@ def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: in
             if lhs is not None and phi(lhs) != rhs:
                 return False
     return True
+
+
+def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
+    """correspondence_at by enumeration: build the box set at beta_delta and
+    look up each source element's fractional parts of Re + delta*Im in it,
+    checking that the lookups hit every target exactly once."""
+    b = normalize_beta(fan, beta)
+    beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
+    target = box_of_fan(fan, beta_delta)
+    index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
+    used = set()
+    triples = []
+    for e in box_of_fan(fan, b):
+        values = (re_part(a) + delta * im_part(a) for a in e.alpha)
+        j = index.get(tuple((v - math.floor(v), Fraction(0)) for v in values))
+        if j is None or j in used:
+            raise RuntimeError("internal: stabilized elements do not biject")
+        used.add(j)
+        te = target[j]
+        if te.support != e.support:
+            raise RuntimeError("internal: support changed under stabilization")
+        point = tuple(n + x for n, x in zip(te.lattice_point, beta_delta))
+        if minimal_cone(fan, point) != e.support:
+            raise RuntimeError("internal: point support differs from exponent support")
+        triples.append((e, te, point))
+    if len(used) != len(target):
+        raise RuntimeError("internal: stabilized elements do not biject")
+    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples))

@@ -21,7 +21,7 @@ from boxgamma.errors import NotFullDimensional
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.kring import wall_report
 from boxgamma.linalg import GaussianRational, im_part, re_part
-from exact_oracles import det_rational, mat_inverse
+from exact_oracles import det_rational, enumerated_correspondence, mat_inverse
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -31,6 +31,14 @@ HEX5 = triangulate_from_heights(
     [(1,) + p for p in HEX5_POINTS],
     [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(HEX5_POINTS)],
 )
+# P(1, 2, 3) and P(1, 1, 2, 3): complete stacky fans, one cone per omitted ray
+P123 = StackyFan(rank=2, rays=((-2, -3), (1, 0), (0, 1)), max_cones=((0, 1), (0, 2), (1, 2)))
+P1123 = StackyFan(
+    rank=3,
+    rays=((-1, -2, -3), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    max_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+)
+FANS = {"F1": F1, "F2": F2, "SQUARE": SQUARE, "HEX5": HEX5, "P(1,2,3)": P123, "P(1,1,2,3)": P1123}
 
 i_unit = GaussianRational(0, 1)
 
@@ -72,6 +80,17 @@ def test_box_of_cone_f2_index_two_cone():
 def test_box_of_cone_rejects_low_dimensional():
     with pytest.raises(NotFullDimensional):
         box_of_cone(F1, (1,), (0, 0))
+
+
+@pytest.mark.parametrize("cone,pos,bad", [((0, -1), 2, -1), ((0, 5), 2, 5), ((3, 1), 1, 3)])
+def test_box_of_cone_rejects_an_index_outside_the_markers(cone, pos, bad):
+    """-1 would read the last ray and cache an inverse under (0, -1)."""
+    fan = dataclasses.replace(F1)
+    message = f"box: position {pos} of cone {cone} is {bad}, not in 0..2"
+    with pytest.raises(ValueError) as info:
+        box_of_cone(fan, cone, (Fraction(1, 4), 0))
+    assert str(info.value) == message
+    assert fan._table.inverses == {}
 
 
 def test_box_of_fan_f1():
@@ -301,3 +320,61 @@ def test_equal_alpha_with_distinct_lattice_points_raises(monkeypatch):
     for call in (box_of_fan, collisions, wall_report):
         with pytest.raises(RuntimeError, match="equal alpha with distinct lattice points"):
             call(fan, beta)
+
+
+@pytest.mark.parametrize("delta", [0.25, "1/4", None, GaussianRational(0, 1)])
+def test_correspondence_at_needs_an_exact_delta(delta):
+    """A float delta would give float exponents, quietly."""
+    with pytest.raises(ValueError) as info:
+        correspondence_at(F1, (i_unit, 0), delta)
+    assert str(info.value) == f"box: delta {delta!r} is not an int or a Fraction"
+
+
+def wall(fan, beta):
+    """The least delta > 0 at which a coordinate r + delta*m of an image is
+    an integer (m != 0), capped at 1: stabilize's bound."""
+    bound = Fraction(1)
+    for e in box_of_fan(fan, beta):
+        for a in e.alpha:
+            r, m = re_part(a), im_part(a)
+            if m:
+                bound = min(bound, (1 - r) / m if m > 0 else (r or 1) / -m)
+    return bound
+
+
+def correspondence_outcome(call):
+    """call()'s correspondence with its repr, or the RuntimeError's text."""
+    try:
+        corr = call()
+    except RuntimeError as exc:
+        return str(exc)
+    return corr, repr(corr)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(FANS)), data=st.data())
+def test_closed_form_matches_enumeration(name, data):
+    """The closed-form image equals the box set at beta_delta enumerated and
+    matched on a fresh copy of the fan, at any delta: below, at and above
+    the wall, and <= 0.  Integral real parts give Re alpha_i = 0 with
+    Im alpha_i < 0, where the floor is -1."""
+    fan = FANS[name]
+    im = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6))
+    coord = st.builds(GaussianRational, st.integers(-2, 2).map(Fraction), im)
+    beta = tuple(data.draw(coord) for _ in range(fan.rank))
+    corr = stabilize(fan, beta)
+    oracle = enumerated_correspondence(dataclasses.replace(fan), beta, corr.delta)
+    assert (corr, repr(corr)) == (oracle, repr(oracle))
+    w = wall(fan, beta)
+    share = st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=64)
+    delta = data.draw(st.one_of(
+        share.map(lambda t: t * w),
+        st.just(w),
+        st.fractions(Fraction(65, 64), 8, max_denominator=64).map(lambda t: t * w),
+        st.fractions(-3, 0, max_denominator=12),
+        st.integers(-2, 2),
+    ))
+    got = correspondence_outcome(lambda: correspondence_at(fan, beta, delta))
+    fresh = dataclasses.replace(fan)
+    assert got == correspondence_outcome(lambda: enumerated_correspondence(fresh, beta, delta))

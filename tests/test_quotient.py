@@ -119,6 +119,30 @@ def test_module_spec_rejects_a_wrong_length_point(chi, xi, name, got):
         build_quotient(ModuleSpec(F1, chi, xi=xi))
 
 
+@pytest.mark.parametrize(
+    "chi,xi,name,pos,bad",
+    [
+        ((0.1, 0), None, "chi", 1, 0.1),
+        ((0, GaussianRational(0, 1)), None, "chi", 2, GaussianRational(0, 1)),
+        ((0, 0), (1, 0.5), "xi", 2, 0.5),
+        ((0, 0), ("1/0", 0), "xi", 1, "1/0"),
+    ],
+)
+def test_module_spec_rejects_an_inexact_or_complex_entry(chi, xi, name, pos, bad):
+    """A float entry would build the quotient at its binary expansion."""
+    message = f"quotient: entry {pos} of {name} is {bad!r}, not a rational"
+    with pytest.raises(ValueError) as info:
+        ModuleSpec(F1, chi, xi=xi)
+    assert str(info.value) == message
+
+
+def test_module_spec_reads_ints_fractions_and_rational_strings():
+    spec = ModuleSpec(F1, (1, "1/4"), xi=(Fraction(1, 3), " -2 "))
+    assert spec.chi == (Fraction(1), Fraction(1, 4))
+    assert spec.xi == (Fraction(1, 3), Fraction(-2))
+    assert all(type(c) is Fraction for c in spec.chi + spec.xi)
+
+
 def test_quotient_unimodular_cone():
     fan = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),), deg=None)
     q = build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
