@@ -19,9 +19,11 @@ from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, minimal_
 from .linalg import (
     Coord,
     GaussianRational,
-    as_gaussian,
+    _integral,
     im_part,
+    parse_gaussian,
     re_part,
+    read_exact,
     scalar_from_parts,
     scaled_numerators,
 )
@@ -79,13 +81,9 @@ def alpha_key(alpha: Sequence[Coord]) -> tuple:
 
 
 def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
-    if len(beta) != fan.rank:
-        raise ValueError(f"beta must have {fan.rank} coordinates, got {len(beta)}")
-    out = []
-    for b in beta:
-        g = as_gaussian(b)
-        out.append(scalar_from_parts(g.re, g.im))
-    return tuple(out)
+    """beta as canonical scalars, each entry an int, a Fraction, a
+    GaussianRational or what parse_gaussian reads; see linalg.read_exact."""
+    return read_exact(beta, parse_gaussian, "box", "beta", fan.rank)
 
 
 def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple[ConeRef, ...]:
@@ -148,9 +146,10 @@ def _cone_branches(fan, cone, beta):
 def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
     """All alpha with Re in [0,1), supported in the cone, solving a lattice
     translate of beta; exactly |det| of them."""
+    cone = read_exact(cone, _integral, "box", "cone")
     for pos, i in enumerate(cone, start=1):
         if not 0 <= i < fan.k:
-            raise ValueError(f"box: position {pos} of cone {tuple(cone)} is {i}, not in 0..{fan.k - 1}")
+            raise ValueError(f"box: entry {pos} of cone is {i}, not in 0..{fan.k - 1}")
     b = normalize_beta(fan, beta)
     elems = [e for _, _, e in _cone_branches(fan, cone, b)]
     return tuple(sorted(elems, key=lambda e: alpha_key(e.alpha)))
@@ -199,7 +198,14 @@ def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
 def _correspondence(fan: StackyFan, b, delta) -> DeltaCorrespondence:
     """correspondence_at for a normalized beta: alpha_i goes to frac(x_i), x_i = Re alpha_i +
     delta*Im alpha_i, and n to n - sum(floor(x_i) v_i), keeping support and witness cones.  A
-    branch's raw cone coordinates are affine in beta: its image is the same branch at beta_delta."""
+    branch's raw cone coordinates are affine in beta: its image is the same branch at beta_delta.
+
+    The "do not biject" guard cannot fire before the support check, at any delta.  An image has
+    at most its source's support: a real alpha_i is its own image.  Say e2's image equals that of
+    an earlier e1, which kept its support S.  Then S lies in supp(e2), a face of a simplicial
+    cone, and both imaginary parts write Im beta in that face's independent generators: they
+    agree on S and vanish off it, so e2's coordinates off S are real, nonzero and kept, and
+    supp(e2) = S.  The real parts then agree mod 1, so e1 = e2, which the box set excludes."""
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
     seen = set()
     triples = []

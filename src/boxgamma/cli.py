@@ -23,13 +23,7 @@ import sys
 
 from .errors import DomainError
 from .fan import StackyFan, validate
-from .linalg import (
-    as_gaussian,
-    format_gaussian,
-    format_rational,
-    parse_gaussian,
-    parse_rational,
-)
+from .linalg import _integral, format_gaussian, format_rational, read_exact
 
 
 def _fmt_float(x: float) -> str:
@@ -78,10 +72,6 @@ def _emit(obj, out) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def ser_scalar(c) -> str:
-    return format_gaussian(as_gaussian(c))
-
-
 def ser_complex(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -92,12 +82,13 @@ def _load(path: str):
 
 
 def parse_fan(doc) -> StackyFan:
-    deg = doc.get("deg")
+    # read before the shift to 0-based indices, so an error shows the file's entry
+    cones = [read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(doc["max_cones"], 1)]
     fan = StackyFan(
         rank=doc["rank"],
         rays=tuple(map(tuple, doc["rays"])),
-        max_cones=tuple(tuple(i - 1 for i in cone) for cone in doc["max_cones"]),
-        deg=None if deg is None else tuple(map(parse_rational, deg)),
+        max_cones=tuple(tuple(i - 1 for i in cone) for cone in cones),
+        deg=doc.get("deg"),
     )
     outside = [i + 1 for cone in fan.max_cones for i in cone if not 0 <= i < fan.k]
     if outside:
@@ -105,15 +96,11 @@ def parse_fan(doc) -> StackyFan:
     return fan
 
 
-def parse_beta(doc, fan: StackyFan):
+def _fan_beta(args):
     from .box import normalize_beta
 
-    return normalize_beta(fan, tuple(parse_gaussian(v) for v in doc["beta"]))
-
-
-def _fan_beta(args):
     fan = parse_fan(_load(args.fan))
-    return fan, parse_beta(_load(args.beta), fan)
+    return fan, normalize_beta(fan, _load(args.beta)["beta"])
 
 
 def parse_x(doc):
@@ -131,7 +118,7 @@ def parse_x(doc):
 
 def ser_box_element(elem) -> dict:
     return {
-        "alpha": [ser_scalar(a) for a in elem.alpha],
+        "alpha": [format_gaussian(a) for a in elem.alpha],
         "n": list(elem.lattice_point),
         "support": [i + 1 for i in elem.support],
     }
@@ -179,7 +166,7 @@ def cmd_cohomology(args):
     xi = None
     if args.shadow:
         doc = _load(args.shadow)
-        xi = tuple(parse_rational(v) for v in doc["xi"])
+        xi = doc["xi"]
     q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {
@@ -187,7 +174,7 @@ def cmd_cohomology(args):
         "volume": report.volume,
         "summands": [
             {
-                "alpha": [ser_scalar(a) for a in be.alpha],
+                "alpha": [format_gaussian(a) for a in be.alpha],
                 "dim": q.summand_dims[alpha_key(be.alpha)],
             }
             for be in q.alphas
@@ -196,7 +183,7 @@ def cmd_cohomology(args):
             {
                 "degree": elem.degree,
                 "n": list(elem.lattice_point),
-                "alpha": [ser_scalar(a) for a in elem.alpha],
+                "alpha": [format_gaussian(a) for a in elem.alpha],
                 "monomial": list(elem.monomial),
             }
             for elem in q.basis
@@ -213,7 +200,7 @@ def cmd_kring(args):
     return {
         "points": [
             {
-                "exponents": [ser_scalar(a) for a in p.alpha_class.alpha],
+                "exponents": [format_gaussian(a) for a in p.alpha_class.alpha],
                 "y": [ser_complex(y) for y in p.y],
                 "multiplicity": p.multiplicity,
             }
@@ -222,7 +209,7 @@ def cmd_kring(args):
         "semisimple": all(p.multiplicity == 1 for p in points),
         "walls": [
             {
-                "alpha": [ser_scalar(a) for a in w.alpha],
+                "alpha": [format_gaussian(a) for a in w.alpha],
                 "first_cone": [i + 1 for i in w.first.cone],
                 "second_cone": [i + 1 for i in w.second.cone],
                 "difference": list(w.difference),

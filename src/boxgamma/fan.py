@@ -33,11 +33,13 @@ from .linalg import (
     ConeInverse,
     _integral,
     cone_inverse,
+    hermite_normal_form,
     integer_kernel,
     lattice_generates,
+    read_exact,
     scaled_numerators,
     smith_normal_form,
-    solve_integer,
+    solve_with_hnf,
 )
 
 ConeRef = tuple[int, ...]
@@ -110,14 +112,14 @@ class StackyFan:
     def __post_init__(self):
         rank = _integral(self.rank)
         if rank is None:
-            raise ValueError(f"fan: rank {self.rank!r} is not an integer")
+            raise ValueError(f"fan: rank is {self.rank!r}, not an integer")
         object.__setattr__(self, "rank", rank)
-        rays = tuple(_integers(v, f"ray {r}") for r, v in enumerate(self.rays, start=1))
+        rays = tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in enumerate(self.rays, 1))
         object.__setattr__(self, "rays", rays)
-        cones = (_integers(c, f"cone {r}") for r, c in enumerate(self.max_cones, start=1))
+        cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(self.max_cones, 1))
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
         if self.deg is not None:
-            object.__setattr__(self, "deg", _integers(self.deg, "deg"))
+            object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg"))
 
     @property
     def k(self) -> int:
@@ -137,14 +139,6 @@ class StackyFan:
         if self.deg is None:
             raise ValueError("fan has no degree functional")
         return sum((Fraction(x) * d for x, d in zip(v, self.deg)), start=Fraction(0))
-
-
-def _integers(values: Sequence, field_name: str) -> tuple[int, ...]:
-    """values as ints; ValueError names the first non-integral one by position."""
-    ints = tuple(map(_integral, values))
-    if None in ints:
-        raise ValueError(f"fan: entry {ints.index(None) + 1} of {field_name} is not an integer")
-    return ints
 
 
 @dataclass(frozen=True)
@@ -412,7 +406,7 @@ def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     d = len(rays[0])
     k = len(rays)
     cols = [tuple(v[j] for v in rays) for j in range(d)]
-    g = solve_integer(cols, tuple([1] * k))
+    g = solve_with_hnf(*hermite_normal_form(cols), tuple([1] * k))
     return tuple(g) if g is not None else None
 
 
@@ -446,7 +440,7 @@ def triangulate_from_heights(
     exactly on S.  An equality outside S means a non-simplicial lower facet
     and raises DegenerateHeights.
     """
-    pts = [_integers(p, f"point {i}") for i, p in enumerate(points, start=1)]
+    pts = [read_exact(p, _integral, "fan", f"point {i}") for i, p in enumerate(points, start=1)]
     d = len(pts[0])
     hs = [Fraction(h) for h in heights]
     if len(hs) != len(pts):

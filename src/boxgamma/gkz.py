@@ -36,12 +36,11 @@ from .fan import StackyFan, _memo, _with_deg, validate
 from .linalg import (
     Coord,
     _integral,
-    as_gaussian,
     format_gaussian,
     hermite_normal_form,
     im_part,
-    integer_kernel_basis,
     re_part,
+    read_exact,
     scalar_from_parts,
     singular_values,
     solve_with_hnf,
@@ -409,19 +408,6 @@ def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, 
     )
 
 
-def _index_point(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
-    """The series index v as integers; ValueError names a non-integral coordinate."""
-    out = []
-    for r, x in enumerate(v, start=1):
-        n = _integral(x)
-        if n is None:
-            raise ValueError(f"coordinate {r} of v is {x!r}, not an integer")
-        out.append(n)
-    if len(out) != fan.rank:
-        raise ValueError(f"v must have {fan.rank} coordinates, got {len(out)}")
-    return tuple(out)
-
-
 def _window_bound(B) -> int:
     """The window bound B as an int; ValueError names a non-integral,
     non-finite or negative B.  Every entry point calls it before B reaches a
@@ -449,7 +435,7 @@ def enumerate_L(
     correspondence.triples): for any other element, l = alpha + m would not
     satisfy sum(l_i v_i) = beta - v, and ValueError is raised.
     """
-    v = _index_point(instance.fan, v)
+    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     for src, _, _ in instance.correspondence.triples:
         if src == alpha:
@@ -521,7 +507,7 @@ class _SeriesEvaluator:
         shadow quotient has none."""
         index, tgt = self.bases[t]
         if index is None:
-            alpha = ", ".join(format_gaussian(as_gaussian(a)) for a in tgt.alpha)
+            alpha = ", ".join(map(format_gaussian, tgt.alpha))
             raise NoBaseElement(
                 f"series: the shadow quotient has no base element for the target box "
                 f"element alpha=({alpha}), n={tgt.lattice_point}"
@@ -616,7 +602,7 @@ def gamma_series(
     summed once per instance and point: the point's evaluator keeps the
     values of the last B (see _SeriesEvaluator).
     """
-    v = _index_point(instance.fan, v)
+    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     ev = _evaluator(instance, x, arg_offsets)
     return _memo(ev.values, B, v, _series_sum, instance, ev, v, B, kept=1)
@@ -658,7 +644,7 @@ def gamma_series_derivative(
     series reaches it, and a jet only on its exact argument.  D_j is applied
     to each term's own w, never to a sum of them.
     """
-    v = _index_point(instance.fan, v)
+    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     _check_ray(instance.fan, j)
     ev = _evaluator(instance, x, arg_offsets)
@@ -694,7 +680,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     built here: the report keeps the boundary's offsets and builds its
     LVectors when boundary is read (see TermShiftReport).
     """
-    v = _index_point(instance.fan, v)
+    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
@@ -798,7 +784,8 @@ def suggest_x(instance: GkzInstance, heights: Sequence, target: float = 1e-2) ->
     if len(heights) != fan.k:
         raise ValueError(f"heights must have {fan.k} entries, got {len(heights)}")
     hs = [Fraction(h) for h in heights]
-    kernel = integer_kernel_basis(fan.rays)
+    hnf, u = instance.marker_hnf
+    kernel = [row for row, hrow in zip(u, hnf) if not any(hrow)]  # as build_gkz reads it
     if not kernel:
         return (1.0,) * fan.k
     pairings = []

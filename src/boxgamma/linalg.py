@@ -1,11 +1,12 @@
 """Exact rational and Gaussian-rational linear algebra.
 
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
-terms with positive denominator.  Integer lattice work (Hermite and Smith
-normal forms, integer solving) and every cone solve, through one
-fraction-free elimination, use arbitrary-precision ints.  The only
-floating-point routine is `singular_values`, a one-sided Jacobi SVD in pure
-Python.
+terms with positive denominator.  Exact input (integer, rational and
+Gaussian-rational vectors) is read and checked by one reader, `read_exact`.
+Integer lattice work (Hermite and Smith normal forms, integer solving) and
+every cone solve, through one fraction-free elimination, use
+arbitrary-precision ints.  The only floating-point routine is
+`singular_values`, a one-sided Jacobi SVD in pure Python.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def _integral(x) -> Optional[int]:
-    """x as the int it equals, or None when it equals none (inf and nan too)."""
+    """x as the int it equals, a string read as a rational, or None when it
+    equals none (inf, nan, None, a complex or malformed value too)."""
     try:
+        if isinstance(x, str):
+            x = Fraction(x.strip())
         n = int(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, TypeError, ZeroDivisionError):
         return None
     return n if n == x else None
 
@@ -72,22 +76,15 @@ class GaussianRational:
 Coord = Union[Fraction, GaussianRational]
 
 
-def as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x))
-    raise TypeError(f"cannot coerce {x!r} to GaussianRational")
-
-
-def format_gaussian(z: GaussianRational) -> str:
-    if z.im == 0:
-        return format_rational(z.re)
-    im = format_rational(z.im)
-    if z.re == 0:
-        return f"{im}i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{format_rational(z.re)}{sign}{format_rational(abs(z.im))}i"
+def format_gaussian(z) -> str:
+    """An int, a Fraction or a GaussianRational as "p/q", "p/q+r/si" or "r/si"."""
+    re, im = re_part(z), im_part(z)
+    if im == 0:
+        return format_rational(re)
+    if re == 0:
+        return f"{format_rational(im)}i"
+    sign = "+" if im > 0 else "-"
+    return f"{format_rational(re)}{sign}{format_rational(abs(im))}i"
 
 
 def parse_gaussian(s) -> GaussianRational:
@@ -133,6 +130,42 @@ def scalar_from_parts(re: Fraction, im: Fraction):
     if im != 0:
         return GaussianRational(re, im)
     return re if isinstance(re, Fraction) else Fraction(re)
+
+
+_KINDS = {
+    _integral: "an integer",
+    parse_rational: "a rational",
+    parse_gaussian: "a Gaussian rational",
+}
+
+
+def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) -> tuple:
+    """The entries of values read by parse, the one reader of exact input.
+
+    parse is _integral (ints), parse_rational (Fractions) or parse_gaussian
+    (the canonical scalar: a Fraction, or a GaussianRational with im != 0).
+    ValueError names the first entry parse rejects, as "<stage>: entry <pos>
+    of <name> is <value!r>, not <kind>", then a length other than n, as
+    "<stage>: <name> must have <n> coordinates, got <m>".  A string is not
+    read as the vector of its characters.
+    """
+    if isinstance(values, str):
+        raise ValueError(f"{stage}: {name} is {values!r}, not a sequence")
+    out = []
+    for pos, x in enumerate(values, start=1):
+        if type(x) is Fraction and parse is not _integral:
+            out.append(x)  # already exact: every memo lookup reads a normalized beta again
+            continue
+        try:
+            y = parse(x)
+        except (ValueError, ZeroDivisionError):
+            y = None
+        if y is None:
+            raise ValueError(f"{stage}: entry {pos} of {name} is {x!r}, not {_KINDS[parse]}")
+        out.append(y.re if type(y) is GaussianRational and not y.im else y)
+    if n is not None and len(out) != n:
+        raise ValueError(f"{stage}: {name} must have {n} coordinates, got {len(out)}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +216,8 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     For the free column f the vector has t[f] = p, the last pivot, and
     t[c_i] = -row_i[f] in the i-th pivot column after elimination, 0
     elsewhere.  The vectors are a basis of the kernel over Q, not a lattice
-    basis of its integer points as `integer_kernel_basis` gives, and need not
-    be primitive.  A corank-one matrix gives exactly one vector.
+    basis of its integer points (the rows of U where H is zero in the row
+    HNF give one), and need not be primitive.  A corank-one matrix gives exactly one vector.
     """
     m = [[int(x) for x in row] for row in rows]
     pivots, last = _bareiss(m, ncols)
@@ -381,15 +414,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
     return m, s, t
 
 
-def solve_integer(rays: Sequence[Sequence[int]], target: Sequence[int]):
-    """Integer solution m of sum_i m_i * rays[i] = target, or None."""
-    return solve_with_hnf(*hermite_normal_form(rays), target)
-
-
 def solve_with_hnf(
     h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], target: Sequence[int]
 ):
-    """solve_integer for rows whose row HNF (H, U) is already known."""
+    """Integer solution m of sum_i m_i * rows[i] = target, or None, for rows
+    whose row HNF (H, U) is given."""
     k = len(h)
     d = len(target)
     y = [0] * k
@@ -406,12 +435,6 @@ def solve_with_hnf(
     if any(resid):
         return None
     return tuple(sum(u[i][j] * y[i] for i in range(k)) for j in range(k))
-
-
-def integer_kernel_basis(rays: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {m in Z^k : sum_i m_i * rays[i] = 0}."""
-    h, u = hermite_normal_form(rays)
-    return [tuple(u[i]) for i in range(len(rays)) if all(x == 0 for x in h[i])]
 
 
 def lattice_generates(rays: Sequence[Sequence[int]]) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .box import BoxElement, alpha_key, box_of_fan, normalize_beta
+from .box import BoxElement, alpha_key, box_of_fan
 from .errors import (
     DimensionOvershoot,
     NoStabilizationWindow,
@@ -25,7 +25,7 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volume
-from .linalg import Coord, _integral, parse_rational
+from .linalg import Coord, _integral, parse_rational, read_exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,18 +42,9 @@ class ModuleSpec:
 
     def __post_init__(self):
         for name, point in (("chi", self.chi), ("xi", self.xi)):
-            if point is None:
-                continue
-            exact = []
-            for pos, c in enumerate(point, start=1):
-                try:
-                    exact.append(parse_rational(c))
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(f"quotient: entry {pos} of {name} is {c!r}, not a rational") from None
-            if len(exact) != self.fan.rank:
-                n = self.fan.rank
-                raise ValueError(f"quotient: {name} must have {n} coordinates, got {len(exact)}")
-            object.__setattr__(self, name, tuple(exact))
+            if point is not None:
+                exact = read_exact(point, parse_rational, "quotient", name, self.fan.rank)
+                object.__setattr__(self, name, exact)
 
 
 @dataclass(frozen=True)
@@ -295,9 +286,8 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
     (the fan's parameter memo), from summand blocks built once per face
     supp(alpha) and sign signature of xi (the fan's blocks memo)."""
-    chi = normalize_beta(spec.fan, spec.chi)
     params = spec.fan._table.params
-    return _memo(params, chi, (spec.xi, spec.fan.deg), _build_quotient, spec)
+    return _memo(params, spec.chi, (spec.xi, spec.fan.deg), _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:

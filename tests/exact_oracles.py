@@ -19,7 +19,6 @@ from boxgamma.linalg import (
     ConeInverse,
     Coord,
     GaussianRational,
-    as_gaussian,
     cone_inverse,
     format_gaussian,
     im_part,
@@ -90,7 +89,7 @@ def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
     for part in parts:
         nums = inv.numerators(scaled_numerators(part, den))
         if nums is None:
-            point = ", ".join(format_gaussian(as_gaussian(x)) for x in p)
+            point = ", ".join(format_gaussian(x) for x in p)
             raise NotInSpan(f"cone: the point ({point}) is not in the span of the generators")
         coords.append([Fraction(x, inv.den * den) for x in nums])
     if not complex_input:

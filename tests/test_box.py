@@ -82,11 +82,16 @@ def test_box_of_cone_rejects_low_dimensional():
         box_of_cone(F1, (1,), (0, 0))
 
 
-@pytest.mark.parametrize("cone,pos,bad", [((0, -1), 2, -1), ((0, 5), 2, 5), ((3, 1), 1, 3)])
+@pytest.mark.parametrize(
+    "cone,pos,bad",
+    [((0, -1), 2, -1), ((0, 5), 2, 5), ((3, 1), 1, 3), ((0, 1.5), 2, 1.5), ((0, None), 2, None)],
+)
 def test_box_of_cone_rejects_an_index_outside_the_markers(cone, pos, bad):
-    """-1 would read the last ray and cache an inverse under (0, -1)."""
+    """-1 would read the last ray and cache an inverse under (0, -1); 1.5
+    would fail inside the cone table."""
     fan = dataclasses.replace(F1)
-    message = f"box: position {pos} of cone {cone} is {bad}, not in 0..2"
+    kind = "in 0..2" if isinstance(bad, int) else "an integer"
+    message = f"box: entry {pos} of cone is {bad!r}, not {kind}"
     with pytest.raises(ValueError) as info:
         box_of_cone(fan, cone, (Fraction(1, 4), 0))
     assert str(info.value) == message

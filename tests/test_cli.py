@@ -308,7 +308,7 @@ def test_wrong_length_beta_exit_2(seed_dir, tmp_path):
         tmp_path,
     )
     assert code == 2
-    assert doc["error"] == {"type": "ValueError", "message": "beta must have 2 coordinates, got 1"}
+    assert doc["error"] == {"type": "ValueError", "message": "box: beta must have 2 coordinates, got 1"}
 
 
 X_F1 = "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0]]"
@@ -317,7 +317,7 @@ X_F1 = "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0]]"
 @pytest.mark.parametrize(
     "beta,x,message",
     [
-        ('["1/4", "0", "1/5"]', f'{{"x": {X_F1}}}', "beta must have 2 coordinates, got 3"),
+        ('["1/4", "0", "1/5"]', f'{{"x": {X_F1}}}', "box: beta must have 2 coordinates, got 3"),
         ('["1/4", "0"]', '{"x": [[1.0, 0.0], [10.0, 0.0]]}', "x must have 3 coordinates, got 2"),
         (
             '["1/4", "0"]',
@@ -512,14 +512,16 @@ F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2,
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("deg", ["3/2", "0"], "fan: entry 1 of deg is not an integer"),
-        ("rays", [[1, 0], [1.9, 1], [1, 2]], "fan: entry 1 of ray 2 is not an integer"),
-        ("max_cones", [[1, 2], [2, 1.5]], "fan: entry 2 of cone 2 is not an integer"),
-        ("rank", 2.5, "fan: rank 2.5 is not an integer"),
+        ("deg", ["3/2", "0"], "fan: entry 1 of deg is '3/2', not an integer"),
+        ("rays", [[1, 0], [1.9, 1], [1, 2]], "fan: entry 1 of ray 2 is 1.9, not an integer"),
+        ("max_cones", [[1, 2], [2, 1.5]], "fan: entry 2 of cone 2 is 1.5, not an integer"),
+        ("rank", 2.5, "fan: rank is 2.5, not an integer"),
     ],
+    ids=["deg", "rays", "max_cones", "rank"],
 )
 def test_non_integral_fan_entry_exit_2(tmp_path, field, value, message):
-    """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"]."""
+    """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"].
+    A cone entry is shown as the file has it, 1-based."""
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({**F1_DOC, field: value}))
     code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
@@ -534,6 +536,32 @@ def test_integral_fan_entries_keep_their_meaning(seed_dir, tmp_path):
     code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path, "float.json")
     assert code == 0
     assert doc == run_cli(["validate", "--fan", str(seed_dir / "fan_f1.json")], tmp_path)[1]
+
+
+@pytest.mark.parametrize(
+    "beta,xi,message",
+    [
+        ('[0.5, "0"]', '["1/4", "0"]', "box: entry 1 of beta is 0.5, not a Gaussian rational"),
+        ('["1/4", {"re": 1.5}]', '["1/4", "0"]', "box: entry 2 of beta is {'re': 1.5}, not a Gaussian rational"),
+        ('["1/4", "0"]', '["1/4", "1/0"]', "quotient: entry 2 of xi is '1/0', not a rational"),
+    ],
+    ids=["beta-float", "beta-object", "xi"],
+)
+def test_inexact_entry_has_the_library_message(seed_dir, tmp_path, beta, xi, message):
+    """The JSON entries go to the library unparsed, so its reader names them."""
+    (tmp_path / "beta.json").write_text(f'{{"beta": {beta}}}')
+    (tmp_path / "xi.json").write_text(f'{{"xi": {xi}}}')
+    code, doc = run_cli(
+        [
+            "cohomology",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(tmp_path / "beta.json"),
+            "--shadow", str(tmp_path / "xi.json"),
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("xi,got", [('["1/4"]', 1), ('["1/4", "0", "0"]', 3)])

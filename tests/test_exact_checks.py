@@ -155,14 +155,14 @@ def test_non_integral_index_rejected():
         lambda v: verify_term_shift(inst, v, 1, 4),
     )
     for call in calls:
-        with pytest.raises(ValueError, match=r"coordinate 1 of v is 0\.5, not an integer"):
+        with pytest.raises(ValueError, match=r"^series: entry 1 of v is 0\.5, not an integer$"):
             call((0.5, 0))
-        with pytest.raises(ValueError, match="coordinate 2 of v"):
+        with pytest.raises(ValueError, match="series: entry 2 of v"):
             call((0, Fraction(1, 3)))
         for x, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
-            with pytest.raises(ValueError, match=rf"^coordinate 2 of v is {shown}, not an integer$"):
+            with pytest.raises(ValueError, match=rf"^series: entry 2 of v is {shown}, not an integer$"):
                 call((0, x))
-        with pytest.raises(ValueError, match="v must have 2 coordinates, got 3"):
+        with pytest.raises(ValueError, match="^series: v must have 2 coordinates, got 3$"):
             call((0, 0, 0))
     # integral values of any numeric type index as the integers they equal
     assert gamma_series(inst, (0.0, Fraction(1)), X_F1, 4) == gamma_series(inst, (0, 1), X_F1, 4)

@@ -1,0 +1,98 @@
+"""Every exact input vector goes through linalg.read_exact: the fan's rank,
+rays, cones and deg, ModuleSpec's chi and xi, beta at each stage's entry
+point, and the series index v.  A bad entry raises the one message form
+"<stage>: entry <pos> of <field> is <value!r>, not <kind>"; every accepted
+spelling of a value gives the result of its Fraction, equal in value and
+repr."""
+
+from fractions import Fraction
+
+import pytest
+
+from boxgamma.box import box_of_fan, normalize_beta, stabilize
+from boxgamma.fan import StackyFan
+from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, verify_term_shift
+from boxgamma.kring import spectrum
+from boxgamma.linalg import GaussianRational
+from boxgamma.quotient import ModuleSpec
+
+F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+INST = build_gkz(F1, (Fraction(1, 4), 0))
+SOURCE = INST.correspondence.triples[0][0]
+X_F1 = (1.0, 10.0, 1.0)
+
+
+def _fan(**fields):
+    return StackyFan(**{"rank": 2, "rays": F1.rays, "max_cones": F1.max_cones, **fields})
+
+
+INTEGER, RATIONAL, GAUSSIAN = "an integer", "a rational", "a Gaussian rational"
+
+# site: (call on one entry, what the message names, kind, an integral value the site takes)
+SITES = {
+    "rank": (lambda x: _fan(rank=x), "fan: rank", INTEGER, 2),
+    "rays": (lambda x: _fan(rays=((1, 0), (x, 1), (1, 2))), "fan: entry 1 of ray 2", INTEGER, 1),
+    "cones": (lambda x: _fan(max_cones=((0, 1), (1, x))), "fan: entry 2 of cone 2", INTEGER, 2),
+    "deg": (lambda x: _fan(deg=(x, 0)), "fan: entry 1 of deg", INTEGER, 1),
+    "chi": (lambda x: ModuleSpec(F1, (0, x)), "quotient: entry 2 of chi", RATIONAL, 1),
+    "xi": (lambda x: ModuleSpec(F1, (0, 0), xi=(x, 0)), "quotient: entry 1 of xi", RATIONAL, 1),
+    "normalize_beta": (lambda x: normalize_beta(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
+    "box_of_fan": (lambda x: box_of_fan(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
+    "stabilize": (lambda x: stabilize(F1, (0, x)), "box: entry 2 of beta", GAUSSIAN, 1),
+    "spectrum": (lambda x: spectrum(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
+    "build_gkz": (lambda x: build_gkz(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
+    "enumerate_L": (lambda x: enumerate_L(INST, SOURCE, (x, 0), 3), "series: entry 1 of v", INTEGER, 1),
+    "gamma_series": (lambda x: gamma_series(INST, (0, x), X_F1, 4), "series: entry 2 of v", INTEGER, 1),
+    "verify_term_shift": (
+        lambda x: verify_term_shift(INST, (x, 0), 1, 3), "series: entry 1 of v", INTEGER, 1
+    ),
+}
+
+COMPLEX = GaussianRational(Fraction(1, 4), Fraction(-1, 3))
+
+
+def _cases():
+    for site, (_, _, kind, n) in SITES.items():
+        bad = [0.5, None, "abc"] + ([] if kind == GAUSSIAN else [GaussianRational(0, 1)])
+        for entry in bad:
+            yield site, entry, None
+        good = [(n, Fraction(n)), (f"{2 * n}/2", Fraction(n))]
+        if kind != INTEGER:
+            good.append(("1/4", Fraction(1, 4)))
+        if kind == GAUSSIAN:
+            good += [(GaussianRational(n), Fraction(n)), ("1/4-1/3i", COMPLEX)]
+            good.append(({"re": "1/4", "im": "-1/3"}, COMPLEX))
+        for entry, same_as in good:
+            yield site, entry, same_as
+
+
+@pytest.mark.parametrize(
+    "site,entry,same_as", list(_cases()), ids=lambda v: v if isinstance(v, str) else repr(v)
+)
+def test_every_exact_input_is_read_by_one_reader(site, entry, same_as):
+    call, where, kind, _ = SITES[site]
+    if same_as is None:
+        with pytest.raises(ValueError) as info:
+            call(entry)
+        assert str(info.value) == f"{where} is {entry!r}, not {kind}"
+    else:
+        got, want = call(entry), call(same_as)
+        assert (got, repr(got)) == (want, repr(want))
+
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _fan(rays=("10", "11", "12")), "fan: ray 1 is '10', not a sequence"),
+        (lambda: ModuleSpec(F1, "00"), "quotient: chi is '00', not a sequence"),
+        (lambda: normalize_beta(F1, "12"), "box: beta is '12', not a sequence"),
+        (lambda: gamma_series(INST, "10", X_F1, 4), "series: v is '10', not a sequence"),
+    ],
+    ids=["rays", "chi", "beta", "v"],
+)
+def test_a_string_is_not_read_as_its_characters(call, message):
+    """Strings are exact entries, so "12" would read as the vector (1, 2)."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -120,22 +120,31 @@ def test_tangent_member_rejects_a_wrong_length_xi(xi):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ({"rays": ((1, 0), (1.9, 1), (1, 2))}, "entry 1 of ray 2"),
-        ({"rays": ((1, 0), (1, 1), (1, Fraction(5, 2)))}, "entry 2 of ray 3"),
-        ({"max_cones": ((0, 1), (1, 1.5))}, "entry 2 of cone 2"),
-        ({"deg": (Fraction(3, 2), 0)}, "entry 1 of deg"),
-        ({"deg": (1, math.nan)}, "entry 2 of deg"),
-        ({"rank": 2.5}, "rank 2.5"),
+        ({"rays": ((1, 0), (1.9, 1), (1, 2))}, "entry 1 of ray 2 is 1.9"),
+        ({"rays": ((1, 0), (1, 1), (1, Fraction(5, 2)))}, "entry 2 of ray 3 is Fraction(5, 2)"),
+        ({"max_cones": ((0, 1), (1, 1.5))}, "entry 2 of cone 2 is 1.5"),
+        ({"deg": (Fraction(3, 2), 0)}, "entry 1 of deg is Fraction(3, 2)"),
+        ({"deg": (1, math.nan)}, "entry 2 of deg is nan"),
+        ({"rank": 2.5}, "rank is 2.5"),
+    ],
+    ids=[
+        "fields0-entry 1 of ray 2",
+        "fields1-entry 2 of ray 3",
+        "fields2-entry 2 of cone 2",
+        "fields3-entry 1 of deg",
+        "fields4-entry 2 of deg",
+        "fields5-rank 2.5",
     ],
 )
 def test_non_integral_fan_entry_raises(fields, message):
-    """An entry that equals no integer is named, never truncated."""
-    with pytest.raises(ValueError, match=rf"^fan: {message} is not an integer$"):
+    """An entry that equals no integer is named with its value, never truncated."""
+    with pytest.raises(ValueError) as info:
         StackyFan(**{"rank": 2, "rays": F1.rays, "max_cones": F1.max_cones, **fields})
+    assert str(info.value) == f"fan: {message}, not an integer"
 
 
 def test_non_integral_triangulation_point_raises():
-    with pytest.raises(ValueError, match=r"^fan: entry 2 of point 3 is not an integer$"):
+    with pytest.raises(ValueError, match=r"^fan: entry 2 of point 3 is 1\.5, not an integer$"):
         triangulate_from_heights(((1, 0), (1, 1), (1, 1.5)), (0, 1, 0))
 
 

@@ -525,8 +525,8 @@ def test_series_value_metadata():
 
 def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
     """The relation lattice is read off the markers' (H, U), not eliminated
-    again.  The fan is validated first: lattice_generates forms its own
-    HNF once per fan."""
+    again, by build_gkz and by suggest_x.  The fan is validated first:
+    lattice_generates forms its own HNF once per fan."""
     fan = StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones)
     validate(fan)
     formed = Counter()
@@ -540,4 +540,7 @@ def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
         monkeypatch.setattr(module, "hermite_normal_form", counting)
     inst = build_gkz(fan, (Fraction(1, 4), 0))
     assert formed[fan.rays] == 1
+    formed.clear()
+    assert suggest_x(inst, (1, 0, 1)) == (0.1, 1.0, 0.1)
+    assert not formed
     assert inst.relations == build_gkz(F1, (Fraction(1, 4), 0)).relations == ((1, -2, 1),)

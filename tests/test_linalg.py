@@ -10,12 +10,11 @@ from boxgamma.linalg import (
     format_gaussian,
     format_rational,
     hermite_normal_form,
-    integer_kernel_basis,
     lattice_generates,
     parse_gaussian,
     parse_rational,
     smith_normal_form,
-    solve_integer,
+    solve_with_hnf,
 )
 from exact_oracles import cone_coords, det_rational, mat_inverse, solve_simplicial_coords
 
@@ -142,17 +141,20 @@ def test_mat_inverse():
 
 
 def test_solve_integer_and_kernel():
+    """One row HNF (H, U) gives the integer solutions and, in the rows of U
+    where H is zero, a lattice basis of the relations."""
     rays = [(1, 0), (1, 1), (1, 2)]
-    m = solve_integer(rays, (3, 4))
+    h, u = hermite_normal_form(rays)
+    m = solve_with_hnf(h, u, (3, 4))
     assert m is not None
     assert tuple(sum(m[i] * rays[i][j] for i in range(3)) for j in range(2)) == (3, 4)
-    ker = integer_kernel_basis(rays)
+    ker = [row for row, hrow in zip(u, h) if not any(hrow)]
     assert len(ker) == 1
     k = ker[0]
     assert tuple(sum(k[i] * rays[i][j] for i in range(3)) for j in range(2)) == (0, 0)
     assert [abs(x) for x in k] == [1, 2, 1]
     # target outside the generated lattice
-    assert solve_integer([(2, 0), (0, 2)], (1, 0)) is None
+    assert solve_with_hnf(*hermite_normal_form([(2, 0), (0, 2)]), (1, 0)) is None
 
 
 def test_lattice_generates():
