@@ -39,6 +39,7 @@ from .linalg import (
     format_gaussian,
     hermite_normal_form,
     im_part,
+    parse_rational,
     re_part,
     read_exact,
     scalar_from_parts,
@@ -781,9 +782,7 @@ def suggest_x(instance: GkzInstance, heights: Sequence, target: float = 1e-2) ->
     """Evaluation point from triangulation heights: x_i = rho^h_i with rho set
     so every relation-lattice generator contracts its monomial to the target."""
     fan = instance.fan
-    if len(heights) != fan.k:
-        raise ValueError(f"heights must have {fan.k} entries, got {len(heights)}")
-    hs = [Fraction(h) for h in heights]
+    hs = read_exact(heights, parse_rational, "series", "heights", fan.k)
     hnf, u = instance.marker_hnf
     kernel = [row for row, hrow in zip(u, hnf) if not any(hrow)]  # as build_gkz reads it
     if not kernel:

@@ -2,19 +2,23 @@
 references the library's fraction-free integer kernels are tested against.
 Also a fan's completeness and its minimal non-faces, and Definition 2's
 module product with the check that a delta-stabilization intertwines it,
-and the delta-correspondence found by enumerating and matching the box set
-at beta_delta.  Only tests read them."""
+the delta-correspondence found by enumerating and matching the box set
+at beta_delta, and the fan report with every pair of maximal cones compared
+exactly.  Only tests read them."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+from unittest import mock
 
+from boxgamma import fan as fan_module
 from boxgamma.box import BoxElement, DeltaCorrespondence, alpha_key, box_of_fan, normalize_beta
 from boxgamma.errors import DependentGenerators, NotInSpan
-from boxgamma.fan import StackyFan, _cone_inverse, minimal_cone
+from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, minimal_cone
 from boxgamma.linalg import (
     ConeInverse,
     Coord,
@@ -107,6 +111,14 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     each maximal cone's ConeInverse, so its cone solves skip the elimination.
     """
     return cone_coords(cone_inverse(gens), p)
+
+
+def all_pairs_report(fan: StackyFan) -> ValidationReport:
+    """validate's report on a fresh copy of the fan with the separation
+    certificate switched off, so every pair of maximal cones goes through
+    the exact comparison by _intersection_rays."""
+    with mock.patch.object(fan_module, "_separated", lambda *args: False):
+        return fan_module.validate(dataclasses.replace(fan))
 
 
 def is_complete(fan) -> bool:

@@ -40,7 +40,7 @@ from boxgamma.fan import (
 )
 from boxgamma.linalg import ConeInverse, GaussianRational, cone_inverse, im_part, re_part
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
-from exact_oracles import cone_coords, det_rational, mat_inverse
+from exact_oracles import all_pairs_report, cone_coords, det_rational, mat_inverse
 
 small_int = st.integers(-3, 3)
 rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -185,6 +185,37 @@ def regular_subfans(draw):
         assume(False)
     cones = draw(st.lists(st.sampled_from(fan.max_cones), min_size=1, unique=True))
     return StackyFan(rank=d, rays=fan.rays, max_cones=tuple(cones))
+
+
+@st.composite
+def mixed_triangulations(draw):
+    """Some cells of each of two regular triangulations of one point set
+    (1, p), p in [-1, 1]^2 or in {0, 1}^3.  Many of these points are
+    collinear or coplanar, so cells of the two often overlap while sharing
+    markers, and a marker of one often lies on a facet hyperplane of the
+    other."""
+    d = draw(st.integers(3, 4))
+    grid = list(itertools.product(*[range(-1, 2) if d == 3 else range(2)] * (d - 1)))
+    pts = draw(st.lists(st.sampled_from(grid), min_size=d + 1, unique=True))
+    cones = {}
+    for _ in range(2):
+        heights = draw(st.lists(rational, min_size=len(pts), max_size=len(pts)))
+        try:
+            fan = triangulate_from_heights([(1,) + p for p in pts], heights)
+        except (DegenerateHeights, ValueError):
+            assume(False)
+        cells = draw(st.lists(st.sampled_from(fan.max_cones), min_size=1, unique=True))
+        cones.update(dict.fromkeys(cells))
+    return StackyFan(rank=d, rays=fan.rays, max_cones=tuple(cones))
+
+
+@settings(deadline=None)
+@given(fan=st.one_of(small_fans(), regular_subfans(), mixed_triangulations()))
+def test_validate_matches_the_all_pairs_path(fan):
+    """The separation certificate decides each pair as the exact comparison
+    does: the report on a fresh fan equals the all-pairs report field for
+    field, violation text and order included."""
+    assert validate(dataclasses.replace(fan)) == all_pairs_report(fan)
 
 
 def cone_point(draw, fan):

@@ -1,17 +1,18 @@
 """Every exact input vector goes through linalg.read_exact: the fan's rank,
-rays, cones and deg, ModuleSpec's chi and xi, beta at each stage's entry
-point, and the series index v.  A bad entry raises the one message form
-"<stage>: entry <pos> of <field> is <value!r>, not <kind>"; every accepted
-spelling of a value gives the result of its Fraction, equal in value and
-repr."""
+rays, cones and deg, ModuleSpec's chi and xi, the point and shadow direction
+of the fan's cone tests, triangulation and evaluation-point heights, beta at
+each stage's entry point, and the series index v.  A bad entry raises the
+one message form "<stage>: entry <pos> of <field> is <value!r>, not <kind>";
+every accepted spelling of a value gives the result of its Fraction, equal
+in value and repr."""
 
 from fractions import Fraction
 
 import pytest
 
 from boxgamma.box import box_of_fan, normalize_beta, stabilize
-from boxgamma.fan import StackyFan
-from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, verify_term_shift
+from boxgamma.fan import StackyFan, minimal_cone, tangent_member, triangulate_from_heights
+from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, suggest_x, verify_term_shift
 from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec
@@ -34,6 +35,12 @@ SITES = {
     "rays": (lambda x: _fan(rays=((1, 0), (x, 1), (1, 2))), "fan: entry 1 of ray 2", INTEGER, 1),
     "cones": (lambda x: _fan(max_cones=((0, 1), (1, x))), "fan: entry 2 of cone 2", INTEGER, 2),
     "deg": (lambda x: _fan(deg=(x, 0)), "fan: entry 1 of deg", INTEGER, 1),
+    "point": (lambda x: minimal_cone(F1, (x, 0)), "fan: entry 1 of point", RATIONAL, 1),
+    "tangent_xi": (lambda x: tangent_member(F1, (2, 0), (x, 0)), "fan: entry 1 of xi", RATIONAL, 1),
+    "heights": (
+        lambda x: triangulate_from_heights(F1.rays, (x, 0, 1)), "fan: entry 1 of heights", RATIONAL, 1
+    ),
+    "suggest_x": (lambda x: suggest_x(INST, (x, 0, 1)), "series: entry 1 of heights", RATIONAL, 1),
     "chi": (lambda x: ModuleSpec(F1, (0, x)), "quotient: entry 2 of chi", RATIONAL, 1),
     "xi": (lambda x: ModuleSpec(F1, (0, 0), xi=(x, 0)), "quotient: entry 1 of xi", RATIONAL, 1),
     "normalize_beta": (lambda x: normalize_beta(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
@@ -93,6 +100,24 @@ def test_every_exact_input_is_read_by_one_reader(site, entry, same_as):
 )
 def test_a_string_is_not_read_as_its_characters(call, message):
     """Strings are exact entries, so "12" would read as the vector (1, 2)."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: triangulate_from_heights(F1.rays, (1, 0)),
+            "fan: heights must have 3 coordinates, got 2",
+        ),
+        (lambda: suggest_x(INST, (1, 0, 1, 0)), "series: heights must have 3 coordinates, got 4"),
+    ],
+    ids=["triangulate_from_heights", "suggest_x"],
+)
+def test_heights_of_the_wrong_length_raise(call, message):
+    """One height per marker, in the reader's length form."""
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
