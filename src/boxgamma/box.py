@@ -17,11 +17,13 @@ from typing import Sequence
 from .errors import DependentGenerators, NotFullDimensional
 from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, minimal_cone
 from .linalg import (
+    ConeInverse,
     Coord,
     GaussianRational,
     _integral,
     im_part,
     parse_gaussian,
+    parse_rational,
     re_part,
     read_exact,
     scalar_from_parts,
@@ -91,32 +93,42 @@ def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple
     return wits if wits else (cone,)
 
 
-def _cone_branches(fan, cone, beta):
-    """(residue, floors, BoxElement) triples in residue enumeration order.
+def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
+    """The cone's ConeInverse; raises NotFullDimensional, naming the cone by
+    its 1-based marker indices, for a cone of the wrong size or with
+    dependent generators."""
+    named = tuple(i + 1 for i in cone)
+    if len(cone) != fan.rank:
+        raise NotFullDimensional(f"box: cone {named} is not full-dimensional in rank {fan.rank}")
+    try:
+        return _cone_inverse(fan, cone)
+    except DependentGenerators:
+        raise NotFullDimensional(f"box: generators of cone {named} are linearly dependent") from None
+
+
+def _cone_branches(fan, cone, beta, common):
+    """(key, residue, floors, BoxElement) quadruples in residue enumeration order.
 
     With S V T = D the Smith form of the generator matrix V, the residues r
     of Z^d / V Z^d give the lattice points n0 = S^-1 r, and the cone
     coordinates of n0 + beta are (adj n0 + adj beta) / det.  adj beta is
-    formed once, over a common denominator of beta's parts; each residue
+    formed once, over a common denominator den of beta's parts; each residue
     then costs integer products and one Fraction per coordinate and part.
-    V's inverse and Smith data come from the fan's cone table.
+    V's inverse and Smith data come from the fan's cone table.  key holds
+    Re alpha_i and Im alpha_i, interleaved, as integers over common * den,
+    for common a multiple of |det|: over one such denominator the keys
+    compare as alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
-    named = tuple(i + 1 for i in cone)
-    if len(cone) != d:
-        raise NotFullDimensional(f"box: cone {named} is not full-dimensional in rank {d}")
-    try:
-        inv = _cone_inverse(fan, cone)
-    except DependentGenerators:
-        raise NotFullDimensional(f"box: generators of cone {named} are linearly dependent") from None
+    inv = _solved(fan, cone)
     adj, det = inv.rows, inv.den
     diag, s_inv = _cone_smith(fan, cone)
-    gens = [fan.rays[i] for i in cone]
     re = [re_part(b) for b in beta]
     im = [im_part(b) for b in beta]
     den = math.lcm(*(x.denominator for x in re + im))
     big = det * den
+    scale = common // det
     b_re = scaled_numerators(re, den)
     b_im = scaled_numerators(im, den)
     adj_re = [sum(a * b for a, b in zip(row, b_re)) for row in adj]
@@ -125,21 +137,17 @@ def _cone_branches(fan, cone, beta):
     for residue in itertools.product(*[range(x) for x in diag]):
         n0 = [sum(a * b for a, b in zip(row, residue)) for row in s_inv]
         alpha = [Fraction(0)] * fan.k
-        floors = []
+        key = [0] * (2 * fan.k)
+        floors = [0] * fan.k
         for pos, i in enumerate(cone):
             num = den * sum(a * b for a, b in zip(adj[pos], n0)) + adj_re[pos]
-            f = num // big
+            f = floors[i] = num // big
             alpha[i] = scalar_from_parts(Fraction(num - f * big, big), Fraction(adj_im[pos], big))
-            floors.append(f)
-        point = tuple(
-            n0[r] - sum(floors[pos] * gens[pos][r] for pos in range(d)) for r in range(d)
-        )
-        support = tuple(i for i in range(fan.k) if alpha[i] != 0)
+            key[2 * i], key[2 * i + 1] = (num - f * big) * scale, adj_im[pos] * scale
+        point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
+        support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
         elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support, cone))
-        padded = [0] * fan.k
-        for pos, i in enumerate(cone):
-            padded[i] = floors[pos]
-        out.append((residue, tuple(padded), elem))
+        out.append((tuple(key), residue, tuple(floors), elem))
     return out
 
 
@@ -151,8 +159,8 @@ def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
         if not 0 <= i < fan.k:
             raise ValueError(f"box: entry {pos} of cone is {i}, not in 0..{fan.k - 1}")
     b = normalize_beta(fan, beta)
-    elems = [e for _, _, e in _cone_branches(fan, cone, b)]
-    return tuple(sorted(elems, key=lambda e: alpha_key(e.alpha)))
+    branches = sorted(_cone_branches(fan, cone, b, _solved(fan, cone).den))
+    return tuple(e for _, _, _, e in branches)
 
 
 def box_of_fan(fan: StackyFan, beta) -> tuple[BoxElement, ...]:
@@ -169,10 +177,14 @@ def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
 
 
 def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
+    """The classes, grouped and sorted by the branches' integer keys over one
+    denominator for the fan and beta: the lcm of the maximal cones' |det|
+    times that of beta's parts."""
+    common = math.lcm(*(_solved(fan, mc).den for mc in fan.max_cones))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
-        for residue, floors, e in _cone_branches(fan, mc, b):
-            groups.setdefault(alpha_key(e.alpha), []).append(Branch(mc, residue, floors, e))
+        for key, residue, floors, e in _cone_branches(fan, mc, b, common):
+            groups.setdefault(key, []).append(Branch(mc, residue, floors, e))
     classes = []
     for key in sorted(groups):
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
@@ -188,48 +200,65 @@ def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
 
 def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta),
-    for an exact delta: an int or a Fraction."""
-    if not isinstance(delta, (int, Fraction)):
-        raise ValueError(f"box: delta {delta!r} is not an int or a Fraction")
+    for an exact rational delta, read as linalg.read_exact reads a rational."""
+    (delta,) = read_exact((delta,), parse_rational, "box", "delta")
     b = normalize_beta(fan, beta)
-    return _correspondence(fan, b, delta)
+    return _correspondence(fan, b, delta)[0]
 
 
-def _correspondence(fan: StackyFan, b, delta) -> DeltaCorrespondence:
-    """correspondence_at for a normalized beta: alpha_i goes to frac(x_i), x_i = Re alpha_i +
-    delta*Im alpha_i, and n to n - sum(floor(x_i) v_i), keeping support and witness cones.  A
-    branch's raw cone coordinates are affine in beta: its image is the same branch at beta_delta.
+def _correspondence(
+    fan: StackyFan, b, delta
+) -> tuple[DeltaCorrespondence, tuple[CollisionClass, ...]]:
+    """correspondence_at for a normalized beta, with the collision classes at beta_delta.
 
-    The "do not biject" guard cannot fire before the support check, at any delta.  An image has
-    at most its source's support: a real alpha_i is its own image.  Say e2's image equals that of
-    an earlier e1, which kept its support S.  Then S lies in supp(e2), a face of a simplicial
-    cone, and both imaginary parts write Im beta in that face's independent generators: they
-    agree on S and vanish off it, so e2's coordinates off S are real, nonzero and kept, and
-    supp(e2) = S.  The real parts then agree mod 1, so e1 = e2, which the box set excludes."""
+    alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i, and n to
+    n - sum(floor(x_i) v_i), keeping support and witness cones.  A branch's raw cone coordinates
+    are affine in beta: its image is the same branch at beta_delta, with floors + floor(x_i).  So
+    each class at beta maps to the class at beta_delta of the image exponent, with the same
+    branches and differences; sorted by their real exponents, they are in alpha_key's order.
+
+    The "do not biject" guard, on the sorted classes, cannot fire once every element has passed
+    the support check, at any delta.  An image has at most its source's support: a real alpha_i
+    is its own image.  Say the images of e1 and e2 are equal and e1 kept its support S.  Then S
+    lies in supp(e2), a face of a simplicial cone, and both imaginary parts write Im beta in that
+    face's independent generators: they agree on S and vanish off it, so e2's coordinates off S
+    are real, nonzero and kept, and supp(e2) = S.  The real parts then agree mod 1, so e1 = e2,
+    which the box set excludes."""
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
-    seen = set()
+    p, q = delta.numerator, delta.denominator
     triples = []
-    for e in box_of_fan(fan, b):
+    classes = []
+    for cls in collisions(fan, b):
+        e = cls.branches[0].element
         alpha = list(e.alpha)  # a real alpha_i in [0, 1) is its own image
+        shift = [0] * fan.k
         n = e.lattice_point
         for i, a in enumerate(e.alpha):
             if isinstance(a, GaussianRational):
-                x = a.re + delta * a.im
-                f = math.floor(x)
-                alpha[i] = x - f
-                n = tuple(p - f * c for p, c in zip(n, fan.rays[i]))
+                r, m = a.re, a.im  # x_i = xn / xd
+                xd = r.denominator * m.denominator * q
+                xn = r.numerator * m.denominator * q + p * m.numerator * r.denominator
+                f = shift[i] = xn // xd
+                alpha[i] = Fraction(xn - f * xd, xd)
+                n = tuple(x - f * c for x, c in zip(n, fan.rays[i]))
         alpha = tuple(alpha)
-        if alpha in seen:
-            raise RuntimeError("internal: stabilized elements do not biject")
-        seen.add(alpha)
         if tuple(i for i, x in enumerate(alpha) if x) != e.support:
             raise RuntimeError("internal: support changed under stabilization")
         # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
-        point = tuple(p + x for p, x in zip(n, beta_delta))
+        point = tuple(x + y for x, y in zip(n, beta_delta))
         if minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
-        triples.append((e, BoxElement(alpha, n, e.support, e.witness_cones), point))
-    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
+        image = BoxElement(alpha, n, e.support, e.witness_cones)
+        triples.append((e, image, point))
+        branches = tuple(
+            Branch(br.cone, br.residue, tuple(x + y for x, y in zip(br.floors, shift)), image)
+            for br in cls.branches
+        )
+        classes.append(CollisionClass(alpha, branches, cls.differences))
+    classes.sort(key=lambda c: c.alpha)
+    if any(c.alpha == d.alpha for c, d in zip(classes, classes[1:])):
+        raise RuntimeError("internal: stabilized elements do not biject")
+    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples)), tuple(classes)
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
@@ -246,7 +275,10 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     imaginary parts write Im beta in that face's independent generators, so
     they agree, and then so do the real parts.  Each image is its branch at
     beta_delta (_correspondence), so the images are onto and the box set at
-    beta_delta is not built.  Built once per parameter (the fan's memo).
+    beta_delta is not built: when beta_delta != beta, the collision classes
+    _correspondence writes there go into the fan's memo under beta_delta,
+    which the quotient at beta_delta then reads.  Built once per parameter
+    (the fan's memo).
     """
     b = normalize_beta(fan, beta)
     return _memo(fan._table.params, b, "stabilize", _stabilize, fan, b)
@@ -264,4 +296,7 @@ def _stabilize(fan: StackyFan, b) -> DeltaCorrespondence:
     delta = Fraction(1, 16)
     while delta >= wall:
         delta /= 2
-    return _correspondence(fan, b, delta)
+    corr, classes = _correspondence(fan, b, delta)
+    if corr.beta_delta != b:
+        _memo(fan._table.params, corr.beta_delta, "collisions", lambda: classes)
+    return corr

@@ -8,9 +8,11 @@ marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
 table (_ConeTable), filled once per fan.  The same table keeps the
 parameter memo (_memo): the collision classes, stabilization and quotients
 of the two most recently used parameters beta, each quotient under its
-shadow direction and the fan's degree functional, in a memo of its own
-the graded pieces of the two most recently used shifts chi, and in a third
-the quotient's summand blocks, one per face supp(alpha) for every beta.
+shadow direction and the fan's degree functional.  stabilize fills both
+a Gaussian beta's entry and its beta_delta's collision classes.  A memo of
+its own keeps the graded pieces of the two most recently used shifts chi,
+and a third the quotient's summand blocks, one per face supp(alpha) for
+every beta.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ class _ConeTable:
     full-dimensional one, and the fan's ValidationReport.  Their size is
     bounded by the fan's cones, and a StackyFan is frozen, so no entry can
     go stale.  params is the parameter memo (see _memo), bounded by two
-    parameters, and graded the same memo for graded pieces, bounded by two
-    shifts: solution_system reads its pieces at chi = 0, which in params
-    would displace a parameter or its beta_delta.  blocks, the same memo for
+    parameters: stabilize fills a beta and, when it differs, its beta_delta,
+    whose collision classes it writes from beta's.  graded is the same memo
+    for graded pieces, bounded by two shifts: solution_system reads its
+    pieces at chi = 0, which in params would displace a parameter or its
+    beta_delta.  blocks, the same memo for
     quotient._Summand, is bounded by the fan's faces times two shadow
     signatures (_tangent_test's key; None without xi).  build_gkz's copy of an
     eligible fan with its degree functional filled in shares the whole table
@@ -82,12 +86,13 @@ _PARAMS_KEPT = 2
 def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
     """build(*args), kept in memo under recent and key; every bounded cache is one.
     The table's params memo holds "collisions", "stabilize" and, keyed by
-    (xi, deg), the quotients under the normalized parameter; its graded memo
-    holds the graded pieces, keyed by (xi, deg, m), under the shift chi as
-    given; its blocks memo the face blocks, keyed by face under the shadow
-    signature.  deg is in the keys as BasisElement.offset and the graded pieces
-    read fan.deg, and _with_deg's copy shares the table.  Only the `kept`
-    most recently used values of recent are kept (two parameters or shifts,
+    (xi, deg), the quotients under the normalized parameter; stabilize also
+    stores beta_delta's "collisions" there.  Its graded memo holds the
+    graded pieces, keyed by (xi, deg, m), under the shift chi as given; its
+    blocks memo the face blocks, keyed by face under the shadow signature.
+    deg is in the keys as BasisElement.offset and the graded pieces read
+    fan.deg, and _with_deg's copy shares the table.  Only the `kept` most
+    recently used values of recent are kept (two parameters or shifts,
     one bound or point of a GkzInstance), so the memo stays bounded however
     many it sees.  A build that raises stores nothing, nor a degree of a block."""
     entry = memo.get(recent)

@@ -3,8 +3,9 @@ references the library's fraction-free integer kernels are tested against.
 Also a fan's completeness and its minimal non-faces, and Definition 2's
 module product with the check that a delta-stabilization intertwines it,
 the delta-correspondence found by enumerating and matching the box set
-at beta_delta, and the fan report with every pair of maximal cones compared
-exactly.  Only tests read them."""
+at beta_delta, the collision classes grouped and sorted by the Fraction
+pairs of alpha_key, and the fan report with every pair of maximal cones
+compared exactly.  Only tests read them."""
 
 import dataclasses
 import itertools
@@ -15,8 +16,17 @@ from fractions import Fraction
 from typing import Sequence
 from unittest import mock
 
+from boxgamma import box as box_module
 from boxgamma import fan as fan_module
-from boxgamma.box import BoxElement, DeltaCorrespondence, alpha_key, box_of_fan, normalize_beta
+from boxgamma.box import (
+    BoxElement,
+    Branch,
+    CollisionClass,
+    DeltaCorrespondence,
+    alpha_key,
+    box_of_fan,
+    normalize_beta,
+)
 from boxgamma.errors import DependentGenerators, NotInSpan
 from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, minimal_cone
 from boxgamma.linalg import (
@@ -288,7 +298,9 @@ def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: in
 def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     """correspondence_at by enumeration: build the box set at beta_delta and
     look up each source element's fractional parts of Re + delta*Im in it,
-    checking that the lookups hit every target exactly once."""
+    checking that the lookups hit every target exactly once.  delta is an
+    int or a Fraction, kept as correspondence_at reads it: a Fraction."""
+    delta = Fraction(delta)
     b = normalize_beta(fan, beta)
     beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
     target = box_of_fan(fan, beta_delta)
@@ -311,3 +323,23 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
     if len(used) != len(target):
         raise RuntimeError("internal: stabilized elements do not biject")
     return DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
+
+
+def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
+    """collisions with each cone's branches grouped and sorted by alpha_key,
+    the Fraction pairs of the exponent, instead of the integer keys."""
+    b = normalize_beta(fan, beta)
+    groups: dict[tuple, list[Branch]] = {}
+    for mc in fan.max_cones:
+        det = _cone_inverse(fan, mc).den
+        for _, residue, floors, e in box_module._cone_branches(fan, mc, b, det):
+            groups.setdefault(alpha_key(e.alpha), []).append(Branch(mc, residue, floors, e))
+    classes = []
+    for key in sorted(groups):
+        branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
+        if len({br.element.lattice_point for br in branches}) > 1:
+            raise RuntimeError("internal: equal alpha with distinct lattice points")
+        base = branches[0].floors
+        diffs = tuple(tuple(x - y for x, y in zip(br.floors, base)) for br in branches)
+        classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
+    return tuple(classes)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import boxgamma.box as box
@@ -21,7 +21,12 @@ from boxgamma.errors import NotFullDimensional
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.kring import wall_report
 from boxgamma.linalg import GaussianRational, im_part, re_part
-from exact_oracles import det_rational, enumerated_correspondence, mat_inverse
+from exact_oracles import (
+    det_rational,
+    enumerated_correspondence,
+    fraction_keyed_collisions,
+    mat_inverse,
+)
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -305,14 +310,14 @@ def test_equal_alpha_with_distinct_lattice_points_raises(monkeypatch):
     point; every reader of the branch grouping checks it."""
     real = box._cone_branches
 
-    def forged(fan, cone, beta):
-        out = real(fan, cone, beta)
+    def forged(fan, cone, beta, common):
+        out = real(fan, cone, beta, common)
         if cone != fan.max_cones[-1]:
             return out
         moved = []
-        for residue, floors, e in out:
+        for key, residue, floors, e in out:
             point = tuple(x + 1 for x in e.lattice_point)
-            moved.append((residue, floors, dataclasses.replace(e, lattice_point=point)))
+            moved.append((key, residue, floors, dataclasses.replace(e, lattice_point=point)))
         return moved
 
     beta = (Fraction(0), Fraction(0))
@@ -329,10 +334,16 @@ def test_equal_alpha_with_distinct_lattice_points_raises(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.25, "1/4", None, GaussianRational(0, 1)])
 def test_correspondence_at_needs_an_exact_delta(delta):
-    """A float delta would give float exponents, quietly."""
+    """A float delta would give float exponents, quietly.  delta is read as
+    every rational input is: "1/4" is the Fraction 1/4, the rest are refused."""
+    if delta == "1/4":
+        read = correspondence_at(F1, (i_unit, 0), delta)
+        exact = correspondence_at(F1, (i_unit, 0), Fraction(1, 4))
+        assert (read, repr(read)) == (exact, repr(exact))
+        return
     with pytest.raises(ValueError) as info:
         correspondence_at(F1, (i_unit, 0), delta)
-    assert str(info.value) == f"box: delta {delta!r} is not an int or a Fraction"
+    assert str(info.value) == f"box: entry 1 of delta is {delta!r}, not a rational"
 
 
 def wall(fan, beta):
@@ -383,3 +394,45 @@ def test_closed_form_matches_enumeration(name, data):
     got = correspondence_outcome(lambda: correspondence_at(fan, beta, delta))
     fresh = dataclasses.replace(fan)
     assert got == correspondence_outcome(lambda: enumerated_correspondence(fresh, beta, delta))
+
+
+# real parts: integral ones give Re alpha_i = 0 (with Im alpha_i < 0 the
+# floor of the image is -1), tiny ones |Re| << |Im|, and plain rationals
+real_part = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.fractions(Fraction(-1, 1000), Fraction(1, 1000), max_denominator=10**5),
+    st.fractions(-3, 3, max_denominator=12),
+)
+gaussian_entry = st.builds(GaussianRational, real_part, st.fractions(-3, 3, max_denominator=12))
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(FANS)), data=st.data())
+def test_stabilize_writes_the_classes_at_beta_delta(name, data):
+    """The collision classes stabilize leaves in the memo under beta_delta
+    equal collisions at beta_delta on a fresh copy of the fan, in value,
+    repr and order: each branch's floors shifted by floor(x_i), and the
+    classes sorted at beta_delta, not at beta."""
+    fan = dataclasses.replace(FANS[name])
+    beta = tuple(data.draw(gaussian_entry) for _ in range(fan.rank))
+    assume(any(im_part(x) for x in beta))
+    corr = stabilize(fan, beta)
+    written = fan._table.params[corr.beta_delta]["collisions"]
+    fresh = collisions(dataclasses.replace(fan), corr.beta_delta)
+    assert (written, repr(written)) == (fresh, repr(fresh))
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(FANS)), data=st.data())
+def test_integer_keys_group_as_alpha_key(name, data):
+    """collisions, grouped and sorted by integer numerators over one
+    denominator per (fan, beta), equals the grouping by alpha_key's Fraction
+    pairs, order included.  Integral rational entries put beta on walls,
+    where branches of cones with different |det| collide."""
+    fan = FANS[name]
+    entry = st.one_of(real_part, gaussian_entry) if data.draw(st.booleans()) else real_part
+    beta = tuple(data.draw(entry) for _ in range(fan.rank))
+    got = collisions(dataclasses.replace(fan), beta)
+    want = fraction_keyed_collisions(dataclasses.replace(fan), beta)
+    assert (got, repr(got)) == (want, repr(want))

@@ -1,16 +1,16 @@
 """Every exact input vector goes through linalg.read_exact: the fan's rank,
 rays, cones and deg, ModuleSpec's chi and xi, the point and shadow direction
 of the fan's cone tests, triangulation and evaluation-point heights, beta at
-each stage's entry point, and the series index v.  A bad entry raises the
-one message form "<stage>: entry <pos> of <field> is <value!r>, not <kind>";
-every accepted spelling of a value gives the result of its Fraction, equal
-in value and repr."""
+each stage's entry point, correspondence_at's delta, and the series index
+v.  A bad entry raises the one message form "<stage>: entry <pos> of
+<field> is <value!r>, not <kind>"; every accepted spelling of a value gives
+the result of its Fraction, equal in value and repr."""
 
 from fractions import Fraction
 
 import pytest
 
-from boxgamma.box import box_of_fan, normalize_beta, stabilize
+from boxgamma.box import box_of_fan, correspondence_at, normalize_beta, stabilize
 from boxgamma.fan import StackyFan, minimal_cone, tangent_member, triangulate_from_heights
 from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, suggest_x, verify_term_shift
 from boxgamma.kring import spectrum
@@ -21,6 +21,8 @@ F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2))
 INST = build_gkz(F1, (Fraction(1, 4), 0))
 SOURCE = INST.correspondence.triples[0][0]
 X_F1 = (1.0, 10.0, 1.0)
+# a Gaussian beta whose correspondence exists at delta = 1 and 1/4
+BETA_C = (GaussianRational(Fraction(1, 3), Fraction(1, 10)), Fraction(1, 5))
 
 
 def _fan(**fields):
@@ -46,6 +48,7 @@ SITES = {
     "normalize_beta": (lambda x: normalize_beta(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
     "box_of_fan": (lambda x: box_of_fan(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
     "stabilize": (lambda x: stabilize(F1, (0, x)), "box: entry 2 of beta", GAUSSIAN, 1),
+    "delta": (lambda x: correspondence_at(F1, BETA_C, x), "box: entry 1 of delta", RATIONAL, 1),
     "spectrum": (lambda x: spectrum(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
     "build_gkz": (lambda x: build_gkz(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
     "enumerate_L": (lambda x: enumerate_L(INST, SOURCE, (x, 0), 3), "series: entry 1 of v", INTEGER, 1),

@@ -1,8 +1,9 @@
 """The fan's parameter memo: collisions, stabilize, build_quotient and
 graded_piece read through it equal the same calls on a fresh copy of the
 fan, whichever of a fan and its copy with the degree functional filled in
-they go through; the memo keeps two parameters; one algebra_sweep-style
-sequence builds each box set and the quotient once; solution_system reuses
+they go through; the memo keeps two parameters, and stabilize leaves
+beta_delta's classes in it; one algebra_sweep-style sequence builds the box
+set at beta and the quotient once, and none at beta_delta; solution_system reuses
 the graded pieces already built; and the shared quotient's maps are
 read-only."""
 
@@ -91,9 +92,10 @@ def test_memo_keeps_two_parameters():
         beta = (GaussianRational(Fraction(1, k + 2), Fraction(1, 3)), Fraction(k, 5))
         b = normalize_beta(fan, beta)
         corr = stabilize(fan, beta)
-        # stabilize reads the box set at beta only; the quotient builds the
-        # one at beta_delta
-        assert list(params)[-1] == b and corr.beta_delta not in params
+        # stabilize builds the box set at beta and writes the classes at
+        # beta_delta, which the quotient reads
+        assert list(params) == [b, corr.beta_delta]
+        assert "collisions" in params[corr.beta_delta]
         build_quotient(ModuleSpec(fan, corr.beta_delta))
         spectrum(fan, beta)
         assert list(params) == [corr.beta_delta, b]
@@ -118,9 +120,9 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     real_branches = box._cone_branches
     real_quotient = quotient._build_quotient
 
-    def counting_branches(fan, cone, beta):
+    def counting_branches(fan, cone, beta, common):
         branches.append((cone, tuple(beta)))
-        return real_branches(fan, cone, beta)
+        return real_branches(fan, cone, beta, common)
 
     def counting_quotient(spec):
         quotients.append(spec)
@@ -133,9 +135,9 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     q = build_quotient(ModuleSpec(fan, corr.beta_delta))
     points = spectrum(fan, beta)
     wall_report(fan, beta)
+    # the box set at beta only: stabilize writes the classes at beta_delta
     b = normalize_beta(fan, beta)
-    params = [b] if corr.beta_delta == b else [b, corr.beta_delta]
-    assert branches == [(cone, p) for p in params for cone in fan.max_cones]
+    assert branches == [(cone, b) for cone in fan.max_cones]
     assert quotients == [q.spec]
     assert sum(p.multiplicity for p in points) == q.dim
 
