@@ -15,19 +15,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, minimal_cone
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, _minimal_face
 from .linalg import (
     ConeInverse,
     Coord,
     GaussianRational,
+    _ZERO,
+    _dot,
     _integral,
     im_part,
+    integer_parts,
     parse_gaussian,
     parse_rational,
     re_part,
     read_exact,
-    scalar_from_parts,
-    scaled_numerators,
 )
 
 @dataclass(frozen=True)
@@ -89,8 +90,12 @@ def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
 
 
 def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple[ConeRef, ...]:
-    wits = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
-    return wits if wits else (cone,)
+    """The maximal cones holding the support, found once per support (the
+    fan's cone table), or (cone,) when none does."""
+    known = fan._table.witnesses
+    if support not in known:
+        known[support] = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
+    return known[support] or (cone,)
 
 
 def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
@@ -106,44 +111,42 @@ def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
         raise NotFullDimensional(f"box: generators of cone {named} are linearly dependent") from None
 
 
-def _cone_branches(fan, cone, beta, common):
+def _cone_branches(fan, cone, param, common):
     """(key, residue, floors, BoxElement) quadruples in residue enumeration order.
 
     With S V T = D the Smith form of the generator matrix V, the residues r
     of Z^d / V Z^d give the lattice points n0 = S^-1 r, and the cone
-    coordinates of n0 + beta are (adj n0 + adj beta) / det.  adj beta is
-    formed once, over a common denominator den of beta's parts; each residue
-    then costs integer products and one Fraction per coordinate and part.
-    V's inverse and Smith data come from the fan's cone table.  key holds
-    Re alpha_i and Im alpha_i, interleaved, as integers over common * den,
-    for common a multiple of |det|: over one such denominator the keys
-    compare as alpha_key of the exponents does.
+    coordinates of n0 + beta are (adj n0 + adj beta) / det, for beta's
+    integer parts param = (den, re, im) (linalg.integer_parts): integer
+    products, and one Fraction per real part (Im alpha is the same for every
+    residue).  V's inverse and Smith data come from the fan's cone table.
+    key holds Re alpha_i and Im alpha_i, interleaved, as integers over
+    common * den, for common a multiple of |det|: over one such denominator
+    the keys compare as alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
     inv = _solved(fan, cone)
     adj, det = inv.rows, inv.den
     diag, s_inv = _cone_smith(fan, cone)
-    re = [re_part(b) for b in beta]
-    im = [im_part(b) for b in beta]
-    den = math.lcm(*(x.denominator for x in re + im))
+    den, b_re, b_im = param
     big = det * den
     scale = common // det
-    b_re = scaled_numerators(re, den)
-    b_im = scaled_numerators(im, den)
-    adj_re = [sum(a * b for a, b in zip(row, b_re)) for row in adj]
-    adj_im = [sum(a * b for a, b in zip(row, b_im)) for row in adj]
+    adj_re = [_dot(row, b_re) for row in adj]
+    adj_im = [_dot(row, b_im) for row in adj]
+    ims = [Fraction(x, big) for x in adj_im]
     out = []
     for residue in itertools.product(*[range(x) for x in diag]):
-        n0 = [sum(a * b for a, b in zip(row, residue)) for row in s_inv]
-        alpha = [Fraction(0)] * fan.k
+        n0 = [_dot(row, residue) for row in s_inv]
+        alpha = [_ZERO] * fan.k
         key = [0] * (2 * fan.k)
         floors = [0] * fan.k
         for pos, i in enumerate(cone):
-            num = den * sum(a * b for a, b in zip(adj[pos], n0)) + adj_re[pos]
+            num = den * _dot(adj[pos], n0) + adj_re[pos]
             f = floors[i] = num // big
-            alpha[i] = scalar_from_parts(Fraction(num - f * big, big), Fraction(adj_im[pos], big))
-            key[2 * i], key[2 * i + 1] = (num - f * big) * scale, adj_im[pos] * scale
+            r = num - f * big
+            alpha[i] = GaussianRational(Fraction(r, big), ims[pos]) if adj_im[pos] else Fraction(r, big)
+            key[2 * i], key[2 * i + 1] = r * scale, adj_im[pos] * scale
         point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
         support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
         elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support, cone))
@@ -158,8 +161,8 @@ def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
     for pos, i in enumerate(cone, start=1):
         if not 0 <= i < fan.k:
             raise ValueError(f"box: entry {pos} of cone is {i}, not in 0..{fan.k - 1}")
-    b = normalize_beta(fan, beta)
-    branches = sorted(_cone_branches(fan, cone, b, _solved(fan, cone).den))
+    param = integer_parts(normalize_beta(fan, beta))
+    branches = sorted(_cone_branches(fan, cone, param, _solved(fan, cone).den))
     return tuple(e for _, _, _, e in branches)
 
 
@@ -172,21 +175,27 @@ def box_of_fan(fan: StackyFan, beta) -> tuple[BoxElement, ...]:
 def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     """Partition of the per-cone branches by equal reduced exponent vectors,
     built once per parameter (the fan's parameter memo)."""
-    b = normalize_beta(fan, beta)
-    return _memo(fan._table.params, b, "collisions", _collisions, fan, b)
+    return _classes(fan, integer_parts(normalize_beta(fan, beta)))[2]
 
 
-def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
+def _classes(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
+    """(den, keys, classes) at beta's integer parts param, from the fan's
+    parameter memo: the classes sorted, and each one's integer key over den."""
+    return _memo(fan._table.params, param, "collisions", _collisions, fan, param)
+
+
+def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
     """The classes, grouped and sorted by the branches' integer keys over one
     denominator for the fan and beta: the lcm of the maximal cones' |det|
     times that of beta's parts."""
     common = math.lcm(*(_solved(fan, mc).den for mc in fan.max_cones))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
-        for key, residue, floors, e in _cone_branches(fan, mc, b, common):
+        for key, residue, floors, e in _cone_branches(fan, mc, param, common):
             groups.setdefault(key, []).append(Branch(mc, residue, floors, e))
+    keys = sorted(groups)
     classes = []
-    for key in sorted(groups):
+    for key in keys:
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
         if len({br.element.lattice_point for br in branches}) > 1:
             raise RuntimeError("internal: equal alpha with distinct lattice points")
@@ -195,7 +204,7 @@ def _collisions(fan: StackyFan, b) -> tuple[CollisionClass, ...]:
             tuple(x - y for x, y in zip(br.floors, base)) for br in branches
         )
         classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
-    return tuple(classes)
+    return common * param[0], tuple(keys), tuple(classes)
 
 
 def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
@@ -203,19 +212,19 @@ def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     for an exact rational delta, read as linalg.read_exact reads a rational."""
     (delta,) = read_exact((delta,), parse_rational, "box", "delta")
     b = normalize_beta(fan, beta)
-    return _correspondence(fan, b, delta)[0]
+    return _correspondence(fan, b, integer_parts(b), delta)[0]
 
 
-def _correspondence(
-    fan: StackyFan, b, delta
-) -> tuple[DeltaCorrespondence, tuple[CollisionClass, ...]]:
-    """correspondence_at for a normalized beta, with the collision classes at beta_delta.
+def _correspondence(fan: StackyFan, b, param, delta):
+    """correspondence_at for a normalized beta b with integer parts param; also beta_delta's
+    integer parts, its (den, keys, classes) and each triple's target position among them.
 
-    alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i, and n to
-    n - sum(floor(x_i) v_i), keeping support and witness cones.  A branch's raw cone coordinates
-    are affine in beta: its image is the same branch at beta_delta, with floors + floor(x_i).  So
-    each class at beta maps to the class at beta_delta of the image exponent, with the same
-    branches and differences; sorted by their real exponents, they are in alpha_key's order.
+    alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
+    delta = p / q and the class key's (R, M) over den, and n to n - sum(floor(x_i) v_i), keeping
+    support and witness cones.  A branch's raw cone coordinates are affine in beta: its image is
+    the same branch at beta_delta, with floors + floor(x_i).  So each class at beta maps to the
+    class at beta_delta of the image exponent, with the same branches and differences; sorted
+    by their integer keys, they are in alpha_key's order.
 
     The "do not biject" guard, on the sorted classes, cannot fire once every element has passed
     the support check, at any delta.  An image has at most its source's support: a real alpha_i
@@ -224,41 +233,47 @@ def _correspondence(
     face's independent generators: they agree on S and vanish off it, so e2's coordinates off S
     are real, nonzero and kept, and supp(e2) = S.  The real parts then agree mod 1, so e1 = e2,
     which the box set excludes."""
-    beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
     p, q = delta.numerator, delta.denominator
-    triples = []
-    classes = []
-    for cls in collisions(fan, b):
+    beta_delta = tuple(Fraction(r * q + p * m, param[0] * q) for r, m in zip(param[1], param[2]))
+    bd = bden, bnums, _ = integer_parts(beta_delta)
+    den, keys, sources = _classes(fan, param)
+    xd = den * q
+    triples, images, classes = [], [], []
+    for key, cls in zip(keys, sources):
         e = cls.branches[0].element
         alpha = list(e.alpha)  # a real alpha_i in [0, 1) is its own image
+        image = [0] * (2 * fan.k)
         shift = [0] * fan.k
         n = e.lattice_point
-        for i, a in enumerate(e.alpha):
-            if isinstance(a, GaussianRational):
-                r, m = a.re, a.im  # x_i = xn / xd
-                xd = r.denominator * m.denominator * q
-                xn = r.numerator * m.denominator * q + p * m.numerator * r.denominator
+        for i in range(fan.k):
+            xn = key[2 * i] * q + p * key[2 * i + 1]
+            if key[2 * i + 1]:
                 f = shift[i] = xn // xd
-                alpha[i] = Fraction(xn - f * xd, xd)
+                xn -= f * xd
+                alpha[i] = Fraction(xn, xd)
                 n = tuple(x - f * c for x, c in zip(n, fan.rays[i]))
-        alpha = tuple(alpha)
-        if tuple(i for i, x in enumerate(alpha) if x) != e.support:
+            image[2 * i] = xn
+        if tuple(i for i in range(fan.k) if image[2 * i]) != e.support:
             raise RuntimeError("internal: support changed under stabilization")
         # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
-        point = tuple(x + y for x, y in zip(n, beta_delta))
-        if minimal_cone(fan, point) != e.support:
+        point = [x * bden + y for x, y in zip(n, bnums)]
+        if _minimal_face(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
-        image = BoxElement(alpha, n, e.support, e.witness_cones)
-        triples.append((e, image, point))
+        target = BoxElement(tuple(alpha), n, e.support, e.witness_cones)
+        triples.append((e, target, tuple(Fraction(x, bden) for x in point)))
+        images.append(tuple(image))
         branches = tuple(
-            Branch(br.cone, br.residue, tuple(x + y for x, y in zip(br.floors, shift)), image)
+            Branch(br.cone, br.residue, tuple(x + y for x, y in zip(br.floors, shift)), target)
             for br in cls.branches
         )
-        classes.append(CollisionClass(alpha, branches, cls.differences))
-    classes.sort(key=lambda c: c.alpha)
-    if any(c.alpha == d.alpha for c, d in zip(classes, classes[1:])):
+        classes.append(CollisionClass(target.alpha, branches, cls.differences))
+    order = sorted(range(len(images)), key=images.__getitem__)
+    if any(images[i] == images[j] for i, j in zip(order, order[1:])):
         raise RuntimeError("internal: stabilized elements do not biject")
-    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples)), tuple(classes)
+    entry = (xd, tuple(images[j] for j in order), tuple(classes[j] for j in order))
+    positions = tuple(sorted(range(len(order)), key=order.__getitem__))  # order's inverse
+    corr = DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
+    return corr, bd, entry, positions
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
@@ -277,26 +292,33 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     beta_delta (_correspondence), so the images are onto and the box set at
     beta_delta is not built: when beta_delta != beta, the collision classes
     _correspondence writes there go into the fan's memo under beta_delta,
-    which the quotient at beta_delta then reads.  Built once per parameter
+    which the quotient at beta_delta then reads.  r and m are read as the
+    classes' integer keys over one denominator.  Built once per parameter
     (the fan's memo).
     """
     b = normalize_beta(fan, beta)
-    return _memo(fan._table.params, b, "stabilize", _stabilize, fan, b)
+    return _stabilized(fan, b, integer_parts(b))[0]
 
 
-def _stabilize(fan: StackyFan, b) -> DeltaCorrespondence:
-    wall = Fraction(1)
-    for e in box_of_fan(fan, b):
-        for a in e.alpha:
-            r, m = re_part(a), im_part(a)
-            if m > 0:
-                wall = min(wall, (1 - r) / m)
-            elif m < 0:
-                wall = min(wall, (r or 1) / -m)
-    delta = Fraction(1, 16)
-    while delta >= wall:
-        delta /= 2
-    corr, classes = _correspondence(fan, b, delta)
-    if corr.beta_delta != b:
-        _memo(fan._table.params, corr.beta_delta, "collisions", lambda: classes)
-    return corr
+def _stabilized(fan: StackyFan, b, param) -> tuple[DeltaCorrespondence, tuple[int, ...]]:
+    """stabilize at b, with integer parts param, from the fan's parameter
+    memo, and each triple's target position among the classes at beta_delta."""
+    return _memo(fan._table.params, param, "stabilize", _stabilize, fan, b, param)
+
+
+def _stabilize(fan: StackyFan, b, param) -> tuple[DeltaCorrespondence, tuple[int, ...]]:
+    den, keys, _ = _classes(fan, param)
+    wn = wd = 1  # the least bound wn / wd
+    for key in keys:
+        for r, m in zip(key[::2], key[1::2]):
+            if m:
+                n, d = (den - r, m) if m > 0 else (r or den, -m)
+                if n * wd < wn * d:
+                    wn, wd = n, d
+    j = 4  # halve delta = 2^-j while delta >= wn / wd
+    while wd >= wn << j:
+        j += 1
+    corr, bd, entry, positions = _correspondence(fan, b, param, Fraction(1, 1 << j))
+    if bd != param:
+        _memo(fan._table.params, bd, "collisions", lambda: entry)
+    return corr, positions

@@ -159,7 +159,7 @@ def cmd_box(args):
 
 
 def cmd_cohomology(args):
-    from .box import alpha_key, stabilize
+    from .box import stabilize
     from .quotient import ModuleSpec, build_quotient
 
     fan, beta = _fan_beta(args)
@@ -175,9 +175,9 @@ def cmd_cohomology(args):
         "summands": [
             {
                 "alpha": [format_gaussian(a) for a in be.alpha],
-                "dim": q.summand_dims[alpha_key(be.alpha)],
+                "dim": dim,
             }
-            for be in q.alphas
+            for be, dim in zip(q.alphas, q.dims)
         ],
         "basis": [
             {

@@ -5,14 +5,9 @@ lattice vector on each ray (markers need not be primitive).  Marked vectors
 that appear in no cone are allowed; they only participate through the index
 set of the configuration.  Cones are referenced by sorted 0-based tuples of
 marker indices; JSON I/O is 1-based.  Every cone solve reads the fan's cone
-table (_ConeTable), filled once per fan.  The same table keeps the
-parameter memo (_memo): the collision classes, stabilization and quotients
-of the two most recently used parameters beta, each quotient under its
-shadow direction and the fan's degree functional.  stabilize fills both
-a Gaussian beta's entry and its beta_delta's collision classes.  A memo of
-its own keeps the graded pieces of the two most recently used shifts chi,
-and a third the quotient's summand blocks, one per face supp(alpha) for
-every beta.
+table (_ConeTable), filled once per fan, which also keeps the bounded memos
+(_memo) of collision classes, stabilizations, graded pieces, quotients and
+the quotient's summand blocks.
 """
 
 from __future__ import annotations
@@ -54,11 +49,13 @@ class _ConeTable:
 
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given), the Smith data of each
-    full-dimensional one, and the fan's ValidationReport.  Their size is
-    bounded by the fan's cones, and a StackyFan is frozen, so no entry can
-    go stale.  params is the parameter memo (see _memo), bounded by two
-    parameters: stabilize fills a beta and, when it differs, its beta_delta,
-    whose collision classes it writes from beta's.  graded is the same memo
+    full-dimensional one, the maximal cones holding each box support (its
+    witnesses), and the fan's ValidationReport.  Their size is bounded by
+    the fan's cones, and a StackyFan is frozen, so no entry can go stale.
+    params is the parameter memo (see _memo), keyed by beta's integer parts
+    (linalg.integer_parts) and bounded by two parameters: stabilize fills a
+    beta and, when it differs, its beta_delta, whose collision classes it
+    writes from beta's.  graded is the same memo
     for graded pieces, bounded by two shifts: solution_system reads its
     pieces at chi = 0, which in params would displace a parameter or its
     beta_delta.  blocks, the same memo for
@@ -68,11 +65,12 @@ class _ConeTable:
     (see _with_deg).
     """
 
-    __slots__ = ("inverses", "smith", "report", "params", "graded", "blocks")
+    __slots__ = ("inverses", "smith", "witnesses", "report", "params", "graded", "blocks")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.smith: dict[ConeRef, tuple[tuple[int, ...], Sequence[Sequence[int]]]] = {}
+        self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
@@ -86,8 +84,8 @@ _PARAMS_KEPT = 2
 def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
     """build(*args), kept in memo under recent and key; every bounded cache is one.
     The table's params memo holds "collisions", "stabilize" and, keyed by
-    (xi, deg), the quotients under the normalized parameter; stabilize also
-    stores beta_delta's "collisions" there.  Its graded memo holds the
+    (xi, deg), the quotients under the parameter's integer parts; stabilize
+    also stores beta_delta's "collisions" there.  Its graded memo holds the
     graded pieces, keyed by (xi, deg, m), under the shift chi as given; its
     blocks memo the face blocks, keyed by face under the shadow signature.
     deg is in the keys as BasisElement.offset and the graded pieces read
@@ -161,8 +159,7 @@ class ValidationReport:
 def _real_numerators(p: Sequence, name: str, n: Optional[int] = None) -> list[int]:
     """The rational point p, read by read_exact as the field name of n
     entries, over a common denominator: the integers L * p."""
-    fr = read_exact(p, parse_rational, "fan", name, n)
-    return scaled_numerators(fr, math.lcm(*(x.denominator for x in fr)))
+    return scaled_numerators(read_exact(p, parse_rational, "fan", name, n))[1]
 
 
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
@@ -206,7 +203,11 @@ def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:
 
 def minimal_cone(fan: StackyFan, p: Sequence):
     """Smallest face of the fan containing the real point p, as a ConeRef, or None."""
-    nums = _real_numerators(p, "point", fan.rank)
+    return _minimal_face(fan, _real_numerators(p, "point", fan.rank))
+
+
+def _minimal_face(fan: StackyFan, nums: Sequence[int]):
+    """minimal_cone of the point nums / L, for integers nums and any L > 0."""
     for cone in fan.max_cones:
         coords = _cone_inverse(fan, cone).numerators(nums)
         if coords is not None and all(c >= 0 for c in coords):
@@ -476,8 +477,7 @@ def triangulate_from_heights(
     # integer heights H = den * hs; the subset's points as generators V give
     # rows T with T V = det * I, det = |det V|, so w = T^t h_S / det and
     # p . w <= h_j compares p . (T^t H_S) with det * H_j
-    den = math.lcm(*(h.denominator for h in hs))
-    h_int = scaled_numerators(hs, den)
+    h_int = scaled_numerators(hs)[1]
     cells: set[ConeRef] = set()
     for subset in itertools.combinations(range(len(pts)), d):
         try:

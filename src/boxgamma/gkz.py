@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .box import (
-    BoxElement,
-    DeltaCorrespondence,
-    alpha_key,
-    normalize_beta,
-    stabilize,
-)
+from .box import BoxElement, DeltaCorrespondence, _stabilized, normalize_beta
 from .errors import (
     DegenerateHeights,
     InvalidFan,
@@ -39,6 +33,7 @@ from .linalg import (
     format_gaussian,
     hermite_normal_form,
     im_part,
+    integer_parts,
     parse_rational,
     re_part,
     read_exact,
@@ -206,6 +201,8 @@ class GkzInstance:
     # deg is 1 on every marker, so every row sums to 0 (the window scan's
     # degree bound needs that, see _window_offsets)
     relations: IntRows
+    # each triple's target position among the quotient's summands (box._stabilized)
+    _positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # caches, so neither compared, hashed, shown nor copied by replace(): the
     # memos (fan._memo) of the last point's series evaluator (see _evaluator)
     # and of the last bound's window offsets and norms by target (see _window)
@@ -286,7 +283,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     if fan.deg is None:
         fan = _with_deg(fan, report.deg)
     b = normalize_beta(fan, beta)
-    corr = stabilize(fan, b)
+    corr, positions = _stabilized(fan, b, integer_parts(b))
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
     h, u = hermite_normal_form(fan.rays)
     # the relation lattice: the rows of U where H is zero
@@ -299,6 +296,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         quotient,
         marker_hnf=(tuple(map(tuple, h)), tuple(map(tuple, u))),
         relations=tuple(map(tuple, relations)),
+        _positions=positions,
     )
 
 
@@ -494,8 +492,8 @@ class _SeriesEvaluator:
             for src, _, _ in instance.correspondence.triples
         )
         self.bases = tuple(
-            (q.base_index.get(alpha_key(tgt.alpha)), tgt)
-            for _, tgt, _ in instance.correspondence.triples
+            (q.bases[pos], tgt)
+            for pos, (_, tgt, _) in zip(instance._positions, instance.correspondence.triples)
         )
         self.coords: dict = {}
         self.factors: dict = {}

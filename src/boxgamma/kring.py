@@ -14,16 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .box import (
-    Branch,
-    CollisionClass,
-    alpha_key,
-    collisions,
-    normalize_beta,
-    stabilize,
-)
+from .box import Branch, CollisionClass, _classes, _stabilized, collisions, normalize_beta
 from .fan import StackyFan
-from .linalg import Coord, im_part, re_part
+from .linalg import Coord, im_part, integer_parts, re_part
 from .quotient import ModuleSpec, build_quotient
 
 
@@ -65,19 +58,17 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     summand at the stabilized real parameter paired with its exponent
     vector, so the multiplicities always sum to the normalized volume.  The
     stabilization's triples are in collision-class order, as its source box
-    set is the classes' projection.
+    set is the classes' projection, and each target is found by its position
+    among the classes at beta_delta, which are the quotient's summands.
     """
     b = normalize_beta(fan, beta)
-    corr = stabilize(fan, b)
-    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta))
-    points = []
-    for cls, (src, tgt, _) in zip(collisions(fan, b), corr.triples, strict=True):
-        if src.alpha != cls.alpha:
-            raise RuntimeError("internal: stabilization out of collision-class order")
-        mult = quotient.summand_dims[alpha_key(tgt.alpha)]
-        y = tuple(unit_phase(a) for a in cls.alpha)
-        points.append(KPoint(y, cls, mult))
-    return tuple(points)
+    param = integer_parts(b)
+    corr, positions = _stabilized(fan, b, param)
+    dims = build_quotient(ModuleSpec(fan, corr.beta_delta)).dims
+    return tuple(
+        KPoint(tuple(unit_phase(a) for a in cls.alpha), cls, dims[pos])
+        for cls, pos in zip(_classes(fan, param)[2], positions, strict=True)
+    )
 
 
 def wall_report(fan: StackyFan, beta: Sequence) -> tuple[WallRecord, ...]:

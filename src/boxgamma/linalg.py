@@ -65,8 +65,9 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        for name in ("re", "im"):  # a Fraction part is kept as it is
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def __str__(self):
         return format_gaussian(self)
@@ -130,6 +131,14 @@ def scalar_from_parts(re: Fraction, im: Fraction):
     if im != 0:
         return GaussianRational(re, im)
     return re if isinstance(re, Fraction) else Fraction(re)
+
+
+def integer_parts(values: Sequence) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, den * Re x, den * Im x) over the least common denominator den of
+    the exact scalars' parts: equal vectors give equal triples."""
+    n = len(values)
+    den, nums = scaled_numerators([re_part(x) for x in values] + [im_part(x) for x in values])
+    return den, tuple(nums[:n]), tuple(nums[n:])
 
 
 _KINDS = {
@@ -231,9 +240,10 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     return basis
 
 
-def scaled_numerators(values: Sequence[Fraction], den: int) -> list[int]:
-    """The integers den * x, for a common denominator den of the values."""
-    return [x.numerator * (den // x.denominator) for x in values]
+def scaled_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, the integers den * x) for the least common denominator den of the rationals."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _dot(row: Sequence[int], vec: Sequence[int]) -> int:

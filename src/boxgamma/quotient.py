@@ -10,6 +10,7 @@ by integer elimination, each reduced row divided by its content; Fractions
 appear only in the emitted echelon rows.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volume
-from .linalg import Coord, _integral, parse_rational, read_exact
+from .linalg import Coord, _integral, integer_parts, parse_rational, read_exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,16 +66,28 @@ class BasisElement:
 @dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
     """The graded quotient; build_quotient hands one instance to every caller
-    with the same fan and spec, so summand_dims and base_index are read-only
-    views (MappingProxyType) keyed by alpha_key."""
+    with the same fan and spec.  dims holds each summand's dimension and
+    bases the index in basis of its base element (degree 0, monomial 0) or
+    None, both in the order of alphas; summand_dims and base_index show them
+    as read-only views keyed by alpha_key, built on first read, as their
+    keys hash Fraction pairs."""
 
     spec: ModuleSpec
     basis: tuple[BasisElement, ...]
     dim: int
     dmats: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    summand_dims: Mapping = field(repr=False)
+    dims: tuple[int, ...] = field(repr=False)
     alphas: tuple[BoxElement, ...] = ()
-    base_index: Mapping = field(default_factory=lambda: MappingProxyType({}), repr=False)
+    bases: tuple[Optional[int], ...] = field(default=(), repr=False)
+
+    @functools.cached_property
+    def summand_dims(self) -> Mapping:
+        return MappingProxyType({alpha_key(e.alpha): n for e, n in zip(self.alphas, self.dims)})
+
+    @functools.cached_property
+    def base_index(self) -> Mapping:
+        pairs = zip(self.alphas, self.bases)
+        return MappingProxyType({alpha_key(e.alpha): i for e, i in pairs if i is not None})
 
 
 def _check_graded(fan: StackyFan):
@@ -287,7 +300,7 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     (the fan's parameter memo), from summand blocks built once per face
     supp(alpha) and sign signature of xi (the fan's blocks memo)."""
     params = spec.fan._table.params
-    return _memo(params, spec.chi, (spec.xi, spec.fan.deg), _build_quotient, spec)
+    return _memo(params, integer_parts(spec.chi), (spec.xi, spec.fan.deg), _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
@@ -328,10 +341,11 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
 
     basis: list[BasisElement] = []
     index: dict[tuple[int, int, int], int] = {}
-    base_index: dict[tuple, int] = {}
-    summand_dims: dict[tuple, int] = {}
+    bases: list[Optional[int]] = []
+    dims: list[int] = []
     for s_i, (a, s) in enumerate(zip(alphas, summands)):
-        akey = alpha_key(a.alpha)
+        # the base element: degree 0 holds the monomial 0 alone, unless the shadow drops it
+        bases.append(len(basis) if s.quot[0] else None)
         # a shared block may hold later degrees, all of dimension 0
         for deg_t in range(t):
             for c in s.quot[deg_t]:
@@ -342,10 +356,8 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
                 )
                 offset = deg_t if fan.deg is None else sum(fan.deg[r] * x for r, x in enumerate(n))
                 index[(s_i, deg_t, c)] = len(basis)
-                if deg_t == 0 and all(x == 0 for x in m):
-                    base_index[akey] = len(basis)
                 basis.append(BasisElement(offset, n, a.alpha, m, deg_t))
-        summand_dims[akey] = sum(len(s.quot[deg_t]) for deg_t in range(t))
+        dims.append(sum(len(s.quot[deg_t]) for deg_t in range(t)))
     dim = len(basis)
 
     # D_i sends a basis monomial to the reduced class of its move along ray i;
@@ -362,7 +374,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
         basis=tuple(basis),
         dim=dim,
         dmats=tuple(tuple(tuple(row) for row in mat) for mat in dmats),
-        summand_dims=MappingProxyType(summand_dims),
+        dims=tuple(dims),
         alphas=alphas,
-        base_index=MappingProxyType(base_index),
+        bases=tuple(bases),
     )

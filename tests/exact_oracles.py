@@ -4,8 +4,11 @@ Also a fan's completeness and its minimal non-faces, and Definition 2's
 module product with the check that a delta-stabilization intertwines it,
 the delta-correspondence found by enumerating and matching the box set
 at beta_delta, the collision classes grouped and sorted by the Fraction
-pairs of alpha_key, and the fan report with every pair of maximal cones
-compared exactly.  Only tests read them."""
+pairs of alpha_key, the Fraction-keyed route from there to the spectrum
+(the quotient's maps keyed by alpha_key, the stabilizing delta from the
+Fraction wall, the images' floors taken on Fractions, each multiplicity
+looked up by alpha_key), and the fan report with every pair of maximal
+cones compared exactly.  Only tests read them."""
 
 import dataclasses
 import itertools
@@ -36,11 +39,12 @@ from boxgamma.linalg import (
     cone_inverse,
     format_gaussian,
     im_part,
+    integer_parts,
     re_part,
     scalar_from_parts,
-    scaled_numerators,
 )
-from boxgamma.quotient import _compositions
+from boxgamma.kring import KPoint, WallRecord, unit_phase
+from boxgamma.quotient import ModuleSpec, QuotientAlgebra, _compositions, build_quotient
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -95,13 +99,10 @@ def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
     coordinate and part.
     """
     complex_input = any(isinstance(x, GaussianRational) for x in p)
-    parts = [[re_part(x) for x in p]]
-    if complex_input:
-        parts.append([im_part(x) for x in p])
-    den = math.lcm(*(x.denominator for part in parts for x in part))
+    den, re, im = integer_parts(p)
     coords = []
-    for part in parts:
-        nums = inv.numerators(scaled_numerators(part, den))
+    for part in (re, im) if complex_input else (re,):
+        nums = inv.numerators(part)
         if nums is None:
             point = ", ".join(format_gaussian(x) for x in p)
             raise NotInSpan(f"cone: the point ({point}) is not in the span of the generators")
@@ -328,11 +329,11 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
 def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     """collisions with each cone's branches grouped and sorted by alpha_key,
     the Fraction pairs of the exponent, instead of the integer keys."""
-    b = normalize_beta(fan, beta)
+    param = integer_parts(normalize_beta(fan, beta))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
         det = _cone_inverse(fan, mc).den
-        for _, residue, floors, e in box_module._cone_branches(fan, mc, b, det):
+        for _, residue, floors, e in box_module._cone_branches(fan, mc, param, det):
             groups.setdefault(alpha_key(e.alpha), []).append(Branch(mc, residue, floors, e))
     classes = []
     for key in sorted(groups):
@@ -343,3 +344,94 @@ def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...
         diffs = tuple(tuple(x - y for x, y in zip(br.floors, base)) for br in branches)
         classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
     return tuple(classes)
+
+
+def fraction_keyed_maps(q: QuotientAlgebra) -> tuple[dict, dict]:
+    """summand_dims and base_index as dicts keyed by alpha_key, in summand
+    order, counted from the basis: a summand's dimension is its number of
+    basis elements, its base element the one of degree 0 and monomial 0."""
+    dims = {alpha_key(e.alpha): 0 for e in q.alphas}
+    bases = {}
+    for pos, elem in enumerate(q.basis):
+        key = alpha_key(elem.alpha)
+        dims[key] += 1
+        if elem.degree == 0 and not any(elem.monomial):
+            bases[key] = pos
+    return dims, bases
+
+
+def fraction_wall_delta(fan: StackyFan, beta) -> Fraction:
+    """stabilize's delta: 1/16 halved until below the least wall bound,
+    each bound (1 - r)/m or (r or 1)/(-m) of a coordinate r + i*m, m != 0,
+    formed and compared as a Fraction."""
+    wall = Fraction(1)
+    for cls in fraction_keyed_collisions(fan, beta):
+        for a in cls.alpha:
+            r, m = re_part(a), im_part(a)
+            if m > 0:
+                wall = min(wall, (1 - r) / m)
+            elif m < 0:
+                wall = min(wall, (r or 1) / -m)
+    delta = Fraction(1, 16)
+    while delta >= wall:
+        delta /= 2
+    return delta
+
+
+def fraction_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
+    """correspondence_at with each image formed on Fractions: x_i = Re alpha_i
+    + delta*Im alpha_i, the image alpha_i = x_i - floor(x_i) and the lattice
+    point n - sum(floor(x_i) v_i), with the same checks in the same order."""
+    delta = Fraction(delta)
+    b = normalize_beta(fan, beta)
+    beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
+    triples = []
+    for cls in fraction_keyed_collisions(fan, b):
+        e = cls.branches[0].element
+        alpha, n = [], e.lattice_point
+        for i, a in enumerate(e.alpha):
+            x = re_part(a) + delta * im_part(a)
+            f = math.floor(x)
+            alpha.append(x - f)
+            n = tuple(c - f * v for c, v in zip(n, fan.rays[i]))
+        if tuple(i for i, x in enumerate(alpha) if x) != e.support:
+            raise RuntimeError("internal: support changed under stabilization")
+        point = tuple(c + y for c, y in zip(n, beta_delta))
+        if minimal_cone(fan, point) != e.support:
+            raise RuntimeError("internal: point support differs from exponent support")
+        triples.append((e, BoxElement(tuple(alpha), n, e.support, e.witness_cones), point))
+    images = sorted(t[1].alpha for t in triples)
+    if any(x == y for x, y in zip(images, images[1:])):
+        raise RuntimeError("internal: stabilized elements do not biject")
+    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
+
+
+def fraction_stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
+    """stabilize on the Fraction route: the Fraction wall, then the Fraction images."""
+    return fraction_correspondence(fan, beta, fraction_wall_delta(fan, beta))
+
+
+def fraction_keyed_spectrum(fan: StackyFan, beta) -> tuple[KPoint, ...]:
+    """spectrum on the Fraction route: the classes grouped by alpha_key, the
+    Fraction stabilization, and each multiplicity looked up by alpha_key of
+    its target in the Fraction-keyed summand dimensions."""
+    corr = fraction_stabilize(fan, beta)
+    dims, _ = fraction_keyed_maps(build_quotient(ModuleSpec(fan, corr.beta_delta)))
+    points = []
+    for cls, (src, tgt, _) in zip(fraction_keyed_collisions(fan, beta), corr.triples, strict=True):
+        if src.alpha != cls.alpha:
+            raise RuntimeError("internal: stabilization out of collision-class order")
+        y = tuple(unit_phase(a) for a in cls.alpha)
+        points.append(KPoint(y, cls, dims[alpha_key(tgt.alpha)]))
+    return tuple(points)
+
+
+def fraction_keyed_wall_report(fan: StackyFan, beta) -> tuple[WallRecord, ...]:
+    """wall_report over the classes grouped by alpha_key."""
+    records = []
+    for cls in fraction_keyed_collisions(fan, beta):
+        brs = cls.branches
+        for i, j in itertools.combinations(range(len(brs)), 2):
+            diff = tuple(x - y for x, y in zip(brs[j].floors, brs[i].floors))
+            records.append(WallRecord(cls.alpha, brs[i], brs[j], diff))
+    return tuple(records)

@@ -26,7 +26,7 @@ from boxgamma.fan import (
     triangulate_from_heights,
 )
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import GaussianRational, cone_inverse, integer_kernel
+from boxgamma.linalg import GaussianRational, cone_inverse, integer_kernel, integer_parts
 from boxgamma.quotient import _rref
 from exact_oracles import det_rational, mat_inverse, solve_simplicial_coords
 
@@ -361,7 +361,7 @@ def box_builds(monkeypatch):
 )
 def test_box_set_built_once_per_parameter(box_builds, fan, beta):
     fan = dataclasses.replace(fan)  # an empty cone table
-    b = normalize_beta(fan, beta)
+    b = integer_parts(normalize_beta(fan, beta))
     stabilize(fan, beta)
     # stabilize builds the box set at beta only: its images are the box set
     # at beta_delta, whose classes it leaves in the memo

@@ -40,6 +40,24 @@ def test_gaussian_parse_format():
     assert format_gaussian(GaussianRational(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
 
 
+@pytest.mark.parametrize(
+    "re,im",
+    [(Fraction(1, 2), Fraction(-2, 3)), (1, -2), ("1/2", "-2/3"), (Fraction(1, 2), 3), ("4/8", 0)],
+)
+def test_gaussian_keeps_a_fraction_part_and_converts_the_rest(re, im):
+    """A Fraction part is kept as the same object; an int or a string is
+    converted; value, hash and repr are those of the Fraction parts."""
+    z = GaussianRational(re, im)
+    want = GaussianRational.__new__(GaussianRational)
+    object.__setattr__(want, "re", Fraction(re))
+    object.__setattr__(want, "im", Fraction(im))
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z, hash(z), repr(z)) == (want, hash(want), repr(want))
+    for given, part in ((re, z.re), (im, z.im)):
+        if type(given) is Fraction:
+            assert part is given
+
+
 def test_hnf_example():
     a = [[1, 0], [1, 1], [1, 2]]
     h, u = hermite_normal_form(a)

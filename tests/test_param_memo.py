@@ -21,7 +21,7 @@ from boxgamma.errors import DomainError, UnboundedDegree
 from boxgamma.fan import StackyFan, _tangent_test, _with_deg, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz, solution_system
 from boxgamma.kring import spectrum, wall_report
-from boxgamma.linalg import GaussianRational, re_part
+from boxgamma.linalg import GaussianRational, integer_parts, re_part
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -90,18 +90,20 @@ def test_memo_keeps_two_parameters():
     params = fan._table.params
     for k in range(1, 7):
         beta = (GaussianRational(Fraction(1, k + 2), Fraction(1, 3)), Fraction(k, 5))
-        b = normalize_beta(fan, beta)
+        # the memo is keyed by each parameter's integer parts
+        b = integer_parts(normalize_beta(fan, beta))
         corr = stabilize(fan, beta)
+        bd = integer_parts(corr.beta_delta)
         # stabilize builds the box set at beta and writes the classes at
         # beta_delta, which the quotient reads
-        assert list(params) == [b, corr.beta_delta]
-        assert "collisions" in params[corr.beta_delta]
+        assert list(params) == [b, bd]
+        assert "collisions" in params[bd]
         build_quotient(ModuleSpec(fan, corr.beta_delta))
         spectrum(fan, beta)
-        assert list(params) == [corr.beta_delta, b]
+        assert list(params) == [bd, b]
         # a third parameter drops the least recently used one
         box_of_fan(fan, (Fraction(k, 7), Fraction(0)))
-        assert list(params) == [b, (Fraction(k, 7), Fraction(0))]
+        assert list(params) == [b, (7, (k, 0), (0, 0))]
 
 
 @pytest.mark.parametrize(
@@ -136,7 +138,7 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     points = spectrum(fan, beta)
     wall_report(fan, beta)
     # the box set at beta only: stabilize writes the classes at beta_delta
-    b = normalize_beta(fan, beta)
+    b = integer_parts(normalize_beta(fan, beta))
     assert branches == [(cone, b) for cone in fan.max_cones]
     assert quotients == [q.spec]
     assert sum(p.multiplicity for p in points) == q.dim
@@ -148,7 +150,8 @@ def test_solution_system_reuses_graded_pieces(monkeypatch):
     fan = dataclasses.replace(F1)
     instance = build_gkz(fan, (GaussianRational(Fraction(1, 4), Fraction(1, 3)), Fraction(0)))
     params = list(fan._table.params)
-    assert params == [instance.beta, instance.correspondence.beta_delta]
+    beta_delta = instance.correspondence.beta_delta
+    assert params == [integer_parts(instance.beta), integer_parts(beta_delta)]
     spec0 = ModuleSpec(instance.fan, (Fraction(0), Fraction(0)))
     built = []
     real_graded = quotient._graded_piece
@@ -190,16 +193,13 @@ LADDER = {**FANS, "HEX5": HEX5}
 
 
 def quotient_fields(fan, chi, xi):
-    """Every field of build_quotient's result, the read-only maps as dicts,
-    or the DomainError it raises."""
+    """Every field of build_quotient's result and its read-only maps as
+    dicts, or the DomainError it raises."""
 
     def build():
         q = build_quotient(ModuleSpec(fan, chi, xi=xi))
-        return {
-            f.name: dict(getattr(q, f.name)) if f.name in ("summand_dims", "base_index")
-            else getattr(q, f.name)
-            for f in dataclasses.fields(q)
-        }
+        fields = {f.name: getattr(q, f.name) for f in dataclasses.fields(q)}
+        return {**fields, "summand_dims": dict(q.summand_dims), "base_index": dict(q.base_index)}
 
     return outcome(build)
 
