@@ -53,6 +53,10 @@ class NoConvergence(DomainError):
     """Jacobi sweeps for singular values did not converge within their cap."""
 
 
+class SeriesOverflow(DomainError):
+    """A series term's power x^l exceeds the float range."""
+
+
 class ZeroCoordinate(DomainError):
     """Evaluation point has a zero coordinate."""
 

@@ -16,7 +16,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -139,11 +138,6 @@ class StackyFan:
 
     def gens(self, cone: Sequence[int]) -> list[tuple[int, ...]]:
         return [self.rays[i] for i in cone]
-
-    def deg_of(self, v: Sequence) -> Fraction:
-        if self.deg is None:
-            raise ValueError("fan has no degree functional")
-        return sum((Fraction(x) * d for x, d in zip(v, self.deg)), start=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -406,7 +400,7 @@ def _validate(fan: StackyFan) -> ValidationReport:
             if deg is None:
                 gkz_notes.append("no integral degree functional equal to 1 on all markers")
         else:
-            off = next((i for i, v in enumerate(fan.rays) if fan.deg_of(v) != 1), None)
+            off = next((i for i, v in enumerate(fan.rays) if _dot(deg, v) != 1), None)
             if off is not None:
                 gkz_notes.append(f"deg is not 1 on marker {off + 1}")
         if not lattice_generates(fan.rays):

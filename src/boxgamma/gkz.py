@@ -24,6 +24,7 @@ from .errors import (
     InvalidFan,
     NoBaseElement,
     NoParticularSolution,
+    SeriesOverflow,
     ZeroCoordinate,
 )
 from .fan import StackyFan, _memo, _with_deg, validate
@@ -58,6 +59,7 @@ _BERNOULLI = (
 )
 
 _STIRLING_CUT = 20.0
+_SUGGEST_TARGET = 1e-2
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -487,9 +489,9 @@ class _SeriesEvaluator:
         )
         self.rays = frozenset(instance.fan.fan_indices())
         self.xjets = {i: exp_jet((0j, logs[i]), q.dim) for i in self.rays}
+        self.sources = tuple(src for src, _, _ in instance.correspondence.triples)
         self.parts = tuple(
-            tuple((re_part(a), float(im_part(a))) for a in src.alpha)
-            for src, _, _ in instance.correspondence.triples
+            tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
         )
         self.bases = tuple(
             (q.bases[pos], tgt)
@@ -548,7 +550,14 @@ class _SeriesEvaluator:
         hit = self.terms.get(key)
         if hit is None:
             coords = [self.coord(t, i, mi) for i, mi in enumerate(m)]
-            scalar = cmath.exp(sum(li * lg for li, lg in zip(coords, self.logs)))
+            try:
+                scalar = cmath.exp(sum(li * lg for li, lg in zip(coords, self.logs)))
+            except OverflowError:
+                alpha = ", ".join(map(format_gaussian, self.sources[t].alpha))
+                raise SeriesOverflow(
+                    f"series: x^l overflows for the source box element alpha=({alpha}) "
+                    f"at offset m={m} and x=({', '.join(map(str, self.xs))})"
+                ) from None
             w = evec
             for i, mi in enumerate(m):
                 if i in self.rays:
@@ -776,9 +785,9 @@ def solution_system(
     )
 
 
-def suggest_x(instance: GkzInstance, heights: Sequence, target: float = 1e-2) -> tuple[float, ...]:
+def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
     """Evaluation point from triangulation heights: x_i = rho^h_i with rho set
-    so every relation-lattice generator contracts its monomial to the target."""
+    so every relation-lattice generator contracts its monomial to _SUGGEST_TARGET."""
     fan = instance.fan
     hs = read_exact(heights, parse_rational, "series", "heights", fan.k)
     hnf, u = instance.marker_hnf
@@ -793,5 +802,5 @@ def suggest_x(instance: GkzInstance, heights: Sequence, target: float = 1e-2) ->
                 f"series: heights pair to zero with the relation-lattice generator {tuple(gen)}"
             )
         pairings.append(abs(s))
-    rho = target ** (1 / float(min(pairings)))
+    rho = _SUGGEST_TARGET ** (1 / float(min(pairings)))
     return tuple(rho ** float(h) for h in hs)

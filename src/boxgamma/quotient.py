@@ -18,15 +18,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .box import BoxElement, alpha_key, box_of_fan
+from .box import BoxElement, _collisions, alpha_key, box_of_fan
 from .errors import (
     DimensionOvershoot,
     NoStabilizationWindow,
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from .fan import StackyFan, _memo, _tangent_test, minimal_cone, normalized_volume
-from .linalg import Coord, _integral, integer_parts, parse_rational, read_exact
+from .fan import StackyFan, _memo, _tangent_test, normalized_volume
+from .linalg import Coord, _dot, _integral, integer_parts, parse_rational, read_exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,7 +94,7 @@ def _check_graded(fan: StackyFan):
     if fan.deg is None:
         raise UnboundedDegree("quotient: fan carries no degree functional")
     for i in fan.fan_indices():
-        if sum(fan.deg[r] * fan.rays[i][r] for r in range(fan.rank)) <= 0:
+        if _dot(fan.deg, fan.rays[i]) <= 0:
             raise UnboundedDegree("quotient: degree functional is not positive on the support")
 
 
@@ -113,39 +113,28 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
 
 
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
+    """The degree-m points n_alpha + sum c_i v_i over the box elements alpha
+    at chi and the monomials c of their face blocks; deg is a positive
+    integer on every ray, so |c| <= m - deg(n_alpha).  The box set is built
+    here, not read from the parameter memo, where chi would evict a beta.
+    On a fan validate rejects, two box elements may give one point."""
     fan = spec.fan
     _check_graded(fan)
     deg = fan.deg
-    chi = spec.chi
-    s = m + sum(deg[r] * chi[r] for r in range(fan.rank))
-    if s < 0:
-        return GradedPiece(m, ())
-    idx = sorted(fan.fan_indices())
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
-    points = []
-    ranges = []
-    # the degree-s slice of a cone is the hull of its s * v / deg(v)
-    ends = []
-    for i in idx:
-        d = fan.deg_of(fan.rays[i])
-        ends.append([s * x / d for x in fan.rays[i]])
-    for r in range(fan.rank):
-        lo = min(e[r] for e in ends)
-        hi = max(e[r] for e in ends)
-        if s == 0:
-            lo = hi = Fraction(0)
-        ranges.append(range(math.ceil(lo - chi[r]), math.floor(hi - chi[r]) + 1))
-    for n in itertools.product(*ranges):
-        if sum(deg[r] * n[r] for r in range(fan.rank)) != m:
-            continue
-        face = minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
-        if face is None:
-            continue
-        if tangent is not None and not tangent(frozenset(face)):
-            continue
-        points.append(tuple(n))
-    points.sort()
-    return GradedPiece(m, tuple(points))
+    points = set()
+    for cls in _collisions(fan, integer_parts(spec.chi))[2]:
+        a = cls.branches[0].element
+        block = _Summand(spec, a, tangent)
+        for t in range(m - _dot(deg, a.lattice_point) + 1):
+            for mono in block._monomials(t):
+                n = tuple(
+                    n0 + sum(x * v[r] for x, v in zip(mono, fan.rays))
+                    for r, n0 in enumerate(a.lattice_point)
+                )
+                if _dot(deg, n) == m:
+                    points.add(n)
+    return GradedPiece(m, tuple(sorted(points)))
 
 
 def _compositions(total: int, slots: int):

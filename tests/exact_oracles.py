@@ -7,8 +7,9 @@ at beta_delta, the collision classes grouped and sorted by the Fraction
 pairs of alpha_key, the Fraction-keyed route from there to the spectrum
 (the quotient's maps keyed by alpha_key, the stabilizing delta from the
 Fraction wall, the images' floors taken on Fractions, each multiplicity
-looked up by alpha_key), and the fan report with every pair of maximal
-cones compared exactly.  Only tests read them."""
+looked up by alpha_key), the fan report with every pair of maximal
+cones compared exactly, and the graded pieces found by scanning a bounding
+box.  Only tests read them."""
 
 import dataclasses
 import itertools
@@ -31,7 +32,7 @@ from boxgamma.box import (
     normalize_beta,
 )
 from boxgamma.errors import DependentGenerators, NotInSpan
-from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, minimal_cone
+from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, _tangent_test, minimal_cone
 from boxgamma.linalg import (
     ConeInverse,
     Coord,
@@ -44,7 +45,14 @@ from boxgamma.linalg import (
     scalar_from_parts,
 )
 from boxgamma.kring import KPoint, WallRecord, unit_phase
-from boxgamma.quotient import ModuleSpec, QuotientAlgebra, _compositions, build_quotient
+from boxgamma.quotient import (
+    GradedPiece,
+    ModuleSpec,
+    QuotientAlgebra,
+    _check_graded,
+    _compositions,
+    build_quotient,
+)
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -435,3 +443,42 @@ def fraction_keyed_wall_report(fan: StackyFan, beta) -> tuple[WallRecord, ...]:
             diff = tuple(x - y for x, y in zip(brs[j].floors, brs[i].floors))
             records.append(WallRecord(cls.alpha, brs[i], brs[j], diff))
     return tuple(records)
+
+
+def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
+    """graded_piece by scanning the bounding box of the degree-m slice: each
+    lattice point n of degree m with n + chi in the support, by minimal_cone,
+    and passing the shadow filter on that face."""
+    fan = spec.fan
+    _check_graded(fan)
+    deg = fan.deg
+    chi = spec.chi
+    s = m + sum(deg[r] * chi[r] for r in range(fan.rank))
+    if s < 0:
+        return GradedPiece(m, ())
+    idx = sorted(fan.fan_indices())
+    tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
+    points = []
+    ranges = []
+    # the degree-s slice of a cone is the hull of its s * v / deg(v)
+    ends = []
+    for i in idx:
+        d = Fraction(sum(x * e for x, e in zip(fan.rays[i], deg)))
+        ends.append([s * x / d for x in fan.rays[i]])
+    for r in range(fan.rank):
+        lo = min(e[r] for e in ends)
+        hi = max(e[r] for e in ends)
+        if s == 0:
+            lo = hi = Fraction(0)
+        ranges.append(range(math.ceil(lo - chi[r]), math.floor(hi - chi[r]) + 1))
+    for n in itertools.product(*ranges):
+        if sum(deg[r] * n[r] for r in range(fan.rank)) != m:
+            continue
+        face = minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
+        if face is None:
+            continue
+        if tangent is not None and not tangent(frozenset(face)):
+            continue
+        points.append(tuple(n))
+    points.sort()
+    return GradedPiece(m, tuple(points))

@@ -672,6 +672,31 @@ def test_missing_base_element_exit_1(seed_dir, tmp_path):
     assert doc["error"]["message"].startswith("series: ")
 
 
+def test_series_overflow_exit_1(seed_dir, tmp_path, capsys):
+    """x = (1e200, 1, 1e200) on F1: a term's power x^l leaves the float
+    range, and stdout holds the error object naming the source box element,
+    the offset m and x, with no traceback."""
+    x = tmp_path / "x_huge.json"
+    x.write_text(json.dumps({"x": [[1e200, 0], [1, 0], [1e200, 0]]}))
+    code = main(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--x", str(x),
+            "--bound", "12",
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "SeriesOverflow"
+    assert error["message"] == (
+        "series: x^l overflows for the source box element alpha=(0, 1/2, 3/4) at offset "
+        "m=(1, -2, 0) and x=((1e+200+0j), (1+0j), (1e+200+0j))"
+    )
+
+
 def test_runs_without_numpy(tmp_path):
     """The library imports and solves with numpy blocked: the gkz-solve pin
     is reproduced byte for byte, and importing boxgamma loads no numpy."""

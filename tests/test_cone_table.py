@@ -40,7 +40,13 @@ from boxgamma.fan import (
 )
 from boxgamma.linalg import ConeInverse, GaussianRational, cone_inverse, im_part, re_part
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
-from exact_oracles import all_pairs_report, cone_coords, det_rational, mat_inverse
+from exact_oracles import (
+    all_pairs_report,
+    cone_coords,
+    det_rational,
+    mat_inverse,
+    scanned_graded_piece,
+)
 
 small_int = st.integers(-3, 3)
 rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -277,7 +283,9 @@ def test_shadow_filter_refuses_overlapping_cones():
     """cone((1,0),(0,1)) and cone((1,1),(1,-1)) overlap.  At p = (2,0) with
     xi = (0,-1) the per-cone rule passes p in the second cone, where it is
     interior, while the face rule reads p's minimal face {1} of the first
-    cone, whose only maximal cone does not contain xi's direction."""
+    cone, whose only maximal cone does not contain xi's direction.  So a
+    shadow piece raises at every degree, an empty one (m = -1) too; without
+    xi the pieces equal the bounding-box scan, each point listed once."""
     rays = ((1, 0), (0, 1), (1, 1), (1, -1))
     fan = StackyFan(rank=2, rays=rays, max_cones=((0, 1), (2, 3)))
     p, xi = (2, 0), (0, -1)
@@ -291,10 +299,17 @@ def test_shadow_filter_refuses_overlapping_cones():
         build_quotient(ModuleSpec(fan, chi, xi))
     # a degree functional positive on the markers; it cannot be 1 on all four
     graded = dataclasses.replace(fan, deg=(2, 1))
-    with pytest.raises(InvalidFan, match=overlap):
-        graded_piece(ModuleSpec(graded, (0, 0), xi), 2)
-    # quotients without a shadow direction do not need a fan
-    assert graded_piece(ModuleSpec(graded, (0, 0)), 2).points
+    for m in (-1, 2):
+        with pytest.raises(InvalidFan, match=overlap):
+            graded_piece(ModuleSpec(graded, (0, 0), xi), m)
+    # quotients without a shadow direction do not need a fan; (1, 1) lies in
+    # both cones, so two box elements give it, and the piece lists it once
+    spec = ModuleSpec(graded, chi)
+    for m in range(4):
+        assert graded_piece(spec, m) == scanned_graded_piece(spec, m)
+    piece = graded_piece(ModuleSpec(graded, (0, 0)), 3)
+    assert piece == scanned_graded_piece(ModuleSpec(graded, (0, 0)), 3)
+    assert piece.points.count((1, 1)) == 1
     assert build_quotient(ModuleSpec(fan, chi)).alphas
 
 

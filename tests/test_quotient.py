@@ -17,7 +17,12 @@ from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz
 from boxgamma.linalg import GaussianRational, re_part
 from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
-from exact_oracles import TaggedPoint, module_product, verify_def2_isomorphism
+from exact_oracles import (
+    TaggedPoint,
+    module_product,
+    scanned_graded_piece,
+    verify_def2_isomorphism,
+)
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)), deg=(1, 0))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -68,6 +73,46 @@ def test_graded_piece_reads_an_integral_degree():
     for m in (1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=rf"^quotient: the degree m is {m!r}, not an integer$"):
             graded_piece(spec, m)
+
+
+TRI2_POINTS = tuple((i, j) for i in range(3) for j in range(3 - i))
+TRI2 = triangulate_from_heights(
+    [(1,) + p for p in TRI2_POINTS],
+    [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(TRI2_POINTS)],
+)
+# fans with a degree functional: the ladder's cones over polygons, and
+# ray degrees other than 1 (F1 with 1, 2, 3; SQUARE with 1, 2, 2, 3; two
+# overlapping cones, which validate rejects, with 2, 1, 3, 1)
+GRADED = {
+    "F1": F1,
+    "SQUARE": SQUARE,
+    "HEX5": HEX5,
+    "tri2": TRI2,
+    "F1 deg (1, 1)": dataclasses.replace(F1, deg=(1, 1)),
+    "SQUARE deg (1, 1, 1)": dataclasses.replace(SQUARE, deg=(1, 1, 1)),
+    "overlap": StackyFan(
+        rank=2, rays=((1, 0), (0, 1), (1, 1), (1, -1)), max_cones=((0, 1), (2, 3)), deg=(2, 1)
+    ),
+}
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(GRADED)), data=st.data())
+def test_graded_piece_matches_the_scan(name, data):
+    """graded_piece, read from the box elements at chi and their face
+    blocks, equals the bounding-box scan on a fresh copy of the fan, for a
+    rational chi, with and without a shadow direction xi (which needs a
+    fan, so not on the overlapping cones), at degrees -1 to 3."""
+    fan = GRADED[name]
+    q = st.fractions(-2, 2, max_denominator=6)
+    chi = tuple(data.draw(q) for _ in range(fan.rank))
+    xi = None
+    if name != "overlap" and data.draw(st.booleans()):
+        xi = tuple(data.draw(q) for _ in range(fan.rank))
+    m = data.draw(st.integers(-1, 3))
+    got = graded_piece(ModuleSpec(fan, chi, xi), m)
+    assert got == scanned_graded_piece(ModuleSpec(dataclasses.replace(fan), chi, xi), m)
 
 
 def test_module_product_examples():
