@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_smith, _memo, _minimal_face
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face
 from .linalg import (
     ConeInverse,
     Coord,
@@ -46,9 +46,12 @@ class BoxElement:
 class Branch:
     """A residue class of one maximal cone; stable label across parameter values.
 
-    floors records the integer parts dropped while reducing the raw cone
-    coordinates, zero outside the cone, so the unreduced solution is
-    element.alpha + floors coordinatewise.
+    residue is the class's representative n0 in the cone's Hermite box
+    (fan._cone_residues), which the unique row Hermite form fixes, and
+    floors records the integer parts dropped while reducing the cone
+    coordinates of n0 + beta, zero outside the cone, so the unreduced
+    solution is element.alpha + floors coordinatewise and
+    sum((alpha_i + floors_i) v_i) = residue + beta.
     """
 
     cone: ConeRef
@@ -114,21 +117,21 @@ def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
 def _cone_branches(fan, cone, param, common):
     """(key, residue, floors, BoxElement) quadruples in residue enumeration order.
 
-    With S V T = D the Smith form of the generator matrix V, the residues r
-    of Z^d / V Z^d give the lattice points n0 = S^-1 r, and the cone
-    coordinates of n0 + beta are (adj n0 + adj beta) / det, for beta's
-    integer parts param = (den, re, im) (linalg.integer_parts): integer
-    products, and one Fraction per real part (Im alpha is the same for every
-    residue).  V's inverse and Smith data come from the fan's cone table.
-    key holds Re alpha_i and Im alpha_i, interleaved, as integers over
-    common * den, for common a multiple of |det|: over one such denominator
-    the keys compare as alpha_key of the exponents does.
+    The residues are the lattice points n0 of the cone's Hermite box,
+    0 <= n0_r < H_rr (fan._cone_residues), one per class of Z^d modulo the
+    generators.  The cone coordinates of n0 + beta are
+    (adj n0 + adj beta) / det, for beta's integer parts param = (den, re, im)
+    (linalg.integer_parts): integer products, and one Fraction per real part
+    (Im alpha is the same for every residue).  The cone's inverse and
+    Hermite diagonal come from the fan's cone table.  key holds Re alpha_i
+    and Im alpha_i, interleaved, as integers over common * den, for common a
+    multiple of |det|: over one such denominator the keys compare as
+    alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
     inv = _solved(fan, cone)
     adj, det = inv.rows, inv.den
-    diag, s_inv = _cone_smith(fan, cone)
     den, b_re, b_im = param
     big = det * den
     scale = common // det
@@ -136,8 +139,7 @@ def _cone_branches(fan, cone, param, common):
     adj_im = [_dot(row, b_im) for row in adj]
     ims = [Fraction(x, big) for x in adj_im]
     out = []
-    for residue in itertools.product(*[range(x) for x in diag]):
-        n0 = [_dot(row, residue) for row in s_inv]
+    for n0 in itertools.product(*map(range, _cone_residues(fan, cone))):
         alpha = [_ZERO] * fan.k
         key = [0] * (2 * fan.k)
         floors = [0] * fan.k
@@ -150,7 +152,7 @@ def _cone_branches(fan, cone, param, common):
         point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
         support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
         elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support, cone))
-        out.append((tuple(key), residue, tuple(floors), elem))
+        out.append((tuple(key), n0, tuple(floors), elem))
     return out
 
 

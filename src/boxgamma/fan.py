@@ -36,7 +36,6 @@ from .linalg import (
     parse_rational,
     read_exact,
     scaled_numerators,
-    smith_normal_form,
     solve_with_hnf,
 )
 
@@ -47,28 +46,29 @@ class _ConeTable:
     """What a fan's cone solves read, and the results of its last parameters.
 
     Filled on first use: the ConeInverse of each cone solved in (maximal
-    cones, or the cones box_of_cone is given), the Smith data of each
-    full-dimensional one, the maximal cones holding each box support (its
-    witnesses), and the fan's ValidationReport.  Their size is bounded by
-    the fan's cones, and a StackyFan is frozen, so no entry can go stale.
+    cones, or the cones box_of_cone is given), the Hermite diagonal of each
+    full-dimensional one (its residues, see _cone_residues), the maximal
+    cones holding each box support (its witnesses), and the fan's
+    ValidationReport.  Their size is bounded by the fan's cones, and a
+    StackyFan is frozen, so no entry can go stale.
     params is the parameter memo (see _memo), keyed by beta's integer parts
     (linalg.integer_parts) and bounded by two parameters: stabilize fills a
     beta and, when it differs, its beta_delta, whose collision classes it
-    writes from beta's.  graded is the same memo
-    for graded pieces, bounded by two shifts: solution_system reads its
-    pieces at chi = 0, which in params would displace a parameter or its
-    beta_delta.  blocks, the same memo for
+    writes from beta's.  graded is the same memo for graded pieces and the
+    collision classes they read, bounded by two shifts: solution_system
+    reads its pieces at chi = 0, which in params would displace a parameter
+    or its beta_delta.  blocks, the same memo for
     quotient._Summand, is bounded by the fan's faces times two shadow
     signatures (_tangent_test's key; None without xi).  build_gkz's copy of an
     eligible fan with its degree functional filled in shares the whole table
     (see _with_deg).
     """
 
-    __slots__ = ("inverses", "smith", "witnesses", "report", "params", "graded", "blocks")
+    __slots__ = ("inverses", "residues", "witnesses", "report", "params", "graded", "blocks")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
-        self.smith: dict[ConeRef, tuple[tuple[int, ...], Sequence[Sequence[int]]]] = {}
+        self.residues: dict[ConeRef, tuple[int, ...]] = {}
         self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
@@ -85,7 +85,8 @@ def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_K
     The table's params memo holds "collisions", "stabilize" and, keyed by
     (xi, deg), the quotients under the parameter's integer parts; stabilize
     also stores beta_delta's "collisions" there.  Its graded memo holds the
-    graded pieces, keyed by (xi, deg, m), under the shift chi as given; its
+    graded pieces, keyed by (xi, deg, m), and the "collisions" they read,
+    under the shift chi as given; its
     blocks memo the face blocks, keyed by face under the shadow signature.
     deg is in the keys as BasisElement.offset and the graded pieces read
     fan.deg, and _with_deg's copy shares the table.  Only the `kept` most
@@ -174,16 +175,17 @@ def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     return inv
 
 
-def _cone_smith(fan: StackyFan, cone: ConeRef) -> tuple[tuple[int, ...], Sequence[Sequence[int]]]:
-    """Diagonal D and S^-1 of the Smith form S V T = D of a full-dimensional
-    cone's generator matrix V (columns), from the fan's table."""
-    entry = fan._table.smith.get(cone)
-    if entry is None:
-        v = [[fan.rays[j][r] for j in cone] for r in range(fan.rank)]
-        dmat, s, _t = smith_normal_form(v)
-        s_inv = cone_inverse(list(zip(*s))).rows  # S is unimodular: den 1, rows S^-1
-        entry = fan._table.smith[cone] = (tuple(dmat[i][i] for i in range(len(cone))), s_inv)
-    return entry
+def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
+    """The diagonal of the row Hermite form H of a full-dimensional cone's
+    generators, from the fan's table.  H is triangular with the same row
+    lattice, so the points n with 0 <= n_r < H_rr, |det| of them, are one
+    representative of each class of Z^d modulo the generators (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4.3)."""
+    diag = fan._table.residues.get(cone)
+    if diag is None:
+        h, _ = hermite_normal_form(fan.gens(cone))
+        diag = fan._table.residues[cone] = tuple(h[r][r] for r in range(fan.rank))
+    return diag
 
 
 def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:

@@ -420,10 +420,13 @@ def _window_bound(B) -> int:
     return n
 
 
-def _check_ray(fan: StackyFan, j) -> None:
+def _check_ray(fan: StackyFan, j) -> int:
+    """The ray index j as the int it equals, read as B is; ValueError names any other j."""
     rays = fan.fan_indices()
-    if j not in rays:
+    n = _integral(j)
+    if n not in rays:
         raise ValueError(f"j={j!r} is not a ray index of the fan; expected one of {sorted(rays)}")
+    return n
 
 
 def enumerate_L(
@@ -654,7 +657,7 @@ def gamma_series_derivative(
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
-    _check_ray(instance.fan, j)
+    j = _check_ray(instance.fan, j)
     ev = _evaluator(instance, x, arg_offsets)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     dmat = ev.dmats[j]
@@ -690,7 +693,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
-    _check_ray(instance.fan, j)
+    j = _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core = B - 1
     ok = True

@@ -34,7 +34,8 @@ class WallRecord:
     """Two branches landing on the same spectrum point.
 
     difference is second's unreduced solution minus first's, an integer
-    vector; both reduce to the shared alpha.
+    vector, so sum(d_i v_i) = second.residue - first.residue, each residue
+    the branch's point in its cone's Hermite box; both reduce to the shared alpha.
     """
 
     alpha: tuple[Coord, ...]

@@ -3,7 +3,7 @@
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Exact input (integer, rational and
 Gaussian-rational vectors) is read and checked by one reader, `read_exact`.
-Integer lattice work (Hermite and Smith normal forms, integer solving) and
+Integer lattice work (the Hermite normal form, integer solving) and
 every cone solve, through one fraction-free elimination, use
 arbitrary-precision ints.  The only floating-point routine is
 `singular_values`, a one-sided Jacobi SVD in pure Python.
@@ -293,11 +293,7 @@ def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
 
 
 # ---------------------------------------------------------------------------
-# integer normal forms
-
-
-def _copy_int(a: Sequence[Sequence[int]]) -> IntMatrix:
-    return [[int(x) for x in row] for row in a]
+# the Hermite normal form
 
 
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
@@ -306,7 +302,7 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     and zero rows sit at the bottom.
     """
-    h = _copy_int(a)
+    h = [[int(x) for x in row] for row in a]
     n = len(h)
     cols = len(h[0]) if n else 0
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -345,83 +341,6 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
                 u[i] = [x - q * y for x, y in zip(u[i], u[row])]
         row += 1
     return h, u
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.  Returns (D, S, T) with S*A*T = D diagonal,
-    S and T unimodular, and nonnegative diagonal entries d1 | d2 | ... ."""
-    m = _copy_int(a)
-    n = len(m)
-    c = len(m[0]) if n else 0
-    s = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-
-    def add_col(dst, src, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in t:
-            row[dst] += q * row[src]
-
-    k = 0
-    while k < min(n, c):
-        # locate smallest nonzero entry in the trailing submatrix
-        best = None
-        for i in range(k, n):
-            for j in range(k, c):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        while True:
-            reduced = True
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
-                    add_row(i, k, -q)
-                    if m[i][k] != 0:
-                        swap_rows(k, i)
-                        reduced = False
-            for j in range(k + 1, c):
-                if m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
-                    add_col(j, k, -q)
-                    if m[k][j] != 0:
-                        swap_cols(k, j)
-                        reduced = False
-            if reduced:
-                # force divisibility of the rest of the submatrix
-                viol = None
-                for i in range(k + 1, n):
-                    for j in range(k + 1, c):
-                        if m[i][j] % m[k][k] != 0:
-                            viol = i
-                            break
-                    if viol is not None:
-                        break
-                if viol is None:
-                    break
-                add_row(k, viol, 1)
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-            s[k] = [-x for x in s[k]]
-        k += 1
-    return m, s, t
 
 
 def solve_with_hnf(

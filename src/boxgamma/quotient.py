@@ -115,15 +115,17 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """The degree-m points n_alpha + sum c_i v_i over the box elements alpha
     at chi and the monomials c of their face blocks; deg is a positive
-    integer on every ray, so |c| <= m - deg(n_alpha).  The box set is built
-    here, not read from the parameter memo, where chi would evict a beta.
-    On a fan validate rejects, two box elements may give one point."""
+    integer on every ray, so |c| <= m - deg(n_alpha).  The box set at chi is
+    built once per chi, in the graded memo beside the pieces, not in the
+    parameter memo, where chi would evict a beta.  On a fan validate
+    rejects, two box elements may give one point."""
     fan = spec.fan
     _check_graded(fan)
     deg = fan.deg
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     points = set()
-    for cls in _collisions(fan, integer_parts(spec.chi))[2]:
+    param = integer_parts(spec.chi)
+    for cls in _memo(fan._table.graded, spec.chi, "collisions", _collisions, fan, param)[2]:
         a = cls.branches[0].element
         block = _Summand(spec, a, tangent)
         for t in range(m - _dot(deg, a.lattice_point) + 1):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,9 +19,9 @@ from boxgamma.box import (
     stabilize,
 )
 from boxgamma.errors import NotFullDimensional
-from boxgamma.fan import StackyFan, triangulate_from_heights
+from boxgamma.fan import StackyFan, _cone_residues, triangulate_from_heights
 from boxgamma.kring import wall_report
-from boxgamma.linalg import GaussianRational, im_part, integer_parts, re_part
+from boxgamma.linalg import GaussianRational, cone_inverse, im_part, integer_parts, re_part
 from exact_oracles import (
     det_rational,
     enumerated_correspondence,
@@ -203,11 +204,16 @@ def test_collisions_f2():
 
     half = collisions(F2, (0, Fraction(1, 2)))
     assert sorted(len(c.branches) for c in half) == [2, 2]
-    # the (0,0,1/2) class meets one cone with shifted raw coordinates
+    # the (0,0,1/2) class meets one cone with shifted raw coordinates.
+    # Cone (0,2) has |det| 1 and the one residue n0 = (0,0): n0 + beta =
+    # (0, 1/2) = -1*v1 - 1/2*v3, floors (-1, 0, -1).  Cone (1,2) has the row
+    # Hermite form ((2,0), (0,1)), residues (0,0) and (1,0): n0 = (1,0) gives
+    # (1, 1/2) = 0*v2 - 1/2*v3, floors (0, 0, -1), so its difference against
+    # the first branch is (1, 0, 0)
     by_alpha = {alpha_key(c.alpha): c.differences for c in half}
     assert by_alpha[alpha_key((Fraction(0), Fraction(0), Fraction(1, 2)))] == (
         (0, 0, 0),
-        (1, 1, 1),
+        (1, 0, 0),
     )
     assert by_alpha[alpha_key((Fraction(0), Fraction(1, 2), Fraction(0)))] == (
         (0, 0, 0),
@@ -436,3 +442,47 @@ def test_integer_keys_group_as_alpha_key(name, data):
     got = collisions(dataclasses.replace(fan), beta)
     want = fraction_keyed_collisions(dataclasses.replace(fan), beta)
     assert (got, repr(got)) == (want, repr(want))
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_hermite_box_lists_each_residue_once(d, data):
+    """The Hermite box of d independent integer vectors, 0 <= n_r < H_rr,
+    holds |det| points, no two of them equal modulo the vectors: their cone
+    numerators differ mod |det| (ConeInverse.numerators)."""
+    row = st.tuples(*[st.integers(-3, 3)] * d)
+    gens = data.draw(st.lists(row, min_size=d, max_size=d).filter(lambda m: det_rational(m)))
+    fan = StackyFan(rank=d, rays=tuple(gens), max_cones=(tuple(range(d)),))
+    inv = cone_inverse(gens)
+    points = list(itertools.product(*map(range, _cone_residues(fan, tuple(range(d))))))
+    assert len(points) == inv.den == abs(det_rational(gens))
+    classes = {tuple(x % inv.den for x in inv.numerators(n)) for n in points}
+    assert len(classes) == len(points)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(FANS)), data=st.data())
+def test_branches_and_walls_reach_their_residues(name, data):
+    """Every branch writes its residue plus beta in the cone's generators,
+    sum((alpha_i + floors_i) v_i) = residue + beta, and every wall's
+    difference d writes the step between its two residues,
+    sum(d_i v_i) = second.residue - first.residue, at rational, wall
+    (integral) and Gaussian beta."""
+    fan = FANS[name]
+    entry = st.one_of(real_part, gaussian_entry) if data.draw(st.booleans()) else real_part
+    beta = tuple(data.draw(entry) for _ in range(fan.rank))
+
+    def combination(coeffs):
+        return tuple(sum(c * v[r] for c, v in zip(coeffs, fan.rays)) for r in range(fan.rank))
+
+    for cls in collisions(fan, beta):
+        for br in cls.branches:
+            alpha = br.element.alpha
+            raw = combination([re_part(a) + f for a, f in zip(alpha, br.floors)])
+            assert raw == tuple(n + re_part(b) for n, b in zip(br.residue, beta))
+            assert combination([im_part(a) for a in alpha]) == tuple(map(im_part, beta))
+    for rec in wall_report(fan, beta):
+        step = tuple(y - x for x, y in zip(rec.first.residue, rec.second.residue))
+        assert combination(rec.difference) == step

@@ -48,16 +48,17 @@ def draw_beta(rng):
 
 @pytest.fixture
 def elimination_calls(monkeypatch):
-    """Counts smith_normal_form and cone_inverse calls under every name a
-    boxgamma module looks them up by."""
+    """Counts hermite_normal_form and cone_inverse calls under every name a
+    boxgamma module looks them up by, keyed by the function's name and its
+    rows."""
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n == "boxgamma" or n.startswith("boxgamma.")]
-    for fn_name in ("smith_normal_form", "cone_inverse"):
+    for fn_name in ("hermite_normal_form", "cone_inverse"):
         real = getattr(linalg, fn_name)
 
-        def counting(*args, _name=fn_name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
+        def counting(rows, _name=fn_name, _real=real):
+            calls[_name, tuple(map(tuple, rows))] += 1
+            return _real(rows)
 
         for mod in modules:
             if getattr(mod, fn_name, None) is real:
@@ -69,7 +70,7 @@ def test_table_stays_out_of_equality_hash_and_repr():
     used, fresh = f1(), f1()
     validate(used)
     box_of_fan(used, (Fraction(1, 3), Fraction(1, 5)))
-    assert used._table.inverses and used._table.smith and used._table.report
+    assert used._table.inverses and used._table.residues and used._table.report
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == (
         "StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)), deg=None)"
@@ -82,13 +83,17 @@ def test_table_stays_out_of_equality_hash_and_repr():
 
 def test_second_build_gkz_computes_no_cone_data(elimination_calls):
     fan = f1()
+    gens = {tuple(fan.gens(cone)) for cone in CONES}
     build_gkz(fan, (Fraction(1, 4), Fraction(0)))
-    assert elimination_calls["smith_normal_form"] == 2
-    assert elimination_calls["cone_inverse"] > 0
+    # one Hermite form of each maximal cone's generators, for its residues
+    assert sum(elimination_calls["hermite_normal_form", rows] for rows in gens) == 2
+    assert any(name == "cone_inverse" for name, _ in elimination_calls)
     elimination_calls.clear()
     inst = build_gkz(fan, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(2, 5)))
     assert inst.quotient.dim == 2
-    assert sum(elimination_calls.values()) == 0
+    # only build_gkz's own Hermite forms of the marker and relation lattices
+    assert elimination_calls
+    assert all(name == "hermite_normal_form" and rows not in gens for name, rows in elimination_calls)
 
 
 def test_validate_runs_once_per_fan(monkeypatch):
@@ -105,7 +110,7 @@ def test_table_size_is_bounded_by_the_cones():
     fan = f1()
     rng = random.Random(7)
     build_gkz(fan, draw_beta(rng))
-    sizes = (len(fan._table.inverses), len(fan._table.smith))
+    sizes = (len(fan._table.inverses), len(fan._table.residues))
     assert sizes == (2, 2)
     for _ in range(20):
         beta = draw_beta(rng)
@@ -114,7 +119,7 @@ def test_table_size_is_bounded_by_the_cones():
         spectrum(fan, beta)
         build_gkz(fan, beta)
         minimal_cone(fan, (Fraction(rng.randint(0, 9), 4), Fraction(rng.randint(0, 9), 7)))
-        assert (len(fan._table.inverses), len(fan._table.smith)) == sizes
+        assert (len(fan._table.inverses), len(fan._table.residues)) == sizes
 
 
 def test_build_gkz_shares_the_callers_cone_entries():
@@ -123,7 +128,7 @@ def test_build_gkz_shares_the_callers_cone_entries():
     assert fan.deg is None and inst.fan.deg == (1, 0)
     assert inst.fan == dataclasses.replace(fan, deg=(1, 0))
     assert inst.fan._table.inverses is fan._table.inverses
-    assert inst.fan._table.smith is fan._table.smith
+    assert inst.fan._table.residues is fan._table.residues
     assert set(fan._table.inverses) == set(CONES)
 
 

@@ -179,6 +179,20 @@ def test_ray_index_outside_the_fan_rejected(j):
         gamma_series_derivative(inst, (0, 0), X_F1, 4, j)
 
 
+def test_ray_index_is_read_as_the_integer_it_equals():
+    """j = 1.0 indexes ray 1, as B and v are read; a j that equals no
+    integer is named, not used as a tuple index."""
+    inst = instance("F1 zero")
+    assert verify_term_shift(inst, (0, 0), 1.0, 4) == verify_term_shift(inst, (0, 0), 1, 4)
+    got = gamma_series_derivative(inst, (0, 0), X_F1, 4, 1.0)
+    assert repr(got) == repr(gamma_series_derivative(inst, (0, 0), X_F1, 4, 1))
+    message = r"^j=1\.5 is not a ray index of the fan; expected one of \[0, 1, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        verify_term_shift(inst, (0, 0), 1.5, 4)
+    with pytest.raises(ValueError, match=message):
+        gamma_series_derivative(inst, (0, 0), X_F1, 4, 1.5)
+
+
 def test_unreachable_target_names_the_window_stage():
     inst = build_gkz(F1, (0, 0))
     # markers spanning only 2N: odd targets have no particular solution

@@ -13,7 +13,6 @@ from boxgamma.linalg import (
     lattice_generates,
     parse_gaussian,
     parse_rational,
-    smith_normal_form,
     solve_with_hnf,
 )
 from exact_oracles import cone_coords, det_rational, mat_inverse, solve_simplicial_coords
@@ -95,36 +94,6 @@ def test_hnf_random_properties():
                 continue
             for r in range(i):
                 assert 0 <= h[r][piv] < row[piv]
-
-
-def test_snf_random_properties():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(n)]
-        d, s, t = smith_normal_form(a)
-        assert abs(det_rational(s)) == 1
-        assert abs(det_rational(t)) == 1
-        prod = [
-            [
-                sum(s[i][p] * a[p][q] * t[q][j] for p in range(n) for q in range(c))
-                for j in range(c)
-            ]
-            for i in range(n)
-        ]
-        assert prod == d
-        diag = [d[i][i] for i in range(min(n, c))]
-        for i in range(n):
-            for j in range(c):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            assert x >= 0
-            if x != 0:
-                assert y % x == 0
-            else:
-                assert y == 0
 
 
 def test_solve_simplicial_coords():

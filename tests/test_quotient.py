@@ -115,6 +115,21 @@ def test_graded_piece_matches_the_scan(name, data):
     assert got == scanned_graded_piece(ModuleSpec(dataclasses.replace(fan), chi, xi), m)
 
 
+def test_graded_pieces_build_the_box_set_once_per_shift(monkeypatch):
+    """Degrees 0-3 at one chi, with and without a shadow direction, read the
+    collision classes at chi from the graded memo: one build, not one per
+    degree."""
+    builds = []
+    real = quotient._collisions
+    monkeypatch.setattr(quotient, "_collisions", lambda *args: builds.append(args) or real(*args))
+    fan = dataclasses.replace(TRI2)
+    chi = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
+    for m in range(4):
+        graded_piece(ModuleSpec(fan, chi), m)
+    graded_piece(ModuleSpec(fan, chi, (Fraction(1), Fraction(0), Fraction(0))), 2)
+    assert len(builds) == 1
+
+
 def test_module_product_examples():
     alpha = (Fraction(1, 4), Fraction(0), Fraction(0))
     elem = TaggedPoint((Fraction(1, 4), Fraction(0)), alpha)
