@@ -5,10 +5,6 @@ class DomainError(Exception):
     """Base class for all errors raised by library operations."""
 
 
-class NotInSpan(DomainError):
-    """Point is not in the linear span of the given generators."""
-
-
 class DependentGenerators(DomainError):
     """Generators expected to be linearly independent are not."""
 

@@ -32,7 +32,6 @@ from .linalg import (
     cone_inverse,
     hermite_normal_form,
     integer_kernel,
-    lattice_generates,
     parse_rational,
     read_exact,
     scaled_numerators,
@@ -40,6 +39,7 @@ from .linalg import (
 )
 
 ConeRef = tuple[int, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 class _ConeTable:
@@ -48,9 +48,10 @@ class _ConeTable:
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given), the Hermite diagonal of each
     full-dimensional one (its residues, see _cone_residues), the maximal
-    cones holding each box support (its witnesses), and the fan's
-    ValidationReport.  Their size is bounded by the fan's cones, and a
-    StackyFan is frozen, so no entry can go stale.
+    cones holding each box support (its witnesses), the markers' lattice
+    (see _marker_lattice) and the fan's ValidationReport, whose deg the
+    quotient reads.  Their size is bounded by the fan's cones and markers,
+    and a StackyFan is frozen, so no entry can go stale.
     params is the parameter memo (see _memo), keyed by beta's integer parts
     (linalg.integer_parts) and bounded by two parameters: stabilize fills a
     beta and, when it differs, its beta_delta, whose collision classes it
@@ -59,17 +60,17 @@ class _ConeTable:
     reads its pieces at chi = 0, which in params would displace a parameter
     or its beta_delta.  blocks, the same memo for
     quotient._Summand, is bounded by the fan's faces times two shadow
-    signatures (_tangent_test's key; None without xi).  build_gkz's copy of an
-    eligible fan with its degree functional filled in shares the whole table
-    (see _with_deg).
+    signatures (_tangent_test's key; None without xi).  A table belongs to
+    one fan: replace() gives the copy a fresh one.
     """
 
-    __slots__ = ("inverses", "residues", "witnesses", "report", "params", "graded", "blocks")
+    __slots__ = ("inverses", "residues", "witnesses", "lattice", "report", "params", "graded", "blocks")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.residues: dict[ConeRef, tuple[int, ...]] = {}
         self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
+        self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
@@ -83,13 +84,12 @@ _PARAMS_KEPT = 2
 def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
     """build(*args), kept in memo under recent and key; every bounded cache is one.
     The table's params memo holds "collisions", "stabilize" and, keyed by
-    (xi, deg), the quotients under the parameter's integer parts; stabilize
-    also stores beta_delta's "collisions" there.  Its graded memo holds the
-    graded pieces, keyed by (xi, deg, m), and the "collisions" they read,
-    under the shift chi as given; its
-    blocks memo the face blocks, keyed by face under the shadow signature.
-    deg is in the keys as BasisElement.offset and the graded pieces read
-    fan.deg, and _with_deg's copy shares the table.  Only the `kept` most
+    xi, the quotients under the parameter's integer parts; stabilize also
+    stores beta_delta's "collisions" there.  Its graded memo holds the
+    graded pieces, keyed by (xi, m), and the "collisions" they read, under
+    the shift chi as given; its blocks memo the face blocks, keyed by face
+    under the shadow signature.  The degree functional is the fan's own
+    (its report's deg), so no key holds it.  Only the `kept` most
     recently used values of recent are kept (two parameters or shifts,
     one bound or point of a GkzInstance), so the memo stays bounded however
     many it sees.  A build that raises stores nothing, nor a degree of a block."""
@@ -188,13 +188,18 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
     return diag
 
 
-def _with_deg(fan: StackyFan, deg: tuple[int, ...]) -> StackyFan:
-    """The fan with its degree functional set, sharing the whole cone table:
-    build_gkz passes an eligible fan's report.deg, which is 1 on every
-    marker, so _validate of the copy returns an equal report."""
-    out = StackyFan(rank=fan.rank, rays=fan.rays, max_cones=fan.max_cones, deg=deg)
-    object.__setattr__(out, "_table", fan._table)
-    return out
+def _marker_lattice(fan: StackyFan) -> tuple[IntRows, IntRows, IntRows]:
+    """(H, U, relations) from the fan's table: the markers' row Hermite form
+    H = U * rays, and a basis of {l : sum l_i v_i = 0} in row echelon form,
+    the nonzero rows of the Hermite form of U's rows where H is zero.  On an
+    eligible fan every relation sums to 0, as the window scan needs."""
+    lattice = fan._table.lattice
+    if lattice is None:
+        h, u = hermite_normal_form(fan.rays)
+        kernel = [row for row, hrow in zip(u, h) if not any(hrow)]
+        relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]
+        lattice = fan._table.lattice = tuple(tuple(map(tuple, m)) for m in (h, u, relations))
+    return lattice
 
 
 def minimal_cone(fan: StackyFan, p: Sequence):
@@ -368,6 +373,8 @@ def _validate(fan: StackyFan) -> ValidationReport:
         if len(set(cone)) != len(cone):
             violations.append(f"cone {tuple(i + 1 for i in cone)} repeats an index")
             continue
+        if any(len(fan.rays[i]) != d for i in cone):
+            continue  # its marker's wrong length is the violation
         try:
             _cone_inverse(fan, cone)
         except DependentGenerators:
@@ -405,7 +412,8 @@ def _validate(fan: StackyFan) -> ValidationReport:
             off = next((i for i, v in enumerate(fan.rays) if _dot(deg, v) != 1), None)
             if off is not None:
                 gkz_notes.append(f"deg is not 1 on marker {off + 1}")
-        if not lattice_generates(fan.rays):
+        # the markers generate Z^d iff their Hermite form has the unit diagonal
+        if [row[r] for r, row in enumerate(_marker_lattice(fan)[0][:d])] != [1] * d:
             gkz_notes.append("markers do not generate the lattice")
         if volume is None:
             gkz_notes.append("maximal cones are not all full-dimensional")
@@ -430,10 +438,7 @@ def _validate(fan: StackyFan) -> ValidationReport:
 
 def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """Integral functional with value 1 on every marker, or None."""
-    d = len(rays[0])
-    k = len(rays)
-    cols = [tuple(v[j] for v in rays) for j in range(d)]
-    g = solve_with_hnf(*hermite_normal_form(cols), tuple([1] * k))
+    g = solve_with_hnf(*hermite_normal_form(list(zip(*rays))), (1,) * len(rays))
     return tuple(g) if g is not None else None
 
 
@@ -467,8 +472,10 @@ def triangulate_from_heights(
     exactly on S.  An equality outside S means a non-simplicial lower facet
     and raises DegenerateHeights.
     """
-    pts = [read_exact(p, _integral, "fan", f"point {i}") for i, p in enumerate(points, start=1)]
-    d = len(pts[0])
+    if not points:
+        raise ValueError("fan: triangulation needs at least one point")
+    d = len(read_exact(points[0], _integral, "fan", "point 1"))
+    pts = [read_exact(p, _integral, "fan", f"point {i}", d) for i, p in enumerate(points, start=1)]
     hs = read_exact(heights, parse_rational, "fan", "heights", len(pts))
     # integer heights H = den * hs; the subset's points as generators V give
     # rows T with T V = det * I, det = |det V|, so w = T^t h_S / det and

@@ -27,12 +27,11 @@ from .errors import (
     SeriesOverflow,
     ZeroCoordinate,
 )
-from .fan import StackyFan, _memo, _with_deg, validate
+from .fan import IntRows, StackyFan, _marker_lattice, _memo, validate
 from .linalg import (
     Coord,
     _integral,
     format_gaussian,
-    hermite_normal_form,
     im_part,
     integer_parts,
     parse_rational,
@@ -60,8 +59,6 @@ _BERNOULLI = (
 
 _STIRLING_CUT = 20.0
 _SUGGEST_TARGET = 1e-2
-
-IntRows = tuple[tuple[int, ...], ...]
 
 
 def poly_mul_trunc(a: Sequence[complex], b: Sequence[complex], order: int) -> tuple[complex, ...]:
@@ -197,12 +194,6 @@ class GkzInstance:
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
-    # row HNF (H, U) of the markers, U * rays = H: particular solutions
-    marker_hnf: tuple[IntRows, IntRows]
-    # relation-lattice basis in row echelon form, pivots strictly increasing;
-    # deg is 1 on every marker, so every row sums to 0 (the window scan's
-    # degree bound needs that, see _window_offsets)
-    relations: IntRows
     # each triple's target position among the quotient's summands (box._stabilized)
     _positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # caches, so neither compared, hashed, shown nor copied by replace(): the
@@ -277,29 +268,16 @@ class SolutionSystem:
 
 
 def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
-    """Stabilize the parameter and build the shadow quotient it acts on."""
+    """Stabilize the parameter and build the shadow quotient it acts on; the
+    window scans read the markers' lattice from the fan (fan._marker_lattice)."""
     report = validate(fan)
     if not report.gkz_eligible:
         notes = "; ".join(report.violations + report.gkz_notes)
         raise InvalidFan(f"no extended hypergeometric system on this fan: {notes}")
-    if fan.deg is None:
-        fan = _with_deg(fan, report.deg)
     b = normalize_beta(fan, beta)
     corr, positions = _stabilized(fan, b, integer_parts(b))
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
-    h, u = hermite_normal_form(fan.rays)
-    # the relation lattice: the rows of U where H is zero
-    kernel = [row for row, hrow in zip(u, h) if not any(hrow)]
-    relations = [row for row in hermite_normal_form(kernel)[0] if any(row)]
-    return GkzInstance(
-        fan,
-        b,
-        corr,
-        quotient,
-        marker_hnf=(tuple(map(tuple, h)), tuple(map(tuple, u))),
-        relations=tuple(map(tuple, relations)),
-        _positions=positions,
-    )
+    return GkzInstance(fan, b, corr, quotient, _positions=positions)
 
 
 def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
@@ -390,13 +368,14 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
 
 
 def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
-    part = solve_with_hnf(*instance.marker_hnf, target)
+    h, u, relations = _marker_lattice(instance.fan)
+    part = solve_with_hnf(h, u, target)
     if part is None:
         raise NoParticularSolution(
             f"window: markers do not reach the target {target} of v={v}, "
             f"n={alpha.lattice_point}; the marker lattice is degenerate"
         )
-    offsets = _window_offsets(part, instance.relations, B)
+    offsets = _window_offsets(part, relations, B)
     return offsets, tuple(sum(map(abs, m)) for m in offsets)
 
 
@@ -581,7 +560,7 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     if len(offs) != len(xs):
         raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
     for i, o in enumerate(offs, start=1):
-        if not math.isfinite(o):
+        if not _read(math.isfinite, o, i, "arg_offsets", "a real number"):
             raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
     logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
     # repr tells 0.0 from -0.0, which == and hash do not
@@ -589,8 +568,16 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, logs, kept=1)
 
 
+def _read(read, c, i: int, name: str, kind: str):
+    """read(c), c being coordinate i of name; ValueError names c if read rejects it."""
+    try:
+        return read(c)
+    except (TypeError, ValueError):
+        raise ValueError(f"series: coordinate {i} of {name} is {c!r}, not {kind}") from None
+
+
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
-    xs = tuple(complex(c) for c in x)
+    xs = tuple(_read(complex, c, i, "x", "a complex number") for i, c in enumerate(x, start=1))
     if len(xs) != fan.k:
         raise ValueError(f"x must have {fan.k} coordinates, got {len(xs)}")
     for i, c in enumerate(xs, start=1):
@@ -793,8 +780,8 @@ def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
     so every relation-lattice generator contracts its monomial to _SUGGEST_TARGET."""
     fan = instance.fan
     hs = read_exact(heights, parse_rational, "series", "heights", fan.k)
-    hnf, u = instance.marker_hnf
-    kernel = [row for row, hrow in zip(u, hnf) if not any(hrow)]  # as build_gkz reads it
+    hnf, u, _ = _marker_lattice(fan)
+    kernel = [row for row, hrow in zip(u, hnf) if not any(hrow)]
     if not kernel:
         return (1.0,) * fan.k
     pairings = []

@@ -366,17 +366,6 @@ def solve_with_hnf(
     return tuple(sum(u[i][j] * y[i] for i in range(k)) for j in range(k))
 
 
-def lattice_generates(rays: Sequence[Sequence[int]]) -> bool:
-    """True iff the rows generate Z^d as a group."""
-    d = len(rays[0])
-    h, _ = hermite_normal_form(rays)
-    nonzero = [row for row in h if any(row)]
-    if len(nonzero) < d:
-        return False
-    # full column rank: the pivot of row i sits in column i
-    return math.prod(row[i] for i, row in enumerate(nonzero)) == 1
-
-
 _JACOBI_TOL = 1e-15
 _JACOBI_SWEEPS = 60
 

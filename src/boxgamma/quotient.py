@@ -25,7 +25,7 @@ from .errors import (
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from .fan import StackyFan, _memo, _tangent_test, normalized_volume
+from .fan import StackyFan, _memo, _tangent_test, normalized_volume, validate
 from .linalg import Coord, _dot, _integral, integer_parts, parse_rational, read_exact
 
 _ZERO = Fraction(0)
@@ -90,18 +90,21 @@ class QuotientAlgebra:
         return MappingProxyType({alpha_key(e.alpha): i for e, i in pairs if i is not None})
 
 
-def _check_graded(fan: StackyFan):
-    if fan.deg is None:
+def _check_graded(fan: StackyFan) -> tuple[int, ...]:
+    """validate's report.deg: fan.deg, or the one an eligible fan infers;
+    UnboundedDegree when there is none or it is not positive on the support."""
+    deg = validate(fan).deg
+    if deg is None:
         raise UnboundedDegree("quotient: fan carries no degree functional")
-    for i in fan.fan_indices():
-        if _dot(fan.deg, fan.rays[i]) <= 0:
-            raise UnboundedDegree("quotient: degree functional is not positive on the support")
+    if any(_dot(deg, fan.rays[i]) <= 0 for i in fan.fan_indices()):
+        raise UnboundedDegree("quotient: degree functional is not positive on the support")
+    return deg
 
 
 def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """Lattice points n with n + chi in the support, passing the shadow
     filter, of degree m; requires a positive degree functional.  Built once
-    per (fan, chi, xi, fan.deg, m), in the graded memo of the fan's table
+    per (fan, chi, xi, m), in the graded memo of the fan's table
     (see fan._memo), under chi as given: the points depend on chi itself.
     m is read as the int it equals, so m = 1.0 and m = 1 share one piece;
     ValueError names an m that equals no integer."""
@@ -109,7 +112,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     if n is None:
         raise ValueError(f"quotient: the degree m is {m!r}, not an integer")
     graded = spec.fan._table.graded
-    return _memo(graded, spec.chi, (spec.xi, spec.fan.deg, n), _graded_piece, spec, n)
+    return _memo(graded, spec.chi, (spec.xi, n), _graded_piece, spec, n)
 
 
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
@@ -120,8 +123,7 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     parameter memo, where chi would evict a beta.  On a fan validate
     rejects, two box elements may give one point."""
     fan = spec.fan
-    _check_graded(fan)
-    deg = fan.deg
+    deg = _check_graded(fan)
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     points = set()
     param = integer_parts(spec.chi)
@@ -287,15 +289,17 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     monomial with no passing m - e_i is the 0/1 vector of at most rank
     rays, of degree at most g.  Each degree is checked
     against the normalized volume (DimensionOvershoot); ending below it
-    raises NoStabilizationWindow.  Built once per (fan, chi, xi, fan.deg)
-    (the fan's parameter memo), from summand blocks built once per face
+    raises NoStabilizationWindow.  An offset is deg(n) for the report's
+    deg, or t on a fan without one.  Built once per (fan, chi, xi) (the
+    fan's parameter memo), from summand blocks built once per face
     supp(alpha) and sign signature of xi (the fan's blocks memo)."""
     params = spec.fan._table.params
-    return _memo(params, integer_parts(spec.chi), (spec.xi, spec.fan.deg), _build_quotient, spec)
+    return _memo(params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan = spec.fan
+    deg = validate(fan).deg
     # the shadow filter, xi solved once per build
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     key = None if tangent is None else tangent.key
@@ -345,7 +349,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
                     n0 + sum(x * v[r] for x, v in zip(m, fan.rays))
                     for r, n0 in enumerate(a.lattice_point)
                 )
-                offset = deg_t if fan.deg is None else sum(fan.deg[r] * x for r, x in enumerate(n))
+                offset = deg_t if deg is None else _dot(deg, n)
                 index[(s_i, deg_t, c)] = len(basis)
                 basis.append(BasisElement(offset, n, a.alpha, m, deg_t))
         dims.append(sum(len(s.quot[deg_t]) for deg_t in range(t)))

@@ -31,7 +31,7 @@ from boxgamma.box import (
     box_of_fan,
     normalize_beta,
 )
-from boxgamma.errors import DependentGenerators, NotInSpan
+from boxgamma.errors import DependentGenerators, DomainError
 from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, _tangent_test, minimal_cone
 from boxgamma.linalg import (
     ConeInverse,
@@ -53,6 +53,10 @@ from boxgamma.quotient import (
     _compositions,
     build_quotient,
 )
+
+
+class NotInSpan(DomainError):
+    """Point is not in the linear span of the given generators."""
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -450,8 +454,7 @@ def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     lattice point n of degree m with n + chi in the support, by minimal_cone,
     and passing the shadow filter on that face."""
     fan = spec.fan
-    _check_graded(fan)
-    deg = fan.deg
+    deg = _check_graded(fan)
     chi = spec.chi
     s = m + sum(deg[r] * chi[r] for r in range(fan.rank))
     if s < 0:

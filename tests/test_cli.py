@@ -506,6 +506,16 @@ def test_cone_index_out_of_range_exit_2(tmp_path):
     assert code == 2
 
 
+def test_wrong_length_marker_is_reported(tmp_path):
+    """The report names the marker; no cone holding it is solved."""
+    fan = tmp_path / "fan_bad.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}')
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
+    assert code == 0
+    assert doc["valid"] is False
+    assert doc["violations"] == ["marker 2 has wrong length"]
+
+
 F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}
 
 

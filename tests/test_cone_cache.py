@@ -1,10 +1,11 @@
 """The fan's cone table as a cache: it stays out of equality, hash, repr and
 replace(), a fan's cone data is computed once however many parameters it
-is used with, its size does not grow with them, and build_gkz's copy of a
-fan without a degree functional shares the caller's whole table, report
-included."""
+is used with, its size does not grow with them, and build_gkz works on the
+caller's fan: graded pieces and quotients read the degree functional from
+its report, so a fan given without one builds what it builds with it."""
 
 import dataclasses
+import operator
 import random
 import sys
 from collections import Counter
@@ -19,6 +20,7 @@ from boxgamma.fan import StackyFan, minimal_cone, triangulate_from_heights, vali
 from boxgamma.gkz import build_gkz
 from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational
+from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 
 RAYS = ((1, 0), (1, 1), (1, 2))
 CONES = ((0, 1), (1, 2))
@@ -91,9 +93,8 @@ def test_second_build_gkz_computes_no_cone_data(elimination_calls):
     elimination_calls.clear()
     inst = build_gkz(fan, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(2, 5)))
     assert inst.quotient.dim == 2
-    # only build_gkz's own Hermite forms of the marker and relation lattices
-    assert elimination_calls
-    assert all(name == "hermite_normal_form" and rows not in gens for name, rows in elimination_calls)
+    # the marker and relation lattices are the fan's, formed by the first
+    assert not elimination_calls
 
 
 def test_validate_runs_once_per_fan(monkeypatch):
@@ -122,16 +123,6 @@ def test_table_size_is_bounded_by_the_cones():
         assert (len(fan._table.inverses), len(fan._table.residues)) == sizes
 
 
-def test_build_gkz_shares_the_callers_cone_entries():
-    fan = f1()
-    inst = build_gkz(fan, (Fraction(1, 4), Fraction(0)))
-    assert fan.deg is None and inst.fan.deg == (1, 0)
-    assert inst.fan == dataclasses.replace(fan, deg=(1, 0))
-    assert inst.fan._table.inverses is fan._table.inverses
-    assert inst.fan._table.residues is fan._table.residues
-    assert set(fan._table.inverses) == set(CONES)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -145,10 +136,22 @@ def test_build_gkz_shares_the_callers_cone_entries():
     ids=["F1", "SQUARE", "HEX5", "tri2"],
 )
 def test_build_gkz_shares_an_exact_report(make):
-    """The copy carries the caller's report; validating the copy afresh,
-    with its degree functional, gives an equal one."""
+    """build_gkz works on the caller's fan and its report.  That report's
+    deg is the one validate gives the fan with it filled in, and graded
+    pieces and quotients read it: built without deg, they equal those built
+    with it given."""
     fan = dataclasses.replace(make(), deg=None)
     inst = build_gkz(fan, (0,) * fan.rank)
-    assert inst.fan.deg is not None
-    assert inst.fan._table is fan._table
-    assert fanmod._validate(inst.fan) == validate(fan)
+    assert inst.fan is fan and fan.deg is None
+    deg = validate(fan).deg
+    given = dataclasses.replace(fan, deg=deg)
+    assert fanmod._validate(given) == validate(fan)
+    chis = ((0,) * fan.rank, (Fraction(1, 3),) + (Fraction(-2, 5),) * (fan.rank - 1))
+    for chi in chis:
+        for m in range(4):
+            assert graded_piece(ModuleSpec(fan, chi), m) == graded_piece(ModuleSpec(given, chi), m)
+    specs = [inst.quotient.spec] + [ModuleSpec(fan, chi) for chi in chis]
+    for spec in specs:
+        q, want = build_quotient(spec), build_quotient(dataclasses.replace(spec, fan=given))
+        assert (q.basis, q.dims, q.dmats) == (want.basis, want.dims, want.dmats)
+        assert all(e.offset == sum(map(operator.mul, deg, e.lattice_point)) for e in q.basis)

@@ -26,7 +26,6 @@ from boxgamma.errors import (
     DomainError,
     InvalidFan,
     NotFullDimensional,
-    NotInSpan,
     PointOutsideSupport,
 )
 from boxgamma.fan import (
@@ -41,6 +40,7 @@ from boxgamma.fan import (
 from boxgamma.linalg import ConeInverse, GaussianRational, cone_inverse, im_part, re_part
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import (
+    NotInSpan,
     all_pairs_report,
     cone_coords,
     det_rational,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import boxgamma.gkz as gkz
 from boxgamma.errors import NoParticularSolution
-from boxgamma.fan import StackyFan, triangulate_from_heights
+from boxgamma.fan import StackyFan, _marker_lattice, triangulate_from_heights
 from boxgamma.gkz import (
     build_gkz,
     enumerate_L,
@@ -132,7 +132,8 @@ def test_term_shift_fails_when_a_window_drops_an_offset(monkeypatch):
     # the right-hand window, at v + v_j, loses one offset of its core
     v2 = tuple(a + b for a, b in zip(v, F1.rays[j]))
     target = tuple(-a - n for a, n in zip(v2, src.lattice_point))
-    part = tuple(gkz.solve_with_hnf(*inst.marker_hnf, target))
+    h, u, _ = _marker_lattice(F1)
+    part = tuple(gkz.solve_with_hnf(h, u, target))
     real = gkz._window_offsets
 
     def dropping(p, relations, bound):
@@ -193,13 +194,21 @@ def test_ray_index_is_read_as_the_integer_it_equals():
         gamma_series_derivative(inst, (0, 0), X_F1, 4, 1.5)
 
 
+def faulty_lattice(**parts):
+    """build_gkz on a fresh F1, its table's marker lattice then replaced in
+    the given parts (h, u, relations); validate has read the true one."""
+    fan = dataclasses.replace(F1)
+    inst = build_gkz(fan, (0, 0))
+    lattice = dict(zip(("h", "u", "relations"), _marker_lattice(fan)), **parts)
+    fan._table.lattice = tuple(lattice.values())
+    return inst
+
+
 def test_unreachable_target_names_the_window_stage():
-    inst = build_gkz(F1, (0, 0))
     # markers spanning only 2N: odd targets have no particular solution
     h, u = hermite_normal_form([tuple(2 * x for x in ray) for ray in F1.rays])
-    hnf = (tuple(map(tuple, h)), tuple(map(tuple, u)))
-    degenerate = dataclasses.replace(inst, marker_hnf=hnf)
-    ((src, _, _),) = inst.correspondence.triples
+    degenerate = faulty_lattice(h=h, u=u)
+    ((src, _, _),) = degenerate.correspondence.triples
     with pytest.raises(NoParticularSolution) as err:
         verify_term_shift(degenerate, (1, 0), 0, 4)
     assert str(err.value) == (
@@ -255,7 +264,6 @@ def test_window_scan_rejects_a_relation_of_nonzero_degree():
     # the degree bound reads sum(m) = sum(part) off relations summing to 0
     with pytest.raises(ValueError, match=r"^window: relation row \(1, 1, -1\) sums to 1, not 0"):
         gkz._window_offsets((0, 0, 0), ((1, 1, -1),), 2)
-    inst = build_gkz(F1, (0, 0))
-    skewed = dataclasses.replace(inst, relations=((1, -2, 2),))
+    skewed = faulty_lattice(relations=((1, -2, 2),))
     with pytest.raises(ValueError, match=r"^window: relation row \(1, -2, 2\) sums to 1"):
         verify_term_shift(skewed, (0, 0), 1, 4)

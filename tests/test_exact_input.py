@@ -124,3 +124,38 @@ def test_heights_of_the_wrong_length_raise(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "points,heights,message",
+    [
+        ([], [], "fan: triangulation needs at least one point"),
+        (((1, 0), (1, 1, 1), (1, 2)), (0, 1, 0), "fan: point 2 must have 2 coordinates, got 3"),
+        (((1, 0, 0), (1, 1), (1, 2)), (0, 1, 0), "fan: point 2 must have 3 coordinates, got 2"),
+    ],
+    ids=["empty", "longer", "shorter"],
+)
+def test_triangulation_points_of_the_wrong_length_raise(points, heights, message):
+    """Every point is read with the first point's length."""
+    with pytest.raises(ValueError) as info:
+        triangulate_from_heights(points, heights)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "x,offsets,message",
+    [
+        ((1, None, 1), None, "coordinate 2 of x is None, not a complex number"),
+        ((1, "zz", 1), None, "coordinate 2 of x is 'zz', not a complex number"),
+        (X_F1, (0, 0, "a"), "coordinate 3 of arg_offsets is 'a', not a real number"),
+        (X_F1, (0, 0, 1j), "coordinate 3 of arg_offsets is 1j, not a real number"),
+        (X_F1, (0, 0, None), "coordinate 3 of arg_offsets is None, not a real number"),
+    ],
+    ids=["x None", "x string", "offset string", "offset complex", "offset None"],
+)
+def test_series_point_entries_are_named(x, offsets, message):
+    """An entry of x or arg_offsets that is no number is named, as a
+    non-finite one is."""
+    with pytest.raises(ValueError) as info:
+        gamma_series(INST, (0, 0), x, 4, offsets)
+    assert str(info.value) == f"series: {message}"

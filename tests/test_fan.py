@@ -111,6 +111,29 @@ def test_validate_non_primitive_markers_ok():
     assert not rep.gkz_eligible  # no integral functional with value 1 on (2,0)
 
 
+def test_validate_notes_markers_that_do_not_generate():
+    """The markers' Hermite form in the fan's table has the unit diagonal
+    exactly when they generate Z^2: F1's do, an index-2 pair and a lone
+    marker do not."""
+    note = "markers do not generate the lattice"
+    for rays, cones, generates in (
+        (F1.rays, F1.max_cones, True),
+        (((2, 0), (0, 1)), ((0, 1),), False),
+        (((1, 0),), ((0,),), False),
+    ):
+        rep = validate(StackyFan(rank=2, rays=rays, max_cones=cones))
+        assert rep.valid
+        assert (note not in rep.gkz_notes) is generates
+
+
+def test_validate_reports_a_wrong_length_marker():
+    """A cone holding the marker is not solved, so the report comes back."""
+    fan = StackyFan(rank=2, rays=((1, 0), (1, 1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+    rep = validate(fan)
+    assert not rep.valid
+    assert rep.violations == ("marker 2 has wrong length",)
+
+
 E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,8 +14,13 @@ from hypothesis import strategies as st
 
 from boxgamma.box import alpha_key, box_of_fan
 from boxgamma.errors import DegenerateHeights, InvalidFan, NoBaseElement, ZeroCoordinate
-from boxgamma.fan import StackyFan, tangent_member, triangulate_from_heights, validate
-import boxgamma.gkz as gkz
+from boxgamma.fan import (
+    StackyFan,
+    _marker_lattice,
+    tangent_member,
+    triangulate_from_heights,
+    validate,
+)
 import boxgamma.linalg as linalg
 from boxgamma.gkz import (
     _window_offsets,
@@ -193,7 +199,7 @@ DEEP_FANS = {"tri3": TRI3, "simplex3x2": SIMPLEX3X2}
 @pytest.fixture(scope="module")
 def deep_relations():
     """The relation bases the window scan runs on with the most levels."""
-    return {name: build_gkz(fan, (0,) * fan.rank).relations for name, fan in DEEP_FANS.items()}
+    return {name: _marker_lattice(fan)[2] for name, fan in DEEP_FANS.items()}
 
 
 @functools.cache
@@ -221,7 +227,7 @@ def test_window_offsets_match_l1_ball_at_depth(deep_relations, name, B, data):
 
 def test_ladder_relations_have_degree_zero():
     for fan in (F1, SQUARE, HEX5, TRI2, TRI3, SIMPLEX3X2):
-        relations = build_gkz(fan, (0,) * fan.rank).relations
+        relations = _marker_lattice(fan)[2]
         assert relations and all(sum(row) == 0 for row in relations)
 
 
@@ -524,11 +530,10 @@ def test_series_value_metadata():
 
 
 def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
-    """The relation lattice is read off the markers' (H, U), not eliminated
-    again, by build_gkz and by suggest_x.  The fan is validated first:
-    lattice_generates forms its own HNF once per fan."""
+    """validate, build_gkz at two parameters and suggest_x read the markers'
+    (H, U) and the relation lattice from the fan's table: one Hermite form
+    of the markers per fan, none per parameter."""
     fan = StackyFan(rank=2, rays=F1.rays, max_cones=F1.max_cones)
-    validate(fan)
     formed = Counter()
     real = linalg.hermite_normal_form
 
@@ -536,11 +541,12 @@ def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
         formed[tuple(map(tuple, a))] += 1
         return real(a)
 
-    for module in (gkz, linalg):
-        monkeypatch.setattr(module, "hermite_normal_form", counting)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("boxgamma") and vars(module).get("hermite_normal_form") is real:
+            monkeypatch.setattr(module, "hermite_normal_form", counting)
+    assert validate(fan).gkz_eligible
     inst = build_gkz(fan, (Fraction(1, 4), 0))
-    assert formed[fan.rays] == 1
-    formed.clear()
+    build_gkz(fan, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(2, 5)))
     assert suggest_x(inst, (1, 0, 1)) == (0.1, 1.0, 0.1)
-    assert not formed
-    assert inst.relations == build_gkz(F1, (Fraction(1, 4), 0)).relations == ((1, -2, 1),)
+    assert formed[fan.rays] == 1
+    assert _marker_lattice(fan)[2] == _marker_lattice(F1)[2] == ((1, -2, 1),)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import boxgamma.box as box
 from boxgamma.box import normalize_beta, stabilize
 from boxgamma.cli import main
-from boxgamma.errors import DependentGenerators, NotInSpan
+from boxgamma.errors import DependentGenerators
 from boxgamma.fan import (
     StackyFan,
     _intersection_rays,
@@ -28,7 +28,7 @@ from boxgamma.fan import (
 from boxgamma.gkz import build_gkz
 from boxgamma.linalg import GaussianRational, cone_inverse, integer_kernel, integer_parts
 from boxgamma.quotient import _rref
-from exact_oracles import det_rational, mat_inverse, solve_simplicial_coords
+from exact_oracles import NotInSpan, det_rational, mat_inverse, solve_simplicial_coords
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))

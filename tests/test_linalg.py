@@ -3,19 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from boxgamma.errors import DependentGenerators, NotInSpan
+from boxgamma.errors import DependentGenerators
 from boxgamma.linalg import (
     GaussianRational,
     cone_inverse,
     format_gaussian,
     format_rational,
     hermite_normal_form,
-    lattice_generates,
     parse_gaussian,
     parse_rational,
     solve_with_hnf,
 )
-from exact_oracles import cone_coords, det_rational, mat_inverse, solve_simplicial_coords
+from exact_oracles import (
+    NotInSpan,
+    cone_coords,
+    det_rational,
+    mat_inverse,
+    solve_simplicial_coords,
+)
 
 
 def test_rational_roundtrip():
@@ -142,9 +147,3 @@ def test_solve_integer_and_kernel():
     assert [abs(x) for x in k] == [1, 2, 1]
     # target outside the generated lattice
     assert solve_with_hnf(*hermite_normal_form([(2, 0), (0, 2)]), (1, 0)) is None
-
-
-def test_lattice_generates():
-    assert lattice_generates([(1, 0), (1, 1), (1, 2)])
-    assert not lattice_generates([(2, 0), (0, 1)])
-    assert not lattice_generates([(1, 0)])

@@ -1,7 +1,6 @@
 """The fan's parameter memo: collisions, stabilize, build_quotient and
 graded_piece read through it equal the same calls on a fresh copy of the
-fan, whichever of a fan and its copy with the degree functional filled in
-they go through; the memo keeps two parameters, and stabilize leaves
+fan; the memo keeps two parameters, and stabilize leaves
 beta_delta's classes in it; one algebra_sweep-style sequence builds the box
 set at beta and the quotient once, and none at beta_delta; solution_system reuses
 the graded pieces already built; and the shared quotient's maps are
@@ -17,8 +16,8 @@ from hypothesis import strategies as st
 import boxgamma.box as box
 import boxgamma.quotient as quotient
 from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
-from boxgamma.errors import DomainError, UnboundedDegree
-from boxgamma.fan import StackyFan, _tangent_test, _with_deg, triangulate_from_heights, validate
+from boxgamma.errors import DomainError
+from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, solution_system
 from boxgamma.kring import spectrum, wall_report
 from boxgamma.linalg import GaussianRational, integer_parts, re_part
@@ -67,11 +66,8 @@ def stages(fan, beta, chi, xi, m, order):
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_memo_matches_a_fresh_fan(name, data):
     fan = dataclasses.replace(FANS[name])  # an empty memo for each example
-    deg = validate(fan).deg
-    views = [fan] if deg is None else [fan, _with_deg(fan, deg)]
     drawn = []
     for _ in range(data.draw(st.integers(1, 4))):
-        view = data.draw(st.sampled_from(views))
         if drawn and data.draw(st.booleans()):
             beta = data.draw(st.sampled_from(drawn))
         else:
@@ -80,9 +76,9 @@ def test_memo_matches_a_fresh_fan(name, data):
         xi = tuple(re_part(b) for b in beta) if data.draw(st.booleans()) else None
         m = data.draw(st.integers(-1, 2))
         order = data.draw(st.permutations(["collisions", "stabilize", "quotient", "graded"]))
-        fresh = dataclasses.replace(view)
+        fresh = dataclasses.replace(fan)
         chi = stabilize(fresh, beta).beta_delta
-        assert stages(view, beta, chi, xi, m, order) == stages(fresh, beta, chi, xi, m, order)
+        assert stages(fan, beta, chi, xi, m, order) == stages(fresh, beta, chi, xi, m, order)
 
 
 def test_memo_keeps_two_parameters():
@@ -166,10 +162,10 @@ def test_solution_system_reuses_graded_pieces(monkeypatch):
     assert built == [0, 1]
     assert system.vs == tuple(points)
     assert list(fan._table.params) == params
-    # the fan itself shares the memo with build_gkz's copy but has no
-    # degree functional, so the copy's pieces are not its own
-    with pytest.raises(UnboundedDegree):
-        graded_piece(ModuleSpec(fan, spec0.chi), 1)
+    # the instance's fan is the fan itself, so its pieces are the fan's own
+    assert instance.fan is fan
+    assert graded_piece(ModuleSpec(fan, spec0.chi), 1) is graded_piece(spec0, 1)
+    assert built == [0, 1]
 
 
 def test_shared_quotient_maps_are_read_only():
