@@ -123,6 +123,18 @@ def test_table_size_is_bounded_by_the_cones():
         assert (len(fan._table.inverses), len(fan._table.residues)) == sizes
 
 
+def test_build_gkz_shares_the_callers_cone_entries():
+    fan = f1()
+    inst = build_gkz(fan, (Fraction(1, 4), Fraction(0)))
+    assert inst.fan is fan and fan.deg is None and validate(fan).deg == (1, 0)
+    assert set(fan._table.inverses) == set(fan._table.residues) == set(CONES)
+    entries = dict(fan._table.inverses), dict(fan._table.residues), fan._table.lattice
+    build_gkz(fan, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(2, 5)))
+    assert all(fan._table.inverses[c] is entries[0][c] for c in CONES)
+    assert all(fan._table.residues[c] is entries[1][c] for c in CONES)
+    assert fan._table.lattice is entries[2]
+
+
 @pytest.mark.parametrize(
     "make",
     [
