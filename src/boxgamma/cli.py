@@ -163,20 +163,14 @@ def cmd_cohomology(args):
     from .quotient import ModuleSpec, build_quotient
 
     fan, beta = _fan_beta(args)
-    xi = None
-    if args.shadow:
-        doc = _load(args.shadow)
-        xi = doc["xi"]
+    xi = _load(args.shadow)["xi"] if args.shadow else None
     q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {
         "dim": q.dim,
         "volume": report.volume,
         "summands": [
-            {
-                "alpha": [format_gaussian(a) for a in be.alpha],
-                "dim": dim,
-            }
+            {"alpha": [format_gaussian(a) for a in be.alpha], "dim": dim}
             for be, dim in zip(q.alphas, q.dims)
         ],
         "basis": [
@@ -261,21 +255,14 @@ def cmd_gkz_verify(args):
             rep = verify_term_shift(instance, v, j, args.bound)
             shifts_ok = shifts_ok and rep.ok
             boundary_terms += rep.boundary_count
-            deriv = gamma_series_derivative(
-                instance, v, xs, args.bound, j, arg_offsets=offs
-            )
+            deriv = gamma_series_derivative(instance, v, xs, args.bound, j, arg_offsets=offs)
             v2 = tuple(a + b for a, b in zip(v, fan.rays[j]))
             shifted = gamma_series(instance, v2, xs, args.bound, arg_offsets=offs)
             for a, b in zip(deriv.value, shifted.value):
                 max_residual = max(max_residual, abs(a - b))
     euler_ok = verify_euler(instance)
     tol = max(1e-8, 10.0 * system.tail_estimate)
-    passed = (
-        euler_ok
-        and shifts_ok
-        and max_residual <= tol
-        and not system.rank_deficient
-    )
+    passed = euler_ok and shifts_ok and max_residual <= tol and not system.rank_deficient
     return {
         "euler_exact": euler_ok,
         "term_shift_ok": shifts_ok,
@@ -321,8 +308,7 @@ def cmd_seed_examples(args):
     for name in sorted(SEED_FILES):
         path = os.path.join(args.dir, name)
         with open(path, "w") as fh:
-            fh.write(emit_json(SEED_FILES[name]))
-            fh.write("\n")
+            fh.write(emit_json(SEED_FILES[name]) + "\n")
         written.append(name)
     return {"written": written}
 

@@ -48,10 +48,11 @@ class _ConeTable:
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given), the Hermite diagonal of each
     full-dimensional one (its residues, see _cone_residues), the maximal
-    cones holding each box support (its witnesses), the markers' lattice
-    (see _marker_lattice) and the fan's ValidationReport, whose deg the
-    quotient reads.  Their size is bounded by the fan's cones and markers,
-    and a StackyFan is frozen, so no entry can go stale.
+    cones holding each box support (its witnesses), every face as a bitmask
+    of its markers (see _faces), the markers' lattice (see _marker_lattice)
+    and the fan's ValidationReport, whose deg the quotient reads.  Their
+    size is bounded by the fan's cones and markers, and a StackyFan is
+    frozen, so no entry can go stale.
     params is the parameter memo (see _memo), keyed by beta's integer parts
     (linalg.integer_parts) and bounded by two parameters: stabilize fills a
     beta and, when it differs, its beta_delta, whose collision classes it
@@ -64,12 +65,15 @@ class _ConeTable:
     one fan: replace() gives the copy a fresh one.
     """
 
-    __slots__ = ("inverses", "residues", "witnesses", "lattice", "report", "params", "graded", "blocks")
+    __slots__ = (
+        "inverses", "residues", "witnesses", "faces", "lattice", "report", "params", "graded", "blocks"
+    )
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.residues: dict[ConeRef, tuple[int, ...]] = {}
         self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
+        self.faces: Optional[frozenset[int]] = None
         self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
@@ -168,9 +172,13 @@ def primitive_direction(v: Sequence) -> tuple[int, ...]:
 
 def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     """The cone's ConeInverse from the fan's table; raises
-    DependentGenerators (and stores nothing) for dependent generators."""
+    DependentGenerators (and stores nothing) for dependent generators, and
+    InvalidFan, naming the marker, for one of the wrong length."""
     inv = fan._table.inverses.get(cone)
     if inv is None:
+        for i in cone:
+            if len(fan.rays[i]) != fan.rank:
+                raise InvalidFan(f"fan: marker {i + 1} has wrong length, not the rank {fan.rank}")
         inv = fan._table.inverses[cone] = cone_inverse(fan.gens(cone))
     return inv
 
@@ -186,6 +194,19 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
         h, _ = hermite_normal_form(fan.gens(cone))
         diag = fan._table.residues[cone] = tuple(h[r][r] for r in range(fan.rank))
     return diag
+
+
+def _faces(fan: StackyFan) -> frozenset[int]:
+    """Every face of the fan, each the bitmask of its markers, from the
+    fan's table: the subsets of the maximal cones."""
+    if fan._table.faces is None:
+        fan._table.faces = frozenset(
+            sum(1 << i for i in face)
+            for cone in fan.max_cones
+            for r in range(len(cone) + 1)
+            for face in itertools.combinations(cone, r)
+        )
+    return fan._table.faces
 
 
 def _marker_lattice(fan: StackyFan) -> tuple[IntRows, IntRows, IntRows]:

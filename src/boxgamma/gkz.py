@@ -27,7 +27,7 @@ from .errors import (
     SeriesOverflow,
     ZeroCoordinate,
 )
-from .fan import IntRows, StackyFan, _marker_lattice, _memo, validate
+from .fan import IntRows, StackyFan, _faces, _marker_lattice, _memo, validate
 from .linalg import (
     Coord,
     _integral,
@@ -448,7 +448,13 @@ class _SeriesEvaluator:
     triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
     through the nilpotent ray operators.  It depends on the triple t and the
     offset m only, not on the index v, so every window that reaches (t, m)
-    shares it.  Kept here: base indices by t, looked up once (a missing one
+    shares it.  With J = {i : alpha_i = 0, m_i < 0}, the i where l_i is a
+    negative integer, the term carries prod_{i in J} D_i, or 1/Gamma(l_i + 1)
+    = 0 for a non-ray i, which lies in no cone; both vanish when supp(alpha)
+    and J lie in no cone, by the quotient's Stanley-Reisner relations
+    (Borisov-Horja, Math. Ann. 357, 2013).  vanishes decides this from
+    integers, so such a term is never formed and reaches no SeriesOverflow.
+    Kept here: base indices by t, looked up once (a missing one
     raises on every call); coordinates and ray jets by (t, i, m_i); terms by
     (t, m); reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
     evaluation at its own l; and the memo (fan._memo) of the last bound B's
@@ -475,15 +481,14 @@ class _SeriesEvaluator:
         self.parts = tuple(
             tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
         )
+        # supp(alpha) of each triple as a bitmask
+        self.supports = tuple(sum(1 << i for i in src.support) for src in self.sources)
+        self.faces = _faces(instance.fan)
         self.bases = tuple(
             (q.bases[pos], tgt)
             for pos, (_, tgt, _) in zip(instance._positions, instance.correspondence.triples)
         )
-        self.coords: dict = {}
-        self.factors: dict = {}
-        self.terms: dict = {}
-        self.jets: dict = {}
-        self.values: dict = {}
+        self.coords, self.factors, self.terms, self.jets, self.values = {}, {}, {}, {}, {}
 
     def base(self, t: int) -> tuple[complex, ...]:
         """The base vector of triple t's target; NoBaseElement when the
@@ -497,39 +502,44 @@ class _SeriesEvaluator:
             )
         return (0j,) * index + (1 + 0j,) + (0j,) * (self.dim - 1 - index)
 
+    def vanishes(self, t: int, m: tuple[int, ...]) -> bool:
+        """The support rule: supp(alpha) and J of triple t lie in no cone of
+        the fan.  A negative m_i off J has i in supp(alpha) already, so the
+        union is supp(alpha) and every i with m_i < 0."""
+        face = self.supports[t]
+        for i, mi in enumerate(m):
+            if mi < 0:
+                face |= 1 << i
+        return face not in self.faces
+
     def coord(self, t: int, i: int, mi: int) -> complex:
-        key = (t, i, mi)
-        c = self.coords.get(key)
+        c = self.coords.get((t, i, mi))
         if c is None:
             re, im = self.parts[t][i]
-            c = self.coords[key] = complex(float(re + mi), im)
+            c = self.coords[t, i, mi] = complex(float(re + mi), im)
         return c
 
     def jet(self, l: complex, order: int) -> tuple[complex, ...]:
-        key = (l, order)
-        jet = self.jets.get(key)
-        if jet is None:
-            jet = self.jets[key] = reciprocal_gamma_jet(l, order)
-        return jet
+        if (l, order) not in self.jets:
+            self.jets[l, order] = reciprocal_gamma_jet(l, order)
+        return self.jets[l, order]
 
     def factor(self, t: int, i: int, mi: int):
         """The ray jet at l_i for a ray, the scalar 1/Gamma(l_i + 1) otherwise."""
-        key = (t, i, mi)
-        f = self.factors.get(key)
+        f = self.factors.get((t, i, mi))
         if f is None:
             li = self.coord(t, i, mi)
             if i in self.rays:
                 f = poly_mul_trunc(self.xjets[i], self.jet(li, self.dim), self.dim)
             else:
                 f = self.jet(li, 1)[0]
-            self.factors[key] = f
+            self.factors[t, i, mi] = f
         return f
 
     def term(self, t: int, m: tuple[int, ...], evec):
         """(scalar, w): the prefactor x^l and the base vector evec of
         triple t transported by the ray jets."""
-        key = (t, m)
-        hit = self.terms.get(key)
+        hit = self.terms.get((t, m))
         if hit is None:
             coords = [self.coord(t, i, mi) for i, mi in enumerate(m)]
             try:
@@ -546,7 +556,7 @@ class _SeriesEvaluator:
                     w = _apply_jet(self.dmats[i], self.factor(t, i, mi), w)
                 else:
                     scalar *= self.factor(t, i, mi)
-            hit = self.terms[key] = (scalar, w)
+            hit = self.terms[t, m] = (scalar, w)
         return hit
 
 
@@ -572,7 +582,7 @@ def _read(read, c, i: int, name: str, kind: str):
     """read(c), c being coordinate i of name; ValueError names c if read rejects it."""
     try:
         return read(c)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"series: coordinate {i} of {name} is {c!r}, not {kind}") from None
 
 
@@ -607,17 +617,35 @@ def gamma_series(
 
 
 def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> SeriesValue:
-    """The v-series summed over its window, term by term in window order."""
+    """The v-series summed over its window (see _summed)."""
+    return _summed(instance, ev, v, B)
+
+
+def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> SeriesValue:
+    """The v-series, or with a ray j its derivative in x_j over the window at
+    v + v_j, summed term by term in window order: the one term loop, which
+    skips each term the support rule zeroes (see _SeriesEvaluator), for a
+    derivative by the unshifted m = s + e_j of each window entry s."""
     total = [0j] * ev.dim
     shell = [0j] * ev.dim
+    at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         evec = ev.base(t)
-        for m, nm in zip(*_window(instance, src, v, B)):
+        for m, nm in zip(*_window(instance, src, at, B)):
+            if j is not None:
+                m = m[:j] + (m[j] + 1,) + m[j + 1 :]
+            if ev.vanishes(t, m):
+                continue
             scalar, w = ev.term(t, m, evec)
-            products = [scalar * c for c in w]
-            total = list(map(operator.add, total, products))
+            if j is None:
+                term = [scalar * c for c in w]
+            else:
+                lj, xj = ev.coord(t, j, m[j]), ev.xs[j]
+                dw = [sum(map(operator.mul, row, w)) for row in ev.dmats[j]]
+                term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
+            total = list(map(operator.add, total, term))
             if nm == B:
-                shell = list(map(operator.add, shell, products))
+                shell = list(map(operator.add, shell, term))
     tail = max((abs(c) for c in shell), default=0.0)
     return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
@@ -636,34 +664,15 @@ def gamma_series_derivative(
     it at s_j, and each is its own reciprocal_gamma_jet evaluation, never
     derived from the other by the functional equation.  Both reach the same
     Stirling evaluation point, though, so the comparison does not see an
-    error in the Stirling tail; the golden jets check that.  Windows
-    are cached per instance, terms and jets per (instance, point), all shared
-    with gamma_series: a term depends only on its exponent, not on which
-    series reaches it, and a jet only on its exact argument.  D_j is applied
-    to each term's own w, never to a sum of them.
+    error in the Stirling tail; the golden jets check that.  Windows, terms
+    and jets are shared with gamma_series (see _SeriesEvaluator), and a term
+    the support rule zeroes is never formed.  D_j is applied to each term's
+    own w, never to a sum of them.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     j = _check_ray(instance.fan, j)
-    ev = _evaluator(instance, x, arg_offsets)
-    v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
-    dmat = ev.dmats[j]
-    xj = ev.xs[j]
-    total = [0j] * ev.dim
-    shell = [0j] * ev.dim
-    for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        evec = ev.base(t)
-        for shifted, nm in zip(*_window(instance, src, v2, B)):
-            m = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1 :]
-            scalar, w = ev.term(t, m, evec)
-            lj = ev.coord(t, j, m[j])
-            dw = [sum(map(operator.mul, row, w)) for row in dmat]
-            term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
-            total = list(map(operator.add, total, term))
-            if nm == B:
-                shell = list(map(operator.add, shell, term))
-    tail = max((abs(c) for c in shell), default=0.0)
-    return SeriesValue(v, ev.xs, tuple(total), B, tail)
+    return _summed(instance, _evaluator(instance, x, arg_offsets), v, B, j)
 
 
 def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -> TermShiftReport:
@@ -758,21 +767,9 @@ def solution_system(
     rank = sum(1 for s in svals if top > 0 and s > 1e-9 * top)
     sd = svals[dim - 1] if dim - 1 < len(svals) else 0.0
     sn = svals[dim] if dim < len(svals) else 0.0
-    if sd == 0.0:
-        gap = 0.0
-    elif sn == 0.0:
-        gap = math.inf
-    else:
-        gap = sd / sn
-    return SolutionSystem(
-        vs=tuple(vs),
-        matrix=tuple(tuple(row) for row in rows),
-        rank=rank,
-        singular_values=tuple(svals),
-        gap=gap,
-        rank_deficient=rank < dim,
-        tail_estimate=tail,
-    )
+    gap = 0.0 if sd == 0.0 else math.inf if sn == 0.0 else sd / sn
+    matrix = tuple(tuple(row) for row in rows)
+    return SolutionSystem(tuple(vs), matrix, rank, tuple(svals), gap, rank < dim, tail)
 
 
 def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:

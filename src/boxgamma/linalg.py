@@ -302,10 +302,10 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     and zero rows sit at the bottom.
     """
-    h = [[int(x) for x in row] for row in a]
-    n = len(h)
-    cols = len(h[0]) if n else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    n = len(a)
+    cols = len(a[0]) if n else 0
+    # each row of A carries its row of U, so one row operation updates both
+    h = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     row = 0
     for col in range(cols):
         if row >= n:
@@ -322,25 +322,21 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
                 q = h[i][col] // h[i0][col]
                 if q != 0:
                     h[i] = [x - q * y for x, y in zip(h[i], h[i0])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
                 if h[i][col] != 0:
                     done = False
             if done:
                 h[row], h[i0] = h[i0], h[row]
-                u[row], u[i0] = u[i0], u[row]
                 break
         if h[row][col] == 0:
             continue
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
-            u[row] = [-x for x in u[row]]
         for i in range(row):
             q = h[i][col] // h[row][col]
             if q != 0:
                 h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[row])]
         row += 1
-    return h, u
+    return [r[:cols] for r in h], [r[cols:] for r in h]
 
 
 def solve_with_hnf(
@@ -358,8 +354,7 @@ def solve_with_hnf(
             break
         if resid[piv] % h[i][piv] != 0:
             return None
-        q = resid[piv] // h[i][piv]
-        y[i] = q
+        y[i] = q = resid[piv] // h[i][piv]
         resid = [x - q * hx for x, hx in zip(resid, h[i])]
     if any(resid):
         return None

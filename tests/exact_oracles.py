@@ -8,8 +8,9 @@ pairs of alpha_key, the Fraction-keyed route from there to the spectrum
 (the quotient's maps keyed by alpha_key, the stabilizing delta from the
 Fraction wall, the images' floors taken on Fractions, each multiplicity
 looked up by alpha_key), the fan report with every pair of maximal
-cones compared exactly, and the graded pieces found by scanning a bounding
-box.  Only tests read them."""
+cones compared exactly, the graded pieces found by scanning a bounding
+box, and the Gamma-series terms the support rule keeps, read on exact
+exponents.  Only tests read them."""
 
 import dataclasses
 import itertools
@@ -44,6 +45,7 @@ from boxgamma.linalg import (
     re_part,
     scalar_from_parts,
 )
+from boxgamma.gkz import GkzInstance, enumerate_L
 from boxgamma.kring import KPoint, WallRecord, unit_phase
 from boxgamma.quotient import (
     GradedPiece,
@@ -485,3 +487,33 @@ def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
         points.append(tuple(n))
     points.sort()
     return GradedPiece(m, tuple(points))
+
+
+def supported_terms(instance: GkzInstance, vs, dvs, B: int) -> set:
+    """(t, m, l) of each term that the series at each v in vs, and the
+    derivatives in every ray of those at each v in dvs, read in their
+    windows of bound B, less those the support rule zeroes; t is the
+    triple, m the offset, l = alpha + m.  The windows are enumerate_L's, at
+    v and, for a derivative in x_j, at v + v_j with each l read as l + e_j.
+    The rule is read on the exact l: a term is kept unless supp(alpha) and
+    the i with l_i a negative integer lie in no cone of the fan."""
+    fan = instance.fan
+    out = set()
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        terms = [(lv.offset, lv.l) for v in vs for lv in enumerate_L(instance, src, v, B)]
+        for j in fan.fan_indices():
+            for v in dvs:
+                v2 = tuple(a + b for a, b in zip(v, fan.rays[j]))
+                for lv in enumerate_L(instance, src, v2, B):
+                    lj = scalar_from_parts(re_part(lv.l[j]) + 1, im_part(lv.l[j]))
+                    m = lv.offset[:j] + (lv.offset[j] + 1,) + lv.offset[j + 1 :]
+                    terms.append((m, lv.l[:j] + (lj,) + lv.l[j + 1 :]))
+        for m, l in terms:
+            negative = {
+                i for i, x in enumerate(l)
+                if not im_part(x) and re_part(x).denominator == 1 and re_part(x) < 0
+            }
+            face = set(src.support) | negative
+            if any(face <= set(cone) for cone in fan.max_cones):
+                out.add((t, m, l))
+    return out

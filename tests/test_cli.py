@@ -516,6 +516,20 @@ def test_wrong_length_marker_is_reported(tmp_path):
     assert doc["violations"] == ["marker 2 has wrong length"]
 
 
+@pytest.mark.parametrize("command", ["box", "cohomology", "kring"])
+def test_wrong_length_marker_stops_the_box_stage(tmp_path, command):
+    """The box stage names the marker before it solves a cone holding it."""
+    fan = tmp_path / "fan_bad.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["0", "0"]}')
+    code, doc = run_cli([command, "--fan", str(fan), "--beta", str(beta)], tmp_path)
+    assert code == 1
+    assert doc == {
+        "error": {"type": "InvalidFan", "message": "fan: marker 2 has wrong length, not the rank 2"}
+    }
+
+
 F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}
 
 

@@ -387,6 +387,23 @@ def test_non_finite_x_is_named(x, offsets, message):
         assert str(err.value) == f"series: {message}, not a finite number"
 
 
+@pytest.mark.parametrize(
+    "x,offsets,message",
+    [
+        ((1, 10**400, 1), None, f"coordinate 2 of x is {10**400!r}, not a complex number"),
+        (X_F1, (0, 0, 10**400), f"coordinate 3 of arg_offsets is {10**400!r}, not a real number"),
+    ],
+    ids=["x", "arg_offsets"],
+)
+def test_huge_integer_coordinate_is_named(x, offsets, message):
+    """An int beyond the float range is a ValueError naming its coordinate,
+    not a bare OverflowError."""
+    inst = build_gkz(F1, BETA_ZERO)
+    with pytest.raises(ValueError) as err:
+        gamma_series(inst, (0, 0), x, 4, offsets)
+    assert str(err.value) == f"series: {message}"
+
+
 def test_missing_base_element_is_domain_error():
     inst = build_gkz(F1, (-3, 0))
     calls = (
