@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DependentGenerators, NotFullDimensional
+from .errors import DependentGenerators, InvalidFan, NotFullDimensional
 from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face
 from .linalg import (
     ConeInverse,
@@ -102,9 +102,12 @@ def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple
 
 
 def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
-    """The cone's ConeInverse; raises NotFullDimensional, naming the cone by
-    its 1-based marker indices, for a cone of the wrong size or with
-    dependent generators."""
+    """The cone's ConeInverse; raises InvalidFan naming a marker of the wrong
+    length, cone or not, as every alpha has its entry, and NotFullDimensional
+    naming the cone, 1-based, of the wrong size or dependent generators."""
+    bad = next((i for i, v in enumerate(fan.rays) if len(v) != fan.rank), None)
+    if bad is not None:
+        raise InvalidFan(f"fan: marker {bad + 1} has wrong length, not the rank {fan.rank}")
     named = tuple(i + 1 for i in cone)
     if len(cone) != fan.rank:
         raise NotFullDimensional(f"box: cone {named} is not full-dimensional in rank {fan.rank}")

@@ -60,9 +60,9 @@ class _ConeTable:
     collision classes they read, bounded by two shifts: solution_system
     reads its pieces at chi = 0, which in params would displace a parameter
     or its beta_delta.  blocks, the same memo for
-    quotient._Summand, is bounded by the fan's faces times two shadow
-    signatures (_tangent_test's key; None without xi).  A table belongs to
-    one fan: replace() gives the copy a fresh one.
+    quotient._Summand, is bounded by the fan's faces times two sets of faces
+    the shadow filter passes (_tangent_test; None without xi).  A table
+    belongs to one fan: replace() gives the copy a fresh one.
     """
 
     __slots__ = (
@@ -92,8 +92,8 @@ def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_K
     stores beta_delta's "collisions" there.  Its graded memo holds the
     graded pieces, keyed by (xi, m), and the "collisions" they read, under
     the shift chi as given; its blocks memo the face blocks, keyed by face
-    under the shadow signature.  The degree functional is the fan's own
-    (its report's deg), so no key holds it.  Only the `kept` most
+    under the faces the shadow filter passes.  The degree functional is the
+    fan's own (its report's deg), so no key holds it.  Only the `kept` most
     recently used values of recent are kept (two parameters or shifts,
     one bound or point of a GkzInstance), so the memo stays bounded however
     many it sees.  A build that raises stores nothing, nor a degree of a block."""
@@ -196,12 +196,17 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
     return diag
 
 
+def _mask(markers) -> int:
+    """The bitmask of a set of markers, the one form of a face."""
+    return sum(1 << i for i in markers)
+
+
 def _faces(fan: StackyFan) -> frozenset[int]:
     """Every face of the fan, each the bitmask of its markers, from the
     fan's table: the subsets of the maximal cones."""
     if fan._table.faces is None:
         fan._table.faces = frozenset(
-            sum(1 << i for i in face)
+            _mask(face)
             for cone in fan.max_cones
             for r in range(len(cone) + 1)
             for face in itertools.combinations(cone, r)
@@ -237,42 +242,40 @@ def _minimal_face(fan: StackyFan, nums: Sequence[int]):
     return None
 
 
-def _tangent_test(fan: StackyFan, xi: Sequence) -> Callable[[frozenset], bool]:
-    """The shadow filter as a face test, xi solved once per maximal cone:
-    member(face) tells whether p + eps*xi stays in the support for p in the
-    relative interior of the face (marker indices): iff some maximal cone
-    sigma holding the face has xi's coordinates >= 0 on sigma minus the
-    face; member.key, its (sigma, ok) pairs, is xi's sign signature.  In a
-    fan the cones holding p are those holding its minimal face (Fulton,
-    Introduction to Toric Varieties, 1.2), so raises InvalidFan, naming the
-    first violation, for a fan validate rejects."""
+def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
+    """The shadow filter as the set of faces (bitmasks, see _faces) it
+    passes, xi solved once per maximal cone: for p in the relative interior
+    of a face, p + eps*xi stays in the support iff some maximal cone sigma
+    holding the face has xi in its span and xi's coordinates >= 0 on sigma
+    minus the face, that is, the face holds sigma's generators where xi's
+    are negative.  In a fan the cones holding p are those holding its
+    minimal face (Fulton, Introduction to Toric Varieties, 1.2), so raises
+    InvalidFan, naming the first violation, for a fan validate rejects."""
     xnums = _real_numerators(xi, "xi", fan.rank)
     report = validate(fan)
     if not report.valid:
         raise InvalidFan(f"fan: the shadow filter needs a valid fan: {report.violations[0]}")
-    cones = []
+    passing = set()
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
         if xc is not None:
-            cones.append((frozenset(cone), frozenset(i for i, c in zip(cone, xc) if c >= 0)))
-
-    def member(face: frozenset) -> bool:
-        return any(face <= sigma and sigma - face <= ok for sigma, ok in cones)
-
-    member.key = tuple(cones)
-    return member
+            neg = _mask(i for i, c in zip(cone, xc) if c < 0)
+            rest = [i for i, c in zip(cone, xc) if c >= 0]
+            for r in range(len(rest) + 1):
+                passing.update(neg | _mask(face) for face in itertools.combinations(rest, r))
+    return frozenset(passing)
 
 
 def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
     """True iff p + eps*xi stays in the support of the fan for small eps > 0:
-    the face test of _tangent_test on p's minimal cone.  Raises InvalidFan
-    for a fan validate rejects and PointOutsideSupport when p is in no cone.
+    whether _tangent_test passes p's minimal cone.  Raises InvalidFan for a
+    fan validate rejects and PointOutsideSupport when p is in no cone.
     """
-    member = _tangent_test(fan, xi)
+    passing = _tangent_test(fan, xi)
     face = minimal_cone(fan, p)
     if face is None:
         raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
-    return member(frozenset(face))
+    return _mask(face) in passing
 
 
 def normalized_volume(fan: StackyFan) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     SeriesOverflow,
     ZeroCoordinate,
 )
-from .fan import IntRows, StackyFan, _faces, _marker_lattice, _memo, validate
+from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
 from .linalg import (
     Coord,
     _integral,
@@ -482,7 +482,7 @@ class _SeriesEvaluator:
             tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
         )
         # supp(alpha) of each triple as a bitmask
-        self.supports = tuple(sum(1 << i for i in src.support) for src in self.sources)
+        self.supports = tuple(_mask(src.support) for src in self.sources)
         self.faces = _faces(instance.fan)
         self.bases = tuple(
             (q.bases[pos], tgt)
@@ -613,12 +613,7 @@ def gamma_series(
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
     ev = _evaluator(instance, x, arg_offsets)
-    return _memo(ev.values, B, v, _series_sum, instance, ev, v, B, kept=1)
-
-
-def _series_sum(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int) -> SeriesValue:
-    """The v-series summed over its window (see _summed)."""
-    return _summed(instance, ev, v, B)
+    return _memo(ev.values, B, v, _summed, instance, ev, v, B, kept=1)
 
 
 def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> SeriesValue:

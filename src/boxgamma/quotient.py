@@ -6,8 +6,8 @@ alpha, points are monomials m >= 0 supported together with alpha in a common
 maximal cone, via p = sum((alpha_i + m_i) v_i); the correspondence is a
 bijection because cone coordinates are unique.  Quotients by the ideal
 (Z_1..Z_d), Z_j = sum_i g_j(v_i) [v_i], are computed degree by degree in |m|
-by integer elimination, each reduced row divided by its content; Fractions
-appear only in the emitted echelon rows.
+by integer elimination on sparse rows, each reduced row divided by its
+content; Fractions appear only in the classes of the monomials kept.
 """
 
 import functools
@@ -25,7 +25,7 @@ from .errors import (
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from .fan import StackyFan, _memo, _tangent_test, normalized_volume, validate
+from .fan import StackyFan, _faces, _mask, _memo, _tangent_test, normalized_volume, validate
 from .linalg import Coord, _dot, _integral, integer_parts, parse_rational, read_exact
 
 _ZERO = Fraction(0)
@@ -158,14 +158,17 @@ class _Summand:
     degree-(t-1) monomial in column c, classes[t][c2] the nonzero quotient
     coordinates of the monomial in column c2.  Kept: free columns' moves,
     their targets' classes, the free monomials below the last degree.  The
-    shadow filter tangent (or None) and admissibility read supp(alpha) +
-    supp(m) and m sorts by (sum m_i v_i, m): alpha enters by its support."""
+    shadow filter tangent (the faces it passes, or None) and admissibility
+    read the face supp(alpha) + supp(m) as a bitmask (see fan._faces); m is
+    admissible iff that is a face of the fan, as every maximal cone holding
+    it holds supp(alpha).  m sorts by (sum m_i v_i, m): alpha enters by its
+    support."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
         self.fan = spec.fan
         self.tangent = tangent
-        self.support = frozenset(alpha_elem.support)
-        self.witnesses = [frozenset(sigma) for sigma in alpha_elem.witness_cones]
+        self.support = _mask(alpha_elem.support)
+        self.cones = alpha_elem.witness_cones
         self.pieces: dict[int, dict[int, tuple[int, ...]]] = {}
         self.moves: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self.classes: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
@@ -174,7 +177,7 @@ class _Summand:
     def _monomials(self, t: int):
         fan = self.fan
         found = {}
-        for sigma in map(sorted, self.witnesses):
+        for sigma in self.cones:
             for comp in _compositions(t, len(sigma)):
                 m = [0] * fan.k
                 for pos, i in enumerate(sigma):
@@ -182,20 +185,16 @@ class _Summand:
                 m = tuple(m)
                 if m in found:
                     continue
-                if self.tangent is not None and not self.tangent(self._face(m)):
+                if self.tangent is not None and self._face(m) not in self.tangent:
                     continue
                 found[m] = tuple(
                     sum(m[i] * fan.rays[i][r] for i in range(fan.k)) for r in range(fan.rank)
                 )
         return sorted(found, key=lambda m: (found[m], m))
 
-    def _face(self, m: tuple[int, ...]) -> frozenset:
+    def _face(self, m: tuple[int, ...]) -> int:
         """supp(alpha) + supp(m), the minimal face of the monomial's point."""
-        return self.support.union(i for i, x in enumerate(m) if x)
-
-    def _admissible(self, m: tuple[int, ...]) -> bool:
-        face = self._face(m)
-        return any(face <= sigma for sigma in self.witnesses)
+        return self.support | _mask(i for i, x in enumerate(m) if x)
 
     def extend(self, t: int) -> int:
         """Compute degree t, after t - 1, unless built, and return the dimension
@@ -203,6 +202,7 @@ class _Summand:
         if t in self.quot:
             return len(self.quot[t])
         fan = self.fan
+        faces = _faces(fan)
         mons = self._monomials(t)
         col = {m: c for c, m in enumerate(mons)}
         ray_idx = sorted(fan.fan_indices())
@@ -211,27 +211,25 @@ class _Summand:
         for c_prev, mprev in self.pieces.get(t - 1, {}).items():
             targets = []
             for i in ray_idx:
-                m2 = tuple(mprev[x] + (1 if x == i else 0) for x in range(fan.k))
-                if not self._admissible(m2):
+                m2 = mprev[:i] + (mprev[i] + 1,) + mprev[i + 1 :]
+                if self._face(m2) not in faces:
                     continue
                 c = col.get(m2)
                 if c is None:
                     raise _Unclosed(mprev, i)
                 targets.append((i, c))
             moves[c_prev] = targets
-            # Z_j applied to mprev; a zero row is dropped by _rref
+            # Z_j applied to mprev, its nonzero entries; an empty row is dropped by _rref
             for j in range(fan.rank):
-                vec = [0] * len(mons)
-                for i, c in targets:
-                    vec[c] = fan.rays[i][j]
-                rows.append(vec)
-        ech = dict(_rref(rows, len(mons)))
+                rows.append({c: fan.rays[i][j] for i, c in targets if fan.rays[i][j]})
+        ech = _rref(rows)
         quot = [c for c in range(len(mons)) if c not in ech]
         free = self.quot.get(t - 1, [])
         self.moves[t] = {c: moves[c] for c in free}
         # a free column is its own class, a pivot one minus its reduced row
         self.classes[t] = {
-            c2: [(q, -ech[c2][q]) for q in quot if ech[c2][q]] if c2 in ech else [(c2, _ONE)]
+            c2: [(q, Fraction(-x, ech[c2][c2])) for q, x in ech[c2].items() if q != c2]
+            if c2 in ech else [(c2, _ONE)]
             for c in free for _, c2 in moves[c]
         }
         if t:
@@ -241,39 +239,37 @@ class _Summand:
         return len(quot)
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form of integer rows: (pivot column, row) pairs in
-    pivot order, each row scaled to pivot 1 with Fraction entries.
+def _combine(p: int, v: dict, f: int, w: dict) -> dict:
+    """p * v - f * w for sparse integer rows {column: entry}, nonzero entries only."""
+    out = {c: p * v.get(c, 0) - f * w.get(c, 0) for c in v.keys() | w.keys()}
+    return {c: x for c, x in out.items() if x}
 
-    Rows are eliminated fraction-free, each divided by its content once it
-    is reduced, and kept zero in every other row's pivot column.  Fractions
-    are formed only when the reduced rows are emitted.
-    """
-    ech: list[tuple[int, list[int]]] = []
-    for r in rows:
-        v = list(r)
-        for pc, er in ech:
-            f = v[pc]
-            if f:
-                p = er[pc]
-                v = [p * x - f * y for x, y in zip(v, er)]
-        pc = next((c for c in range(ncols) if v[c]), None)
-        if pc is None:
+
+def _rref(rows) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of sparse integer rows {column: nonzero entry}
+    as {pivot column: row}: rows eliminated fraction-free, each divided by its
+    content once reduced, with a positive pivot and zero in every other
+    pivot column.  The form is unique: a row over its pivot is Gauss-Jordan's."""
+    ech: dict[int, dict[int, int]] = {}
+    for v in rows:
+        # reducing by one row leaves v's other pivot entries zero or nonzero
+        for pc in [c for c in v if c in ech]:
+            v = _combine(ech[pc][pc], v, v[pc], ech[pc])
+        if not v:
             continue
-        g = math.gcd(*v)
+        pc = min(v)
+        g = math.gcd(*v.values())
         if v[pc] < 0:
             g = -g
-        v = [x // g for x in v]
-        p = v[pc]
-        for idx, (pc2, er) in enumerate(ech):
-            f = er[pc]
+        v = {c: x // g for c, x in v.items()}
+        for pc2, er in ech.items():
+            f = er.get(pc)
             if f:
-                w = [p * x - f * y for x, y in zip(er, v)]
-                g = math.gcd(*w)
-                ech[idx] = (pc2, [x // g for x in w])
-        ech.append((pc, v))
-    ech.sort(key=lambda pr: pr[0])
-    return [(pc, [Fraction(x, row[pc]) if x else _ZERO for x in row]) for pc, row in ech]
+                w = _combine(v[pc], er, f, v)
+                g = math.gcd(*w.values())
+                ech[pc2] = {c: x // g for c, x in w.items()}
+        ech[pc] = v
+    return ech
 
 
 def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
@@ -292,7 +288,8 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     raises NoStabilizationWindow.  An offset is deg(n) for the report's
     deg, or t on a fan without one.  Built once per (fan, chi, xi) (the
     fan's parameter memo), from summand blocks built once per face
-    supp(alpha) and sign signature of xi (the fan's blocks memo)."""
+    supp(alpha) and set of faces the shadow filter passes (the fan's blocks
+    memo): a block reads xi only through that set."""
     params = spec.fan._table.params
     return _memo(params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
 
@@ -302,12 +299,10 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     deg = validate(fan).deg
     # the shadow filter, xi solved once per build
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
-    key = None if tangent is None else tangent.key
     alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
     summands = [
-        _memo(fan._table.blocks, key, frozenset(a.support), _Summand, spec, a, tangent)
-        for a in alphas
+        _memo(fan._table.blocks, tangent, a.support, _Summand, spec, a, tangent) for a in alphas
     ]
     g = 0 if spec.xi is None else fan.rank
     cum = t = 0

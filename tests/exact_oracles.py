@@ -482,7 +482,7 @@ def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
         face = minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
         if face is None:
             continue
-        if tangent is not None and not tangent(frozenset(face)):
+        if tangent is not None and sum(1 << i for i in face) not in tangent:
             continue
         points.append(tuple(n))
     points.sort()

@@ -530,6 +530,27 @@ def test_wrong_length_marker_stops_the_box_stage(tmp_path, command):
     }
 
 
+@pytest.mark.parametrize("command", ["validate", "box", "cohomology", "kring"])
+def test_wrong_length_marker_in_no_cone(tmp_path, command):
+    """A marker of the wrong length that lies in no cone still has an entry
+    in every alpha: validate reports it, and the box stage refuses the fan."""
+    fan = tmp_path / "fan_bad.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1], [1, 2, 3]], "max_cones": [[1, 2]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["0", "0"]}')
+    args = [command, "--fan", str(fan)] + ([] if command == "validate" else ["--beta", str(beta)])
+    code, doc = run_cli(args, tmp_path)
+    if command == "validate":
+        assert code == 0
+        assert doc["valid"] is False
+        assert doc["violations"] == ["marker 3 has wrong length"]
+    else:
+        assert code == 1
+        assert doc == {
+            "error": {"type": "InvalidFan", "message": "fan: marker 3 has wrong length, not the rank 2"}
+        }
+
+
 F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}
 
 

@@ -4,7 +4,8 @@ Cones of dimension 1..d in Z^d, d <= 4: the table's coordinates and span
 test against mat_inverse of the generators completed by unit vectors,
 minimal_cone and tangent_member against a per-cone solve by that oracle
 (tangent_member on fans validate accepts; on the rest it raises
-InvalidFan), the shadow filter's one solve of xi per maximal cone, facet
+InvalidFan), the shadow filter's set of passing faces against that oracle
+on the ladder's fans, its one solve of xi per maximal cone, facet
 normals and normalized_volume against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
 consulted for.  Also the quotient at a stabilization's target, built
@@ -31,6 +32,8 @@ from boxgamma.errors import (
 from boxgamma.fan import (
     StackyFan,
     _cone_inverse,
+    _faces,
+    _tangent_test,
     minimal_cone,
     normalized_volume,
     tangent_member,
@@ -333,6 +336,61 @@ def test_shadow_filter_needs_a_fan_not_a_degree_one_functional():
     lattice = lambda q: [b.lattice_point for b in q.basis]
     assert lattice(build_quotient(ModuleSpec(fan, chi))) == [(1, 2), (0, 0)]
     assert lattice(build_quotient(ModuleSpec(fan, chi, xi))) == [(1, 2), (1, 1)]
+
+
+def cone_over(points):
+    """The ladder's cones over lattice points p: markers (1, p), lifting
+    heights |p|^2 + (i^2 + 1)/101."""
+    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
+    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
+
+
+def weighted_projective(*weights):
+    """Complete fan of P(1, w_1, ..., w_n)."""
+    n = len(weights) - 1
+    rays = [tuple(-w for w in weights[1:])]
+    rays += [tuple(int(r == i) for r in range(n)) for i in range(n)]
+    cones = tuple(itertools.combinations(range(n + 1), n))
+    return StackyFan(rank=n, rays=tuple(rays), max_cones=cones)
+
+
+LADDER = {
+    "F1": F1,
+    "F2": F2,
+    "SQUARE": SQUARE,
+    "HEX5": cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
+    "tri2": cone_over([(a, b) for a in range(3) for b in range(3 - a)]),
+    "simplex3x2": cone_over([p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]),
+    "P(1,2,3)": weighted_projective(1, 2, 3),
+    "P(1,1,2,3)": weighted_projective(1, 1, 2, 3),
+}
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
+def test_tangent_faces_match_the_per_cone_oracle(name, data):
+    """_tangent_test's set holds exactly the faces F whose point
+    sum_{i in F} v_i the per-cone oracle passes, for xi = 0, xi on a wall
+    of a maximal cone (its coordinate on one generator zero) and any xi."""
+    fan = dataclasses.replace(LADDER[name])
+    kind = data.draw(st.sampled_from(["zero", "wall", "any"]))
+    xi = [Fraction(0)] * fan.rank
+    if kind == "wall":
+        cone = data.draw(st.sampled_from(fan.max_cones))
+        drop = data.draw(st.sampled_from(cone))
+        coeff = st.one_of(st.just(Fraction(0)), rational)
+        for i in cone:
+            c = Fraction(0) if i == drop else data.draw(coeff)
+            xi = [x + c * v for x, v in zip(xi, fan.rays[i])]
+    elif kind == "any":
+        xi = [data.draw(rational) for _ in range(fan.rank)]
+    passing = _tangent_test(fan, xi)
+    faces = {f for c in fan.max_cones for r in range(len(c) + 1) for f in itertools.combinations(c, r)}
+    for face in faces:
+        p = [Fraction(sum(fan.rays[i][r] for i in face)) for r in range(fan.rank)]
+        assert (sum(1 << i for i in face) in passing) is oracle_tangent_member(fan, p, xi)
+    assert passing <= _faces(fan)
 
 
 def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):

@@ -147,13 +147,39 @@ def integer_rows(draw):
     return rows, ncols
 
 
+@st.composite
+def relation_rows(draw):
+    """Rows shaped like the quotient's Z_j x^m: up to 12 columns, at most 3
+    nonzeros per row, with zero rows and repeats of earlier rows mixed in."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            row = [0] * ncols
+            for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)):
+                row[c] = draw(small_int.filter(bool))
+            rows.append(row)
+    return rows, ncols
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=integer_rows())
+@given(case=st.one_of(integer_rows(), relation_rows()))
 def test_rref_matches_fraction_gauss_jordan(case):
+    """_rref takes sparse rows {column: nonzero entry} and returns integer
+    rows by pivot; each over its pivot is the Gauss-Jordan row."""
     rows, ncols = case
-    got = _rref(rows, ncols)
-    assert got == fraction_rref(rows, ncols)
-    assert all(type(x) is Fraction for _, row in got for x in row)
+    got = _rref([{c: x for c, x in enumerate(row) if x} for row in rows])
+    assert all(type(x) is int and x for row in got.values() for x in row.values())
+    assert all(row[pc] > 0 for pc, row in got.items())
+    want = fraction_rref(rows, ncols)
+    assert [
+        (pc, [Fraction(got[pc].get(c, 0), got[pc][pc]) for c in range(ncols)]) for pc in sorted(got)
+    ] == want
 
 
 def _kernel(rows, ncols):

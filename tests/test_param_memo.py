@@ -205,12 +205,12 @@ def quotient_fields(fan, chi, xi):
 @given(name=st.sampled_from(sorted(LADDER)), data=st.data())
 def test_quotient_does_not_depend_on_memo_order(name, data):
     """The face blocks are shared by every parameter and every shadow
-    direction of one sign signature: whatever one fan's table built before,
+    direction with one set of passing faces: whatever one fan's table built before,
     each quotient equals the one built on a fresh copy."""
     fan = dataclasses.replace(LADDER[name])
     kinds = st.sampled_from(["rational", "gaussian", "shadow"])
     # lattice points and halves put alpha on faces below the maximal cones,
-    # where the shadow filter, and so the signature, decides the block
+    # where the shadow filter, and so its set of passing faces, decides the block
     small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
     coords = {"rational": st.one_of(small, rational), "gaussian": beta_coord, "shadow": small}
     for kind in data.draw(st.lists(kinds, min_size=1, max_size=5)):
@@ -225,7 +225,7 @@ def test_quotient_does_not_depend_on_memo_order(name, data):
 def test_face_blocks_keep_two_shadow_signatures():
     fan = dataclasses.replace(F1)
     xis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)))
-    keys = [_tangent_test(fan, xi).key for xi in xis]
+    keys = [_tangent_test(fan, xi) for xi in xis]
     assert len(set(keys)) == 3
     for xi in xis:
         outcome(lambda: build_quotient(ModuleSpec(fan, (Fraction(1, 4), Fraction(0)), xi=xi)))

@@ -121,13 +121,14 @@ def test_gkz_verify_sums_each_series_once(monkeypatch, tmp_path, fan, beta, x):
     """gkz-verify reaches most (v, B) from the solution matrix and again as a
     shifted series v + v_j; the evaluator sums each of them once."""
     calls = Counter()
-    real = gkz._series_sum
+    real = gkz._summed
 
-    def counting(instance, ev, v, B):
-        calls[(v, B)] += 1
-        return real(instance, ev, v, B)
+    def counting(instance, ev, v, B, j=None):
+        if j is None:
+            calls[(v, B)] += 1
+        return real(instance, ev, v, B, j)
 
-    monkeypatch.setattr(gkz, "_series_sum", counting)
+    monkeypatch.setattr(gkz, "_summed", counting)
     assert run_gkz_verify(tmp_path, fan, beta, x) == 0
     assert len(calls) > 5
     assert set(calls.values()) == {1}
