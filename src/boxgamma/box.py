@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, InvalidFan, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses
 from .linalg import (
     ConeInverse,
     Coord,
@@ -92,15 +92,6 @@ def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
     return read_exact(beta, parse_gaussian, "box", "beta", fan.rank)
 
 
-def _witnesses(fan: StackyFan, support: tuple[int, ...], cone: ConeRef) -> tuple[ConeRef, ...]:
-    """The maximal cones holding the support, found once per support (the
-    fan's cone table), or (cone,) when none does."""
-    known = fan._table.witnesses
-    if support not in known:
-        known[support] = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
-    return known[support] or (cone,)
-
-
 def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     """The cone's ConeInverse; raises InvalidFan naming a marker of the wrong
     length, cone or not, as every alpha has its entry, and NotFullDimensional
@@ -154,7 +145,7 @@ def _cone_branches(fan, cone, param, common):
             key[2 * i], key[2 * i + 1] = r * scale, adj_im[pos] * scale
         point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
         support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
-        elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support, cone))
+        elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support) or (cone,))
         out.append((tuple(key), n0, tuple(floors), elem))
     return out
 
@@ -205,9 +196,7 @@ def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass
         if len({br.element.lattice_point for br in branches}) > 1:
             raise RuntimeError("internal: equal alpha with distinct lattice points")
         base = branches[0].floors
-        diffs = tuple(
-            tuple(x - y for x, y in zip(br.floors, base)) for br in branches
-        )
+        diffs = tuple(tuple(x - y for x, y in zip(br.floors, base)) for br in branches)
         classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
     return common * param[0], tuple(keys), tuple(classes)
 

@@ -26,12 +26,6 @@ from .fan import StackyFan, validate
 from .linalg import _integral, format_gaussian, format_rational, read_exact
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float has no JSON number form")
-    return format(float(x), ".17g")
-
-
 def emit_json(obj) -> str:
     """Canonical serialization: insertion-order keys, %.17g floats."""
     out = []
@@ -40,18 +34,14 @@ def emit_json(obj) -> str:
 
 
 def _emit(obj, out) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
+        if not math.isfinite(obj):
+            raise ValueError("non-finite float has no JSON number form")
+        out.append(format(float(obj), ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
         for pos, (key, val) in enumerate(obj.items()):
@@ -304,13 +294,10 @@ SEED_FILES = {
 
 def cmd_seed_examples(args):
     os.makedirs(args.dir, exist_ok=True)
-    written = []
     for name in sorted(SEED_FILES):
-        path = os.path.join(args.dir, name)
-        with open(path, "w") as fh:
+        with open(os.path.join(args.dir, name), "w") as fh:
             fh.write(emit_json(SEED_FILES[name]) + "\n")
-        written.append(name)
-    return {"written": written}
+    return {"written": sorted(SEED_FILES)}
 
 
 # (name, option group, handler, help); each group holds the options of the

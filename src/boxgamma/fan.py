@@ -48,11 +48,13 @@ class _ConeTable:
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given), the Hermite diagonal of each
     full-dimensional one (its residues, see _cone_residues), the maximal
-    cones holding each box support (its witnesses), every face as a bitmask
-    of its markers (see _faces), the markers' lattice (see _marker_lattice)
-    and the fan's ValidationReport, whose deg the quotient reads.  Their
-    size is bounded by the fan's cones and markers, and a StackyFan is
-    frozen, so no entry can go stale.
+    cones holding each box support or face asked for (see _witnesses),
+    every face as a bitmask of its markers (see _faces), the markers'
+    lattice (see _marker_lattice), the window scan's plan for its relations
+    (gkz._window_plan, built on the first scan) and the fan's
+    ValidationReport, whose deg the quotient reads.  Their size is bounded
+    by the fan's cones and markers, and a StackyFan is frozen, so no entry
+    can go stale.
     params is the parameter memo (see _memo), keyed by beta's integer parts
     (linalg.integer_parts) and bounded by two parameters: stabilize fills a
     beta and, when it differs, its beta_delta, whose collision classes it
@@ -66,7 +68,8 @@ class _ConeTable:
     """
 
     __slots__ = (
-        "inverses", "residues", "witnesses", "faces", "lattice", "report", "params", "graded", "blocks"
+        "inverses", "residues", "witnesses", "faces", "lattice", "plan", "report", "params", "graded",
+        "blocks",
     )
 
     def __init__(self):
@@ -75,6 +78,7 @@ class _ConeTable:
         self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
         self.faces: Optional[frozenset[int]] = None
         self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
+        self.plan: Optional[tuple] = None
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
@@ -114,9 +118,7 @@ class StackyFan:
     max_cones: tuple[ConeRef, ...]
     deg: Optional[tuple[int, ...]] = None
     # a cache, so neither compared, hashed, shown nor copied by replace()
-    _table: _ConeTable = field(
-        default_factory=_ConeTable, init=False, compare=False, repr=False
-    )
+    _table: _ConeTable = field(default_factory=_ConeTable, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rank = _integral(self.rank)
@@ -136,10 +138,7 @@ class StackyFan:
 
     def fan_indices(self) -> frozenset[int]:
         """Indices of markers that generate rays of the fan."""
-        out = set()
-        for c in self.max_cones:
-            out.update(c)
-        return frozenset(out)
+        return frozenset().union(*self.max_cones)
 
     def gens(self, cone: Sequence[int]) -> list[tuple[int, ...]]:
         return [self.rays[i] for i in cone]
@@ -196,6 +195,15 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
     return diag
 
 
+def _witnesses(fan: StackyFan, face: ConeRef) -> tuple[ConeRef, ...]:
+    """The maximal cones holding the face, found once per face (the fan's
+    cone table)."""
+    known = fan._table.witnesses
+    if face not in known:
+        known[face] = tuple(mc for mc in fan.max_cones if set(face) <= set(mc))
+    return known[face]
+
+
 def _mask(markers) -> int:
     """The bitmask of a set of markers, the one form of a face."""
     return sum(1 << i for i in markers)
@@ -242,6 +250,16 @@ def _minimal_face(fan: StackyFan, nums: Sequence[int]):
     return None
 
 
+def _xi_numerators(fan: StackyFan, xi: Sequence) -> list[int]:
+    """xi over a common denominator; InvalidFan, naming the first violation,
+    for a fan validate rejects, where the shadow filter's face rule fails."""
+    xnums = _real_numerators(xi, "xi", fan.rank)
+    violations = validate(fan).violations
+    if violations:
+        raise InvalidFan(f"fan: the shadow filter needs a valid fan: {violations[0]}")
+    return xnums
+
+
 def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
     """The shadow filter as the set of faces (bitmasks, see _faces) it
     passes, xi solved once per maximal cone: for p in the relative interior
@@ -249,12 +267,8 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
     holding the face has xi in its span and xi's coordinates >= 0 on sigma
     minus the face, that is, the face holds sigma's generators where xi's
     are negative.  In a fan the cones holding p are those holding its
-    minimal face (Fulton, Introduction to Toric Varieties, 1.2), so raises
-    InvalidFan, naming the first violation, for a fan validate rejects."""
-    xnums = _real_numerators(xi, "xi", fan.rank)
-    report = validate(fan)
-    if not report.valid:
-        raise InvalidFan(f"fan: the shadow filter needs a valid fan: {report.violations[0]}")
+    minimal face (Fulton, Introduction to Toric Varieties, 1.2)."""
+    xnums = _xi_numerators(fan, xi)
     passing = set()
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
@@ -268,14 +282,19 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
 
 def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
     """True iff p + eps*xi stays in the support of the fan for small eps > 0:
-    whether _tangent_test passes p's minimal cone.  Raises InvalidFan for a
-    fan validate rejects and PointOutsideSupport when p is in no cone.
+    _tangent_test's rule for p's minimal cone, xi solved only in the maximal
+    cones holding it.  Raises InvalidFan for a fan validate rejects and
+    PointOutsideSupport when p is in no cone.
     """
-    passing = _tangent_test(fan, xi)
+    xnums = _xi_numerators(fan, xi)
     face = minimal_cone(fan, p)
     if face is None:
         raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
-    return _mask(face) in passing
+    for cone in _witnesses(fan, face):
+        xc = _cone_inverse(fan, cone).numerators(xnums)
+        if xc is not None and all(c >= 0 or i in face for i, c in zip(cone, xc)):
+            return True
+    return False
 
 
 def normalized_volume(fan: StackyFan) -> int:

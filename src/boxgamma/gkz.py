@@ -280,30 +280,12 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     return GkzInstance(fan, b, corr, quotient, _positions=positions)
 
 
-def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
-    """Every m = part + sum_i c_i h_i with |m|_1 <= B, in lexicographic order.
-
-    The h_i are in row echelon form with pivots p_0 < p_1 < ... , and the
-    scan fixes c_0, c_1, ... in turn.  Column j is final once the last row
-    with a nonzero entry in it is fixed (at once when no row touches it).
-    Three exact bounds prune the scan, each dropping only coefficients that
-    lead to no offset:
-
-    - column ranges: a column that fixing c_i finalizes needs |m_j| <= room,
-      the l1 room B leaves after the columns final before; c_i lies in the
-      intersection of these integer ranges (at the last level, over every
-      remaining column);
-    - degree: every h_i sums to 0, so every m in the window has
-      sum(m) = sum(part); since |x|_1 >= |sum(x)|, the columns not yet final
-      need l1 norm at least |sum(part) - (sum of the final columns)|;
-    - convexity: the l1 norm of the final columns plus that degree term is
-      convex in c_i, so the c_i passing both form an interval, and the scan
-      of a level stops at the first failure after a pass.
-
-    Ascending c_i walk ascending m[p_i], so the offsets come out sorted.
-    ValueError when a relation row does not sum to 0, which the degree bound
-    needs.
-    """
+def _window_plan(relations: IntRows, k: int) -> tuple:
+    """The window scan's plan for k markers and relations h_0, h_1, ... in row
+    echelon form, built once per fan (see _scan_window): per row, the
+    (column, entry) pairs that fixing c_i makes final, as no later row
+    touches them, and the row; and the free columns, which no row touches.
+    ValueError names a row that does not sum to 0, as the degree bound needs."""
     for h in relations:
         if sum(h):
             raise ValueError(
@@ -311,72 +293,103 @@ def _window_offsets(part, relations, B: int) -> tuple[tuple[int, ...], ...]:
                 "the degree bound needs relations of degree 0"
             )
     last = {j: i for i, h in enumerate(relations) for j, y in enumerate(h) if y}
-    # the (column, entry) pairs that fixing c_i finalizes
-    finals = [[(j, y) for j, y in enumerate(h) if last.get(j) == i]
-              for i, h in enumerate(relations)]
-    degree = sum(part)
-    out: list[tuple[int, ...]] = []
+    levels = tuple((tuple((j, y) for j, y in enumerate(h) if y and last[j] == i), tuple(h))
+                   for i, h in enumerate(relations))
+    return levels, tuple(j for j in range(k) if j not in last)
 
-    def scan(i: int, m: list[int], used: int, fixed: int) -> None:
+
+def _window_offsets(part, plan, B: int) -> tuple[IntRows, tuple[int, ...]]:
+    """(offsets, norms): every m = part + sum_i c_i h_i with |m|_1 <= B, in
+    lexicographic order, and each one's l1 norm, for a _window_plan's h_i.
+
+    The scan fixes c_0, c_1, ... in turn, each tried by integer sums over the
+    columns it makes final.  Three exact bounds prune it, each dropping only
+    coefficients that lead to no offset:
+
+    - column ranges: a column that fixing c_i finalizes needs |m_j| <= room,
+      the l1 room B leaves after the columns final before; c_i lies in the
+      intersection of these integer ranges;
+    - degree: every h_i sums to 0, so every m in the window has
+      sum(m) = sum(part); since |x|_1 >= |sum(x)|, the columns not yet final
+      need l1 norm at least |sum(part) - (sum of the final columns)|;
+    - convexity: the l1 norm of the final columns plus that degree term is
+      convex in c_i, so the c_i passing both form an interval, and the scan
+      of a level stops at the first failure after a pass.
+
+    Ascending c_i walk ascending m[p_i] at the pivots p_0 < p_1 < ..., so
+    the offsets come out sorted.
+    """
+    levels, free = plan
+    degree = sum(part)
+    offsets, norms = [], []
+
+    def scan(i: int, m, used: int, fixed: int) -> None:
         # used and fixed: l1 norm and sum of the columns final before level i
-        if i == len(relations):
-            out.append(tuple(m))
+        if i == len(levels):  # no relation: part is the one candidate
+            offsets.append(tuple(m))
+            norms.append(used)
             return
-        h, cols = relations[i], finals[i]
+        cols, h = levels[i]
         room = B - used
-        # cols holds the pivot, so lo and hi end as ints
-        lo, hi = -math.inf, math.inf
+        lo = hi = None  # cols holds the pivot, so both end as ints
         for j, y in cols:
             # -room <= m_j + c * y <= room; a <= c * y <= b for y > 0, and
             # dividing by y < 0 swaps the two ends
             a, b = -room - m[j], room - m[j]
-            if y < 0:
-                a, b = b, a
-            lo, hi = max(lo, -(-a // y)), min(hi, b // y)
-        inside = False
+            a, b = (-(-a // y), b // y) if y > 0 else (-(-b // y), a // y)
+            lo, hi = a if lo is None or a > lo else lo, b if hi is None or b < hi else hi
+        # at the last level every column is final, so the leaves are appended
+        leaf, rest, inside = i + 1 == len(levels), degree - fixed, False
         for c in range(lo, hi + 1):
-            seg = [m[j] + c * y for j, y in cols]
-            norm = used + sum(map(abs, seg))
-            total = fixed + sum(seg)
-            if norm + abs(degree - total) <= B:
-                inside = True
-                scan(i + 1, [x + c * y for x, y in zip(m, h)], norm, total)
-            elif inside:
-                break
+            norm, total = used, rest
+            for j, y in cols:
+                x = m[j] + c * y
+                norm += abs(x)
+                total -= x
+            if norm + abs(total) > B:
+                if inside:
+                    break
+                continue
+            inside = True
+            if leaf:
+                offsets.append(tuple([x + c * y for x, y in zip(m, h)]))
+                norms.append(norm)
+            else:
+                scan(i + 1, [x + c * y for x, y in zip(m, h)], norm, degree - total)
 
-    free = [x for j, x in enumerate(part) if j not in last]
-    used, fixed = sum(map(abs, free)), sum(free)
+    used, fixed = sum(abs(part[j]) for j in free), sum(part[j] for j in free)
     if used + abs(degree - fixed) <= B:
-        scan(0, list(part), used, fixed)
-    return tuple(out)
+        scan(0, part, used, fixed)
+    return tuple(offsets), tuple(norms)
 
 
 def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
     """(offsets, norms): the offsets l - alpha of the window of l1 size <= B
-    at index v, in lexicographic order, and each offset's l1 norm beside it.
-    B is an int, as _window_bound returns it.
+    at index v, in lexicographic order, and each offset's l1 norm beside it,
+    as the scan computed it.  B is an int, as _window_bound returns it.
 
     The offsets depend on v and alpha only through the target -v - n, so
-    each (target, B) is scanned, and its norms summed, once per instance,
-    whichever series, shift check or box element reaches it; the series
-    read their outermost shell as norm == B.  Only the last B's windows are
-    kept (fan._memo), so memory stays bounded by one bound's windows however
-    many are used.
+    each (target, B) is scanned once per instance, whichever series, shift
+    check or box element reaches it; the series read their outermost shell
+    as norm == B.  Only the last B's windows are kept (fan._memo), so memory
+    stays bounded by one bound's windows however many are used.
     """
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     return _memo(instance._windows, B, target, _scan_window, instance, alpha, v, target, B, kept=1)
 
 
 def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
-    h, u, relations = _marker_lattice(instance.fan)
+    fan = instance.fan
+    h, u, relations = _marker_lattice(fan)
     part = solve_with_hnf(h, u, target)
     if part is None:
         raise NoParticularSolution(
             f"window: markers do not reach the target {target} of v={v}, "
             f"n={alpha.lattice_point}; the marker lattice is degenerate"
         )
-    offsets = _window_offsets(part, relations, B)
-    return offsets, tuple(sum(map(abs, m)) for m in offsets)
+    if fan._table.plan is None:
+        fan._table.plan = _window_plan(relations, fan.k)
+    return _window_offsets(part, fan._table.plan, B)
 
 
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
@@ -747,15 +760,10 @@ def solution_system(
         )
     fan = instance.fan
     spec0 = ModuleSpec(fan, tuple(Fraction(0) for _ in range(fan.rank)))
-    vs: list[tuple[int, ...]] = []
-    for m in range(cap + 1):
-        vs.extend(graded_piece(spec0, m).points)
-    rows = []
-    tail = 0.0
-    for v in vs:
-        sv = gamma_series(instance, v, x, B, arg_offsets)
-        rows.append(sv.value)
-        tail = max(tail, sv.tail_estimate)
+    vs = tuple(p for m in range(cap + 1) for p in graded_piece(spec0, m).points)
+    series = [gamma_series(instance, v, x, B, arg_offsets) for v in vs]
+    rows = tuple(sv.value for sv in series)
+    tail = max([0.0] + [sv.tail_estimate for sv in series])
     svals = singular_values(rows)
     dim = instance.quotient.dim
     top = svals[0] if svals else 0.0
@@ -763,8 +771,7 @@ def solution_system(
     sd = svals[dim - 1] if dim - 1 < len(svals) else 0.0
     sn = svals[dim] if dim < len(svals) else 0.0
     gap = 0.0 if sd == 0.0 else math.inf if sn == 0.0 else sd / sn
-    matrix = tuple(tuple(row) for row in rows)
-    return SolutionSystem(tuple(vs), matrix, rank, tuple(svals), gap, rank < dim, tail)
+    return SolutionSystem(vs, rows, rank, tuple(svals), gap, rank < dim, tail)
 
 
 def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
@@ -776,13 +783,11 @@ def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
     kernel = [row for row, hrow in zip(u, hnf) if not any(hrow)]
     if not kernel:
         return (1.0,) * fan.k
-    pairings = []
-    for gen in kernel:
-        s = sum(h * g for h, g in zip(hs, gen))
-        if s == 0:
-            raise DegenerateHeights(
-                f"series: heights pair to zero with the relation-lattice generator {tuple(gen)}"
-            )
-        pairings.append(abs(s))
+    pairings = [abs(sum(h * g for h, g in zip(hs, gen))) for gen in kernel]
+    if 0 in pairings:
+        gen = tuple(kernel[pairings.index(0)])
+        raise DegenerateHeights(
+            f"series: heights pair to zero with the relation-lattice generator {gen}"
+        )
     rho = _SUGGEST_TARGET ** (1 / float(min(pairings)))
     return tuple(rho ** float(h) for h in hs)

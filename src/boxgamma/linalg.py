@@ -95,9 +95,7 @@ def parse_gaussian(s) -> GaussianRational:
     if isinstance(s, (int, Fraction)):
         return GaussianRational(Fraction(s))
     if isinstance(s, dict):
-        return GaussianRational(
-            parse_rational(s.get("re", 0)), parse_rational(s.get("im", 0))
-        )
+        return GaussianRational(parse_rational(s.get("re", 0)), parse_rational(s.get("im", 0)))
     if isinstance(s, str):
         t = s.strip().replace(" ", "")
         if not t.endswith("i"):
@@ -343,22 +341,23 @@ def solve_with_hnf(
     h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], target: Sequence[int]
 ):
     """Integer solution m of sum_i m_i * rows[i] = target, or None, for rows
-    whose row HNF (H, U) is given."""
-    k = len(h)
-    d = len(target)
-    y = [0] * k
+    whose row HNF (H, U) is given: target = sum_i y_i H_i down the pivots, each
+    searched from the last one's column, and m = sum_i y_i U_i over the y_i != 0."""
     resid = [int(x) for x in target]
-    for i in range(k):
-        piv = next((j for j in range(d) if h[i][j] != 0), None)
-        if piv is None:
+    m = [0] * len(u)
+    col, d = 0, len(resid)
+    for hrow, urow in zip(h, u):
+        while col < d and not hrow[col]:
+            col += 1
+        if col == d:
             break
-        if resid[piv] % h[i][piv] != 0:
+        q, r = divmod(resid[col], hrow[col])
+        if r:
             return None
-        y[i] = q = resid[piv] // h[i][piv]
-        resid = [x - q * hx for x, hx in zip(resid, h[i])]
-    if any(resid):
-        return None
-    return tuple(sum(u[i][j] * y[i] for i in range(k)) for j in range(k))
+        if q:
+            resid = [x - q * hx for x, hx in zip(resid, hrow)]
+            m = [x + q * ux for x, ux in zip(m, urow)]
+    return None if any(resid) else tuple(m)
 
 
 _JACOBI_TOL = 1e-15

@@ -366,14 +366,9 @@ LADDER = {
 }
 
 
-# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
-@settings(deadline=None)
-@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
-def test_tangent_faces_match_the_per_cone_oracle(name, data):
-    """_tangent_test's set holds exactly the faces F whose point
-    sum_{i in F} v_i the per-cone oracle passes, for xi = 0, xi on a wall
-    of a maximal cone (its coordinate on one generator zero) and any xi."""
-    fan = dataclasses.replace(LADDER[name])
+def draw_xi(data, fan):
+    """xi = 0, xi on a wall of a maximal cone (its coordinate on one
+    generator zero) or any xi."""
     kind = data.draw(st.sampled_from(["zero", "wall", "any"]))
     xi = [Fraction(0)] * fan.rank
     if kind == "wall":
@@ -385,12 +380,42 @@ def test_tangent_faces_match_the_per_cone_oracle(name, data):
             xi = [x + c * v for x, v in zip(xi, fan.rays[i])]
     elif kind == "any":
         xi = [data.draw(rational) for _ in range(fan.rank)]
+    return xi
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
+def test_tangent_faces_match_the_per_cone_oracle(name, data):
+    """_tangent_test's set holds exactly the faces F whose point
+    sum_{i in F} v_i the per-cone oracle passes, for each kind of xi
+    draw_xi draws."""
+    fan = dataclasses.replace(LADDER[name])
+    xi = draw_xi(data, fan)
     passing = _tangent_test(fan, xi)
     faces = {f for c in fan.max_cones for r in range(len(c) + 1) for f in itertools.combinations(c, r)}
     for face in faces:
         p = [Fraction(sum(fan.rays[i][r] for i in face)) for r in range(fan.rank)]
         assert (sum(1 << i for i in face) in passing) is oracle_tangent_member(fan, p, xi)
     assert passing <= _faces(fan)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
+def test_tangent_member_reads_the_passing_faces(name, data):
+    """tangent_member, which solves xi only in the maximal cones holding p's
+    minimal face, passes p exactly when _tangent_test's set holds that face,
+    for points of a maximal cone with some coordinates zero and each kind
+    of xi draw_xi draws."""
+    fan = dataclasses.replace(LADDER[name])
+    xi = draw_xi(data, fan)
+    cone = data.draw(st.sampled_from(fan.max_cones))
+    coeffs = [data.draw(st.one_of(st.just(Fraction(0)), rational.map(abs))) for _ in cone]
+    p = [sum(c * fan.rays[i][r] for c, i in zip(coeffs, cone)) for r in range(fan.rank)]
+    face = minimal_cone(fan, p)
+    assert face == tuple(i for c, i in zip(coeffs, cone) if c)
+    assert tangent_member(fan, p, xi) is (sum(1 << i for i in face) in _tangent_test(fan, xi))
 
 
 def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):

@@ -136,12 +136,12 @@ def test_term_shift_fails_when_a_window_drops_an_offset(monkeypatch):
     part = tuple(gkz.solve_with_hnf(h, u, target))
     real = gkz._window_offsets
 
-    def dropping(p, relations, bound):
-        offsets = real(p, relations, bound)
+    def dropping(p, plan, bound):
+        offsets, norms = real(p, plan, bound)
         if tuple(p) != part:
-            return offsets
-        core = [m for m in offsets if sum(map(abs, m)) < bound]
-        return tuple(m for m in offsets if m != core[0])
+            return offsets, norms
+        drop = next(i for i, n in enumerate(norms) if n < bound)
+        return offsets[:drop] + offsets[drop + 1 :], norms[:drop] + norms[drop + 1 :]
 
     monkeypatch.setattr(gkz, "_window_offsets", dropping)
     assert verify_term_shift(inst, v, j, B).ok is False
@@ -263,7 +263,7 @@ def test_solution_system_rejects_a_bad_degree_cap():
 def test_window_scan_rejects_a_relation_of_nonzero_degree():
     # the degree bound reads sum(m) = sum(part) off relations summing to 0
     with pytest.raises(ValueError, match=r"^window: relation row \(1, 1, -1\) sums to 1, not 0"):
-        gkz._window_offsets((0, 0, 0), ((1, 1, -1),), 2)
+        gkz._window_plan(((1, 1, -1),), 3)
     skewed = faulty_lattice(relations=((1, -2, 2),))
     with pytest.raises(ValueError, match=r"^window: relation row \(1, -2, 2\) sums to 1"):
         verify_term_shift(skewed, (0, 0), 1, 4)

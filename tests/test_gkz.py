@@ -24,6 +24,7 @@ from boxgamma.fan import (
 import boxgamma.linalg as linalg
 from boxgamma.gkz import (
     _window_offsets,
+    _window_plan,
     build_gkz,
     enumerate_L,
     exp_jet,
@@ -207,22 +208,71 @@ def deep_ball(name, B):
     return ball_by_image(DEEP_FANS[name].rays, B)
 
 
-@settings(max_examples=120, deadline=None)
-@given(name=st.sampled_from(sorted(DEEP_FANS)), B=st.integers(0, 4), data=st.data())
-def test_window_offsets_match_l1_ball_at_depth(deep_relations, name, B, data):
-    """The pruned scan on 7 and 6 relation rows gives exactly the brute-force
-    window, in lexicographic order.  A particular solution is a vector with
-    entries in -1..1 moved by a relation-lattice element with coefficients
-    up to 4, so the scan starts far off; about a third of the windows drawn
-    are nonempty, up to dozens of offsets."""
-    rays, relations = DEEP_FANS[name].rays, deep_relations[name]
+def far_particular_solution(data, rays, relations):
+    """A vector with entries in -1..1 moved by a relation-lattice element with
+    coefficients up to 4, so the scan starts far off, and its image."""
     part = data.draw(st.lists(st.integers(-1, 1), min_size=len(rays), max_size=len(rays)))
     for h in relations:
         c = data.draw(st.integers(-4, 4))
         part = [x + c * y for x, y in zip(part, h)]
-    image = tuple(sum(x * v[r] for x, v in zip(part, rays)) for r in range(len(rays[0])))
-    want = tuple(deep_ball(name, B).get(image, []))
-    assert _window_offsets(part, relations, B) == want
+    return part, tuple(sum(x * v[r] for x, v in zip(part, rays)) for r in range(len(rays[0])))
+
+
+def window_with_norms(offsets):
+    return tuple(offsets), tuple(sum(map(abs, m)) for m in offsets)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(DEEP_FANS)), B=st.integers(0, 4), data=st.data())
+def test_window_offsets_match_l1_ball_at_depth(deep_relations, name, B, data):
+    """The pruned scan on 7 and 6 relation rows gives exactly the brute-force
+    window, in lexicographic order, with each offset's l1 norm beside it.
+    About a third of the windows drawn are nonempty, up to dozens of
+    offsets."""
+    rays, relations = DEEP_FANS[name].rays, deep_relations[name]
+    part, image = far_particular_solution(data, rays, relations)
+    want = window_with_norms(deep_ball(name, B).get(image, []))
+    assert _window_offsets(part, _window_plan(relations, len(rays)), B) == want
+
+
+def simplex_points(dim, side):
+    return [(1,) + p for p in itertools.product(range(side + 1), repeat=dim) if sum(p) <= side]
+
+
+# marker sets by the largest B their brute-force balls are built to; only
+# the markers' relations are read, so no fan is triangulated.  "free" is
+# TRI2's markers with an independent fourth coordinate on a marker of its
+# own, which lies in no relation, and "basis" has no relation at all
+WIDE_MARKERS = {
+    "simplex3x3": (simplex_points(3, 3), 3),
+    "simplex3x4": (simplex_points(3, 4), 2),
+    "free": ([r + (0,) for r in TRI2.rays[:3]] + [(0, 0, 0, 1)] + [r + (0,) for r in TRI2.rays[3:]], 4),
+    "basis": ([(1, 0, 0), (1, 1, 0), (1, 0, 1)], 4),
+}
+
+
+@functools.cache
+def wide_window(name):
+    rays, top = WIDE_MARKERS[name]
+    relations = _marker_lattice(StackyFan(rank=len(rays[0]), rays=rays, max_cones=()))[2]
+    return relations, _window_plan(relations, len(rays)), [ball_by_image(rays, B) for B in range(top + 1)]
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(WIDE_MARKERS)), data=st.data())
+def test_window_scan_matches_l1_ball_on_wide_marker_sets(name, data):
+    """The scan's offsets and norms equal the brute-force window on the
+    rank-4 simplex markers (16 and 31 relation rows), with a free column and
+    with no relation, at every B from 0 up to the ball's."""
+    rays = WIDE_MARKERS[name][0]
+    relations, plan, balls = wide_window(name)
+    assert all(sum(h) == 0 for h in relations) and (name != "basis") is bool(relations)
+    if name == "free":
+        assert all(h[3] == 0 for h in relations) and plan[1] == (3,)
+    part, image = far_particular_solution(data, rays, relations)
+    for B, ball in enumerate(balls):
+        assert _window_offsets(part, plan, B) == window_with_norms(ball.get(image, []))
 
 
 def test_ladder_relations_have_degree_zero():

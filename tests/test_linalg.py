@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgamma.errors import DependentGenerators
 from boxgamma.linalg import (
@@ -147,3 +149,45 @@ def test_solve_integer_and_kernel():
     assert [abs(x) for x in k] == [1, 2, 1]
     # target outside the generated lattice
     assert solve_with_hnf(*hermite_normal_form([(2, 0), (0, 2)]), (1, 0)) is None
+
+
+def nonzero_hnf_rows(rows):
+    return [r for r in hermite_normal_form(rows)[0] if any(r)]
+
+
+@st.composite
+def row_sets(draw):
+    """Integer rows of one length with dependent and zero rows among them,
+    and a target that half the time is a combination of the rows."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-5, 5)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "dependent", "zero"] if rows else ["free", "zero"]))
+        if kind == "free":
+            rows.append([draw(entry) for _ in range(d)])
+        elif kind == "zero":
+            rows.append([0] * d)
+        else:
+            cs = [draw(st.integers(-3, 3)) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(d)])
+    if draw(st.booleans()):
+        cs = [draw(st.integers(-4, 4)) for _ in rows]
+        target = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(d)]
+    else:
+        target = [draw(st.integers(-9, 9)) for _ in range(d)]
+    return rows, target
+
+
+@settings(deadline=None)
+@given(case=row_sets())
+def test_solve_with_hnf_decides_the_row_lattice(case):
+    """A returned m combines the rows to the target, one coefficient per row,
+    and None comes back exactly when the target is outside the rows'
+    lattice: when appending it as a row changes the nonzero Hermite rows."""
+    rows, target = case
+    m = solve_with_hnf(*hermite_normal_form(rows), target)
+    assert (m is not None) is (nonzero_hnf_rows(rows + [target]) == nonzero_hnf_rows(rows))
+    if m is not None:
+        assert len(m) == len(rows)
+        assert [sum(c * r[j] for c, r in zip(m, rows)) for j in range(len(target))] == target

@@ -1,8 +1,8 @@
 """The per-point series evaluator: each reciprocal-Gamma jet computed once,
-each window scanned once per instance, each (v, B) series summed once per
-point, values independent of what was evaluated before, and the
-integer-offset term-shift check equal to its LVector formulation, with its
-boundary LVectors built only when read."""
+each window scanned once per instance from a plan built once per fan, each
+(v, B) series summed once per point, values independent of what was
+evaluated before, and the integer-offset term-shift check equal to its
+LVector formulation, with its boundary LVectors built only when read."""
 
 import dataclasses
 import functools
@@ -140,14 +140,42 @@ def test_gkz_verify_scans_each_window_once(monkeypatch, tmp_path):
     calls = Counter()
     real = gkz._window_offsets
 
-    def counting(part, relations, B):
+    def counting(part, plan, B):
         calls[(tuple(part), B)] += 1
-        return real(part, relations, B)
+        return real(part, plan, B)
 
     monkeypatch.setattr(gkz, "_window_offsets", counting)
     assert run_gkz_verify(tmp_path, *VERIFY_INPUTS[1]) == 0
     assert len(calls) > 20
     assert set(calls.values()) == {1}
+
+
+def test_window_plan_is_built_once_per_fan(monkeypatch):
+    """The scan's plan depends on the fan alone: each fan builds it on its
+    first scan, and every target, bound and instance on it reads it."""
+    built, scanned = [], set()
+    real_plan, real_scan = gkz._window_plan, gkz._window_offsets
+
+    def planning(relations, k):
+        built.append(relations)
+        return real_plan(relations, k)
+
+    def scanning(part, plan, B):
+        scanned.add((tuple(part), B))
+        return real_scan(part, plan, B)
+
+    monkeypatch.setattr(gkz, "_window_plan", planning)
+    monkeypatch.setattr(gkz, "_window_offsets", scanning)
+    fans = [dataclasses.replace(HEX5), dataclasses.replace(HEX5), dataclasses.replace(SQUARE)]
+    for fan in fans:
+        for beta in ((0, 0, 0), (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))):
+            inst = build_gkz(fan, beta)
+            for B in (0, 2, 4):
+                for v in low_degree_points(fan, 1):
+                    for j in sorted(fan.fan_indices()):
+                        verify_term_shift(inst, v, j, B)
+            assert fan._table.plan is not None
+    assert len(built) == len(fans) and len(scanned) > 100
 
 
 def _suite(instance, x, offsets):
