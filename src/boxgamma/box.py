@@ -127,16 +127,12 @@ def _cone_branches(fan, cone, param, common):
     inv = _solved(fan, cone)
     adj, det = inv.rows, inv.den
     den, b_re, b_im = param
-    big = det * den
-    scale = common // det
-    adj_re = [_dot(row, b_re) for row in adj]
-    adj_im = [_dot(row, b_im) for row in adj]
+    big, scale = det * den, common // det
+    adj_re, adj_im = ([_dot(row, b) for row in adj] for b in (b_re, b_im))
     ims = [Fraction(x, big) for x in adj_im]
     out = []
     for n0 in itertools.product(*map(range, _cone_residues(fan, cone))):
-        alpha = [_ZERO] * fan.k
-        key = [0] * (2 * fan.k)
-        floors = [0] * fan.k
+        alpha, key, floors = [_ZERO] * fan.k, [0] * (2 * fan.k), [0] * fan.k
         for pos, i in enumerate(cone):
             num = den * _dot(adj[pos], n0) + adj_re[pos]
             f = floors[i] = num // big
@@ -195,8 +191,7 @@ def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
         if len({br.element.lattice_point for br in branches}) > 1:
             raise RuntimeError("internal: equal alpha with distinct lattice points")
-        base = branches[0].floors
-        diffs = tuple(tuple(x - y for x, y in zip(br.floors, base)) for br in branches)
+        diffs = tuple(tuple(x - y for x, y in zip(br.floors, branches[0].floors)) for br in branches)
         classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
     return common * param[0], tuple(keys), tuple(classes)
 
@@ -236,8 +231,7 @@ def _correspondence(fan: StackyFan, b, param, delta):
     for key, cls in zip(keys, sources):
         e = cls.branches[0].element
         alpha = list(e.alpha)  # a real alpha_i in [0, 1) is its own image
-        image = [0] * (2 * fan.k)
-        shift = [0] * fan.k
+        image, shift = [0] * (2 * fan.k), [0] * fan.k
         n = e.lattice_point
         for i in range(fan.k):
             xn = key[2 * i] * q + p * key[2 * i + 1]

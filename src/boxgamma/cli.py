@@ -23,7 +23,7 @@ import sys
 
 from .errors import DomainError
 from .fan import StackyFan, validate
-from .linalg import _integral, format_gaussian, format_rational, read_exact
+from .linalg import _integral, as_sequence, format_gaussian, format_rational, read_exact
 
 
 def emit_json(obj) -> str:
@@ -96,14 +96,14 @@ def _fan_beta(args):
 def parse_x(doc):
     """The point x, each coordinate an [re, im] pair, and the optional
     arg_offsets; the library checks both lengths."""
-    for r, p in enumerate(doc["x"], start=1):
+    x = as_sequence(doc["x"], "series", "x")
+    for r, p in enumerate(x, start=1):
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
-    xs = tuple(complex(float(re), float(im)) for re, im in doc["x"])
     offs = doc.get("arg_offsets")
     if offs is not None:
-        offs = tuple(float(o) for o in offs)
-    return xs, offs
+        offs = tuple(map(float, as_sequence(offs, "series", "arg_offsets")))
+    return tuple(complex(float(re), float(im)) for re, im in x), offs
 
 
 def ser_box_element(elem) -> dict:
@@ -237,9 +237,7 @@ def cmd_gkz_verify(args):
 
     instance, xs, offs, system = _solve(args)
     fan = instance.fan
-    shifts_ok = True
-    boundary_terms = 0
-    max_residual = 0.0
+    shifts_ok, boundary_terms, max_residual = True, 0, 0.0
     for v in system.vs:
         for j in sorted(fan.fan_indices()):
             rep = verify_term_shift(instance, v, j, args.bound)

@@ -163,9 +163,7 @@ def _real_numerators(p: Sequence, name: str, n: Optional[int] = None) -> list[in
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector on the ray through v, preserving orientation."""
     ints = _real_numerators(v, "vector")
-    g = math.gcd(*ints)
-    if g == 0:
-        return tuple(ints)
+    g = math.gcd(*ints) or 1  # 0 only for the zero vector
     return tuple(x // g for x in ints)
 
 
@@ -331,8 +329,7 @@ def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[in
     per pair of 4-cones, so validate calls it only for the pairs _separated
     cannot certify.
     """
-    g1 = fan.gens(c1)
-    g2 = fan.gens(c2)
+    g1, g2 = fan.gens(c1), fan.gens(c2)
     rows = [[g[r] for g in g1] + [-g[r] for g in g2] for r in range(fan.rank)]
     basis = integer_kernel(rows, len(g1) + len(g2))
     m = len(basis)
@@ -394,8 +391,7 @@ def validate(fan: StackyFan) -> ValidationReport:
 
 def _validate(fan: StackyFan) -> ValidationReport:
     violations: list[str] = []
-    d = fan.rank
-    k = fan.k
+    d, k = fan.rank, fan.k
     if d < 1:
         violations.append("rank must be positive")
     if k == 0:
@@ -468,15 +464,9 @@ def _validate(fan: StackyFan) -> ValidationReport:
                     f"support does not cover the marker cone: marker {j + 1} lies beyond "
                     f"a boundary facet of cone {tuple(i + 1 for i in cone)}"
                 )
-    gkz_eligible = valid and not gkz_notes
-    return ValidationReport(
-        valid=valid,
-        violations=tuple(violations),
-        gkz_eligible=gkz_eligible,
-        gkz_notes=tuple(gkz_notes),
-        volume=volume,
-        deg=deg if gkz_eligible or fan.deg is not None else None,
-    )
+    eligible = valid and not gkz_notes
+    deg = deg if eligible or fan.deg is not None else None
+    return ValidationReport(valid, tuple(violations), eligible, tuple(gkz_notes), volume, deg)
 
 
 def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:

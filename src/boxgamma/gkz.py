@@ -31,6 +31,7 @@ from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, vali
 from .linalg import (
     Coord,
     _integral,
+    as_sequence,
     format_gaussian,
     im_part,
     integer_parts,
@@ -116,8 +117,7 @@ def _polygamma_constants(m: int) -> tuple:
 def polygamma(m: int, z: complex) -> complex:
     """psi^(m)(z) off the poles: upward recurrence, then the Stirling tail."""
     fact_m, fact_m1, coeffs = _polygamma_constants(m)
-    z = complex(z)
-    acc = 0j
+    z, acc = complex(z), 0j
     sign = -1.0 if m % 2 == 0 else 1.0
     while z.real < _STIRLING_CUT:
         acc += sign * fact_m * z ** (-(m + 1))
@@ -146,8 +146,7 @@ def log_gamma(z: complex) -> complex:
     exponentiated, and the recurrence corrections exponentiate back to the
     exact linear factors.
     """
-    z = complex(z)
-    shift = 0j
+    z, shift = complex(z), 0j
     while z.real < _STIRLING_CUT:
         shift += cmath.log(z)
         z += 1
@@ -161,8 +160,7 @@ def log_gamma(z: complex) -> complex:
 
 def log_gamma_jet(z: complex, order: int) -> tuple[complex, ...]:
     """Taylor coefficients of eps -> log Gamma(z + eps); needs Re z >= 1.5."""
-    coeffs = [log_gamma(z)]
-    fact = 1.0
+    coeffs, fact = [log_gamma(z)], 1.0
     for t in range(1, order):
         fact *= t
         coeffs.append(polygamma(t - 1, z) / fact)
@@ -176,8 +174,15 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     reciprocal is exponentiated from the log-Gamma jet there, and the dropped
     linear factors are multiplied back in.  A pole of Gamma at l + 1 makes
     one factor exactly zero, so the constant term comes out as an exact 0.0.
+    Coefficient n is formed alike at every order above n.  ValueError names
+    an order that is not a positive integer and an l that is not finite.
     """
-    z = complex(l) + 1
+    n = _integral(order)
+    if n is None or n < 1:
+        raise ValueError(f"series: the jet order is {order!r}, not a positive integer")
+    z, order = complex(l) + 1, n
+    if not cmath.isfinite(z):
+        raise ValueError(f"series: the jet argument l is {l!r}, not a finite number")
     m0 = max(0, math.ceil(1.5 - complex(l).real))
     lg = log_gamma_jet(z + m0, order)
     jet = exp_jet(tuple(-c for c in lg), order)
@@ -465,13 +470,18 @@ class _SeriesEvaluator:
     negative integer, the term carries prod_{i in J} D_i, or 1/Gamma(l_i + 1)
     = 0 for a non-ray i, which lies in no cone; both vanish when supp(alpha)
     and J lie in no cone, by the quotient's Stanley-Reisner relations
-    (Borisov-Horja, Math. Ann. 357, 2013).  vanishes decides this from
-    integers, so such a term is never formed and reaches no SeriesOverflow.
-    Kept here: base indices by t, looked up once (a missing one
-    raises on every call); coordinates and ray jets by (t, i, m_i); terms by
-    (t, m); reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
-    evaluation at its own l; and the memo (fan._memo) of the last bound B's
-    gamma_series values by v.
+    (Borisov-Horja, Math. Ann. 357, 2013).  The D_i raise the degree inside
+    a summand, so D^a = 0 on it from a = order_t, 1 + the top degree of the
+    summand of triple t's target: a ray factor needs order_t coefficients,
+    and |J| >= order_t zeroes the term too, as each i in J has a jet with
+    constant term 0.0.  vanishes decides both rules from integers, so such
+    a term is never formed and reaches no SeriesOverflow.  Kept here: base
+    indices and orders by t (a missing base raises on every call);
+    coordinates and ray factors by (t, i, m_i); terms by (t, m);
+    reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
+    evaluation at its own l, a ray's at the top order, which each factor
+    truncates; and the memo (fan._memo) of the last bound B's gamma_series
+    values by v.
 
     Every float is formed from the same operands in the same order as an
     uncached evaluation would form it: a cache returns a stored float, it
@@ -479,17 +489,23 @@ class _SeriesEvaluator:
     before.  It holds no reference to the instance, which holds it.
     """
 
-    def __init__(self, instance: GkzInstance, xs, logs):
+    def __init__(self, instance: GkzInstance, xs, offs):
         q = instance.quotient
         self.xs = xs
-        self.logs = logs
+        self.logs = logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
         self.dmats = tuple(
             tuple(tuple(complex(float(entry)) for entry in row) for row in mat)
             for mat in q.dmats
         )
         self.rays = frozenset(instance.fan.fan_indices())
-        self.xjets = {i: exp_jet((0j, logs[i]), q.dim) for i in self.rays}
+        # a summand's basis runs from its base element, of degree 0, upward
+        self.orders = tuple(
+            1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
+            for p in instance._positions
+        )
+        self.top = max(self.orders, default=1)
+        self.xjets = {i: exp_jet((0j, logs[i]), self.top) for i in self.rays}
         self.sources = tuple(src for src, _, _ in instance.correspondence.triples)
         self.parts = tuple(
             tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
@@ -517,13 +533,14 @@ class _SeriesEvaluator:
 
     def vanishes(self, t: int, m: tuple[int, ...]) -> bool:
         """The support rule: supp(alpha) and J of triple t lie in no cone of
-        the fan.  A negative m_i off J has i in supp(alpha) already, so the
-        union is supp(alpha) and every i with m_i < 0."""
-        face = self.supports[t]
+        the fan; or the degree rule: |J| >= order_t.  A negative m_i off J
+        has i in supp(alpha) already, so the union is supp(alpha) and every
+        i with m_i < 0."""
+        face = support = self.supports[t]
         for i, mi in enumerate(m):
             if mi < 0:
                 face |= 1 << i
-        return face not in self.faces
+        return face not in self.faces or (face & ~support).bit_count() >= self.orders[t]
 
     def coord(self, t: int, i: int, mi: int) -> complex:
         c = self.coords.get((t, i, mi))
@@ -543,7 +560,7 @@ class _SeriesEvaluator:
         if f is None:
             li = self.coord(t, i, mi)
             if i in self.rays:
-                f = poly_mul_trunc(self.xjets[i], self.jet(li, self.dim), self.dim)
+                f = poly_mul_trunc(self.xjets[i], self.jet(li, self.top), self.orders[t])
             else:
                 f = self.jet(li, 1)[0]
             self.factors[t, i, mi] = f
@@ -575,20 +592,23 @@ class _SeriesEvaluator:
 
 def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     """The instance's evaluator at x, built on the first call at that point;
-    only the last point's is kept, so memory stays bounded by one point's terms."""
+    only the last point's is kept, so memory stays bounded by one point's
+    terms.  The key is x and the offsets as the floats the logs read, so a
+    call at the kept point takes no log."""
     xs = _check_x(instance.fan, x)
     # principal branch by default; offsets turn the argument by whole radians
     # per coordinate, selecting another sheet of the multivalued powers
-    offs = (0.0,) * len(xs) if arg_offsets is None else tuple(arg_offsets)
+    offs = (0,) * len(xs)
+    if arg_offsets is not None:
+        offs = as_sequence(arg_offsets, "series", "arg_offsets")
     if len(offs) != len(xs):
         raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
     for i, o in enumerate(offs, start=1):
         if not _read(math.isfinite, o, i, "arg_offsets", "a real number"):
             raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
-    logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
-    # repr tells 0.0 from -0.0, which == and hash do not
-    key = repr((xs, logs))
-    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, logs, kept=1)
+    offs = tuple(map(float, offs))
+    key = repr((xs, offs))  # repr tells 0.0 from -0.0, which == and hash do not
+    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, kept=1)
 
 
 def _read(read, c, i: int, name: str, kind: str):
@@ -600,7 +620,8 @@ def _read(read, c, i: int, name: str, kind: str):
 
 
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
-    xs = tuple(_read(complex, c, i, "x", "a complex number") for i, c in enumerate(x, start=1))
+    xs = tuple(_read(complex, c, i, "x", "a complex number")
+               for i, c in enumerate(as_sequence(x, "series", "x"), start=1))
     if len(xs) != fan.k:
         raise ValueError(f"x must have {fan.k} coordinates, got {len(xs)}")
     for i, c in enumerate(xs, start=1):
@@ -632,13 +653,12 @@ def gamma_series(
 def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> SeriesValue:
     """The v-series, or with a ray j its derivative in x_j over the window at
     v + v_j, summed term by term in window order: the one term loop, which
-    skips each term the support rule zeroes (see _SeriesEvaluator), for a
-    derivative by the unshifted m = s + e_j of each window entry s."""
-    total = [0j] * ev.dim
-    shell = [0j] * ev.dim
+    skips each term the support or degree rule zeroes (see _SeriesEvaluator),
+    for a derivative by the unshifted m = s + e_j of each window entry s."""
+    total = shell = zero = (0j,) * ev.dim
     at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        evec = ev.base(t)
+        evec, order = ev.base(t), ev.orders[t]
         for m, nm in zip(*_window(instance, src, at, B)):
             if j is not None:
                 m = m[:j] + (m[j] + 1,) + m[j + 1 :]
@@ -649,7 +669,8 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
                 term = [scalar * c for c in w]
             else:
                 lj, xj = ev.coord(t, j, m[j]), ev.xs[j]
-                dw = [sum(map(operator.mul, row, w)) for row in ev.dmats[j]]
+                # D_j is 0 on a summand of order 1, where each sum below is +0j
+                dw = [sum(map(operator.mul, r, w)) for r in ev.dmats[j]] if order > 1 else zero
                 term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
             total = list(map(operator.add, total, term))
             if nm == B:
@@ -674,8 +695,9 @@ def gamma_series_derivative(
     Stirling evaluation point, though, so the comparison does not see an
     error in the Stirling tail; the golden jets check that.  Windows, terms
     and jets are shared with gamma_series (see _SeriesEvaluator), and a term
-    the support rule zeroes is never formed.  D_j is applied to each term's
-    own w, never to a sum of them.
+    the support or degree rule zeroes is never formed.  D_j is applied to
+    each term's own w, never to a sum of them; on a summand of order 1,
+    where D_j w comes out as +0j for a finite w, +0j is added in its place.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = _window_bound(B)
@@ -699,9 +721,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     B = _window_bound(B)
     j = _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
-    core = B - 1
-    ok = True
-    runs = []
+    core, ok, runs = B - 1, True, []
     for src, _, _ in instance.correspondence.triples:
         left, left_out = [], []
         for m, nm in zip(*_window(instance, src, v, B)):

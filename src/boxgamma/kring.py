@@ -76,10 +76,9 @@ def wall_report(fan: StackyFan, beta: Sequence) -> tuple[WallRecord, ...]:
     """One record per colliding branch pair; empty exactly off the walls."""
     records = []
     for cls in collisions(fan, beta):
-        brs = cls.branches
-        for i, j in itertools.combinations(range(len(brs)), 2):
-            diff = tuple(x - y for x, y in zip(brs[j].floors, brs[i].floors))
-            records.append(WallRecord(cls.alpha, brs[i], brs[j], diff))
+        for first, second in itertools.combinations(cls.branches, 2):
+            diff = tuple(x - y for x, y in zip(second.floors, first.floors))
+            records.append(WallRecord(cls.alpha, first, second, diff))
     return tuple(records)
 
 

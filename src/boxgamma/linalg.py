@@ -26,9 +26,7 @@ IntMatrix = list[list[int]]
 
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _integral(x) -> Optional[int]:
@@ -100,9 +98,8 @@ def parse_gaussian(s) -> GaussianRational:
         t = s.strip().replace(" ", "")
         if not t.endswith("i"):
             return GaussianRational(parse_rational(t))
-        body = t[:-1]
         # split off the trailing rational as the imaginary part
-        m = _re.match(r"^(.*?)([+-]?\d+(?:/\d+)?)$", body)
+        m = _re.match(r"^(.*?)([+-]?\d+(?:/\d+)?)$", t[:-1])
         if not m:
             raise ValueError(f"cannot parse Gaussian rational from {s!r}")
         head, imag = m.groups()
@@ -146,6 +143,15 @@ _KINDS = {
 }
 
 
+def as_sequence(values, stage: str, name: str) -> tuple:
+    """tuple(values), or ValueError "<stage>: <name> is <values!r>, not a
+    sequence" when it cannot be iterated or is a string, which is not read
+    as the vector of its characters."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{stage}: {name} is {values!r}, not a sequence")
+    return tuple(values)
+
+
 def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) -> tuple:
     """The entries of values read by parse, the one reader of exact input.
 
@@ -153,13 +159,11 @@ def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) ->
     (the canonical scalar: a Fraction, or a GaussianRational with im != 0).
     ValueError names the first entry parse rejects, as "<stage>: entry <pos>
     of <name> is <value!r>, not <kind>", then a length other than n, as
-    "<stage>: <name> must have <n> coordinates, got <m>".  A string is not
-    read as the vector of its characters.
+    "<stage>: <name> must have <n> coordinates, got <m>"; see as_sequence
+    for values that are no sequence.
     """
-    if isinstance(values, str):
-        raise ValueError(f"{stage}: {name} is {values!r}, not a sequence")
     out = []
-    for pos, x in enumerate(values, start=1):
+    for pos, x in enumerate(as_sequence(values, stage, name), start=1):
         if type(x) is Fraction and parse is not _integral:
             out.append(x)  # already exact: every memo lookup reads a normalized beta again
             continue
@@ -191,8 +195,7 @@ def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
     are zero in columns 0..ncols-1.  For a square matrix of full rank p is
     the determinant up to the sign of the row swaps.
     """
-    nrows = len(m)
-    prev = 1
+    nrows, prev = len(m), 1
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
@@ -275,8 +278,7 @@ class ConeInverse:
 
 def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
     """The ConeInverse of independent generators; raises DependentGenerators."""
-    d = len(gens[0])
-    m = len(gens)
+    d, m = len(gens[0]), len(gens)
     a = [[int(g[r]) for g in gens] + [int(r == j) for j in range(d)] for r in range(d)]
     pivots, last = _bareiss(a, m)
     if len(pivots) < m:
@@ -396,8 +398,7 @@ def singular_values(matrix) -> list[float]:
         rotated = False
         for p in range(len(cols) - 1):
             for q in range(p + 1, len(cols)):
-                a, b = cols[p], cols[q]
-                na, nb = norms[p], norms[q]
+                a, b, na, nb = cols[p], cols[q], norms[p], norms[q]
                 g = sum(x.conjugate() * y for x, y in zip(a, b))
                 r = abs(g)
                 if r <= _JACOBI_TOL * na * nb or r < sys.float_info.min:

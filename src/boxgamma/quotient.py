@@ -111,8 +111,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     n = _integral(m)
     if n is None:
         raise ValueError(f"quotient: the degree m is {m!r}, not an integer")
-    graded = spec.fan._table.graded
-    return _memo(graded, spec.chi, (spec.xi, n), _graded_piece, spec, n)
+    return _memo(spec.fan._table.graded, spec.chi, (spec.xi, n), _graded_piece, spec, n)
 
 
 def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
@@ -206,8 +205,7 @@ class _Summand:
         mons = self._monomials(t)
         col = {m: c for c, m in enumerate(mons)}
         ray_idx = sorted(fan.fan_indices())
-        moves = {}
-        rows = []
+        moves, rows = {}, []
         for c_prev, mprev in self.pieces.get(t - 1, {}).items():
             targets = []
             for i in ray_idx:
@@ -258,9 +256,7 @@ def _rref(rows) -> dict[int, dict[int, int]]:
         if not v:
             continue
         pc = min(v)
-        g = math.gcd(*v.values())
-        if v[pc] < 0:
-            g = -g
+        g = math.gcd(*v.values()) * (-1 if v[pc] < 0 else 1)
         v = {c: x // g for c, x in v.items()}
         for pc2, er in ech.items():
             f = er.get(pc)
@@ -290,8 +286,7 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan's parameter memo), from summand blocks built once per face
     supp(alpha) and set of faces the shadow filter passes (the fan's blocks
     memo): a block reads xi only through that set."""
-    params = spec.fan._table.params
-    return _memo(params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
+    return _memo(spec.fan._table.params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:

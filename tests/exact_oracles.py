@@ -489,17 +489,26 @@ def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     return GradedPiece(m, tuple(points))
 
 
+def summand_order(instance: GkzInstance, t: int) -> int:
+    """1 + the top basis degree of the summand of triple t's target, read
+    from the basis elements carrying the target's alpha."""
+    tgt = instance.correspondence.triples[t][1]
+    return 1 + max((e.degree for e in instance.quotient.basis if e.alpha == tgt.alpha), default=0)
+
+
 def supported_terms(instance: GkzInstance, vs, dvs, B: int) -> set:
     """(t, m, l) of each term that the series at each v in vs, and the
     derivatives in every ray of those at each v in dvs, read in their
-    windows of bound B, less those the support rule zeroes; t is the
-    triple, m the offset, l = alpha + m.  The windows are enumerate_L's, at
-    v and, for a derivative in x_j, at v + v_j with each l read as l + e_j.
-    The rule is read on the exact l: a term is kept unless supp(alpha) and
-    the i with l_i a negative integer lie in no cone of the fan."""
+    windows of bound B, less those the support and degree rules zero; t is
+    the triple, m the offset, l = alpha + m.  The windows are enumerate_L's,
+    at v and, for a derivative in x_j, at v + v_j with each l read as
+    l + e_j.  The rules are read on the exact l: a term is kept unless
+    supp(alpha) and the i with l_i a negative integer lie in no cone of the
+    fan, or at least summand_order of those i lie off supp(alpha)."""
     fan = instance.fan
     out = set()
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        order = summand_order(instance, t)
         terms = [(lv.offset, lv.l) for v in vs for lv in enumerate_L(instance, src, v, B)]
         for j in fan.fan_indices():
             for v in dvs:
@@ -514,6 +523,7 @@ def supported_terms(instance: GkzInstance, vs, dvs, B: int) -> set:
                 if not im_part(x) and re_part(x).denominator == 1 and re_part(x) < 0
             }
             face = set(src.support) | negative
-            if any(face <= set(cone) for cone in fan.max_cones):
+            in_cone = any(face <= set(cone) for cone in fan.max_cones)
+            if in_cone and len(negative - set(src.support)) < order:
                 out.add((t, m, l))
     return out

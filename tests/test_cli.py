@@ -408,6 +408,33 @@ def test_x_coordinate_not_a_pair_exit_2(seed_dir, tmp_path, x, message):
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "beta,x,message",
+    [
+        ("5", f'{{"x": {X_F1}}}', "box: beta is 5, not a sequence"),
+        ('["1/4", "0"]', '{"x": 3}', "series: x is 3, not a sequence"),
+        ('["1/4", "0"]', f'{{"x": {X_F1}, "arg_offsets": 5}}', "series: arg_offsets is 5, not a sequence"),
+    ],
+    ids=["beta", "x", "arg_offsets"],
+)
+def test_input_that_is_no_sequence_exit_2(seed_dir, tmp_path, beta, x, message):
+    """A number where a vector belongs is named with its field, as a string is."""
+    (tmp_path / "beta.json").write_text(f'{{"beta": {beta}}}')
+    (tmp_path / "x.json").write_text(x)
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(tmp_path / "beta.json"),
+            "--x", str(tmp_path / "x.json"),
+            "--bound", "4",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
 FAN_BETA =["--fan", "f.json", "--beta", "b.json"]
 SOLVE = [*FAN_BETA, "--x", "x.json", "--bound", "4"]
 

@@ -143,6 +143,22 @@ def test_triangulation_points_of_the_wrong_length_raise(points, heights, message
 
 
 @pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: normalize_beta(F1, 5), "box: beta is 5, not a sequence"),
+        (lambda: gamma_series(INST, 10, X_F1, 4), "series: v is 10, not a sequence"),
+        (lambda: gamma_series(INST, (0, 0), 3, 4), "series: x is 3, not a sequence"),
+        (lambda: gamma_series(INST, (0, 0), X_F1, 4, 5), "series: arg_offsets is 5, not a sequence"),
+    ],
+    ids=["beta", "v", "x", "arg_offsets"],
+)
+def test_a_number_is_not_read_as_a_sequence(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "x,offsets,message",
     [
         ((1, None, 1), None, "coordinate 2 of x is None, not a complex number"),

@@ -116,6 +116,21 @@ def test_rgamma_functional_equation():
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+@pytest.mark.parametrize(
+    "l,order,message",
+    [
+        (0.5, 0, "series: the jet order is 0, not a positive integer"),
+        (math.nan, 2, "series: the jet argument l is nan, not a finite number"),
+        (-math.inf, 2, "series: the jet argument l is -inf, not a finite number"),
+    ],
+    ids=["order 0", "nan", "inf"],
+)
+def test_reciprocal_gamma_jet_names_its_domain(l, order, message):
+    with pytest.raises(ValueError) as info:
+        reciprocal_gamma_jet(l, order)
+    assert str(info.value) == message
+
+
 def test_exp_jet_matches_taylor():
     z = complex(0.3, -1.1)
     jet = exp_jet((0j, z), 6)

@@ -29,7 +29,7 @@ from boxgamma.gkz import (
 )
 from boxgamma.linalg import GaussianRational, im_part, re_part, scalar_from_parts
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import supported_terms
+from exact_oracles import summand_order, supported_terms
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -91,17 +91,20 @@ def run_gkz_verify(tmp_path, fan, beta, x):
 
 def supported_jets(fan_name, beta_name, B, cap):
     """The (l_i, order) keys of the reciprocal-Gamma jets of the terms the
-    support rule keeps in gkz-verify at bound B and degree cap, on the seed
-    example files: order dim at a ray, 1 at a marker that is not one."""
+    support and degree rules keep in gkz-verify at bound B and degree cap,
+    on the seed example files: at a ray, the largest summand order, so
+    triples share the jet and each truncates it to its own order; 1 at a
+    marker that is not one."""
     fan = parse_fan(SEED_FILES[f"fan_{fan_name}.json"])
     inst = build_gkz(fan, SEED_FILES[f"{beta_name}.json"]["beta"])
-    rays, dim = fan.fan_indices(), inst.quotient.dim
+    triples = range(len(inst.correspondence.triples))
+    rays, top = fan.fan_indices(), max(summand_order(inst, t) for t in triples)
     # the solution matrix's points, and each one's shifts, which the
     # derivative residuals compare with
     vs = low_degree_points(fan, cap)
     shifted = [tuple(a + b for a, b in zip(v, fan.rays[j])) for v in vs for j in rays]
     return {
-        (complex(float(re_part(x)), float(im_part(x))), dim if i in rays else 1)
+        (complex(float(re_part(x)), float(im_part(x))), top if i in rays else 1)
         for _, _, l in supported_terms(inst, vs + shifted, vs, B)
         for i, x in enumerate(l)
     }
@@ -109,8 +112,8 @@ def supported_jets(fan_name, beta_name, B, cap):
 
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
 def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
-    """Each jet of a kept term once, and no other: a term the support rule
-    zeroes is never formed, so its jets are never evaluated."""
+    """Each jet of a kept term once, and no other: a term the support or
+    degree rule zeroes is never formed, so its jets are never evaluated."""
     assert run_gkz_verify(tmp_path, fan, beta, x) == 0
     assert set(jet_calls) == supported_jets(fan, beta, 12, 2)
     assert set(jet_calls.values()) == {1}

@@ -1,7 +1,11 @@
-"""The support rule of the Gamma-series: a window entry whose exponent has
-negative integers l_i on J, with supp(alpha) and J in no cone, is skipped
-before its term is formed.  Checked against the exact ray operators, and
-against the rule read on exact exponents (exact_oracles.supported_terms)."""
+"""The support and degree rules of the Gamma-series: a window entry whose
+exponent has negative integers l_i on J, with supp(alpha) and J in no cone
+or with |J| at least its summand's order, is skipped before its term is
+formed.  Checked against the exact ray operators, and against the rules
+read on exact exponents (exact_oracles.supported_terms).  Each kept term
+is formed at its summand's order, and equals the term formed at order dim."""
+
+import itertools
 
 from fractions import Fraction
 
@@ -12,10 +16,16 @@ from hypothesis import strategies as st
 import boxgamma.gkz as gkz
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
-from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative
+from boxgamma.gkz import (
+    build_gkz,
+    exp_jet,
+    gamma_series,
+    gamma_series_derivative,
+    reciprocal_gamma_jet,
+)
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import supported_terms
+from exact_oracles import summand_order, supported_terms
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -33,6 +43,9 @@ TRI2 = cone_over([(a, b) for a in range(3) for b in range(3 - a)])
 # F1's markers on the one cone (1, 3): marker 2 is not a ray
 F1_EXTENDED = StackyFan(rank=2, rays=F1.rays, max_cones=((0, 2),))
 FANS = {"F1": F1, "SQUARE": SQUARE, "HEX5": HEX5, "TRI2": TRI2, "F1_EXTENDED": F1_EXTENDED}
+# the eligible fans of the benchmark ladder: its top summand degree is 2
+SIMPLEX3X2 = cone_over([p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2])
+LADDER = {"F1": F1, "SQUARE": SQUARE, "HEX5": HEX5, "TRI2": TRI2, "SIMPLEX3X2": SIMPLEX3X2}
 
 
 def low_degree_points(fan, cap):
@@ -87,10 +100,12 @@ def exact_product(inst, t, J):
 @settings(deadline=None)
 @given(st.data())
 def test_skipped_terms_are_exactly_zero(data):
-    """Every window entry the rule skips has a non-ray marker in J, where
+    """Every window entry the rules skip has a non-ray marker in J, where
     1/Gamma(l_i + 1) = 0, or prod_{i in J} D_i = 0 on its base vector in
     exact arithmetic; J = {i : alpha_i = 0, m_i < 0} is read here from alpha
-    and m, not from the rule."""
+    and m, not from the rules.  Every entry with |J| at least its summand's
+    order (exact_oracles.summand_order) is skipped, and its product is
+    checked whatever markers J holds."""
     fan = FANS[data.draw(st.sampled_from(sorted(FANS)))]
     beta = data.draw(betas(fan.rank))
     try:
@@ -102,12 +117,15 @@ def test_skipped_terms_are_exactly_zero(data):
     ev = gkz._evaluator(inst, (1.0,) * fan.k, None)
     rays = fan.fan_indices()
     for t, (src, _, _) in enumerate(inst.correspondence.triples):
+        order = summand_order(inst, t)
         for m in window_entries(inst, t, v, B):
+            J = [i for i, (a, mi) in enumerate(zip(src.alpha, m)) if a == 0 and mi < 0]
+            by_degree = len(J) >= order
+            assert ev.vanishes(t, m) or not by_degree, (beta, t, m, J)
             if not ev.vanishes(t, m):
                 continue
-            J = [i for i, (a, mi) in enumerate(zip(src.alpha, m)) if a == 0 and mi < 0]
             assert J
-            if any(i not in rays for i in J):
+            if not by_degree and any(i not in rays for i in J):
                 continue
             product = exact_product(inst, t, J)
             assert product is None or not any(product), (beta, t, m, J)
@@ -139,3 +157,78 @@ def test_evaluator_forms_only_kept_terms(fan, beta):
     triples = range(len(inst.correspondence.triples))
     entries = {(t, m) for t in triples for v in vs for m in window_entries(inst, t, v, 4)}
     assert want < entries
+
+
+def test_degree_rule_skips_terms_the_support_rule_keeps():
+    """On TRI2 at beta = 0 the one summand has top degree 1: an entry with
+    two negative m_i on a face of the fan passes the support rule and is
+    skipped by degree."""
+    inst = build_gkz(TRI2, (0, 0, 0))
+    ev = gkz._evaluator(inst, (1.0,) * TRI2.k, None)
+    assert ev.orders == (2,) and inst.quotient.dim == 4
+    faces = gkz._faces(TRI2)
+    by_degree = [
+        m for m in window_entries(inst, 0, (0, 0, 0), 4)
+        if ev.vanishes(0, m) and gkz._mask(i for i, mi in enumerate(m) if mi < 0) in faces
+    ]
+    assert by_degree and all(sum(mi < 0 for mi in m) >= 2 for m in by_degree)
+
+
+L_VALUES = st.one_of(
+    st.integers(-6, 6).map(complex),  # Gamma's poles at the negative integers
+    FRACTIONS.map(lambda f: complex(float(f))),
+    st.tuples(FRACTIONS, FRACTIONS).map(lambda p: complex(float(p[0]), float(p[1]))),
+)
+
+
+@settings(deadline=None)
+@given(l=L_VALUES, orders=st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+def test_jet_prefix_does_not_depend_on_the_order(l, orders):
+    """Coefficient n of a reciprocal-Gamma jet is the same float at every
+    order above n, which lets a ray factor truncate the jet."""
+    a, b = sorted(orders)
+    assert repr(reciprocal_gamma_jet(l, a)) == repr(reciprocal_gamma_jet(l, b)[:a])
+
+
+def assert_terms_at_order_dim(inst, x, B):
+    """Form the series and derivatives of degree <= 1 at x, then compare
+    each term the evaluator formed, by repr, with the term an evaluator
+    forms when every ray jet, x-jet and ray factor has order dim."""
+    try:
+        for v in low_degree_points(inst.fan, 1):
+            gamma_series(inst, v, x, B)
+            for j in sorted(inst.fan.fan_indices()):
+                gamma_series_derivative(inst, v, x, B, j)
+    except DomainError:  # NoBaseElement or SeriesOverflow: check the terms formed before
+        pass
+    ev = gkz._evaluator(inst, x, None)
+    ref = gkz._SeriesEvaluator(inst, ev.xs, (0.0,) * len(x))
+    ref.top, ref.orders = ref.dim, (ref.dim,) * len(ev.orders)
+    ref.xjets = {i: exp_jet((0j, ref.logs[i]), ref.dim) for i in ref.rays}
+    for (t, m), term in ev.terms.items():
+        assert repr(term) == repr(ref.term(t, m, ref.base(t))), (inst.beta, t, m)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_terms_at_beta_zero_equal_the_terms_at_order_dim(name):
+    """beta = 0, where D != 0: on F1 and SQUARE the one summand has order
+    dim = 2; on HEX5, TRI2 and SIMPLEX3X2 every summand's order is below dim."""
+    fan = LADDER[name]
+    inst = build_gkz(fan, (0,) * fan.rank)
+    x = tuple((0.5, 1.0, -2.0, 0.25j)[i % 4] for i in range(fan.k))
+    assert_terms_at_order_dim(inst, x, 2 if fan is SIMPLEX3X2 else 4)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_terms_equal_the_terms_at_order_dim(data):
+    """Every term the evaluator forms at its summand's order equals, by
+    repr, the term formed at order dim, on the ladder's eligible fans."""
+    fan = LADDER[data.draw(st.sampled_from(sorted(LADDER)))]
+    beta = data.draw(betas(fan.rank))
+    try:
+        inst = build_gkz(fan, beta)
+    except DomainError:
+        assume(False)
+    x = tuple(data.draw(st.sampled_from((0.5, 1.0, -2.0, 0.25j))) for _ in range(fan.k))
+    assert_terms_at_order_dim(inst, x, 2 if fan is SIMPLEX3X2 else 4)
