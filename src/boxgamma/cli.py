@@ -94,16 +94,18 @@ def _fan_beta(args):
 
 
 def parse_x(doc):
-    """The point x, each coordinate an [re, im] pair, and the optional
-    arg_offsets; the library checks both lengths."""
+    """The point x, each coordinate an [re, im] pair of real numbers, and
+    the optional arg_offsets as given; the library checks both lengths and
+    reads the offsets."""
+    from .gkz import _read
+
     x = as_sequence(doc["x"], "series", "x")
     for r, p in enumerate(x, start=1):
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
-    offs = doc.get("arg_offsets")
-    if offs is not None:
-        offs = tuple(map(float, as_sequence(offs, "series", "arg_offsets")))
-    return tuple(complex(float(re), float(im)) for re, im in x), offs
+        for part in p:
+            _read(math.isfinite, part, r, "x", "a real number")
+    return tuple(complex(float(re), float(im)) for re, im in x), doc.get("arg_offsets")
 
 
 def ser_box_element(elem) -> dict:

@@ -30,8 +30,8 @@ from .linalg import (
     _dot,
     _integral,
     cone_inverse,
+    feasible,
     hermite_normal_form,
-    integer_kernel,
     parse_rational,
     read_exact,
     scaled_numerators,
@@ -313,56 +313,23 @@ def normalized_volume(fan: StackyFan) -> int:
 # fan axioms
 
 
-def _intersection_rays(fan: StackyFan, c1: ConeRef, c2: ConeRef) -> set[tuple[int, ...]]:
-    """Primitive directions of the extreme rays of cone(c1) ∩ cone(c2), for
-    simplicial cones of any dimension.
-
-    The pairs (a, b) with V1 a = V2 b form K, the kernel of [V1 | -V2].
-    Each cone's generators must be independent (validate checks that first),
-    so (a, b) -> V1 a is one-to-one on K and the intersection is the image of
-    {k in K : k >= 0}.  Writing k = sum t_j K_j in the integer kernel basis,
-    each coordinate of k is an inequality on t; a subset of dim K - 1 of them
-    with a one-dimensional kernel gives an extreme ray when one sign of its
-    kernel vector satisfies all of them.
-
-    That is one integer_kernel per (dim K - 1)-subset of the inequalities, 56
-    per pair of 4-cones, so validate calls it only for the pairs _separated
-    cannot certify.
-    """
-    g1, g2 = fan.gens(c1), fan.gens(c2)
-    rows = [[g[r] for g in g1] + [-g[r] for g in g2] for r in range(fan.rank)]
-    basis = integer_kernel(rows, len(g1) + len(g2))
-    m = len(basis)
-    if m == 0:
-        return set()
-    ineqs = list(zip(*basis))
-    # x = V1 a is linear in t: row r holds the r-th entry of each V1 a_j
-    image = [[sum(g[r] * c for g, c in zip(g1, k)) for k in basis] for r in range(fan.rank)]
-    rays_out: set[tuple[int, ...]] = set()
-    for subset in itertools.combinations(ineqs, m - 1):
-        ker = integer_kernel(subset, m)
-        if len(ker) != 1:
-            continue
-        for t in (ker[0], tuple(-x for x in ker[0])):
-            if all(sum(a * b for a, b in zip(row, t)) >= 0 for row in ineqs):
-                x = [sum(a * b for a, b in zip(row, t)) for row in image]
-                rays_out.add(primitive_direction(x))
-                break
-    return rays_out
-
-
-def _separated(fan: StackyFan, a: ConeRef, b: ConeRef, shared: set[int]) -> bool:
-    """True when a facet normal of cone a certifies that cones a and b meet
-    in the cone on their shared markers S (Fulton, Introduction to Toric
-    Varieties, 1.2).  The candidates are the rows T_p of a's inverse for p in
-    a minus S, and their sum: each is >= 0 on cone(a) and 0 on S.  If one is
-    < 0 on every marker of b minus S, a point x of both cones has u.x >= 0
-    from a and u.x = sum_j b_j (u.w_j) <= 0 from b, so its coordinates in b
-    off S vanish and x lies in cone(S)."""
-    normals = [row for p, row in zip(a, _cone_inverse(fan, a).rows) if p not in shared]
-    normals.append([sum(col) for col in zip(*normals)])
-    beyond = [fan.rays[j] for j in b if j not in shared]
-    return any(all(_dot(u, w) < 0 for w in beyond) for u in normals)
+def _meets_in_face(fan: StackyFan, a: ConeRef, b: ConeRef, shared: set[int]) -> bool:
+    """True iff the simplicial cones a and b meet in the cone on their shared
+    markers S.  By Farkas' lemma that holds iff some u is 0 on S, > 0 on a's
+    generators off S and <= 0 on b's (Schrijver, Theory of Linear and
+    Integer Programming, ch. 7): then a common point has u.x >= 0 from a and
+    u.x <= 0 from b, so its coordinates in a off S vanish.  Every u is
+    sum_p c_p T_p + sum_q s_q span_q over a's ConeInverse, with u.v_p =
+    den * c_p, so the system reads c_p >= 1 for p in a off S and u.w <= 0
+    for w in b off S.  The condition is that no common point has a positive
+    coordinate off S in a, which b's independent generators make symmetric,
+    so one order of the pair decides it."""
+    inv = _cone_inverse(fan, a)
+    normals = [row for p, row in zip(a, inv.rows) if p not in shared]
+    off, normals = len(normals), normals + list(inv.span)
+    ineqs = [[-int(r == c) for c in range(len(normals))] + [-1] for r in range(off)]
+    ineqs += [[_dot(u, fan.rays[j]) for u in normals] + [0] for j in b if j not in shared]
+    return feasible(ineqs)
 
 
 def validate(fan: StackyFan) -> ValidationReport:
@@ -375,14 +342,8 @@ def validate(fan: StackyFan) -> ValidationReport:
     integral degree functional taking value 1 on every marker, markers that
     generate Z^d, full-dimensional cones, and support covering the cone over
     the marker polytope (checked facet by facet: every marker on the inner
-    side of every boundary facet).
-
-    A pair of maximal cones is first offered to _separated, in both orders:
-    a facet normal of one cone that is >= 0 on it, 0 on the shared markers
-    and < 0 on the other cone's remaining markers proves the pair meets in
-    its common face.  Only a pair with no such certificate is compared
-    exactly, by the extreme rays _intersection_rays finds, so the report is
-    the one the exact comparison of every pair gives.
+    side of every boundary facet).  Each pair of maximal cones is decided
+    exactly by one feasibility test, _meets_in_face.
     """
     if fan._table.report is None:
         fan._table.report = _validate(fan)
@@ -422,11 +383,7 @@ def _validate(fan: StackyFan) -> ValidationReport:
         violations.append("duplicate maximal cones")
     if not violations:
         for c1, c2 in itertools.combinations(fan.max_cones, 2):
-            shared = set(c1) & set(c2)
-            if _separated(fan, c1, c2, shared) or _separated(fan, c2, c1, shared):
-                continue
-            expected = {primitive_direction(fan.rays[j]) for j in shared}
-            if _intersection_rays(fan, c1, c2) != expected:
+            if not _meets_in_face(fan, c1, c2, set(c1) & set(c2)):
                 violations.append(
                     f"cones {tuple(i + 1 for i in c1)} and {tuple(i + 1 for i in c2)} "
                     "do not intersect in a common face"

@@ -3,14 +3,15 @@
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Exact input (integer, rational and
 Gaussian-rational vectors) is read and checked by one reader, `read_exact`.
-Integer lattice work (the Hermite normal form, integer solving) and
-every cone solve, through one fraction-free elimination, use
-arbitrary-precision ints.  The only floating-point routine is
+Integer lattice work (the Hermite normal form, integer solving), every
+cone solve, through one fraction-free elimination, and the feasibility
+test use arbitrary-precision ints.  The only floating-point routine is
 `singular_values`, a one-sided Jacobi SVD in pure Python.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re as _re
@@ -220,27 +221,6 @@ def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Integer vectors t with rows * t = 0, one per non-pivot column.
-
-    For the free column f the vector has t[f] = p, the last pivot, and
-    t[c_i] = -row_i[f] in the i-th pivot column after elimination, 0
-    elsewhere.  The vectors are a basis of the kernel over Q, not a lattice
-    basis of its integer points (the rows of U where H is zero in the row
-    HNF give one), and need not be primitive.  A corank-one matrix gives exactly one vector.
-    """
-    m = [[int(x) for x in row] for row in rows]
-    pivots, last = _bareiss(m, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        t = [0] * ncols
-        t[free] = last
-        for row, c in zip(m, pivots):
-            t[c] = -row[free]
-        basis.append(tuple(t))
-    return basis
-
-
 def scaled_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(den, the integers den * x) for the least common denominator den of the rationals."""
     den = math.lcm(*(x.denominator for x in values))
@@ -290,6 +270,36 @@ def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
         span=tuple(tuple(row[m:]) for row in a[m:]),
         den=sign * last,
     )
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin feasibility
+
+
+def feasible(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff some rational x has row[:-1] . x <= row[-1] for every integer row.
+
+    Fourier-Motzkin elimination: each variable in turn is cancelled between
+    every row where it is positive and every row where it is negative, each
+    result divided by its content; the system is feasible iff every row left
+    reads 0 <= r (Schrijver, Theory of Linear and Integer Programming,
+    12.2).  Each row keeps the bitmask of the input rows it combines, and
+    after t eliminations a row of more than t + 1 of them is implied by the
+    others and dropped (Chernikov's rule).  Equal rows are not merged, as
+    keeping the larger of two input sets could drop a row the rule needs.
+    """
+    system = [(tuple(row), 1 << i) for i, row in enumerate(rows)]
+    for t in range(len(rows[0]) - 1 if rows else 0):
+        pos = [(row, m) for row, m in system if row[t] > 0]
+        neg = [(row, m) for row, m in system if row[t] < 0]
+        system = [(row, m) for row, m in system if not row[t]]
+        for (p, pm), (q, qm) in itertools.product(pos, neg):
+            if bin(pm | qm).count("1") > t + 2:
+                continue
+            row = [p[t] * y - q[t] * x for x, y in zip(p, q)]
+            g = math.gcd(*row) or 1
+            system.append((tuple(x // g for x in row), pm | qm))
+    return all(row[-1] >= 0 for row, _ in system)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ at beta_delta, the collision classes grouped and sorted by the Fraction
 pairs of alpha_key, the Fraction-keyed route from there to the spectrum
 (the quotient's maps keyed by alpha_key, the stabilizing delta from the
 Fraction wall, the images' floors taken on Fractions, each multiplicity
-looked up by alpha_key), the fan report with every pair of maximal
-cones compared exactly, the graded pieces found by scanning a bounding
-box, and the Gamma-series terms the support rule keeps, read on exact
-exponents.  Only tests read them."""
+looked up by alpha_key), the Fraction Gauss-Jordan, the extreme rays of
+two cones' intersection found with it and the fan report with every pair
+of maximal cones decided by them, Fourier-Motzkin elimination without
+Chernikov's rule, the graded pieces found by scanning a bounding box, and
+the Gamma-series terms the support rule keeps, read on exact exponents.
+Only tests read them."""
 
 import dataclasses
 import itertools
@@ -33,7 +35,14 @@ from boxgamma.box import (
     normalize_beta,
 )
 from boxgamma.errors import DependentGenerators, DomainError
-from boxgamma.fan import StackyFan, ValidationReport, _cone_inverse, _tangent_test, minimal_cone
+from boxgamma.fan import (
+    StackyFan,
+    ValidationReport,
+    _cone_inverse,
+    _tangent_test,
+    minimal_cone,
+    primitive_direction,
+)
 from boxgamma.linalg import (
     ConeInverse,
     Coord,
@@ -138,12 +147,127 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     return cone_coords(cone_inverse(gens), p)
 
 
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form by Fraction Gauss-Jordan on the whole matrix."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    out = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        out.append(c)
+        r += 1
+    return [(c, m[i]) for i, c in enumerate(out)]
+
+
+def _kernel(rows, ncols):
+    ech = fraction_rref(rows, ncols)
+    pivots = [c for c, _ in ech]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, row in ech:
+            vec[c] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def fraction_coords(gens, p):
+    """Coordinates of p in the independent generators, p in their span."""
+    d = len(p)
+    rows = [[Fraction(g[r]) for g in gens] + [Fraction(p[r])] for r in range(d)]
+    ech = fraction_rref(rows, len(gens))
+    assert len(ech) == len(gens)
+    return [row[-1] for _, row in ech]
+
+
+def fraction_intersection_rays(fan: StackyFan, c1, c2) -> set:
+    """Primitive directions of the extreme rays of cone(c1) ∩ cone(c2), for
+    cones of independent generators, all on Fractions: a basis of the
+    intersection's span from the kernel of [V1 | -V2], each cone's
+    coordinates of it as inequalities on t, and an extreme ray for each
+    subset of m - 1 of them with a one-dimensional kernel whose vector, in
+    one sign, satisfies all of them."""
+    g1, g2 = fan.gens(c1), fan.gens(c2)
+    d = fan.rank
+    rows = [[Fraction(g[r]) for g in g1] + [Fraction(-g[r]) for g in g2] for r in range(d)]
+    cand = [
+        tuple(sum((vec[j] * g1[j][r] for j in range(len(g1))), start=Fraction(0)) for r in range(d))
+        for vec in _kernel(rows, len(g1) + len(g2))
+    ]
+    basis = []
+    for v in cand:
+        if len(fraction_rref(basis + [v], d)) > len(basis):
+            basis.append(v)
+    m = len(basis)
+    if m == 0:
+        return set()
+    p_rows = []
+    for gens in (g1, g2):
+        cols = [fraction_coords(gens, b) for b in basis]
+        p_rows.extend([cols[c][i] for c in range(m)] for i in range(len(gens)))
+
+    def admit(t):
+        return all(sum((r[j] * t[j] for j in range(m)), start=Fraction(0)) >= 0 for r in p_rows)
+
+    def point(t):
+        return tuple(sum((basis[j][r] * t[j] for j in range(m)), start=Fraction(0)) for r in range(d))
+
+    out = set()
+    if m == 1:
+        for t in ((Fraction(1),), (Fraction(-1),)):
+            if admit(t) and any(point(t)):
+                out.add(primitive_direction(point(t)))
+        return out
+    for subset in itertools.combinations(p_rows, m - 1):
+        ker = _kernel(list(subset), m)
+        if len(ker) != 1:
+            continue
+        for t in (ker[0], tuple(-x for x in ker[0])):
+            if admit(t):
+                if any(point(t)):
+                    out.add(primitive_direction(point(t)))
+                break
+    return out
+
+
+def meets_in_face(fan: StackyFan, c1, c2, shared) -> bool:
+    """True iff the extreme rays of cone(c1) ∩ cone(c2), found on Fractions,
+    are the primitive directions of the shared markers."""
+    return fraction_intersection_rays(fan, c1, c2) == {primitive_direction(fan.rays[j]) for j in shared}
+
+
 def all_pairs_report(fan: StackyFan) -> ValidationReport:
-    """validate's report on a fresh copy of the fan with the separation
-    certificate switched off, so every pair of maximal cones goes through
-    the exact comparison by _intersection_rays."""
-    with mock.patch.object(fan_module, "_separated", lambda *args: False):
+    """validate's report on a fresh copy of the fan with every pair of
+    maximal cones decided by meets_in_face, the Fraction oracle, in place
+    of the library's feasibility test."""
+    with mock.patch.object(fan_module, "_meets_in_face", meets_in_face):
         return fan_module.validate(dataclasses.replace(fan))
+
+
+def fm_feasible(rows) -> bool:
+    """linalg.feasible's Fourier-Motzkin elimination without Chernikov's
+    rule: every pair of opposite rows is combined, equal rows (after dividing
+    out their content) are merged and rows reading 0 <= r >= 0 dropped."""
+    system = {tuple(row) for row in rows}
+    for t in range(len(rows[0]) - 1 if rows else 0):
+        pos = [row for row in system if row[t] > 0]
+        neg = [row for row in system if row[t] < 0]
+        system = {row for row in system if not row[t]}
+        for p, q in itertools.product(pos, neg):
+            row = [p[t] * y - q[t] * x for x, y in zip(p, q)]
+            g = math.gcd(*row) or 1
+            system.add(tuple(x // g for x in row))
+        system = {row for row in system if any(row[:-1]) or row[-1] < 0}
+    return all(row[-1] >= 0 for row in system)
 
 
 def is_complete(fan) -> bool:

@@ -382,6 +382,42 @@ def test_non_finite_x_exit_2(seed_dir, tmp_path, command, x, message):
     "x,message",
     [
         (
+            '{"x": [["a", 0.0], [10.0, 0.0], [1.0, 0.0]]}',
+            "series: coordinate 1 of x is 'a', not a real number",
+        ),
+        (
+            f'{{"x": {X_F1}, "arg_offsets": ["a", 0, 0]}}',
+            "series: coordinate 1 of arg_offsets is 'a', not a real number",
+        ),
+        (
+            f'{{"x": {X_F1}, "arg_offsets": ["1", 0, 0]}}',
+            "series: coordinate 1 of arg_offsets is '1', not a real number",
+        ),
+    ],
+    ids=["x", "arg_offsets", "string_offset"],
+)
+def test_entry_that_is_no_real_number_exit_2(seed_dir, tmp_path, x, message):
+    """An entry of x or arg_offsets that is no real number, a numeric
+    string included, is named with its field as the library names it."""
+    (tmp_path / "x.json").write_text(x)
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(seed_dir / "beta_f1.json"),
+            "--x", str(tmp_path / "x.json"),
+            "--bound", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        (
             "[[1.0, 0.0], [1.0], [1.0, 0.0]]",
             "coordinate 2 of x is [1.0], not an [re, im] pair",
         ),

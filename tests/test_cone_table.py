@@ -221,9 +221,9 @@ def mixed_triangulations(draw):
 @settings(deadline=None)
 @given(fan=st.one_of(small_fans(), regular_subfans(), mixed_triangulations()))
 def test_validate_matches_the_all_pairs_path(fan):
-    """The separation certificate decides each pair as the exact comparison
-    does: the report on a fresh fan equals the all-pairs report field for
-    field, violation text and order included."""
+    """The feasibility test decides each pair as the Fraction extreme rays
+    of its intersection do: the report on a fresh fan equals the all-pairs
+    report field for field, violation text and order included."""
     assert validate(dataclasses.replace(fan)) == all_pairs_report(fan)
 
 

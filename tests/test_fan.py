@@ -59,42 +59,20 @@ def test_validate_rejects_overlapping_cones():
     bad = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 2), (0, 1)))
     rep = validate(bad)
     assert not rep.valid
-    assert any("common face" in v for v in rep.violations)
-
-
-def counted_exact_path(monkeypatch) -> list:
-    """The (c1, c2) pairs validate hands to _intersection_rays, in order."""
-    calls = []
-    exact = fan_module._intersection_rays
-
-    def counting(fan, c1, c2):
-        calls.append((c1, c2))
-        return exact(fan, c1, c2)
-
-    monkeypatch.setattr(fan_module, "_intersection_rays", counting)
-    return calls
+    assert rep.violations == ("cones (1, 3) and (1, 2) do not intersect in a common face",)
 
 
 @pytest.mark.parametrize(
     "fan", [F1, F2, SQUARE, HEX5, SIMPLEX3X2], ids=["F1", "F2", "SQUARE", "HEX5", "simplex3x2"]
 )
-def test_validate_certifies_every_pair_of_a_fan(fan, monkeypatch):
-    """A facet normal separates each pair of these fans' maximal cones, so
-    validating a fresh copy makes no exact intersection scan."""
-    calls = counted_exact_path(monkeypatch)
-    rep = validate(dataclasses.replace(fan))
-    assert rep.valid
-    assert calls == []
-
-
-def test_overlapping_cones_reach_the_exact_path(monkeypatch):
-    """No facet normal separates cone(v1, v3) from cone(v1, v2), which it
-    contains: the pair is compared exactly and reported as before."""
-    calls = counted_exact_path(monkeypatch)
-    bad = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 2), (0, 1)))
-    rep = validate(bad)
-    assert calls == [((0, 2), (0, 1))]
-    assert rep.violations == ("cones (1, 3) and (1, 2) do not intersect in a common face",)
+def test_validate_certifies_every_pair_of_a_fan(fan):
+    """Each pair of these fans' maximal cones meets in its common face, by
+    the feasibility test in either order, and a fresh copy validates."""
+    for c1, c2 in itertools.combinations(fan.max_cones, 2):
+        shared = set(c1) & set(c2)
+        assert fan_module._meets_in_face(fan, c1, c2, shared)
+        assert fan_module._meets_in_face(fan, c2, c1, shared)
+    assert validate(dataclasses.replace(fan)).valid
 
 
 def test_validate_rejects_degenerate_cone():

@@ -1,34 +1,40 @@
 """The fraction-free integer kernels against Fraction oracles: cone_inverse
 of square generators (the sign-normalised adjugate) and the square
 cone-coordinate solve against mat_inverse, the solve with
-fewer generators than the rank, the quotient's integer RREF and the integer
-kernel against a Fraction Gauss-Jordan, and the cone intersection, for cones
-of any dimension, against the Fraction route it replaced.  Also counts the
-box-set builds of stabilize and build_gkz and the collision builds of the
-kring command."""
+fewer generators than the rank and the quotient's integer RREF against a
+Fraction Gauss-Jordan, Fourier-Motzkin feasibility against the same
+elimination without Chernikov's rule, and validate's pair test, for cones
+of any dimension, against the Fraction extreme rays of their intersection.
+Also counts the box-set builds of stabilize and build_gkz and the collision
+builds of the kring command."""
 
 import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import boxgamma.box as box
 from boxgamma.box import normalize_beta, stabilize
 from boxgamma.cli import main
 from boxgamma.errors import DependentGenerators
-from boxgamma.fan import (
-    StackyFan,
-    _intersection_rays,
-    primitive_direction,
-    triangulate_from_heights,
-)
+from boxgamma.fan import StackyFan, _meets_in_face, triangulate_from_heights
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import GaussianRational, cone_inverse, integer_kernel, integer_parts
+from boxgamma.linalg import GaussianRational, cone_inverse, feasible, integer_parts
 from boxgamma.quotient import _rref
-from exact_oracles import NotInSpan, det_rational, mat_inverse, solve_simplicial_coords
+from exact_oracles import (
+    NotInSpan,
+    det_rational,
+    fm_feasible,
+    fraction_coords,
+    fraction_intersection_rays,
+    fraction_rref,
+    mat_inverse,
+    meets_in_face,
+    solve_simplicial_coords,
+)
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -109,26 +115,6 @@ def test_square_solve_matches_mat_inverse(rows, data, gaussian):
         assert list(got) == want_re
 
 
-def fraction_rref(rows, ncols):
-    """Reduced row echelon form by Fraction Gauss-Jordan on the whole matrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    out = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        out.append(c)
-        r += 1
-    return [(c, m[i]) for i, c in enumerate(out)]
-
-
 @st.composite
 def integer_rows(draw):
     """Small-integer rows with zero rows and combinations of earlier rows mixed in."""
@@ -180,45 +166,6 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert [
         (pc, [Fraction(got[pc].get(c, 0), got[pc][pc]) for c in range(ncols)]) for pc in sorted(got)
     ] == want
-
-
-def _kernel(rows, ncols):
-    ech = fraction_rref(rows, ncols)
-    pivots = [c for c, _ in ech]
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, row in ech:
-            vec[c] = -row[f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def fraction_coords(gens, p):
-    """Coordinates of p in the independent generators, p in their span."""
-    d = len(p)
-    rows = [[Fraction(g[r]) for g in gens] + [Fraction(p[r])] for r in range(d)]
-    ech = fraction_rref(rows, len(gens))
-    assert len(ech) == len(gens)
-    return [row[-1] for _, row in ech]
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=integer_rows())
-def test_integer_kernel_matches_fraction_kernel(case):
-    """One integer vector per free column, a nonzero multiple (the last pivot,
-    which may be negative) of the Fraction kernel vector with a 1 there."""
-    rows, ncols = case
-    got = integer_kernel(rows, ncols)
-    want = _kernel(rows, ncols)
-    pivots = [c for c, _ in fraction_rref(rows, ncols)]
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    assert len(got) == len(want) == len(free_cols)
-    for t, vec, free in zip(got, want, free_cols):
-        assert t[free] != 0
-        assert [Fraction(x, t[free]) for x in t] == list(vec)
-        assert all(type(x) is int for x in t)
 
 
 @st.composite
@@ -274,60 +221,75 @@ def test_narrow_solve_matches_fraction_elimination(case):
         assert list(got) == fraction_coords(gens, re)
 
 
-# --- the Fraction route of _intersection_rays, with the cone coordinates
-# solved by Fraction elimination as well
+# --- Fourier-Motzkin feasibility and the pair test of validate
 
 
-def fraction_intersection_rays(fan, c1, c2):
-    g1, g2 = fan.gens(c1), fan.gens(c2)
-    d = fan.rank
-    rows = [[Fraction(g[r]) for g in g1] + [Fraction(-g[r]) for g in g2] for r in range(d)]
-    cand = [
-        tuple(sum((vec[j] * g1[j][r] for j in range(len(g1))), start=Fraction(0)) for r in range(d))
-        for vec in _kernel(rows, len(g1) + len(g2))
-    ]
-    basis = []
-    for v in cand:
-        if len(fraction_rref(basis + [v], d)) > len(basis):
-            basis.append(v)
-    m = len(basis)
-    if m == 0:
-        return set()
-    p_rows = []
-    for gens in (g1, g2):
-        cols = [fraction_coords(gens, b) for b in basis]
-        p_rows.extend([cols[c][i] for c in range(m)] for i in range(len(gens)))
-
-    def admit(t):
-        return all(sum((r[j] * t[j] for j in range(m)), start=Fraction(0)) >= 0 for r in p_rows)
-
-    def point(t):
-        return tuple(sum((basis[j][r] * t[j] for j in range(m)), start=Fraction(0)) for r in range(d))
-
-    out = set()
-    if m == 1:
-        for t in ((Fraction(1),), (Fraction(-1),)):
-            if admit(t) and any(point(t)):
-                out.add(primitive_direction(point(t)))
-        return out
-    for subset in itertools.combinations(p_rows, m - 1):
-        ker = _kernel(list(subset), m)
-        if len(ker) != 1:
+@st.composite
+def inequality_systems(draw):
+    """Rows (a, r) of a . x <= r over 1..4 variables, up to 8 of them, with
+    zero rows and repeats mixed in; each variable is sometimes bounded
+    (-x_i <= 0 or -x_i <= -1 among the rows), sometimes left free.  A third
+    of the systems are built feasible, r = a . x0 plus a slack >= 0 for a
+    drawn point x0, and a third infeasible: a last row -sum l_i a_i <=
+    -sum l_i r_i - s with l >= 0 and s >= 1 sums with the others to 0 <= -s
+    (Farkas' lemma).  Returns the rows and which of the two they were built
+    to be, or None."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([None, True, False]))
+    x0 = [draw(st.integers(-2, 2)) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(int(kind is False), 8 - int(kind is False)))):
+        shape = draw(st.integers(0, 5))
+        if shape == 0 and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
             continue
-        for t in (ker[0], tuple(-x for x in ker[0])):
-            if admit(t):
-                if any(point(t)):
-                    out.add(primitive_direction(point(t)))
-                break
-    return out
+        if shape == 1:
+            a = [0] * n
+        elif shape == 2:
+            a = [-int(c == draw(st.integers(0, n - 1))) for c in range(n)]
+        else:
+            a = [draw(small_int) for _ in range(n)]
+        if kind is None:
+            r = draw(small_int)
+        else:
+            r = sum(u * v for u, v in zip(a, x0)) + draw(st.integers(0, 2))
+        rows.append(a + [r])
+    if kind is False:
+        lam = [draw(st.integers(0, 2)) for _ in rows]
+        last = [-sum(l * row[c] for l, row in zip(lam, rows)) for c in range(n + 1)]
+        last[-1] -= draw(st.integers(1, 2))
+        rows.append(last)
+    return rows, kind
+
+
+# infeasible, with a repeated row: an elimination that merges equal rows and
+# keeps the larger input set drops a row Chernikov's rule needs, and reads
+# this system as feasible
+MERGE_PITFALL = [
+    [0, 1, -1, -1], [1, -1, 1, 1], [-1, 1, 0, -1], [-1, 0, 1, 0], [1, 1, 0, 0], [0, -1, -1, 0], [0, -1, -1, 0]
+]
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(case=inequality_systems())
+@example(case=(MERGE_PITFALL, False))
+def test_feasible_matches_plain_elimination(case):
+    """Chernikov's rule drops only rows the others imply, so the answer is
+    that of the elimination that combines every pair, and that of the
+    system's construction when it has one."""
+    rows, kind = case
+    got = feasible(rows)
+    assert got == fm_feasible(rows)
+    assert kind is None or got == kind
 
 
 @st.composite
 def cone_pairs(draw):
-    """Two simplicial cones in rank 2..4 sharing 0..d-1 rays; mostly
+    """Two simplicial cones in rank 2..5 sharing 0..d-1 rays; mostly
     full-dimensional, sometimes either or both of lower dimension.  Nothing
     forces the pair to meet in a common face."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
     vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
     rays = draw(st.lists(vec.map(tuple), min_size=d + 1, max_size=2 * d, unique=True))
     k = len(rays)
@@ -344,19 +306,29 @@ def independent(fan, cone):
     return len(fraction_rref(rows, len(gens))) == len(gens)
 
 
-@settings(max_examples=100, deadline=None)
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
 @given(case=cone_pairs())
 def test_intersection_rays_match_fraction_route(case):
+    """_meets_in_face, in either order of the pair, says whether the Fraction
+    extreme rays of the intersection are the shared markers' directions."""
     fan, c1, c2 = case
     assume(independent(fan, c1) and independent(fan, c2))
-    assert _intersection_rays(fan, c1, c2) == fraction_intersection_rays(fan, c1, c2)
+    shared = set(c1) & set(c2)
+    want = meets_in_face(fan, c1, c2, shared)
+    assert _meets_in_face(fan, c1, c2, shared) == want
+    assert _meets_in_face(fan, c2, c1, shared) == want
 
 
 def test_overlapping_cones_report_their_true_intersection():
-    """Two full-dimensional cones overlapping in a cone that is a face of neither."""
+    """Two full-dimensional cones overlapping in a cone that is a face of
+    neither, and two sharing a ray that meet only there."""
     fan = StackyFan(rank=2, rays=((1, 0), (1, 2), (1, 1), (0, 1)), max_cones=((0, 1), (2, 3)))
-    assert _intersection_rays(fan, (0, 1), (2, 3)) == {(1, 1), (1, 2)}
     assert fraction_intersection_rays(fan, (0, 1), (2, 3)) == {(1, 1), (1, 2)}
+    assert not _meets_in_face(fan, (0, 1), (2, 3), set())
+    assert not _meets_in_face(fan, (2, 3), (0, 1), set())
+    assert _meets_in_face(fan, (0, 2), (2, 3), {2})
+    assert fraction_intersection_rays(fan, (0, 2), (2, 3)) == {(1, 1)}
 
 
 # --- how often the box set is built
