@@ -10,7 +10,7 @@ branches.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -74,12 +74,15 @@ class DeltaCorrespondence:
     """Pairing of the box sets at beta and at beta_delta = Re(beta) + delta*Im(beta).
 
     Each triple is (element at beta, its image at beta_delta, point sum((alpha_delta)_i v_i)).
+    positions holds each triple's target position among the collision classes at beta_delta,
+    the quotient's summands; it follows from the rest, so equality and repr ignore it.
     """
 
     delta: Fraction
     beta: tuple[Coord, ...]
     beta_delta: tuple[Fraction, ...]
     triples: tuple[tuple[BoxElement, BoxElement, tuple[Fraction, ...]], ...]
+    positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def alpha_key(alpha: Sequence[Coord]) -> tuple:
@@ -205,8 +208,9 @@ def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
 
 
 def _correspondence(fan: StackyFan, b, param, delta):
-    """correspondence_at for a normalized beta b with integer parts param; also beta_delta's
-    integer parts, its (den, keys, classes) and each triple's target position among them.
+    """correspondence_at for a normalized beta b with integer parts param, with each triple's
+    target position among the classes at beta_delta; also beta_delta's integer parts and its
+    (den, keys, classes).
 
     alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
     delta = p / q and the class key's (R, M) over den, and n to n - sum(floor(x_i) v_i), keeping
@@ -260,8 +264,7 @@ def _correspondence(fan: StackyFan, b, param, delta):
         raise RuntimeError("internal: stabilized elements do not biject")
     entry = (xd, tuple(images[j] for j in order), tuple(classes[j] for j in order))
     positions = tuple(sorted(range(len(order)), key=order.__getitem__))  # order's inverse
-    corr = DeltaCorrespondence(delta, b, beta_delta, tuple(triples))
-    return corr, bd, entry, positions
+    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples), positions), bd, entry
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
@@ -282,19 +285,19 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     _correspondence writes there go into the fan's memo under beta_delta,
     which the quotient at beta_delta then reads.  r and m are read as the
     classes' integer keys over one denominator.  Built once per parameter
-    (the fan's memo).
+    (the fan's memo), with positions: each target's place among the classes
+    at beta_delta, the quotient's summands, as kring and the series read it.
     """
     b = normalize_beta(fan, beta)
-    return _stabilized(fan, b, integer_parts(b))[0]
+    return _stabilized(fan, b, integer_parts(b))
 
 
-def _stabilized(fan: StackyFan, b, param) -> tuple[DeltaCorrespondence, tuple[int, ...]]:
-    """stabilize at b, with integer parts param, from the fan's parameter
-    memo, and each triple's target position among the classes at beta_delta."""
+def _stabilized(fan: StackyFan, b, param) -> DeltaCorrespondence:
+    """stabilize at b, with integer parts param, from the fan's parameter memo."""
     return _memo(fan._table.params, param, "stabilize", _stabilize, fan, b, param)
 
 
-def _stabilize(fan: StackyFan, b, param) -> tuple[DeltaCorrespondence, tuple[int, ...]]:
+def _stabilize(fan: StackyFan, b, param) -> DeltaCorrespondence:
     den, keys, _ = _classes(fan, param)
     wn = wd = 1  # the least bound wn / wd
     for key in keys:
@@ -306,7 +309,7 @@ def _stabilize(fan: StackyFan, b, param) -> tuple[DeltaCorrespondence, tuple[int
     j = 4  # halve delta = 2^-j while delta >= wn / wd
     while wd >= wn << j:
         j += 1
-    corr, bd, entry, positions = _correspondence(fan, b, param, Fraction(1, 1 << j))
+    corr, bd, entry = _correspondence(fan, b, param, Fraction(1, 1 << j))
     if bd != param:
         _memo(fan._table.params, bd, "collisions", lambda: entry)
-    return corr, positions
+    return corr

@@ -50,7 +50,11 @@ class NoConvergence(DomainError):
 
 
 class SeriesOverflow(DomainError):
-    """A series term's power x^l exceeds the float range."""
+    """A series term's power x^l or reciprocal-Gamma jet exceeds the float range."""
+
+
+class PhaseOverflow(DomainError):
+    """A spectrum point's coordinate exp(2 pi i alpha) exceeds the float range."""
 
 
 class ZeroCoordinate(DomainError):

@@ -34,6 +34,7 @@ from .linalg import (
     hermite_normal_form,
     parse_rational,
     read_exact,
+    read_int,
     scaled_numerators,
     solve_with_hnf,
 )
@@ -121,16 +122,13 @@ class StackyFan:
     _table: _ConeTable = field(default_factory=_ConeTable, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rank = _integral(self.rank)
-        if rank is None:
-            raise ValueError(f"fan: rank is {self.rank!r}, not an integer")
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", read_int(self.rank, "fan", "rank"))
         rays = tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in enumerate(self.rays, 1))
         object.__setattr__(self, "rays", rays)
         cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(self.max_cones, 1))
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
         if self.deg is not None:
-            object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg"))
+            object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg", self.rank))
 
     @property
     def k(self) -> int:
@@ -258,17 +256,18 @@ def _xi_numerators(fan: StackyFan, xi: Sequence) -> list[int]:
     return xnums
 
 
-def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
+def _tangent_test(fan: StackyFan, xi: Sequence, cones=None) -> frozenset[int]:
     """The shadow filter as the set of faces (bitmasks, see _faces) it
-    passes, xi solved once per maximal cone: for p in the relative interior
-    of a face, p + eps*xi stays in the support iff some maximal cone sigma
-    holding the face has xi in its span and xi's coordinates >= 0 on sigma
-    minus the face, that is, the face holds sigma's generators where xi's
-    are negative.  In a fan the cones holding p are those holding its
-    minimal face (Fulton, Introduction to Toric Varieties, 1.2)."""
+    passes, xi solved once per maximal cone given (all by default): for p
+    in the relative interior of a face, p + eps*xi stays in the support
+    iff some maximal cone sigma holding the face has xi in its span and
+    xi's coordinates >= 0 on sigma minus the face, that is, the face holds
+    sigma's generators where xi's are negative.  In a fan the cones holding
+    p are those holding its minimal face (Fulton, Introduction to Toric
+    Varieties, 1.2)."""
     xnums = _xi_numerators(fan, xi)
     passing = set()
-    for cone in fan.max_cones:
+    for cone in fan.max_cones if cones is None else cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
         if xc is not None:
             neg = _mask(i for i, c in zip(cone, xc) if c < 0)
@@ -280,19 +279,15 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
 
 def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
     """True iff p + eps*xi stays in the support of the fan for small eps > 0:
-    _tangent_test's rule for p's minimal cone, xi solved only in the maximal
-    cones holding it.  Raises InvalidFan for a fan validate rejects and
-    PointOutsideSupport when p is in no cone.
+    whether _tangent_test, asked only about the maximal cones holding p's
+    minimal cone, passes that cone.  Raises InvalidFan for a fan validate
+    rejects and PointOutsideSupport when p is in no cone.
     """
-    xnums = _xi_numerators(fan, xi)
+    _xi_numerators(fan, xi)
     face = minimal_cone(fan, p)
     if face is None:
         raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
-    for cone in _witnesses(fan, face):
-        xc = _cone_inverse(fan, cone).numerators(xnums)
-        if xc is not None and all(c >= 0 or i in face for i, c in zip(cone, xc)):
-            return True
-    return False
+    return _mask(face) in _tangent_test(fan, xi, _witnesses(fan, face))
 
 
 def normalized_volume(fan: StackyFan) -> int:

@@ -38,6 +38,7 @@ from .linalg import (
     parse_rational,
     re_part,
     read_exact,
+    read_int,
     scalar_from_parts,
     singular_values,
     solve_with_hnf,
@@ -175,17 +176,19 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     linear factors are multiplied back in.  A pole of Gamma at l + 1 makes
     one factor exactly zero, so the constant term comes out as an exact 0.0.
     Coefficient n is formed alike at every order above n.  ValueError names
-    an order that is not a positive integer and an l that is not finite.
+    an order that is not a positive integer and an l that is not finite;
+    SeriesOverflow names an l where 1/Gamma leaves the float range.
     """
-    n = _integral(order)
-    if n is None or n < 1:
-        raise ValueError(f"series: the jet order is {order!r}, not a positive integer")
-    z, order = complex(l) + 1, n
+    order = read_int(order, "series", "the jet order", 1)
+    z = complex(l) + 1
     if not cmath.isfinite(z):
         raise ValueError(f"series: the jet argument l is {l!r}, not a finite number")
     m0 = max(0, math.ceil(1.5 - complex(l).real))
     lg = log_gamma_jet(z + m0, order)
-    jet = exp_jet(tuple(-c for c in lg), order)
+    try:
+        jet = exp_jet(tuple(-c for c in lg), order)
+    except OverflowError:
+        raise SeriesOverflow(f"series: 1/Gamma(l + 1) overflows at l={l!r}") from None
     for j in range(m0):
         jet = linear_mul(jet, z + j, order)
     return jet
@@ -199,8 +202,6 @@ class GkzInstance:
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
-    # each triple's target position among the quotient's summands (box._stabilized)
-    _positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # caches, so neither compared, hashed, shown nor copied by replace(): the
     # memos (fan._memo) of the last point's series evaluator (see _evaluator)
     # and of the last bound's window offsets and norms by target (see _window)
@@ -280,9 +281,9 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         notes = "; ".join(report.violations + report.gkz_notes)
         raise InvalidFan(f"no extended hypergeometric system on this fan: {notes}")
     b = normalize_beta(fan, beta)
-    corr, positions = _stabilized(fan, b, integer_parts(b))
+    corr = _stabilized(fan, b, integer_parts(b))
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
-    return GkzInstance(fan, b, corr, quotient, _positions=positions)
+    return GkzInstance(fan, b, corr, quotient)
 
 
 def _window_plan(relations: IntRows, k: int) -> tuple:
@@ -371,7 +372,9 @@ def _window_offsets(part, plan, B: int) -> tuple[IntRows, tuple[int, ...]]:
 def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int):
     """(offsets, norms): the offsets l - alpha of the window of l1 size <= B
     at index v, in lexicographic order, and each offset's l1 norm beside it,
-    as the scan computed it.  B is an int, as _window_bound returns it.
+    as the scan computed it.  B is the int linalg.read_int reads at every
+    entry point before B reaches a memo key or a SeriesValue, so B = 4.0 and
+    B = 4 share one window in either order.
 
     The offsets depend on v and alpha only through the target -v - n, so
     each (target, B) is scanned once per instance, whichever series, shift
@@ -406,17 +409,6 @@ def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, 
     )
 
 
-def _window_bound(B) -> int:
-    """The window bound B as an int; ValueError names a non-integral,
-    non-finite or negative B.  Every entry point calls it before B reaches a
-    memo key or a SeriesValue, so B = 4.0 and B = 4 give the same result in
-    either order."""
-    n = _integral(B)
-    if n is None or n < 0:
-        raise ValueError(f"window: the bound B is {B!r}, not a nonnegative integer")
-    return n
-
-
 def _check_ray(fan: StackyFan, j) -> int:
     """The ray index j as the int it equals, read as B is; ValueError names any other j."""
     rays = fan.fan_indices()
@@ -437,7 +429,7 @@ def enumerate_L(
     satisfy sum(l_i v_i) = beta - v, and ValueError is raised.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = _window_bound(B)
+    B = read_int(B, "window", "the bound B", 0)
     for src, _, _ in instance.correspondence.triples:
         if src == alpha:
             return _lvectors(src, v, _window(instance, src, v, B)[0])
@@ -476,12 +468,12 @@ class _SeriesEvaluator:
     and |J| >= order_t zeroes the term too, as each i in J has a jet with
     constant term 0.0.  vanishes decides both rules from integers, so such
     a term is never formed and reaches no SeriesOverflow.  Kept here: base
-    indices and orders by t (a missing base raises on every call);
-    coordinates and ray factors by (t, i, m_i); terms by (t, m);
-    reciprocal-Gamma jets by (l, order), each a reciprocal_gamma_jet
-    evaluation at its own l, a ray's at the top order, which each factor
-    truncates; and the memo (fan._memo) of the last bound B's gamma_series
-    values by v.
+    indices and orders by t (a missing base raises on every call); one
+    entry (l_i, factor) per coordinate (t, i, m_i); terms by (t, m);
+    reciprocal-Gamma jets by l, each one reciprocal_gamma_jet evaluation at
+    the top order, which a ray factor truncates and a non-ray marker reads
+    coefficient 0 of (the same float at every order); and the memo
+    (fan._memo) of the last bound B's gamma_series values by v.
 
     Every float is formed from the same operands in the same order as an
     uncached evaluation would form it: a cache returns a stored float, it
@@ -490,7 +482,7 @@ class _SeriesEvaluator:
     """
 
     def __init__(self, instance: GkzInstance, xs, offs):
-        q = instance.quotient
+        q, corr = instance.quotient, instance.correspondence
         self.xs = xs
         self.logs = logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
@@ -502,11 +494,11 @@ class _SeriesEvaluator:
         # a summand's basis runs from its base element, of degree 0, upward
         self.orders = tuple(
             1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
-            for p in instance._positions
+            for p in corr.positions
         )
         self.top = max(self.orders, default=1)
         self.xjets = {i: exp_jet((0j, logs[i]), self.top) for i in self.rays}
-        self.sources = tuple(src for src, _, _ in instance.correspondence.triples)
+        self.sources = tuple(src for src, _, _ in corr.triples)
         self.parts = tuple(
             tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
         )
@@ -514,10 +506,9 @@ class _SeriesEvaluator:
         self.supports = tuple(_mask(src.support) for src in self.sources)
         self.faces = _faces(instance.fan)
         self.bases = tuple(
-            (q.bases[pos], tgt)
-            for pos, (_, tgt, _) in zip(instance._positions, instance.correspondence.triples)
+            (q.bases[pos], tgt) for pos, (_, tgt, _) in zip(corr.positions, corr.triples)
         )
-        self.coords, self.factors, self.terms, self.jets, self.values = {}, {}, {}, {}, {}
+        self.entries, self.terms, self.jets, self.values = {}, {}, {}, {}
 
     def base(self, t: int) -> tuple[complex, ...]:
         """The base vector of triple t's target; NoBaseElement when the
@@ -542,38 +533,28 @@ class _SeriesEvaluator:
                 face |= 1 << i
         return face not in self.faces or (face & ~support).bit_count() >= self.orders[t]
 
-    def coord(self, t: int, i: int, mi: int) -> complex:
-        c = self.coords.get((t, i, mi))
-        if c is None:
+    def entry(self, t: int, i: int, mi: int):
+        """(l_i, factor) of triple t at m_i: the ray jet at l_i for a ray, the
+        scalar 1/Gamma(l_i + 1) otherwise."""
+        hit = self.entries.get((t, i, mi))
+        if hit is None:
             re, im = self.parts[t][i]
-            c = self.coords[t, i, mi] = complex(float(re + mi), im)
-        return c
-
-    def jet(self, l: complex, order: int) -> tuple[complex, ...]:
-        if (l, order) not in self.jets:
-            self.jets[l, order] = reciprocal_gamma_jet(l, order)
-        return self.jets[l, order]
-
-    def factor(self, t: int, i: int, mi: int):
-        """The ray jet at l_i for a ray, the scalar 1/Gamma(l_i + 1) otherwise."""
-        f = self.factors.get((t, i, mi))
-        if f is None:
-            li = self.coord(t, i, mi)
-            if i in self.rays:
-                f = poly_mul_trunc(self.xjets[i], self.jet(li, self.top), self.orders[t])
-            else:
-                f = self.jet(li, 1)[0]
-            self.factors[t, i, mi] = f
-        return f
+            li = complex(float(re + mi), im)
+            jet = self.jets.get(li)
+            if jet is None:
+                jet = self.jets[li] = reciprocal_gamma_jet(li, self.top)
+            f = poly_mul_trunc(self.xjets[i], jet, self.orders[t]) if i in self.rays else jet[0]
+            hit = self.entries[t, i, mi] = (li, f)
+        return hit
 
     def term(self, t: int, m: tuple[int, ...], evec):
         """(scalar, w): the prefactor x^l and the base vector evec of
         triple t transported by the ray jets."""
         hit = self.terms.get((t, m))
         if hit is None:
-            coords = [self.coord(t, i, mi) for i, mi in enumerate(m)]
+            entries = [self.entry(t, i, mi) for i, mi in enumerate(m)]
             try:
-                scalar = cmath.exp(sum(li * lg for li, lg in zip(coords, self.logs)))
+                scalar = cmath.exp(sum(li * lg for (li, _), lg in zip(entries, self.logs)))
             except OverflowError:
                 alpha = ", ".join(map(format_gaussian, self.sources[t].alpha))
                 raise SeriesOverflow(
@@ -581,11 +562,11 @@ class _SeriesEvaluator:
                     f"at offset m={m} and x=({', '.join(map(str, self.xs))})"
                 ) from None
             w = evec
-            for i, mi in enumerate(m):
+            for i, (_, f) in enumerate(entries):
                 if i in self.rays:
-                    w = _apply_jet(self.dmats[i], self.factor(t, i, mi), w)
+                    w = _apply_jet(self.dmats[i], f, w)
                 else:
-                    scalar *= self.factor(t, i, mi)
+                    scalar *= f
             hit = self.terms[t, m] = (scalar, w)
         return hit
 
@@ -645,7 +626,7 @@ def gamma_series(
     values of the last B (see _SeriesEvaluator).
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = _window_bound(B)
+    B = read_int(B, "window", "the bound B", 0)
     ev = _evaluator(instance, x, arg_offsets)
     return _memo(ev.values, B, v, _summed, instance, ev, v, B, kept=1)
 
@@ -668,7 +649,7 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
             if j is None:
                 term = [scalar * c for c in w]
             else:
-                lj, xj = ev.coord(t, j, m[j]), ev.xs[j]
+                lj, xj = ev.entry(t, j, m[j])[0], ev.xs[j]
                 # D_j is 0 on a summand of order 1, where each sum below is +0j
                 dw = [sum(map(operator.mul, r, w)) for r in ev.dmats[j]] if order > 1 else zero
                 term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
@@ -700,7 +681,7 @@ def gamma_series_derivative(
     where D_j w comes out as +0j for a finite w, +0j is added in its place.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = _window_bound(B)
+    B = read_int(B, "window", "the bound B", 0)
     j = _check_ray(instance.fan, j)
     return _summed(instance, _evaluator(instance, x, arg_offsets), v, B, j)
 
@@ -718,7 +699,7 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     LVectors when boundary is read (see TermShiftReport).
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = _window_bound(B)
+    B = read_int(B, "window", "the bound B", 0)
     j = _check_ray(instance.fan, j)
     v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     core, ok, runs = B - 1, True, []
@@ -773,11 +754,7 @@ def solution_system(
     a negative or non-integral v_degree_cap; a negative one would otherwise
     give an empty system that reads as a result.
     """
-    cap = _integral(v_degree_cap)
-    if cap is None or cap < 0:
-        raise ValueError(
-            f"solution_system: v_degree_cap is {v_degree_cap!r}, not a nonnegative integer"
-        )
+    cap = read_int(v_degree_cap, "solution_system", "v_degree_cap", 0)
     fan = instance.fan
     spec0 = ModuleSpec(fan, tuple(Fraction(0) for _ in range(fan.rank)))
     vs = tuple(p for m in range(cap + 1) for p in graded_piece(spec0, m).points)

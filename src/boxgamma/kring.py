@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .box import Branch, CollisionClass, _classes, _stabilized, collisions, normalize_beta
+from .errors import PhaseOverflow
 from .fan import StackyFan
-from .linalg import Coord, im_part, integer_parts, re_part
+from .linalg import Coord, format_gaussian, im_part, integer_parts, re_part
 from .quotient import ModuleSpec, build_quotient
 
 
@@ -45,11 +46,16 @@ class WallRecord:
 
 
 def unit_phase(a: Coord) -> complex:
-    """exp(2*pi*i*a), exactly 1.0 when a is exactly zero."""
+    """exp(2*pi*i*a), exactly 1.0 when a is exactly zero; PhaseOverflow names
+    an a with Im a below about -113, where the value leaves the float range."""
     if a == 0:
         return complex(1.0)
     z = complex(float(re_part(a)), float(im_part(a)))
-    return cmath.exp(2j * cmath.pi * z)
+    try:
+        return cmath.exp(2j * cmath.pi * z)
+    except OverflowError:
+        alpha = format_gaussian(a)
+        raise PhaseOverflow(f"kring: exp(2 pi i alpha) overflows at alpha={alpha}") from None
 
 
 def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
@@ -64,11 +70,11 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     """
     b = normalize_beta(fan, beta)
     param = integer_parts(b)
-    corr, positions = _stabilized(fan, b, param)
+    corr = _stabilized(fan, b, param)
     dims = build_quotient(ModuleSpec(fan, corr.beta_delta)).dims
     return tuple(
         KPoint(tuple(unit_phase(a) for a in cls.alpha), cls, dims[pos])
-        for cls, pos in zip(_classes(fan, param)[2], positions, strict=True)
+        for cls, pos in zip(_classes(fan, param)[2], corr.positions, strict=True)
     )
 
 

@@ -42,6 +42,17 @@ def _integral(x) -> Optional[int]:
     return n if n == x else None
 
 
+def read_int(x, stage: str, name: str, least: Optional[int] = None) -> int:
+    """x as the int it equals, read by _integral, the one reader of integer
+    arguments; ValueError "<stage>: <name> is <x!r>, not <kind>" names an x
+    that equals no integer or, for least 0 or 1, one below least."""
+    n = _integral(x)
+    if n is None or least is not None and n < least:
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+        raise ValueError(f"{stage}: {name} is {x!r}, not {kind}")
+    return n
+
+
 def parse_rational(s) -> Fraction:
     if isinstance(s, Fraction):
         return s

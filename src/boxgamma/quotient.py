@@ -26,7 +26,7 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _faces, _mask, _memo, _tangent_test, normalized_volume, validate
-from .linalg import Coord, _dot, _integral, integer_parts, parse_rational, read_exact
+from .linalg import Coord, _dot, integer_parts, parse_rational, read_exact, read_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -108,9 +108,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     (see fan._memo), under chi as given: the points depend on chi itself.
     m is read as the int it equals, so m = 1.0 and m = 1 share one piece;
     ValueError names an m that equals no integer."""
-    n = _integral(m)
-    if n is None:
-        raise ValueError(f"quotient: the degree m is {m!r}, not an integer")
+    n = read_int(m, "quotient", "the degree m")
     return _memo(spec.fan._table.graded, spec.chi, (spec.xi, n), _graded_piece, spec, n)
 
 

@@ -265,6 +265,16 @@ def test_stabilize_halved_delta_same_pairing():
     assert pairing(corr) == pairing(again)
 
 
+def test_correspondence_equality_and_repr_ignore_positions():
+    """positions follows from the triples, so two correspondences that
+    differ in it alone are equal, hash alike and show one repr, and the
+    test oracles' correspondences, built without it, equal the library's."""
+    corr = stabilize(F1, (GaussianRational(0, Fraction(-1, 7)), GaussianRational(0, Fraction(2, 5))))
+    assert corr.positions == (1, 0)
+    for other in (dataclasses.replace(corr, positions=()), dataclasses.replace(corr, positions=(0, 1))):
+        assert other == corr and hash(other) == hash(corr) and repr(other) == repr(corr)
+
+
 def test_stabilize_f2_complex():
     beta = (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5))
     corr = stabilize(F2, beta)

@@ -624,12 +624,14 @@ F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2,
         ("rays", [[1, 0], [1.9, 1], [1, 2]], "fan: entry 1 of ray 2 is 1.9, not an integer"),
         ("max_cones", [[1, 2], [2, 1.5]], "fan: entry 2 of cone 2 is 1.5, not an integer"),
         ("rank", 2.5, "fan: rank is 2.5, not an integer"),
+        ("deg", [1, 0, 5], "fan: deg must have 2 coordinates, got 3"),
     ],
-    ids=["deg", "rays", "max_cones", "rank"],
+    ids=["deg", "rays", "max_cones", "rank", "deg-length"],
 )
 def test_non_integral_fan_entry_exit_2(tmp_path, field, value, message):
-    """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"].
-    A cone entry is shown as the file has it, 1-based."""
+    """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"],
+    and deg [1, 0, 5] as eligible, printed as given.  A cone entry is shown
+    as the file has it, 1-based."""
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({**F1_DOC, field: value}))
     code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
@@ -803,6 +805,43 @@ def test_series_overflow_exit_1(seed_dir, tmp_path, capsys):
         "series: x^l overflows for the source box element alpha=(0, 1/2, 3/4) at offset "
         "m=(1, -2, 0) and x=((1e+200+0j), (1+0j), (1e+200+0j))"
     )
+
+
+@pytest.mark.parametrize("beta,alpha", [("1/3-300i", "2/3-600i"), ("1/3+300i", "2/3-300i")])
+def test_phase_overflow_exit_1(seed_dir, tmp_path, beta, alpha):
+    """A spectrum coordinate exp(2 pi i alpha) beyond the float range is an
+    error object naming the exponent, with no traceback."""
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"beta": [beta, "0"]}))
+    code, doc = run_cli(["kring", "--fan", str(seed_dir / "fan_f1.json"), "--beta", str(path)], tmp_path)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "PhaseOverflow",
+        "message": f"kring: exp(2 pi i alpha) overflows at alpha={alpha}",
+    }
+
+
+def test_reciprocal_gamma_overflow_exit_1(seed_dir, tmp_path):
+    """beta = (1/3 + 300i, 0) on F1 puts a reciprocal-Gamma jet beyond the
+    float range: the error object names its l."""
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"beta": ["1/3+300i", "0"]}))
+    code, doc = run_cli(
+        [
+            "gkz-solve",
+            "--fan", str(seed_dir / "fan_f1.json"),
+            "--beta", str(path),
+            "--x", str(seed_dir / "x_f1.json"),
+            "--bound", "6",
+            "--vcap", "1",
+        ],
+        tmp_path,
+    )
+    assert code == 1
+    assert doc["error"] == {
+        "type": "SeriesOverflow",
+        "message": "series: 1/Gamma(l + 1) overflows at l=(0.6666666666666666+600j)",
+    }
 
 
 def test_runs_without_numpy(tmp_path):

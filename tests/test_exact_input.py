@@ -126,6 +126,15 @@ def test_heights_of_the_wrong_length_raise(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("deg,got", [((1, 0, 5), 3), ((1,), 1)], ids=["long", "short"])
+def test_deg_of_the_wrong_length_raises(deg, got):
+    """deg has one entry per coordinate; one of another length was cut to
+    the shorter of it and a marker when deg was paired with the markers."""
+    with pytest.raises(ValueError) as info:
+        _fan(deg=deg)
+    assert str(info.value) == f"fan: deg must have 2 coordinates, got {got}"
+
+
 @pytest.mark.parametrize(
     "points,heights,message",
     [

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxgamma.box import alpha_key, box_of_fan
-from boxgamma.errors import DegenerateHeights, InvalidFan, NoBaseElement, ZeroCoordinate
+from boxgamma.errors import (
+    DegenerateHeights,
+    InvalidFan,
+    NoBaseElement,
+    SeriesOverflow,
+    ZeroCoordinate,
+)
 from boxgamma.fan import (
     StackyFan,
     _marker_lattice,
@@ -467,6 +473,19 @@ def test_huge_integer_coordinate_is_named(x, offsets, message):
     with pytest.raises(ValueError) as err:
         gamma_series(inst, (0, 0), x, 4, offsets)
     assert str(err.value) == f"series: {message}"
+
+
+def test_reciprocal_gamma_overflow_names_l():
+    """1/Gamma(l + 1) at Im l = 600 is about e^935, beyond the float range:
+    the jet raises SeriesOverflow naming l, and so does a series reaching
+    it from beta = (1/3 + 300i, 0), not a bare OverflowError."""
+    with pytest.raises(SeriesOverflow) as err:
+        reciprocal_gamma_jet(600j, 2)
+    assert str(err.value) == "series: 1/Gamma(l + 1) overflows at l=600j"
+    inst = build_gkz(F1, (GaussianRational(Fraction(1, 3), 300), 0))
+    with pytest.raises(SeriesOverflow) as err:
+        solution_system(inst, X_F1, 6, 1)
+    assert str(err.value).startswith("series: 1/Gamma(l + 1) overflows at l=")
 
 
 def test_missing_base_element_is_domain_error():

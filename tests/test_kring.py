@@ -2,7 +2,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import pytest
+
 from boxgamma.box import alpha_key, normalize_beta
+from boxgamma.errors import PhaseOverflow
 from boxgamma.fan import StackyFan, normalized_volume
 from boxgamma.kring import (
     is_semisimple,
@@ -41,6 +44,16 @@ def test_unit_phase():
     assert abs(unit_phase(Fraction(1, 4)) - 1j) < 1e-15
     damped = unit_phase(GaussianRational(Fraction(0), Fraction(1)))
     assert abs(damped - math.exp(-2 * math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("im,alpha", [(-300, "2/3-600i"), (300, "2/3-300i")])
+def test_phase_overflow_is_a_domain_error(im, alpha):
+    """A Gaussian beta with a large imaginary part puts an exponent at
+    Im alpha < -113, where exp(2 pi i alpha) leaves the float range: the
+    error names the stage and the exponent, not a bare OverflowError."""
+    with pytest.raises(PhaseOverflow) as err:
+        spectrum(F1, (GaussianRational(Fraction(1, 3), im), 0))
+    assert str(err.value) == f"kring: exp(2 pi i alpha) overflows at alpha={alpha}"
 
 
 def test_spectrum_generic_weighted_plane():

@@ -5,6 +5,7 @@ formed.  Checked against the exact ray operators, and against the rules
 read on exact exponents (exact_oracles.supported_terms).  Each kept term
 is formed at its summand's order, and equals the term formed at order dim."""
 
+import dataclasses
 import itertools
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from boxgamma.gkz import (
     reciprocal_gamma_jet,
 )
 from boxgamma.linalg import GaussianRational
-from boxgamma.quotient import ModuleSpec, graded_piece
+from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import summand_order, supported_terms
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -88,7 +89,7 @@ def exact_product(inst, t, J):
     """prod_{i in J} D_i on triple t's base vector in the exact operators, or
     None when the shadow quotient has no base element for the triple."""
     q = inst.quotient
-    index = q.bases[inst._positions[t]]
+    index = q.bases[inst.correspondence.positions[t]]
     if index is None:
         return None
     vec = [Fraction(int(r == index)) for r in range(q.dim)]
@@ -223,8 +224,11 @@ def test_terms_at_beta_zero_equal_the_terms_at_order_dim(name):
 @given(st.data())
 def test_terms_equal_the_terms_at_order_dim(data):
     """Every term the evaluator forms at its summand's order equals, by
-    repr, the term formed at order dim, on the ladder's eligible fans."""
-    fan = LADDER[data.draw(st.sampled_from(sorted(LADDER)))]
+    repr, the term formed at order dim, on the ladder's eligible fans and
+    on F1_EXTENDED, whose marker 2, no ray, reads coefficient 0 of a jet
+    taken at the top order."""
+    fans = {**LADDER, "F1_EXTENDED": F1_EXTENDED}
+    fan = fans[data.draw(st.sampled_from(sorted(fans)))]
     beta = data.draw(betas(fan.rank))
     try:
         inst = build_gkz(fan, beta)
@@ -232,3 +236,21 @@ def test_terms_equal_the_terms_at_order_dim(data):
         assume(False)
     x = tuple(data.draw(st.sampled_from((0.5, 1.0, -2.0, 0.25j))) for _ in range(fan.k))
     assert_terms_at_order_dim(inst, x, 2 if fan is SIMPLEX3X2 else 4)
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_positions_index_the_quotient_summands(name, kind):
+    """Each positions[t] of the stabilization, which the evaluator and
+    kring.spectrum read, is where triple t's target stands among the
+    summands of the quotient at beta_delta, built on a fresh copy of the fan.
+    The Gaussian beta, real parts 0, reorders the triples on every fan here."""
+    fan = LADDER[name]
+    beta = [Fraction(1, r + 3) for r in range(fan.rank)]
+    if kind == "gaussian":
+        ims = [Fraction(-1, 7)] * (fan.rank - 1) + [Fraction(2, 5)]
+        beta = [GaussianRational(0, im) for im in ims]
+    corr = build_gkz(fan, beta).correspondence
+    alphas = build_quotient(ModuleSpec(dataclasses.replace(fan), corr.beta_delta)).alphas
+    assert corr.positions == tuple(alphas.index(tgt) for _, tgt, _ in corr.triples)
+    assert (corr.positions == tuple(sorted(corr.positions))) is (kind == "rational")
