@@ -54,7 +54,7 @@ class SeriesOverflow(DomainError):
 
 
 class PhaseOverflow(DomainError):
-    """A spectrum point's coordinate exp(2 pi i alpha) exceeds the float range."""
+    """A spectrum point's coordinate exp(2 pi i alpha) overflows or underflows."""
 
 
 class ZeroCoordinate(DomainError):

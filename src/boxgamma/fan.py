@@ -56,16 +56,18 @@ class _ConeTable:
     ValidationReport, whose deg the quotient reads.  Their size is bounded
     by the fan's cones and markers, and a StackyFan is frozen, so no entry
     can go stale.
-    params is the parameter memo (see _memo), keyed by beta's integer parts
-    (linalg.integer_parts) and bounded by two parameters: stabilize fills a
-    beta and, when it differs, its beta_delta, whose collision classes it
-    writes from beta's.  graded is the same memo for graded pieces and the
-    collision classes they read, bounded by two shifts: solution_system
-    reads its pieces at chi = 0, which in params would displace a parameter
-    or its beta_delta.  blocks, the same memo for
-    quotient._Summand, is bounded by the fan's faces times two sets of faces
-    the shadow filter passes (_tangent_test; None without xi).  A table
-    belongs to one fan: replace() gives the copy a fresh one.
+    params is the parameter memo (see _memo), for two parameters, each
+    under its integer parts (linalg.integer_parts): "collisions",
+    "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
+    and, when it differs, its beta_delta, whose "collisions" it writes from
+    beta's.  graded, for two shifts chi as given, holds the graded pieces,
+    keyed by (xi, m), and the "collisions" they read: solution_system reads
+    pieces at chi = 0, which in params would displace a parameter or its
+    beta_delta.  blocks holds such a memo per face S: the "block"
+    (quotient._Summand) under T_S, the faces holding S that the shadow
+    filter passes (_tangent_test; None without xi), two T_S per face, so
+    the fan's faces times two.  No key holds deg, which is the fan's own.
+    A table belongs to one fan: replace() gives the copy a fresh one.
     """
 
     __slots__ = (
@@ -83,7 +85,7 @@ class _ConeTable:
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
-        self.blocks: dict[object, dict] = {}
+        self.blocks: dict[int, dict] = {}
 
 
 # a parameter and its delta-stabilized beta_delta
@@ -91,17 +93,11 @@ _PARAMS_KEPT = 2
 
 
 def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
-    """build(*args), kept in memo under recent and key; every bounded cache is one.
-    The table's params memo holds "collisions", "stabilize" and, keyed by
-    xi, the quotients under the parameter's integer parts; stabilize also
-    stores beta_delta's "collisions" there.  Its graded memo holds the
-    graded pieces, keyed by (xi, m), and the "collisions" they read, under
-    the shift chi as given; its blocks memo the face blocks, keyed by face
-    under the faces the shadow filter passes.  The degree functional is the
-    fan's own (its report's deg), so no key holds it.  Only the `kept` most
-    recently used values of recent are kept (two parameters or shifts,
-    one bound or point of a GkzInstance), so the memo stays bounded however
-    many it sees.  A build that raises stores nothing, nor a degree of a block."""
+    """build(*args), kept in memo under recent and key; every bounded cache
+    is one.  Only the `kept` most recently used values of recent are kept:
+    two parameters, shifts or T_S of a face in a fan's params, graded and
+    per-face blocks (see _ConeTable), one bound or point in a GkzInstance's.
+    A build that raises stores nothing, nor a degree of a block."""
     entry = memo.get(recent)
     if entry is None or len(memo) > 1:  # a lone entry is already the last
         entry = memo[recent] = memo.pop(recent, {})  # most recently used last

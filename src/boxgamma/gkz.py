@@ -583,7 +583,7 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     if arg_offsets is not None:
         offs = as_sequence(arg_offsets, "series", "arg_offsets")
     if len(offs) != len(xs):
-        raise ValueError(f"arg_offsets must have {len(xs)} entries, got {len(offs)}")
+        raise ValueError(f"series: arg_offsets must have {len(xs)} coordinates, got {len(offs)}")
     for i, o in enumerate(offs, start=1):
         if not _read(math.isfinite, o, i, "arg_offsets", "a real number"):
             raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
@@ -604,7 +604,7 @@ def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
     xs = tuple(_read(complex, c, i, "x", "a complex number")
                for i, c in enumerate(as_sequence(x, "series", "x"), start=1))
     if len(xs) != fan.k:
-        raise ValueError(f"x must have {fan.k} coordinates, got {len(xs)}")
+        raise ValueError(f"series: x must have {fan.k} coordinates, got {len(xs)}")
     for i, c in enumerate(xs, start=1):
         if not cmath.isfinite(c):
             raise ValueError(f"series: coordinate {i} of x is {c}, not a finite number")

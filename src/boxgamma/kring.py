@@ -11,6 +11,7 @@ offset between the two unreduced solutions as an exact witness.
 
 import cmath
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,15 +48,17 @@ class WallRecord:
 
 def unit_phase(a: Coord) -> complex:
     """exp(2*pi*i*a), exactly 1.0 when a is exactly zero; PhaseOverflow names
-    an a with Im a below about -113, where the value leaves the float range."""
+    an a whose value's modulus overflows or falls below sys.float_info.min."""
     if a == 0:
         return complex(1.0)
-    z = complex(float(re_part(a)), float(im_part(a)))
     try:
-        return cmath.exp(2j * cmath.pi * z)
+        y = cmath.exp(2j * cmath.pi * complex(float(re_part(a)), float(im_part(a))))
+        if abs(y) >= sys.float_info.min:
+            return y
+        way = "underflows"
     except OverflowError:
-        alpha = format_gaussian(a)
-        raise PhaseOverflow(f"kring: exp(2 pi i alpha) overflows at alpha={alpha}") from None
+        way = "overflows"
+    raise PhaseOverflow(f"kring: exp(2 pi i alpha) {way} at alpha={format_gaussian(a)}")
 
 
 def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
@@ -72,10 +75,15 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     param = integer_parts(b)
     corr = _stabilized(fan, b, param)
     dims = build_quotient(ModuleSpec(fan, corr.beta_delta)).dims
-    return tuple(
-        KPoint(tuple(unit_phase(a) for a in cls.alpha), cls, dims[pos])
-        for cls, pos in zip(_classes(fan, param)[2], corr.positions, strict=True)
-    )
+    try:
+        return tuple(
+            KPoint(tuple(unit_phase(a) for a in cls.alpha), cls, dims[pos])
+            for cls, pos in zip(_classes(fan, param)[2], corr.positions, strict=True)
+        )
+    except PhaseOverflow:  # where both happen, an exponent that overflows is named first
+        for a in sorted((a for c in _classes(fan, param)[2] for a in c.alpha), key=im_part):
+            unit_phase(a)
+        raise
 
 
 def wall_report(fan: StackyFan, beta: Sequence) -> tuple[WallRecord, ...]:

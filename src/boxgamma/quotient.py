@@ -105,7 +105,7 @@ def graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """Lattice points n with n + chi in the support, passing the shadow
     filter, of degree m; requires a positive degree functional.  Built once
     per (fan, chi, xi, m), in the graded memo of the fan's table
-    (see fan._memo), under chi as given: the points depend on chi itself.
+    (see fan._ConeTable), under chi as given: the points depend on chi itself.
     m is read as the int it equals, so m = 1.0 and m = 1 share one piece;
     ValueError names an m that equals no integer."""
     n = read_int(m, "quotient", "the degree m")
@@ -116,9 +116,8 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """The degree-m points n_alpha + sum c_i v_i over the box elements alpha
     at chi and the monomials c of their face blocks; deg is a positive
     integer on every ray, so |c| <= m - deg(n_alpha).  The box set at chi is
-    built once per chi, in the graded memo beside the pieces, not in the
-    parameter memo, where chi would evict a beta.  On a fan validate
-    rejects, two box elements may give one point."""
+    read from the graded memo beside the pieces (see fan._ConeTable).  On a
+    fan validate rejects, two box elements may give one point."""
     fan = spec.fan
     deg = _check_graded(fan)
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
@@ -129,10 +128,7 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
         block = _Summand(spec, a, tangent)
         for t in range(m - _dot(deg, a.lattice_point) + 1):
             for mono in block._monomials(t):
-                n = tuple(
-                    n0 + sum(x * v[r] for x, v in zip(mono, fan.rays))
-                    for r, n0 in enumerate(a.lattice_point)
-                )
+                n = tuple(n0 + _dot(mono, col) for n0, col in zip(a.lattice_point, block.coords))
                 if _dot(deg, n) == m:
                     points.add(n)
     return GradedPiece(m, tuple(sorted(points)))
@@ -150,22 +146,24 @@ class _Unclosed(Exception):
 
 
 class _Summand:
-    """Degree-by-degree state of the summands on one face supp(alpha).
+    """Degree-by-degree state of the summands on one face S = supp(alpha).
     moves[t][c] lists the (ray, degree-t column) pairs of x_ray times the
     degree-(t-1) monomial in column c, classes[t][c2] the nonzero quotient
     coordinates of the monomial in column c2.  Kept: free columns' moves,
     their targets' classes, the free monomials below the last degree.  The
-    shadow filter tangent (the faces it passes, or None) and admissibility
-    read the face supp(alpha) + supp(m) as a bitmask (see fan._faces); m is
-    admissible iff that is a face of the fan, as every maximal cone holding
-    it holds supp(alpha).  m sorts by (sum m_i v_i, m): alpha enters by its
-    support."""
+    shadow filter tangent and admissibility read the face S + supp(m) as a
+    bitmask (see fan._faces); m is admissible iff that is a face of the
+    fan, as every maximal cone holding it holds S.  tangent is T_S, the
+    passing faces holding S, the block's key in the fan's blocks memo (two
+    kept per face), all passing faces, or None without xi.  m sorts by
+    (sum m_i v_i, m): alpha enters by its support."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
         self.fan = spec.fan
         self.tangent = tangent
         self.support = _mask(alpha_elem.support)
         self.cones = alpha_elem.witness_cones
+        self.coords = tuple(zip(*self.fan.rays))  # coordinate r of every marker
         self.pieces: dict[int, dict[int, tuple[int, ...]]] = {}
         self.moves: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self.classes: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
@@ -184,9 +182,7 @@ class _Summand:
                     continue
                 if self.tangent is not None and self._face(m) not in self.tangent:
                     continue
-                found[m] = tuple(
-                    sum(m[i] * fan.rays[i][r] for i in range(fan.k)) for r in range(fan.rank)
-                )
+                found[m] = tuple(_dot(m, col) for col in self.coords)
         return sorted(found, key=lambda m: (found[m], m))
 
     def _face(self, m: tuple[int, ...]) -> int:
@@ -281,9 +277,9 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     against the normalized volume (DimensionOvershoot); ending below it
     raises NoStabilizationWindow.  An offset is deg(n) for the report's
     deg, or t on a fan without one.  Built once per (fan, chi, xi) (the
-    fan's parameter memo), from summand blocks built once per face
-    supp(alpha) and set of faces the shadow filter passes (the fan's blocks
-    memo): a block reads xi only through that set."""
+    fan's parameter memo), from the block of each face S = supp(alpha),
+    kept in the fan's blocks memo under T_S, the passing faces holding S,
+    two T_S per face: a block reads xi only through T_S."""
     return _memo(spec.fan._table.params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
 
 
@@ -294,9 +290,12 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     alphas = box_of_fan(fan, spec.chi)
     vol = normalized_volume(fan)
-    summands = [
-        _memo(fan._table.blocks, tangent, a.support, _Summand, spec, a, tangent) for a in alphas
-    ]
+    summands = []
+    for a in alphas:
+        face = _mask(a.support)
+        star = None if tangent is None else frozenset(f for f in tangent if f & face == face)
+        stars = fan._table.blocks.setdefault(face, {})
+        summands.append(_memo(stars, star, "block", _Summand, spec, a, star))
     g = 0 if spec.xi is None else fan.rank
     cum = t = 0
     while True:
@@ -333,10 +332,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
         for deg_t in range(t):
             for c in s.quot[deg_t]:
                 m = s.pieces[deg_t][c]
-                n = tuple(
-                    n0 + sum(x * v[r] for x, v in zip(m, fan.rays))
-                    for r, n0 in enumerate(a.lattice_point)
-                )
+                n = tuple(n0 + _dot(m, col) for n0, col in zip(a.lattice_point, s.coords))
                 offset = deg_t if deg is None else _dot(deg, n)
                 index[(s_i, deg_t, c)] = len(basis)
                 basis.append(BasisElement(offset, n, a.alpha, m, deg_t))

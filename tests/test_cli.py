@@ -318,11 +318,15 @@ X_F1 = "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0]]"
     "beta,x,message",
     [
         ('["1/4", "0", "1/5"]', f'{{"x": {X_F1}}}', "box: beta must have 2 coordinates, got 3"),
-        ('["1/4", "0"]', '{"x": [[1.0, 0.0], [10.0, 0.0]]}', "x must have 3 coordinates, got 2"),
+        (
+            '["1/4", "0"]',
+            '{"x": [[1.0, 0.0], [10.0, 0.0]]}',
+            "series: x must have 3 coordinates, got 2",
+        ),
         (
             '["1/4", "0"]',
             f'{{"x": {X_F1}, "arg_offsets": [0.0, 0.0]}}',
-            "arg_offsets must have 3 entries, got 2",
+            "series: arg_offsets must have 3 coordinates, got 2",
         ),
     ],
     ids=["beta", "x", "arg_offsets"],
@@ -818,6 +822,21 @@ def test_phase_overflow_exit_1(seed_dir, tmp_path, beta, alpha):
     assert doc["error"] == {
         "type": "PhaseOverflow",
         "message": f"kring: exp(2 pi i alpha) overflows at alpha={alpha}",
+    }
+
+
+@pytest.mark.parametrize("beta", [["1/3+60i", "0"], ["1/3+10i", "-100i"]], ids=["im+", "im-"])
+def test_phase_underflow_exit_1(seed_dir, tmp_path, beta):
+    """A spectrum coordinate exp(2 pi i alpha) below the smallest normal
+    float is an error object naming the exponent, not a point printed as
+    [-0, -0] with exit 0."""
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"beta": beta}))
+    code, doc = run_cli(["kring", "--fan", str(seed_dir / "fan_f1.json"), "--beta", str(path)], tmp_path)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "PhaseOverflow",
+        "message": "kring: exp(2 pi i alpha) underflows at alpha=2/3+120i",
     }
 
 

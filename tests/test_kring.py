@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,25 @@ def test_phase_overflow_is_a_domain_error(im, alpha):
     with pytest.raises(PhaseOverflow) as err:
         spectrum(F1, (GaussianRational(Fraction(1, 3), im), 0))
     assert str(err.value) == f"kring: exp(2 pi i alpha) overflows at alpha={alpha}"
+
+
+@pytest.mark.parametrize("beta", [("1/3+60i", "0"), ("1/3+10i", "-100i")])
+def test_phase_underflow_is_a_domain_error(beta):
+    """An exponent at Im alpha > 113 puts exp(2 pi i alpha) below the
+    smallest normal float, where it would print as -0: beta = (1/3 + 60i, 0)
+    and (1/3 + 10i, -100i) both have the exponent 2/3 + 120i and none that
+    overflows, and the error names it.  (At beta = (1/3 + 300i, 0) both
+    happen, and the overflow is named, see above.)"""
+    with pytest.raises(PhaseOverflow) as err:
+        spectrum(F1, beta)
+    assert str(err.value) == "kring: exp(2 pi i alpha) underflows at alpha=2/3+120i"
+
+
+def test_unit_phase_keeps_normal_values():
+    """At Im a = 112 the modulus exp(-224 pi) is still a normal float."""
+    y = unit_phase(GaussianRational(Fraction(1, 3), Fraction(112)))
+    assert abs(y) == pytest.approx(math.exp(-224 * math.pi), rel=1e-12)
+    assert abs(y) >= sys.float_info.min
 
 
 def test_spectrum_generic_weighted_plane():

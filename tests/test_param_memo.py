@@ -3,8 +3,10 @@ graded_piece read through it equal the same calls on a fresh copy of the
 fan; the memo keeps two parameters, and stabilize leaves
 beta_delta's classes in it; one algebra_sweep-style sequence builds the box
 set at beta and the quotient once, and none at beta_delta; solution_system reuses
-the graded pieces already built; and the shared quotient's maps are
-read-only."""
+the graded pieces already built; the shared quotient's maps are
+read-only; and each face block is kept per face under its star, the
+passing faces that hold the face, two stars per face, and shared by
+directions that agree there."""
 
 import dataclasses
 from fractions import Fraction
@@ -205,12 +207,13 @@ def quotient_fields(fan, chi, xi):
 @given(name=st.sampled_from(sorted(LADDER)), data=st.data())
 def test_quotient_does_not_depend_on_memo_order(name, data):
     """The face blocks are shared by every parameter and every shadow
-    direction with one set of passing faces: whatever one fan's table built before,
-    each quotient equals the one built on a fresh copy."""
+    direction with one star, the passing faces holding the block's face:
+    whatever one fan's table built before, each quotient equals the one
+    built on a fresh copy."""
     fan = dataclasses.replace(LADDER[name])
     kinds = st.sampled_from(["rational", "gaussian", "shadow"])
     # lattice points and halves put alpha on faces below the maximal cones,
-    # where the shadow filter, and so its set of passing faces, decides the block
+    # where the shadow filter, and so the star of alpha's face, decides the block
     small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
     coords = {"rational": st.one_of(small, rational), "gaussian": beta_coord, "shadow": small}
     for kind in data.draw(st.lists(kinds, min_size=1, max_size=5)):
@@ -223,19 +226,28 @@ def test_quotient_does_not_depend_on_memo_order(name, data):
 
 
 def test_face_blocks_keep_two_shadow_signatures():
+    """Each face keeps its blocks under their last two shadow signatures,
+    the stars T_S.  At chi = 0 the one box element is alpha = 0 on the empty
+    face, whose star is every face the shadow filter passes: three
+    directions with three passing sets leave the last two stars, and a
+    block on another face evicts none of them."""
     fan = dataclasses.replace(F1)
     xis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)))
-    keys = [_tangent_test(fan, xi) for xi in xis]
-    assert len(set(keys)) == 3
+    stars = [_tangent_test(fan, xi) for xi in xis]
+    assert len(set(stars)) == 3
     for xi in xis:
-        outcome(lambda: build_quotient(ModuleSpec(fan, (Fraction(1, 4), Fraction(0)), xi=xi)))
-    assert list(fan._table.blocks) == keys[1:]
+        build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0)), xi=xi))
+    assert list(fan._table.blocks) == [0]
+    assert list(fan._table.blocks[0]) == stars[1:]
+    # alpha = (0, 1/2, 0) lies on ray 2, the face 0b010
+    build_quotient(ModuleSpec(fan, (Fraction(1, 2), Fraction(1, 2)), xi=xis[0]))
+    assert list(fan._table.blocks) == [0, 0b010]
+    assert list(fan._table.blocks[0]) == stars[1:]
+    assert list(fan._table.blocks[0b010]) == [frozenset({0b010, 0b011, 0b110})]
 
 
-def test_second_parameter_builds_no_monomials(monkeypatch):
-    """Two generic parameters on SQUARE have box elements on the same faces,
-    so the second quotient only reads the face blocks of the first."""
-    fan = dataclasses.replace(SQUARE)
+def count_monomials(monkeypatch):
+    """The degrees passed to _Summand._monomials from now on, in call order."""
     built = []
     real_monomials = quotient._Summand._monomials
 
@@ -244,6 +256,64 @@ def test_second_parameter_builds_no_monomials(monkeypatch):
         return real_monomials(self, t)
 
     monkeypatch.setattr(quotient._Summand, "_monomials", counting_monomials)
+    return built
+
+
+def test_directions_with_one_star_share_the_block(monkeypatch):
+    """xi = (1, 0) and (0, 1) pass different sets of faces of F1, but the
+    same faces holding ray 2, the face of the one box element at
+    chi = (1/2, 1/2): the second build reads the first's block."""
+    fan = dataclasses.replace(F1)
+    chi = (Fraction(1, 2), Fraction(1, 2))
+    first, second = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    assert _tangent_test(fan, first) != _tangent_test(fan, second)
+    built = count_monomials(monkeypatch)
+    build_quotient(ModuleSpec(fan, chi, xi=first))
+    assert built
+    built.clear()
+    shared = quotient_fields(fan, chi, second)
+    assert built == []
+    assert shared == quotient_fields(dataclasses.replace(fan), chi, second)
+
+
+def star_oracle(fan, xi, support):
+    """The faces the shadow filter passes whose markers hold support."""
+    markers = [{i for i in range(fan.k) if f >> i & 1} for f in _tangent_test(fan, xi)]
+    return frozenset(sum(1 << i for i in face) for face in markers if set(support) <= face)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
+def test_face_blocks_are_keyed_by_their_star(name, data):
+    """After a build under xi1, each box element's block is kept under the
+    passing faces holding its face, and it forms the monomials of a fresh
+    block under xi2, in every degree up to the rank, when xi2 passes the
+    same faces there."""
+    fan = dataclasses.replace(LADDER[name])
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    chi = tuple(data.draw(st.one_of(small, rational)) for _ in range(fan.rank))
+    xi1, xi2 = (
+        tuple(Fraction(data.draw(st.integers(-2, 2))) for _ in range(fan.rank)) for _ in range(2)
+    )
+    outcome(lambda: build_quotient(ModuleSpec(fan, chi, xi=xi1)))
+    fresh = dataclasses.replace(fan)
+    for alpha in box_of_fan(fan, chi):
+        star = star_oracle(fan, xi1, alpha.support)
+        stars = fan._table.blocks[sum(1 << i for i in alpha.support)]
+        block = stars[star]["block"]
+        assert block.tangent == star
+        if star_oracle(fan, xi2, alpha.support) == star:
+            other = quotient._Summand(ModuleSpec(fresh, chi, xi2), alpha, _tangent_test(fresh, xi2))
+            for t in range(fan.rank + 1):
+                assert block._monomials(t) == other._monomials(t)
+
+
+def test_second_parameter_builds_no_monomials(monkeypatch):
+    """Two generic parameters on SQUARE have box elements on the same faces,
+    so the second quotient only reads the face blocks of the first."""
+    fan = dataclasses.replace(SQUARE)
+    built = count_monomials(monkeypatch)
     first = build_quotient(ModuleSpec(fan, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))))
     assert built
     built.clear()

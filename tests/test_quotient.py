@@ -356,9 +356,9 @@ def test_shadow_not_submodule():
 
 
 def test_shadow_not_submodule_names_the_callers_xi():
-    """xi = (1, 0) and (2, 0) have one sign signature, so their builds share
-    the face block of alpha = 0; each error names its own xi, and the degree
-    that raised stays unbuilt."""
+    """xi = (1, 0) and (2, 0) pass the same faces, so their builds share
+    the face block of alpha = 0, kept under the empty face and its one star;
+    each error names its own xi, and the degree that raised stays unbuilt."""
     fan = StackyFan(
         rank=2, rays=((1, 0), (0, 1), (-1, 0), (0, -1)), max_cones=((0, 1), (1, 2), (2, 3))
     )
@@ -367,8 +367,9 @@ def test_shadow_not_submodule_names_the_callers_xi():
         message = rf"^quotient: the shadow direction xi=\({xi}, 0\) does not give a submodule"
         with pytest.raises(ShadowNotSubmodule, match=message):
             build_quotient(spec)
-    (blocks,) = fan._table.blocks.values()
-    (block,) = blocks.values()
+    assert list(fan._table.blocks) == [0]
+    (stars,) = fan._table.blocks.values()
+    (block,) = (entry["block"] for entry in stars.values())
     assert list(block.quot) == list(block.pieces) == [0]
 
 
