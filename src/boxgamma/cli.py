@@ -102,7 +102,7 @@ def parse_x(doc):
     x = as_sequence(doc["x"], "series", "x")
     for r, p in enumerate(x, start=1):
         if not isinstance(p, list) or len(p) != 2:
-            raise ValueError(f"coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
+            raise ValueError(f"series: coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
         for part in p:
             _read(math.isfinite, part, r, "x", "a real number")
     return tuple(complex(float(re), float(im)) for re, im in x), doc.get("arg_offsets")

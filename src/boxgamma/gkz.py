@@ -96,75 +96,59 @@ def linear_mul(jet: Sequence[complex], a: complex, order: int) -> tuple[complex,
     return tuple(out)
 
 
-# log Gamma's Stirling constants float(B_2n) / (2n (2n - 1)); the tail only
-# multiplies each by its power of 1/z, so forming them once keeps every float
-_LOG_GAMMA_COEFFS = tuple(
-    float(b) / ((2 * n) * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, start=1)
-)
-
-
 @functools.lru_cache(maxsize=32)
-def _polygamma_constants(m: int) -> tuple:
-    """m!, (m - 1)! and the Stirling constants of psi^(m), once per m; the
-    tail only multiplies each constant by its power of 1/z."""
-    if m == 0:
-        return 1, None, tuple(float(b) / (2 * n) for n, b in enumerate(_BERNOULLI, start=1))
-    return math.factorial(m), math.factorial(m - 1), tuple(
-        float(b) * math.factorial(2 * n + m - 1) / math.factorial(2 * n)
+def _stirling_constants(t: int) -> tuple[float, ...]:
+    """The Stirling constants of the log-Gamma jet's coefficient t, once per
+    t: B_2n / (2n (2n - 1)) for log Gamma, B_2n / 2n for psi and
+    B_2n (2n + t - 2)! / (2n)! for psi^(t - 1); the tail only multiplies
+    each by its power of 1/z."""
+    return tuple(
+        float(b) / ((2 * n) * (2 * n - 1)) if t == 0
+        else float(b) / (2 * n) if t == 1
+        else float(b) * math.factorial(2 * n + t - 2) / math.factorial(2 * n)
         for n, b in enumerate(_BERNOULLI, start=1)
     )
 
 
-def polygamma(m: int, z: complex) -> complex:
-    """psi^(m)(z) off the poles: upward recurrence, then the Stirling tail."""
-    fact_m, fact_m1, coeffs = _polygamma_constants(m)
-    z, acc = complex(z), 0j
-    sign = -1.0 if m % 2 == 0 else 1.0
-    while z.real < _STIRLING_CUT:
-        acc += sign * fact_m * z ** (-(m + 1))
-        z += 1
-    if m == 0:
-        val = cmath.log(z) - 0.5 / z
-        p = 1 / (z * z)
-        for c in coeffs:
-            val -= c * p
-            p /= z * z
-    else:
-        val = fact_m1 * z ** (-m) + fact_m / 2 * z ** (-(m + 1))
-        p = z ** (-2 - m)
-        for c in coeffs:
-            val += c * p
-            p /= z * z
-        if m % 2 == 0:
-            val = -val
-    return val + acc
+def log_gamma_jet(z: complex, order: int) -> tuple[complex, ...]:
+    """Taylor coefficients of eps -> log Gamma(z + eps); needs Re z >= 1.5.
 
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma by upward recurrence into the Stirling region.
-
-    The branch is irrelevant to every caller here: the value is only ever
+    One upward walk into Re >= _STIRLING_CUT sums log(z + j) for log Gamma
+    and -+(t - 1)! (z + j)^(-t) for psi^(t - 1), t >= 1; each coefficient
+    then takes its Stirling tail at the shared end point.  The branch of
+    log Gamma is irrelevant to every caller here: the value is only ever
     exponentiated, and the recurrence corrections exponentiate back to the
     exact linear factors.
     """
-    z, shift = complex(z), 0j
+    z, shift, acc = complex(z), 0j, [0j] * order
+    steps = [(t, (-1.0 if t % 2 else 1.0) * math.factorial(t - 1)) for t in range(1, order)]
     while z.real < _STIRLING_CUT:
         shift += cmath.log(z)
+        for t, c in steps:
+            acc[t] += c * z ** (-t)
         z += 1
     val = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
     p = 1 / z
-    for c in _LOG_GAMMA_COEFFS:
+    for c in _stirling_constants(0):
         val += c * p
         p /= z * z
-    return val - shift
-
-
-def log_gamma_jet(z: complex, order: int) -> tuple[complex, ...]:
-    """Taylor coefficients of eps -> log Gamma(z + eps); needs Re z >= 1.5."""
-    coeffs, fact = [log_gamma(z)], 1.0
+    coeffs, fact = [val - shift], 1.0
     for t in range(1, order):
+        if t == 1:
+            val, p = cmath.log(z) - 0.5 / z, 1 / (z * z)
+            for c in _stirling_constants(1):
+                val -= c * p
+                p /= z * z
+        else:
+            val = math.factorial(t - 2) * z ** (1 - t) + math.factorial(t - 1) / 2 * z ** (-t)
+            p = z ** (-1 - t)
+            for c in _stirling_constants(t):
+                val += c * p
+                p /= z * z
+            if t % 2:
+                val = -val
         fact *= t
-        coeffs.append(polygamma(t - 1, z) / fact)
+        coeffs.append((val + acc[t]) / fact)
     return tuple(coeffs)
 
 

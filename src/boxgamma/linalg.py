@@ -398,7 +398,9 @@ def singular_values(matrix) -> list[float]:
     A, or of A^T when A is wide (A^T has the values of A^H), until a full
     sweep rotates no pair; the values are then the column norms.  A phase
     first turns the pair's inner product g real, so each rotation is real.  A
-    pair counts as orthogonal once |g| <= 1e-15 |a_p| |a_q|.  The
+    pair counts as orthogonal once |g| <= 1e-15 |a_p| |a_q|, or once its
+    angle underflows to 0, as for a column of rounding residue parallel to
+    another near the smallest normal float, which no rotation shrinks.  The
     eigenvalues of A^H A would square the condition number and lose small
     values below sqrt(eps) ~ 1.5e-8 of the largest, above the 1e-9 rank cut
     of solution_system; Jacobi is at least as accurate as a QR-based SVD
@@ -424,10 +426,12 @@ def singular_values(matrix) -> list[float]:
                 r = abs(g)
                 if r <= _JACOBI_TOL * na * nb or r < sys.float_info.min:
                     continue
-                rotated = True
                 # b * conj(g)/r pairs with a to the real r; rotate by t = tan
                 zeta = (nb - na) * (nb + na) / (2 * r)
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                if t == 0:
+                    continue
+                rotated = True
                 c = 1 / math.hypot(1.0, t)
                 ph = g.conjugate() / r
                 cp, sp = c * ph, c * t * ph

@@ -423,11 +423,11 @@ def test_entry_that_is_no_real_number_exit_2(seed_dir, tmp_path, x, message):
     [
         (
             "[[1.0, 0.0], [1.0], [1.0, 0.0]]",
-            "coordinate 2 of x is [1.0], not an [re, im] pair",
+            "series: coordinate 2 of x is [1.0], not an [re, im] pair",
         ),
         (
             "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0, 7.0]]",
-            "coordinate 3 of x is [1.0, 0.0, 7.0], not an [re, im] pair",
+            "series: coordinate 3 of x is [1.0, 0.0, 7.0], not an [re, im] pair",
         ),
     ],
     ids=["short", "long"],

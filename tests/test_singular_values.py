@@ -80,6 +80,20 @@ def test_scale_does_not_underflow():
     assert got[0] == pytest.approx(math.sqrt(2) * 1e5, rel=1e-15) and got[1] < 1e-300
 
 
+def test_parallel_residue_near_underflow_converges():
+    # five equal rows: the rotations leave a column of rounding residue
+    # parallel to the first, which shrinks by about eps a sweep until its
+    # angle underflows to 0 near the smallest normal float
+    row = [
+        complex(-16411.606025431727, -28341.22694359809),
+        complex(-83695.95530782925, 54726.47499254641),
+        complex(-86269.877803039, 50571.81214717027),
+    ]
+    got = singular_values([row] * 5)
+    assert got[0] == pytest.approx(math.sqrt(5) * math.hypot(*map(abs, row)), rel=1e-15)
+    assert got[1] < 1e-290 and got[2] == 0.0
+
+
 def test_sweep_cap_raises(monkeypatch):
     rows = [[1, 2 + 1j], [3j, 4], [5, 6 - 2j]]
     assert len(singular_values(rows)) == 2
