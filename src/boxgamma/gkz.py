@@ -86,16 +86,6 @@ def exp_jet(a: Sequence[complex], order: int) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def linear_mul(jet: Sequence[complex], a: complex, order: int) -> tuple[complex, ...]:
-    """Multiply a jet by the linear polynomial a + eps."""
-    out = [0j] * order
-    for t, c in enumerate(jet[:order]):
-        out[t] += a * c
-        if t + 1 < order:
-            out[t + 1] += c
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=32)
 def _stirling_constants(t: int) -> tuple[float, ...]:
     """The Stirling constants of the log-Gamma jet's coefficient t, once per
@@ -174,7 +164,7 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     except OverflowError:
         raise SeriesOverflow(f"series: 1/Gamma(l + 1) overflows at l={l!r}") from None
     for j in range(m0):
-        jet = linear_mul(jet, z + j, order)
+        jet = poly_mul_trunc(jet, (z + j, 1), order)
     return jet
 
 
@@ -453,11 +443,10 @@ class _SeriesEvaluator:
     constant term 0.0.  vanishes decides both rules from integers, so such
     a term is never formed and reaches no SeriesOverflow.  Kept here: base
     indices and orders by t (a missing base raises on every call); one
-    entry (l_i, factor) per coordinate (t, i, m_i); terms by (t, m);
-    reciprocal-Gamma jets by l, each one reciprocal_gamma_jet evaluation at
-    the top order, which a ray factor truncates and a non-ray marker reads
-    coefficient 0 of (the same float at every order); and the memo
-    (fan._memo) of the last bound B's gamma_series values by v.
+    entry (l_i, factor) per coordinate (t, i, m_i), each from its own
+    reciprocal_gamma_jet evaluation, of order_t at a ray and 1 otherwise;
+    terms by (t, m); and the memo (fan._memo) of the last bound B's
+    gamma_series values by v.
 
     Every float is formed from the same operands in the same order as an
     uncached evaluation would form it: a cache returns a stored float, it
@@ -492,7 +481,7 @@ class _SeriesEvaluator:
         self.bases = tuple(
             (q.bases[pos], tgt) for pos, (_, tgt, _) in zip(corr.positions, corr.triples)
         )
-        self.entries, self.terms, self.jets, self.values = {}, {}, {}, {}
+        self.entries, self.terms, self.values = {}, {}, {}
 
     def base(self, t: int) -> tuple[complex, ...]:
         """The base vector of triple t's target; NoBaseElement when the
@@ -524,10 +513,11 @@ class _SeriesEvaluator:
         if hit is None:
             re, im = self.parts[t][i]
             li = complex(float(re + mi), im)
-            jet = self.jets.get(li)
-            if jet is None:
-                jet = self.jets[li] = reciprocal_gamma_jet(li, self.top)
-            f = poly_mul_trunc(self.xjets[i], jet, self.orders[t]) if i in self.rays else jet[0]
+            if i in self.rays:
+                order = self.orders[t]
+                f = poly_mul_trunc(self.xjets[i], reciprocal_gamma_jet(li, order), order)
+            else:
+                f = reciprocal_gamma_jet(li, 1)[0]
             hit = self.entries[t, i, mi] = (li, f)
         return hit
 
@@ -659,7 +649,7 @@ def gamma_series_derivative(
     derived from the other by the functional equation.  Both reach the same
     Stirling evaluation point, though, so the comparison does not see an
     error in the Stirling tail; the golden jets check that.  Windows, terms
-    and jets are shared with gamma_series (see _SeriesEvaluator), and a term
+    and coordinate entries are shared with gamma_series (see _SeriesEvaluator), and a term
     the support or degree rule zeroes is never formed.  D_j is applied to
     each term's own w, never to a sum of them; on a summand of order 1,
     where D_j w comes out as +0j for a finite w, +0j is added in its place.

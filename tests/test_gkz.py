@@ -36,7 +36,6 @@ from boxgamma.gkz import (
     exp_jet,
     gamma_series,
     gamma_series_derivative,
-    linear_mul,
     poly_mul_trunc,
     reciprocal_gamma_jet,
     solution_system,
@@ -117,9 +116,40 @@ def test_rgamma_functional_equation():
         for im in (0.0, 0.7, -1.3):
             l = complex(re, im)
             left = reciprocal_gamma_jet(l, 5)
-            right = linear_mul(reciprocal_gamma_jet(l + 1, 5), l + 1, 5)
+            right = poly_mul_trunc(reciprocal_gamma_jet(l + 1, 5), (l + 1, 1), 5)
             for a, b in zip(left, right):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def linear_factor_reference(jet, a, order):
+    """(a + eps) * jet truncated to order, every coefficient summed in, zero
+    or not: out[t] gets a * jet[t] and out[t + 1] gets jet[t]."""
+    out = [0j] * order
+    for t, c in enumerate(jet[:order]):
+        out[t] += a * c
+        if t + 1 < order:
+            out[t + 1] += c
+    return tuple(out)
+
+
+def test_linear_factor_step_keeps_every_float():
+    """poly_mul_trunc(jet, (a, 1), n), the functional-equation step of
+    reciprocal_gamma_jet, equals (a + eps) * jet by repr, on jets with
+    signed zeros, zero coefficients and a pole's exact 0.0: skipping a zero
+    coefficient leaves a sum that starts from +0j as it was, so no zero
+    changes sign."""
+    jets = [
+        (0j, 1.5 - 0j, complex(-0.0, 2.0), -0.5 + 0j),
+        (complex(-0.0, -0.0), 0j, complex(0.0, -0.0), 1 + 1j),
+        (0j, complex(-0.0, 0.0), 0j, 0j),
+        (2 + 0j, 0j, -3.25 + 0.5j, complex(-0.0, 7.0)),
+        reciprocal_gamma_jet(-3, 4),
+        reciprocal_gamma_jet(-2.5 + 0.7j, 4),
+    ]
+    coeffs = [0.75 + 0j, -2 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.5 + 0.25j]
+    for jet, a, order in itertools.product(jets, coeffs, range(1, 6)):
+        got = poly_mul_trunc(jet, (a, 1), order)
+        assert repr(got) == repr(linear_factor_reference(jet, a, order)), (jet, a, order)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
-"""The per-point series evaluator: each reciprocal-Gamma jet computed once,
-each window scanned once per instance from a plan built once per fan, each
-(v, B) series summed once per point, values independent of what was
-evaluated before, and the integer-offset term-shift check equal to its
-LVector formulation, with its boundary LVectors built only when read."""
+"""The per-point series evaluator: each coordinate entry's reciprocal-Gamma
+jet computed once, each window scanned once per instance from a plan built
+once per fan, each (v, B) series summed once per point, values independent
+of what was evaluated before, and the integer-offset term-shift check equal
+to its LVector formulation, with its boundary LVectors built only when
+read."""
 
 import dataclasses
 import functools
@@ -89,34 +90,36 @@ def run_gkz_verify(tmp_path, fan, beta, x):
     ])
 
 
-def supported_jets(fan_name, beta_name, B, cap):
-    """The (l_i, order) keys of the reciprocal-Gamma jets of the terms the
-    support and degree rules keep in gkz-verify at bound B and degree cap,
-    on the seed example files: at a ray, the largest summand order, so
-    triples share the jet and each truncates it to its own order; 1 at a
-    marker that is not one."""
+def supported_entries(fan_name, beta_name, B, cap):
+    """The jets the coordinate entries (t, i, m_i) of the terms the support
+    and degree rules keep in gkz-verify at bound B and degree cap evaluate,
+    on the seed example files, counted by their (l_i, order) keys: order_t,
+    1 + the top degree of triple t's summand, at a ray, and 1 at a marker
+    that is not one."""
     fan = parse_fan(SEED_FILES[f"fan_{fan_name}.json"])
     inst = build_gkz(fan, SEED_FILES[f"{beta_name}.json"]["beta"])
-    triples = range(len(inst.correspondence.triples))
-    rays, top = fan.fan_indices(), max(summand_order(inst, t) for t in triples)
+    rays = fan.fan_indices()
     # the solution matrix's points, and each one's shifts, which the
     # derivative residuals compare with
     vs = low_degree_points(fan, cap)
     shifted = [tuple(a + b for a, b in zip(v, fan.rays[j])) for v in vs for j in rays]
-    return {
-        (complex(float(re_part(x)), float(im_part(x))), top if i in rays else 1)
-        for _, _, l in supported_terms(inst, vs + shifted, vs, B)
-        for i, x in enumerate(l)
-    }
+    entries = {}
+    for t, m, l in supported_terms(inst, vs + shifted, vs, B):
+        order = summand_order(inst, t)
+        for i, x in enumerate(l):
+            li = complex(float(re_part(x)), float(im_part(x)))
+            entries[t, i, m[i]] = (li, order if i in rays else 1)
+    return Counter(entries.values())
 
 
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
 def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
-    """Each jet of a kept term once, and no other: a term the support or
-    degree rule zeroes is never formed, so its jets are never evaluated."""
+    """Each reciprocal_gamma_jet call belongs to one coordinate entry of a
+    kept term, at that entry's order, and no entry calls it twice; a term
+    the support or degree rule zeroes is never formed, so its jets are never
+    evaluated."""
     assert run_gkz_verify(tmp_path, fan, beta, x) == 0
-    assert set(jet_calls) == supported_jets(fan, beta, 12, 2)
-    assert set(jet_calls.values()) == {1}
+    assert jet_calls == supported_entries(fan, beta, 12, 2)
 
 
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)

@@ -204,7 +204,7 @@ def assert_terms_at_order_dim(inst, x, B):
         pass
     ev = gkz._evaluator(inst, x, None)
     ref = gkz._SeriesEvaluator(inst, ev.xs, (0.0,) * len(x))
-    ref.top, ref.orders = ref.dim, (ref.dim,) * len(ev.orders)
+    ref.orders = (ref.dim,) * len(ev.orders)
     ref.xjets = {i: exp_jet((0j, ref.logs[i]), ref.dim) for i in ref.rays}
     for (t, m), term in ev.terms.items():
         assert repr(term) == repr(ref.term(t, m, ref.base(t))), (inst.beta, t, m)
@@ -225,8 +225,8 @@ def test_terms_at_beta_zero_equal_the_terms_at_order_dim(name):
 def test_terms_equal_the_terms_at_order_dim(data):
     """Every term the evaluator forms at its summand's order equals, by
     repr, the term formed at order dim, on the ladder's eligible fans and
-    on F1_EXTENDED, whose marker 2, no ray, reads coefficient 0 of a jet
-    taken at the top order."""
+    on F1_EXTENDED, whose marker 2, no ray, takes its factor from a jet of
+    order 1."""
     fans = {**LADDER, "F1_EXTENDED": F1_EXTENDED}
     fan = fans[data.draw(st.sampled_from(sorted(fans)))]
     beta = data.draw(betas(fan.rank))
