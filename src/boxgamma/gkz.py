@@ -594,8 +594,9 @@ def gamma_series(
 ) -> SeriesValue:
     """Window truncation of the series solution indexed by v, at the point x.
 
-    The tail estimate is the max-norm of the outermost window shell, i.e. the
-    difference between the values at bounds B and B-1.  Each (v, B) is
+    The tail estimate is the max-norm of the outermost nonempty shell of
+    kept terms: the value at B less the value at the largest smaller norm
+    present.  Each (v, B) is
     summed once per instance and point: the point's evaluator keeps the
     values of the last B (see _SeriesEvaluator).
     """
@@ -611,6 +612,7 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
     skips each term the support or degree rule zeroes (see _SeriesEvaluator),
     for a derivative by the unshifted m = s + e_j of each window entry s."""
     total = shell = zero = (0j,) * ev.dim
+    top = -1  # shell sums the kept terms at top, the largest norm so far
     at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
         evec, order = ev.base(t), ev.orders[t]
@@ -628,8 +630,8 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
                 dw = [sum(map(operator.mul, r, w)) for r in ev.dmats[j]] if order > 1 else zero
                 term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
             total = list(map(operator.add, total, term))
-            if nm == B:
-                shell = list(map(operator.add, shell, term))
+            if nm >= top:
+                top, shell = nm, list(map(operator.add, shell if nm == top else zero, term))
     tail = max((abs(c) for c in shell), default=0.0)
     return SeriesValue(v, ev.xs, tuple(total), B, tail)
 

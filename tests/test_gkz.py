@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxgamma.box import alpha_key, box_of_fan
+from boxgamma.cli import SEED_FILES, parse_fan, parse_x
 from boxgamma.errors import (
     DegenerateHeights,
     InvalidFan,
@@ -454,6 +455,19 @@ def test_empty_window_gives_zero_vector():
     sv = gamma_series(inst, (9, 9), X_F1, 4)
     assert sv.value == (0j,) * inst.quotient.dim
     assert sv.tail_estimate == 0.0
+
+
+def test_tail_reads_the_outermost_nonempty_shell():
+    """On the F1 seed example at degree cap 1 no kept term of any window has
+    norm 13, so the shell at B = 13 is empty; the tail comes from the
+    largest norm present and bounds the true error against B = 60."""
+    fan = parse_fan(SEED_FILES["fan_f1.json"])
+    inst = build_gkz(fan, SEED_FILES["beta_f1.json"]["beta"])
+    x = parse_x(SEED_FILES["x_f1.json"])[0]
+    sy, ref = solution_system(inst, x, 13, 1), solution_system(inst, x, 60, 1)
+    err = max(abs(a - b) for row, want in zip(sy.matrix, ref.matrix) for a, b in zip(row, want))
+    assert 0 < err <= sy.tail_estimate
+    assert all(gamma_series(inst, v, x, 13).tail_estimate > 0 for v in sy.vs)
 
 
 def test_zero_coordinate_rejected():
