@@ -1,0 +1,126 @@
+"""The series Phi_0 on SQUARE against Horn sums summed by mpmath.
+
+SQUARE's markers have one relation, h = (1, -1, -1, 1).  At a generic beta
+each maximal cone sigma gives one summand of the quotient, whose component
+of Phi_0 is the scalar Horn series
+
+    sum_k x^(gamma + k h) prod_i rgamma(gamma_i + k h_i + 1),
+
+gamma the solution of sum_i gamma_i a_i = beta with gamma_i = 0 off sigma.
+Each component is matched with the sum of the cone whose gamma is the
+component's source box element plus an integer vector, and compared on its
+own.  The reference takes no jet, so a fault in the Stirling tail shows:
+every l_i of one coordinate shares a fractional part, so their Stirling
+walks end at one point and a wrong constant only rescales each component,
+which a comparison up to the span of the sums would not see.
+"""
+
+import dataclasses
+import functools
+import random
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+import boxgamma.gkz as gkz
+from boxgamma.box import alpha_key
+from boxgamma.fan import triangulate_from_heights
+from boxgamma.gkz import build_gkz, gamma_series
+from boxgamma.linalg import re_part
+from exact_oracles import solve_simplicial_coords
+
+SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+RELATION = (1, -1, -1, 1)
+BETAS = [
+    (Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)),
+    (Fraction(-5, 7), Fraction(3, 11), Fraction(-1, 13)),
+]
+BASE = (1, 0.1 + 0.05j, 0.1 - 0.02j, 1 + 0.3j)
+BOUND = 40
+# the Horn sums run over k in [-K, K]: on one side of 0 each term has a pole
+# at the coordinate off the cone and is 0, on the other each is below 1e-2
+# of the last, so nothing a double can hold is left out
+K = 40
+TOLERANCE = 1e-12
+
+
+def cloud():
+    """Four points x = BASE * (1 + 0.2 w), w seeded in the complex unit square."""
+    rng = random.Random(2012)
+    return [
+        tuple(b * (1 + 0.2 * complex(rng.random(), rng.random())) for b in BASE)
+        for _ in range(4)
+    ]
+
+
+def cone_gammas(beta):
+    """gamma of each maximal cone: sum_i gamma_i a_i = beta, gamma_i = 0 off
+    the cone, solved exactly."""
+    out = []
+    for cone in SQUARE.max_cones:
+        coords = solve_simplicial_coords([SQUARE.rays[i] for i in cone], beta)
+        gamma = [Fraction(0)] * SQUARE.k
+        for i, c in zip(cone, coords):
+            gamma[i] = c
+        out.append(tuple(gamma))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def horn_sum(gamma, x):
+    """sum_k x^(gamma + k h) prod_i rgamma(gamma_i + k h_i + 1) at 30 digits,
+    x^l as exp(sum_i l_i log x_i) on the principal branch, as the series
+    takes it."""
+    with mp.workdps(30):
+        logs = [mp.log(mp.mpc(c)) for c in x]
+        total = mp.mpc(0)
+        for k in range(-K, K + 1):
+            l = [mp.mpf(g.numerator) / g.denominator + k * h for g, h in zip(gamma, RELATION)]
+            term = mp.exp(sum(li * lg for li, lg in zip(l, logs)))
+            for li in l:
+                term *= mp.rgamma(li + 1)
+            total += term
+        return complex(total)
+
+
+def worst_error(beta):
+    """The largest error of Phi_0 over the cloud, component by component
+    against its cone's Horn sum, relative to the max-norm of the sums; the
+    instance is built on a fresh copy of SQUARE, so no cached jet is read."""
+    inst = build_gkz(dataclasses.replace(SQUARE), beta)
+    q = inst.quotient
+    gammas = cone_gammas(beta)
+    worst = 0.0
+    for x in cloud():
+        value = gamma_series(inst, (0,) * SQUARE.rank, x, BOUND).value
+        want = [0j] * q.dim
+        for src, tgt, _ in inst.correspondence.triples:
+            matches = [
+                g for g in gammas
+                if all((gi - re_part(a)).denominator == 1 for gi, a in zip(g, src.alpha))
+            ]
+            assert len(matches) == 1
+            want[q.base_index[alpha_key(tgt.alpha)]] = horn_sum(matches[0], x)
+        scale = max(map(abs, want))
+        worst = max(worst, max(abs(a - b) for a, b in zip(value, want)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=str)
+def test_phi0_matches_the_horn_sums(beta):
+    assert build_gkz(SQUARE, beta).quotient.dim == len(SQUARE.max_cones) == 2
+    err = worst_error(beta)
+    assert err <= TOLERANCE, f"Phi_0 error {err:.3g}"
+
+
+def test_oracle_sees_a_wrong_stirling_constant():
+    # B_2 = 1/5 instead of 1/6 rescales each component of Phi_0
+    saved = gkz._BERNOULLI
+    try:
+        gkz._BERNOULLI = (Fraction(1, 5),) + saved[1:]
+        gkz._stirling_constants.cache_clear()
+        assert worst_error(BETAS[0]) > TOLERANCE
+    finally:
+        gkz._BERNOULLI = saved
+        gkz._stirling_constants.cache_clear()
