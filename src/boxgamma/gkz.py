@@ -596,9 +596,8 @@ def gamma_series(
 
     The tail estimate is the max-norm of the outermost nonempty shell of
     kept terms: the value at B less the value at the largest smaller norm
-    present.  Each (v, B) is
-    summed once per instance and point: the point's evaluator keeps the
-    values of the last B (see _SeriesEvaluator).
+    present.  Each (v, B) is summed once per instance and point: the
+    point's evaluator keeps the values of the last B (see _SeriesEvaluator).
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = read_int(B, "window", "the bound B", 0)
@@ -651,10 +650,11 @@ def gamma_series_derivative(
     derived from the other by the functional equation.  Both reach the same
     Stirling evaluation point, though, so the comparison does not see an
     error in the Stirling tail; the golden jets check that.  Windows, terms
-    and coordinate entries are shared with gamma_series (see _SeriesEvaluator), and a term
-    the support or degree rule zeroes is never formed.  D_j is applied to
-    each term's own w, never to a sum of them; on a summand of order 1,
-    where D_j w comes out as +0j for a finite w, +0j is added in its place.
+    and coordinate entries are shared with gamma_series (see
+    _SeriesEvaluator), and a term the support or degree rule zeroes is
+    never formed.  D_j is applied to each term's own w, never to a sum of
+    them; on a summand of order 1, where D_j w comes out as +0j for a
+    finite w, +0j is added in its place.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = read_int(B, "window", "the bound B", 0)
