@@ -469,8 +469,8 @@ class _SeriesEvaluator:
             1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
             for p in corr.positions
         )
-        self.top = max(self.orders, default=1)
-        self.xjets = {i: exp_jet((0j, logs[i]), self.top) for i in self.rays}
+        top = max(self.orders, default=1)
+        self.xjets = {i: exp_jet((0j, logs[i]), top) for i in self.rays}
         self.sources = tuple(src for src, _, _ in corr.triples)
         self.parts = tuple(
             tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
