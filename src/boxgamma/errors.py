@@ -9,10 +9,6 @@ class DependentGenerators(DomainError):
     """Generators expected to be linearly independent are not."""
 
 
-class PointOutsideSupport(DomainError):
-    """Point does not lie in the support of the fan."""
-
-
 class DegenerateHeights(DomainError):
     """Height vector induces a non-simplicial lower facet."""
 

@@ -13,18 +13,11 @@ the quotient's summand blocks.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    DegenerateHeights,
-    DependentGenerators,
-    InvalidFan,
-    NotFullDimensional,
-    PointOutsideSupport,
-)
+from .errors import DegenerateHeights, DependentGenerators, InvalidFan, NotFullDimensional
 from .linalg import (
     ConeInverse,
     _dot,
@@ -148,19 +141,6 @@ class ValidationReport:
     deg: Optional[tuple[int, ...]] = None
 
 
-def _real_numerators(p: Sequence, name: str, n: Optional[int] = None) -> list[int]:
-    """The rational point p, read by read_exact as the field name of n
-    entries, over a common denominator: the integers L * p."""
-    return scaled_numerators(read_exact(p, parse_rational, "fan", name, n))[1]
-
-
-def primitive_direction(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector on the ray through v, preserving orientation."""
-    ints = _real_numerators(v, "vector")
-    g = math.gcd(*ints) or 1  # 0 only for the zero vector
-    return tuple(x // g for x in ints)
-
-
 def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     """The cone's ConeInverse from the fan's table; raises
     DependentGenerators (and stores nothing) for dependent generators, and
@@ -187,13 +167,13 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
     return diag
 
 
-def _witnesses(fan: StackyFan, face: ConeRef) -> tuple[ConeRef, ...]:
-    """The maximal cones holding the face, found once per face (the fan's
-    cone table)."""
+def _witnesses(fan: StackyFan, support: ConeRef) -> tuple[ConeRef, ...]:
+    """The maximal cones holding a box element's support, found once per
+    support (the fan's cone table)."""
     known = fan._table.witnesses
-    if face not in known:
-        known[face] = tuple(mc for mc in fan.max_cones if set(face) <= set(mc))
-    return known[face]
+    if support not in known:
+        known[support] = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
+    return known[support]
 
 
 def _mask(markers) -> int:
@@ -228,13 +208,9 @@ def _marker_lattice(fan: StackyFan) -> tuple[IntRows, IntRows, IntRows]:
     return lattice
 
 
-def minimal_cone(fan: StackyFan, p: Sequence):
-    """Smallest face of the fan containing the real point p, as a ConeRef, or None."""
-    return _minimal_face(fan, _real_numerators(p, "point", fan.rank))
-
-
 def _minimal_face(fan: StackyFan, nums: Sequence[int]):
-    """minimal_cone of the point nums / L, for integers nums and any L > 0."""
+    """The smallest face of the fan holding the point nums / L, for integers
+    nums and any L > 0, as a ConeRef; None outside the support."""
     for cone in fan.max_cones:
         coords = _cone_inverse(fan, cone).numerators(nums)
         if coords is not None and all(c >= 0 for c in coords):
@@ -242,28 +218,22 @@ def _minimal_face(fan: StackyFan, nums: Sequence[int]):
     return None
 
 
-def _xi_numerators(fan: StackyFan, xi: Sequence) -> list[int]:
-    """xi over a common denominator; InvalidFan, naming the first violation,
-    for a fan validate rejects, where the shadow filter's face rule fails."""
-    xnums = _real_numerators(xi, "xi", fan.rank)
+def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
+    """The shadow filter as the set of faces (bitmasks, see _faces) it
+    passes, xi solved once per maximal cone: for p in the relative interior
+    of a face, p + eps*xi stays in the support iff some maximal cone sigma
+    holding the face has xi in its span and xi's coordinates >= 0 on sigma
+    minus the face, that is, the face holds sigma's generators where xi's
+    are negative.  In a fan the cones holding p are those holding its
+    minimal face (Fulton, Introduction to Toric Varieties, 1.2).  xi is read
+    by read_exact; InvalidFan, naming the first violation, for a fan
+    validate rejects, where the face rule fails."""
+    xnums = scaled_numerators(read_exact(xi, parse_rational, "fan", "xi", fan.rank))[1]
     violations = validate(fan).violations
     if violations:
         raise InvalidFan(f"fan: the shadow filter needs a valid fan: {violations[0]}")
-    return xnums
-
-
-def _tangent_test(fan: StackyFan, xi: Sequence, cones=None) -> frozenset[int]:
-    """The shadow filter as the set of faces (bitmasks, see _faces) it
-    passes, xi solved once per maximal cone given (all by default): for p
-    in the relative interior of a face, p + eps*xi stays in the support
-    iff some maximal cone sigma holding the face has xi in its span and
-    xi's coordinates >= 0 on sigma minus the face, that is, the face holds
-    sigma's generators where xi's are negative.  In a fan the cones holding
-    p are those holding its minimal face (Fulton, Introduction to Toric
-    Varieties, 1.2)."""
-    xnums = _xi_numerators(fan, xi)
     passing = set()
-    for cone in fan.max_cones if cones is None else cones:
+    for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
         if xc is not None:
             neg = _mask(i for i, c in zip(cone, xc) if c < 0)
@@ -271,19 +241,6 @@ def _tangent_test(fan: StackyFan, xi: Sequence, cones=None) -> frozenset[int]:
             for r in range(len(rest) + 1):
                 passing.update(neg | _mask(face) for face in itertools.combinations(rest, r))
     return frozenset(passing)
-
-
-def tangent_member(fan: StackyFan, p: Sequence, xi: Sequence) -> bool:
-    """True iff p + eps*xi stays in the support of the fan for small eps > 0:
-    whether _tangent_test, asked only about the maximal cones holding p's
-    minimal cone, passes that cone.  Raises InvalidFan for a fan validate
-    rejects and PointOutsideSupport when p is in no cone.
-    """
-    _xi_numerators(fan, xi)
-    face = minimal_cone(fan, p)
-    if face is None:
-        raise PointOutsideSupport(f"fan: point {tuple(p)} is outside the fan support")
-    return _mask(face) in _tangent_test(fan, xi, _witnesses(fan, face))
 
 
 def normalized_volume(fan: StackyFan) -> int:

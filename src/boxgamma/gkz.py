@@ -353,8 +353,8 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     The offsets depend on v and alpha only through the target -v - n, so
     each (target, B) is scanned once per instance, whichever series, shift
     check or box element reaches it; the series read their outermost shell
-    as norm == B.  Only the last B's windows are kept (fan._memo), so memory
-    stays bounded by one bound's windows however many are used.
+    as the kept terms at the largest norm present.  Only the last B's windows
+    are kept (fan._memo), so memory stays bounded by one bound's windows.
     """
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     return _memo(instance._windows, B, target, _scan_window, instance, alpha, v, target, B, kept=1)

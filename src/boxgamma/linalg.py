@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,24 +98,23 @@ def format_gaussian(z) -> str:
 
 
 def parse_gaussian(s) -> GaussianRational:
-    """Accepts "p/q", "p/q+r/si", "r/si", or a {"re": .., "im": ..} mapping."""
+    """Accepts "p/q", "p/q+r/si", "r/si", or a {"re": .., "im": ..} mapping;
+    each part is what parse_rational reads, so "1.5i" is 3/2 i."""
     if isinstance(s, GaussianRational):
         return s
     if isinstance(s, (int, Fraction)):
         return GaussianRational(Fraction(s))
     if isinstance(s, dict):
+        if not set(s) <= {"re", "im"}:
+            raise ValueError(f"cannot parse Gaussian rational from {s!r}")
         return GaussianRational(parse_rational(s.get("re", 0)), parse_rational(s.get("im", 0)))
     if isinstance(s, str):
         t = s.strip().replace(" ", "")
         if not t.endswith("i"):
             return GaussianRational(parse_rational(t))
-        # split off the trailing rational as the imaginary part
-        m = _re.match(r"^(.*?)([+-]?\d+(?:/\d+)?)$", t[:-1])
-        if not m:
-            raise ValueError(f"cannot parse Gaussian rational from {s!r}")
-        head, imag = m.groups()
-        re_part = parse_rational(head) if head not in ("", "+", "-") else Fraction(0)
-        return GaussianRational(re_part, parse_rational(imag))
+        # the imaginary part starts at the last sign that leads neither t nor an exponent
+        cut = max((p for p in range(1, len(t)) if t[p] in "+-" and t[p - 1] not in "eE"), default=0)
+        return GaussianRational(parse_rational(t[:cut] or 0), parse_rational(t[cut:-1]))
     raise ValueError(f"cannot parse Gaussian rational from {s!r}")
 
 

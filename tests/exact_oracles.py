@@ -1,6 +1,9 @@
 """Fraction inverse and determinant, and the Gaussian cone solve: the
 references the library's fraction-free integer kernels are tested against.
-Also a fan's completeness and its minimal non-faces, and Definition 2's
+Also a point's coordinates in a cone by the Fraction inverse of its
+generators completed to a basis, the minimal face and the shadow filter
+decided cone by cone with them, the primitive direction of a rational
+vector, a fan's completeness and its minimal non-faces, and Definition 2's
 module product with the check that a delta-stabilization intertwines it,
 the delta-correspondence found by enumerating and matching the box set
 at beta_delta, the collision classes grouped and sorted by the Fraction
@@ -15,6 +18,7 @@ the Gamma-series terms the support rule keeps, read on exact exponents.
 Only tests read them."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -40,8 +44,6 @@ from boxgamma.fan import (
     ValidationReport,
     _cone_inverse,
     _tangent_test,
-    minimal_cone,
-    primitive_direction,
 )
 from boxgamma.linalg import (
     ConeInverse,
@@ -133,6 +135,70 @@ def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
     if not complex_input:
         return tuple(coords[0])
     return tuple(GaussianRational(c_re, c_im) for c_re, c_im in zip(*coords))
+
+
+@functools.lru_cache(maxsize=4096)
+def _completed_inverse(gens: tuple) -> list | None:
+    """mat_inverse of the generators (columns) completed to a basis by unit
+    vectors, or None for dependent generators."""
+    d, m = len(gens[0]), len(gens)
+    for extra in itertools.combinations(range(d), max(d - m, 0)):
+        cols = list(gens) + [tuple(int(r == j) for r in range(d)) for j in extra]
+        rows = [[c[r] for c in cols] for r in range(d)]
+        if len(cols) == d and det_rational(rows) != 0:
+            return mat_inverse(rows)
+    return None
+
+
+def oracle_coords(gens, p):
+    """(coordinates, in span) of p by mat_inverse, or None for dependent
+    generators: each coordinate a pair (re, im) of Fractions.  The
+    generators are completed to a basis by unit vectors; p is in their span
+    iff its coordinates on the added vectors vanish."""
+    inv = _completed_inverse(tuple(map(tuple, gens)))
+    if inv is None:
+        return None
+    m = len(gens)
+    parts = [
+        [sum((a * part(x) for a, x in zip(row, p)), start=Fraction(0)) for row in inv]
+        for part in (re_part, im_part)
+    ]
+    if any(any(part[m:]) for part in parts):
+        return None, False
+    return list(zip(parts[0][:m], parts[1][:m])), True
+
+
+def oracle_minimal_cone(fan: StackyFan, p):
+    """The smallest face of the fan holding the rational point p, found by
+    oracle_coords cone by cone, or None outside the support."""
+    for cone in fan.max_cones:
+        coords, in_span = oracle_coords(fan.gens(cone), p)
+        if in_span and all(c >= 0 for c, _ in coords):
+            return tuple(i for i, (c, _) in zip(cone, coords) if c != 0)
+    return None
+
+
+def oracle_tangent_member(fan: StackyFan, p, xi):
+    """Whether p + eps*xi stays in the support for small eps > 0, decided
+    in each maximal cone holding p: xi in its span with a coordinate >= 0
+    wherever p's is 0.  None when p is outside the support."""
+    in_support = False
+    for cone in fan.max_cones:
+        pc, p_in = oracle_coords(fan.gens(cone), p)
+        if not p_in or any(c < 0 for c, _ in pc):
+            continue
+        in_support = True
+        xc, x_in = oracle_coords(fan.gens(cone), xi)
+        if x_in and all(a > 0 or b >= 0 for (a, _), (b, _) in zip(pc, xc)):
+            return True
+    return False if in_support else None
+
+
+def primitive_direction(v) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through the rational v."""
+    ints = [x * math.lcm(*(Fraction(y).denominator for y in v)) for x in map(Fraction, v)]
+    g = math.gcd(*map(int, ints)) or 1  # 0 only for the zero vector
+    return tuple(int(x) // g for x in ints)
 
 
 def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple:
@@ -456,7 +522,7 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
         if te.support != e.support:
             raise RuntimeError("internal: support changed under stabilization")
         point = tuple(n + x for n, x in zip(te.lattice_point, beta_delta))
-        if minimal_cone(fan, point) != e.support:
+        if oracle_minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
         triples.append((e, te, point))
     if len(used) != len(target):
@@ -535,7 +601,7 @@ def fraction_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
         if tuple(i for i, x in enumerate(alpha) if x) != e.support:
             raise RuntimeError("internal: support changed under stabilization")
         point = tuple(c + y for c, y in zip(n, beta_delta))
-        if minimal_cone(fan, point) != e.support:
+        if oracle_minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
         triples.append((e, BoxElement(tuple(alpha), n, e.support, e.witness_cones), point))
     images = sorted(t[1].alpha for t in triples)
@@ -577,8 +643,8 @@ def fraction_keyed_wall_report(fan: StackyFan, beta) -> tuple[WallRecord, ...]:
 
 def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     """graded_piece by scanning the bounding box of the degree-m slice: each
-    lattice point n of degree m with n + chi in the support, by minimal_cone,
-    and passing the shadow filter on that face."""
+    lattice point n of degree m with n + chi in the support, by
+    oracle_minimal_cone, and passing the shadow filter on that face."""
     fan = spec.fan
     deg = _check_graded(fan)
     chi = spec.chi
@@ -603,7 +669,7 @@ def scanned_graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     for n in itertools.product(*ranges):
         if sum(deg[r] * n[r] for r in range(fan.rank)) != m:
             continue
-        face = minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
+        face = oracle_minimal_cone(fan, tuple(n[r] + chi[r] for r in range(fan.rank)))
         if face is None:
             continue
         if tangent is not None and sum(1 << i for i in face) not in tangent:

@@ -384,6 +384,7 @@ def correspondence_outcome(call):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_closed_form_matches_enumeration(name, data):
@@ -423,6 +424,7 @@ gaussian_entry = st.builds(GaussianRational, real_part, st.fractions(-3, 3, max_
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_stabilize_writes_the_classes_at_beta_delta(name, data):
@@ -439,6 +441,7 @@ def test_stabilize_writes_the_classes_at_beta_delta(name, data):
     assert (written, repr(written)) == (fresh, repr(fresh))
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_integer_keys_group_as_alpha_key(name, data):
@@ -455,6 +458,7 @@ def test_integer_keys_group_as_alpha_key(name, data):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(d=st.integers(1, 4), data=st.data())
 def test_hermite_box_lists_each_residue_once(d, data):
@@ -472,6 +476,7 @@ def test_hermite_box_lists_each_residue_once(d, data):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_branches_and_walls_reach_their_residues(name, data):

@@ -573,6 +573,15 @@ def test_cone_index_out_of_range_exit_2(tmp_path):
     assert code == 2
 
 
+def test_fan_without_markers_or_cones_is_reported(tmp_path):
+    fan = tmp_path / "fan_empty.json"
+    fan.write_text('{"rank": 2, "rays": [], "max_cones": []}')
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
+    assert code == 0
+    assert doc["valid"] is False
+    assert doc["violations"] == ["no markers", "no maximal cones"]
+
+
 def test_wrong_length_marker_is_reported(tmp_path):
     """The report names the marker; no cone holding it is solved."""
     fan = tmp_path / "fan_bad.json"

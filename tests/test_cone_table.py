@@ -2,11 +2,11 @@
 
 Cones of dimension 1..d in Z^d, d <= 4: the table's coordinates and span
 test against mat_inverse of the generators completed by unit vectors,
-minimal_cone and tangent_member against a per-cone solve by that oracle
-(tangent_member on fans validate accepts; on the rest it raises
-InvalidFan), the shadow filter's set of passing faces against that oracle
-on the ladder's fans, its one solve of xi per maximal cone, facet
-normals and normalized_volume against det_rational, dependent
+the minimal face of a point and whether the shadow filter's set of passing
+faces holds it against a per-cone solve by that oracle (the filter on fans
+validate accepts; on the rest it raises InvalidFan), that set against the
+oracle on every face of the ladder's fans, its one solve of xi per maximal
+cone, facet normals and normalized_volume against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
 consulted for.  Also the quotient at a stabilization's target, built
 through the fan's parameter memo, against one built on a fresh copy of
@@ -27,27 +27,35 @@ from boxgamma.errors import (
     DomainError,
     InvalidFan,
     NotFullDimensional,
-    PointOutsideSupport,
 )
 from boxgamma.fan import (
     StackyFan,
     _cone_inverse,
     _faces,
+    _mask,
+    _minimal_face,
     _tangent_test,
-    minimal_cone,
     normalized_volume,
-    tangent_member,
     triangulate_from_heights,
     validate,
 )
-from boxgamma.linalg import ConeInverse, GaussianRational, cone_inverse, im_part, re_part
+from boxgamma.linalg import (
+    ConeInverse,
+    GaussianRational,
+    cone_inverse,
+    im_part,
+    re_part,
+    scaled_numerators,
+)
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import (
     NotInSpan,
     all_pairs_report,
     cone_coords,
     det_rational,
-    mat_inverse,
+    oracle_coords,
+    oracle_minimal_cone,
+    oracle_tangent_member,
     scanned_graded_piece,
 )
 
@@ -57,27 +65,6 @@ rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
-
-
-def oracle_coords(gens, p):
-    """(coordinates, in span) of p by mat_inverse, or None for dependent
-    generators.  The generators are completed to a basis by unit vectors; p
-    is in their span iff its coordinates on the added vectors vanish."""
-    d, m = len(gens[0]), len(gens)
-    for extra in itertools.combinations(range(d), max(d - m, 0)):
-        cols = [tuple(g) for g in gens] + [tuple(int(r == j) for r in range(d)) for j in extra]
-        rows = [[c[r] for c in cols] for r in range(d)]
-        if len(cols) != d or det_rational(rows) == 0:
-            continue
-        inv = mat_inverse(rows)
-        parts = [
-            [sum((a * part(x) for a, x in zip(row, p)), start=Fraction(0)) for row in inv]
-            for part in (re_part, im_part)
-        ]
-        if any(any(part[m:]) for part in parts):
-            return None, False
-        return list(zip(parts[0][:m], parts[1][:m])), True
-    return None
 
 
 def as_parts(coords):
@@ -218,6 +205,7 @@ def mixed_triangulations(draw):
     return StackyFan(rank=d, rays=fan.rays, max_cones=tuple(cones))
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(fan=st.one_of(small_fans(), regular_subfans(), mixed_triangulations()))
 def test_validate_matches_the_all_pairs_path(fan):
@@ -238,47 +226,23 @@ def cone_point(draw, fan):
     return [sum((x * fan.rays[i][r] for x, i in zip(c, cone)), start=Fraction(0)) for r in range(fan.rank)]
 
 
-def oracle_minimal_cone(fan, p):
-    for cone in fan.max_cones:
-        coords, in_span = oracle_coords(fan.gens(cone), p)
-        if in_span and all(c >= 0 for c, _ in coords):
-            return tuple(i for i, (c, _) in zip(cone, coords) if c != 0)
-    return None
-
-
-def oracle_tangent_member(fan, p, xi):
-    in_support = False
-    for cone in fan.max_cones:
-        pc, p_in = oracle_coords(fan.gens(cone), p)
-        if not p_in or any(c < 0 for c, _ in pc):
-            continue
-        in_support = True
-        xc, x_in = oracle_coords(fan.gens(cone), xi)
-        if x_in and all(a > 0 or b >= 0 for (a, _), (b, _) in zip(pc, xc)):
-            return True
-    if not in_support:
-        raise PointOutsideSupport("outside")
-    return False
-
-
 @settings(max_examples=300, deadline=None)
 @given(fan=st.one_of(small_fans(), regular_subfans()), data=st.data())
 def test_minimal_cone_and_tangent_member_match_per_cone_solve(fan, data):
+    """p's minimal face, read from p's integer numerators, and whether the
+    shadow filter passes that face, against the per-cone oracle."""
     p = cone_point(data.draw, fan)
     xi = cone_point(data.draw, fan)
-    assert minimal_cone(fan, p) == oracle_minimal_cone(fan, p)
+    face = _minimal_face(fan, scaled_numerators(p)[1])
+    assert face == oracle_minimal_cone(fan, p)
     if not validate(fan).valid:
         # the face rule is exact only on a fan
         with pytest.raises(InvalidFan, match="^fan: "):
-            tangent_member(fan, p, xi)
+            _tangent_test(fan, xi)
+    elif face is None:
+        assert oracle_tangent_member(fan, p, xi) is None
     else:
-        try:
-            want = oracle_tangent_member(fan, p, xi)
-        except PointOutsideSupport:
-            with pytest.raises(PointOutsideSupport):
-                tangent_member(fan, p, xi)
-        else:
-            assert tangent_member(fan, p, xi) is want
+        assert (_mask(face) in _tangent_test(fan, xi)) is oracle_tangent_member(fan, p, xi)
     assert set(fan._table.inverses) <= set(fan.max_cones)
 
 
@@ -293,10 +257,11 @@ def test_shadow_filter_refuses_overlapping_cones():
     fan = StackyFan(rank=2, rays=rays, max_cones=((0, 1), (2, 3)))
     p, xi = (2, 0), (0, -1)
     assert oracle_tangent_member(fan, p, xi) is True
-    assert tangent_member(StackyFan(rank=2, rays=rays, max_cones=((0, 1),)), p, xi) is False
+    first = StackyFan(rank=2, rays=rays, max_cones=((0, 1),))
+    assert _minimal_face(first, p) == (0,) and _mask((0,)) not in _tangent_test(first, xi)
     overlap = r"^fan: .*cones \(1, 2\) and \(3, 4\) do not intersect in a common face$"
     with pytest.raises(InvalidFan, match=overlap):
-        tangent_member(fan, p, xi)
+        _tangent_test(fan, xi)
     chi = (Fraction(1, 3), Fraction(1, 5))
     with pytest.raises(InvalidFan, match=overlap):
         build_quotient(ModuleSpec(fan, chi, xi))
@@ -384,6 +349,7 @@ def draw_xi(data, fan):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(LADDER)), data=st.data())
 def test_tangent_faces_match_the_per_cone_oracle(name, data):
@@ -398,24 +364,6 @@ def test_tangent_faces_match_the_per_cone_oracle(name, data):
         p = [Fraction(sum(fan.rays[i][r] for i in face)) for r in range(fan.rank)]
         assert (sum(1 << i for i in face) in passing) is oracle_tangent_member(fan, p, xi)
     assert passing <= _faces(fan)
-
-
-# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
-@settings(deadline=None)
-@given(name=st.sampled_from(sorted(LADDER)), data=st.data())
-def test_tangent_member_reads_the_passing_faces(name, data):
-    """tangent_member, which solves xi only in the maximal cones holding p's
-    minimal face, passes p exactly when _tangent_test's set holds that face,
-    for points of a maximal cone with some coordinates zero and each kind
-    of xi draw_xi draws."""
-    fan = dataclasses.replace(LADDER[name])
-    xi = draw_xi(data, fan)
-    cone = data.draw(st.sampled_from(fan.max_cones))
-    coeffs = [data.draw(st.one_of(st.just(Fraction(0)), rational.map(abs))) for _ in cone]
-    p = [sum(c * fan.rays[i][r] for c, i in zip(coeffs, cone)) for r in range(fan.rank)]
-    face = minimal_cone(fan, p)
-    assert face == tuple(i for c, i in zip(coeffs, cone) if c)
-    assert tangent_member(fan, p, xi) is (sum(1 << i for i in face) in _tangent_test(fan, xi))
 
 
 def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):

@@ -1,20 +1,24 @@
 """Every exact input vector goes through linalg.read_exact: the fan's rank,
-rays, cones and deg, ModuleSpec's chi and xi, the point and shadow direction
-of the fan's cone tests, triangulation and evaluation-point heights, beta at
+rays, cones and deg, ModuleSpec's chi and xi, the shadow filter's
+direction, triangulation and evaluation-point heights, beta at
 each stage's entry point, correspondence_at's delta, and the series index
 v.  A bad entry raises the one message form "<stage>: entry <pos> of
 <field> is <value!r>, not <kind>"; every accepted spelling of a value gives
 the result of its Fraction, equal in value and repr."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxgamma.box import box_of_fan, correspondence_at, normalize_beta, stabilize
-from boxgamma.fan import StackyFan, minimal_cone, tangent_member, triangulate_from_heights
+from boxgamma.cli import SEED_FILES, main
+from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, suggest_x, verify_term_shift
 from boxgamma.kring import spectrum
-from boxgamma.linalg import GaussianRational
+from boxgamma.linalg import GaussianRational, format_gaussian, parse_gaussian
 from boxgamma.quotient import ModuleSpec
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -37,8 +41,7 @@ SITES = {
     "rays": (lambda x: _fan(rays=((1, 0), (x, 1), (1, 2))), "fan: entry 1 of ray 2", INTEGER, 1),
     "cones": (lambda x: _fan(max_cones=((0, 1), (1, x))), "fan: entry 2 of cone 2", INTEGER, 2),
     "deg": (lambda x: _fan(deg=(x, 0)), "fan: entry 1 of deg", INTEGER, 1),
-    "point": (lambda x: minimal_cone(F1, (x, 0)), "fan: entry 1 of point", RATIONAL, 1),
-    "tangent_xi": (lambda x: tangent_member(F1, (2, 0), (x, 0)), "fan: entry 1 of xi", RATIONAL, 1),
+    "tangent_xi": (lambda x: _tangent_test(F1, (x, 0)), "fan: entry 1 of xi", RATIONAL, 1),
     "heights": (
         lambda x: triangulate_from_heights(F1.rays, (x, 0, 1)), "fan: entry 1 of heights", RATIONAL, 1
     ),
@@ -184,3 +187,59 @@ def test_series_point_entries_are_named(x, offsets, message):
     with pytest.raises(ValueError) as info:
         gamma_series(INST, (0, 0), x, 4, offsets)
     assert str(info.value) == f"series: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,re,im",
+    [
+        ("1.5i", 0, Fraction(3, 2)),
+        ("-1.5i", 0, Fraction(-3, 2)),
+        ("2+1.5i", 2, Fraction(3, 2)),
+        ("2-1.5i", 2, Fraction(-3, 2)),
+        ("2+1e-3i", 2, Fraction(1, 1000)),
+        ("1e-3i", 0, Fraction(1, 1000)),
+        ("1E+2-0.25i", 100, Fraction(-1, 4)),
+        ("-0.5+1/3i", Fraction(-1, 2), Fraction(1, 3)),
+    ],
+)
+def test_a_decimal_part_is_read_whole(text, re, im):
+    """Both parts are read by parse_rational: a decimal point or an
+    exponent's sign does not split off part of the imaginary part."""
+    assert parse_gaussian(text) == GaussianRational(re, im)
+
+
+@pytest.mark.parametrize("entry", [{"re": "0", "imag": "3/2"}, {"real": "1"}, {"re": 1, "im": 0, "x": 0}])
+def test_a_mapping_with_another_key_is_refused(entry):
+    """A misspelt key is not read as a zero part."""
+    with pytest.raises(ValueError) as info:
+        normalize_beta(F1, (entry, 0))
+    assert str(info.value) == f"box: entry 1 of beta is {entry!r}, not a Gaussian rational"
+
+
+_part = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+
+
+@given(re=_part, im=_part, spaced=st.booleans())
+def test_every_formatted_gaussian_parses_back(re, im, spaced):
+    """"p/q", "p/q+r/si", "p/q-r/si" and "r/si", as format_gaussian writes
+    them, with or without spaces around the sign, read back exactly."""
+    z = GaussianRational(re, im)
+    text = format_gaussian(z)
+    if spaced:
+        text = text.replace("+", " + ").replace("-", " - ").lstrip(" ").replace("i", " i")
+    assert parse_gaussian(text) == z
+
+
+def test_a_decimal_beta_prints_as_its_fraction(tmp_path):
+    """The CLI's box output for beta ["1/4", "1.5i"] is byte-identical to
+    the one for ["1/4", "3/2i"]."""
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(SEED_FILES["fan_f1.json"]))
+    outs = []
+    for n, spelling in enumerate(("1.5i", "3/2i")):
+        beta, out = tmp_path / f"beta{n}.json", tmp_path / f"out{n}.json"
+        beta.write_text(json.dumps({"beta": ["1/4", spelling]}))
+        assert main(["box", "--fan", str(fan), "--beta", str(beta), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"3/2i" in outs[0] and b"5i" not in outs[0]

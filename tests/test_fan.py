@@ -8,18 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxgamma import fan as fan_module
-from boxgamma.errors import DegenerateHeights, NotFullDimensional, PointOutsideSupport
+from boxgamma.errors import DegenerateHeights, NotFullDimensional
 from boxgamma.fan import (
     StackyFan,
+    _mask,
+    _minimal_face,
+    _tangent_test,
     infer_deg,
-    minimal_cone,
     normalized_volume,
-    primitive_direction,
-    tangent_member,
     triangulate_from_heights,
     validate,
 )
-from exact_oracles import is_complete
+from exact_oracles import is_complete, primitive_direction
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -112,6 +112,15 @@ def test_validate_reports_a_wrong_length_marker():
     assert rep.violations == ("marker 2 has wrong length",)
 
 
+def test_validate_reports_an_empty_fan():
+    """A fan of rank 0 with no markers and no cones fails each of the three
+    axioms it can, and no GKZ check is made."""
+    rep = validate(StackyFan(rank=0, rays=(), max_cones=()))
+    assert rep.violations == ("rank must be positive", "no markers", "no maximal cones")
+    assert rep.gkz_notes == ("fan axioms fail",)
+    assert (rep.valid, rep.gkz_eligible, rep.volume, rep.deg) == (False, False, None, None)
+
+
 E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -142,21 +151,12 @@ def test_validate_lower_dimensional_cones_rank_3(rays, cones, valid):
 
 
 def test_minimal_cone():
-    assert minimal_cone(F1, (1, 1)) == (1,)
-    assert minimal_cone(F1, (2, 3)) == (1, 2)
-    assert minimal_cone(F1, (0, 0)) == ()
-    assert minimal_cone(F1, (-1, 0)) is None
-    assert minimal_cone(F1, (Fraction(5, 4), Fraction(2))) == (1, 2)
-
-
-@pytest.mark.parametrize("p", [(1,), (1, 1, 5)])
-def test_minimal_cone_rejects_a_wrong_length_point(p):
-    """zip would read (1,) as a point of the ray 1 and (1, 1, 5) as (1, 1)."""
-    message = rf"^fan: point must have 2 coordinates, got {len(p)}$"
-    with pytest.raises(ValueError, match=message):
-        minimal_cone(F1, p)
-    with pytest.raises(ValueError, match=message):
-        tangent_member(F1, p, (1, 0))
+    """_minimal_face reads a point as integer numerators over any L > 0."""
+    assert _minimal_face(F1, (1, 1)) == (1,)
+    assert _minimal_face(F1, (2, 3)) == (1, 2)
+    assert _minimal_face(F1, (0, 0)) == ()
+    assert _minimal_face(F1, (-1, 0)) is None
+    assert _minimal_face(F1, (5, 8)) == (1, 2)  # (5/4, 2) over L = 4
 
 
 @pytest.mark.parametrize("xi", [(0,), (0, -1, 5)])
@@ -165,7 +165,7 @@ def test_tangent_member_rejects_a_wrong_length_xi(xi):
     coordinate and (0, -1, 5) against the first two rows only."""
     message = rf"^fan: xi must have 2 coordinates, got {len(xi)}$"
     with pytest.raises(ValueError, match=message):
-        tangent_member(F1, (2, 0), xi)
+        _tangent_test(F1, xi)
 
 
 @pytest.mark.parametrize(
@@ -212,15 +212,18 @@ def test_integral_fan_entries_keep_their_meaning():
 
 
 def test_tangent_member():
-    assert tangent_member(F1, (0, 0), (1, 1)) is True
-    assert tangent_member(F1, (0, 0), (-1, 0)) is False
-    assert tangent_member(F1, (2, 1), (0, -1)) is True  # interior point, all directions
-    assert tangent_member(F1, (2, 0), (0, -1)) is False  # exits through the base ray
-    assert tangent_member(F1, (2, 0), (0, 1)) is True
-    assert tangent_member(F1, (1, 0), (0, 1)) is True
-    outside = r"^fan: point \(-1, 0\) is outside the fan support$"
-    with pytest.raises(PointOutsideSupport, match=outside):
-        tangent_member(F1, (-1, 0), (1, 0))
+    """p + eps*xi stays in the support iff the shadow filter passes p's
+    minimal face."""
+
+    def passes(p, xi):
+        return _mask(_minimal_face(F1, p)) in _tangent_test(F1, xi)
+
+    assert passes((0, 0), (1, 1)) is True
+    assert passes((0, 0), (-1, 0)) is False
+    assert passes((2, 1), (0, -1)) is True  # interior point, all directions
+    assert passes((2, 0), (0, -1)) is False  # exits through the base ray
+    assert passes((2, 0), (0, 1)) is True
+    assert passes((1, 0), (0, 1)) is True
 
 
 def test_normalized_volume():

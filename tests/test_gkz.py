@@ -24,7 +24,6 @@ from boxgamma.errors import (
 from boxgamma.fan import (
     StackyFan,
     _marker_lattice,
-    tangent_member,
     triangulate_from_heights,
     validate,
 )
@@ -46,7 +45,7 @@ from boxgamma.gkz import (
 )
 from boxgamma.linalg import GaussianRational, im_part, re_part
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import solve_simplicial_coords
+from exact_oracles import oracle_tangent_member, solve_simplicial_coords
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -311,6 +310,7 @@ def wide_window(name):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(WIDE_MARKERS)), data=st.data())
 def test_window_scan_matches_l1_ball_on_wide_marker_sets(name, data):
@@ -592,7 +592,7 @@ def test_shadow_membership():
                 n + re_part(c) + im_part(c) * 0
                 for n, c in zip(elem.lattice_point, q.spec.chi)
             )
-            assert tangent_member(inst.fan, p, xi)
+            assert oracle_tangent_member(inst.fan, p, xi)
 
 
 def test_decomposition_unique_witness():

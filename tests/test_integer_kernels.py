@@ -271,6 +271,7 @@ MERGE_PITFALL = [
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(case=inequality_systems())
 @example(case=(MERGE_PITFALL, False))
@@ -307,6 +308,7 @@ def independent(fan, cone):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(case=cone_pairs())
 def test_intersection_rays_match_fraction_route(case):

@@ -84,6 +84,7 @@ def oracle_maps(fan, chi, xi):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(FANS)), data=st.data())
 def test_integer_path_matches_the_fraction_route(name, data):

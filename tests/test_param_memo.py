@@ -203,6 +203,7 @@ def quotient_fields(fan, chi, xi):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(LADDER)), data=st.data())
 def test_quotient_does_not_depend_on_memo_order(name, data):
@@ -283,6 +284,7 @@ def star_oracle(fan, xi, support):
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(LADDER)), data=st.data())
 def test_face_blocks_are_keyed_by_their_star(name, data):

@@ -97,6 +97,7 @@ GRADED = {
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(GRADED)), data=st.data())
 def test_graded_piece_matches_the_scan(name, data):

@@ -1,4 +1,5 @@
-"""The series Phi_0 on SQUARE against Horn sums summed by mpmath.
+"""The series Phi_0 on SQUARE against Horn sums summed by mpmath, and on
+F1 against the span of the powers of the roots of its quadric.
 
 SQUARE's markers have one relation, h = (1, -1, -1, 1).  At a generic beta
 each maximal cone sigma gives one summand of the quotient, whose component
@@ -13,6 +14,13 @@ own.  The reference takes no jet, so a fault in the Stirling tail shows:
 every l_i of one coordinate shares a fractional part, so their Stirling
 walks end at one point and a wrong constant only rescales each component,
 which a comparison up to the span of the sums would not see.
+
+F1's markers (1, 0), (1, 1), (1, 2) take beta = (0, -s) to the powers
+t^s of the roots t of x_0 + x_1 t + x_2 t^2: a root is homogeneous of
+degree 0 in x and of degree -1 in the weights (0, 1, 2), and solves the
+box operator x_0 x_2 - x_1^2.  So each component of Phi_0 is a linear
+combination of t_1^s and t_2^s, on any branch that stays put over the
+points.  The check is a span fit, so it cannot see a Stirling fault.
 """
 
 import dataclasses
@@ -21,11 +29,12 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import boxgamma.gkz as gkz
 from boxgamma.box import alpha_key
-from boxgamma.fan import triangulate_from_heights
+from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import build_gkz, gamma_series
 from boxgamma.linalg import re_part
 from exact_oracles import solve_simplicial_coords
@@ -124,3 +133,59 @@ def test_oracle_sees_a_wrong_stirling_constant():
     finally:
         gkz._BERNOULLI = saved
         gkz._stirling_constants.cache_clear()
+
+
+F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+F1_BASE = (1, -8 - 4j, 1)
+F1_EXPONENTS = [Fraction(1, 3), Fraction(-1, 3), Fraction(5, 3), Fraction(2, 7)]
+
+
+def f1_cloud():
+    """Eight points x = F1_BASE * (1 + 0.1 w), each w_j seeded in the
+    complex square [-1, 1] + i[-1, 1]."""
+    rng = random.Random(7)
+    return [
+        tuple(b * (1 + 0.1 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for b in F1_BASE)
+        for _ in range(8)
+    ]
+
+
+def root_span_residual(s):
+    """The largest max-norm residual, relative to the component's max-norm,
+    of a least-squares fit of each component of Phi_0 over f1_cloud in
+    span{t_1^s, t_2^s}, t the roots of x_0 + x_1 t + x_2 t^2 taken on the
+    principal branch.  Built on a fresh copy of F1, so no cached window or
+    jet is read."""
+    inst = build_gkz(dataclasses.replace(F1), (Fraction(0), -s))
+    rows, values = [], []
+    for x0, x1, x2 in f1_cloud():
+        disc = np.sqrt(complex(x1 * x1 - 4 * x0 * x2))
+        rows.append([((-x1 + sign * disc) / (2 * x2)) ** float(s) for sign in (1, -1)])
+        values.append(gamma_series(inst, (0, 0), (x0, x1, x2), BOUND).value)
+    basis, values = np.array(rows), np.array(values)
+    worst = 0.0
+    for y in values.T:
+        coeffs = np.linalg.lstsq(basis, y, rcond=None)[0]
+        worst = max(worst, np.max(np.abs(basis @ coeffs - y)) / np.max(np.abs(y)))
+    return worst
+
+
+@pytest.mark.parametrize("s", F1_EXPONENTS, ids=str)
+def test_phi0_on_f1_lies_in_the_span_of_the_root_powers(s):
+    err = root_span_residual(s)
+    assert err <= TOLERANCE, f"span residual {err:.3g}"
+
+
+def test_root_span_sees_a_dropped_window_offset(monkeypatch):
+    """Without the smallest-norm offset of each window the series loses its
+    term nearest each box element, and the fit fails."""
+    window = gkz._window
+
+    def dropped(*args):
+        offsets, norms = window(*args)
+        drop = norms.index(min(norms))
+        return offsets[:drop] + offsets[drop + 1:], norms[:drop] + norms[drop + 1:]
+
+    monkeypatch.setattr(gkz, "_window", dropped)
+    for s in (F1_EXPONENTS[0], F1_EXPONENTS[2]):
+        assert root_span_residual(s) > TOLERANCE

@@ -98,6 +98,7 @@ def exact_product(inst, t, J):
     return vec
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_skipped_terms_are_exactly_zero(data):
@@ -182,6 +183,7 @@ L_VALUES = st.one_of(
 )
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(l=L_VALUES, orders=st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
 def test_jet_prefix_does_not_depend_on_the_order(l, orders):
@@ -220,6 +222,7 @@ def test_terms_at_beta_zero_equal_the_terms_at_order_dim(name):
     assert_terms_at_order_dim(inst, x, 2 if fan is SIMPLEX3X2 else 4)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_terms_equal_the_terms_at_order_dim(data):
