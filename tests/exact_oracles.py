@@ -151,8 +151,8 @@ def _completed_inverse(gens: tuple) -> list | None:
 
 
 def oracle_coords(gens, p):
-    """(coordinates, in span) of p by mat_inverse, or None for dependent
-    generators: each coordinate a pair (re, im) of Fractions.  The
+    """(coordinates, in span) of p by mat_inverse, each coordinate an (re,
+    im) pair of Fractions, or None for dependent generators.  The
     generators are completed to a basis by unit vectors; p is in their span
     iff its coordinates on the added vectors vanish."""
     inv = _completed_inverse(tuple(map(tuple, gens)))
