@@ -117,31 +117,30 @@ def _cone_branches(fan, cone, param, common):
     The residues are the lattice points n0 of the cone's Hermite box,
     0 <= n0_r < H_rr (fan._cone_residues), one per class of Z^d modulo the
     generators.  The cone coordinates of n0 + beta are
-    (adj n0 + adj beta) / det, for beta's integer parts param = (den, re, im)
-    (linalg.integer_parts): integer products, and one Fraction per real part
-    (Im alpha is the same for every residue).  The cone's inverse and
-    Hermite diagonal come from the fan's cone table.  key holds Re alpha_i
-    and Im alpha_i, interleaved, as integers over common * den, for common a
-    multiple of |det|: over one such denominator the keys compare as
-    alpha_key of the exponents does.
+    (T n0 + T beta) / t for the cone's ConeInverse rows T and den t, and
+    beta's integer parts param = (den, re, im) (linalg.integer_parts):
+    integer products, and one Fraction per real part (Im alpha is the same
+    for every residue).  The cone's inverse and Hermite diagonal come from
+    the fan's cone table.  key holds Re alpha_i and Im alpha_i, interleaved,
+    as integers over common * den, for common a multiple of t: over one
+    such denominator the keys compare as alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
     inv = _solved(fan, cone)
-    adj, det = inv.rows, inv.den
     den, b_re, b_im = param
-    big, scale = det * den, common // det
-    adj_re, adj_im = ([_dot(row, b) for row in adj] for b in (b_re, b_im))
-    ims = [Fraction(x, big) for x in adj_im]
+    big, scale = inv.den * den, common // inv.den
+    t_re, t_im = ([_dot(row, b) for row in inv.rows] for b in (b_re, b_im))
+    ims = [Fraction(x, big) for x in t_im]
     out = []
     for n0 in itertools.product(*map(range, _cone_residues(fan, cone))):
         alpha, key, floors = [_ZERO] * fan.k, [0] * (2 * fan.k), [0] * fan.k
         for pos, i in enumerate(cone):
-            num = den * _dot(adj[pos], n0) + adj_re[pos]
+            num = den * _dot(inv.rows[pos], n0) + t_re[pos]
             f = floors[i] = num // big
             r = num - f * big
-            alpha[i] = GaussianRational(Fraction(r, big), ims[pos]) if adj_im[pos] else Fraction(r, big)
-            key[2 * i], key[2 * i + 1] = r * scale, adj_im[pos] * scale
+            alpha[i] = GaussianRational(Fraction(r, big), ims[pos]) if t_im[pos] else Fraction(r, big)
+            key[2 * i], key[2 * i + 1] = r * scale, t_im[pos] * scale
         point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
         support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
         elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support) or (cone,))
@@ -181,8 +180,8 @@ def _classes(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, .
 
 def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
     """The classes, grouped and sorted by the branches' integer keys over one
-    denominator for the fan and beta: the lcm of the maximal cones' |det|
-    times that of beta's parts."""
+    denominator for the fan and beta: the lcm of the maximal cones'
+    ConeInverse dens times that of beta's parts."""
     common = math.lcm(*(_solved(fan, mc).den for mc in fan.max_cones))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:

@@ -71,18 +71,26 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _field(doc, key: str, stage: str):
+    """doc[key]; ValueError names a field the input file lacks."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f'{stage}: the input file has no "{key}" field')
+    return doc[key]
+
+
 def parse_fan(doc) -> StackyFan:
     # read before the shift to 0-based indices, so an error shows the file's entry
-    cones = [read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(doc["max_cones"], 1)]
+    cones = _field(doc, "max_cones", "fan")
+    cones = [read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(cones, 1)]
     fan = StackyFan(
-        rank=doc["rank"],
-        rays=tuple(map(tuple, doc["rays"])),
+        rank=_field(doc, "rank", "fan"),
+        rays=_field(doc, "rays", "fan"),
         max_cones=tuple(tuple(i - 1 for i in cone) for cone in cones),
         deg=doc.get("deg"),
     )
     outside = [i + 1 for cone in fan.max_cones for i in cone if not 0 <= i < fan.k]
     if outside:
-        raise ValueError(f"cone index {outside[0]} out of range")
+        raise ValueError(f"fan: cone index {outside[0]} out of range")
     return fan
 
 
@@ -90,7 +98,7 @@ def _fan_beta(args):
     from .box import normalize_beta
 
     fan = parse_fan(_load(args.fan))
-    return fan, normalize_beta(fan, _load(args.beta)["beta"])
+    return fan, normalize_beta(fan, _field(_load(args.beta), "beta", "box"))
 
 
 def parse_x(doc):
@@ -99,7 +107,7 @@ def parse_x(doc):
     reads the offsets."""
     from .gkz import _read
 
-    x = as_sequence(doc["x"], "series", "x")
+    x = as_sequence(_field(doc, "x", "series"), "series", "x")
     for r, p in enumerate(x, start=1):
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError(f"series: coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
@@ -155,7 +163,7 @@ def cmd_cohomology(args):
     from .quotient import ModuleSpec, build_quotient
 
     fan, beta = _fan_beta(args)
-    xi = _load(args.shadow)["xi"] if args.shadow else None
+    xi = _field(_load(args.shadow), "xi", "quotient") if args.shadow else None
     q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {

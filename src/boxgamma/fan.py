@@ -13,6 +13,7 @@ the quotient's summand blocks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -22,6 +23,7 @@ from .linalg import (
     ConeInverse,
     _dot,
     _integral,
+    _rref,
     cone_inverse,
     feasible,
     hermite_normal_form,
@@ -150,7 +152,7 @@ def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
         for i in cone:
             if len(fan.rays[i]) != fan.rank:
                 raise InvalidFan(f"fan: marker {i + 1} has wrong length, not the rank {fan.rank}")
-        inv = fan._table.inverses[cone] = cone_inverse(fan.gens(cone))
+        inv = fan._table.inverses[cone] = cone_inverse(fan.gens(cone), fan.rank)
     return inv
 
 
@@ -244,16 +246,18 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
 
 
 def normalized_volume(fan: StackyFan) -> int:
-    """Sum of |det| of generator matrices over maximal cones."""
+    """Sum over the maximal cones of |det| of their generators, the product
+    of each cone's Hermite diagonal (_cone_residues)."""
     total = 0
     for cone in fan.max_cones:
         named = tuple(i + 1 for i in cone)
         if len(cone) != fan.rank:
             raise NotFullDimensional(f"volume: cone {named} is not full-dimensional")
         try:
-            total += _cone_inverse(fan, cone).den
+            _cone_inverse(fan, cone)
         except DependentGenerators:
             raise NotFullDimensional(f"volume: cone {named} has dependent generators") from None
+        total += math.prod(_cone_residues(fan, cone))
     return total
 
 
@@ -383,10 +387,10 @@ def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
 def _uncovered_marker(fan: StackyFan) -> Optional[tuple[int, ConeRef]]:
     """A marker outside the support of a valid full-dimensional fan, with the
     cone of the boundary facet it lies beyond, or None.  Boundary facets are
-    those of one maximal cone; row i of the cone's inverse (its adjugate) is
-    the inner normal of its facet opposite generator i.  A segment from the support to
-    a point outside it leaves through a boundary facet, so the support is
-    the cone over the markers iff no marker is beyond one."""
+    those of one maximal cone; row i of its ConeInverse is the inner normal
+    of its facet opposite generator i.  A segment from the support to a
+    point outside it leaves through a boundary facet, so the support is the
+    cone over the markers iff no marker is beyond one."""
     # number of maximal cones holding each facet of a maximal cone
     facets = Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
     for cone in fan.max_cones:
@@ -408,25 +412,24 @@ def triangulate_from_heights(
     Cells are the d-subsets S whose height-interpolating functional w
     (w . v_i = h_i on S) satisfies w . v_j <= h_j everywhere, with equality
     exactly on S.  An equality outside S means a non-simplicial lower facet
-    and raises DegenerateHeights.
+    and raises DegenerateHeights.  w is solved by one _rref of the rows
+    [v_i | H_i] on S, H = den * h the integer heights.
     """
     if not points:
         raise ValueError("fan: triangulation needs at least one point")
     d = len(read_exact(points[0], _integral, "fan", "point 1"))
     pts = [read_exact(p, _integral, "fan", f"point {i}", d) for i, p in enumerate(points, start=1)]
     hs = read_exact(heights, parse_rational, "fan", "heights", len(pts))
-    # integer heights H = den * hs; the subset's points as generators V give
-    # rows T with T V = det * I, det = |det V|, so w = T^t h_S / det and
-    # p . w <= h_j compares p . (T^t H_S) with det * H_j
     h_int = scaled_numerators(hs)[1]
     cells: set[ConeRef] = set()
     for subset in itertools.combinations(range(len(pts)), d):
-        try:
-            inv = cone_inverse([pts[i] for i in subset])
-        except DependentGenerators:
+        ech = _rref({c: x for c, x in enumerate(pts[i] + (h_int[i],)) if x} for i in subset)
+        if any(r not in ech for r in range(d)):
             continue
-        u = [sum(row[r] * h_int[i] for row, i in zip(inv.rows, subset)) for r in range(d)]
-        vals = [sum(x * y for x, y in zip(p, u)) - inv.den * h for p, h in zip(pts, h_int)]
+        # w_r = row_r[d] / row_r[r]; u = den * w over the least den
+        den = math.lcm(*(ech[r][r] for r in range(d)))
+        u = [den // ech[r][r] * ech[r].get(d, 0) for r in range(d)]
+        vals = [_dot(p, u) - den * h for p, h in zip(pts, h_int)]
         if any(v > 0 for v in vals):
             continue
         cell = tuple(j for j, v in enumerate(vals) if v == 0)

@@ -3,10 +3,10 @@
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Exact input (integer, rational and
 Gaussian-rational vectors) is read and checked by one reader, `read_exact`.
-Integer lattice work (the Hermite normal form, integer solving), every
-cone solve, through one fraction-free elimination, and the feasibility
-test use arbitrary-precision ints.  The only floating-point routine is
-`singular_values`, a one-sided Jacobi SVD in pure Python.
+Integer lattice work (the Hermite normal form, integer solving), the one
+Gauss-Jordan elimination (_rref, fraction-free on sparse rows) and the
+feasibility test use arbitrary-precision ints.  The only floating-point
+routine is `singular_values`, a one-sided Jacobi SVD in pure Python.
 """
 
 from __future__ import annotations
@@ -190,44 +190,40 @@ def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# fraction-free integer elimination (Bareiss 1968)
+# fraction-free Gauss-Jordan elimination on sparse integer rows
 
 
-def _bareiss(m: IntMatrix, ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of the integer rows m, in place.
+def _combine(p: int, v: dict, f: int, w: dict) -> dict:
+    """p * v - f * w for sparse integer rows {column: entry}, nonzero entries only."""
+    out = {c: p * v.get(c, 0) - f * w.get(c, 0) for c in v.keys() | w.keys()}
+    return {c: x for c, x in out.items() if x}
 
-    Columns 0..ncols-1 are eliminated in order; a column with no pivot left
-    is skipped.  Each step replaces every other row by
-    (pivot * row - row[col] * pivot_row) / previous pivot, a division that is
-    always exact, so every entry stays a minor of the input.  Returns the
-    pivot columns and the last pivot p: the i-th row holds p in the i-th
-    pivot column and 0 in the other pivot columns, and rows past the rank
-    are zero in columns 0..ncols-1.  For a square matrix of full rank p is
-    the determinant up to the sign of the row swaps.
-    """
-    nrows, prev = len(m), 1
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
+
+def _rref(rows) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of sparse integer rows {column: nonzero entry}
+    as {pivot column: row}: rows eliminated fraction-free, each divided by its
+    content once reduced, with a positive pivot and zero in every other
+    pivot column.  The form is unique: a row over its pivot is Gauss-Jordan's.
+    The library's one Gauss-Jordan elimination: cone_inverse,
+    fan.triangulate_from_heights and quotient._Summand.extend call it."""
+    ech: dict[int, dict[int, int]] = {}
+    for v in rows:
+        # reducing by one row leaves v's other pivot entries zero or nonzero
+        for pc in [c for c in v if c in ech]:
+            v = _combine(ech[pc][pc], v, v[pc], ech[pc])
+        if not v:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        prow = m[row]
-        p = prow[col]
-        for r in range(nrows):
-            if r == row:
-                continue
-            f = m[r][col]
+        pc = min(v)
+        g = math.gcd(*v.values()) * (-1 if v[pc] < 0 else 1)
+        v = {c: x // g for c, x in v.items()}
+        for pc2, er in ech.items():
+            f = er.get(pc)
             if f:
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], prow)]
-            elif p != prev:
-                m[r] = [p * x // prev for x in m[r]]
-        prev = p
-        pivots.append(col)
-    return pivots, prev
+                w = _combine(v[pc], er, f, v)
+                g = math.gcd(*w.values())
+                ech[pc2] = {c: x // g for c, x in w.items()}
+        ech[pc] = v
+    return ech
 
 
 def scaled_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -244,13 +240,13 @@ def _dot(row: Sequence[int], vec: Sequence[int]) -> int:
 class ConeInverse:
     """Integer left inverse of m independent generators in Z^d.
 
-    With V the d x m matrix of the generators as columns, one fraction-free
-    elimination of [V | I] over V's columns turns I into T with
-    T V = den * [I; 0].  For a point p = V c the first m rows of T give
-    row . p = den * c_i, and the other d - m rows give 0; as T is invertible,
-    p lies in the span of V exactly when those rows vanish on it.  den is
-    made positive, the rows negated with it, so for m = d the rows are the
-    sign-normalised adjugate of V and den = |det V|.
+    With V the d x m matrix of the generators as columns, the reduced rows
+    of [V | I] (_rref) with a pivot in V's columns give rows T with
+    T V = den * I, den the least positive integer that makes them integral:
+    the lcm of their pivots, the least common denominator of V's inverse
+    when m = d.  For a point p = V c, row . p = den * c_i.  The other d - m
+    reduced rows, span, are 0 on V and independent of the rows of T, so p
+    lies in the span of V exactly when they vanish on it.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -265,20 +261,18 @@ class ConeInverse:
         return [_dot(row, nums) for row in self.rows]
 
 
-def cone_inverse(gens: Sequence[Sequence[int]]) -> ConeInverse:
-    """The ConeInverse of independent generators; raises DependentGenerators."""
-    d, m = len(gens[0]), len(gens)
-    a = [[int(g[r]) for g in gens] + [int(r == j) for j in range(d)] for r in range(d)]
-    pivots, last = _bareiss(a, m)
-    if len(pivots) < m:
+def cone_inverse(gens: Sequence[Sequence[int]], d: int) -> ConeInverse:
+    """The ConeInverse of independent generators in Z^d, from one _rref of
+    [V | I]; raises DependentGenerators when a column of V has no pivot."""
+    m = len(gens)
+    ech = _rref({**{j: g[r] for j, g in enumerate(gens) if g[r]}, m + r: 1} for r in range(d))
+    if any(j not in ech for j in range(m)):
         named = ", ".join(str(tuple(g)) for g in gens)
         raise DependentGenerators(f"cone: the generators {named} are linearly dependent")
-    sign = -1 if last < 0 else 1
-    return ConeInverse(
-        rows=tuple(tuple(sign * x for x in row[m:]) for row in a[:m]),
-        span=tuple(tuple(row[m:]) for row in a[m:]),
-        den=sign * last,
-    )
+    den = math.lcm(*(ech[j][j] for j in range(m)))
+    rows = [[den // ech[pc][pc] * ech[pc].get(m + r, 0) for r in range(d)] for pc in range(m)]
+    span = [[ech[pc].get(m + r, 0) for r in range(d)] for pc in sorted(ech) if pc >= m]
+    return ConeInverse(tuple(map(tuple, rows)), tuple(map(tuple, span)), den)
 
 
 # ---------------------------------------------------------------------------

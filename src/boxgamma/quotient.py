@@ -6,13 +6,13 @@ alpha, points are monomials m >= 0 supported together with alpha in a common
 maximal cone, via p = sum((alpha_i + m_i) v_i); the correspondence is a
 bijection because cone coordinates are unique.  Quotients by the ideal
 (Z_1..Z_d), Z_j = sum_i g_j(v_i) [v_i], are computed degree by degree in |m|
-by integer elimination on sparse rows, each reduced row divided by its
-content; Fractions appear only in the classes of the monomials kept.
+by the library's one integer elimination on sparse rows (linalg._rref),
+each reduced row divided by its content; Fractions appear only in the
+classes of the monomials kept.
 """
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,7 +26,7 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _faces, _mask, _memo, _tangent_test, normalized_volume, validate
-from .linalg import Coord, _dot, integer_parts, parse_rational, read_exact, read_int
+from .linalg import Coord, _dot, _rref, integer_parts, parse_rational, read_exact, read_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,9 +68,9 @@ class QuotientAlgebra:
     """The graded quotient; build_quotient hands one instance to every caller
     with the same fan and spec.  dims holds each summand's dimension and
     bases the index in basis of its base element (degree 0, monomial 0) or
-    None, both in the order of alphas; summand_dims and base_index show them
-    as read-only views keyed by alpha_key, built on first read, as their
-    keys hash Fraction pairs."""
+    None, both in the order of alphas; summand_dims shows dims as a
+    read-only view keyed by alpha_key, built on first read, as its keys
+    hash Fraction pairs."""
 
     spec: ModuleSpec
     basis: tuple[BasisElement, ...]
@@ -83,11 +83,6 @@ class QuotientAlgebra:
     @functools.cached_property
     def summand_dims(self) -> Mapping:
         return MappingProxyType({alpha_key(e.alpha): n for e, n in zip(self.alphas, self.dims)})
-
-    @functools.cached_property
-    def base_index(self) -> Mapping:
-        pairs = zip(self.alphas, self.bases)
-        return MappingProxyType({alpha_key(e.alpha): i for e, i in pairs if i is not None})
 
 
 def _check_graded(fan: StackyFan) -> tuple[int, ...]:
@@ -229,37 +224,6 @@ class _Summand:
         self.pieces[t] = dict(enumerate(mons))
         self.quot[t] = quot
         return len(quot)
-
-
-def _combine(p: int, v: dict, f: int, w: dict) -> dict:
-    """p * v - f * w for sparse integer rows {column: entry}, nonzero entries only."""
-    out = {c: p * v.get(c, 0) - f * w.get(c, 0) for c in v.keys() | w.keys()}
-    return {c: x for c, x in out.items() if x}
-
-
-def _rref(rows) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form of sparse integer rows {column: nonzero entry}
-    as {pivot column: row}: rows eliminated fraction-free, each divided by its
-    content once reduced, with a positive pivot and zero in every other
-    pivot column.  The form is unique: a row over its pivot is Gauss-Jordan's."""
-    ech: dict[int, dict[int, int]] = {}
-    for v in rows:
-        # reducing by one row leaves v's other pivot entries zero or nonzero
-        for pc in [c for c in v if c in ech]:
-            v = _combine(ech[pc][pc], v, v[pc], ech[pc])
-        if not v:
-            continue
-        pc = min(v)
-        g = math.gcd(*v.values()) * (-1 if v[pc] < 0 else 1)
-        v = {c: x // g for c, x in v.items()}
-        for pc2, er in ech.items():
-            f = er.get(pc)
-            if f:
-                w = _combine(v[pc], er, f, v)
-                g = math.gcd(*w.values())
-                ech[pc2] = {c: x // g for c, x in w.items()}
-        ech[pc] = v
-    return ech
 
 
 def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:

@@ -138,10 +138,10 @@ def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _completed_inverse(gens: tuple) -> list | None:
-    """mat_inverse of the generators (columns) completed to a basis by unit
-    vectors, or None for dependent generators."""
-    d, m = len(gens[0]), len(gens)
+def _completed_inverse(gens: tuple, d: int) -> list | None:
+    """mat_inverse of the generators (columns) in Q^d completed to a basis by
+    unit vectors, or None for dependent generators."""
+    m = len(gens)
     for extra in itertools.combinations(range(d), max(d - m, 0)):
         cols = list(gens) + [tuple(int(r == j) for r in range(d)) for j in extra]
         rows = [[c[r] for c in cols] for r in range(d)]
@@ -155,7 +155,7 @@ def oracle_coords(gens, p):
     im) pair of Fractions, or None for dependent generators.  The
     generators are completed to a basis by unit vectors; p is in their span
     iff its coordinates on the added vectors vanish."""
-    inv = _completed_inverse(tuple(map(tuple, gens)))
+    inv = _completed_inverse(tuple(map(tuple, gens)), len(p))
     if inv is None:
         return None
     m = len(gens)
@@ -207,10 +207,10 @@ def solve_simplicial_coords(gens: Sequence[Sequence[int]], p: Sequence) -> tuple
     p may have Fraction or GaussianRational entries; the coordinate vector is
     returned with entries of the same kind.  Raises DependentGenerators if the
     generators are dependent and NotInSpan if p lies outside their span.
-    The one-shot form of cone_coords(cone_inverse(gens), p); a fan keeps
+    The one-shot form of cone_coords(cone_inverse(gens, len(p)), p); a fan keeps
     each maximal cone's ConeInverse, so its cone solves skip the elimination.
     """
-    return cone_coords(cone_inverse(gens), p)
+    return cone_coords(cone_inverse(gens, len(p)), p)
 
 
 def fraction_rref(rows, ncols):
@@ -536,8 +536,8 @@ def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...
     param = integer_parts(normalize_beta(fan, beta))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
-        det = _cone_inverse(fan, mc).den
-        for _, residue, floors, e in box_module._cone_branches(fan, mc, param, det):
+        common = _cone_inverse(fan, mc).den
+        for _, residue, floors, e in box_module._cone_branches(fan, mc, param, common):
             groups.setdefault(alpha_key(e.alpha), []).append(Branch(mc, residue, floors, e))
     classes = []
     for key in sorted(groups):
@@ -551,8 +551,8 @@ def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...
 
 
 def fraction_keyed_maps(q: QuotientAlgebra) -> tuple[dict, dict]:
-    """summand_dims and base_index as dicts keyed by alpha_key, in summand
-    order, counted from the basis: a summand's dimension is its number of
+    """summand_dims, and the index of each summand's base element, as dicts
+    keyed by alpha_key, in summand order, counted from the basis: a summand's dimension is its number of
     basis elements, its base element the one of degree 0 and monomial 0."""
     dims = {alpha_key(e.alpha): 0 for e in q.alphas}
     bases = {}

@@ -19,7 +19,7 @@ from boxgamma.box import (
     stabilize,
 )
 from boxgamma.errors import NotFullDimensional
-from boxgamma.fan import StackyFan, _cone_residues, triangulate_from_heights
+from boxgamma.fan import StackyFan, _cone_residues, normalized_volume, triangulate_from_heights
 from boxgamma.kring import wall_report
 from boxgamma.linalg import GaussianRational, cone_inverse, im_part, integer_parts, re_part
 from exact_oracles import (
@@ -463,14 +463,16 @@ def test_integer_keys_group_as_alpha_key(name, data):
 @given(d=st.integers(1, 4), data=st.data())
 def test_hermite_box_lists_each_residue_once(d, data):
     """The Hermite box of d independent integer vectors, 0 <= n_r < H_rr,
-    holds |det| points, no two of them equal modulo the vectors: their cone
-    numerators differ mod |det| (ConeInverse.numerators)."""
+    holds prod H_rr = |det| points, no two of them equal modulo the vectors:
+    their cone numerators differ mod den, the least common denominator of
+    the vectors' inverse (ConeInverse.numerators)."""
     row = st.tuples(*[st.integers(-3, 3)] * d)
     gens = data.draw(st.lists(row, min_size=d, max_size=d).filter(lambda m: det_rational(m)))
     fan = StackyFan(rank=d, rays=tuple(gens), max_cones=(tuple(range(d)),))
-    inv = cone_inverse(gens)
-    points = list(itertools.product(*map(range, _cone_residues(fan, tuple(range(d))))))
-    assert len(points) == inv.den == abs(det_rational(gens))
+    inv = cone_inverse(gens, d)
+    diag = _cone_residues(fan, tuple(range(d)))
+    points = list(itertools.product(*map(range, diag)))
+    assert len(points) == math.prod(diag) == abs(det_rational(gens)) == normalized_volume(fan)
     classes = {tuple(x % inv.den for x in inv.numerators(n)) for n in points}
     assert len(classes) == len(points)
 

@@ -571,6 +571,65 @@ def test_cone_index_out_of_range_exit_2(tmp_path):
     fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1]], "max_cones": [[1, 5]]}')
     code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
     assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": "fan: cone index 5 out of range"}
+
+
+def test_ray_that_is_no_sequence_has_the_library_message(tmp_path):
+    """The rays reach the library's reader as the file has them."""
+    fan = tmp_path / "fan_bad.json"
+    fan.write_text('{"rank": 2, "rays": [1, [0, 1]], "max_cones": [[1, 2]]}')
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": "fan: ray 1 is 1, not a sequence"}
+
+
+@pytest.mark.parametrize(
+    "command,name,doc,message",
+    [
+        ("validate", "fan", '{"rays": [[1, 0]], "max_cones": [[1]]}', 'fan: the input file has no "rank" field'),
+        ("validate", "fan", '{"rank": 2, "max_cones": [[1]]}', 'fan: the input file has no "rays" field'),
+        ("validate", "fan", '{"rank": 2, "rays": [[1, 0]]}', 'fan: the input file has no "max_cones" field'),
+        ("validate", "fan", "[2]", 'fan: the input file has no "max_cones" field'),
+        ("box", "beta", '{"b": ["0", "0"]}', 'box: the input file has no "beta" field'),
+        ("cohomology", "shadow", '{"x": ["1/4", "0"]}', 'quotient: the input file has no "xi" field'),
+        ("gkz-solve", "x", '{"xs": [[1, 0], [10, 0], [1, 0]]}', 'series: the input file has no "x" field'),
+    ],
+    ids=["rank", "rays", "max_cones", "no-object", "beta", "xi", "x"],
+)
+def test_missing_field_is_named_exit_2(seed_dir, tmp_path, command, name, doc, message):
+    """Each printed only the bare KeyError text before, as 'beta'."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(doc)
+    files = {"fan": seed_dir / "fan_f1.json", "beta": seed_dir / "beta_f1.json", name: path}
+    args = [command, "--fan", str(files["fan"])]
+    if command != "validate":
+        args += ["--beta", str(files["beta"])]
+    if command == "cohomology":
+        args += ["--shadow", str(path)]
+    if command == "gkz-solve":
+        args += ["--x", str(path), "--bound", "4"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert out["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("cones", [[[1, 2], []], [[], [1, 2]]])
+def test_empty_maximal_cone_is_reported(tmp_path, cones):
+    """The zero cone is valid and reported as [[1]] is; box refuses it."""
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": cones}))
+    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
+    assert code == 0
+    assert (doc["valid"], doc["volume"], doc["violations"]) == (True, None, [])
+    assert doc["gkz_notes"] == ["maximal cones are not all full-dimensional"]
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["1/3", "1/5"]}')
+    code, doc = run_cli(["box", "--fan", str(fan), "--beta", str(beta)], tmp_path)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "NotFullDimensional",
+        "message": "box: cone () is not full-dimensional in rank 2",
+    }
 
 
 def test_fan_without_markers_or_cones_is_reported(tmp_path):

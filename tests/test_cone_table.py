@@ -1,12 +1,13 @@
 """The fan's cone table against Fraction oracles.
 
-Cones of dimension 1..d in Z^d, d <= 4: the table's coordinates and span
-test against mat_inverse of the generators completed by unit vectors,
+Cones of 0..d + 1 generators in Z^d, d <= 4: the table's coordinates and
+span test against mat_inverse of the generators completed by unit vectors,
 the minimal face of a point and whether the shadow filter's set of passing
 faces holds it against a per-cone solve by that oracle (the filter on fans
 validate accepts; on the rest it raises InvalidFan), that set against the
 oracle on every face of the ladder's fans, its one solve of xi per maximal
-cone, facet normals and normalized_volume against det_rational, dependent
+cone, facet normals and den against mat_inverse, normalized_volume and
+the Hermite diagonal's product against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
 consulted for.  Also the quotient at a stabilization's target, built
 through the fan's parameter memo, against one built on a fresh copy of
@@ -14,6 +15,7 @@ the fan."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from boxgamma.errors import (
 from boxgamma.fan import (
     StackyFan,
     _cone_inverse,
+    _cone_residues,
     _faces,
     _mask,
     _minimal_face,
@@ -53,6 +56,7 @@ from exact_oracles import (
     all_pairs_report,
     cone_coords,
     det_rational,
+    mat_inverse,
     oracle_coords,
     oracle_minimal_cone,
     oracle_tangent_member,
@@ -73,9 +77,11 @@ def as_parts(coords):
 
 @st.composite
 def cones_in_zd(draw):
-    """m integer generators in Z^d, 1 <= m <= d <= 4; some dependent."""
+    """m integer generators in Z^d, d <= 4 and 0 <= m <= d + 1: the empty
+    cone, and dependent sets, every one of d + 1 and some drawn as a
+    combination."""
     d = draw(st.integers(1, 4))
-    m = draw(st.integers(1, d))
+    m = draw(st.integers(0, d + 1))
     gens = [tuple(draw(small_int) for _ in range(d)) for _ in range(m)]
     if m > 1 and draw(st.integers(0, 3)) == 0:
         a, b = draw(small_int), draw(small_int)
@@ -110,7 +116,7 @@ def test_table_coordinates_match_mat_inverse(case, data, gaussian):
     want = oracle_coords(gens, p)
     if want is None:
         with pytest.raises(DependentGenerators):
-            cone_inverse(gens)
+            cone_inverse(gens, d)
         with pytest.raises(DependentGenerators):
             _cone_inverse(fan, cone)
         assert fan._table.inverses == {}
@@ -121,11 +127,11 @@ def test_table_coordinates_match_mat_inverse(case, data, gaussian):
     except NotInSpan:
         got = None
     assert (got is not None) == in_span
-    assert fan._table.inverses[cone] == cone_inverse(gens)
+    assert fan._table.inverses[cone] == cone_inverse(gens, d)
     if in_span:
         assert as_parts(got) == coords
         assert all(type(c) is (GaussianRational if gaussian else Fraction) for c in got)
-        assert got == cone_coords(cone_inverse(gens), p)
+        assert got == cone_coords(cone_inverse(gens, d), p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,8 +146,12 @@ def test_full_cone_rows_are_facet_normals(data):
             normalized_volume(fan)
         return
     inv = _cone_inverse(fan, fan.max_cones[0])
-    assert inv.den == abs(det) and inv.span == ()
-    assert normalized_volume(fan) == abs(det)
+    want = mat_inverse([[g[r] for g in gens] for r in range(d)])
+    # den is the least: the inverse's common denominator, a divisor of |det|
+    assert inv.den == math.lcm(*(x.denominator for row in want for x in row)) and inv.span == ()
+    assert abs(det) % inv.den == 0
+    assert [[Fraction(x, inv.den) for x in row] for row in inv.rows] == want
+    assert normalized_volume(fan) == math.prod(_cone_residues(fan, fan.max_cones[0])) == abs(det)
     # row i vanishes on every generator but the i-th, where it is positive
     for i, row in enumerate(inv.rows):
         values = [sum(a * b for a, b in zip(row, g)) for g in gens]
@@ -453,4 +463,4 @@ def quotient_outcome(build):
         q = build()
     except DomainError as exc:
         return type(exc), str(exc)
-    return q.alphas, repr(q), q.summand_dims, q.base_index
+    return q.alphas, repr(q), q.summand_dims, q.bases

@@ -19,6 +19,7 @@ from boxgamma.fan import (
     triangulate_from_heights,
     validate,
 )
+from boxgamma.linalg import ConeInverse
 from exact_oracles import is_complete, primitive_direction
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -224,6 +225,19 @@ def test_tangent_member():
     assert passes((2, 0), (0, -1)) is False  # exits through the base ray
     assert passes((2, 0), (0, 1)) is True
     assert passes((1, 0), (0, 1)) is True
+
+
+@pytest.mark.parametrize("cones", [((0, 1), ()), ((), (0, 1))])
+def test_empty_maximal_cone_is_valid_and_not_full_dimensional(cones):
+    """The zero cone's inverse has no rows and the whole lattice as span;
+    the fan is valid, as one with the cone (1,) is, and has no volume."""
+    fan = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=cones)
+    report = validate(fan)
+    assert (report.valid, report.violations, report.volume) == (True, (), None)
+    assert report.gkz_notes == ("maximal cones are not all full-dimensional",)
+    assert fan._table.inverses[()] == ConeInverse((), ((1, 0), (0, 1)), 1)
+    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(\) is not full-dimensional$"):
+        normalized_volume(fan)
 
 
 def test_normalized_volume():

@@ -1,7 +1,7 @@
 """The fraction-free integer kernels against Fraction oracles: cone_inverse
-of square generators (the sign-normalised adjugate) and the square
+of square generators (den times the inverse, den least) and the square
 cone-coordinate solve against mat_inverse, the solve with
-fewer generators than the rank and the quotient's integer RREF against a
+fewer generators than the rank and the library's integer RREF against a
 Fraction Gauss-Jordan, Fourier-Motzkin feasibility against the same
 elimination without Chernikov's rule, and validate's pair test, for cones
 of any dimension, against the Fraction extreme rays of their intersection.
@@ -10,6 +10,7 @@ builds of the kring command."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,7 @@ from boxgamma.cli import main
 from boxgamma.errors import DependentGenerators
 from boxgamma.fan import StackyFan, _meets_in_face, triangulate_from_heights
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import GaussianRational, cone_inverse, feasible, integer_parts
-from boxgamma.quotient import _rref
+from boxgamma.linalg import GaussianRational, _rref, cone_inverse, feasible, integer_parts
 from exact_oracles import (
     NotInSpan,
     det_rational,
@@ -62,22 +62,25 @@ def frac_mat_vec(m, v):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=square_matrices())
-def test_integer_adjugate_matches_fraction_inverse(rows):
-    """cone_inverse of the columns of A: rows adj with adj * A = d * I and
-    d = |det A|, so adj is the adjugate, negated with det A when det A < 0."""
+def test_cone_inverse_matches_fraction_inverse(rows):
+    """cone_inverse of the columns of A: rows T with T * A = den * I, den the
+    least common denominator of A's Fraction inverse, so the least positive
+    integer that makes den * A^-1 integral, a divisor of |det A|."""
     n = len(rows)
     det = det_rational(rows)
     if det == 0:
         with pytest.raises(DependentGenerators):
-            cone_inverse(list(zip(*rows)))
+            cone_inverse(list(zip(*rows)), n)
         return
-    inv = cone_inverse(list(zip(*rows)))
-    adj, d = inv.rows, inv.den
-    assert d == abs(det) and d > 0
+    inv = cone_inverse(list(zip(*rows)), n)
+    t, den = inv.rows, inv.den
+    want = mat_inverse(rows)
+    assert den == math.lcm(*(x.denominator for row in want for x in row))
+    assert abs(det) % den == 0
     assert inv.span == ()
-    assert [[Fraction(x, d) for x in row] for row in adj] == mat_inverse(rows)
-    product = [[sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert [[Fraction(x, den) for x in row] for row in t] == want
+    product = [[sum(t[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[den * int(i == j) for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=200, deadline=None)

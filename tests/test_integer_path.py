@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgamma.box import box_of_fan, correspondence_at, normalize_beta, stabilize
+from boxgamma.box import alpha_key, box_of_fan, correspondence_at, normalize_beta, stabilize
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.kring import spectrum, wall_report
@@ -74,9 +74,11 @@ def outcome(call):
 
 
 def quotient_maps(fan, chi, xi):
-    """The quotient's read-only maps as lists of items: what the pins hash."""
+    """The quotient's summand_dims and its bases keyed by alpha_key as lists
+    of items: what the pins hash."""
     q = build_quotient(ModuleSpec(fan, chi, xi))
-    return [list(q.summand_dims.items()), list(q.base_index.items())]
+    bases = [(alpha_key(e.alpha), i) for e, i in zip(q.alphas, q.bases) if i is not None]
+    return [list(q.summand_dims.items()), bases]
 
 
 def oracle_maps(fan, chi, xi):

@@ -118,9 +118,9 @@ def test_solve_simplicial_coords():
 
 def test_cone_errors_name_their_stage_and_data():
     with pytest.raises(DependentGenerators) as err:
-        cone_inverse([(1, 1), (2, 2)])
+        cone_inverse([(1, 1), (2, 2)], 2)
     assert str(err.value) == "cone: the generators (1, 1), (2, 2) are linearly dependent"
-    inv = cone_inverse([(1, 0, 0), (0, 1, 0)])
+    inv = cone_inverse([(1, 0, 0), (0, 1, 0)], 3)
     with pytest.raises(NotInSpan) as err:
         cone_coords(inv, (Fraction(1, 2), 0, GaussianRational(Fraction(1), Fraction(1, 3))))
     assert str(err.value) == "cone: the point (1/2, 0, 1+1/3i) is not in the span of the generators"

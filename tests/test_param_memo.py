@@ -49,7 +49,7 @@ def outcome(call):
 def quotient_outcome(fan, chi, xi):
     def build():
         q = build_quotient(ModuleSpec(fan, chi, xi=xi))
-        return q.alphas, repr(q), dict(q.summand_dims), dict(q.base_index)
+        return q.alphas, repr(q), dict(q.summand_dims), q.bases
 
     return outcome(build)
 
@@ -175,10 +175,9 @@ def test_shared_quotient_maps_are_read_only():
     q = build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
     zero_key = ((Fraction(0), Fraction(0)),) * fan.k
     assert q.summand_dims == {zero_key: 2}
-    assert q.base_index == {zero_key: 0}
-    for mapping in (q.summand_dims, q.base_index):
-        with pytest.raises(TypeError):
-            mapping[zero_key] = 1
+    assert q.bases == (0,)
+    with pytest.raises(TypeError):
+        q.summand_dims[zero_key] = 1
     assert build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0)))) is q
 
 
@@ -191,13 +190,13 @@ LADDER = {**FANS, "HEX5": HEX5}
 
 
 def quotient_fields(fan, chi, xi):
-    """Every field of build_quotient's result and its read-only maps as
-    dicts, or the DomainError it raises."""
+    """Every field of build_quotient's result and its read-only map as a
+    dict, or the DomainError it raises."""
 
     def build():
         q = build_quotient(ModuleSpec(fan, chi, xi=xi))
         fields = {f.name: getattr(q, f.name) for f in dataclasses.fields(q)}
-        return {**fields, "summand_dims": dict(q.summand_dims), "base_index": dict(q.base_index)}
+        return {**fields, "summand_dims": dict(q.summand_dims)}
 
     return outcome(build)
 

@@ -153,7 +153,7 @@ def test_quotient_f1_chi_zero():
     assert [b.offset for b in q.basis] == [0, 1]
     zero_key = alpha_key((Fraction(0),) * 3)
     assert q.summand_dims == {zero_key: 2}
-    assert q.base_index == {zero_key: 0}
+    assert q.bases == (0,)
 
 
 def test_quotient_f1_shadow():

@@ -104,13 +104,14 @@ def worst_error(beta):
     for x in cloud():
         value = gamma_series(inst, (0,) * SQUARE.rank, x, BOUND).value
         want = [0j] * q.dim
+        bases = {alpha_key(e.alpha): i for e, i in zip(q.alphas, q.bases)}
         for src, tgt, _ in inst.correspondence.triples:
             matches = [
                 g for g in gammas
                 if all((gi - re_part(a)).denominator == 1 for gi, a in zip(g, src.alpha))
             ]
             assert len(matches) == 1
-            want[q.base_index[alpha_key(tgt.alpha)]] = horn_sum(matches[0], x)
+            want[bases[alpha_key(tgt.alpha)]] = horn_sum(matches[0], x)
         scale = max(map(abs, want))
         worst = max(worst, max(abs(a - b) for a, b in zip(value, want)) / scale)
     return worst
