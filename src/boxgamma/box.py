@@ -15,21 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, InvalidFan, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses
-from .linalg import (
-    ConeInverse,
-    Coord,
-    GaussianRational,
-    _ZERO,
-    _dot,
-    _integral,
-    im_part,
-    integer_parts,
-    parse_gaussian,
-    parse_rational,
-    re_part,
-    read_exact,
-)
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses, validate
+from .linalg import ConeInverse, Coord, GaussianRational, Param, _ZERO, _dot, _integral, parse_rational
+from .linalg import read_exact, read_param
 
 @dataclass(frozen=True)
 class BoxElement:
@@ -75,7 +63,8 @@ class DeltaCorrespondence:
 
     Each triple is (element at beta, its image at beta_delta, point sum((alpha_delta)_i v_i)).
     positions holds each triple's target position among the collision classes at beta_delta,
-    the quotient's summands; it follows from the rest, so equality and repr ignore it.
+    the quotient's summands, and delta_form beta_delta's Param, the quotient's shift; both
+    follow from the rest, so equality and repr ignore them.
     """
 
     delta: Fraction
@@ -83,16 +72,17 @@ class DeltaCorrespondence:
     beta_delta: tuple[Fraction, ...]
     triples: tuple[tuple[BoxElement, BoxElement, tuple[Fraction, ...]], ...]
     positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    delta_form: Param | None = field(default=None, compare=False, repr=False)
 
 
 def alpha_key(alpha: Sequence[Coord]) -> tuple:
-    return tuple((re_part(a), im_part(a)) for a in alpha)
+    return tuple((a.real, Fraction(a.imag)) for a in alpha)
 
 
 def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
     """beta as canonical scalars, each entry an int, a Fraction, a
-    GaussianRational or what parse_gaussian reads; see linalg.read_exact."""
-    return read_exact(beta, parse_gaussian, "box", "beta", fan.rank)
+    GaussianRational or what parse_gaussian reads; see linalg.read_param."""
+    return read_param(beta, "box", "beta", fan.rank).values
 
 
 def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
@@ -118,19 +108,18 @@ def _cone_branches(fan, cone, param, common):
     0 <= n0_r < H_rr (fan._cone_residues), one per class of Z^d modulo the
     generators.  The cone coordinates of n0 + beta are
     (T n0 + T beta) / t for the cone's ConeInverse rows T and den t, and
-    beta's integer parts param = (den, re, im) (linalg.integer_parts):
-    integer products, and one Fraction per real part (Im alpha is the same
-    for every residue).  The cone's inverse and Hermite diagonal come from
-    the fan's cone table.  key holds Re alpha_i and Im alpha_i, interleaved,
+    beta's form param (linalg.Param): integer products, and one Fraction
+    per real part (Im alpha is the same for every residue).  The cone's
+    inverse and Hermite diagonal come from the fan's cone table.  key holds Re alpha_i and Im alpha_i, interleaved,
     as integers over common * den, for common a multiple of t: over one
     such denominator the keys compare as alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
     inv = _solved(fan, cone)
-    den, b_re, b_im = param
+    den = param.den
     big, scale = inv.den * den, common // inv.den
-    t_re, t_im = ([_dot(row, b) for row in inv.rows] for b in (b_re, b_im))
+    t_re, t_im = ([_dot(row, b) for row in inv.rows] for b in (param.re, param.im))
     ims = [Fraction(x, big) for x in t_im]
     out = []
     for n0 in itertools.product(*map(range, _cone_residues(fan, cone))):
@@ -155,7 +144,7 @@ def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
     for pos, i in enumerate(cone, start=1):
         if not 0 <= i < fan.k:
             raise ValueError(f"box: entry {pos} of cone is {i}, not in 0..{fan.k - 1}")
-    param = integer_parts(normalize_beta(fan, beta))
+    param = read_param(beta, "box", "beta", fan.rank)
     branches = sorted(_cone_branches(fan, cone, param, _solved(fan, cone).den))
     return tuple(e for _, _, _, e in branches)
 
@@ -169,16 +158,16 @@ def box_of_fan(fan: StackyFan, beta) -> tuple[BoxElement, ...]:
 def collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     """Partition of the per-cone branches by equal reduced exponent vectors,
     built once per parameter (the fan's parameter memo)."""
-    return _classes(fan, integer_parts(normalize_beta(fan, beta)))[2]
+    return _classes(fan, read_param(beta, "box", "beta", fan.rank))[2]
 
 
-def _classes(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
-    """(den, keys, classes) at beta's integer parts param, from the fan's
+def _classes(fan: StackyFan, param: Param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
+    """(den, keys, classes) at beta's form param, from the fan's
     parameter memo: the classes sorted, and each one's integer key over den."""
     return _memo(fan._table.params, param, "collisions", _collisions, fan, param)
 
 
-def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
+def _collisions(fan: StackyFan, param: Param) -> tuple[int, tuple, tuple[CollisionClass, ...]]:
     """The classes, grouped and sorted by the branches' integer keys over one
     denominator for the fan and beta: the lcm of the maximal cones'
     ConeInverse dens times that of beta's parts."""
@@ -195,21 +184,20 @@ def _collisions(fan: StackyFan, param) -> tuple[int, tuple, tuple[CollisionClass
             raise RuntimeError("internal: equal alpha with distinct lattice points")
         diffs = tuple(tuple(x - y for x, y in zip(br.floors, branches[0].floors)) for br in branches)
         classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
-    return common * param[0], tuple(keys), tuple(classes)
+    return common * param.den, tuple(keys), tuple(classes)
 
 
 def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta),
     for an exact rational delta, read as linalg.read_exact reads a rational."""
     (delta,) = read_exact((delta,), parse_rational, "box", "delta")
-    b = normalize_beta(fan, beta)
-    return _correspondence(fan, b, integer_parts(b), delta)[0]
+    return _correspondence(fan, read_param(beta, "box", "beta", fan.rank), delta)[0]
 
 
-def _correspondence(fan: StackyFan, b, param, delta):
-    """correspondence_at for a normalized beta b with integer parts param, with each triple's
-    target position among the classes at beta_delta; also beta_delta's integer parts and its
-    (den, keys, classes).
+def _correspondence(fan: StackyFan, param: Param, delta):
+    """correspondence_at for beta's form param, with each triple's target position among the
+    classes at beta_delta and beta_delta's form; also the (den, keys, classes) at beta_delta.
+    InvalidFan names the first violation of a fan validate rejects, once its box set is built.
 
     alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
     delta = p / q and the class key's (R, M) over den, and n to n - sum(floor(x_i) v_i), keeping
@@ -226,9 +214,13 @@ def _correspondence(fan: StackyFan, b, param, delta):
     are real, nonzero and kept, and supp(e2) = S.  The real parts then agree mod 1, so e1 = e2,
     which the box set excludes."""
     p, q = delta.numerator, delta.denominator
-    beta_delta = tuple(Fraction(r * q + p * m, param[0] * q) for r, m in zip(param[1], param[2]))
-    bd = bden, bnums, _ = integer_parts(beta_delta)
+    nums = [r * q + p * m for r, m in zip(param.re, param.im)]
+    g = math.gcd(param.den * q, *nums)  # over the least common denominator
+    bd = Param(param.den * q // g, tuple(x // g for x in nums), (0,) * len(nums))
     den, keys, sources = _classes(fan, param)
+    violations = validate(fan).violations
+    if violations:
+        raise InvalidFan(f"fan: the stabilization needs a valid fan: {violations[0]}")
     xd = den * q
     triples, images, classes = [], [], []
     for key, cls in zip(keys, sources):
@@ -247,11 +239,11 @@ def _correspondence(fan: StackyFan, b, param, delta):
         if tuple(i for i in range(fan.k) if image[2 * i]) != e.support:
             raise RuntimeError("internal: support changed under stabilization")
         # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
-        point = [x * bden + y for x, y in zip(n, bnums)]
+        point = [x * bd.den + y for x, y in zip(n, bd.re)]
         if _minimal_face(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
         target = BoxElement(tuple(alpha), n, e.support, e.witness_cones)
-        triples.append((e, target, tuple(Fraction(x, bden) for x in point)))
+        triples.append((e, target, tuple(Fraction(x, bd.den) for x in point)))
         images.append(tuple(image))
         branches = tuple(
             Branch(br.cone, br.residue, tuple(x + y for x, y in zip(br.floors, shift)), target)
@@ -263,7 +255,8 @@ def _correspondence(fan: StackyFan, b, param, delta):
         raise RuntimeError("internal: stabilized elements do not biject")
     entry = (xd, tuple(images[j] for j in order), tuple(classes[j] for j in order))
     positions = tuple(sorted(range(len(order)), key=order.__getitem__))  # order's inverse
-    return DeltaCorrespondence(delta, b, beta_delta, tuple(triples), positions), bd, entry
+    corr = DeltaCorrespondence(delta, param.values, bd.values, tuple(triples), positions, bd)
+    return corr, entry
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
@@ -287,16 +280,15 @@ def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
     (the fan's memo), with positions: each target's place among the classes
     at beta_delta, the quotient's summands, as kring and the series read it.
     """
-    b = normalize_beta(fan, beta)
-    return _stabilized(fan, b, integer_parts(b))
+    return _stabilized(fan, read_param(beta, "box", "beta", fan.rank))
 
 
-def _stabilized(fan: StackyFan, b, param) -> DeltaCorrespondence:
-    """stabilize at b, with integer parts param, from the fan's parameter memo."""
-    return _memo(fan._table.params, param, "stabilize", _stabilize, fan, b, param)
+def _stabilized(fan: StackyFan, param: Param) -> DeltaCorrespondence:
+    """stabilize at beta's form param, from the fan's parameter memo."""
+    return _memo(fan._table.params, param, "stabilize", _stabilize, fan, param)
 
 
-def _stabilize(fan: StackyFan, b, param) -> DeltaCorrespondence:
+def _stabilize(fan: StackyFan, param: Param) -> DeltaCorrespondence:
     den, keys, _ = _classes(fan, param)
     wn = wd = 1  # the least bound wn / wd
     for key in keys:
@@ -308,7 +300,7 @@ def _stabilize(fan: StackyFan, b, param) -> DeltaCorrespondence:
     j = 4  # halve delta = 2^-j while delta >= wn / wd
     while wd >= wn << j:
         j += 1
-    corr, bd, entry = _correspondence(fan, b, param, Fraction(1, 1 << j))
-    if bd != param:
-        _memo(fan._table.params, bd, "collisions", lambda: entry)
+    corr, entry = _correspondence(fan, param, Fraction(1, 1 << j))
+    if corr.delta_form != param:
+        _memo(fan._table.params, corr.delta_form, "collisions", lambda: entry)
     return corr

@@ -23,7 +23,7 @@ import sys
 
 from .errors import DomainError
 from .fan import StackyFan, validate
-from .linalg import _integral, as_sequence, format_gaussian, format_rational, read_exact
+from .linalg import _integral, as_sequence, format_gaussian, format_rational, read_exact, read_param
 
 
 def emit_json(obj) -> str:
@@ -80,7 +80,7 @@ def _field(doc, key: str, stage: str):
 
 def parse_fan(doc) -> StackyFan:
     # read before the shift to 0-based indices, so an error shows the file's entry
-    cones = _field(doc, "max_cones", "fan")
+    cones = as_sequence(_field(doc, "max_cones", "fan"), "fan", "max_cones")
     cones = [read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(cones, 1)]
     fan = StackyFan(
         rank=_field(doc, "rank", "fan"),
@@ -95,10 +95,8 @@ def parse_fan(doc) -> StackyFan:
 
 
 def _fan_beta(args):
-    from .box import normalize_beta
-
     fan = parse_fan(_load(args.fan))
-    return fan, normalize_beta(fan, _field(_load(args.beta), "beta", "box"))
+    return fan, read_param(_field(_load(args.beta), "beta", "box"), "box", "beta", fan.rank)
 
 
 def parse_x(doc):
@@ -164,7 +162,7 @@ def cmd_cohomology(args):
 
     fan, beta = _fan_beta(args)
     xi = _field(_load(args.shadow), "xi", "quotient") if args.shadow else None
-    q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
+    q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).delta_form, xi))
     report = validate(fan)
     return {
         "dim": q.dim,

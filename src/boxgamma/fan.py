@@ -24,6 +24,7 @@ from .linalg import (
     _dot,
     _integral,
     _rref,
+    as_sequence,
     cone_inverse,
     feasible,
     hermite_normal_form,
@@ -52,7 +53,7 @@ class _ConeTable:
     by the fan's cones and markers, and a StackyFan is frozen, so no entry
     can go stale.
     params is the parameter memo (see _memo), for two parameters, each
-    under its integer parts (linalg.integer_parts): "collisions",
+    under its form (linalg.Param): "collisions",
     "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
     and, when it differs, its beta_delta, whose "collisions" it writes from
     beta's.  graded, for two shifts chi as given, holds the graded pieces,
@@ -114,9 +115,10 @@ class StackyFan:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", read_int(self.rank, "fan", "rank"))
-        rays = tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in enumerate(self.rays, 1))
-        object.__setattr__(self, "rays", rays)
-        cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(self.max_cones, 1))
+        rays = enumerate(as_sequence(self.rays, "fan", "rays"), 1)
+        object.__setattr__(self, "rays", tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in rays))
+        cones = enumerate(as_sequence(self.max_cones, "fan", "max_cones"), 1)
+        cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in cones)
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
         if self.deg is not None:
             object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg", self.rank))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .box import BoxElement, DeltaCorrespondence, _stabilized, normalize_beta
+from .box import BoxElement, DeltaCorrespondence, _stabilized
 from .errors import (
     DegenerateHeights,
     InvalidFan,
@@ -28,21 +28,8 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
-from .linalg import (
-    Coord,
-    _integral,
-    as_sequence,
-    format_gaussian,
-    im_part,
-    integer_parts,
-    parse_rational,
-    re_part,
-    read_exact,
-    read_int,
-    scalar_from_parts,
-    singular_values,
-    solve_with_hnf,
-)
+from .linalg import Coord, Param, _integral, as_sequence, format_gaussian, parse_rational, read_exact, read_int
+from .linalg import read_param, singular_values, solve_with_hnf
 from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
@@ -253,11 +240,11 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     report = validate(fan)
     if not report.gkz_eligible:
         notes = "; ".join(report.violations + report.gkz_notes)
-        raise InvalidFan(f"no extended hypergeometric system on this fan: {notes}")
-    b = normalize_beta(fan, beta)
-    corr = _stabilized(fan, b, integer_parts(b))
-    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(re_part(x) for x in b)))
-    return GkzInstance(fan, b, corr, quotient)
+        raise InvalidFan(f"fan: no extended hypergeometric system on this fan: {notes}")
+    param = read_param(beta, "box", "beta", fan.rank)
+    corr = _stabilized(fan, param)
+    quotient = build_quotient(ModuleSpec(fan, corr.delta_form, tuple(b.real for b in corr.beta)))
+    return GkzInstance(fan, corr.beta, corr, quotient)
 
 
 def _window_plan(relations: IntRows, k: int) -> tuple:
@@ -376,9 +363,9 @@ def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
 
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
     """The LVectors l = alpha + m at the given offsets m of the window at v."""
-    parts = [(re_part(a), im_part(a)) for a in alpha.alpha]
+    a = Param.of(alpha.alpha)
     return tuple(
-        LVector(tuple(scalar_from_parts(re + x, im) for (re, im), x in zip(parts, m)), alpha, v, m)
+        LVector(Param(a.den, tuple(r + a.den * x for r, x in zip(a.re, m)), a.im).values, alpha, v, m)
         for m in offsets
     )
 
@@ -472,9 +459,7 @@ class _SeriesEvaluator:
         top = max(self.orders, default=1)
         self.xjets = {i: exp_jet((0j, logs[i]), top) for i in self.rays}
         self.sources = tuple(src for src, _, _ in corr.triples)
-        self.parts = tuple(
-            tuple((re_part(a), float(im_part(a))) for a in src.alpha) for src in self.sources
-        )
+        self.parts = tuple(tuple((a.real, float(a.imag)) for a in src.alpha) for src in self.sources)
         # supp(alpha) of each triple as a bitmask
         self.supports = tuple(_mask(src.support) for src in self.sources)
         self.faces = _faces(instance.fan)

@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .box import Branch, CollisionClass, _classes, _stabilized, collisions, normalize_beta
+from .box import Branch, CollisionClass, _classes, _stabilized, collisions
 from .errors import PhaseOverflow
 from .fan import StackyFan
-from .linalg import Coord, format_gaussian, im_part, integer_parts, re_part
+from .linalg import Coord, format_gaussian, read_param
 from .quotient import ModuleSpec, build_quotient
 
 
@@ -52,7 +52,7 @@ def unit_phase(a: Coord) -> complex:
     if a == 0:
         return complex(1.0)
     try:
-        y = cmath.exp(2j * cmath.pi * complex(float(re_part(a)), float(im_part(a))))
+        y = cmath.exp(2j * cmath.pi * complex(a))
         if abs(y) >= sys.float_info.min:
             return y
         way = "underflows"
@@ -71,17 +71,17 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     set is the classes' projection, and each target is found by its position
     among the classes at beta_delta, which are the quotient's summands.
     """
-    b = normalize_beta(fan, beta)
-    param = integer_parts(b)
-    corr = _stabilized(fan, b, param)
-    dims = build_quotient(ModuleSpec(fan, corr.beta_delta)).dims
+    param = read_param(beta, "box", "beta", fan.rank)
+    corr = _stabilized(fan, param)
+    dims = build_quotient(ModuleSpec(fan, corr.delta_form)).dims
+    classes = _classes(fan, param)[2]
     try:
         return tuple(
             KPoint(tuple(unit_phase(a) for a in cls.alpha), cls, dims[pos])
-            for cls, pos in zip(_classes(fan, param)[2], corr.positions, strict=True)
+            for cls, pos in zip(classes, corr.positions, strict=True)
         )
     except PhaseOverflow:  # where both happen, an exponent that overflows is named first
-        for a in sorted((a for c in _classes(fan, param)[2] for a in c.alpha), key=im_part):
+        for a in sorted((a for c in classes for a in c.alpha), key=lambda a: a.imag):
             unit_phase(a)
         raise
 

@@ -2,7 +2,8 @@
 
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Exact input (integer, rational and
-Gaussian-rational vectors) is read and checked by one reader, `read_exact`.
+Gaussian-rational vectors) is read and checked by one reader, `read_exact`;
+a parameter beta, once per public call, into the one form the stages read, a `Param`.
 Integer lattice work (the Hermite normal form, integer solving), the one
 Gauss-Jordan elimination (_rref, fraction-free on sparse rows) and the
 feasibility test use arbitrary-precision ints.  The only floating-point
@@ -17,7 +18,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DependentGenerators, NoConvergence
 
@@ -64,10 +65,10 @@ def parse_rational(s) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex value with rational real and imaginary parts.
-
-    It carries no arithmetic: the library splits every coordinate into its
-    parts with re_part / im_part and computes on Fractions and ints.
+    """Exact complex value with rational real and imaginary parts, the scalar
+    of input and output.  It carries no arithmetic; like an int or a Fraction
+    it answers .real and .imag, and complex() gives its float value.  The
+    stages compute on a parameter's Param.
     """
 
     re: Fraction
@@ -77,6 +78,12 @@ class GaussianRational:
         for name in ("re", "im"):  # a Fraction part is kept as it is
             if type(getattr(self, name)) is not Fraction:
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    real = property(operator.attrgetter("re"))
+    imag = property(operator.attrgetter("im"))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
 
     def __str__(self):
         return format_gaussian(self)
@@ -88,7 +95,7 @@ Coord = Union[Fraction, GaussianRational]
 
 def format_gaussian(z) -> str:
     """An int, a Fraction or a GaussianRational as "p/q", "p/q+r/si" or "r/si"."""
-    re, im = re_part(z), im_part(z)
+    re, im = z.real, z.imag
     if im == 0:
         return format_rational(re)
     if re == 0:
@@ -120,32 +127,6 @@ def parse_gaussian(s) -> GaussianRational:
 
 _ZERO = Fraction(0)
 
-
-def re_part(x) -> Fraction:
-    if isinstance(x, GaussianRational):
-        return x.re
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def im_part(x) -> Fraction:
-    return x.im if isinstance(x, GaussianRational) else _ZERO
-
-
-def scalar_from_parts(re: Fraction, im: Fraction):
-    """Fraction when im == 0, GaussianRational otherwise."""
-    if im != 0:
-        return GaussianRational(re, im)
-    return re if isinstance(re, Fraction) else Fraction(re)
-
-
-def integer_parts(values: Sequence) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(den, den * Re x, den * Im x) over the least common denominator den of
-    the exact scalars' parts: equal vectors give equal triples."""
-    n = len(values)
-    den, nums = scaled_numerators([re_part(x) for x in values] + [im_part(x) for x in values])
-    return den, tuple(nums[:n]), tuple(nums[n:])
-
-
 _KINDS = {
     _integral: "an integer",
     parse_rational: "a rational",
@@ -166,7 +147,7 @@ def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) ->
     """The entries of values read by parse, the one reader of exact input.
 
     parse is _integral (ints), parse_rational (Fractions) or parse_gaussian
-    (the canonical scalar: a Fraction, or a GaussianRational with im != 0).
+    (GaussianRationals, which read_param turns into a Param).
     ValueError names the first entry parse rejects, as "<stage>: entry <pos>
     of <name> is <value!r>, not <kind>", then a length other than n, as
     "<stage>: <name> must have <n> coordinates, got <m>"; see as_sequence
@@ -174,19 +155,51 @@ def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) ->
     """
     out = []
     for pos, x in enumerate(as_sequence(values, stage, name), start=1):
-        if type(x) is Fraction and parse is not _integral:
-            out.append(x)  # already exact: every memo lookup reads a normalized beta again
-            continue
         try:
             y = parse(x)
         except (ValueError, ZeroDivisionError):
             y = None
         if y is None:
             raise ValueError(f"{stage}: entry {pos} of {name} is {x!r}, not {_KINDS[parse]}")
-        out.append(y.re if type(y) is GaussianRational and not y.im else y)
+        out.append(y)
     if n is not None and len(out) != n:
         raise ValueError(f"{stage}: {name} must have {n} coordinates, got {len(out)}")
     return tuple(out)
+
+
+class Param(NamedTuple):
+    """A parameter beta in N (x) C as den * Re beta and den * Im beta, integers
+    over the least common denominator den of its parts: equal vectors have equal
+    forms, which key the fan's parameter memo.  values gives beta's scalars."""
+
+    den: int
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+
+    @classmethod
+    def of(cls, scalars: Sequence) -> Param:
+        """The form of exact scalars: ints, Fractions and GaussianRationals."""
+        n = len(scalars)  # a Fraction is its own real part, which Fraction.real copies
+        re = [x.re if type(x) is GaussianRational else x for x in scalars]
+        den, nums = scaled_numerators(re + [x.imag for x in scalars])
+        return cls(den, tuple(nums[:n]), tuple(nums[n:]))
+
+    @property
+    def values(self) -> tuple:
+        """Each coordinate as a Fraction, or a GaussianRational where Im != 0."""
+        d = self.den
+        pairs = zip(self.re, self.im)
+        return tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d) for x, y in pairs)
+
+
+def read_param(values, stage: str, name: str, n: Optional[int] = None) -> Param:
+    """beta's Param, read by read_exact with parse_gaussian and its ValueError
+    texts, or a Param passed through, its length checked; once per public call."""
+    if not isinstance(values, Param):
+        return Param.of(read_exact(values, parse_gaussian, stage, name, n))
+    if n is not None and len(values.re) != n:
+        raise ValueError(f"{stage}: {name} must have {n} coordinates, got {len(values.re)}")
+    return values
 
 
 # ---------------------------------------------------------------------------

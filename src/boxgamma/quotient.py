@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .box import BoxElement, _collisions, alpha_key, box_of_fan
+from .box import BoxElement, _classes, _collisions, alpha_key
 from .errors import (
     DimensionOvershoot,
     NoStabilizationWindow,
@@ -26,26 +26,32 @@ from .errors import (
     UnboundedDegree,
 )
 from .fan import StackyFan, _faces, _mask, _memo, _tangent_test, normalized_volume, validate
-from .linalg import Coord, _dot, _rref, integer_parts, parse_rational, read_exact, read_int
+from .linalg import Coord, Param, _ZERO, _dot, _rref, parse_rational, read_exact, read_int
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class ModuleSpec:
     """Real rational shift chi and optional shadow direction xi restricting to
-    points whose translate admits xi as a tangent direction."""
+    points whose translate admits xi as a tangent direction.  chi is read
+    once, as rationals or as a real Param, which the stages read as form."""
 
     fan: StackyFan
     chi: tuple[Fraction, ...]
     xi: Optional[tuple[Fraction, ...]] = None
+    form: Param = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, point in (("chi", self.chi), ("xi", self.xi)):
-            if point is not None:
-                exact = read_exact(point, parse_rational, "quotient", name, self.fan.rank)
-                object.__setattr__(self, name, exact)
+        rank, form = self.fan.rank, self.chi
+        if not isinstance(form, Param):
+            form = Param.of(read_exact(form, parse_rational, "quotient", "chi", rank))
+        elif len(form.re) != rank or any(form.im):
+            raise ValueError(f"quotient: chi is {form!r}, not a real point of rank {rank}")
+        object.__setattr__(self, "chi", form.values)
+        object.__setattr__(self, "form", form)
+        if self.xi is not None:
+            object.__setattr__(self, "xi", read_exact(self.xi, parse_rational, "quotient", "xi", rank))
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,7 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     deg = _check_graded(fan)
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
     points = set()
-    param = integer_parts(spec.chi)
-    for cls in _memo(fan._table.graded, spec.chi, "collisions", _collisions, fan, param)[2]:
+    for cls in _memo(fan._table.graded, spec.chi, "collisions", _collisions, fan, spec.form)[2]:
         a = cls.branches[0].element
         block = _Summand(spec, a, tangent)
         for t in range(m - _dot(deg, a.lattice_point) + 1):
@@ -244,7 +249,7 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     fan's parameter memo), from the block of each face S = supp(alpha),
     kept in the fan's blocks memo under T_S, the passing faces holding S,
     two T_S per face: a block reads xi only through T_S."""
-    return _memo(spec.fan._table.params, integer_parts(spec.chi), spec.xi, _build_quotient, spec)
+    return _memo(spec.fan._table.params, spec.form, spec.xi, _build_quotient, spec)
 
 
 def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
@@ -252,7 +257,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     deg = validate(fan).deg
     # the shadow filter, xi solved once per build
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
-    alphas = box_of_fan(fan, spec.chi)
+    alphas = tuple(cls.branches[0].element for cls in _classes(fan, spec.form)[2])
     vol = normalized_volume(fan)
     summands = []
     for a in alphas:

@@ -34,7 +34,7 @@ from boxgamma.cli import main as cli_main
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative, solution_system
-from boxgamma.linalg import format_rational, parse_gaussian, parse_rational, re_part
+from boxgamma.linalg import format_rational, parse_gaussian, parse_rational
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -253,7 +253,7 @@ def shadow_specs(fan, betas, pairs):
     for beta in betas:
         b = tuple(parse_gaussian(x) for x in beta)
         chi = stabilize(fan, b).beta_delta
-        out.append(([format_rational(c) for c in chi], [format_rational(re_part(x)) for x in b]))
+        out.append(([format_rational(c) for c in chi], [format_rational(x.real) for x in b]))
     return out + list(pairs)
 
 

@@ -50,11 +50,9 @@ from boxgamma.linalg import (
     Coord,
     GaussianRational,
     cone_inverse,
+    Param,
     format_gaussian,
-    im_part,
-    integer_parts,
-    re_part,
-    scalar_from_parts,
+    read_param,
 )
 from boxgamma.gkz import GkzInstance, enumerate_L
 from boxgamma.kring import KPoint, WallRecord, unit_phase
@@ -70,6 +68,12 @@ from boxgamma.quotient import (
 
 class NotInSpan(DomainError):
     """Point is not in the linear span of the given generators."""
+
+
+def _scalar(re, im) -> Coord:
+    """re + i im as exact scalars are canonical: a Fraction when im == 0,
+    a GaussianRational otherwise."""
+    return GaussianRational(re, im) if im else Fraction(re)
 
 
 def identity_rational(n: int) -> list[list[Fraction]]:
@@ -124,7 +128,8 @@ def cone_coords(inv: ConeInverse, p: Sequence) -> tuple:
     coordinate and part.
     """
     complex_input = any(isinstance(x, GaussianRational) for x in p)
-    den, re, im = integer_parts(p)
+    form = Param.of(p)
+    den, re, im = form.den, form.re, form.im
     coords = []
     for part in (re, im) if complex_input else (re,):
         nums = inv.numerators(part)
@@ -160,8 +165,8 @@ def oracle_coords(gens, p):
         return None
     m = len(gens)
     parts = [
-        [sum((a * part(x) for a, x in zip(row, p)), start=Fraction(0)) for row in inv]
-        for part in (re_part, im_part)
+        [sum((a * getattr(x, part) for a, x in zip(row, p)), start=Fraction(0)) for row in inv]
+        for part in ("real", "imag")
     ]
     if any(any(part[m:]) for part in parts):
         return None, False
@@ -383,13 +388,13 @@ def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
             cn = cone_coords(inv, nprime)
         except (DependentGenerators, NotInSpan):
             continue
-        if any(re_part(c) < 0 or im_part(c) != 0 for c in cn):
+        if any(c.real < 0 or c.imag != 0 for c in cn):
             continue
         c_in = cone_coords(inv, elem.point)
         ok = True
         for pos, i in enumerate(sigma):
-            dre = re_part(c_in[pos]) - re_part(elem.alpha[i])
-            dim_ = im_part(c_in[pos]) - im_part(elem.alpha[i])
+            dre = c_in[pos].real - elem.alpha[i].real
+            dim_ = c_in[pos].imag - elem.alpha[i].imag
             if dim_ != 0 or dre.denominator != 1 or dre < 0:
                 ok = False
                 break
@@ -397,13 +402,13 @@ def module_product(fan: StackyFan, nprime: Sequence[int], elem: TaggedPoint):
             continue
         alpha_out = [Fraction(0)] * fan.k
         for pos, i in enumerate(sigma):
-            val_re = re_part(c_in[pos]) + re_part(cn[pos])
-            val_im = im_part(c_in[pos])
+            val_re = c_in[pos].real + cn[pos].real
+            val_im = c_in[pos].imag
             f = val_re.numerator // val_re.denominator
-            alpha_out[i] = scalar_from_parts(val_re - f, val_im)
+            alpha_out[i] = _scalar(val_re - f, val_im)
         out_point = tuple(
-            scalar_from_parts(
-                re_part(elem.point[r]) + nprime[r], im_part(elem.point[r])
+            _scalar(
+                elem.point[r].real + nprime[r], elem.point[r].imag
             )
             for r in range(fan.rank)
         )
@@ -430,12 +435,12 @@ def _pair_elements(fan: StackyFan, src: BoxElement, max_offset: int):
                     continue
                 seen.add(m)
                 point = tuple(
-                    scalar_from_parts(
+                    _scalar(
                         sum(
-                            (re_part(src.alpha[i]) + m[i]) * fan.rays[i][r]
+                            (src.alpha[i].real + m[i]) * fan.rays[i][r]
                             for i in range(fan.k)
                         ),
-                        sum(im_part(src.alpha[i]) * fan.rays[i][r] for i in range(fan.k)),
+                        sum(src.alpha[i].imag * fan.rays[i][r] for i in range(fan.k)),
                     )
                     for r in range(fan.rank)
                 )
@@ -481,7 +486,7 @@ def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: in
             raise RuntimeError("internal: product left the box set")
         target_alpha, shift = amap[key]
         n = tuple(
-            re_part(elem.point[r]) - re_part(b[r]) for r in range(fan.rank)
+            elem.point[r].real - b[r].real for r in range(fan.rank)
         )
         point = tuple(n[r] + shift[r] + beta_delta[r] for r in range(fan.rank))
         return TaggedPoint(point, target_alpha)
@@ -507,13 +512,13 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
     int or a Fraction, kept as correspondence_at reads it: a Fraction."""
     delta = Fraction(delta)
     b = normalize_beta(fan, beta)
-    beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
+    beta_delta = tuple(x.real + delta * x.imag for x in b)
     target = box_of_fan(fan, beta_delta)
     index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
     used = set()
     triples = []
     for e in box_of_fan(fan, b):
-        values = (re_part(a) + delta * im_part(a) for a in e.alpha)
+        values = (a.real + delta * a.imag for a in e.alpha)
         j = index.get(tuple((v - math.floor(v), Fraction(0)) for v in values))
         if j is None or j in used:
             raise RuntimeError("internal: stabilized elements do not biject")
@@ -533,7 +538,7 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
 def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...]:
     """collisions with each cone's branches grouped and sorted by alpha_key,
     the Fraction pairs of the exponent, instead of the integer keys."""
-    param = integer_parts(normalize_beta(fan, beta))
+    param = read_param(beta, "box", "beta", fan.rank)
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
         common = _cone_inverse(fan, mc).den
@@ -571,7 +576,7 @@ def fraction_wall_delta(fan: StackyFan, beta) -> Fraction:
     wall = Fraction(1)
     for cls in fraction_keyed_collisions(fan, beta):
         for a in cls.alpha:
-            r, m = re_part(a), im_part(a)
+            r, m = a.real, a.imag
             if m > 0:
                 wall = min(wall, (1 - r) / m)
             elif m < 0:
@@ -588,13 +593,13 @@ def fraction_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     point n - sum(floor(x_i) v_i), with the same checks in the same order."""
     delta = Fraction(delta)
     b = normalize_beta(fan, beta)
-    beta_delta = tuple(re_part(x) + delta * im_part(x) for x in b)
+    beta_delta = tuple(x.real + delta * x.imag for x in b)
     triples = []
     for cls in fraction_keyed_collisions(fan, b):
         e = cls.branches[0].element
         alpha, n = [], e.lattice_point
         for i, a in enumerate(e.alpha):
-            x = re_part(a) + delta * im_part(a)
+            x = a.real + delta * a.imag
             f = math.floor(x)
             alpha.append(x - f)
             n = tuple(c - f * v for c, v in zip(n, fan.rays[i]))
@@ -704,13 +709,13 @@ def supported_terms(instance: GkzInstance, vs, dvs, B: int) -> set:
             for v in dvs:
                 v2 = tuple(a + b for a, b in zip(v, fan.rays[j]))
                 for lv in enumerate_L(instance, src, v2, B):
-                    lj = scalar_from_parts(re_part(lv.l[j]) + 1, im_part(lv.l[j]))
+                    lj = _scalar(lv.l[j].real + 1, lv.l[j].imag)
                     m = lv.offset[:j] + (lv.offset[j] + 1,) + lv.offset[j + 1 :]
                     terms.append((m, lv.l[:j] + (lj,) + lv.l[j + 1 :]))
         for m, l in terms:
             negative = {
                 i for i, x in enumerate(l)
-                if not im_part(x) and re_part(x).denominator == 1 and re_part(x) < 0
+                if not x.imag and x.real.denominator == 1 and x.real < 0
             }
             face = set(src.support) | negative
             in_cone = any(face <= set(cone) for cone in fan.max_cones)

@@ -33,7 +33,7 @@ from boxgamma.gkz import (
     verify_term_shift,
 )
 from boxgamma.kring import spectrum
-from boxgamma.linalg import GaussianRational, re_part
+from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import det_rational, mat_inverse, verify_def2_isomorphism
 

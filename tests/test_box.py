@@ -21,7 +21,7 @@ from boxgamma.box import (
 from boxgamma.errors import NotFullDimensional
 from boxgamma.fan import StackyFan, _cone_residues, normalized_volume, triangulate_from_heights
 from boxgamma.kring import wall_report
-from boxgamma.linalg import GaussianRational, cone_inverse, im_part, integer_parts, re_part
+from boxgamma.linalg import GaussianRational, Param, cone_inverse
 from exact_oracles import (
     det_rational,
     enumerated_correspondence,
@@ -56,8 +56,8 @@ def check_reconstruction(fan, beta, elem: BoxElement):
             start=Fraction(0),
         )
         expected = elem.lattice_point[r] + beta[r]
-        assert re_part(total) == re_part(expected)
-        assert im_part(total) == im_part(expected)
+        assert total.real == expected.real
+        assert total.imag == expected.imag
 
 
 def test_box_of_cone_f1_first_cone():
@@ -160,7 +160,7 @@ def brute_box(fan, cone, beta):
     from itertools import product
 
     ranges = [
-        range(lo[r] - 2 - abs(int(re_part(beta[r]))), hi[r] + 3 + abs(int(re_part(beta[r]))))
+        range(lo[r] - 2 - abs(int(beta[r].real)), hi[r] + 3 + abs(int(beta[r].real)))
         for r in range(d)
     ]
     for n in product(*ranges):
@@ -168,11 +168,11 @@ def brute_box(fan, cone, beta):
             sum((vinv[i][r] * (n[r] + beta[r]) for r in range(d)), start=Fraction(0))
             for i in range(d)
         )
-        if all(0 <= re_part(c) < 1 for c in coords):
+        if all(0 <= c.real < 1 for c in coords):
             alpha = [Fraction(0)] * fan.k
             for pos, idx in enumerate(cone):
                 c = coords[pos]
-                alpha[idx] = c if im_part(c) else re_part(c)
+                alpha[idx] = c if c.imag else c.real
             found.add((tuple(alpha_key(alpha)), n))
     return found
 
@@ -291,7 +291,7 @@ def check_limit(corr):
     assert d.denominator & (d.denominator - 1) == 0
     for src, tgt, _ in corr.triples:
         for a, t in zip(src.alpha, tgt.alpha):
-            r, m = re_part(a), im_part(a)
+            r, m = a.real, a.imag
             val = r + d * m
             assert math.floor(val) == (-1 if r == 0 and m < 0 else 0)
             assert t == val - math.floor(val)
@@ -368,7 +368,7 @@ def wall(fan, beta):
     bound = Fraction(1)
     for e in box_of_fan(fan, beta):
         for a in e.alpha:
-            r, m = re_part(a), im_part(a)
+            r, m = a.real, a.imag
             if m:
                 bound = min(bound, (1 - r) / m if m > 0 else (r or 1) / -m)
     return bound
@@ -434,9 +434,9 @@ def test_stabilize_writes_the_classes_at_beta_delta(name, data):
     classes sorted at beta_delta, not at beta."""
     fan = dataclasses.replace(FANS[name])
     beta = tuple(data.draw(gaussian_entry) for _ in range(fan.rank))
-    assume(any(im_part(x) for x in beta))
+    assume(any(x.imag for x in beta))
     corr = stabilize(fan, beta)
-    written = fan._table.params[integer_parts(corr.beta_delta)]["collisions"][2]
+    written = fan._table.params[Param.of(corr.beta_delta)]["collisions"][2]
     fresh = collisions(dataclasses.replace(fan), corr.beta_delta)
     assert (written, repr(written)) == (fresh, repr(fresh))
 
@@ -497,9 +497,9 @@ def test_branches_and_walls_reach_their_residues(name, data):
     for cls in collisions(fan, beta):
         for br in cls.branches:
             alpha = br.element.alpha
-            raw = combination([re_part(a) + f for a, f in zip(alpha, br.floors)])
-            assert raw == tuple(n + re_part(b) for n, b in zip(br.residue, beta))
-            assert combination([im_part(a) for a in alpha]) == tuple(map(im_part, beta))
+            raw = combination([a.real + f for a, f in zip(alpha, br.floors)])
+            assert raw == tuple(n + b.real for n, b in zip(br.residue, beta))
+            assert combination([a.imag for a in alpha]) == tuple(b.imag for b in beta)
     for rec in wall_report(fan, beta):
         step = tuple(y - x for x, y in zip(rec.first.residue, rec.second.residue))
         assert combination(rec.difference) == step

@@ -686,6 +686,24 @@ def test_wrong_length_marker_in_no_cone(tmp_path, command):
         }
 
 
+@pytest.mark.parametrize("command", [["box", "--stabilize"], ["cohomology"], ["kring"], ["box"]])
+def test_stabilization_refuses_an_invalid_fan(tmp_path, command):
+    """Cones (1, 2) and (2, 3) overlap once ray 3 is (4, 2): the stabilization
+    names validate's first violation, and plain box answers per cone."""
+    fan = tmp_path / "fan_overlap.json"
+    fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1], [4, 2]], "max_cones": [[1, 2], [2, 3]]}')
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"beta": ["1/4", "0"]}')
+    code, doc = run_cli([*command, "--fan", str(fan), "--beta", str(beta)], tmp_path)
+    if command == ["box"]:
+        assert code == 0 and doc["elements"]
+        return
+    assert code == 1
+    violation = "cones (1, 2) and (2, 3) do not intersect in a common face"
+    message = f"fan: the stabilization needs a valid fan: {violation}"
+    assert doc == {"error": {"type": "InvalidFan", "message": message}}
+
+
 F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}
 
 

@@ -46,8 +46,6 @@ from boxgamma.linalg import (
     ConeInverse,
     GaussianRational,
     cone_inverse,
-    im_part,
-    re_part,
     scaled_numerators,
 )
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
@@ -72,7 +70,7 @@ SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), 
 
 
 def as_parts(coords):
-    return [(re_part(c), im_part(c)) for c in coords]
+    return [(c.real, c.imag) for c in coords]
 
 
 @st.composite
@@ -450,7 +448,7 @@ beta_coord = st.one_of(rational, st.builds(GaussianRational, rational, rational)
 def test_quotient_from_stabilization_target(fan, data, shadow):
     beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
     corr = stabilize(fan, beta)
-    xi = tuple(re_part(b) for b in beta) if shadow else None
+    xi = tuple(b.real for b in beta) if shadow else None
     got = quotient_outcome(lambda: build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi)))
     # a copy with an empty cone table builds the box set and quotient anew
     fresh = dataclasses.replace(fan)

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxgamma.box import box_of_fan, correspondence_at, normalize_beta, stabilize
-from boxgamma.cli import SEED_FILES, main
+from boxgamma.cli import SEED_FILES, main, parse_fan
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, suggest_x, verify_term_shift
 from boxgamma.kring import spectrum
@@ -161,8 +161,14 @@ def test_triangulation_points_of_the_wrong_length_raise(points, heights, message
         (lambda: gamma_series(INST, 10, X_F1, 4), "series: v is 10, not a sequence"),
         (lambda: gamma_series(INST, (0, 0), 3, 4), "series: x is 3, not a sequence"),
         (lambda: gamma_series(INST, (0, 0), X_F1, 4, 5), "series: arg_offsets is 5, not a sequence"),
+        (lambda: _fan(rays=5), "fan: rays is 5, not a sequence"),
+        (lambda: _fan(max_cones=1.5), "fan: max_cones is 1.5, not a sequence"),
+        (
+            lambda: parse_fan({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": 1.5}),
+            "fan: max_cones is 1.5, not a sequence",
+        ),
     ],
-    ids=["beta", "v", "x", "arg_offsets"],
+    ids=["beta", "v", "x", "arg_offsets", "rays", "max_cones", "file max_cones"],
 )
 def test_a_number_is_not_read_as_a_sequence(call, message):
     with pytest.raises(ValueError) as info:

@@ -43,7 +43,7 @@ from boxgamma.gkz import (
     verify_euler,
     verify_term_shift,
 )
-from boxgamma.linalg import GaussianRational, im_part, re_part
+from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, graded_piece
 from exact_oracles import oracle_tangent_member, solve_simplicial_coords
 
@@ -369,14 +369,14 @@ def test_enumerate_exact_relations():
         for v in ((0, 0), fan.rays[1]):
             for lv in enumerate_L(inst, src, v, 6):
                 for i in range(fan.k):
-                    d = re_part(lv.l[i]) - re_part(src.alpha[i])
+                    d = lv.l[i].real - src.alpha[i].real
                     assert d.denominator == 1
-                    assert im_part(lv.l[i]) == im_part(src.alpha[i])
+                    assert lv.l[i].imag == src.alpha[i].imag
                 for r in range(fan.rank):
-                    sre = sum(re_part(lv.l[i]) * fan.rays[i][r] for i in range(fan.k))
-                    sim = sum(im_part(lv.l[i]) * fan.rays[i][r] for i in range(fan.k))
-                    assert sre == re_part(inst.beta[r]) - v[r]
-                    assert sim == im_part(inst.beta[r])
+                    sre = sum(lv.l[i].real * fan.rays[i][r] for i in range(fan.k))
+                    sim = sum(lv.l[i].imag * fan.rays[i][r] for i in range(fan.k))
+                    assert sre == inst.beta[r].real - v[r]
+                    assert sim == inst.beta[r].imag
 
 
 def test_term_shift_examples():
@@ -430,9 +430,9 @@ def scalar_gamma_series(inst, src, v, x, B):
     for lv in enumerate_L(inst, src, v, B):
         term = 1.0 + 0j
         for i, li in enumerate(lv.l):
-            assert im_part(li) == 0
-            lf = float(re_part(li))
-            if lf < 0 and float(re_part(li)).is_integer():
+            assert li.imag == 0
+            lf = float(li.real)
+            if lf < 0 and float(li.real).is_integer():
                 term = 0j
                 break
             term *= x[i] ** lf / math.gamma(lf + 1.0)
@@ -591,7 +591,7 @@ def test_shadow_membership():
         xi = q.spec.xi
         for elem in q.basis:
             p = tuple(
-                n + re_part(c) + im_part(c) * 0
+                n + c.real + c.imag * 0
                 for n, c in zip(elem.lattice_point, q.spec.chi)
             )
             assert oracle_tangent_member(inst.fan, p, xi)
@@ -604,12 +604,12 @@ def test_decomposition_unique_witness():
         for m in range(7):
             for n in graded_piece(q.spec, m).points:
                 w = tuple(
-                    nr + re_part(cr) for nr, cr in zip(n, q.spec.chi)
+                    nr + cr.real for nr, cr in zip(n, q.spec.chi)
                 )
                 hits = set()
                 for src, tgt, pt in inst.correspondence.triples:
                     supp = {i for i, a in enumerate(tgt.alpha) if a != 0}
-                    diff = tuple(wr - re_part(pr) for wr, pr in zip(w, pt))
+                    diff = tuple(wr - pr.real for wr, pr in zip(w, pt))
                     for sigma in fan.max_cones:
                         if not supp <= set(sigma):
                             continue
@@ -620,9 +620,9 @@ def test_decomposition_unique_witness():
                         except Exception:
                             continue
                         if all(
-                            re_part(c) >= 0
-                            and re_part(c).denominator == 1
-                            and im_part(c) == 0
+                            c.real >= 0
+                            and c.real.denominator == 1
+                            and c.imag == 0
                             for c in coords
                         ):
                             hits.add(alpha_key(tgt.alpha))

@@ -18,12 +18,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import boxgamma.box as box
-from boxgamma.box import normalize_beta, stabilize
+from boxgamma.box import stabilize
 from boxgamma.cli import main
 from boxgamma.errors import DependentGenerators
 from boxgamma.fan import StackyFan, _meets_in_face, triangulate_from_heights
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import GaussianRational, _rref, cone_inverse, feasible, integer_parts
+from boxgamma.linalg import GaussianRational, _rref, cone_inverse, feasible, read_param
 from exact_oracles import (
     NotInSpan,
     det_rational,
@@ -347,7 +347,7 @@ def box_builds(monkeypatch):
     real = box._cone_branches
 
     def counting(fan, cone, beta, common):
-        calls.append(tuple(beta))
+        calls.append(beta)
         return real(fan, cone, beta, common)
 
     monkeypatch.setattr(box, "_cone_branches", counting)
@@ -364,7 +364,7 @@ def box_builds(monkeypatch):
 )
 def test_box_set_built_once_per_parameter(box_builds, fan, beta):
     fan = dataclasses.replace(fan)  # an empty cone table
-    b = integer_parts(normalize_beta(fan, beta))
+    b = read_param(beta, "box", "beta", fan.rank)
     stabilize(fan, beta)
     # stabilize builds the box set at beta only: its images are the box set
     # at beta_delta, whose classes it leaves in the memo

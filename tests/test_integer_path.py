@@ -16,7 +16,7 @@ from boxgamma.box import alpha_key, box_of_fan, correspondence_at, normalize_bet
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.kring import spectrum, wall_report
-from boxgamma.linalg import GaussianRational, re_part
+from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, build_quotient
 from exact_oracles import (
     fraction_correspondence,
@@ -114,7 +114,7 @@ def test_integer_path_matches_the_fraction_route(name, data):
     assert outcome(lambda: correspondence_at(fan, beta, delta)) == outcome(
         lambda: fraction_correspondence(fresh(), beta, delta)
     )
-    shadow = tuple(re_part(x) for x in normalize_beta(fan, beta))
+    shadow = tuple(x.real for x in normalize_beta(fan, beta))
     for xi in (None, shadow):
         got = outcome(lambda: quotient_maps(fan, corr.beta_delta, xi))
         assert got == outcome(lambda: oracle_maps(fresh(), corr.beta_delta, xi))

@@ -4,9 +4,10 @@ fan; the memo keeps two parameters, and stabilize leaves
 beta_delta's classes in it; one algebra_sweep-style sequence builds the box
 set at beta and the quotient once, and none at beta_delta; solution_system reuses
 the graded pieces already built; the shared quotient's maps are
-read-only; and each face block is kept per face under its star, the
+read-only; each face block is kept per face under its star, the
 passing faces that hold the face, two stars per face, and shared by
-directions that agree there."""
+directions that agree there; and the memo's key, beta's form (linalg.Param),
+is read once per public call, the same from every spelling of beta."""
 
 import dataclasses
 from fractions import Fraction
@@ -16,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxgamma.box as box
+import boxgamma.cli as cli
+import boxgamma.gkz as gkz
+import boxgamma.kring as kring
 import boxgamma.quotient as quotient
 from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, solution_system
 from boxgamma.kring import spectrum, wall_report
-from boxgamma.linalg import GaussianRational, integer_parts, re_part
+from boxgamma.linalg import GaussianRational, Param, format_gaussian, parse_gaussian, read_param
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -75,7 +79,7 @@ def test_memo_matches_a_fresh_fan(name, data):
         else:
             beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
             drawn.append(beta)
-        xi = tuple(re_part(b) for b in beta) if data.draw(st.booleans()) else None
+        xi = tuple(b.real for b in beta) if data.draw(st.booleans()) else None
         m = data.draw(st.integers(-1, 2))
         order = data.draw(st.permutations(["collisions", "stabilize", "quotient", "graded"]))
         fresh = dataclasses.replace(fan)
@@ -88,10 +92,10 @@ def test_memo_keeps_two_parameters():
     params = fan._table.params
     for k in range(1, 7):
         beta = (GaussianRational(Fraction(1, k + 2), Fraction(1, 3)), Fraction(k, 5))
-        # the memo is keyed by each parameter's integer parts
-        b = integer_parts(normalize_beta(fan, beta))
+        # the memo is keyed by each parameter's form
+        b = read_param(beta, "box", "beta", fan.rank)
         corr = stabilize(fan, beta)
-        bd = integer_parts(corr.beta_delta)
+        bd = Param.of(corr.beta_delta)
         # stabilize builds the box set at beta and writes the classes at
         # beta_delta, which the quotient reads
         assert list(params) == [b, bd]
@@ -101,7 +105,7 @@ def test_memo_keeps_two_parameters():
         assert list(params) == [bd, b]
         # a third parameter drops the least recently used one
         box_of_fan(fan, (Fraction(k, 7), Fraction(0)))
-        assert list(params) == [b, (7, (k, 0), (0, 0))]
+        assert list(params) == [b, Param(7, (k, 0), (0, 0))]
 
 
 @pytest.mark.parametrize(
@@ -121,7 +125,7 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     real_quotient = quotient._build_quotient
 
     def counting_branches(fan, cone, beta, common):
-        branches.append((cone, tuple(beta)))
+        branches.append((cone, beta))
         return real_branches(fan, cone, beta, common)
 
     def counting_quotient(spec):
@@ -136,7 +140,7 @@ def test_each_stage_built_once(monkeypatch, fan, beta):
     points = spectrum(fan, beta)
     wall_report(fan, beta)
     # the box set at beta only: stabilize writes the classes at beta_delta
-    b = integer_parts(normalize_beta(fan, beta))
+    b = read_param(beta, "box", "beta", fan.rank)
     assert branches == [(cone, b) for cone in fan.max_cones]
     assert quotients == [q.spec]
     assert sum(p.multiplicity for p in points) == q.dim
@@ -149,7 +153,7 @@ def test_solution_system_reuses_graded_pieces(monkeypatch):
     instance = build_gkz(fan, (GaussianRational(Fraction(1, 4), Fraction(1, 3)), Fraction(0)))
     params = list(fan._table.params)
     beta_delta = instance.correspondence.beta_delta
-    assert params == [integer_parts(instance.beta), integer_parts(beta_delta)]
+    assert params == [Param.of(instance.beta), Param.of(beta_delta)]
     spec0 = ModuleSpec(instance.fan, (Fraction(0), Fraction(0)))
     built = []
     real_graded = quotient._graded_piece
@@ -321,3 +325,83 @@ def test_second_parameter_builds_no_monomials(monkeypatch):
     second = build_quotient(ModuleSpec(fan, (Fraction(2, 5), Fraction(-3, 7), Fraction(5, 4))))
     assert built == []
     assert second.dim == first.dim == 2
+
+
+# (1/2, 1) in each spelling the reader accepts
+HALF_ONE = Param(2, (1, 2), (0, 0))
+SPELLINGS = (
+    (Fraction(1, 2), 1),
+    ("1/2", "1"),
+    ("0.5", Fraction(1)),
+    ({"re": "1/2", "im": 0}, {"re": 1}),
+    (GaussianRational(Fraction(1, 2)), GaussianRational(1)),
+)
+
+
+def test_every_spelling_of_beta_reads_to_one_form():
+    """One beta in five spellings is one form, so one memo entry: a real
+    beta is its own beta_delta."""
+    fan = dataclasses.replace(F1)
+    for beta in SPELLINGS:
+        assert read_param(beta, "box", "beta", fan.rank) == HALF_ONE
+        collisions(fan, beta)
+        stabilize(fan, beta)
+    assert list(fan._table.params) == [HALF_ONE]
+
+
+def test_a_form_reads_as_itself():
+    """A Param passes through with its length checked; a rank-3 beta shaped
+    like a form's fields is read as a vector, not as a form."""
+    assert read_param(HALF_ONE, "box", "beta", 2) is HALF_ONE
+    with pytest.raises(ValueError) as info:
+        read_param(HALF_ONE, "box", "beta", 3)
+    assert str(info.value) == "box: beta must have 3 coordinates, got 2"
+    with pytest.raises(ValueError) as info:
+        read_param((2, (1, 2), (0, 0)), "box", "beta", 3)
+    assert str(info.value) == "box: entry 2 of beta is (1, 2), not a Gaussian rational"
+
+
+@given(coords=st.lists(beta_coord, min_size=1, max_size=4))
+def test_form_values_round_trip_through_text(coords):
+    """values gives the canonical scalars of the form, which print as the
+    coordinates do and read back to the same form."""
+    form = Param.of(coords)
+    assert Param.of(form.values) == form
+    assert [format_gaussian(x) for x in form.values] == [format_gaussian(x) for x in coords]
+    text = [format_gaussian(x) for x in form.values]
+    assert [parse_gaussian(t) for t in text] == [GaussianRational(x.real, x.imag) for x in form.values]
+    assert read_param(text, "box", "beta") == form
+
+
+@pytest.mark.parametrize("entry", [spectrum, stabilize, build_gkz], ids=lambda f: f.__name__)
+def test_each_public_entry_reads_beta_once(monkeypatch, entry):
+    """The stages take beta's form, so a call reads beta once, on a fresh
+    fan and on a warm one."""
+    fan = dataclasses.replace(F1)
+    beta = (GaussianRational(Fraction(1, 4), Fraction(1, 3)), "0")
+    reads = []
+
+    def counting(values, *rest):
+        reads.append(values)
+        return read_param(values, *rest)
+
+    for module in (box, cli, gkz, kring, quotient):
+        if hasattr(module, "read_param"):
+            monkeypatch.setattr(module, "read_param", counting)
+    for _ in range(2):
+        reads.clear()
+        entry(fan, beta)
+        assert reads == [beta]
+
+
+def test_module_spec_takes_a_real_form():
+    """A ModuleSpec given beta_delta's form has the chi the rationals give,
+    shares their quotient, and refuses a form with an imaginary part."""
+    fan = dataclasses.replace(F1)
+    corr = stabilize(fan, (GaussianRational(Fraction(1, 4), Fraction(1, 3)), Fraction(0)))
+    spec = ModuleSpec(fan, corr.delta_form)
+    assert spec == ModuleSpec(fan, corr.beta_delta) and repr(spec) == repr(ModuleSpec(fan, corr.beta_delta))
+    assert build_quotient(spec) is build_quotient(ModuleSpec(fan, corr.beta_delta))
+    with pytest.raises(ValueError) as info:
+        ModuleSpec(fan, Param(4, (1, 0), (0, 1)))
+    assert str(info.value) == "quotient: chi is Param(den=4, re=(1, 0), im=(0, 1)), not a real point of rank 2"

@@ -15,7 +15,7 @@ from boxgamma.errors import (
 )
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz
-from boxgamma.linalg import GaussianRational, re_part
+from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
 from exact_oracles import (
     TaggedPoint,
@@ -295,7 +295,7 @@ def fan_and_beta(draw):
 def test_quotient_ends_at_its_last_degree(case, shadow):
     fan, beta = case
     beta = normalize_beta(fan, beta)
-    xi = tuple(re_part(b) for b in beta) if shadow else None
+    xi = tuple(b.real for b in beta) if shadow else None
     spec = ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi=xi)
     q = build_quotient(spec)
     last = max(b.degree for b in q.basis)

@@ -28,7 +28,7 @@ from boxgamma.gkz import (
     solution_system,
     verify_term_shift,
 )
-from boxgamma.linalg import GaussianRational, im_part, re_part, scalar_from_parts
+from boxgamma.linalg import GaussianRational, Param
 from boxgamma.quotient import ModuleSpec, graded_piece
 from exact_oracles import summand_order, supported_terms
 
@@ -107,7 +107,7 @@ def supported_entries(fan_name, beta_name, B, cap):
     for t, m, l in supported_terms(inst, vs + shifted, vs, B):
         order = summand_order(inst, t)
         for i, x in enumerate(l):
-            li = complex(float(re_part(x)), float(im_part(x)))
+            li = complex(float(x.real), float(x.imag))
             entries[t, i, m[i]] = (li, order if i in rays else 1)
     return Counter(entries.values())
 
@@ -440,8 +440,11 @@ def test_term_shift_offsets_match_lvector_reference(fan, beta):
                 assert (rep.ok, rep.boundary) == reference_term_shift(inst, v, j, B)
 
 
-def test_scalar_from_parts_keeps_fractions():
-    half = Fraction(1, 2)
-    assert scalar_from_parts(half, Fraction(0)) is half
-    assert scalar_from_parts(3, 0) == Fraction(3) and type(scalar_from_parts(3, 0)) is Fraction
-    assert scalar_from_parts(half, Fraction(1)) == GaussianRational(half, Fraction(1))
+def test_param_values_are_canonical_scalars():
+    """A coordinate with Im 0 comes back as a Fraction, never as a
+    GaussianRational, and a form's values give the form back."""
+    form = Param(2, (1, 6, 1), (0, 0, 2))
+    values = form.values
+    assert values == (Fraction(1, 2), Fraction(3), GaussianRational(Fraction(1, 2), Fraction(1)))
+    assert [type(x) for x in values] == [Fraction, Fraction, GaussianRational]
+    assert Param.of(values) == form

@@ -36,7 +36,6 @@ import boxgamma.gkz as gkz
 from boxgamma.box import alpha_key
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import build_gkz, gamma_series
-from boxgamma.linalg import re_part
 from exact_oracles import solve_simplicial_coords
 
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -108,7 +107,7 @@ def worst_error(beta):
         for src, tgt, _ in inst.correspondence.triples:
             matches = [
                 g for g in gammas
-                if all((gi - re_part(a)).denominator == 1 for gi, a in zip(g, src.alpha))
+                if all((gi - a.real).denominator == 1 for gi, a in zip(g, src.alpha))
             ]
             assert len(matches) == 1
             want[bases[alpha_key(tgt.alpha)]] = horn_sum(matches[0], x)
