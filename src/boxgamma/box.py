@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DependentGenerators, InvalidFan, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses, validate
+from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses
+from .fan import validate
 from .linalg import ConeInverse, Coord, GaussianRational, Param, _ZERO, _dot, _integral, parse_rational
 from .linalg import read_exact, read_param
 
@@ -63,8 +64,7 @@ class DeltaCorrespondence:
 
     Each triple is (element at beta, its image at beta_delta, point sum((alpha_delta)_i v_i)).
     positions holds each triple's target position among the collision classes at beta_delta,
-    the quotient's summands, and delta_form beta_delta's Param, the quotient's shift; both
-    follow from the rest, so equality and repr ignore them.
+    the quotient's summands; it follows from the rest, so equality and repr ignore it.
     """
 
     delta: Fraction
@@ -72,11 +72,10 @@ class DeltaCorrespondence:
     beta_delta: tuple[Fraction, ...]
     triples: tuple[tuple[BoxElement, BoxElement, tuple[Fraction, ...]], ...]
     positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    delta_form: Param | None = field(default=None, compare=False, repr=False)
 
 
 def alpha_key(alpha: Sequence[Coord]) -> tuple:
-    return tuple((a.real, Fraction(a.imag)) for a in alpha)
+    return tuple((a.real, a.imag or _ZERO) for a in alpha)  # a Fraction's imag is the int 0
 
 
 def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
@@ -110,9 +109,10 @@ def _cone_branches(fan, cone, param, common):
     (T n0 + T beta) / t for the cone's ConeInverse rows T and den t, and
     beta's form param (linalg.Param): integer products, and one Fraction
     per real part (Im alpha is the same for every residue).  The cone's
-    inverse and Hermite diagonal come from the fan's cone table.  key holds Re alpha_i and Im alpha_i, interleaved,
-    as integers over common * den, for common a multiple of t: over one
-    such denominator the keys compare as alpha_key of the exponents does.
+    inverse and Hermite diagonal come from the fan's cone table.  key holds
+    Re alpha_i and Im alpha_i, interleaved, as integers over common * den,
+    for common a multiple of t: over one such denominator the keys compare
+    as alpha_key of the exponents does.
     """
     d = fan.rank
     cone = tuple(cone)
@@ -196,7 +196,7 @@ def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
 
 def _correspondence(fan: StackyFan, param: Param, delta):
     """correspondence_at for beta's form param, with each triple's target position among the
-    classes at beta_delta and beta_delta's form; also the (den, keys, classes) at beta_delta.
+    classes at beta_delta; also beta_delta's form and its (den, keys, classes).
     InvalidFan names the first violation of a fan validate rejects, once its box set is built.
 
     alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
@@ -255,8 +255,7 @@ def _correspondence(fan: StackyFan, param: Param, delta):
         raise RuntimeError("internal: stabilized elements do not biject")
     entry = (xd, tuple(images[j] for j in order), tuple(classes[j] for j in order))
     positions = tuple(sorted(range(len(order)), key=order.__getitem__))  # order's inverse
-    corr = DeltaCorrespondence(delta, param.values, bd.values, tuple(triples), positions, bd)
-    return corr, entry
+    return DeltaCorrespondence(delta, param.values, bd.values, tuple(triples), positions), bd, entry
 
 
 def stabilize(fan: StackyFan, beta) -> DeltaCorrespondence:
@@ -300,7 +299,7 @@ def _stabilize(fan: StackyFan, param: Param) -> DeltaCorrespondence:
     j = 4  # halve delta = 2^-j while delta >= wn / wd
     while wd >= wn << j:
         j += 1
-    corr, entry = _correspondence(fan, param, Fraction(1, 1 << j))
-    if corr.delta_form != param:
-        _memo(fan._table.params, corr.delta_form, "collisions", lambda: entry)
+    corr, bd, entry = _correspondence(fan, param, Fraction(1, 1 << j))
+    if bd != param:
+        _memo(fan._table.params, bd, "collisions", lambda: entry)
     return corr

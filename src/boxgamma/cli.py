@@ -162,7 +162,7 @@ def cmd_cohomology(args):
 
     fan, beta = _fan_beta(args)
     xi = _field(_load(args.shadow), "xi", "quotient") if args.shadow else None
-    q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).delta_form, xi))
+    q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
     report = validate(fan)
     return {
         "dim": q.dim,

@@ -116,7 +116,8 @@ class StackyFan:
     def __post_init__(self):
         object.__setattr__(self, "rank", read_int(self.rank, "fan", "rank"))
         rays = enumerate(as_sequence(self.rays, "fan", "rays"), 1)
-        object.__setattr__(self, "rays", tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in rays))
+        rays = tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in rays)
+        object.__setattr__(self, "rays", rays)
         cones = enumerate(as_sequence(self.max_cones, "fan", "max_cones"), 1)
         cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in cones)
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))

@@ -28,8 +28,8 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
-from .linalg import Coord, Param, _integral, as_sequence, format_gaussian, parse_rational, read_exact, read_int
-from .linalg import read_param, singular_values, solve_with_hnf
+from .linalg import Coord, Param, _integral, as_sequence, format_gaussian, parse_rational, read_exact
+from .linalg import read_int, read_param, singular_values, solve_with_hnf
 from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
@@ -243,7 +243,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
         raise InvalidFan(f"fan: no extended hypergeometric system on this fan: {notes}")
     param = read_param(beta, "box", "beta", fan.rank)
     corr = _stabilized(fan, param)
-    quotient = build_quotient(ModuleSpec(fan, corr.delta_form, tuple(b.real for b in corr.beta)))
+    quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(b.real for b in corr.beta)))
     return GkzInstance(fan, corr.beta, corr, quotient)
 
 

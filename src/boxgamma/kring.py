@@ -73,7 +73,7 @@ def spectrum(fan: StackyFan, beta: Sequence) -> tuple[KPoint, ...]:
     """
     param = read_param(beta, "box", "beta", fan.rank)
     corr = _stabilized(fan, param)
-    dims = build_quotient(ModuleSpec(fan, corr.delta_form)).dims
+    dims = build_quotient(ModuleSpec(fan, corr.beta_delta)).dims
     classes = _classes(fan, param)[2]
     try:
         return tuple(

@@ -189,16 +189,22 @@ class Param(NamedTuple):
         """Each coordinate as a Fraction, or a GaussianRational where Im != 0."""
         d = self.den
         pairs = zip(self.re, self.im)
-        return tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d) for x, y in pairs)
+        return tuple(
+            GaussianRational(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d) for x, y in pairs
+        )
 
 
 def read_param(values, stage: str, name: str, n: Optional[int] = None) -> Param:
     """beta's Param, read by read_exact with parse_gaussian and its ValueError
-    texts, or a Param passed through, its length checked; once per public call."""
+    texts, or a Param passed through once its length is checked and it is in
+    lowest terms over a positive den, as Param.of builds it; once per public call."""
     if not isinstance(values, Param):
         return Param.of(read_exact(values, parse_gaussian, stage, name, n))
-    if n is not None and len(values.re) != n:
-        raise ValueError(f"{stage}: {name} must have {n} coordinates, got {len(values.re)}")
+    den, re, im = values
+    if n is not None and len(re) != n:
+        raise ValueError(f"{stage}: {name} must have {n} coordinates, got {len(re)}")
+    if den <= 0 or len(im) != len(re) or math.gcd(den, *re, *im) != 1:
+        raise ValueError(f"{stage}: {name} is {values!r}, not a form in lowest terms")
     return values
 
 

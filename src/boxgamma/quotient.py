@@ -35,7 +35,7 @@ _ONE = Fraction(1)
 class ModuleSpec:
     """Real rational shift chi and optional shadow direction xi restricting to
     points whose translate admits xi as a tangent direction.  chi is read
-    once, as rationals or as a real Param, which the stages read as form."""
+    once into form, its Param, which the stages read."""
 
     fan: StackyFan
     chi: tuple[Fraction, ...]
@@ -43,15 +43,11 @@ class ModuleSpec:
     form: Param = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rank, form = self.fan.rank, self.chi
-        if not isinstance(form, Param):
-            form = Param.of(read_exact(form, parse_rational, "quotient", "chi", rank))
-        elif len(form.re) != rank or any(form.im):
-            raise ValueError(f"quotient: chi is {form!r}, not a real point of rank {rank}")
-        object.__setattr__(self, "chi", form.values)
-        object.__setattr__(self, "form", form)
-        if self.xi is not None:
-            object.__setattr__(self, "xi", read_exact(self.xi, parse_rational, "quotient", "xi", rank))
+        for name, point in (("chi", self.chi), ("xi", self.xi)):
+            if point is not None:
+                exact = read_exact(point, parse_rational, "quotient", name, self.fan.rank)
+                object.__setattr__(self, name, exact)
+        object.__setattr__(self, "form", Param.of(self.chi))
 
 
 @dataclass(frozen=True)
@@ -257,6 +253,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     deg = validate(fan).deg
     # the shadow filter, xi solved once per build
     tangent = None if spec.xi is None else _tangent_test(fan, spec.xi)
+    # box_of_fan's elements, from the form, which is not read again
     alphas = tuple(cls.branches[0].element for cls in _classes(fan, spec.form)[2])
     vol = normalized_volume(fan)
     summands = []

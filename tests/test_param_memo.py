@@ -394,14 +394,14 @@ def test_each_public_entry_reads_beta_once(monkeypatch, entry):
         assert reads == [beta]
 
 
-def test_module_spec_takes_a_real_form():
-    """A ModuleSpec given beta_delta's form has the chi the rationals give,
-    shares their quotient, and refuses a form with an imaginary part."""
+def test_a_form_not_in_lowest_terms_is_refused():
+    """A caller's Param must be the form Param.of builds, so that equal
+    vectors keep one memo entry: lowest terms over a positive den."""
     fan = dataclasses.replace(F1)
-    corr = stabilize(fan, (GaussianRational(Fraction(1, 4), Fraction(1, 3)), Fraction(0)))
-    spec = ModuleSpec(fan, corr.delta_form)
-    assert spec == ModuleSpec(fan, corr.beta_delta) and repr(spec) == repr(ModuleSpec(fan, corr.beta_delta))
-    assert build_quotient(spec) is build_quotient(ModuleSpec(fan, corr.beta_delta))
-    with pytest.raises(ValueError) as info:
-        ModuleSpec(fan, Param(4, (1, 0), (0, 1)))
-    assert str(info.value) == "quotient: chi is Param(den=4, re=(1, 0), im=(0, 1)), not a real point of rank 2"
+    bad = (Param(2, (2, 0), (0, 0)), Param(-1, (1, 0), (0, 0)), Param(0, (1, 0), (0, 0)), Param(1, (1, 0), (0,)))
+    for form in bad:
+        with pytest.raises(ValueError) as info:
+            collisions(fan, form)
+        assert str(info.value) == f"box: beta is {form!r}, not a form in lowest terms"
+    assert not fan._table.params
+    assert collisions(fan, Param(1, (1, 0), (0, 0))) is collisions(fan, (1, 0))
