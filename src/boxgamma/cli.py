@@ -11,8 +11,8 @@ The stage modules (box, quotient, kring, gkz) are imported inside the
 commands that run them: a short command's time is mostly interpreter start
 and import, so each command loads only its own stages.
 
-Exit codes: 0 success, 1 domain error (with a machine-readable error
-object), 2 usage, I/O, or parse error.
+Exit codes: 0 success, 1 domain error, 2 usage, I/O, or parse error, 3
+internal fault; each failure prints a machine-readable error object.
 """
 
 import argparse
@@ -364,12 +364,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(raw)
     try:
-        result = args.func(args)
-    except (DomainError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        _write_out(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1 if isinstance(exc, DomainError) else 2
+        result, code = args.func(args), 0
+    except Exception as exc:  # 1: a domain error; 2: a usage, I/O or parse error; 3: an internal fault
+        code = 1 if isinstance(exc, DomainError) else 2 if isinstance(exc, (OSError, ValueError)) else 3
+        result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     _write_out(args, result)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

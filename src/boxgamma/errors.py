@@ -46,7 +46,7 @@ class NoConvergence(DomainError):
 
 
 class SeriesOverflow(DomainError):
-    """A series term's power x^l or reciprocal-Gamma jet exceeds the float range."""
+    """A series term, its power x^l or a reciprocal-Gamma jet exceeds the float range."""
 
 
 class PhaseOverflow(DomainError):

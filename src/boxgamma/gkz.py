@@ -414,37 +414,26 @@ def _apply_jet(mat, jet, vec):
 class _SeriesEvaluator:
     """The series terms of one instance at one point, each computed once.
 
-    A term at exponent l = alpha + m is the scalar x^l times the product of
-    1/Gamma(l_i + 1) over the non-ray markers, and the base vector of its
-    triple transported by the ray jets x_i^eps / Gamma(l_i + 1 + eps) acting
-    through the nilpotent ray operators.  It depends on the triple t and the
-    offset m only, not on the index v, so every window that reaches (t, m)
-    shares it.  With J = {i : alpha_i = 0, m_i < 0}, the i where l_i is a
-    negative integer, the term carries prod_{i in J} D_i, or 1/Gamma(l_i + 1)
-    = 0 for a non-ray i, which lies in no cone; both vanish when supp(alpha)
-    and J lie in no cone, by the quotient's Stanley-Reisner relations
-    (Borisov-Horja, Math. Ann. 357, 2013).  The D_i raise the degree inside
-    a summand, so D^a = 0 on it from a = order_t, 1 + the top degree of the
-    summand of triple t's target: a ray factor needs order_t coefficients,
-    and |J| >= order_t zeroes the term too, as each i in J has a jet with
-    constant term 0.0.  vanishes decides both rules from integers, so such
-    a term is never formed and reaches no SeriesOverflow.  Kept here: base
-    indices and orders by t (a missing base raises on every call); one
-    entry (l_i, factor) per coordinate (t, i, m_i), each from its own
-    reciprocal_gamma_jet evaluation, of order_t at a ray and 1 otherwise;
-    terms by (t, m); and the memo (fan._memo) of the last bound B's
-    gamma_series values by v.
-
-    Every float is formed from the same operands in the same order as an
-    uncached evaluation would form it: a cache returns a stored float, it
-    never rearranges a sum, so values do not depend on what was evaluated
-    before.  It holds no reference to the instance, which holds it.
+    By the functional equation (DLMF 5.5.1), 1/Gamma(l_i + 1 + eps) is
+    R(eps) / Gamma(alpha_i + 1 + eps) at l = alpha + m, R = R_{alpha_i,m_i}
+    a product of linear factors.  So the term of triple t at m is x^l times
+    prod_i R_{alpha_i,m_i} on T_alpha e_t, the base vector of its target
+    transported once per triple by the jets x_i^eps / Gamma(alpha_i + 1 +
+    eps) through the ray operators (of order 1, scalars, off the rays).
+    Each R is one step from its neighbour toward m_i = 0: over (l_i + eps)
+    for m_i > 0, times (l_i + 1 + eps) for m_i < 0, an exact 0.0 at a pole.
+    An R of order 1 multiplies the scalar; a ray's R of higher order acts
+    through D_i.  Kept: T_alpha e_t by t, (l_i, R) by (t, i, m_i), terms by
+    (t, m), shared by every window that reaches them, and the memo
+    (fan._memo) of the last bound B's gamma_series values by v.  Every float
+    takes one route, so values do not depend on what was evaluated before.
+    It holds no reference to the instance, which holds it.
     """
 
-    def __init__(self, instance: GkzInstance, xs, offs):
+    def __init__(self, instance: GkzInstance, xs, offs, given=(None, None)):
         q, corr = instance.quotient, instance.correspondence
-        self.xs = xs
-        self.logs = logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
+        self.xs, self.given = xs, given  # given: the x and offsets objects read to xs, offs
+        self.logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
         self.dmats = tuple(
             tuple(tuple(complex(float(entry)) for entry in row) for row in mat)
@@ -456,8 +445,6 @@ class _SeriesEvaluator:
             1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
             for p in corr.positions
         )
-        top = max(self.orders, default=1)
-        self.xjets = {i: exp_jet((0j, logs[i]), top) for i in self.rays}
         self.sources = tuple(src for src, _, _ in corr.triples)
         self.parts = tuple(tuple((a.real, float(a.imag)) for a in src.alpha) for src in self.sources)
         # supp(alpha) of each triple as a bitmask
@@ -466,11 +453,10 @@ class _SeriesEvaluator:
         self.bases = tuple(
             (q.bases[pos], tgt) for pos, (_, tgt, _) in zip(corr.positions, corr.triples)
         )
-        self.entries, self.terms, self.values = {}, {}, {}
+        self.entries, self.folded, self.terms, self.values = {}, {}, {}, {}
 
     def base(self, t: int) -> tuple[complex, ...]:
-        """The base vector of triple t's target; NoBaseElement when the
-        shadow quotient has none."""
+        """The base vector e_t of triple t's target; NoBaseElement if none."""
         index, tgt = self.bases[t]
         if index is None:
             alpha = ", ".join(map(format_gaussian, tgt.alpha))
@@ -481,10 +467,12 @@ class _SeriesEvaluator:
         return (0j,) * index + (1 + 0j,) + (0j,) * (self.dim - 1 - index)
 
     def vanishes(self, t: int, m: tuple[int, ...]) -> bool:
-        """The support rule: supp(alpha) and J of triple t lie in no cone of
-        the fan; or the degree rule: |J| >= order_t.  A negative m_i off J
-        has i in supp(alpha) already, so the union is supp(alpha) and every
-        i with m_i < 0."""
+        """Whether the term of triple t at m is exactly zero, from integers:
+        with J = {i : alpha_i = 0, m_i < 0}, where l_i is a negative integer,
+        it carries prod_{i in J} D_i, or 0 at a non-ray i, so it vanishes when
+        supp(alpha) and J lie in no cone (Stanley-Reisner; Borisov-Horja, Math.
+        Ann. 357, 2013) or |J| >= order_t, 1 + the top degree of the target's
+        summand.  The union is supp(alpha) and every i with m_i < 0."""
         face = support = self.supports[t]
         for i, mi in enumerate(m):
             if mi < 0:
@@ -492,49 +480,69 @@ class _SeriesEvaluator:
         return face not in self.faces or (face & ~support).bit_count() >= self.orders[t]
 
     def entry(self, t: int, i: int, mi: int):
-        """(l_i, factor) of triple t at m_i: the ray jet at l_i for a ray, the
-        scalar 1/Gamma(l_i + 1) otherwise."""
+        """(l_i, R_{alpha_i,m_i}) of triple t, each built once from the one before."""
         hit = self.entries.get((t, i, mi))
         if hit is None:
             re, im = self.parts[t][i]
-            li = complex(float(re + mi), im)
-            if i in self.rays:
-                order = self.orders[t]
-                f = poly_mul_trunc(self.xjets[i], reciprocal_gamma_jet(li, order), order)
-            else:
-                f = reciprocal_gamma_jet(li, 1)[0]
-            hit = self.entries[t, i, mi] = (li, f)
+            r = (1 + 0j,) + (0j,) * ((self.orders[t] if i in self.rays else 1) - 1)
+            for k in range(mi + 1) if mi >= 0 else range(0, mi - 1, -1):
+                hit = self.entries.get((t, i, k))
+                if hit is None:
+                    lk = complex(float(re + k), im)
+                    if k > 0:  # R / (l_k + eps): coefficient n is (R_n - the one before) / l_k
+                        b = 0
+                        r = tuple(b := (c - b) / lk for c in r)
+                    elif k < 0:  # R * (l_k + 1 + eps)
+                        r = tuple((lk + 1) * c + p for c, p in zip(r, (0j,) + r))
+                    hit = self.entries[t, i, k] = (lk, r)
+                r = hit[1]
         return hit
 
     def term(self, t: int, m: tuple[int, ...], evec):
-        """(scalar, w): the prefactor x^l and the base vector evec of
-        triple t transported by the ray jets."""
+        """The term at m: x^l and each R of order 1 times T_alpha evec acted
+        on by the other R; SeriesOverflow names one that is not finite."""
         hit = self.terms.get((t, m))
         if hit is None:
             entries = [self.entry(t, i, mi) for i, mi in enumerate(m)]
+            w = self.folded.get(t)
+            if w is None:
+                for i, lg in enumerate(self.logs):
+                    a, r = self.entry(t, i, 0)  # alpha_i, and R = 1 at the order of i's jets
+                    for jet in reciprocal_gamma_jet(a, len(r)), exp_jet((0j, lg), len(r)):
+                        evec = _apply_jet(self.dmats[i], jet, evec)  # x_i^eps is 1 at order 1
+                w = self.folded[t] = evec
+            what = "x^l"
             try:
                 scalar = cmath.exp(sum(li * lg for (li, _), lg in zip(entries, self.logs)))
+                what = "the term"
+                for i, (_, r) in enumerate(entries):
+                    if len(r) == 1:
+                        scalar *= r[0]
+                    else:
+                        w = _apply_jet(self.dmats[i], r, w)
+                w = [scalar * c for c in w]
+                if not all(map(cmath.isfinite, w)):
+                    raise OverflowError
             except OverflowError:
                 alpha = ", ".join(map(format_gaussian, self.sources[t].alpha))
                 raise SeriesOverflow(
-                    f"series: x^l overflows for the source box element alpha=({alpha}) "
+                    f"series: {what} overflows for the source box element alpha=({alpha}) "
                     f"at offset m={m} and x=({', '.join(map(str, self.xs))})"
                 ) from None
-            w = evec
-            for i, (_, f) in enumerate(entries):
-                if i in self.rays:
-                    w = _apply_jet(self.dmats[i], f, w)
-                else:
-                    scalar *= f
-            hit = self.terms[t, m] = (scalar, w)
+            hit = self.terms[t, m] = w
         return hit
 
 
 def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     """The instance's evaluator at x, built on the first call at that point;
-    only the last point's is kept, so memory stays bounded by one point's
-    terms.  The key is x and the offsets as the floats the logs read, so a
-    call at the kept point takes no log."""
+    only the last point's is kept.  It is keyed by x and the offsets as read
+    to floats; a call with the very objects it was built from, each None or
+    a tuple of float, int or complex and so unchanged, reads nothing again."""
+    for kept in instance._series.values():  # the last point's, if any
+        ev = kept["evaluator"]
+        if all(p is q and (p is None or type(p) is tuple and {*map(type, p)} <= {float, int, complex})
+               for p, q in zip((x, arg_offsets), ev.given)):
+            return ev
     xs = _check_x(instance.fan, x)
     # principal branch by default; offsets turn the argument by whole radians
     # per coordinate, selecting another sheet of the multivalued powers
@@ -548,7 +556,8 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
             raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
     offs = tuple(map(float, offs))
     key = repr((xs, offs))  # repr tells 0.0 from -0.0, which == and hash do not
-    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, kept=1)
+    given = (x, arg_offsets)
+    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, given, kept=1)
 
 
 def _read(read, c, i: int, name: str, kind: str):
@@ -593,7 +602,7 @@ def gamma_series(
 def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> SeriesValue:
     """The v-series, or with a ray j its derivative in x_j over the window at
     v + v_j, summed term by term in window order: the one term loop, which
-    skips each term the support or degree rule zeroes (see _SeriesEvaluator),
+    skips each term the support or degree rule zeroes (see vanishes),
     for a derivative by the unshifted m = s + e_j of each window entry s."""
     total = shell = zero = (0j,) * ev.dim
     top = -1  # shell sums the kept terms at top, the largest norm so far
@@ -605,14 +614,12 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
                 m = m[:j] + (m[j] + 1,) + m[j + 1 :]
             if ev.vanishes(t, m):
                 continue
-            scalar, w = ev.term(t, m, evec)
-            if j is None:
-                term = [scalar * c for c in w]
-            else:
+            term = ev.term(t, m, evec)
+            if j is not None:
                 lj, xj = ev.entry(t, j, m[j])[0], ev.xs[j]
                 # D_j is 0 on a summand of order 1, where each sum below is +0j
-                dw = [sum(map(operator.mul, r, w)) for r in ev.dmats[j]] if order > 1 else zero
-                term = [scalar * (lj * wr + dwr) / xj for wr, dwr in zip(w, dw)]
+                dw = [sum(map(operator.mul, r, term)) for r in ev.dmats[j]] if order > 1 else zero
+                term = [(lj * wr + dwr) / xj for wr, dwr in zip(term, dw)]
             total = list(map(operator.add, total, term))
             if nm >= top:
                 top, shell = nm, list(map(operator.add, shell if nm == top else zero, term))
@@ -625,21 +632,14 @@ def gamma_series_derivative(
 ) -> SeriesValue:
     """Term-analytic partial derivative of the v-series in the j-th coordinate.
 
-    Each term at exponent l differentiates to the shifted exponent l - e_j, an
-    element of the term set at index v + v_j; the result is truncated in the
-    window of that target set, so it is comparable to gamma_series at v + v_j
-    term for term.  The two computations take separate routes through the
-    reciprocal Gamma factors, which is what makes the comparison a check: the
-    derivative takes the jet at l_j = s_j + 1 where the shifted series takes
-    it at s_j, and each is its own reciprocal_gamma_jet evaluation, never
-    derived from the other by the functional equation.  Both reach the same
-    Stirling evaluation point, though, so the comparison does not see an
-    error in the Stirling tail; the golden jets check that.  Windows, terms
-    and coordinate entries are shared with gamma_series (see
-    _SeriesEvaluator), and a term the support or degree rule zeroes is
-    never formed.  D_j is applied to each term's own w, never to a sum of
-    them; on a summand of order 1, where D_j w comes out as +0j for a
-    finite w, +0j is added in its place.
+    Each term at exponent l differentiates to l - e_j, a term of the series
+    at v + v_j, and is truncated in that series' window, so the two compare
+    term for term.  The derivative forms (l_j + D_j) R_{alpha_j,m_j} where
+    the shifted series forms R_{alpha_j,m_j - 1}, so the comparison checks
+    that Pochhammer step, the window alignment, D_j and the 1/x_j factor.
+    Both share T_alpha: the jet goldens and the series oracles check the
+    jets at alpha.  D_j acts on each term's own w, never on a sum; on a
+    summand of order 1, where D_j w is +0j for a finite w, +0j is added.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = read_int(B, "window", "the bound B", 0)

@@ -972,3 +972,21 @@ def test_runs_without_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert proc.returncode == case["exit"] == 0, proc.stderr.decode()
     assert proc.stdout == (golden / "gkz_solve_square_b12.json").read_bytes()
+
+
+@pytest.mark.parametrize("error", [IndexError, KeyError, TypeError, RuntimeError])
+def test_internal_fault_exits_3(seed_dir, tmp_path, monkeypatch, error):
+    """An exception no input check raises, from anywhere below a command, is
+    an internal fault: exit 3 with its error object, never exit 2 as if the
+    input file were malformed."""
+    import boxgamma.cli as cli
+
+    def broken(args):
+        raise error("internal: a fault below the command")
+
+    commands = [(n, g, broken if n == "validate" else f, h) for n, g, f, h in cli._COMMANDS]
+    monkeypatch.setattr(cli, "_COMMANDS", tuple(commands))
+    code, doc = run_cli(["validate", "--fan", str(seed_dir / "fan_f1.json")], tmp_path)
+    assert code == 3
+    assert doc["error"]["type"] == error.__name__
+    assert "internal: a fault below the command" in doc["error"]["message"]

@@ -1,5 +1,5 @@
-"""The per-point series evaluator: each coordinate entry's reciprocal-Gamma
-jet computed once, each window scanned once per instance from a plan built
+"""The per-point series evaluator: one reciprocal-Gamma jet per (triple,
+marker) at alpha, each window scanned once per instance from a plan built
 once per fan, each (v, B) series summed once per point, values independent
 of what was evaluated before, and the integer-offset term-shift check equal
 to its LVector formulation, with its boundary LVectors built only when
@@ -90,12 +90,12 @@ def run_gkz_verify(tmp_path, fan, beta, x):
     ])
 
 
-def supported_entries(fan_name, beta_name, B, cap):
-    """The jets the coordinate entries (t, i, m_i) of the terms the support
-    and degree rules keep in gkz-verify at bound B and degree cap evaluate,
-    on the seed example files, counted by their (l_i, order) keys: order_t,
-    1 + the top degree of triple t's summand, at a ray, and 1 at a marker
-    that is not one."""
+def alpha_jets(fan_name, beta_name, B, cap):
+    """The jets gkz-verify at bound B and degree cap evaluates on the seed
+    example files, counted by their (alpha_i, order) keys: one per marker i
+    of each triple t with a term the support and degree rules keep, at
+    alpha_i, of order_t (1 + the top degree of triple t's summand) at a ray
+    and 1 at a marker that is not one."""
     fan = parse_fan(SEED_FILES[f"fan_{fan_name}.json"])
     inst = build_gkz(fan, SEED_FILES[f"{beta_name}.json"]["beta"])
     rays = fan.fan_indices()
@@ -103,23 +103,23 @@ def supported_entries(fan_name, beta_name, B, cap):
     # derivative residuals compare with
     vs = low_degree_points(fan, cap)
     shifted = [tuple(a + b for a, b in zip(v, fan.rays[j])) for v in vs for j in rays]
-    entries = {}
-    for t, m, l in supported_terms(inst, vs + shifted, vs, B):
-        order = summand_order(inst, t)
-        for i, x in enumerate(l):
-            li = complex(float(x.real), float(x.imag))
-            entries[t, i, m[i]] = (li, order if i in rays else 1)
-    return Counter(entries.values())
+    kept = {t for t, _, _ in supported_terms(inst, vs + shifted, vs, B)}
+    return Counter(
+        (complex(float(a.real), float(a.imag)), summand_order(inst, t) if i in rays else 1)
+        for t in kept
+        for i, a in enumerate(inst.correspondence.triples[t][0].alpha)
+    )
 
 
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
 def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
-    """Each reciprocal_gamma_jet call belongs to one coordinate entry of a
-    kept term, at that entry's order, and no entry calls it twice; a term
-    the support or degree rule zeroes is never formed, so its jets are never
-    evaluated."""
+    """reciprocal_gamma_jet is called once per (triple, marker) at the
+    point, at alpha_i and the order of that marker's jets, and only for a
+    triple with a kept term; every exponent l = alpha + m reaches its
+    1/Gamma(l_i + 1) by Pochhammer steps from alpha_i, so no jet is taken at
+    any other l."""
     assert run_gkz_verify(tmp_path, fan, beta, x) == 0
-    assert jet_calls == supported_entries(fan, beta, 12, 2)
+    assert jet_calls == alpha_jets(fan, beta, 12, 2)
 
 
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
@@ -448,3 +448,39 @@ def test_param_values_are_canonical_scalars():
     assert values == (Fraction(1, 2), Fraction(3), GaussianRational(Fraction(1, 2), Fraction(1)))
     assert [type(x) for x in values] == [Fraction, Fraction, GaussianRational]
     assert Param.of(values) == form
+
+
+class _Real(float):
+    """A float subclass: its instances may carry state a float does not."""
+
+
+@pytest.mark.parametrize(
+    "x,offsets,reads",
+    [
+        (X_F1, None, 1),
+        (X_F1, (0.0, TWO_PI, 0), 1),
+        (list(X_F1), None, 3),
+        ((1.0, 10, True), None, 3),
+        ((1.0, _Real(10.0), 1.0), None, 3),
+        (X_F1, [0.0, TWO_PI, 0.0], 3),
+    ],
+    ids=["tuple", "tuple-offsets", "list", "bool", "float-subclass", "list-offsets"],
+)
+def test_kept_point_is_read_once(monkeypatch, x, offsets, reads):
+    """Three series at one point read x once when the caller passes the very
+    tuple of float, int or complex (and None or such offsets) the evaluator
+    was built from; any other input is read on every call, and every call
+    gives the repr a fresh instance gives."""
+    calls = []
+    real = gkz._check_x
+
+    def counting(fan, x):
+        calls.append(x)
+        return real(fan, x)
+
+    monkeypatch.setattr(gkz, "_check_x", counting)
+    vs = ((0, 0), (1, 0), (1, 1))
+    inst = build_gkz(F1, BETA_F1)
+    got = [repr(gamma_series(inst, v, x, 6, arg_offsets=offsets)) for v in vs]
+    assert len(calls) == reads
+    assert got == [repr(gamma_series(build_gkz(F1, BETA_F1), v, x, 6, arg_offsets=offsets)) for v in vs]

@@ -3,7 +3,8 @@ exponent has negative integers l_i on J, with supp(alpha) and J in no cone
 or with |J| at least its summand's order, is skipped before its term is
 formed.  Checked against the exact ray operators, and against the rules
 read on exact exponents (exact_oracles.supported_terms).  Each kept term
-is formed at its summand's order, and equals the term formed at order dim."""
+is formed at its summand's order, and agrees with the term formed at order
+dim."""
 
 import dataclasses
 import itertools
@@ -19,7 +20,6 @@ from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import (
     build_gkz,
-    exp_jet,
     gamma_series,
     gamma_series_derivative,
     reciprocal_gamma_jet,
@@ -195,8 +195,12 @@ def test_jet_prefix_does_not_depend_on_the_order(l, orders):
 
 def assert_terms_at_order_dim(inst, x, B):
     """Form the series and derivatives of degree <= 1 at x, then compare
-    each term the evaluator formed, by repr, with the term an evaluator
-    forms when every ray jet, x-jet and ray factor has order dim."""
+    each term the evaluator formed with the term an evaluator forms when
+    every ray jet and R has order dim.  Where both sides take the vector
+    route, a triple of order above 1 or dim 1, they are equal by repr; on a
+    triple of order 1 below dim, the evaluator folds each R constant into
+    the scalar where the reference transports w by it, so the two agree to
+    1e-14 relative."""
     try:
         for v in low_degree_points(inst.fan, 1):
             gamma_series(inst, v, x, B)
@@ -207,9 +211,13 @@ def assert_terms_at_order_dim(inst, x, B):
     ev = gkz._evaluator(inst, x, None)
     ref = gkz._SeriesEvaluator(inst, ev.xs, (0.0,) * len(x))
     ref.orders = (ref.dim,) * len(ev.orders)
-    ref.xjets = {i: exp_jet((0j, ref.logs[i]), ref.dim) for i in ref.rays}
-    for (t, m), term in ev.terms.items():
-        assert repr(term) == repr(ref.term(t, m, ref.base(t))), (inst.beta, t, m)
+    for (t, m), got in ev.terms.items():
+        want = ref.term(t, m, ref.base(t))
+        if ev.orders[t] > 1 or ref.dim == 1:
+            assert repr(got) == repr(want), (inst.beta, t, m)
+        else:
+            err = max(abs(a - b) for a, b in zip(got, want))
+            assert err <= 1e-14 * max(map(abs, want)), (inst.beta, t, m, err)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -226,10 +234,10 @@ def test_terms_at_beta_zero_equal_the_terms_at_order_dim(name):
 @settings(deadline=None)
 @given(st.data())
 def test_terms_equal_the_terms_at_order_dim(data):
-    """Every term the evaluator forms at its summand's order equals, by
-    repr, the term formed at order dim, on the ladder's eligible fans and
-    on F1_EXTENDED, whose marker 2, no ray, takes its factor from a jet of
-    order 1."""
+    """Every term the evaluator forms at its summand's order agrees with the
+    term formed at order dim (see assert_terms_at_order_dim), on the
+    ladder's eligible fans and on F1_EXTENDED, whose marker 2, no ray, takes
+    its factor from a jet of order 1."""
     fans = {**LADDER, "F1_EXTENDED": F1_EXTENDED}
     fan = fans[data.draw(st.sampled_from(sorted(fans)))]
     beta = data.draw(betas(fan.rank))
