@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DependentGenerators, InvalidFan, NotFullDimensional
-from .fan import ConeRef, StackyFan, _cone_inverse, _cone_residues, _memo, _minimal_face, _witnesses
-from .fan import validate
-from .linalg import ConeInverse, Coord, GaussianRational, Param, _ZERO, _dot, _integral, parse_rational
+from .fan import ConeRef, StackyFan, _cone_residues, _full_cone, _memo, _minimal_face, _valid, _witnesses
+from .linalg import Coord, GaussianRational, Param, _ZERO, _dot, _integral, parse_rational
 from .linalg import read_exact, read_param
 
 @dataclass(frozen=True)
@@ -84,22 +82,6 @@ def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
     return read_param(beta, "box", "beta", fan.rank).values
 
 
-def _solved(fan: StackyFan, cone: ConeRef) -> ConeInverse:
-    """The cone's ConeInverse; raises InvalidFan naming a marker of the wrong
-    length, cone or not, as every alpha has its entry, and NotFullDimensional
-    naming the cone, 1-based, of the wrong size or dependent generators."""
-    bad = next((i for i, v in enumerate(fan.rays) if len(v) != fan.rank), None)
-    if bad is not None:
-        raise InvalidFan(f"fan: marker {bad + 1} has wrong length, not the rank {fan.rank}")
-    named = tuple(i + 1 for i in cone)
-    if len(cone) != fan.rank:
-        raise NotFullDimensional(f"box: cone {named} is not full-dimensional in rank {fan.rank}")
-    try:
-        return _cone_inverse(fan, cone)
-    except DependentGenerators:
-        raise NotFullDimensional(f"box: generators of cone {named} are linearly dependent") from None
-
-
 def _cone_branches(fan, cone, param, common):
     """(key, residue, floors, BoxElement) quadruples in residue enumeration order.
 
@@ -109,14 +91,13 @@ def _cone_branches(fan, cone, param, common):
     (T n0 + T beta) / t for the cone's ConeInverse rows T and den t, and
     beta's form param (linalg.Param): integer products, and one Fraction
     per real part (Im alpha is the same for every residue).  The cone's
-    inverse and Hermite diagonal come from the fan's cone table.  key holds
-    Re alpha_i and Im alpha_i, interleaved, as integers over common * den,
-    for common a multiple of t: over one such denominator the keys compare
-    as alpha_key of the exponents does.
+    inverse (fan._full_cone, "box:") and Hermite diagonal come from the
+    fan's cone table.  key holds Re alpha_i and Im alpha_i, interleaved, as
+    integers over common * den, for common a multiple of t: over one such
+    denominator the keys compare as alpha_key of the exponents does.
     """
     d = fan.rank
-    cone = tuple(cone)
-    inv = _solved(fan, cone)
+    inv = _full_cone(fan, cone, "box")
     den = param.den
     big, scale = inv.den * den, common // inv.den
     t_re, t_im = ([_dot(row, b) for row in inv.rows] for b in (param.re, param.im))
@@ -145,7 +126,7 @@ def box_of_cone(fan: StackyFan, cone, beta) -> tuple[BoxElement, ...]:
         if not 0 <= i < fan.k:
             raise ValueError(f"box: entry {pos} of cone is {i}, not in 0..{fan.k - 1}")
     param = read_param(beta, "box", "beta", fan.rank)
-    branches = sorted(_cone_branches(fan, cone, param, _solved(fan, cone).den))
+    branches = sorted(_cone_branches(fan, cone, param, _full_cone(fan, cone, "box").den))
     return tuple(e for _, _, _, e in branches)
 
 
@@ -171,7 +152,7 @@ def _collisions(fan: StackyFan, param: Param) -> tuple[int, tuple, tuple[Collisi
     """The classes, grouped and sorted by the branches' integer keys over one
     denominator for the fan and beta: the lcm of the maximal cones'
     ConeInverse dens times that of beta's parts."""
-    common = math.lcm(*(_solved(fan, mc).den for mc in fan.max_cones))
+    common = math.lcm(*(_full_cone(fan, mc, "box").den for mc in fan.max_cones))
     groups: dict[tuple, list[Branch]] = {}
     for mc in fan.max_cones:
         for key, residue, floors, e in _cone_branches(fan, mc, param, common):
@@ -197,7 +178,7 @@ def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
 def _correspondence(fan: StackyFan, param: Param, delta):
     """correspondence_at for beta's form param, with each triple's target position among the
     classes at beta_delta; also beta_delta's form and its (den, keys, classes).
-    InvalidFan names the first violation of a fan validate rejects, once its box set is built.
+    InvalidFan (fan._valid) for a fan validate rejects, once its box set is built.
 
     alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
     delta = p / q and the class key's (R, M) over den, and n to n - sum(floor(x_i) v_i), keeping
@@ -218,9 +199,7 @@ def _correspondence(fan: StackyFan, param: Param, delta):
     g = math.gcd(param.den * q, *nums)  # over the least common denominator
     bd = Param(param.den * q // g, tuple(x // g for x in nums), (0,) * len(nums))
     den, keys, sources = _classes(fan, param)
-    violations = validate(fan).violations
-    if violations:
-        raise InvalidFan(f"fan: the stabilization needs a valid fan: {violations[0]}")
+    _valid(fan, "the stabilization")
     xd = den * q
     triples, images, classes = [], [], []
     for key, cls in zip(keys, sources):

@@ -82,16 +82,12 @@ def parse_fan(doc) -> StackyFan:
     # read before the shift to 0-based indices, so an error shows the file's entry
     cones = as_sequence(_field(doc, "max_cones", "fan"), "fan", "max_cones")
     cones = [read_exact(c, _integral, "fan", f"cone {r}") for r, c in enumerate(cones, 1)]
-    fan = StackyFan(
+    return StackyFan(
         rank=_field(doc, "rank", "fan"),
         rays=_field(doc, "rays", "fan"),
         max_cones=tuple(tuple(i - 1 for i in cone) for cone in cones),
         deg=doc.get("deg"),
     )
-    outside = [i + 1 for cone in fan.max_cones for i in cone if not 0 <= i < fan.k]
-    if outside:
-        raise ValueError(f"fan: cone index {outside[0]} out of range")
-    return fan
 
 
 def _fan_beta(args):

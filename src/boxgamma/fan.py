@@ -43,15 +43,15 @@ class _ConeTable:
     """What a fan's cone solves read, and the results of its last parameters.
 
     Filled on first use: the ConeInverse of each cone solved in (maximal
-    cones, or the cones box_of_cone is given), the Hermite diagonal of each
-    full-dimensional one (its residues, see _cone_residues), the maximal
-    cones holding each box support or face asked for (see _witnesses),
-    every face as a bitmask of its markers (see _faces), the markers'
-    lattice (see _marker_lattice), the window scan's plan for its relations
-    (gkz._window_plan, built on the first scan) and the fan's
-    ValidationReport, whose deg the quotient reads.  Their size is bounded
-    by the fan's cones and markers, and a StackyFan is frozen, so no entry
-    can go stale.
+    cones, or the cones box_of_cone is given; the fan's construction checked
+    their markers), the Hermite diagonal of each full-dimensional one (its
+    residues, see _cone_residues), the maximal cones holding each box
+    support or face asked for (see _witnesses), every face as a bitmask of
+    its markers (see _faces), the markers' lattice (see _marker_lattice),
+    the window scan's plan for its relations (gkz._window_plan, built on
+    the first scan) and the fan's ValidationReport, whose deg the quotient
+    reads.  Their size is bounded by the fan's cones and markers, and a
+    StackyFan is frozen, so no entry can go stale.
     params is the parameter memo (see _memo), for two parameters, each
     under its form (linalg.Param): "collisions",
     "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
@@ -114,13 +114,21 @@ class StackyFan:
     _table: _ConeTable = field(default_factory=_ConeTable, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", read_int(self.rank, "fan", "rank"))
+        """The one decision of a fan's shape: a positive rank, rays of that
+        length, cone entries that index a marker; ValueError names the field,
+        and a cone entry only by position, as the CLI shifts indices."""
+        object.__setattr__(self, "rank", read_int(self.rank, "fan", "rank", 1))
         rays = enumerate(as_sequence(self.rays, "fan", "rays"), 1)
-        rays = tuple(read_exact(v, _integral, "fan", f"ray {r}") for r, v in rays)
+        rays = tuple(read_exact(v, _integral, "fan", f"ray {r}", self.rank) for r, v in rays)
         object.__setattr__(self, "rays", rays)
-        cones = enumerate(as_sequence(self.max_cones, "fan", "max_cones"), 1)
-        cones = (read_exact(c, _integral, "fan", f"cone {r}") for r, c in cones)
-        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cones))
+        cones = []
+        for r, c in enumerate(as_sequence(self.max_cones, "fan", "max_cones"), 1):
+            cone = read_exact(c, _integral, "fan", f"cone {r}")
+            pos = next((p for p, i in enumerate(cone, 1) if not 0 <= i < len(rays)), None)
+            if pos is not None:
+                raise ValueError(f"fan: entry {pos} of cone {r} is out of range for {len(rays)} markers")
+            cones.append(tuple(sorted(cone)))
+        object.__setattr__(self, "max_cones", tuple(cones))
         if self.deg is not None:
             object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg", self.rank))
 
@@ -148,15 +156,33 @@ class ValidationReport:
 
 def _cone_inverse(fan: StackyFan, cone: ConeRef) -> ConeInverse:
     """The cone's ConeInverse from the fan's table; raises
-    DependentGenerators (and stores nothing) for dependent generators, and
-    InvalidFan, naming the marker, for one of the wrong length."""
+    DependentGenerators (and stores nothing) for dependent generators.  Every
+    marker has the rank's length, as the fan is built."""
     inv = fan._table.inverses.get(cone)
     if inv is None:
-        for i in cone:
-            if len(fan.rays[i]) != fan.rank:
-                raise InvalidFan(f"fan: marker {i + 1} has wrong length, not the rank {fan.rank}")
         inv = fan._table.inverses[cone] = cone_inverse(fan.gens(cone), fan.rank)
     return inv
+
+
+def _full_cone(fan: StackyFan, cone: ConeRef, stage: str) -> ConeInverse:
+    """The ConeInverse of a full-dimensional cone, for a stage that needs
+    one: the only NotFullDimensional, "<stage>: ..." naming the cone by its
+    1-based indices, for a cone of the wrong size or dependent generators."""
+    named = tuple(i + 1 for i in cone)
+    if len(cone) != fan.rank:
+        raise NotFullDimensional(f"{stage}: cone {named} is not full-dimensional in rank {fan.rank}")
+    try:
+        return _cone_inverse(fan, cone)
+    except DependentGenerators:
+        raise NotFullDimensional(f"{stage}: generators of cone {named} are linearly dependent") from None
+
+
+def _valid(fan: StackyFan, what: str) -> None:
+    """The only InvalidFan for a stage that relies on the fan axioms, as
+    "fan: <what> needs a valid fan: <violation>", naming validate's first."""
+    violations = validate(fan).violations
+    if violations:
+        raise InvalidFan(f"fan: {what} needs a valid fan: {violations[0]}")
 
 
 def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
@@ -231,12 +257,10 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
     minus the face, that is, the face holds sigma's generators where xi's
     are negative.  In a fan the cones holding p are those holding its
     minimal face (Fulton, Introduction to Toric Varieties, 1.2).  xi is read
-    by read_exact; InvalidFan, naming the first violation, for a fan
-    validate rejects, where the face rule fails."""
+    by read_exact; InvalidFan (_valid) for a fan validate rejects, where
+    the face rule fails."""
     xnums = scaled_numerators(read_exact(xi, parse_rational, "fan", "xi", fan.rank))[1]
-    violations = validate(fan).violations
-    if violations:
-        raise InvalidFan(f"fan: the shadow filter needs a valid fan: {violations[0]}")
+    _valid(fan, "the shadow filter")
     passing = set()
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
@@ -250,16 +274,11 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
 
 def normalized_volume(fan: StackyFan) -> int:
     """Sum over the maximal cones of |det| of their generators, the product
-    of each cone's Hermite diagonal (_cone_residues)."""
+    of each cone's Hermite diagonal (_cone_residues); NotFullDimensional
+    (_full_cone, "volume:") for a cone that is not full-dimensional."""
     total = 0
     for cone in fan.max_cones:
-        named = tuple(i + 1 for i in cone)
-        if len(cone) != fan.rank:
-            raise NotFullDimensional(f"volume: cone {named} is not full-dimensional")
-        try:
-            _cone_inverse(fan, cone)
-        except DependentGenerators:
-            raise NotFullDimensional(f"volume: cone {named} has dependent generators") from None
+        _full_cone(fan, cone, "volume")
         total += math.prod(_cone_residues(fan, cone))
     return total
 
@@ -289,7 +308,8 @@ def _meets_in_face(fan: StackyFan, a: ConeRef, b: ConeRef, shared: set[int]) -> 
 
 def validate(fan: StackyFan) -> ValidationReport:
     """Check the fan axioms and GKZ eligibility, once per fan: the report is
-    kept in the fan's cone table.
+    kept in the fan's cone table.  The fan's shape (rank, ray lengths, cone
+    indices) is decided when it is built, so the report holds axioms only.
 
     Fan axioms: markers nonzero and distinct, every listed maximal cone
     simplicial, and each pairwise intersection of maximal cones equal to the
@@ -308,32 +328,21 @@ def validate(fan: StackyFan) -> ValidationReport:
 def _validate(fan: StackyFan) -> ValidationReport:
     violations: list[str] = []
     d, k = fan.rank, fan.k
-    if d < 1:
-        violations.append("rank must be positive")
     if k == 0:
         violations.append("no markers")
     for i, v in enumerate(fan.rays):
-        if len(v) != d:
-            violations.append(f"marker {i + 1} has wrong length")
-        elif not any(v):
+        if not any(v):
             violations.append(f"marker {i + 1} is zero")
     if len(set(fan.rays)) != k:
         violations.append("duplicate markers")
     if not fan.max_cones:
         violations.append("no maximal cones")
     for cone in fan.max_cones:
-        if any(i < 0 or i >= k for i in cone):
-            violations.append(f"cone {tuple(i + 1 for i in cone)} has out-of-range indices")
-            continue
-        if len(set(cone)) != len(cone):
-            violations.append(f"cone {tuple(i + 1 for i in cone)} repeats an index")
-            continue
-        if any(len(fan.rays[i]) != d for i in cone):
-            continue  # its marker's wrong length is the violation
         try:
             _cone_inverse(fan, cone)
-        except DependentGenerators:
-            violations.append(f"cone {tuple(i + 1 for i in cone)} is not simplicial")
+        except DependentGenerators:  # as a repeated index makes them
+            why = "repeats an index" if len(set(cone)) != len(cone) else "is not simplicial"
+            violations.append(f"cone {tuple(i + 1 for i in cone)} {why}")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         violations.append("duplicate maximal cones")
     if not violations:
@@ -344,12 +353,8 @@ def _validate(fan: StackyFan) -> ValidationReport:
                     "do not intersect in a common face"
                 )
     valid = not violations
-    volume = None
-    if valid:
-        try:
-            volume = normalized_volume(fan)
-        except NotFullDimensional:
-            volume = None
+    # a valid fan's cones are simplicial, so _full_cone refuses only a short one
+    volume = normalized_volume(fan) if valid and all(len(c) == d for c in fan.max_cones) else None
     gkz_notes: list[str] = []
     deg = fan.deg
     if not valid:

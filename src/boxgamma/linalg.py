@@ -32,14 +32,14 @@ def format_rational(q: Fraction) -> str:
 
 def _integral(x) -> Optional[int]:
     """x as the int it equals, a string read as a rational, or None when it
-    equals none (inf, nan, None, a complex or malformed value too)."""
+    equals none (inf, nan, None, a bool, a complex or malformed value too)."""
     try:
         if isinstance(x, str):
             x = Fraction(x.strip())
         n = int(x)
     except (OverflowError, ValueError, TypeError, ZeroDivisionError):
         return None
-    return n if n == x else None
+    return n if n == x and not isinstance(x, bool) else None
 
 
 def read_int(x, stage: str, name: str, least: Optional[int] = None) -> int:
@@ -56,7 +56,7 @@ def read_int(x, stage: str, name: str, least: Optional[int] = None) -> int:
 def parse_rational(s) -> Fraction:
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         return Fraction(s.strip())
@@ -106,10 +106,10 @@ def format_gaussian(z) -> str:
 
 def parse_gaussian(s) -> GaussianRational:
     """Accepts "p/q", "p/q+r/si", "r/si", or a {"re": .., "im": ..} mapping;
-    each part is what parse_rational reads, so "1.5i" is 3/2 i."""
+    each part is what parse_rational reads, so "1.5i" is 3/2 i; no bool."""
     if isinstance(s, GaussianRational):
         return s
-    if isinstance(s, (int, Fraction)):
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return GaussianRational(Fraction(s))
     if isinstance(s, dict):
         if not set(s) <= {"re", "im"}:

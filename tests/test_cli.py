@@ -566,12 +566,21 @@ def test_negative_degree_cap_exit_2(seed_dir, tmp_path):
     }
 
 
-def test_cone_index_out_of_range_exit_2(tmp_path):
+def test_cone_index_out_of_range_exit_2(seed_dir, tmp_path):
+    """The fan's construction refuses an index past the markers, or the
+    file's 0, naming the entry by its position: the value it reads is
+    shifted to 0-based."""
     fan = tmp_path / "fan_bad.json"
-    fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1]], "max_cones": [[1, 5]]}')
-    code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
-    assert code == 2
-    assert doc["error"] == {"type": "ValueError", "message": "fan: cone index 5 out of range"}
+    beta = seed_dir / "beta_f1.json"
+    for cones, message in (
+        ([[1, 5]], "fan: entry 2 of cone 1 is out of range for 2 markers"),
+        ([[1, 2], [0, 1]], "fan: entry 1 of cone 2 is out of range for 2 markers"),
+    ):
+        fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 1]], "max_cones": cones}))
+        for args in (["validate"], ["box", "--beta", str(beta)]):
+            code, doc = run_cli([*args, "--fan", str(fan)], tmp_path)
+            assert code == 2
+            assert doc["error"] == {"type": "ValueError", "message": message}
 
 
 def test_ray_that_is_no_sequence_has_the_library_message(tmp_path):
@@ -642,48 +651,39 @@ def test_fan_without_markers_or_cones_is_reported(tmp_path):
 
 
 def test_wrong_length_marker_is_reported(tmp_path):
-    """The report names the marker; no cone holding it is solved."""
+    """The fan's construction names the ray: a bad shape exits 2 before
+    validate reports any axiom."""
     fan = tmp_path / "fan_bad.json"
     fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}')
     code, doc = run_cli(["validate", "--fan", str(fan)], tmp_path)
-    assert code == 0
-    assert doc["valid"] is False
-    assert doc["violations"] == ["marker 2 has wrong length"]
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": "fan: ray 2 must have 2 coordinates, got 3"}
 
 
 @pytest.mark.parametrize("command", ["box", "cohomology", "kring"])
 def test_wrong_length_marker_stops_the_box_stage(tmp_path, command):
-    """The box stage names the marker before it solves a cone holding it."""
+    """No stage solves a cone holding the ray: the fan is never built."""
     fan = tmp_path / "fan_bad.json"
     fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]}')
     beta = tmp_path / "beta.json"
     beta.write_text('{"beta": ["0", "0"]}')
     code, doc = run_cli([command, "--fan", str(fan), "--beta", str(beta)], tmp_path)
-    assert code == 1
-    assert doc == {
-        "error": {"type": "InvalidFan", "message": "fan: marker 2 has wrong length, not the rank 2"}
-    }
+    assert code == 2
+    assert doc == {"error": {"type": "ValueError", "message": "fan: ray 2 must have 2 coordinates, got 3"}}
 
 
 @pytest.mark.parametrize("command", ["validate", "box", "cohomology", "kring"])
 def test_wrong_length_marker_in_no_cone(tmp_path, command):
     """A marker of the wrong length that lies in no cone still has an entry
-    in every alpha: validate reports it, and the box stage refuses the fan."""
+    in every alpha: the fan's construction refuses it for every command."""
     fan = tmp_path / "fan_bad.json"
     fan.write_text('{"rank": 2, "rays": [[1, 0], [1, 1], [1, 2, 3]], "max_cones": [[1, 2]]}')
     beta = tmp_path / "beta.json"
     beta.write_text('{"beta": ["0", "0"]}')
     args = [command, "--fan", str(fan)] + ([] if command == "validate" else ["--beta", str(beta)])
     code, doc = run_cli(args, tmp_path)
-    if command == "validate":
-        assert code == 0
-        assert doc["valid"] is False
-        assert doc["violations"] == ["marker 3 has wrong length"]
-    else:
-        assert code == 1
-        assert doc == {
-            "error": {"type": "InvalidFan", "message": "fan: marker 3 has wrong length, not the rank 2"}
-        }
+    assert code == 2
+    assert doc == {"error": {"type": "ValueError", "message": "fan: ray 3 must have 2 coordinates, got 3"}}
 
 
 @pytest.mark.parametrize("command", [["box", "--stabilize"], ["cohomology"], ["kring"], ["box"]])
@@ -713,10 +713,12 @@ F1_DOC = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2,
         ("deg", ["3/2", "0"], "fan: entry 1 of deg is '3/2', not an integer"),
         ("rays", [[1, 0], [1.9, 1], [1, 2]], "fan: entry 1 of ray 2 is 1.9, not an integer"),
         ("max_cones", [[1, 2], [2, 1.5]], "fan: entry 2 of cone 2 is 1.5, not an integer"),
-        ("rank", 2.5, "fan: rank is 2.5, not an integer"),
+        ("rank", 2.5, "fan: rank is 2.5, not a positive integer"),
         ("deg", [1, 0, 5], "fan: deg must have 2 coordinates, got 3"),
+        ("rank", 0, "fan: rank is 0, not a positive integer"),
+        ("rank", True, "fan: rank is True, not a positive integer"),
     ],
-    ids=["deg", "rays", "max_cones", "rank", "deg-length"],
+    ids=["deg", "rays", "max_cones", "rank", "deg-length", "rank-0", "rank-bool"],
 )
 def test_non_integral_fan_entry_exit_2(tmp_path, field, value, message):
     """Each was truncated before: deg ["3/2", "0"] validated as ["1", "0"],
@@ -744,8 +746,9 @@ def test_integral_fan_entries_keep_their_meaning(seed_dir, tmp_path):
         ('[0.5, "0"]', '["1/4", "0"]', "box: entry 1 of beta is 0.5, not a Gaussian rational"),
         ('["1/4", {"re": 1.5}]', '["1/4", "0"]', "box: entry 2 of beta is {'re': 1.5}, not a Gaussian rational"),
         ('["1/4", "0"]', '["1/4", "1/0"]', "quotient: entry 2 of xi is '1/0', not a rational"),
+        ('[true, "0"]', '["1/4", "0"]', "box: entry 1 of beta is True, not a Gaussian rational"),
     ],
-    ids=["beta-float", "beta-object", "xi"],
+    ids=["beta-float", "beta-object", "xi", "beta-bool"],
 )
 def test_inexact_entry_has_the_library_message(seed_dir, tmp_path, beta, xi, message):
     """The JSON entries go to the library unparsed, so its reader names them."""

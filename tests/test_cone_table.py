@@ -397,20 +397,26 @@ def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_validate_reports_bad_cones_before_the_table(data):
-    """Out-of-range and repeated indices are reported without a table entry;
+    """An out-of-range index is refused when the fan is built, naming the
+    first such entry; a repeated index is reported without a table entry;
     a dependent cone is reported as not simplicial and stores none."""
     d = data.draw(st.integers(1, 3))
     rays = data.draw(st.lists(st.tuples(*[small_int] * d), min_size=1, max_size=5))
     k = len(rays)
     index = st.integers(-1, k)
     cones = data.draw(st.lists(st.lists(index, min_size=1, max_size=d + 1), min_size=1, max_size=4))
+    outside = [(r, p) for r, c in enumerate(cones, 1) for p, i in enumerate(c, 1) if not 0 <= i < k]
+    if outside:
+        r, p = outside[0]
+        with pytest.raises(ValueError) as info:
+            StackyFan(rank=d, rays=tuple(rays), max_cones=tuple(tuple(c) for c in cones))
+        assert str(info.value) == f"fan: entry {p} of cone {r} is out of range for {k} markers"
+        return
     fan = StackyFan(rank=d, rays=tuple(rays), max_cones=tuple(tuple(c) for c in cones))
     want = []
     for cone in fan.max_cones:
         name = tuple(i + 1 for i in cone)
-        if any(i < 0 or i >= k for i in cone):
-            want.append(f"cone {name} has out-of-range indices")
-        elif len(set(cone)) != len(cone):
+        if len(set(cone)) != len(cone):
             want.append(f"cone {name} repeats an index")
         elif oracle_coords(fan.gens(cone), [Fraction(0)] * d) is None:
             want.append(f"cone {name} is not simplicial")
@@ -418,22 +424,20 @@ def test_validate_reports_bad_cones_before_the_table(data):
     assert [v for v in rep.violations if v.startswith("cone ")] == want
     good = {
         c for c in fan.max_cones
-        if all(0 <= i < k for i in c) and len(set(c)) == len(c)
-        and oracle_coords(fan.gens(c), [Fraction(0)] * d) is not None
+        if len(set(c)) == len(c) and oracle_coords(fan.gens(c), [Fraction(0)] * d) is not None
     }
     assert set(fan._table.inverses) <= good
     assert validate(fan) is rep
 
 
 def test_violation_strings_unchanged():
-    fan = StackyFan(
-        rank=2,
-        rays=((1, 0), (0, 1), (2, 0)),
-        max_cones=((0, 3), (1, 1), (0, 2), (0, 1)),
-    )
+    rays = ((1, 0), (0, 1), (2, 0))
+    with pytest.raises(ValueError) as info:
+        StackyFan(rank=2, rays=rays, max_cones=((0, 3), (1, 1), (0, 2), (0, 1)))
+    assert str(info.value) == "fan: entry 2 of cone 1 is out of range for 3 markers"
+    fan = StackyFan(rank=2, rays=rays, max_cones=((1, 1), (0, 2), (0, 1)))
     rep = validate(fan)
     assert rep.violations == (
-        "cone (1, 4) has out-of-range indices",
         "cone (2, 2) repeats an index",
         "cone (1, 3) is not simplicial",
     )

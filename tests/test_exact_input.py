@@ -34,10 +34,11 @@ def _fan(**fields):
 
 
 INTEGER, RATIONAL, GAUSSIAN = "an integer", "a rational", "a Gaussian rational"
+POSITIVE = "a positive integer"
 
 # site: (call on one entry, what the message names, kind, an integral value the site takes)
 SITES = {
-    "rank": (lambda x: _fan(rank=x), "fan: rank", INTEGER, 2),
+    "rank": (lambda x: _fan(rank=x), "fan: rank", POSITIVE, 2),
     "rays": (lambda x: _fan(rays=((1, 0), (x, 1), (1, 2))), "fan: entry 1 of ray 2", INTEGER, 1),
     "cones": (lambda x: _fan(max_cones=((0, 1), (1, x))), "fan: entry 2 of cone 2", INTEGER, 2),
     "deg": (lambda x: _fan(deg=(x, 0)), "fan: entry 1 of deg", INTEGER, 1),
@@ -66,11 +67,11 @@ COMPLEX = GaussianRational(Fraction(1, 4), Fraction(-1, 3))
 
 def _cases():
     for site, (_, _, kind, n) in SITES.items():
-        bad = [0.5, None, "abc"] + ([] if kind == GAUSSIAN else [GaussianRational(0, 1)])
+        bad = [0.5, None, "abc", True] + ([] if kind == GAUSSIAN else [GaussianRational(0, 1)])
         for entry in bad:
             yield site, entry, None
         good = [(n, Fraction(n)), (f"{2 * n}/2", Fraction(n))]
-        if kind != INTEGER:
+        if kind not in (INTEGER, POSITIVE):
             good.append(("1/4", Fraction(1, 4)))
         if kind == GAUSSIAN:
             good += [(GaussianRational(n), Fraction(n)), ("1/4-1/3i", COMPLEX)]

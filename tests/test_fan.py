@@ -106,18 +106,23 @@ def test_validate_notes_markers_that_do_not_generate():
 
 
 def test_validate_reports_a_wrong_length_marker():
-    """A cone holding the marker is not solved, so the report comes back."""
-    fan = StackyFan(rank=2, rays=((1, 0), (1, 1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
-    rep = validate(fan)
-    assert not rep.valid
-    assert rep.violations == ("marker 2 has wrong length",)
+    """A marker of the wrong length is a shape the fan's construction
+    refuses, naming the ray, so no cone holding it is ever solved."""
+    with pytest.raises(ValueError) as info:
+        StackyFan(rank=2, rays=((1, 0), (1, 1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+    assert str(info.value) == "fan: ray 2 must have 2 coordinates, got 3"
 
 
 def test_validate_reports_an_empty_fan():
-    """A fan of rank 0 with no markers and no cones fails each of the three
-    axioms it can, and no GKZ check is made."""
-    rep = validate(StackyFan(rank=0, rays=(), max_cones=()))
-    assert rep.violations == ("rank must be positive", "no markers", "no maximal cones")
+    """A rank that is not positive is refused when the fan is built; a fan
+    with no markers and no cones fails each of the two axioms it can, and no
+    GKZ check is made."""
+    for rank in (0, -1):
+        with pytest.raises(ValueError) as info:
+            StackyFan(rank=rank, rays=(), max_cones=())
+        assert str(info.value) == f"fan: rank is {rank}, not a positive integer"
+    rep = validate(StackyFan(rank=2, rays=(), max_cones=()))
+    assert rep.violations == ("no markers", "no maximal cones")
     assert rep.gkz_notes == ("fan axioms fail",)
     assert (rep.valid, rep.gkz_eligible, rep.volume, rep.deg) == (False, False, None, None)
 
@@ -172,12 +177,12 @@ def test_tangent_member_rejects_a_wrong_length_xi(xi):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ({"rays": ((1, 0), (1.9, 1), (1, 2))}, "entry 1 of ray 2 is 1.9"),
-        ({"rays": ((1, 0), (1, 1), (1, Fraction(5, 2)))}, "entry 2 of ray 3 is Fraction(5, 2)"),
-        ({"max_cones": ((0, 1), (1, 1.5))}, "entry 2 of cone 2 is 1.5"),
-        ({"deg": (Fraction(3, 2), 0)}, "entry 1 of deg is Fraction(3, 2)"),
-        ({"deg": (1, math.nan)}, "entry 2 of deg is nan"),
-        ({"rank": 2.5}, "rank is 2.5"),
+        ({"rays": ((1, 0), (1.9, 1), (1, 2))}, "entry 1 of ray 2 is 1.9, not an integer"),
+        ({"rays": ((1, 0), (1, 1), (1, Fraction(5, 2)))}, "entry 2 of ray 3 is Fraction(5, 2), not an integer"),
+        ({"max_cones": ((0, 1), (1, 1.5))}, "entry 2 of cone 2 is 1.5, not an integer"),
+        ({"deg": (Fraction(3, 2), 0)}, "entry 1 of deg is Fraction(3, 2), not an integer"),
+        ({"deg": (1, math.nan)}, "entry 2 of deg is nan, not an integer"),
+        ({"rank": 2.5}, "rank is 2.5, not a positive integer"),
     ],
     ids=[
         "fields0-entry 1 of ray 2",
@@ -192,7 +197,7 @@ def test_non_integral_fan_entry_raises(fields, message):
     """An entry that equals no integer is named with its value, never truncated."""
     with pytest.raises(ValueError) as info:
         StackyFan(**{"rank": 2, "rays": F1.rays, "max_cones": F1.max_cones, **fields})
-    assert str(info.value) == f"fan: {message}, not an integer"
+    assert str(info.value) == f"fan: {message}"
 
 
 def test_non_integral_triangulation_point_raises():
@@ -236,7 +241,7 @@ def test_empty_maximal_cone_is_valid_and_not_full_dimensional(cones):
     assert (report.valid, report.violations, report.volume) == (True, (), None)
     assert report.gkz_notes == ("maximal cones are not all full-dimensional",)
     assert fan._table.inverses[()] == ConeInverse((), ((1, 0), (0, 1)), 1)
-    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(\) is not full-dimensional$"):
+    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(\) is not full-dimensional in rank 2$"):
         normalized_volume(fan)
 
 
@@ -244,10 +249,10 @@ def test_normalized_volume():
     assert normalized_volume(F1) == 2
     assert normalized_volume(F2) == 4
     # errors name the stage and the cone by its 1-based file indices
-    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(1,\) is not full-dimensional$"):
+    with pytest.raises(NotFullDimensional, match=r"^volume: cone \(1,\) is not full-dimensional in rank 2$"):
         normalized_volume(StackyFan(rank=2, rays=((1, 0),), max_cones=((0,),)))
     dependent = StackyFan(rank=2, rays=((1, 0), (2, 0), (1, 2)), max_cones=((0, 1), (1, 2)))
-    message = r"^volume: cone \(1, 2\) has dependent generators$"
+    message = r"^volume: generators of cone \(1, 2\) are linearly dependent$"
     with pytest.raises(NotFullDimensional, match=message):
         normalized_volume(dependent)
 
