@@ -23,7 +23,7 @@ import sys
 
 from .errors import DomainError
 from .fan import StackyFan, validate
-from .linalg import _integral, as_sequence, format_gaussian, format_rational, read_exact, read_param
+from .linalg import _integral, _real_pair, as_sequence, format_gaussian, format_rational, read_exact, read_param
 
 
 def emit_json(obj) -> str:
@@ -96,18 +96,10 @@ def _fan_beta(args):
 
 
 def parse_x(doc):
-    """The point x, each coordinate an [re, im] pair of real numbers, and
-    the optional arg_offsets as given; the library checks both lengths and
-    reads the offsets."""
-    from .gkz import _read
-
-    x = as_sequence(_field(doc, "x", "series"), "series", "x")
-    for r, p in enumerate(x, start=1):
-        if not isinstance(p, list) or len(p) != 2:
-            raise ValueError(f"series: coordinate {r} of x is {json.dumps(p)}, not an [re, im] pair")
-        for part in p:
-            _read(math.isfinite, part, r, "x", "a real number")
-    return tuple(complex(float(re), float(im)) for re, im in x), doc.get("arg_offsets")
+    """The point x, each coordinate an [re, im] pair of finite real numbers,
+    and the optional arg_offsets as given; the library checks both lengths
+    and reads the offsets."""
+    return read_exact(_field(doc, "x", "series"), _real_pair, "series", "x"), doc.get("arg_offsets")
 
 
 def ser_box_element(elem) -> dict:

@@ -421,13 +421,17 @@ def triangulate_from_heights(
     (w . v_i = h_i on S) satisfies w . v_j <= h_j everywhere, with equality
     exactly on S.  An equality outside S means a non-simplicial lower facet
     and raises DegenerateHeights.  w is solved by one _rref of the rows
-    [v_i | H_i] on S, H = den * h the integer heights.
+    [v_i | H_i] on S, H = den * h the integer heights.  Markers on no
+    integral degree-1 hyperplane raise ValueError before the search.
     """
     if not points:
         raise ValueError("fan: triangulation needs at least one point")
     d = len(read_exact(points[0], _integral, "fan", "point 1"))
     pts = [read_exact(p, _integral, "fan", f"point {i}", d) for i, p in enumerate(points, start=1)]
     hs = read_exact(heights, parse_rational, "fan", "heights", len(pts))
+    deg = infer_deg(pts)
+    if deg is None:
+        raise ValueError("fan: markers do not lie on an integral degree-1 hyperplane")
     h_int = scaled_numerators(hs)[1]
     cells: set[ConeRef] = set()
     for subset in itertools.combinations(range(len(pts)), d):
@@ -448,7 +452,4 @@ def triangulate_from_heights(
         cells.add(cell)
     if not cells:
         raise DegenerateHeights("fan: heights give no full-dimensional lower facet")
-    deg = infer_deg(pts)
-    if deg is None:
-        raise ValueError("markers do not lie on an integral degree-1 hyperplane")
     return StackyFan(rank=d, rays=tuple(pts), max_cones=tuple(sorted(cells)), deg=deg)

@@ -28,7 +28,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
-from .linalg import Coord, Param, _integral, as_sequence, format_gaussian, parse_rational, read_exact
+from .linalg import Coord, Param, _complex, _integral, _real, format_gaussian, parse_rational, read_exact
 from .linalg import read_int, read_param, singular_values, solve_with_hnf
 from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
@@ -50,14 +50,9 @@ _STIRLING_CUT = 20.0
 _SUGGEST_TARGET = 1e-2
 
 
-def poly_mul_trunc(a: Sequence[complex], b: Sequence[complex], order: int) -> tuple[complex, ...]:
-    out = [0j] * order
-    for s, ca in enumerate(a[:order]):
-        if ca == 0:
-            continue
-        for t, cb in enumerate(b[: order - s]):
-            out[s + t] += ca * cb
-    return tuple(out)
+def _times_linear(r: Sequence[complex], a: complex) -> tuple[complex, ...]:
+    """The Pochhammer step r * (a + eps), truncated to len(r) terms."""
+    return tuple(a * c + p for c, p in zip(r, (0j, *r)))
 
 
 def exp_jet(a: Sequence[complex], order: int) -> tuple[complex, ...]:
@@ -151,7 +146,7 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     except OverflowError:
         raise SeriesOverflow(f"series: 1/Gamma(l + 1) overflows at l={l!r}") from None
     for j in range(m0):
-        jet = poly_mul_trunc(jet, (z + j, 1), order)
+        jet = _times_linear(jet, z + j)
     return jet
 
 
@@ -373,9 +368,9 @@ def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, 
 def _check_ray(fan: StackyFan, j) -> int:
     """The ray index j as the int it equals, read as B is; ValueError names any other j."""
     rays = fan.fan_indices()
-    n = _integral(j)
+    n = read_int(j, "series", "j")
     if n not in rays:
-        raise ValueError(f"j={j!r} is not a ray index of the fan; expected one of {sorted(rays)}")
+        raise ValueError(f"series: j={j!r} is not a ray index of the fan; expected one of {sorted(rays)}")
     return n
 
 
@@ -493,7 +488,7 @@ class _SeriesEvaluator:
                         b = 0
                         r = tuple(b := (c - b) / lk for c in r)
                     elif k < 0:  # R * (l_k + 1 + eps)
-                        r = tuple((lk + 1) * c + p for c, p in zip(r, (0j,) + r))
+                        r = _times_linear(r, lk + 1)
                     hit = self.entries[t, i, k] = (lk, r)
                 r = hit[1]
         return hit
@@ -546,36 +541,18 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     xs = _check_x(instance.fan, x)
     # principal branch by default; offsets turn the argument by whole radians
     # per coordinate, selecting another sheet of the multivalued powers
-    offs = (0,) * len(xs)
+    offs = (0.0,) * len(xs)
     if arg_offsets is not None:
-        offs = as_sequence(arg_offsets, "series", "arg_offsets")
-    if len(offs) != len(xs):
-        raise ValueError(f"series: arg_offsets must have {len(xs)} coordinates, got {len(offs)}")
-    for i, o in enumerate(offs, start=1):
-        if not _read(math.isfinite, o, i, "arg_offsets", "a real number"):
-            raise ValueError(f"series: coordinate {i} of arg_offsets is {o}, not a finite number")
-    offs = tuple(map(float, offs))
+        offs = read_exact(arg_offsets, _real, "series", "arg_offsets", len(xs))
     key = repr((xs, offs))  # repr tells 0.0 from -0.0, which == and hash do not
     given = (x, arg_offsets)
     return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, given, kept=1)
 
 
-def _read(read, c, i: int, name: str, kind: str):
-    """read(c), c being coordinate i of name; ValueError names c if read rejects it."""
-    try:
-        return read(c)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"series: coordinate {i} of {name} is {c!r}, not {kind}") from None
-
-
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
-    xs = tuple(_read(complex, c, i, "x", "a complex number")
-               for i, c in enumerate(as_sequence(x, "series", "x"), start=1))
-    if len(xs) != fan.k:
-        raise ValueError(f"series: x must have {fan.k} coordinates, got {len(xs)}")
+    """x read as k finite complex numbers; ZeroCoordinate names a zero one."""
+    xs = read_exact(x, _complex, "series", "x", fan.k)
     for i, c in enumerate(xs, start=1):
-        if not cmath.isfinite(c):
-            raise ValueError(f"series: coordinate {i} of x is {c}, not a finite number")
         if c == 0:
             raise ZeroCoordinate(
                 f"series: coordinate {i} of x is zero; evaluation needs nonzero coordinates"

@@ -2,8 +2,9 @@
 
 Rationals are `fractions.Fraction` throughout, serialized as "p/q" in lowest
 terms with positive denominator.  Exact input (integer, rational and
-Gaussian-rational vectors) is read and checked by one reader, `read_exact`;
-a parameter beta, once per public call, into the one form the stages read, a `Param`.
+Gaussian-rational vectors) and the float series point are read and checked
+by one reader, `read_exact`; a parameter beta, once per public call, into
+the one form the stages read, a `Param`.
 Integer lattice work (the Hermite normal form, integer solving), the one
 Gauss-Jordan elimination (_rref, fraction-free on sparse rows) and the
 feasibility test use arbitrary-precision ints.  The only floating-point
@@ -12,6 +13,7 @@ routine is `singular_values`, a one-sided Jacobi SVD in pure Python.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -125,12 +127,37 @@ def parse_gaussian(s) -> GaussianRational:
     raise ValueError(f"cannot parse Gaussian rational from {s!r}")
 
 
+def _complex(x, kind=complex):
+    """x as a finite complex (a finite float for kind float), or None for a
+    bool, a string and anything kind refuses or reads as inf or nan."""
+    if isinstance(x, (bool, str)):
+        return None
+    try:
+        y = kind(x)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return y if cmath.isfinite(y) else None
+
+
+def _real(x) -> Optional[float]:
+    return _complex(x, float)
+
+
+def _real_pair(p) -> Optional[complex]:
+    """An [re, im] list of two finite real numbers as the complex it names, or None."""
+    parts = [*map(_real, p)] if isinstance(p, list) and len(p) == 2 else [None]
+    return None if None in parts else complex(*parts)
+
+
 _ZERO = Fraction(0)
 
 _KINDS = {
     _integral: "an integer",
     parse_rational: "a rational",
     parse_gaussian: "a Gaussian rational",
+    _real: "a finite real number",
+    _complex: "a finite complex number",
+    _real_pair: "an [re, im] pair of finite real numbers",
 }
 
 
@@ -146,8 +173,10 @@ def as_sequence(values, stage: str, name: str) -> tuple:
 def read_exact(values, parse, stage: str, name: str, n: Optional[int] = None) -> tuple:
     """The entries of values read by parse, the one reader of exact input.
 
-    parse is _integral (ints), parse_rational (Fractions) or parse_gaussian
-    (GaussianRationals, which read_param turns into a Param).
+    parse is _integral (ints), parse_rational (Fractions), parse_gaussian
+    (GaussianRationals, which read_param turns into a Param), or, for the
+    series point, _real and _complex (finite floats and complexes) and
+    _real_pair (a JSON [re, im] pair as a complex).
     ValueError names the first entry parse rejects, as "<stage>: entry <pos>
     of <name> is <value!r>, not <kind>", then a length other than n, as
     "<stage>: <name> must have <n> coordinates, got <m>"; see as_sequence

@@ -13,9 +13,9 @@ Fraction wall, the images' floors taken on Fractions, each multiplicity
 looked up by alpha_key), the Fraction Gauss-Jordan, the extreme rays of
 two cones' intersection found with it and the fan report with every pair
 of maximal cones decided by them, Fourier-Motzkin elimination without
-Chernikov's rule, the graded pieces found by scanning a bounding box, and
-the Gamma-series terms the support rule keeps, read on exact exponents.
-Only tests read them."""
+Chernikov's rule, the graded pieces found by scanning a bounding box, the
+Gamma-series terms the support rule keeps, read on exact exponents, and
+the truncated product of two jets.  Only tests read them."""
 
 import dataclasses
 import functools
@@ -722,3 +722,12 @@ def supported_terms(instance: GkzInstance, vs, dvs, B: int) -> set:
             if in_cone and len(negative - set(src.support)) < order:
                 out.add((t, m, l))
     return out
+
+
+def poly_mul_trunc(a: Sequence[complex], b: Sequence[complex], order: int) -> tuple[complex, ...]:
+    """The product of the jets a and b, truncated to `order` terms."""
+    out = [0j] * order
+    for s, ca in enumerate(a[:order]):
+        for t, cb in enumerate(b[: order - s]):
+            out[s + t] += ca * cb
+    return tuple(out)

@@ -24,11 +24,11 @@ from boxgamma.gkz import (
     exp_jet,
     gamma_series,
     gamma_series_derivative,
-    poly_mul_trunc,
     reciprocal_gamma_jet,
 )
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, graded_piece
+from exact_oracles import poly_mul_trunc
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 # F1's markers on the one cone (1, 3): marker 2 is not a ray

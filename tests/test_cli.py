@@ -354,12 +354,12 @@ def test_wrong_length_input_has_the_library_message(seed_dir, tmp_path, beta, x,
         (
             "gkz-solve",
             '{"x": [[NaN, 0.0], [10.0, 0.0], [1.0, 0.0]]}',
-            "series: coordinate 1 of x is (nan+0j), not a finite number",
+            "series: entry 1 of x is [nan, 0.0], not an [re, im] pair of finite real numbers",
         ),
         (
             "gkz-verify",
             f'{{"x": {X_F1}, "arg_offsets": [Infinity, 0, 0]}}',
-            "series: coordinate 1 of arg_offsets is inf, not a finite number",
+            "series: entry 1 of arg_offsets is inf, not a finite real number",
         ),
     ],
     ids=["x", "arg_offsets"],
@@ -387,22 +387,31 @@ def test_non_finite_x_exit_2(seed_dir, tmp_path, command, x, message):
     [
         (
             '{"x": [["a", 0.0], [10.0, 0.0], [1.0, 0.0]]}',
-            "series: coordinate 1 of x is 'a', not a real number",
+            "series: entry 1 of x is ['a', 0.0], not an [re, im] pair of finite real numbers",
         ),
         (
             f'{{"x": {X_F1}, "arg_offsets": ["a", 0, 0]}}',
-            "series: coordinate 1 of arg_offsets is 'a', not a real number",
+            "series: entry 1 of arg_offsets is 'a', not a finite real number",
         ),
         (
             f'{{"x": {X_F1}, "arg_offsets": ["1", 0, 0]}}',
-            "series: coordinate 1 of arg_offsets is '1', not a real number",
+            "series: entry 1 of arg_offsets is '1', not a finite real number",
+        ),
+        (
+            '{"x": [[true, 0], [10.0, false], [1.0, 0.0]]}',
+            "series: entry 1 of x is [True, 0], not an [re, im] pair of finite real numbers",
+        ),
+        (
+            f'{{"x": {X_F1}, "arg_offsets": [true, 0, 0]}}',
+            "series: entry 1 of arg_offsets is True, not a finite real number",
         ),
     ],
-    ids=["x", "arg_offsets", "string_offset"],
+    ids=["x", "arg_offsets", "string_offset", "bool_x", "bool_offset"],
 )
 def test_entry_that_is_no_real_number_exit_2(seed_dir, tmp_path, x, message):
     """An entry of x or arg_offsets that is no real number, a numeric
-    string included, is named with its field as the library names it."""
+    string and a bool included, is named with its field as the library
+    names it."""
     (tmp_path / "x.json").write_text(x)
     code, doc = run_cli(
         [
@@ -423,11 +432,11 @@ def test_entry_that_is_no_real_number_exit_2(seed_dir, tmp_path, x, message):
     [
         (
             "[[1.0, 0.0], [1.0], [1.0, 0.0]]",
-            "series: coordinate 2 of x is [1.0], not an [re, im] pair",
+            "series: entry 2 of x is [1.0], not an [re, im] pair of finite real numbers",
         ),
         (
             "[[1.0, 0.0], [10.0, 0.0], [1.0, 0.0, 7.0]]",
-            "series: coordinate 3 of x is [1.0, 0.0, 7.0], not an [re, im] pair",
+            "series: entry 3 of x is [1.0, 0.0, 7.0], not an [re, im] pair of finite real numbers",
         ),
     ],
     ids=["short", "long"],

@@ -173,7 +173,7 @@ def test_non_integral_index_rejected():
 @pytest.mark.parametrize("j", [-1, 3, 7])
 def test_ray_index_outside_the_fan_rejected(j):
     inst = instance("F1 zero")
-    message = rf"j={j} is not a ray index of the fan; expected one of \[0, 1, 2\]"
+    message = rf"^series: j={j} is not a ray index of the fan; expected one of \[0, 1, 2\]$"
     with pytest.raises(ValueError, match=message):
         verify_term_shift(inst, (0, 0), j, 4)
     with pytest.raises(ValueError, match=message):
@@ -182,16 +182,17 @@ def test_ray_index_outside_the_fan_rejected(j):
 
 def test_ray_index_is_read_as_the_integer_it_equals():
     """j = 1.0 indexes ray 1, as B and v are read; a j that equals no
-    integer is named, not used as a tuple index."""
+    integer, a bool included, is named, not used as a tuple index."""
     inst = instance("F1 zero")
     assert verify_term_shift(inst, (0, 0), 1.0, 4) == verify_term_shift(inst, (0, 0), 1, 4)
     got = gamma_series_derivative(inst, (0, 0), X_F1, 4, 1.0)
     assert repr(got) == repr(gamma_series_derivative(inst, (0, 0), X_F1, 4, 1))
-    message = r"^j=1\.5 is not a ray index of the fan; expected one of \[0, 1, 2\]$"
-    with pytest.raises(ValueError, match=message):
-        verify_term_shift(inst, (0, 0), 1.5, 4)
-    with pytest.raises(ValueError, match=message):
-        gamma_series_derivative(inst, (0, 0), X_F1, 4, 1.5)
+    for j in (1.5, True):
+        message = rf"^series: j is {j!r}, not an integer$"
+        with pytest.raises(ValueError, match=message):
+            verify_term_shift(inst, (0, 0), j, 4)
+        with pytest.raises(ValueError, match=message):
+            gamma_series_derivative(inst, (0, 0), X_F1, 4, j)
 
 
 def faulty_lattice(**parts):

@@ -145,11 +145,15 @@ def test_deg_of_the_wrong_length_raises(deg, got):
         ([], [], "fan: triangulation needs at least one point"),
         (((1, 0), (1, 1, 1), (1, 2)), (0, 1, 0), "fan: point 2 must have 2 coordinates, got 3"),
         (((1, 0, 0), (1, 1), (1, 2)), (0, 1, 0), "fan: point 2 must have 3 coordinates, got 2"),
+        (((1, 0), (0, 1), (1, 1)), (0, 0, 1), "fan: markers do not lie on an integral degree-1 hyperplane"),
+        (((1, 0), (2, 0)), (0, 1), "fan: markers do not lie on an integral degree-1 hyperplane"),
     ],
-    ids=["empty", "longer", "shorter"],
+    ids=["empty", "longer", "shorter", "off degree 1", "collinear off degree 1"],
 )
 def test_triangulation_points_of_the_wrong_length_raise(points, heights, message):
-    """Every point is read with the first point's length."""
+    """Every point is read with the first point's length, and the points
+    must lie on an integral hyperplane deg = 1, checked before the cell
+    search."""
     with pytest.raises(ValueError) as info:
         triangulate_from_heights(points, heights)
     assert str(info.value) == message
@@ -180,17 +184,19 @@ def test_a_number_is_not_read_as_a_sequence(call, message):
 @pytest.mark.parametrize(
     "x,offsets,message",
     [
-        ((1, None, 1), None, "coordinate 2 of x is None, not a complex number"),
-        ((1, "zz", 1), None, "coordinate 2 of x is 'zz', not a complex number"),
-        (X_F1, (0, 0, "a"), "coordinate 3 of arg_offsets is 'a', not a real number"),
-        (X_F1, (0, 0, 1j), "coordinate 3 of arg_offsets is 1j, not a real number"),
-        (X_F1, (0, 0, None), "coordinate 3 of arg_offsets is None, not a real number"),
+        ((1, None, 1), None, "entry 2 of x is None, not a finite complex number"),
+        ((1, "zz", 1), None, "entry 2 of x is 'zz', not a finite complex number"),
+        (X_F1, (0, 0, "a"), "entry 3 of arg_offsets is 'a', not a finite real number"),
+        (X_F1, (0, 0, 1j), "entry 3 of arg_offsets is 1j, not a finite real number"),
+        (X_F1, (0, 0, None), "entry 3 of arg_offsets is None, not a finite real number"),
+        ((True, 10.0, 1.0), None, "entry 1 of x is True, not a finite complex number"),
+        (X_F1, (0, False, 0), "entry 2 of arg_offsets is False, not a finite real number"),
     ],
-    ids=["x None", "x string", "offset string", "offset complex", "offset None"],
+    ids=["x None", "x string", "offset string", "offset complex", "offset None", "x bool", "offset bool"],
 )
 def test_series_point_entries_are_named(x, offsets, message):
-    """An entry of x or arg_offsets that is no number is named, as a
-    non-finite one is."""
+    """An entry of x or arg_offsets that is no number, a bool included, is
+    named, as a non-finite one is."""
     with pytest.raises(ValueError) as info:
         gamma_series(INST, (0, 0), x, 4, offsets)
     assert str(info.value) == f"series: {message}"

@@ -286,10 +286,11 @@ def test_triangulate_from_heights_f1():
 
 
 def test_triangulate_from_collinear_points():
-    # every pair of markers is dependent, so no cell is full-dimensional
+    # the points 0, 1, 2 of a line, lifted to degree 1: every triple of
+    # markers is dependent, so no cell is full-dimensional
     message = "^fan: heights give no full-dimensional lower facet$"
     with pytest.raises(DegenerateHeights, match=message):
-        triangulate_from_heights([(1, 0), (2, 0)], [0, 1])
+        triangulate_from_heights([(1, 0, 0), (1, 1, 0), (1, 2, 0)], [0, 1, 0])
 
 
 def test_triangulate_from_heights_segment():

@@ -29,6 +29,7 @@ from boxgamma.fan import (
 )
 import boxgamma.linalg as linalg
 from boxgamma.gkz import (
+    _times_linear,
     _window_offsets,
     _window_plan,
     build_gkz,
@@ -36,7 +37,7 @@ from boxgamma.gkz import (
     exp_jet,
     gamma_series,
     gamma_series_derivative,
-    poly_mul_trunc,
+    log_gamma_jet,
     reciprocal_gamma_jet,
     solution_system,
     suggest_x,
@@ -116,7 +117,7 @@ def test_rgamma_functional_equation():
         for im in (0.0, 0.7, -1.3):
             l = complex(re, im)
             left = reciprocal_gamma_jet(l, 5)
-            right = poly_mul_trunc(reciprocal_gamma_jet(l + 1, 5), (l + 1, 1), 5)
+            right = _times_linear(reciprocal_gamma_jet(l + 1, 5), l + 1)
             for a, b in zip(left, right):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -133,23 +134,20 @@ def linear_factor_reference(jet, a, order):
 
 
 def test_linear_factor_step_keeps_every_float():
-    """poly_mul_trunc(jet, (a, 1), n), the functional-equation step of
-    reciprocal_gamma_jet, equals (a + eps) * jet by repr, on jets with
-    signed zeros, zero coefficients and a pole's exact 0.0: skipping a zero
-    coefficient leaves a sum that starts from +0j as it was, so no zero
-    changes sign."""
-    jets = [
-        (0j, 1.5 - 0j, complex(-0.0, 2.0), -0.5 + 0j),
-        (complex(-0.0, -0.0), 0j, complex(0.0, -0.0), 1 + 1j),
-        (0j, complex(-0.0, 0.0), 0j, 0j),
-        (2 + 0j, 0j, -3.25 + 0.5j, complex(-0.0, 7.0)),
-        reciprocal_gamma_jet(-3, 4),
-        reciprocal_gamma_jet(-2.5 + 0.7j, 4),
-    ]
-    coeffs = [0.75 + 0j, -2 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.5 + 0.25j]
-    for jet, a, order in itertools.product(jets, coeffs, range(1, 6)):
-        got = poly_mul_trunc(jet, (a, 1), order)
-        assert repr(got) == repr(linear_factor_reference(jet, a, order)), (jet, a, order)
+    """reciprocal_gamma_jet multiplies its dropped factors back in by
+    _times_linear, the Pochhammer step the series evaluator takes at
+    m_i < 0.  By repr its jets equal those multiplied back by (a + eps) *
+    jet with every coefficient summed in from +0j, at poles (where the
+    constant term is an exact 0.0), half-integers and complex l, with both
+    signs of a zero imaginary part, at orders 1 to 8."""
+    ls = [complex(k) for k in range(-8, 3)] + [complex(k + 0.5) for k in range(-8, 3)]
+    ls += [complex(k / 3, im) for k in range(-12, 6) for im in (0.0, -0.0, 0.7, -1.3)]
+    for l, order in itertools.product(ls, range(1, 9)):
+        m0 = max(0, math.ceil(1.5 - l.real))
+        jet = exp_jet(tuple(-c for c in log_gamma_jet(l + 1 + m0, order)), order)
+        for j in range(m0):
+            jet = linear_factor_reference(jet, l + 1 + j, order)
+        assert repr(reciprocal_gamma_jet(l, order)) == repr(jet), (l, order)
 
 
 @pytest.mark.parametrize(
@@ -176,12 +174,6 @@ def test_exp_jet_matches_taylor():
             fact *= t
         want = z**t / fact
         assert abs(jet[t] - want) < 1e-13 * max(1.0, abs(want))
-
-
-def test_poly_mul_trunc():
-    a = (1 + 0j, 2 + 0j, 3 + 0j)
-    b = (4 + 0j, 5 + 0j)
-    assert poly_mul_trunc(a, b, 3) == (4 + 0j, 13 + 0j, 22 + 0j)
 
 
 def test_enumerate_window_f1():
@@ -485,10 +477,16 @@ def test_zero_coordinate_rejected():
 @pytest.mark.parametrize(
     "x,offsets,message",
     [
-        ((math.nan, 10.0, 1.0), None, "coordinate 1 of x is (nan+0j)"),
-        ((1.0, complex(1.0, math.inf), 1.0), None, "coordinate 2 of x is (1+infj)"),
-        (X_F1, (math.inf, 0.0, 0.0), "coordinate 1 of arg_offsets is inf"),
-        (X_F1, (0.0, 0.0, -math.nan), "coordinate 3 of arg_offsets is nan"),
+        ((math.nan, 10.0, 1.0), None, "entry 1 of x is nan, not a finite complex number"),
+        ((1.0, complex(1.0, math.inf), 1.0), None, "entry 2 of x is (1+infj), not a finite complex number"),
+        (X_F1, (math.inf, 0.0, 0.0), "entry 1 of arg_offsets is inf, not a finite real number"),
+        (X_F1, (0.0, 0.0, -math.nan), "entry 3 of arg_offsets is nan, not a finite real number"),
+    ],
+    ids=[
+        "x0-None-coordinate 1 of x is (nan+0j)",
+        "x1-None-coordinate 2 of x is (1+infj)",
+        "x2-offsets2-coordinate 1 of arg_offsets is inf",
+        "x3-offsets3-coordinate 3 of arg_offsets is nan",
     ],
 )
 def test_non_finite_x_is_named(x, offsets, message):
@@ -501,14 +499,14 @@ def test_non_finite_x_is_named(x, offsets, message):
     for call in calls:
         with pytest.raises(ValueError) as err:
             call()
-        assert str(err.value) == f"series: {message}, not a finite number"
+        assert str(err.value) == f"series: {message}"
 
 
 @pytest.mark.parametrize(
     "x,offsets,message",
     [
-        ((1, 10**400, 1), None, f"coordinate 2 of x is {10**400!r}, not a complex number"),
-        (X_F1, (0, 0, 10**400), f"coordinate 3 of arg_offsets is {10**400!r}, not a real number"),
+        ((1, 10**400, 1), None, f"entry 2 of x is {10**400!r}, not a finite complex number"),
+        (X_F1, (0, 0, 10**400), f"entry 3 of arg_offsets is {10**400!r}, not a finite real number"),
     ],
     ids=["x", "arg_offsets"],
 )
