@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
 from .linalg import Coord, Param, _complex, _integral, _real, format_gaussian, parse_rational, read_exact
-from .linalg import read_int, read_param, singular_values, solve_with_hnf
+from .linalg import _dot, cone_inverse, read_int, read_param, singular_values, solve_with_hnf
 from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
@@ -409,20 +409,17 @@ def _apply_jet(mat, jet, vec):
 class _SeriesEvaluator:
     """The series terms of one instance at one point, each computed once.
 
-    By the functional equation (DLMF 5.5.1), 1/Gamma(l_i + 1 + eps) is
-    R(eps) / Gamma(alpha_i + 1 + eps) at l = alpha + m, R = R_{alpha_i,m_i}
-    a product of linear factors.  So the term of triple t at m is x^l times
-    prod_i R_{alpha_i,m_i} on T_alpha e_t, the base vector of its target
-    transported once per triple by the jets x_i^eps / Gamma(alpha_i + 1 +
-    eps) through the ray operators (of order 1, scalars, off the rays).
-    Each R is one step from its neighbour toward m_i = 0: over (l_i + eps)
-    for m_i > 0, times (l_i + 1 + eps) for m_i < 0, an exact 0.0 at a pole.
-    An R of order 1 multiplies the scalar; a ray's R of higher order acts
-    through D_i.  Kept: T_alpha e_t by t, (l_i, R) by (t, i, m_i), terms by
-    (t, m), shared by every window that reaches them, and the memo
-    (fan._memo) of the last bound B's gamma_series values by v.  Every float
-    takes one route, so values do not depend on what was evaluated before.
-    It holds no reference to the instance, which holds it.
+    By DLMF 5.5.1, 1/Gamma(l_i + 1 + eps) = R(eps) / Gamma(alpha_i + 1 +
+    eps) at l = alpha + m, R = R_{alpha_i,m_i} a product of linear factors
+    (see entry).  So the term of triple t at m is x^l prod_i R_{alpha_i,m_i}
+    on T_alpha e_t, its target's base vector e_t transported once by the
+    jets x_i^eps / Gamma(alpha_i + 1 + eps).  A constant R multiplies x^l, a
+    ray's R of higher order acts through D_i; a triple of order 1 has only
+    constant R and T_alpha e_t on e_t, so its terms are complex numbers on
+    e_t's coordinate.  Kept: T_alpha e_t by t, (l_i, R) by (t, i, m_i),
+    terms by (t, m), the last B's values by v (fan._memo).  Every float takes
+    one route, so no value depends on what was evaluated before.  It holds no
+    reference to the instance, which holds it.
     """
 
     def __init__(self, instance: GkzInstance, xs, offs, given=(None, None)):
@@ -430,28 +427,21 @@ class _SeriesEvaluator:
         self.xs, self.given = xs, given  # given: the x and offsets objects read to xs, offs
         self.logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
-        self.dmats = tuple(
-            tuple(tuple(complex(float(entry)) for entry in row) for row in mat)
-            for mat in q.dmats
-        )
+        self.dmats = tuple(tuple(tuple(complex(float(entry)) for entry in row) for row in mat) for mat in q.dmats)
         self.rays = frozenset(instance.fan.fan_indices())
         # a summand's basis runs from its base element, of degree 0, upward
-        self.orders = tuple(
-            1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
-            for p in corr.positions
-        )
+        self.orders = tuple(1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
+                            for p in corr.positions)
         self.sources = tuple(src for src, _, _ in corr.triples)
         self.parts = tuple(tuple((a.real, float(a.imag)) for a in src.alpha) for src in self.sources)
         # supp(alpha) of each triple as a bitmask
         self.supports = tuple(_mask(src.support) for src in self.sources)
         self.faces = _faces(instance.fan)
-        self.bases = tuple(
-            (q.bases[pos], tgt) for pos, (_, tgt, _) in zip(corr.positions, corr.triples)
-        )
+        self.bases = tuple((q.bases[pos], tgt) for pos, (_, tgt, _) in zip(corr.positions, corr.triples))
         self.entries, self.folded, self.terms, self.values = {}, {}, {}, {}
 
-    def base(self, t: int) -> tuple[complex, ...]:
-        """The base vector e_t of triple t's target; NoBaseElement if none."""
+    def base(self, t: int) -> int:
+        """The coordinate k of triple t's base element e_t; NoBaseElement if none."""
         index, tgt = self.bases[t]
         if index is None:
             alpha = ", ".join(map(format_gaussian, tgt.alpha))
@@ -459,7 +449,7 @@ class _SeriesEvaluator:
                 f"series: the shadow quotient has no base element for the target box "
                 f"element alpha=({alpha}), n={tgt.lattice_point}"
             )
-        return (0j,) * index + (1 + 0j,) + (0j,) * (self.dim - 1 - index)
+        return index
 
     def vanishes(self, t: int, m: tuple[int, ...]) -> bool:
         """Whether the term of triple t at m is exactly zero, from integers:
@@ -475,7 +465,8 @@ class _SeriesEvaluator:
         return face not in self.faces or (face & ~support).bit_count() >= self.orders[t]
 
     def entry(self, t: int, i: int, mi: int):
-        """(l_i, R_{alpha_i,m_i}) of triple t, each built once from the one before."""
+        """(l_i, R_{alpha_i,m_i}) of triple t, each built once, by one step from
+        its neighbour toward m_i = 0 (an exact 0.0 at a pole)."""
         hit = self.entries.get((t, i, mi))
         if hit is None:
             re, im = self.parts[t][i]
@@ -493,30 +484,33 @@ class _SeriesEvaluator:
                 r = hit[1]
         return hit
 
-    def term(self, t: int, m: tuple[int, ...], evec):
-        """The term at m: x^l and each R of order 1 times T_alpha evec acted
-        on by the other R; SeriesOverflow names one that is not finite."""
+    def term(self, t: int, m: tuple[int, ...]):
+        """The term at m: x^l and each R of order 1 times T_alpha e_t acted
+        on by the other R; on a triple of order 1 the complex number on
+        e_t's coordinate.  SeriesOverflow names one that is not finite."""
         hit = self.terms.get((t, m))
         if hit is None:
             entries = [self.entry(t, i, mi) for i, mi in enumerate(m)]
-            w = self.folded.get(t)
+            scalar, w = self.orders[t] == 1, self.folded.get(t)
             if w is None:
+                k = self.base(t)
+                w = [1 + 0j] if scalar else [0j] * k + [1 + 0j] + [0j] * (self.dim - 1 - k)
                 for i, lg in enumerate(self.logs):
                     a, r = self.entry(t, i, 0)  # alpha_i, and R = 1 at the order of i's jets
                     for jet in reciprocal_gamma_jet(a, len(r)), exp_jet((0j, lg), len(r)):
-                        evec = _apply_jet(self.dmats[i], jet, evec)  # x_i^eps is 1 at order 1
-                w = self.folded[t] = evec
+                        w = _apply_jet(self.dmats[i], jet, w)  # x_i^eps is 1 at order 1
+                w = self.folded[t] = w[0] if scalar else w
             what = "x^l"
             try:
-                scalar = cmath.exp(sum(li * lg for (li, _), lg in zip(entries, self.logs)))
+                c = cmath.exp(sum(li * lg for (li, _), lg in zip(entries, self.logs)))
                 what = "the term"
                 for i, (_, r) in enumerate(entries):
                     if len(r) == 1:
-                        scalar *= r[0]
+                        c *= r[0]
                     else:
                         w = _apply_jet(self.dmats[i], r, w)
-                w = [scalar * c for c in w]
-                if not all(map(cmath.isfinite, w)):
+                w = c * w if scalar else [c * wr for wr in w]
+                if not all(map(cmath.isfinite, (w,) if scalar else w)):
                     raise OverflowError
             except OverflowError:
                 alpha = ", ".join(map(format_gaussian, self.sources[t].alpha))
@@ -560,9 +554,7 @@ def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
     return xs
 
 
-def gamma_series(
-    instance: GkzInstance, v: Sequence[int], x, B: int, arg_offsets=None
-) -> SeriesValue:
+def gamma_series(instance: GkzInstance, v: Sequence[int], x, B: int, arg_offsets=None) -> SeriesValue:
     """Window truncation of the series solution indexed by v, at the point x.
 
     The tail estimate is the max-norm of the outermost nonempty shell of
@@ -578,29 +570,36 @@ def gamma_series(
 
 def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> SeriesValue:
     """The v-series, or with a ray j its derivative in x_j over the window at
-    v + v_j, summed term by term in window order: the one term loop, which
-    skips each term the support or degree rule zeroes (see vanishes),
-    for a derivative by the unshifted m = s + e_j of each window entry s."""
-    total = shell = zero = (0j,) * ev.dim
-    top = -1  # shell sums the kept terms at top, the largest norm so far
+    v + v_j (by the unshifted m = s + e_j of each entry s), summed in window
+    order, skipping each term vanishes finds zero; a triple of order 1 in
+    complex numbers on its base coordinate k, which no other triple reaches.
+    The tail reads each triple's shell, its kept terms at its top norm."""
+    total, zero, shells = [0j] * ev.dim, (0j,) * ev.dim, []
     at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
     for t, (src, _, _) in enumerate(instance.correspondence.triples):
-        evec, order = ev.base(t), ev.orders[t]
+        k, scalar = ev.base(t), ev.orders[t] == 1
+        acc, top, shell = (total[k], -1, 0j) if scalar else (total, -1, zero)
         for m, nm in zip(*_window(instance, src, at, B)):
             if j is not None:
                 m = m[:j] + (m[j] + 1,) + m[j + 1 :]
             if ev.vanishes(t, m):
                 continue
-            term = ev.term(t, m, evec)
-            if j is not None:
+            term = ev.term(t, m)
+            if j is not None:  # D_j is 0 on a summand of order 1
                 lj, xj = ev.entry(t, j, m[j])[0], ev.xs[j]
-                # D_j is 0 on a summand of order 1, where each sum below is +0j
-                dw = [sum(map(operator.mul, r, term)) for r in ev.dmats[j]] if order > 1 else zero
-                term = [(lj * wr + dwr) / xj for wr, dwr in zip(term, dw)]
-            total = list(map(operator.add, total, term))
-            if nm >= top:
-                top, shell = nm, list(map(operator.add, shell if nm == top else zero, term))
-    tail = max((abs(c) for c in shell), default=0.0)
+                term = (lj * term + 0j) / xj if scalar else [
+                    (lj * wr + _dot(r, term)) / xj for wr, r in zip(term, ev.dmats[j])]
+            acc = acc + term if scalar else list(map(operator.add, acc, term))
+            if nm >= top:  # shell: the kept terms at top, the largest norm so far
+                before = shell if nm == top else 0j if scalar else zero
+                top, shell = nm, before + term if scalar else list(map(operator.add, before, term))
+        if scalar:
+            total[k], shell = acc, (shell,)
+        else:
+            total = acc
+        shells.append((top, shell))
+    best = max((top for top, _ in shells), default=-1)
+    tail = max((abs(c) for top, shell in shells if top == best for c in shell), default=0.0)
     return SeriesValue(v, ev.xs, tuple(total), B, tail)
 
 
@@ -613,10 +612,8 @@ def gamma_series_derivative(
     at v + v_j, and is truncated in that series' window, so the two compare
     term for term.  The derivative forms (l_j + D_j) R_{alpha_j,m_j} where
     the shifted series forms R_{alpha_j,m_j - 1}, so the comparison checks
-    that Pochhammer step, the window alignment, D_j and the 1/x_j factor.
-    Both share T_alpha: the jet goldens and the series oracles check the
-    jets at alpha.  D_j acts on each term's own w, never on a sum; on a
-    summand of order 1, where D_j w is +0j for a finite w, +0j is added.
+    that Pochhammer step, the window alignment, D_j and the 1/x_j factor;
+    the jet goldens and the series oracles check the T_alpha both share.
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = read_int(B, "window", "the bound B", 0)
@@ -710,8 +707,10 @@ def solution_system(
 
 
 def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
-    """Evaluation point from triangulation heights: x_i = rho^h_i with rho set
-    so every relation-lattice generator contracts its monomial to _SUGGEST_TARGET."""
+    """Evaluation point from triangulation heights: x_i = rho^(h_i - <c, v_i>)
+    with rho set so every relation-lattice generator contracts its monomial
+    to _SUGGEST_TARGET.  The exact least-squares c (V^T V c = V^T h) changes
+    no relation's pairing and balances the point on the torus."""
     fan = instance.fan
     hs = read_exact(heights, parse_rational, "series", "heights", fan.k)
     hnf, u, _ = _marker_lattice(fan)
@@ -721,8 +720,9 @@ def suggest_x(instance: GkzInstance, heights: Sequence) -> tuple[float, ...]:
     pairings = [abs(sum(h * g for h, g in zip(hs, gen))) for gen in kernel]
     if 0 in pairings:
         gen = tuple(kernel[pairings.index(0)])
-        raise DegenerateHeights(
-            f"series: heights pair to zero with the relation-lattice generator {gen}"
-        )
+        raise DegenerateHeights(f"series: heights pair to zero with the relation-lattice generator {gen}")
     rho = _SUGGEST_TARGET ** (1 / float(min(pairings)))
-    return tuple(rho ** float(h) for h in hs)
+    cols = tuple(zip(*fan.rays))  # the columns of V, whose rows are the markers
+    inv = cone_inverse([[_dot(a, b) for a in cols] for b in cols], fan.rank)  # eligible: V^T V is invertible
+    c = [n / inv.den for n in inv.numerators([_dot(col, hs) for col in cols])]
+    return tuple(rho ** float(h - _dot(c, v)) for h, v in zip(hs, fan.rays))

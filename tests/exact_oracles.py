@@ -14,13 +14,16 @@ looked up by alpha_key), the Fraction Gauss-Jordan, the extreme rays of
 two cones' intersection found with it and the fan report with every pair
 of maximal cones decided by them, Fourier-Motzkin elimination without
 Chernikov's rule, the graded pieces found by scanning a bounding box, the
-Gamma-series terms the support rule keeps, read on exact exponents, and
-the truncated product of two jets.  Only tests read them."""
+Gamma-series terms the support rule keeps, read on exact exponents, the
+truncated product of two jets, and the series summed as dim-long term
+vectors, every triple alike.  Only tests read them."""
 
+import cmath
 import dataclasses
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +57,9 @@ from boxgamma.linalg import (
     format_gaussian,
     read_param,
 )
-from boxgamma.gkz import GkzInstance, enumerate_L
+from boxgamma import gkz
+from boxgamma.errors import SeriesOverflow
+from boxgamma.gkz import GkzInstance, SeriesValue, enumerate_L, exp_jet, reciprocal_gamma_jet
 from boxgamma.kring import KPoint, WallRecord, unit_phase
 from boxgamma.quotient import (
     GradedPiece,
@@ -731,3 +736,59 @@ def poly_mul_trunc(a: Sequence[complex], b: Sequence[complex], order: int) -> tu
         for t, cb in enumerate(b[: order - s]):
             out[s + t] += ca * cb
     return tuple(out)
+
+
+def vector_term(ev, t: int, m: tuple[int, ...]) -> list[complex]:
+    """The term of triple t at m as a dim-long vector, for every triple alike:
+    T_alpha e_t transported from the full base vector by the jets at each
+    alpha_i, x^l times each constant R, the other R acting through D_i, and
+    the scalar times every entry; SeriesOverflow when an entry is not finite."""
+    entries = [ev.entry(t, i, mi) for i, mi in enumerate(m)]
+    k = ev.base(t)
+    w = tuple(complex(r == k) for r in range(ev.dim))
+    for i, lg in enumerate(ev.logs):
+        a, r = ev.entry(t, i, 0)
+        for jet in reciprocal_gamma_jet(a, len(r)), exp_jet((0j, lg), len(r)):
+            w = gkz._apply_jet(ev.dmats[i], jet, w)
+    try:
+        scalar = cmath.exp(sum(li * lg for (li, _), lg in zip(entries, ev.logs)))
+    except OverflowError:
+        raise SeriesOverflow("x^l overflows") from None
+    for i, (_, r) in enumerate(entries):
+        if len(r) == 1:
+            scalar *= r[0]
+        else:
+            w = gkz._apply_jet(ev.dmats[i], r, w)
+    w = [scalar * c for c in w]
+    if not all(map(cmath.isfinite, w)):
+        raise SeriesOverflow("the term overflows")
+    return w
+
+
+def vector_summed(instance: GkzInstance, ev, v, B: int, j=None) -> SeriesValue:
+    """The v-series, or with a ray j its derivative in x_j, summed as the
+    evaluator ev's terms were before any triple kept complex numbers: each
+    kept window entry's vector_term (the vanishing rule skips the others),
+    for a derivative (l_j + D_j) w / x_j, added to one dim-long total in
+    window order, triple after triple, and to one shell, the kept terms at
+    the largest norm so far, whose max-norm is the tail."""
+    total = shell = zero = (0j,) * ev.dim
+    top = -1
+    at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
+    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+        ev.base(t)  # NoBaseElement before the triple's first term
+        for m, nm in zip(*gkz._window(instance, src, at, B)):
+            if j is not None:
+                m = m[:j] + (m[j] + 1,) + m[j + 1 :]
+            if ev.vanishes(t, m):
+                continue
+            term = vector_term(ev, t, m)
+            if j is not None:
+                lj, xj = ev.entry(t, j, m[j])[0], ev.xs[j]
+                # D_j is 0 on a summand of order 1, where each sum below is +0j
+                dw = [sum(map(operator.mul, r, term)) for r in ev.dmats[j]] if ev.orders[t] > 1 else zero
+                term = [(lj * wr + dwr) / xj for wr, dwr in zip(term, dw)]
+            total = list(map(operator.add, total, term))
+            if nm >= top:
+                top, shell = nm, list(map(operator.add, shell if nm == top else zero, term))
+    return SeriesValue(v, ev.xs, tuple(total), B, max((abs(c) for c in shell), default=0.0))

@@ -4,9 +4,11 @@ R_{alpha_i,m_i}(eps) = Gamma(alpha_i + 1 + eps) / Gamma(l_i + 1 + eps).
 
 Checked against the per-entry Stirling route, where each coordinate entry
 takes its own reciprocal_gamma_jet at l_i; against mpmath's
-x^l prod_i 1/Gamma(l_i + 1) on triples of order 1; for independence from
-the order in which windows were summed; and for a term beyond the float
-range, which raises SeriesOverflow instead of yielding inf or nan."""
+x^l prod_i 1/Gamma(l_i + 1) on triples of order 1; float for float against
+the sums of dim-long term vectors (exact_oracles.vector_summed), which a
+triple of order 1 no longer forms; for independence from the order in
+which windows were summed; and for a term beyond the float range, which
+raises SeriesOverflow instead of yielding inf or nan."""
 
 import cmath
 from fractions import Fraction
@@ -28,7 +30,7 @@ from boxgamma.gkz import (
 )
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import poly_mul_trunc
+from exact_oracles import poly_mul_trunc, vector_summed
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 # F1's markers on the one cone (1, 3): marker 2 is not a ray
@@ -52,11 +54,17 @@ TOLERANCE = 1e-11
 
 
 @st.composite
-def betas(draw, rank):
-    """Zero, rational or Gaussian beta."""
-    kind = draw(st.sampled_from(("zero", "rational", "gaussian")))
+def betas(draw, rank, kinds=("zero", "rational", "gaussian")):
+    """Zero, rational or Gaussian beta, or a wall: rational with at least
+    one integral entry."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return (Fraction(0),) * rank
+    if kind == "wall":
+        entries = st.one_of(st.integers(-2, 2).map(Fraction), FRACTIONS)
+        beta = draw(st.lists(entries, min_size=rank, max_size=rank))
+        assume(any(b.denominator == 1 for b in beta))
+        return tuple(beta)
     re = draw(st.lists(FRACTIONS, min_size=rank, max_size=rank))
     if kind == "rational":
         return tuple(re)
@@ -91,11 +99,12 @@ def run(inst, x, B, order):
 def stirling_term(ev, t, m):
     """The term as the per-entry route forms it: x^l times 1/Gamma(l_i + 1)
     off the rays, on the base vector transported by x_i^eps /
-    Gamma(l_i + 1 + eps) at each ray, every jet its own evaluation at l_i."""
+    Gamma(l_i + 1 + eps) at each ray, every jet its own evaluation at l_i;
+    always a vector of length dim."""
     order = ev.orders[t]
     ls = [complex(float(re + mi), im) for (re, im), mi in zip(ev.parts[t], m)]
     scalar = cmath.exp(sum(l * lg for l, lg in zip(ls, ev.logs)))
-    w = ev.base(t)
+    w = [complex(r == ev.base(t)) for r in range(ev.dim)]
     for i, l in enumerate(ls):
         if i in ev.rays:
             jet = poly_mul_trunc(exp_jet((0j, ev.logs[i]), order), reciprocal_gamma_jet(l, order), order)
@@ -107,6 +116,15 @@ def stirling_term(ev, t, m):
 
 def relative_error(got, want):
     return max(abs(a - b) for a, b in zip(got, want)) / max(max(map(abs, want)), 1e-300)
+
+
+def as_vector(ev, t, got):
+    """A kept term as its vector: a triple of order 1 keeps the complex
+    number on its base coordinate, where every other coordinate is 0."""
+    if ev.orders[t] > 1:
+        return got
+    assert type(got) is complex
+    return [got if r == ev.base(t) else 0j for r in range(ev.dim)]
 
 
 @pytest.mark.deep
@@ -129,7 +147,51 @@ def test_terms_match_the_stirling_route(data):
             want = stirling_term(ev, t, m)
         except SeriesOverflow:
             continue
-        assert relative_error(got, want) <= TOLERANCE, (beta, x, t, m)
+        assert relative_error(as_vector(ev, t, got), want) <= TOLERANCE, (beta, x, t, m)
+
+
+def assert_sums_equal_the_vector_sums(inst, x, B):
+    """Every series and derivative of degree <= 1 at x equals the vector
+    route's sum by ==, on every value float and the tail estimate, or both
+    raise the same DomainError."""
+    for v, j in calls(inst.fan):
+        try:
+            got = gamma_series(inst, v, x, B) if j is None else gamma_series_derivative(inst, v, x, B, j)
+        except DomainError as exc:
+            with pytest.raises(type(exc)):
+                vector_summed(inst, gkz._evaluator(inst, x, None), v, B, j)
+            continue
+        want = vector_summed(inst, gkz._evaluator(inst, x, None), v, B, j)
+        assert got.value == want.value, (inst.beta, x, v, j)
+        assert got.tail_estimate == want.tail_estimate, (inst.beta, x, v, j)
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(st.data())
+def test_sums_equal_the_vector_sums(data):
+    """A triple of order 1 sums complex numbers on its base coordinate where
+    the vector route sums dim-long vectors: the same floats, on F1,
+    F1_EXTENDED, SQUARE, HEX5 and TRI2 at rational, Gaussian and wall beta."""
+    fan = FANS[data.draw(st.sampled_from(sorted(FANS)))]
+    beta = data.draw(betas(fan.rank, ("rational", "gaussian", "wall")))
+    try:
+        inst = build_gkz(fan, beta)
+    except DomainError:
+        assume(False)
+    x = tuple(data.draw(st.sampled_from(COORDS)) for _ in range(fan.k))
+    assert_sums_equal_the_vector_sums(inst, x, data.draw(st.sampled_from((2, 4, 6))))
+
+
+@pytest.mark.parametrize("beta", [(0, Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3), 0)], ids=str)
+def test_sums_equal_the_vector_sums_with_orders_mixed(beta):
+    """On TRI2 at these walls triples of order 1 and 2 share one instance:
+    the complex sums and the vector sums write disjoint coordinates of one
+    value, and the tail reads the shells of both."""
+    inst = build_gkz(TRI2, beta)
+    x = tuple(COORDS[i % len(COORDS)] for i in range(TRI2.k))
+    assert_sums_equal_the_vector_sums(inst, x, 6)
+    assert set(gkz._evaluator(inst, x, None).orders) == {1, 2}
 
 
 def exact_power_and_gammas(x, alpha, m):
@@ -149,8 +211,9 @@ def exact_power_and_gammas(x, alpha, m):
 @pytest.mark.parametrize("kind", ["rational", "gaussian"])
 def test_order_one_terms_match_mpmath(name, kind):
     """At generic beta every triple has order 1, and its term is x^l prod_i
-    1/Gamma(l_i + 1) on the base vector: within 1e-12 relative of mpmath
-    there, exactly 0 elsewhere."""
+    1/Gamma(l_i + 1) on the base vector: kept as the one complex number on
+    the base coordinate, so exactly 0 elsewhere, and within 1e-12 relative
+    of mpmath."""
     fan = FANS[name]
     beta = [Fraction(1, r + 3) for r in range(fan.rank)]
     if kind == "gaussian":
@@ -160,10 +223,8 @@ def test_order_one_terms_match_mpmath(name, kind):
     ev = run(inst, x, 4, calls(fan))
     assert set(ev.orders) == {1} and ev.terms
     for (t, m), got in ev.terms.items():
-        index = ev.bases[t][0]
         want = exact_power_and_gammas(x, inst.correspondence.triples[t][0].alpha, m)
-        assert abs(got[index] - want) <= 1e-12 * abs(want), (t, m)
-        assert all(c == 0 for r, c in enumerate(got) if r != index)
+        assert type(got) is complex and abs(got - want) <= 1e-12 * abs(want), (t, m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,5 +279,6 @@ def test_terms_far_out_stay_finite(B):
         assert B == 400 and str(exc).startswith("series: the term overflows")
     else:
         assert B == 40 and all(map(cmath.isfinite, value))
-    terms = gkz._evaluator(inst, x, None).terms.values()
-    assert len(terms) > 20 and all(map(cmath.isfinite, (c for w in terms for c in w)))
+    ev = gkz._evaluator(inst, x, None)
+    assert set(ev.orders) == {1} and len(ev.terms) > 20
+    assert all(type(w) is complex and cmath.isfinite(w) for w in ev.terms.values())

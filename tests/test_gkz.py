@@ -53,18 +53,25 @@ F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
 
 
+def ladder_heights(points):
+    """The lifting heights |p|^2 + (i^2 + 1)/101 of lattice points p."""
+    return [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
+
+
 def cone_over(points):
-    """Triangulated cone over lattice points p: markers (1, p), lifting
-    heights |p|^2 + (i^2 + 1)/101."""
-    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
-    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
+    """Triangulated cone over lattice points p: markers (1, p), lifted by
+    ladder_heights."""
+    return triangulate_from_heights([(1,) + tuple(p) for p in points], ladder_heights(points))
+
+
+HEX5_POINTS = ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))
 
 
 def triangle_points(side):
     return [(a, b) for a in range(side + 1) for b in range(side + 1 - a)]
 
 
-HEX5 = cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1)))
+HEX5 = cone_over(HEX5_POINTS)
 TRI2 = cone_over(triangle_points(2))
 TRI3 = cone_over(triangle_points(3))
 SIMPLEX3X2 = cone_over([p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2])
@@ -653,16 +660,36 @@ def test_nilpotent_and_commuting():
 
 
 def test_suggest_x_values():
+    """x_i = rho^(h_i - <c, v_i>): on F1 the heights (1, 0, 1) pair to 2 with
+    the relation (1, -2, 1), so rho = 1e-2^(1/2), and c = (2/3, 0) solves
+    V^T V c = V^T h = (2, 2), leaving (1/3, -2/3, 1/3)."""
     inst = build_gkz(F1, BETA_ZERO)
-    assert suggest_x(inst, (1, 0, 1)) == (0.1, 1.0, 0.1)
+    x = suggest_x(inst, (1, 0, 1))
+    assert x == (0.1 ** (1 / 3), 0.1 ** (-2 / 3), 0.1 ** (1 / 3))
+    assert x == pytest.approx((0.4642, 4.642, 0.4642), rel=1e-4)
+    assert x[0] * x[2] / x[1] ** 2 == pytest.approx(1e-2, rel=1e-14)
     # (1, 1, 1) pairs to 1 - 2 + 1 = 0 with the relation v1 - 2 v2 + v3 = 0
     message = r"^series: heights pair to zero with the relation-lattice generator \(1, -2, 1\)$"
     with pytest.raises(DegenerateHeights, match=message):
         suggest_x(inst, (1, 1, 1))
+    # on SQUARE the best plane through the heights (0, 1, 1, 0) is 1/2
     sq = build_gkz(SQUARE, BETA_SQUARE)
-    assert suggest_x(sq, (0, 1, 1, 0)) == (1.0, 0.1, 0.1, 1.0)
+    assert suggest_x(sq, (0, 1, 1, 0)) == (0.1 ** -0.5, 0.1 ** 0.5, 0.1 ** 0.5, 0.1 ** -0.5)
     uni = StackyFan(rank=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),))
     assert suggest_x(build_gkz(uni, BETA_ZERO), (3, 5)) == (1.0, 1.0)
+
+
+def test_suggest_x_balances_hex5():
+    """With the ladder's heights, HEX5's point at beta = 0 spanned 3.3e-6 to
+    0.98 and its degree <= 1 system read a tail of 1.6e3 at B = 12; balanced
+    on the torus, its coordinates lie in [0.37, 2.24] and the system has
+    full rank 5 with a tail below 1e-2."""
+    inst = build_gkz(HEX5, (0, 0, 0))
+    x = suggest_x(inst, ladder_heights(HEX5_POINTS))
+    assert 0.36 < min(x) and max(x) < 2.25
+    system = solution_system(inst, x, 12, 1)
+    assert system.rank == inst.quotient.dim == 5 and not system.rank_deficient
+    assert system.tail_estimate < 1e-2
 
 
 def test_series_value_metadata():
@@ -692,6 +719,6 @@ def test_build_gkz_forms_one_hnf_of_the_markers(monkeypatch):
     assert validate(fan).gkz_eligible
     inst = build_gkz(fan, (Fraction(1, 4), 0))
     build_gkz(fan, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(2, 5)))
-    assert suggest_x(inst, (1, 0, 1)) == (0.1, 1.0, 0.1)
+    assert suggest_x(inst, (1, 0, 1)) == (0.1 ** (1 / 3), 0.1 ** (-2 / 3), 0.1 ** (1 / 3))
     assert formed[fan.rays] == 1
     assert _marker_lattice(fan)[2] == _marker_lattice(F1)[2] == ((1, -2, 1),)

@@ -122,6 +122,34 @@ def test_gkz_verify_computes_each_jet_once(jet_calls, tmp_path, fan, beta, x):
     assert jet_calls == alpha_jets(fan, beta, 12, 2)
 
 
+@pytest.mark.parametrize(
+    "fan,beta,x,orders",
+    [(*inputs, {1}) for inputs in VERIFY_INPUTS] + [("f1", "beta_zero", "x_f1", {2})],
+)
+def test_gkz_verify_keeps_vectors_only_above_order_1(monkeypatch, tmp_path, fan, beta, x, orders):
+    """After gkz-verify's suite, a triple of order 1 (every triple at the
+    seed examples' generic beta) has formed no dim-long vector: its T_alpha
+    e_t and every kept term are one complex number on its base coordinate.
+    At beta = 0 F1's one triple has order 2, and keeps vectors."""
+    made = []
+    real = gkz._evaluator
+
+    def recording(instance, x, arg_offsets):
+        made.append(real(instance, x, arg_offsets))
+        return made[-1]
+
+    monkeypatch.setattr(gkz, "_evaluator", recording)
+    (tmp_path / "beta_zero.json").write_text('{"beta": ["0", "0"]}')
+    assert run_gkz_verify(tmp_path, fan, beta, x) == 0
+    (ev,) = set(made)
+    assert set(ev.orders) == orders and len(ev.terms) > 5
+    kept = [*ev.folded.values(), *ev.terms.values()]
+    if orders == {1}:
+        assert all(type(w) is complex for w in kept)
+    else:
+        assert all(type(w) is list and len(w) == ev.dim == 2 for w in kept)
+
+
 @pytest.mark.parametrize("fan,beta,x", VERIFY_INPUTS)
 def test_gkz_verify_sums_each_series_once(monkeypatch, tmp_path, fan, beta, x):
     """gkz-verify reaches most (v, B) from the solution matrix and again as a

@@ -1,9 +1,12 @@
-"""The series Phi_0 on SQUARE against Horn sums summed by mpmath, and on
-F1 against the span of the powers of the roots of its quadric.
+"""The series Phi_0 on both triangulations of SQUARE against Horn sums
+summed by mpmath, and on F1 against the span of the powers of the roots of
+its quadric.
 
-SQUARE's markers have one relation, h = (1, -1, -1, 1).  At a generic beta
-each maximal cone sigma gives one summand of the quotient, whose component
-of Phi_0 is the scalar Horn series
+SQUARE's markers have one relation, h = (1, -1, -1, 1).  Heights (0, 1, 1,
+0) and (1, 0, 0, 1) triangulate them in the two ways the flop relates,
+each with its own convergent region: x_0 x_3 / (x_1 x_2) large, and small.
+At a generic beta each maximal cone sigma gives one summand of the
+quotient, whose component of Phi_0 is the scalar Horn series
 
     sum_k x^(gamma + k h) prod_i rgamma(gamma_i + k h_i + 1),
 
@@ -38,13 +41,19 @@ from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.gkz import build_gkz, gamma_series
 from exact_oracles import solve_simplicial_coords
 
-SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
+SQUARE_MARKERS = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+SQUARE = triangulate_from_heights(SQUARE_MARKERS, (0, 1, 1, 0))
+FLOP = triangulate_from_heights(SQUARE_MARKERS, (1, 0, 0, 1))
 RELATION = (1, -1, -1, 1)
 BETAS = [
     (Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)),
     (Fraction(-5, 7), Fraction(3, 11), Fraction(-1, 13)),
 ]
-BASE = (1, 0.1 + 0.05j, 0.1 - 0.02j, 1 + 0.3j)
+# each triangulation's base point, inside its convergent region
+PHASES = {
+    "SQUARE": (SQUARE, (1, 0.1 + 0.05j, 0.1 - 0.02j, 1 + 0.3j)),
+    "FLOP": (FLOP, (0.1 + 0.05j, 1, 1 + 0.3j, 0.1 - 0.02j)),
+}
 BOUND = 40
 # the Horn sums run over k in [-K, K]: on one side of 0 each term has a pole
 # at the coordinate off the cone and is 0, on the other each is below 1e-2
@@ -53,22 +62,22 @@ K = 40
 TOLERANCE = 1e-12
 
 
-def cloud():
-    """Four points x = BASE * (1 + 0.2 w), w seeded in the complex unit square."""
+def cloud(base):
+    """Four points x = base * (1 + 0.2 w), w seeded in the complex unit square."""
     rng = random.Random(2012)
     return [
-        tuple(b * (1 + 0.2 * complex(rng.random(), rng.random())) for b in BASE)
+        tuple(b * (1 + 0.2 * complex(rng.random(), rng.random())) for b in base)
         for _ in range(4)
     ]
 
 
-def cone_gammas(beta):
+def cone_gammas(fan, beta):
     """gamma of each maximal cone: sum_i gamma_i a_i = beta, gamma_i = 0 off
     the cone, solved exactly."""
     out = []
-    for cone in SQUARE.max_cones:
-        coords = solve_simplicial_coords([SQUARE.rays[i] for i in cone], beta)
-        gamma = [Fraction(0)] * SQUARE.k
+    for cone in fan.max_cones:
+        coords = solve_simplicial_coords([fan.rays[i] for i in cone], beta)
+        gamma = [Fraction(0)] * fan.k
         for i, c in zip(cone, coords):
             gamma[i] = c
         out.append(tuple(gamma))
@@ -92,16 +101,18 @@ def horn_sum(gamma, x):
         return complex(total)
 
 
-def worst_error(beta):
-    """The largest error of Phi_0 over the cloud, component by component
-    against its cone's Horn sum, relative to the max-norm of the sums; the
-    instance is built on a fresh copy of SQUARE, so no cached jet is read."""
-    inst = build_gkz(dataclasses.replace(SQUARE), beta)
+def worst_error(phase, beta):
+    """The largest error of Phi_0 over the phase's cloud, component by
+    component against its cone's Horn sum, relative to the max-norm of the
+    sums; the instance is built on a fresh copy of the fan, so no cached jet
+    is read."""
+    fan, base = PHASES[phase]
+    inst = build_gkz(dataclasses.replace(fan), beta)
     q = inst.quotient
-    gammas = cone_gammas(beta)
+    gammas = cone_gammas(fan, beta)
     worst = 0.0
-    for x in cloud():
-        value = gamma_series(inst, (0,) * SQUARE.rank, x, BOUND).value
+    for x in cloud(base):
+        value = gamma_series(inst, (0,) * fan.rank, x, BOUND).value
         want = [0j] * q.dim
         bases = {alpha_key(e.alpha): i for e, i in zip(q.alphas, q.bases)}
         for src, tgt, _ in inst.correspondence.triples:
@@ -116,10 +127,12 @@ def worst_error(beta):
     return worst
 
 
+@pytest.mark.parametrize("phase", sorted(PHASES))
 @pytest.mark.parametrize("beta", BETAS, ids=str)
-def test_phi0_matches_the_horn_sums(beta):
-    assert build_gkz(SQUARE, beta).quotient.dim == len(SQUARE.max_cones) == 2
-    err = worst_error(beta)
+def test_phi0_matches_the_horn_sums(phase, beta):
+    fan = PHASES[phase][0]
+    assert build_gkz(fan, beta).quotient.dim == len(fan.max_cones) == 2
+    err = worst_error(phase, beta)
     assert err <= TOLERANCE, f"Phi_0 error {err:.3g}"
 
 
@@ -129,7 +142,7 @@ def test_oracle_sees_a_wrong_stirling_constant():
     try:
         gkz._BERNOULLI = (Fraction(1, 5),) + saved[1:]
         gkz._stirling_constants.cache_clear()
-        assert worst_error(BETAS[0]) > TOLERANCE
+        assert worst_error("SQUARE", BETAS[0]) > TOLERANCE
     finally:
         gkz._BERNOULLI = saved
         gkz._stirling_constants.cache_clear()
