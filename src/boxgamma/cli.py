@@ -172,7 +172,7 @@ def cmd_cohomology(args):
 
 
 def cmd_kring(args):
-    from .kring import spectrum, wall_report
+    from .kring import is_semisimple, spectrum, wall_report
 
     fan, beta = _fan_beta(args)
     points = spectrum(fan, beta)
@@ -186,7 +186,7 @@ def cmd_kring(args):
             }
             for p in points
         ],
-        "semisimple": all(p.multiplicity == 1 for p in points),
+        "semisimple": is_semisimple(fan, beta),
         "walls": [
             {
                 "alpha": [format_gaussian(a) for a in w.alpha],

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -46,8 +45,8 @@ class _ConeTable:
     cones, or the cones box_of_cone is given; the fan's construction checked
     their markers), the Hermite diagonal of each full-dimensional one (its
     residues, see _cone_residues), the maximal cones holding each box
-    support or face asked for (see _witnesses), every face as a bitmask of
-    its markers (see _faces), the markers' lattice (see _marker_lattice),
+    support or face asked for (see _witnesses), the face table, every face
+    with its cover (see _faces), the markers' lattice (see _marker_lattice),
     the window scan's plan for its relations (gkz._window_plan, built on
     the first scan) and the fan's ValidationReport, whose deg the quotient
     reads.  Their size is bounded by the fan's cones and markers, and a
@@ -60,9 +59,10 @@ class _ConeTable:
     keyed by (xi, m), and the "collisions" they read: solution_system reads
     pieces at chi = 0, which in params would displace a parameter or its
     beta_delta.  blocks holds such a memo per face S: the "block"
-    (quotient._Summand) under T_S, the faces holding S that the shadow
-    filter passes (_tangent_test; None without xi), two T_S per face, so
-    the fan's faces times two.  No key holds deg, which is the fan's own.
+    (quotient._Summand, which the quotients and graded pieces read) under
+    its signature T_S, the faces holding S that the shadow filter passes
+    (_tangent_test; None without xi), two signatures per face, so the
+    fan's faces times two.  No key holds deg, which is the fan's own.
     A table belongs to one fan: replace() gives the copy a fresh one.
     """
 
@@ -75,7 +75,7 @@ class _ConeTable:
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.residues: dict[ConeRef, tuple[int, ...]] = {}
         self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
-        self.faces: Optional[frozenset[int]] = None
+        self.faces: Optional[dict[int, int]] = None
         self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
         self.plan: Optional[tuple] = None
         self.report: Optional[ValidationReport] = None
@@ -212,16 +212,17 @@ def _mask(markers) -> int:
     return sum(1 << i for i in markers)
 
 
-def _faces(fan: StackyFan) -> frozenset[int]:
-    """Every face of the fan, each the bitmask of its markers, from the
-    fan's table: the subsets of the maximal cones."""
+def _faces(fan: StackyFan) -> dict[int, int]:
+    """Every face of the fan, the subsets of the maximal cones, mapped to
+    its cover, from the fan's table; both are bitmasks of markers.  The
+    cover of a face is the union of the maximal cones holding it, so
+    face | 1 << r is a face iff bit r of its cover is set."""
     if fan._table.faces is None:
-        fan._table.faces = frozenset(
-            _mask(face)
-            for cone in fan.max_cones
-            for r in range(len(cone) + 1)
-            for face in itertools.combinations(cone, r)
-        )
+        faces = fan._table.faces = {}
+        for cone in fan.max_cones:
+            for r in range(len(cone) + 1):
+                for face in itertools.combinations(cone, r):
+                    faces[_mask(face)] = faces.get(_mask(face), 0) | _mask(cone)
     return fan._table.faces
 
 
@@ -395,16 +396,17 @@ def infer_deg(rays: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
 def _uncovered_marker(fan: StackyFan) -> Optional[tuple[int, ConeRef]]:
     """A marker outside the support of a valid full-dimensional fan, with the
     cone of the boundary facet it lies beyond, or None.  Boundary facets are
-    those of one maximal cone; row i of its ConeInverse is the inner normal
-    of its facet opposite generator i.  A segment from the support to a
-    point outside it leaves through a boundary facet, so the support is the
-    cone over the markers iff no marker is beyond one."""
-    # number of maximal cones holding each facet of a maximal cone
-    facets = Counter(c[:p] + c[p + 1:] for c in fan.max_cones for p in range(len(c)))
+    those of one maximal cone: two full cones sharing a facet lie on its two
+    sides, so an interior facet's cover (_faces) has rank + 1 markers.  Row
+    i of a cone's ConeInverse is the inner normal of its facet opposite
+    generator i.  A segment from the support to a point outside it leaves
+    through a boundary facet, so the support is the cone over the markers
+    iff no marker is beyond one."""
+    cover = _faces(fan)
     for cone in fan.max_cones:
         normals = _cone_inverse(fan, cone).rows
         for pos in range(len(cone)):
-            if facets[cone[:pos] + cone[pos + 1:]] > 1:
+            if cover[_mask(cone[:pos] + cone[pos + 1:])].bit_count() > fan.rank:
                 continue
             for j, v in enumerate(fan.rays):
                 if sum(a * b for a, b in zip(v, normals[pos])) < 0:

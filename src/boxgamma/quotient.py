@@ -12,7 +12,6 @@ classes of the monomials kept.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -121,7 +120,7 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     points = set()
     for cls in _memo(fan._table.graded, spec.chi, "collisions", _collisions, fan, spec.form)[2]:
         a = cls.branches[0].element
-        block = _Summand(spec, a, tangent)
+        block = _block(spec, a, tangent)
         for t in range(m - _dot(deg, a.lattice_point) + 1):
             for mono in block._monomials(t):
                 n = tuple(n0 + _dot(mono, col) for n0, col in zip(a.lattice_point, block.coords))
@@ -130,11 +129,14 @@ def _graded_piece(spec: ModuleSpec, m: int) -> GradedPiece:
     return GradedPiece(m, tuple(sorted(points)))
 
 
-def _compositions(total: int, slots: int):
-    """Every tuple of slots >= 1 naturals summing to total, by stars and bars."""
-    bars = total + slots - 1
-    for cuts in itertools.combinations(range(bars), slots - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (bars,)))
+def _markers(mask: int) -> list[int]:
+    """The markers of a bitmask, ascending: fan._mask's inverse."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _times(m: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """x_i m."""
+    return m[:i] + (m[i] + 1,) + m[i + 1 :]
 
 
 class _Unclosed(Exception):
@@ -143,66 +145,56 @@ class _Unclosed(Exception):
 
 class _Summand:
     """Degree-by-degree state of the summands on one face S = supp(alpha).
-    moves[t][c] lists the (ray, degree-t column) pairs of x_ray times the
-    degree-(t-1) monomial in column c, classes[t][c2] the nonzero quotient
-    coordinates of the monomial in column c2.  Kept: free columns' moves,
-    their targets' classes, the free monomials below the last degree.  The
-    shadow filter tangent and admissibility read the face S + supp(m) as a
-    bitmask (see fan._faces); m is admissible iff that is a face of the
-    fan, as every maximal cone holding it holds S.  tangent is T_S, the
-    passing faces holding S, the block's key in the fan's blocks memo (two
-    kept per face), all passing faces, or None without xi.  m sorts by
-    (sum m_i v_i, m): alpha enters by its support."""
+    walk[t] maps each admissible degree-t monomial m to its face
+    S + supp(m), a bitmask (see fan._faces); m is admissible iff that is a
+    face of the fan, as every maximal cone holding it holds S.  So walk[t]
+    is x_i m over m in walk[t - 1] and the markers i of the cover of m's
+    face, and the face of x_i m is m's with bit i set.  moves[t][c] lists
+    the (ray, degree-t column) pairs of x_ray times the degree-(t-1)
+    monomial in column c, rays in the same order, classes[t][c2] the
+    nonzero quotient coordinates of the monomial in column c2.  Kept: the
+    walk, free columns' moves, their targets' classes, the free monomials
+    below the last degree.  The shadow filter keeps m iff its face is in
+    tangent: T_S, the passing faces holding S, the block's signature in the
+    fan's blocks memo (two kept per face), all passing faces, or None
+    without xi.  m sorts by (sum m_i v_i, m): alpha enters by its support."""
 
     def __init__(self, spec: ModuleSpec, alpha_elem: BoxElement, tangent):
         self.fan = spec.fan
         self.tangent = tangent
-        self.support = _mask(alpha_elem.support)
-        self.cones = alpha_elem.witness_cones
         self.coords = tuple(zip(*self.fan.rays))  # coordinate r of every marker
+        self.walk = [{(0,) * self.fan.k: _mask(alpha_elem.support)}]
         self.pieces: dict[int, dict[int, tuple[int, ...]]] = {}
         self.moves: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self.classes: dict[int, dict[int, list[tuple[int, Fraction]]]] = {}
         self.quot: dict[int, list[int]] = {}
 
     def _monomials(self, t: int):
-        fan = self.fan
-        found = {}
-        for sigma in self.cones:
-            for comp in _compositions(t, len(sigma)):
-                m = [0] * fan.k
-                for pos, i in enumerate(sigma):
-                    m[i] = comp[pos]
-                m = tuple(m)
-                if m in found:
-                    continue
-                if self.tangent is not None and self._face(m) not in self.tangent:
-                    continue
-                found[m] = tuple(_dot(m, col) for col in self.coords)
+        cover = _faces(self.fan)
+        while len(self.walk) <= t:
+            last = self.walk[-1].items()
+            self.walk.append({_times(m, i): f | 1 << i for m, f in last for i in _markers(cover[f])})
+        found = {
+            m: tuple(_dot(m, col) for col in self.coords)
+            for m, face in self.walk[t].items()
+            if self.tangent is None or face in self.tangent
+        }
         return sorted(found, key=lambda m: (found[m], m))
-
-    def _face(self, m: tuple[int, ...]) -> int:
-        """supp(alpha) + supp(m), the minimal face of the monomial's point."""
-        return self.support | _mask(i for i, x in enumerate(m) if x)
 
     def extend(self, t: int) -> int:
         """Compute degree t, after t - 1, unless built, and return the dimension
-        of its quotient; raising _Unclosed stores nothing."""
+        of its quotient; raising _Unclosed stores no degree."""
         if t in self.quot:
             return len(self.quot[t])
         fan = self.fan
-        faces = _faces(fan)
+        cover = _faces(fan)
         mons = self._monomials(t)
         col = {m: c for c, m in enumerate(mons)}
-        ray_idx = sorted(fan.fan_indices())
         moves, rows = {}, []
         for c_prev, mprev in self.pieces.get(t - 1, {}).items():
             targets = []
-            for i in ray_idx:
-                m2 = mprev[:i] + (mprev[i] + 1,) + mprev[i + 1 :]
-                if self._face(m2) not in faces:
-                    continue
-                c = col.get(m2)
+            for i in _markers(cover[self.walk[t - 1][mprev]]):
+                c = col.get(_times(mprev, i))
                 if c is None:
                     raise _Unclosed(mprev, i)
                 targets.append((i, c))
@@ -227,6 +219,15 @@ class _Summand:
         return len(quot)
 
 
+def _block(spec: ModuleSpec, alpha: BoxElement, tangent) -> _Summand:
+    """The block of alpha's face S, from the fan's blocks memo, under its
+    signature T_S: the faces of tangent holding S, or None without xi."""
+    face = _mask(alpha.support)
+    signature = None if tangent is None else frozenset(f for f in tangent if f & face == face)
+    signatures = spec.fan._table.blocks.setdefault(face, {})
+    return _memo(signatures, signature, "block", _Summand, spec, alpha, signature)
+
+
 def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     """Quotient Q of the chi-shifted module M by (Z_1..Z_d), degree by degree,
     up to the first degree t >= g with Q_t = 0 (g = 0, or rank with a shadow
@@ -242,9 +243,10 @@ def build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     against the normalized volume (DimensionOvershoot); ending below it
     raises NoStabilizationWindow.  An offset is deg(n) for the report's
     deg, or t on a fan without one.  Built once per (fan, chi, xi) (the
-    fan's parameter memo), from the block of each face S = supp(alpha),
-    kept in the fan's blocks memo under T_S, the passing faces holding S,
-    two T_S per face: a block reads xi only through T_S."""
+    fan's parameter memo), from the block of each face S = supp(alpha)
+    (_block), kept in the fan's blocks memo under its signature T_S, the
+    passing faces holding S, two signatures per face: a block reads xi
+    only through T_S.  graded_piece reads the same blocks."""
     return _memo(spec.fan._table.params, spec.form, spec.xi, _build_quotient, spec)
 
 
@@ -256,12 +258,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
     # box_of_fan's elements, from the form, which is not read again
     alphas = tuple(cls.branches[0].element for cls in _classes(fan, spec.form)[2])
     vol = normalized_volume(fan)
-    summands = []
-    for a in alphas:
-        face = _mask(a.support)
-        star = None if tangent is None else frozenset(f for f in tangent if f & face == face)
-        stars = fan._table.blocks.setdefault(face, {})
-        summands.append(_memo(stars, star, "block", _Summand, spec, a, star))
+    summands = [_block(spec, a, tangent) for a in alphas]
     g = 0 if spec.xi is None else fan.rank
     cum = t = 0
     while True:

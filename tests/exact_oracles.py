@@ -66,7 +66,6 @@ from boxgamma.quotient import (
     ModuleSpec,
     QuotientAlgebra,
     _check_graded,
-    _compositions,
     build_quotient,
 )
 
@@ -368,6 +367,30 @@ def minimal_non_faces(fan) -> tuple[tuple[int, ...], ...]:
                 continue
             out.append(sub)
     return tuple(out)
+
+
+def _compositions(total: int, slots: int):
+    """Every tuple of slots >= 1 naturals summing to total, by stars and bars."""
+    bars = total + slots - 1
+    for cuts in itertools.combinations(range(bars), slots - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (bars,)))
+
+
+def witness_monomials(fan: StackyFan, alpha: BoxElement, t: int, tangent) -> list[tuple[int, ...]]:
+    """The degree-t monomials of alpha's summand, each a composition of t
+    over one witness cone of alpha, deduplicated; with a tangent set, those
+    whose face supp(alpha) + supp(m) it holds.  Sorted by (sum m_i v_i, m)."""
+    found = {}
+    for sigma in alpha.witness_cones:
+        for comp in _compositions(t, len(sigma)):
+            m = [0] * fan.k
+            for pos, i in enumerate(sigma):
+                m[i] = comp[pos]
+            m = tuple(m)
+            face = sum(1 << i for i in set(alpha.support) | {i for i, x in enumerate(m) if x})
+            if tangent is None or face in tangent:
+                found[m] = tuple(sum(x * v[r] for x, v in zip(m, fan.rays)) for r in range(fan.rank))
+    return sorted(found, key=lambda m: (found[m], m))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ oracle on every face of the ladder's fans, its one solve of xi per maximal
 cone, facet normals and den against mat_inverse, normalized_volume and
 the Hermite diagonal's product against det_rational, dependent
 generators, and validate's violation strings on fans the table must not be
-consulted for.  Also the quotient at a stabilization's target, built
+consulted for.  The face table's keys and covers, and the monomials the
+quotient's blocks walk from the covers against compositions over each
+witness cone.  Also the quotient at a stabilization's target, built
 through the fan's parameter memo, against one built on a fresh copy of
 the fan."""
 
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxgamma.box import normalize_beta, stabilize
+from boxgamma.box import box_of_fan, normalize_beta, stabilize
 from boxgamma.errors import (
     DegenerateHeights,
     DependentGenerators,
@@ -48,7 +50,7 @@ from boxgamma.linalg import (
     cone_inverse,
     scaled_numerators,
 )
-from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
+from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
 from exact_oracles import (
     NotInSpan,
     all_pairs_report,
@@ -59,6 +61,7 @@ from exact_oracles import (
     oracle_minimal_cone,
     oracle_tangent_member,
     scanned_graded_piece,
+    witness_monomials,
 )
 
 small_int = st.integers(-3, 3)
@@ -371,7 +374,64 @@ def test_tangent_faces_match_the_per_cone_oracle(name, data):
     for face in faces:
         p = [Fraction(sum(fan.rays[i][r] for i in face)) for r in range(fan.rank)]
         assert (sum(1 << i for i in face) in passing) is oracle_tangent_member(fan, p, xi)
-    assert passing <= _faces(fan)
+    assert passing <= _faces(fan).keys()
+
+
+# LADDER with the ladder's tri3 and the other P(w) of bench/ladder.py
+FACE_FANS = {
+    **LADDER,
+    "tri3": cone_over([(a, b) for a in range(4) for b in range(4 - a)]),
+    "P(1,3,5)": weighted_projective(1, 3, 5),
+    "P(1,5,7)": weighted_projective(1, 5, 7),
+    "P(1,2,3,5)": weighted_projective(1, 2, 3, 5),
+    "P(1,3,4,7)": weighted_projective(1, 3, 4, 7),
+}
+
+
+@st.composite
+def face_table_fans(draw):
+    """A fan of FACE_FANS, or a sub-fan of a regular triangulation, drawn
+    as test_fan.test_coverage_note_matches_volume_oracle draws it."""
+    if draw(st.booleans()):
+        return dataclasses.replace(FACE_FANS[draw(st.sampled_from(sorted(FACE_FANS)))])
+    d = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 2)] * (d - 1)), min_size=d, max_size=d + 3, unique=True))
+    heights = draw(st.lists(st.integers(0, 10**6), min_size=len(points), max_size=len(points)))
+    try:
+        full = triangulate_from_heights([(1,) + p for p in points], heights)
+    except DegenerateHeights:
+        assume(False)
+    cones = draw(st.lists(st.sampled_from(full.max_cones), min_size=1, unique=True))
+    return StackyFan(rank=d, rays=full.rays, max_cones=tuple(cones))
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
+@settings(deadline=None)
+@given(fan=face_table_fans(), data=st.data())
+def test_face_table_and_walk_match_the_witness_oracle(fan, data):
+    """_faces maps exactly the subsets of the maximal cones, each to the
+    union of the maximal cones holding it, and every summand block's
+    monomials in degrees up to rank + 2 are the compositions over its
+    witness cones, with and without a shadow direction.  chi is a drawn
+    point of a drawn face, so alpha = 0 and supports below the maximal
+    cones occur."""
+    subsets = {f for c in fan.max_cones for r in range(len(c) + 1) for f in itertools.combinations(c, r)}
+    faces = _faces(fan)
+    assert faces.keys() == {_mask(f) for f in subsets}
+    for face in subsets:
+        holding = [c for c in fan.max_cones if set(face) <= set(c)]
+        assert faces[_mask(face)] == _mask(set().union(*holding))
+    face = data.draw(st.sampled_from(sorted(subsets)))
+    coeff = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-5, 4)])
+    coeffs = [data.draw(coeff) for _ in face]
+    chi = tuple(sum((c * fan.rays[i][r] for c, i in zip(coeffs, face)), Fraction(0)) for r in range(fan.rank))
+    xi = draw_xi(data, fan) if data.draw(st.booleans()) else None
+    tangent = None if xi is None else _tangent_test(fan, xi)
+    for alpha in box_of_fan(fan, chi):
+        block = _Summand(ModuleSpec(fan, chi, xi), alpha, tangent)
+        for t in range(fan.rank + 3):
+            assert block._monomials(t) == witness_monomials(fan, alpha, t, tangent)
 
 
 def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):

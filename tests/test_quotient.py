@@ -13,8 +13,9 @@ from boxgamma.errors import (
     ShadowNotSubmodule,
     UnboundedDegree,
 )
-from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
+from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz
+from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
 from exact_oracles import (
@@ -344,6 +345,39 @@ def test_dimension_overshoot():
     message = "^quotient: cumulative dimension 3 exceeds the normalized volume 2$"
     with pytest.raises(DimensionOvershoot, match=message):
         build_quotient(ModuleSpec(fan, (Fraction(0), Fraction(0))))
+
+
+# valid fans whose face rings are not Cohen-Macaulay, where which monomials
+# are admissible decides the dimension: the bowtie's two cones meet in one
+# ray, and the rank-2 fan's cones form two disconnected arcs
+BOWTIE = StackyFan(
+    rank=3, rays=((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, -1, 0), (1, 0, -1)), max_cones=((0, 1, 2), (0, 3, 4))
+)
+ARCS = StackyFan(
+    rank=2,
+    rays=((3, 2), (1, 1), (0, 1), (-1, 2), (-2, 1), (-1, 0)),
+    max_cones=((0, 1), (1, 2), (2, 3), (4, 5)),
+)
+
+
+@pytest.mark.parametrize(
+    "fan, beta, dim, volume",
+    [
+        (BOWTIE, (0, 0, 0), 3, 2),
+        (BOWTIE, (Fraction(1, 2), 0, 0), 3, 2),
+        (ARCS, (-4, 3), 5, 4),
+    ],
+)
+def test_scope_cases_overshoot_the_volume(fan, beta, dim, volume):
+    """The quotient at the stabilized parameter, and so the spectrum,
+    exceeds the normalized volume on these fans."""
+    fan = dataclasses.replace(fan)
+    assert validate(fan).valid
+    message = f"^quotient: cumulative dimension {dim} exceeds the normalized volume {volume}$"
+    with pytest.raises(DimensionOvershoot, match=message):
+        build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta))
+    with pytest.raises(DimensionOvershoot, match=message):
+        spectrum(dataclasses.replace(fan), beta)
 
 
 def test_shadow_not_submodule():
