@@ -92,7 +92,8 @@ def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_K
     """build(*args), kept in memo under recent and key; every bounded cache
     is one.  Only the `kept` most recently used values of recent are kept:
     two parameters, shifts or T_S of a face in a fan's params, graded and
-    per-face blocks (see _ConeTable), one bound or point in a GkzInstance's.
+    per-face blocks (see _ConeTable), one bound or point in a GkzInstance's,
+    whose particular solutions share one recent and so are all kept.
     A build that raises stores nothing, nor a degree of a block."""
     entry = memo.get(recent)
     if entry is None or len(memo) > 1:  # a lone entry is already the last

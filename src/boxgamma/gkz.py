@@ -159,10 +159,11 @@ class GkzInstance:
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
     # caches, so neither compared, hashed, shown nor copied by replace(): the
-    # memos (fan._memo) of the last point's series evaluator (see _evaluator)
-    # and of the last bound's window offsets and norms by target (see _window)
+    # memos (fan._memo) of the last point's series evaluator (see _evaluator),
+    # the last bound's windows and every target's particular solution (_window)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _parts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,8 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
 def _window_plan(relations: IntRows, k: int) -> tuple:
     """The window scan's plan for k markers and relations h_0, h_1, ... in row
     echelon form, built once per fan (see _scan_window): per row, the
-    (column, entry) pairs that fixing c_i makes final, as no later row
-    touches them, and the row; and the free columns, which no row touches.
+    (column, entry) pairs that fixing c_i makes final, as no later row touches
+    them, and the row's nonzero pairs; and the free columns, which no row touches.
     ValueError names a row that does not sum to 0, as the degree bound needs."""
     for h in relations:
         if sum(h):
@@ -255,8 +256,8 @@ def _window_plan(relations: IntRows, k: int) -> tuple:
                 "the degree bound needs relations of degree 0"
             )
     last = {j: i for i, h in enumerate(relations) for j, y in enumerate(h) if y}
-    levels = tuple((tuple((j, y) for j, y in enumerate(h) if y and last[j] == i), tuple(h))
-                   for i, h in enumerate(relations))
+    levels = tuple((tuple((j, y) for j, y in enumerate(h) if y and last[j] == i),
+                    tuple((j, y) for j, y in enumerate(h) if y)) for i, h in enumerate(relations))
     return levels, tuple(j for j in range(k) if j not in last)
 
 
@@ -264,44 +265,43 @@ def _window_offsets(part, plan, B: int) -> tuple[IntRows, tuple[int, ...]]:
     """(offsets, norms): every m = part + sum_i c_i h_i with |m|_1 <= B, in
     lexicographic order, and each one's l1 norm, for a _window_plan's h_i.
 
-    The scan fixes c_0, c_1, ... in turn, each tried by integer sums over the
-    columns it makes final.  Three exact bounds prune it, each dropping only
-    coefficients that lead to no offset:
-
-    - column ranges: a column that fixing c_i finalizes needs |m_j| <= room,
-      the l1 room B leaves after the columns final before; c_i lies in the
-      intersection of these integer ranges;
-    - degree: every h_i sums to 0, so every m in the window has
-      sum(m) = sum(part); since |x|_1 >= |sum(x)|, the columns not yet final
-      need l1 norm at least |sum(part) - (sum of the final columns)|;
-    - convexity: the l1 norm of the final columns plus that degree term is
-      convex in c_i, so the c_i passing both form an interval, and the scan
-      of a level stops at the first failure after a pass.
-
-    Ascending c_i walk ascending m[p_i] at the pivots p_0 < p_1 < ..., so
-    the offsets come out sorted.
+    The scan fixes c_0, c_1, ... in turn.  Every h_i sums to 0, so the
+    columns not yet final sum to rest = sum(part) - (sum of the final ones)
+    and need l1 norm at least |rest|; a level keeps exactly the c_i whose
+    final columns x leave that much of the room B - (norm of the columns
+    final before), so |rest| <= room on entry.  With one final column that
+    is (rest - room) / 2 <= x <= (rest + room) / 2, an interval of c_i taken
+    whole; with several, c_i runs over the columns' ranges |x_j| <= room and
+    stops at the first failure after a pass, the norm being convex in c_i.
+    A child updates only the row's nonzero columns.  Ascending c_i walk
+    ascending m[p_i] at the pivots p_0 < p_1 < ..., so the offsets are sorted.
     """
     levels, free = plan
-    degree = sum(part)
     offsets, norms = [], []
 
-    def scan(i: int, m, used: int, fixed: int) -> None:
-        # used and fixed: l1 norm and sum of the columns final before level i
+    def scan(i: int, m: list, used: int, rest: int) -> None:
+        # used: the l1 norm of the columns final before level i
         if i == len(levels):  # no relation: part is the one candidate
             offsets.append(tuple(m))
             norms.append(used)
             return
-        cols, h = levels[i]
-        room = B - used
-        lo = hi = None  # cols holds the pivot, so both end as ints
+        cols, row = levels[i]
+        room, leaf, inside = B - used, i + 1 == len(levels), False
+        if len(cols) == 1:  # never the last level, which finalizes its row's two or more columns
+            ((p, y),) = cols
+            a, b = -((room - rest) // 2) - m[p], (rest + room) // 2 - m[p]
+            lo, hi = (-(-a // y), b // y) if y > 0 else (-(-b // y), a // y)
+            for c in range(lo, hi + 1):
+                x, child = m[p] + c * y, m.copy()
+                for j, z in row:
+                    child[j] += c * z
+                scan(i + 1, child, used + abs(x), rest - x)
+            return
+        lo = hi = None  # -room <= m_j + c * y <= room; dividing by y < 0 swaps the ends
         for j, y in cols:
-            # -room <= m_j + c * y <= room; a <= c * y <= b for y > 0, and
-            # dividing by y < 0 swaps the two ends
             a, b = -room - m[j], room - m[j]
             a, b = (-(-a // y), b // y) if y > 0 else (-(-b // y), a // y)
             lo, hi = a if lo is None or a > lo else lo, b if hi is None or b < hi else hi
-        # at the last level every column is final, so the leaves are appended
-        leaf, rest, inside = i + 1 == len(levels), degree - fixed, False
         for c in range(lo, hi + 1):
             norm, total = used, rest
             for j, y in cols:
@@ -312,16 +312,18 @@ def _window_offsets(part, plan, B: int) -> tuple[IntRows, tuple[int, ...]]:
                 if inside:
                     break
                 continue
-            inside = True
+            inside, child = True, m.copy()
+            for j, y in row:
+                child[j] += c * y
             if leaf:
-                offsets.append(tuple([x + c * y for x, y in zip(m, h)]))
+                offsets.append(tuple(child))
                 norms.append(norm)
             else:
-                scan(i + 1, [x + c * y for x, y in zip(m, h)], norm, degree - total)
+                scan(i + 1, child, norm, total)
 
-    used, fixed = sum(abs(part[j]) for j in free), sum(part[j] for j in free)
-    if used + abs(degree - fixed) <= B:
-        scan(0, part, used, fixed)
+    used, rest = sum(abs(part[j]) for j in free), sum(part) - sum(part[j] for j in free)
+    if used + abs(rest) <= B:
+        scan(0, list(part), used, rest)
     return tuple(offsets), tuple(norms)
 
 
@@ -329,23 +331,22 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     """(offsets, norms): the offsets l - alpha of the window of l1 size <= B
     at index v, in lexicographic order, and each offset's l1 norm beside it,
     as the scan computed it.  B is the int linalg.read_int reads at every
-    entry point before B reaches a memo key or a SeriesValue, so B = 4.0 and
-    B = 4 share one window in either order.
+    entry point, so B = 4.0 and B = 4 share one window in either order.
 
-    The offsets depend on v and alpha only through the target -v - n, so
-    each (target, B) is scanned once per instance, whichever series, shift
-    check or box element reaches it; the series read their outermost shell
-    as the kept terms at the largest norm present.  Only the last B's windows
-    are kept (fan._memo), so memory stays bounded by one bound's windows.
+    The offsets depend on v and alpha only through the target -v - n: the
+    instance scans each (target, B) once, whichever series, shift check or
+    box element reaches it, keeps only the last B's windows (fan._memo), and
+    solves each target once, at the first B that reaches it (_scan_window).
     """
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
     return _memo(instance._windows, B, target, _scan_window, instance, alpha, v, target, B, kept=1)
 
 
 def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
+    """The window scanned from the target's particular solution, kept by target, None too."""
     fan = instance.fan
     h, u, relations = _marker_lattice(fan)
-    part = solve_with_hnf(h, u, target)
+    part = _memo(instance._parts, None, target, solve_with_hnf, h, u, target)
     if part is None:
         raise NoParticularSolution(
             f"window: markers do not reach the target {target} of v={v}, "
@@ -660,22 +661,20 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
 
 def verify_euler(instance: GkzInstance) -> bool:
     """True iff every degree functional kills the assembled shift operators,
-    exactly in rational arithmetic.
-
-    Only the nonzero entries of each ray operator D_i are summed: entry
-    (a, b) of the r-th operator is sum_i (v_i)_r D_i[a][b].
-    """
-    q = instance.quotient
-    fan = instance.fan
-    acc: list[dict] = [{} for _ in range(fan.rank)]
-    for i in fan.fan_indices():
-        coefs = [(acc[r], c) for r, c in enumerate(fan.rays[i]) if c]
-        for a, row in enumerate(q.dmats[i]):
+    exactly: entry (a, b) of the r-th operator is sum_i (v_i)_r D_i[a][b] over
+    all k markers, so a D_i off the rays must vanish too.  Each entry sums its
+    nonzero terms as integers, c * numerator per denominator, and forms a
+    Fraction only from a nonzero sum."""
+    sums: dict = {}
+    for ray, mat in zip(instance.fan.rays, instance.quotient.dmats):
+        for a, row in enumerate(mat):
             for b, x in enumerate(row):
                 if x:
-                    for sums, c in coefs:
-                        sums[a, b] = sums.get((a, b), 0) + c * x
-    return not any(any(sums.values()) for sums in acc)
+                    for r, c in enumerate(ray):
+                        if c:
+                            by_den = sums.setdefault((r, a, b), {})
+                            by_den[x.denominator] = by_den.get(x.denominator, 0) + c * x.numerator
+    return not any(sum(Fraction(n, d) for d, n in by_den.items() if n) for by_den in sums.values())
 
 
 def solution_system(

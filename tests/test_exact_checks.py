@@ -37,6 +37,10 @@ def cone_over(points):
 HEX5 = cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1)))
 TRI2 = cone_over([(a, b) for a in range(3) for b in range(3 - a)])
 X_F1 = (1.0, 10.0, 1.0)
+# F1's markers on the one cone (0, 2): marker 1 lies in it but is no ray
+F1_EXTENDED = StackyFan(rank=2, rays=F1.rays, max_cones=((0, 2),))
+# three markers with 2 v_0 + v_2 = 3 v_1, on cones of volume 1 and 2
+LINE3 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 3)), max_cones=((0, 1), (1, 2)))
 
 CASES = {
     "F1 zero": (F1, (0, 0)),
@@ -98,6 +102,26 @@ def test_euler_fails_on_one_perturbed_entry(name):
         assert nonzero
         for a, b in nonzero[:1] + nonzero[-1:]:
             assert not verify_euler(with_entries(inst, [(i, a, b, Fraction(1, 3))]))
+
+
+def test_euler_fails_on_a_perturbed_non_ray_marker():
+    """The Euler operators sum over every marker, so D_1 of F1_EXTENDED,
+    whose marker 1 is no ray, must vanish too."""
+    inst = build_gkz(F1_EXTENDED, (Fraction(1, 3), Fraction(1, 5)))
+    assert 1 not in inst.fan.fan_indices() and verify_euler(inst)
+    assert not verify_euler(with_entries(inst, [(1, 0, 0, Fraction(1, 3))]))
+
+
+def test_euler_sums_cancel_across_denominators():
+    """(1/3) v_0 + (1/6) v_2 - (1/2) v_1 = 0 on LINE3's markers, so those
+    entries at one (a, b) cancel in both functionals, but only as rationals
+    over three denominators; -1/3 in place of -1/2 is a near miss."""
+    inst = build_gkz(LINE3, (Fraction(1, 3), Fraction(1, 5)))
+    assert verify_euler(inst)
+    for a, b in ((0, 0), (0, inst.quotient.dim - 1)):
+        for miss, want in ((Fraction(-1, 2), True), (Fraction(-1, 3), False)):
+            changes = [(0, a, b, Fraction(1, 3)), (2, a, b, Fraction(1, 6)), (1, a, b, miss)]
+            assert verify_euler(with_entries(inst, changes)) is want
 
 
 @settings(max_examples=200, deadline=None)

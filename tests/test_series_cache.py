@@ -212,6 +212,32 @@ def test_window_plan_is_built_once_per_fan(monkeypatch):
     assert len(built) == len(fans) and len(scanned) > 100
 
 
+def test_each_target_is_solved_once_per_instance(monkeypatch):
+    """A particular solution depends on the fan and target alone: over the
+    term-shift checks at B = 3, 4, 5 and 6 on one instance, each target is
+    solved once, while each (target, B) is still scanned once."""
+    solved, scanned = Counter(), Counter()
+    real_solve, real_scan = gkz.solve_with_hnf, gkz._window_offsets
+
+    def solving(h, u, target):
+        solved[tuple(target)] += 1
+        return real_solve(h, u, target)
+
+    def scanning(part, plan, B):
+        scanned[(tuple(part), B)] += 1
+        return real_scan(part, plan, B)
+
+    monkeypatch.setattr(gkz, "solve_with_hnf", solving)
+    monkeypatch.setattr(gkz, "_window_offsets", scanning)
+    inst = build_gkz(HEX5, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
+    for B in (3, 4, 5, 6):
+        for v in low_degree_points(HEX5, 1):
+            for j in sorted(HEX5.fan_indices()):
+                verify_term_shift(inst, v, j, B)
+    assert len(solved) > 20 and set(solved.values()) == {1}
+    assert set(scanned.values()) == {1} and len(scanned) == 4 * len(solved)
+
+
 def _suite(instance, x, offsets):
     """repr of every series, derivative and solution-system value at x."""
     fan = instance.fan
