@@ -14,19 +14,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fan import ConeRef, StackyFan, _cone_residues, _full_cone, _memo, _minimal_face, _valid, _witnesses
-from .linalg import Coord, GaussianRational, Param, _ZERO, _dot, _integral, parse_rational
-from .linalg import read_exact, read_param
+from .errors import DomainError
+from .fan import ConeRef, StackyFan, _cone_residues, _full_cone, _memo, _minimal_face, _valid
+from .linalg import Coord, GaussianRational, Param, _ZERO, _dot, _integral, format_gaussian, format_rational
+from .linalg import parse_rational, read_exact, read_param
 
 @dataclass(frozen=True)
 class BoxElement:
     """One solution alpha, its lattice point n with sum(alpha_i v_i) = n + beta,
-    the indices carrying nonzero entries, and every maximal cone containing them."""
+    and the indices carrying nonzero entries, a face of the fan: the face
+    table (fan._faces) gives the maximal cones holding it."""
 
     alpha: tuple[Coord, ...]
     lattice_point: tuple[int, ...]
     support: tuple[int, ...]
-    witness_cones: tuple[ConeRef, ...]
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class CollisionClass:
+    """The branches whose reduced exponents equal alpha; kring.wall_report
+    forms the offsets between their unreduced solutions."""
+
     alpha: tuple[Coord, ...]
     branches: tuple[Branch, ...]
-    # offsets of each branch's unreduced solution against the first branch;
-    # integer vectors since the reduced exponents agree
-    differences: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _cone_branches(fan, cone, param, common):
             key[2 * i], key[2 * i + 1] = r * scale, t_im[pos] * scale
         point = tuple(n0[r] - sum(floors[i] * fan.rays[i][r] for i in cone) for r in range(d))
         support = tuple(i for i in range(fan.k) if key[2 * i] or key[2 * i + 1])
-        elem = BoxElement(tuple(alpha), point, support, _witnesses(fan, support) or (cone,))
+        elem = BoxElement(tuple(alpha), point, support)
         out.append((tuple(key), n0, tuple(floors), elem))
     return out
 
@@ -163,14 +164,15 @@ def _collisions(fan: StackyFan, param: Param) -> tuple[int, tuple, tuple[Collisi
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
         if len({br.element.lattice_point for br in branches}) > 1:
             raise RuntimeError("internal: equal alpha with distinct lattice points")
-        diffs = tuple(tuple(x - y for x, y in zip(br.floors, branches[0].floors)) for br in branches)
-        classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
+        classes.append(CollisionClass(branches[0].element.alpha, branches))
     return common * param.den, tuple(keys), tuple(classes)
 
 
 def correspondence_at(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     """The pairing of the box sets at beta and at Re(beta) + delta*Im(beta),
-    for an exact rational delta, read as linalg.read_exact reads a rational."""
+    for an exact rational delta, read as linalg.read_exact reads a rational.
+    A "box:" DomainError names delta and the first source alpha whose image
+    loses support: a coordinate Re alpha_i + delta*Im alpha_i is an integer."""
     (delta,) = read_exact((delta,), parse_rational, "box", "delta")
     return _correspondence(fan, read_param(beta, "box", "beta", fan.rank), delta)[0]
 
@@ -182,10 +184,10 @@ def _correspondence(fan: StackyFan, param: Param, delta):
 
     alpha_i goes to frac(x_i), x_i = Re alpha_i + delta*Im alpha_i = (R q + p M) / (den q) for
     delta = p / q and the class key's (R, M) over den, and n to n - sum(floor(x_i) v_i), keeping
-    support and witness cones.  A branch's raw cone coordinates are affine in beta: its image is
-    the same branch at beta_delta, with floors + floor(x_i).  So each class at beta maps to the
-    class at beta_delta of the image exponent, with the same branches and differences; sorted
-    by their integer keys, they are in alpha_key's order.
+    the support.  A branch's raw cone coordinates are affine in beta: its image is the same
+    branch at beta_delta, with floors + floor(x_i).  So each class at beta maps to the class at
+    beta_delta of the image exponent, with the same branches; sorted by their integer keys, they
+    are in alpha_key's order.
 
     The "do not biject" guard, on the sorted classes, cannot fire once every element has passed
     the support check, at any delta.  An image has at most its source's support: a real alpha_i
@@ -216,19 +218,20 @@ def _correspondence(fan: StackyFan, param: Param, delta):
                 n = tuple(x - f * c for x, c in zip(n, fan.rays[i]))
             image[2 * i] = xn
         if tuple(i for i in range(fan.k) if image[2 * i]) != e.support:
-            raise RuntimeError("internal: support changed under stabilization")
+            named = ", ".join(map(format_gaussian, e.alpha))
+            raise DomainError(f"box: at delta {format_rational(delta)} the image of alpha=({named}) loses support")
         # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
         point = [x * bd.den + y for x, y in zip(n, bd.re)]
         if _minimal_face(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
-        target = BoxElement(tuple(alpha), n, e.support, e.witness_cones)
+        target = BoxElement(tuple(alpha), n, e.support)
         triples.append((e, target, tuple(Fraction(x, bd.den) for x in point)))
         images.append(tuple(image))
         branches = tuple(
             Branch(br.cone, br.residue, tuple(x + y for x, y in zip(br.floors, shift)), target)
             for br in cls.branches
         )
-        classes.append(CollisionClass(target.alpha, branches, cls.differences))
+        classes.append(CollisionClass(target.alpha, branches))
     order = sorted(range(len(images)), key=images.__getitem__)
     if any(images[i] == images[j] for i, j in zip(order, order[1:])):
         raise RuntimeError("internal: stabilized elements do not biject")

@@ -335,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(args, obj) -> None:
+def _write_out(path, obj) -> None:
     text = emit_json(obj) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -356,7 +356,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # 1: a domain error; 2: a usage, I/O or parse error; 3: an internal fault
         code = 1 if isinstance(exc, DomainError) else 2 if isinstance(exc, (OSError, ValueError)) else 3
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    _write_out(args, result)
+    try:
+        _write_out(args.out, result)
+    except OSError as exc:  # an --out file that cannot be written: the error goes to stdout
+        _write_out(None, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return 2
     return code
 
 

@@ -44,13 +44,13 @@ class _ConeTable:
     Filled on first use: the ConeInverse of each cone solved in (maximal
     cones, or the cones box_of_cone is given; the fan's construction checked
     their markers), the Hermite diagonal of each full-dimensional one (its
-    residues, see _cone_residues), the maximal cones holding each box
-    support or face asked for (see _witnesses), the face table, every face
-    with its cover (see _faces), the markers' lattice (see _marker_lattice),
-    the window scan's plan for its relations (gkz._window_plan, built on
-    the first scan) and the fan's ValidationReport, whose deg the quotient
-    reads.  Their size is bounded by the fan's cones and markers, and a
-    StackyFan is frozen, so no entry can go stale.
+    residues, see _cone_residues), the face table, every face with its
+    cover (see _faces; the one source of face facts, which the shadow
+    filter _tangent_test reads), the markers' lattice (see _marker_lattice),
+    the window scan's plan for its relations (gkz._window_plan, built on the
+    first scan) and the fan's ValidationReport, whose deg the quotient reads.
+    Their size is bounded by the fan's cones and markers, and a StackyFan is
+    frozen, so no entry can go stale.
     params is the parameter memo (see _memo), for two parameters, each
     under its form (linalg.Param): "collisions",
     "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
@@ -67,14 +67,12 @@ class _ConeTable:
     """
 
     __slots__ = (
-        "inverses", "residues", "witnesses", "faces", "lattice", "plan", "report", "params", "graded",
-        "blocks",
+        "inverses", "residues", "faces", "lattice", "plan", "report", "params", "graded", "blocks",
     )
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
         self.residues: dict[ConeRef, tuple[int, ...]] = {}
-        self.witnesses: dict[tuple[int, ...], tuple[ConeRef, ...]] = {}
         self.faces: Optional[dict[int, int]] = None
         self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
         self.plan: Optional[tuple] = None
@@ -199,15 +197,6 @@ def _cone_residues(fan: StackyFan, cone: ConeRef) -> tuple[int, ...]:
     return diag
 
 
-def _witnesses(fan: StackyFan, support: ConeRef) -> tuple[ConeRef, ...]:
-    """The maximal cones holding a box element's support, found once per
-    support (the fan's cone table)."""
-    known = fan._table.witnesses
-    if support not in known:
-        known[support] = tuple(mc for mc in fan.max_cones if set(support) <= set(mc))
-    return known[support]
-
-
 def _mask(markers) -> int:
     """The bitmask of a set of markers, the one form of a face."""
     return sum(1 << i for i in markers)
@@ -252,26 +241,23 @@ def _minimal_face(fan: StackyFan, nums: Sequence[int]):
 
 
 def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
-    """The shadow filter as the set of faces (bitmasks, see _faces) it
-    passes, xi solved once per maximal cone: for p in the relative interior
-    of a face, p + eps*xi stays in the support iff some maximal cone sigma
-    holding the face has xi in its span and xi's coordinates >= 0 on sigma
-    minus the face, that is, the face holds sigma's generators where xi's
-    are negative.  In a fan the cones holding p are those holding its
-    minimal face (Fulton, Introduction to Toric Varieties, 1.2).  xi is read
-    by read_exact; InvalidFan (_valid) for a fan validate rejects, where
-    the face rule fails."""
+    """The shadow filter as the set of faces (bitmasks) of the face table
+    (_faces) it passes, xi solved once per maximal cone: for p in the
+    relative interior of a face, p + eps*xi stays in the support iff some
+    maximal cone sigma holding the face has xi in its span and xi's
+    coordinates >= 0 on sigma minus the face, that is, the face holds
+    sigma's generators where xi's are negative.  In a fan the cones holding
+    p are those holding its minimal face (Fulton, Introduction to Toric
+    Varieties, 1.2).  xi is read by read_exact; InvalidFan (_valid) for a
+    fan validate rejects, where the face rule fails."""
     xnums = scaled_numerators(read_exact(xi, parse_rational, "fan", "xi", fan.rank))[1]
     _valid(fan, "the shadow filter")
-    passing = set()
+    spans = []  # (sigma, its generators where xi's coordinates are negative)
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)
         if xc is not None:
-            neg = _mask(i for i, c in zip(cone, xc) if c < 0)
-            rest = [i for i, c in zip(cone, xc) if c >= 0]
-            for r in range(len(rest) + 1):
-                passing.update(neg | _mask(face) for face in itertools.combinations(rest, r))
-    return frozenset(passing)
+            spans.append((_mask(cone), _mask(i for i, c in zip(cone, xc) if c < 0)))
+    return frozenset(f for f in _faces(fan) if any(f & ~s == 0 and f & neg == neg for s, neg in spans))
 
 
 def normalized_volume(fan: StackyFan) -> int:

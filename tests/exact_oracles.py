@@ -2,8 +2,9 @@
 references the library's fraction-free integer kernels are tested against.
 Also a point's coordinates in a cone by the Fraction inverse of its
 generators completed to a basis, the minimal face and the shadow filter
-decided cone by cone with them, the primitive direction of a rational
-vector, a fan's completeness and its minimal non-faces, and Definition 2's
+decided cone by cone with them, the shadow filter's faces found by
+enumerating each maximal cone's subsets, the primitive direction of a
+rational vector, a fan's completeness and its minimal non-faces, and Definition 2's
 module product with the check that a delta-stabilization intertwines it,
 the delta-correspondence found by enumerating and matching the box set
 at beta_delta, the collision classes grouped and sorted by the Fraction
@@ -46,6 +47,7 @@ from boxgamma.fan import (
     StackyFan,
     ValidationReport,
     _cone_inverse,
+    _mask,
     _tangent_test,
 )
 from boxgamma.linalg import (
@@ -55,6 +57,7 @@ from boxgamma.linalg import (
     cone_inverse,
     Param,
     format_gaussian,
+    format_rational,
     read_param,
 )
 from boxgamma import gkz
@@ -201,6 +204,33 @@ def oracle_tangent_member(fan: StackyFan, p, xi):
         if x_in and all(a > 0 or b >= 0 for (a, _), (b, _) in zip(pc, xc)):
             return True
     return False if in_support else None
+
+
+def subset_tangent_test(fan: StackyFan, xi) -> frozenset[int]:
+    """_tangent_test's set of faces (bitmasks) by enumeration: for each
+    maximal cone sigma with xi in its span, by oracle_coords, every subset
+    of sigma that holds sigma's generators where xi's coordinates are
+    negative."""
+    passing = set()
+    for cone in fan.max_cones:
+        coords, in_span = oracle_coords(fan.gens(cone), xi)
+        if in_span:
+            neg = [i for i, (c, _) in zip(cone, coords) if c < 0]
+            rest = [i for i, (c, _) in zip(cone, coords) if c >= 0]
+            for r in range(len(rest) + 1):
+                passing.update(_mask(neg + list(face)) for face in itertools.combinations(rest, r))
+    return frozenset(passing)
+
+
+def _holding(fan: StackyFan, support) -> list:
+    """The maximal cones of the fan holding the support."""
+    return [sigma for sigma in fan.max_cones if set(support) <= set(sigma)]
+
+
+def past_wall(delta, alpha) -> DomainError:
+    """correspondence_at's error for a delta at which the source alpha's image loses support."""
+    named = ", ".join(map(format_gaussian, alpha))
+    return DomainError(f"box: at delta {format_rational(delta)} the image of alpha=({named}) loses support")
 
 
 def primitive_direction(v) -> tuple[int, ...]:
@@ -378,10 +408,11 @@ def _compositions(total: int, slots: int):
 
 def witness_monomials(fan: StackyFan, alpha: BoxElement, t: int, tangent) -> list[tuple[int, ...]]:
     """The degree-t monomials of alpha's summand, each a composition of t
-    over one witness cone of alpha, deduplicated; with a tangent set, those
-    whose face supp(alpha) + supp(m) it holds.  Sorted by (sum m_i v_i, m)."""
+    over one maximal cone holding alpha's support, deduplicated; with a
+    tangent set, those whose face supp(alpha) + supp(m) it holds.  Sorted
+    by (sum m_i v_i, m)."""
     found = {}
-    for sigma in alpha.witness_cones:
+    for sigma in _holding(fan, alpha.support):
         for comp in _compositions(t, len(sigma)):
             m = [0] * fan.k
             for pos, i in enumerate(sigma):
@@ -452,7 +483,7 @@ def _pair_elements(fan: StackyFan, src: BoxElement, max_offset: int):
     """Module elements [point, alpha] of the alpha summand with |m| <= max_offset."""
     out = []
     seen = set()
-    for sigma in src.witness_cones:
+    for sigma in _holding(fan, src.support):
         for t in range(max_offset + 1):
             for comp in _compositions(t, len(sigma)):
                 m = [0] * fan.k
@@ -553,7 +584,7 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
         used.add(j)
         te = target[j]
         if te.support != e.support:
-            raise RuntimeError("internal: support changed under stabilization")
+            raise past_wall(delta, e.alpha)
         point = tuple(n + x for n, x in zip(te.lattice_point, beta_delta))
         if oracle_minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
@@ -577,9 +608,7 @@ def fraction_keyed_collisions(fan: StackyFan, beta) -> tuple[CollisionClass, ...
         branches = tuple(sorted(groups[key], key=lambda br: (br.cone, br.residue)))
         if len({br.element.lattice_point for br in branches}) > 1:
             raise RuntimeError("internal: equal alpha with distinct lattice points")
-        base = branches[0].floors
-        diffs = tuple(tuple(x - y for x, y in zip(br.floors, base)) for br in branches)
-        classes.append(CollisionClass(branches[0].element.alpha, branches, diffs))
+        classes.append(CollisionClass(branches[0].element.alpha, branches))
     return tuple(classes)
 
 
@@ -632,11 +661,11 @@ def fraction_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
             alpha.append(x - f)
             n = tuple(c - f * v for c, v in zip(n, fan.rays[i]))
         if tuple(i for i, x in enumerate(alpha) if x) != e.support:
-            raise RuntimeError("internal: support changed under stabilization")
+            raise past_wall(delta, e.alpha)
         point = tuple(c + y for c, y in zip(n, beta_delta))
         if oracle_minimal_cone(fan, point) != e.support:
             raise RuntimeError("internal: point support differs from exponent support")
-        triples.append((e, BoxElement(tuple(alpha), n, e.support, e.witness_cones), point))
+        triples.append((e, BoxElement(tuple(alpha), n, e.support), point))
     images = sorted(t[1].alpha for t in triples)
     if any(x == y for x, y in zip(images, images[1:])):
         raise RuntimeError("internal: stabilized elements do not biject")

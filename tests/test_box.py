@@ -18,8 +18,8 @@ from boxgamma.box import (
     correspondence_at,
     stabilize,
 )
-from boxgamma.errors import NotFullDimensional
-from boxgamma.fan import StackyFan, _cone_residues, normalized_volume, triangulate_from_heights
+from boxgamma.errors import DomainError, NotFullDimensional
+from boxgamma.fan import StackyFan, _cone_residues, _faces, _mask, normalized_volume, triangulate_from_heights
 from boxgamma.kring import wall_report
 from boxgamma.linalg import GaussianRational, Param, cone_inverse
 from exact_oracles import (
@@ -65,7 +65,8 @@ def test_box_of_cone_f1_first_cone():
     assert e.alpha == (Fraction(1, 4), Fraction(0), Fraction(0))
     assert e.lattice_point == (0, 0)
     assert e.support == (0,)
-    assert e.witness_cones == ((0, 1),)
+    # the face table's cover of the support: the one maximal cone (0, 1)
+    assert _faces(F1)[_mask(e.support)] == _mask((0, 1))
 
 
 def test_box_of_cone_f1_second_cone():
@@ -113,7 +114,7 @@ def test_box_of_fan_f1():
     }
     (zero_elem,) = box_of_fan(F1, (0, 0))
     assert zero_elem.alpha == (Fraction(0),) * 3
-    assert zero_elem.witness_cones == ((0, 1), (1, 2))
+    assert _faces(F1)[_mask(zero_elem.support)] == _mask((0, 1, 2))
 
 
 def test_box_of_fan_f2_closed_forms():
@@ -209,16 +210,12 @@ def test_collisions_f2():
     # (0, 1/2) = -1*v1 - 1/2*v3, floors (-1, 0, -1).  Cone (1,2) has the row
     # Hermite form ((2,0), (0,1)), residues (0,0) and (1,0): n0 = (1,0) gives
     # (1, 1/2) = 0*v2 - 1/2*v3, floors (0, 0, -1), so its difference against
-    # the first branch is (1, 0, 0)
-    by_alpha = {alpha_key(c.alpha): c.differences for c in half}
-    assert by_alpha[alpha_key((Fraction(0), Fraction(0), Fraction(1, 2)))] == (
-        (0, 0, 0),
-        (1, 0, 0),
-    )
-    assert by_alpha[alpha_key((Fraction(0), Fraction(1, 2), Fraction(0)))] == (
-        (0, 0, 0),
-        (0, 0, 0),
-    )
+    # the first branch is (1, 0, 0); each two-branch class has one wall
+    by_alpha = {alpha_key(w.alpha): w.difference for w in wall_report(F2, (0, Fraction(1, 2)))}
+    assert by_alpha == {
+        alpha_key((Fraction(0), Fraction(0), Fraction(1, 2))): (1, 0, 0),
+        alpha_key((Fraction(0), Fraction(1, 2), Fraction(0))): (0, 0, 0),
+    }
 
     origin = collisions(F2, (0, 0))
     assert sorted(len(c.branches) for c in origin) == [1, 3]
@@ -362,6 +359,30 @@ def test_correspondence_at_needs_an_exact_delta(delta):
     assert str(info.value) == f"box: entry 1 of delta is {delta!r}, not a rational"
 
 
+@pytest.mark.parametrize(
+    "delta, alpha",
+    [
+        (0, "1/4+2/3i, 1/3i, 0"),
+        (Fraction(9, 8), "0, 1/2+5/3i, 3/4-2/3i"),
+        (3, "1/4+2/3i, 1/3i, 0"),
+    ],
+)
+def test_correspondence_at_a_wall_is_a_domain_error(delta, alpha):
+    """At F1's beta = (1/4+i, 1/3i) the source alphas are (0, 1/2+5/3i,
+    3/4-2/3i) and (1/4+2/3i, 1/3i, 0).  An image coordinate r + delta*m is
+    an integer, so the image loses support, at delta = 0 (1/3 delta), 9/8
+    (3/4 - 2/3 delta, of the first alpha, and 1/4 + 2/3 delta) and 3 (1/3
+    delta); delta = 1/2 is on no wall.  Such a delta is the caller's, not a
+    fault: a "box:" DomainError names it and the first alpha that loses
+    support."""
+    beta = ("1/4+1i", "1/3i")
+    assert correspondence_at(F1, beta, Fraction(1, 2)).delta == Fraction(1, 2)
+    with pytest.raises(DomainError) as info:
+        correspondence_at(F1, beta, delta)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"box: at delta {delta} the image of alpha=({alpha}) loses support"
+
+
 def wall(fan, beta):
     """The least delta > 0 at which a coordinate r + delta*m of an image is
     an integer (m != 0), capped at 1: stabilize's bound."""
@@ -375,11 +396,11 @@ def wall(fan, beta):
 
 
 def correspondence_outcome(call):
-    """call()'s correspondence with its repr, or the RuntimeError's text."""
+    """call()'s correspondence with its repr, or the error's type and text."""
     try:
         corr = call()
-    except RuntimeError as exc:
-        return str(exc)
+    except (DomainError, RuntimeError) as exc:
+        return type(exc), str(exc)
     return corr, repr(corr)
 
 

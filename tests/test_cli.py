@@ -802,6 +802,19 @@ def test_output_ends_with_newline(seed_dir, tmp_path):
     assert out.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("fan", ["fan_f1.json", "missing.json"])
+def test_unwritable_out_exits_2(seed_dir, tmp_path, capsys, fan):
+    """An --out path in a missing directory is an I/O error, for a command
+    that succeeds and for one that fails: exit 2 and the error object on
+    stdout, not a traceback."""
+    out = tmp_path / "missing" / "x.json"
+    assert main(["validate", "--fan", str(seed_dir / fan), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"type": "FileNotFoundError", "message": f"[Errno 2] No such file or directory: {str(out)!r}"}
+    }
+    assert not out.parent.exists()
+
+
 def test_emit_json_formats():
     assert emit_json({"a": 0.1}) == '{"a": 0.10000000000000001}'
     assert emit_json([True, False, None, 3]) == "[true, false, null, 3]"

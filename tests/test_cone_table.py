@@ -5,15 +5,15 @@ span test against mat_inverse of the generators completed by unit vectors,
 the minimal face of a point and whether the shadow filter's set of passing
 faces holds it against a per-cone solve by that oracle (the filter on fans
 validate accepts; on the rest it raises InvalidFan), that set against the
-oracle on every face of the ladder's fans, its one solve of xi per maximal
-cone, facet normals and den against mat_inverse, normalized_volume and
-the Hermite diagonal's product against det_rational, dependent
-generators, and validate's violation strings on fans the table must not be
-consulted for.  The face table's keys and covers, and the monomials the
-quotient's blocks walk from the covers against compositions over each
-witness cone.  Also the quotient at a stabilization's target, built
-through the fan's parameter memo, against one built on a fresh copy of
-the fan."""
+oracle on every face of the ladder's fans and against each maximal cone's
+subsets, its one solve of xi per maximal cone, facet normals and den
+against mat_inverse, normalized_volume and the Hermite diagonal's product
+against det_rational, dependent generators, and validate's violation
+strings on fans the table must not be consulted for.  The face table's
+keys and covers, and the monomials the quotient's blocks walk from the
+covers against compositions over each maximal cone holding the support.
+Also the quotient at a stabilization's target, built through the fan's
+parameter memo, against one built on a fresh copy of the fan."""
 
 import dataclasses
 import itertools
@@ -61,6 +61,7 @@ from exact_oracles import (
     oracle_minimal_cone,
     oracle_tangent_member,
     scanned_graded_piece,
+    subset_tangent_test,
     witness_monomials,
 )
 
@@ -412,10 +413,10 @@ def face_table_fans(draw):
 def test_face_table_and_walk_match_the_witness_oracle(fan, data):
     """_faces maps exactly the subsets of the maximal cones, each to the
     union of the maximal cones holding it, and every summand block's
-    monomials in degrees up to rank + 2 are the compositions over its
-    witness cones, with and without a shadow direction.  chi is a drawn
-    point of a drawn face, so alpha = 0 and supports below the maximal
-    cones occur."""
+    monomials in degrees up to rank + 2 are the compositions over the
+    maximal cones holding its support, with and without a shadow direction.
+    chi is a drawn point of a drawn face, so alpha = 0 and supports below
+    the maximal cones occur."""
     subsets = {f for c in fan.max_cones for r in range(len(c) + 1) for f in itertools.combinations(c, r)}
     faces = _faces(fan)
     assert faces.keys() == {_mask(f) for f in subsets}
@@ -432,6 +433,22 @@ def test_face_table_and_walk_match_the_witness_oracle(fan, data):
         block = _Summand(ModuleSpec(fan, chi, xi), alpha, tangent)
         for t in range(fan.rank + 3):
             assert block._monomials(t) == witness_monomials(fan, alpha, t, tangent)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
+@settings(deadline=None)
+@given(fan=st.one_of(face_table_fans(), regular_subfans()), data=st.data())
+def test_shadow_filter_matches_the_subset_enumeration(fan, data):
+    """_tangent_test, read off the face table, is the set the per-cone
+    subset enumeration builds: for each maximal cone with xi in its span,
+    every subset holding the generators where xi's coordinates are
+    negative.  The fans are FACE_FANS (the ladder and the P(w)) and
+    sub-fans of regular triangulations, whose supports are often not
+    convex; xi is zero, on a wall of a maximal cone (coordinates zero,
+    positive and negative) or any."""
+    xi = draw_xi(data, fan)
+    assert _tangent_test(fan, xi) == subset_tangent_test(fan, xi)
 
 
 def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):
