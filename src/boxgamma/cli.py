@@ -45,17 +45,13 @@ def _emit(obj, out) -> None:
     elif isinstance(obj, dict):
         out.append("{")
         for pos, (key, val) in enumerate(obj.items()):
-            if pos:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
+            out.append(f"{', ' if pos else ''}{json.dumps(key)}: ")
             _emit(val, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for pos, val in enumerate(obj):
-            if pos:
-                out.append(", ")
+            out.append(", " if pos else "")
             _emit(val, out)
         out.append("]")
     else:
@@ -263,20 +259,10 @@ def cmd_gkz_verify(args):
 
 
 SEED_FILES = {
-    "fan_f1.json": {
-        "rank": 2,
-        "rays": [[1, 0], [1, 1], [1, 2]],
-        "max_cones": [[1, 2], [2, 3]],
-    },
-    "fan_f2.json": {
-        "rank": 2,
-        "rays": [[1, 0], [0, 1], [-2, -1]],
-        "max_cones": [[1, 2], [2, 3], [1, 3]],
-    },
+    "fan_f1.json": {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "max_cones": [[1, 2], [2, 3]]},
+    "fan_f2.json": {"rank": 2, "rays": [[1, 0], [0, 1], [-2, -1]], "max_cones": [[1, 2], [2, 3], [1, 3]]},
     "fan_square.json": {
-        "rank": 3,
-        "rays": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
-        "max_cones": [[1, 2, 4], [1, 3, 4]],
+        "rank": 3, "rays": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]], "max_cones": [[1, 2, 4], [1, 3, 4]],
     },
     "beta_f1.json": {"beta": ["1/4", "0"]},
     "beta_f2.json": {"beta": ["1/3", "1/5"]},

@@ -50,7 +50,9 @@ class _ConeTable:
     the window scan's plan for its relations (gkz._window_plan, built on the
     first scan) and the fan's ValidationReport, whose deg the quotient reads.
     Their size is bounded by the fan's cones and markers, and a StackyFan is
-    frozen, so no entry can go stale.
+    frozen, so no entry can go stale.  windows: each target's particular
+    solution and window at the largest B scanned (gkz._scan_window), disjoint
+    pieces of the l1 ball at the largest B asked, as each offset has one target.
     params is the parameter memo (see _memo), for two parameters, each
     under its form (linalg.Param): "collisions",
     "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
@@ -62,13 +64,13 @@ class _ConeTable:
     (quotient._Summand, which the quotients and graded pieces read) under
     its signature T_S, the faces holding S that the shadow filter passes
     (_tangent_test; None without xi), two signatures per face, so the
-    fan's faces times two.  No key holds deg, which is the fan's own.
+    fan's faces times two.  shadows holds the passing faces of the last two
+    xi (_tangent_test).  No key holds deg, which is the fan's own.
     A table belongs to one fan: replace() gives the copy a fresh one.
     """
 
-    __slots__ = (
-        "inverses", "residues", "faces", "lattice", "plan", "report", "params", "graded", "blocks",
-    )
+    __slots__ = ("inverses", "residues", "faces", "lattice", "plan", "windows", "report", "params", "graded",
+                 "blocks", "shadows")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
@@ -76,10 +78,12 @@ class _ConeTable:
         self.faces: Optional[dict[int, int]] = None
         self.lattice: Optional[tuple[IntRows, IntRows, IntRows]] = None
         self.plan: Optional[tuple] = None
+        self.windows: dict[tuple[int, ...], tuple] = {}
         self.report: Optional[ValidationReport] = None
         self.params: dict[tuple, dict] = {}
         self.graded: dict[tuple, dict] = {}
         self.blocks: dict[int, dict] = {}
+        self.shadows: dict[tuple, dict] = {}
 
 
 # a parameter and its delta-stabilized beta_delta
@@ -89,10 +93,9 @@ _PARAMS_KEPT = 2
 def _memo(memo: dict, recent, key, build: Callable, *args, kept: int = _PARAMS_KEPT):
     """build(*args), kept in memo under recent and key; every bounded cache
     is one.  Only the `kept` most recently used values of recent are kept:
-    two parameters, shifts or T_S of a face in a fan's params, graded and
-    per-face blocks (see _ConeTable), one bound or point in a GkzInstance's,
-    whose particular solutions share one recent and so are all kept.
-    A build that raises stores nothing, nor a degree of a block."""
+    two parameters, shifts, T_S of a face or xi in a fan's params, graded,
+    per-face blocks and shadows (see _ConeTable), one bound or point in a
+    GkzInstance's.  A build that raises stores nothing, nor a degree of a block."""
     entry = memo.get(recent)
     if entry is None or len(memo) > 1:  # a lone entry is already the last
         entry = memo[recent] = memo.pop(recent, {})  # most recently used last
@@ -249,9 +252,14 @@ def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
     sigma's generators where xi's are negative.  In a fan the cones holding
     p are those holding its minimal face (Fulton, Introduction to Toric
     Varieties, 1.2).  xi is read by read_exact; InvalidFan (_valid) for a
-    fan validate rejects, where the face rule fails."""
-    xnums = scaled_numerators(read_exact(xi, parse_rational, "fan", "xi", fan.rank))[1]
+    fan validate rejects, where the face rule fails.  Kept for the last two
+    xi (shadows), so a quotient and its graded pieces share one solve."""
+    xi = read_exact(xi, parse_rational, "fan", "xi", fan.rank)
     _valid(fan, "the shadow filter")
+    return _memo(fan._table.shadows, xi, None, _passing_faces, fan, scaled_numerators(xi)[1])
+
+
+def _passing_faces(fan: StackyFan, xnums) -> frozenset[int]:
     spans = []  # (sigma, its generators where xi's coordinates are negative)
     for cone in fan.max_cones:
         xc = _cone_inverse(fan, cone).numerators(xnums)

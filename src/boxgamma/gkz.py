@@ -152,18 +152,17 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class GkzInstance:
-    """Eligible fan, parameter, its stabilization, and the shadow quotient."""
+    """Eligible fan, parameter, its stabilization, and the shadow quotient;
+    the windows its series and checks sum over come from the fan's table."""
 
     fan: StackyFan
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
-    # caches, so neither compared, hashed, shown nor copied by replace(): the
-    # memos (fan._memo) of the last point's series evaluator (see _evaluator),
-    # the last bound's windows and every target's particular solution (_window)
+    # caches, neither compared, hashed, shown nor copied by replace(): the memos (fan._memo)
+    # of the last point's series evaluator (_evaluator) and the last bound's windows (_window)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _parts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -332,29 +331,38 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     at index v, in lexicographic order, and each offset's l1 norm beside it,
     as the scan computed it.  B is the int linalg.read_int reads at every
     entry point, so B = 4.0 and B = 4 share one window in either order.
-
-    The offsets depend on v and alpha only through the target -v - n: the
-    instance scans each (target, B) once, whichever series, shift check or
-    box element reaches it, keeps only the last B's windows (fan._memo), and
-    solves each target once, at the first B that reaches it (_scan_window).
-    """
+    The offsets depend on v and alpha only through the target -v - n, never
+    on beta: every instance on the fan reads the fan's entry for the target
+    (_scan_window), whichever series, shift check or box element reaches it,
+    and keeps only the last B's windows (fan._memo)."""
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
-    return _memo(instance._windows, B, target, _scan_window, instance, alpha, v, target, B, kept=1)
+    return _memo(instance._windows, B, target, _scan_window, instance.fan, alpha, v, target, B, kept=1)
 
 
-def _scan_window(instance: GkzInstance, alpha: BoxElement, v, target, B: int):
-    """The window scanned from the target's particular solution, kept by target, None too."""
-    fan = instance.fan
+def _scan_window(fan: StackyFan, alpha: BoxElement, v, target, B: int):
+    """The window at B: the offsets of norm <= B, in order, of the fan's entry
+    for the target (fan._ConeTable), scanned again only at a larger B, which
+    replaces it.  A target past B max_i |v_i|_1 has none, is kept nowhere and
+    solved only where the markers' Hermite form shows they miss a target."""
     h, u, relations = _marker_lattice(fan)
-    part = _memo(instance._parts, None, target, solve_with_hnf, h, u, target)
-    if part is None:
-        raise NoParticularSolution(
-            f"window: markers do not reach the target {target} of v={v}, "
-            f"n={alpha.lattice_point}; the marker lattice is degenerate"
-        )
-    if fan._table.plan is None:
-        fan._table.plan = _window_plan(relations, fan.k)
-    return _window_offsets(part, fan._table.plan, B)
+    part, top, offsets, norms = fan._table.windows.get(target) or (None, -1, (), ())
+    far = top < 0 and sum(map(abs, target)) > B * max(sum(map(abs, r)) for r in fan.rays)
+    # markers that generate Z^d reach every target, so a far one needs no solution
+    if part is None and not (far and [row[r] for r, row in enumerate(h[: fan.rank])] == [1] * fan.rank):
+        part = solve_with_hnf(h, u, target)
+        if part is None:
+            raise NoParticularSolution(
+                f"window: markers do not reach the target {target} of v={v}, "
+                f"n={alpha.lattice_point}; the marker lattice is degenerate"
+            )
+    plan = fan._table.plan = fan._table.plan or _window_plan(relations, fan.k)
+    if far or top == B:
+        return offsets, norms
+    if top > B:  # every window at B' >= B holds the window at B
+        kept = [i for i, n in enumerate(norms) if n <= B]
+        return tuple(offsets[i] for i in kept), tuple(norms[i] for i in kept)
+    entry = fan._table.windows[target] = (part, B, *_window_offsets(part, plan, B))
+    return entry[2:]
 
 
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
@@ -375,11 +383,10 @@ def _check_ray(fan: StackyFan, j) -> int:
     return n
 
 
-def enumerate_L(
-    instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int
-) -> tuple[LVector, ...]:
+def enumerate_L(instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int) -> tuple[LVector, ...]:
     """All l with the exact defining relations and integer offset of l1 size <= B,
-    ordered by offset.
+    ordered by offset, from the window table every instance and beta on the
+    fan share (_window).
 
     alpha must be one of the instance's sources (the first entries of
     correspondence.triples): for any other element, l = alpha + m would not

@@ -400,9 +400,7 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     return [r[:cols] for r in h], [r[cols:] for r in h]
 
 
-def solve_with_hnf(
-    h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], target: Sequence[int]
-):
+def solve_with_hnf(h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], target: Sequence[int]):
     """Integer solution m of sum_i m_i * rows[i] = target, or None, for rows
     whose row HNF (H, U) is given: target = sum_i y_i H_i down the pivots, each
     searched from the last one's column, and m = sum_i y_i U_i over the y_i != 0."""

@@ -844,3 +844,24 @@ def vector_summed(instance: GkzInstance, ev, v, B: int, j=None) -> SeriesValue:
             if nm >= top:
                 top, shell = nm, list(map(operator.add, shell if nm == top else zero, term))
     return SeriesValue(v, ev.xs, tuple(total), B, max((abs(c) for c in shell), default=0.0))
+
+
+def l1_ball(k, radius):
+    """Every integer vector of length k and l1 norm at most radius."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(-radius, radius + 1):
+        for rest in l1_ball(k - 1, radius - abs(first)):
+            yield (first,) + rest
+
+
+def ball_by_image(rays, B):
+    """Brute-force windows: the l1 ball of radius B grouped by sum m_i v_i,
+    each group in lexicographic order."""
+    d = len(rays[0])
+    images = {}
+    for m in l1_ball(len(rays), B):
+        image = tuple(sum(mi * v[r] for mi, v in zip(m, rays) if mi) for r in range(d))
+        images.setdefault(image, []).append(m)
+    return {t: sorted(ms) for t, ms in images.items()}

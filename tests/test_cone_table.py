@@ -471,6 +471,29 @@ def test_shadow_quotient_solves_xi_once_per_maximal_cone(monkeypatch):
     assert len(calls) == len(fan.max_cones) == 8
 
 
+def test_graded_pieces_solve_each_xi_once(monkeypatch):
+    """The shadow filter's faces are kept per xi in the fan's table, for the
+    last two: graded pieces of degree 0 to 3 at two xi, read in turn, and
+    the quotient at the first, solve each xi once per maximal cone."""
+    fan = dataclasses.replace(LADDER["simplex3x2"])
+    xis = ((Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5), Fraction(3, 11)), (0, 1, 0, -1))
+    wanted = {tuple(scaled_numerators(tuple(map(Fraction, xi)))[1]): xi for xi in xis}
+    solves = []
+    real = ConeInverse.numerators
+
+    def counting(self, nums):
+        if tuple(nums) in wanted:
+            solves.append(wanted[tuple(nums)])
+        return real(self, nums)
+
+    monkeypatch.setattr(ConeInverse, "numerators", counting)
+    for m in range(4):
+        for xi in xis:
+            graded_piece(ModuleSpec(fan, (0,) * 4, xi), m)
+    build_quotient(ModuleSpec(fan, xis[0], xis[0]))
+    assert len(solves) == 2 * len(fan.max_cones) and set(solves) == set(xis)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_validate_reports_bad_cones_before_the_table(data):

@@ -46,7 +46,7 @@ from boxgamma.gkz import (
 )
 from boxgamma.linalg import GaussianRational
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import oracle_tangent_member, solve_simplicial_coords
+from exact_oracles import ball_by_image, oracle_tangent_member, solve_simplicial_coords
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -192,27 +192,6 @@ def test_enumerate_window_f1():
     assert {lv.offset for lv in ls} == {(-1, 0, 0), (0, -2, 1)}
     ls = enumerate_L(inst, alpha, (0, 0), 0)
     assert tuple(lv.offset for lv in ls) == ((0, 0, 0),)
-
-
-def l1_ball(k, radius):
-    """Every integer vector of length k and l1 norm at most radius."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(-radius, radius + 1):
-        for rest in l1_ball(k - 1, radius - abs(first)):
-            yield (first,) + rest
-
-
-def ball_by_image(rays, B):
-    """Brute-force windows: the l1 ball of radius B grouped by sum m_i v_i,
-    each group in lexicographic order."""
-    d = len(rays[0])
-    images = {}
-    for m in l1_ball(len(rays), B):
-        image = tuple(sum(mi * v[r] for mi, v in zip(m, rays) if mi) for r in range(d))
-        images.setdefault(image, []).append(m)
-    return {t: sorted(ms) for t, ms in images.items()}
 
 
 WINDOW_FANS = {

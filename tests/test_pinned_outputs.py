@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from boxgamma.cli import main
+from boxgamma import cli, gkz
+from boxgamma.cli import SEED_FILES, main, parse_fan, parse_x
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan
-from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative, solution_system
+from boxgamma.gkz import build_gkz, gamma_series, gamma_series_derivative, solution_system, verify_term_shift
 from boxgamma.linalg import parse_gaussian, parse_rational
 from boxgamma.quotient import ModuleSpec, build_quotient
 
@@ -44,6 +45,43 @@ def test_cli_stdout_matches_golden(case, tmp_path):
     assert code == case["exit"]
     want = (DATA / "cli_golden" / f"{case['name']}.json").read_bytes()
     assert buf.getvalue().encode() == want
+
+
+def test_cli_stdout_from_warm_window_tables(tmp_path, monkeypatch):
+    """The gkz pins hold byte for byte on fans whose window tables an
+    instance at beta = 0 filled first, in this process, at B = 13, between
+    the pins' two bounds: B = 12 reads the windows filtered from the table,
+    B = 15 scans its targets again and replaces their entries."""
+    warm = []
+    for name in ("f1", "square"):
+        fan = parse_fan(SEED_FILES[f"fan_{name}.json"])
+        inst = build_gkz(fan, (0,) * fan.rank)
+        system = solution_system(inst, parse_x(SEED_FILES[f"x_{name}.json"])[0], 13, 2)
+        for v in system.vs:
+            for j in sorted(fan.fan_indices()):
+                verify_term_shift(inst, v, j, 13)
+        assert {top for _, top, _, _ in fan._table.windows.values()} == {13}
+        warm.append(fan)
+    real, read, filtered = cli.parse_fan, gkz._scan_window, []
+    monkeypatch.setattr(cli, "parse_fan", lambda doc: next((f for f in warm if f == real(doc)), real(doc)))
+
+    def reading(fan, alpha, v, target, B):
+        if fan._table.windows.get(target, (None, -1))[1] > B:
+            filtered.append(B)
+        return read(fan, alpha, v, target, B)
+
+    monkeypatch.setattr(gkz, "_scan_window", reading)
+    assert main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")]) == 0
+    cases = [c for c in CLI_CASES if c["args"][0] in ("gkz-solve", "gkz-verify") and c["exit"] == 0]
+    assert len(cases) == 8
+    for case in cases:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([a.replace("{dir}", str(tmp_path)) for a in case["args"]]) == 0
+        assert buf.getvalue().encode() == (DATA / "cli_golden" / f"{case['name']}.json").read_bytes(), case["name"]
+    assert set(filtered) == {12}
+    for fan in warm:
+        assert {top for _, top, _, _ in fan._table.windows.values()} == {15}
 
 
 def _fan(doc):

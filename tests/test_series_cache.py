@@ -1,13 +1,14 @@
 """The per-point series evaluator: one reciprocal-Gamma jet per (triple,
-marker) at alpha, each window scanned once per instance from a plan built
-once per fan, each (v, B) series summed once per point, values independent
-of what was evaluated before, and the integer-offset term-shift check equal
-to its LVector formulation, with its boundary LVectors built only when
-read."""
+marker) at alpha, each window scanned once per fan from a plan built once
+per fan and read at a smaller bound by filtering, each (v, B) series summed
+once per point, values independent of what was evaluated before, and the
+integer-offset term-shift check equal to its LVector formulation, with its
+boundary LVectors built only when read."""
 
 import dataclasses
 import functools
 import gc
+import itertools
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,7 @@ from boxgamma.gkz import (
 )
 from boxgamma.linalg import GaussianRational, Param
 from boxgamma.quotient import ModuleSpec, graded_piece
-from exact_oracles import summand_order, supported_terms
+from exact_oracles import ball_by_image, summand_order, supported_terms
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -46,6 +47,10 @@ TRIANGLE2 = [(a, b) for a in range(3) for b in range(3 - a)]
 TRI2 = triangulate_from_heights(
     [(1, a, b) for a, b in TRIANGLE2],
     [a * a + b * b + Fraction(i * i + 1, 101) for i, (a, b) in enumerate(TRIANGLE2)],
+)
+SIMPLEX3 = [p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]
+SIMPLEX3X2 = triangulate_from_heights(
+    [(1, *p) for p in SIMPLEX3], [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(SIMPLEX3)]
 )
 X_F1 = (1.0, 10.0, 1.0)
 X_F1_B = (0.75 + 0.25j, 8.0 - 1.5j, 1.25)
@@ -212,10 +217,11 @@ def test_window_plan_is_built_once_per_fan(monkeypatch):
     assert len(built) == len(fans) and len(scanned) > 100
 
 
-def test_each_target_is_solved_once_per_instance(monkeypatch):
+def test_each_target_is_solved_once_per_fan(monkeypatch):
     """A particular solution depends on the fan and target alone: over the
     term-shift checks at B = 3, 4, 5 and 6 on one instance, each target is
-    solved once, while each (target, B) is still scanned once."""
+    solved once, while each (target, B) is still scanned once, on a copy of
+    HEX5, whose window table no other test has filled."""
     solved, scanned = Counter(), Counter()
     real_solve, real_scan = gkz.solve_with_hnf, gkz._window_offsets
 
@@ -229,13 +235,122 @@ def test_each_target_is_solved_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(gkz, "solve_with_hnf", solving)
     monkeypatch.setattr(gkz, "_window_offsets", scanning)
-    inst = build_gkz(HEX5, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
+    fan = dataclasses.replace(HEX5)
+    inst = build_gkz(fan, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
     for B in (3, 4, 5, 6):
-        for v in low_degree_points(HEX5, 1):
-            for j in sorted(HEX5.fan_indices()):
+        for v in low_degree_points(fan, 1):
+            for j in sorted(fan.fan_indices()):
                 verify_term_shift(inst, v, j, B)
     assert len(solved) > 20 and set(solved.values()) == {1}
-    assert set(scanned.values()) == {1} and len(scanned) == 4 * len(solved)
+    # a target is scanned at each B that can reach it, from its one solution
+    assert set(scanned.values()) == {1} and len({part for part, _ in scanned}) == len(solved)
+
+
+# the eligible ladder fans, each with the largest bound its l1 ball is built to
+TABLE_FANS = {"F1": (F1, 5), "SQUARE": (SQUARE, 5), "HEX5": (HEX5, 4), "tri2": (TRI2, 4), "simplex3x2": (SIMPLEX3X2, 3)}
+
+
+@functools.cache
+def table_source(name):
+    """A source box element of an instance on the fan; it names a target's
+    lattice point n, so v = -target - n reaches the target."""
+    fan = TABLE_FANS[name][0]
+    return build_gkz(fan, (0,) * fan.rank).correspondence.triples[0][0]
+
+
+@functools.cache
+def table_ball(name, B):
+    return ball_by_image(TABLE_FANS[name][0].rays, B)
+
+
+def read_window(fan, name, target, B):
+    src = table_source(name)
+    return gkz._scan_window(fan, src, tuple(-t - n for t, n in zip(target, src.lattice_point)), target, B)
+
+
+# no max_examples here, so the "deep" profile (tests/conftest.py) raises it
+@pytest.mark.deep
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(TABLE_FANS)), data=st.data())
+def test_window_table_filters_the_largest_bound(name, data):
+    """W(T, B) read after W(T, B') on one fan equals a fresh scan at B on
+    another copy and the l1 ball's window, offsets and norms in order.  The
+    target is the sum of B' signed markers, so W(T, B') is not empty, or any
+    vector, often past B' max_i |v_i|_1, which no window reaches and the
+    table does not keep."""
+    fan, top = TABLE_FANS[name]
+    wide = data.draw(st.integers(0, top))
+    B = data.draw(st.integers(0, wide))
+    reach = max(sum(map(abs, r)) for r in fan.rays)
+    if data.draw(st.booleans()):
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(fan.rays), st.sampled_from((-1, 1))), max_size=wide))
+        target = tuple(sum(c * r[i] for r, c in steps) for i in range(fan.rank))
+    else:
+        target = data.draw(st.tuples(*[st.integers(-reach * wide, reach * wide)] * fan.rank))
+    warm, cold = dataclasses.replace(fan), dataclasses.replace(fan)
+    read_window(warm, name, target, wide)
+    got = read_window(warm, name, target, B)
+    want = table_ball(name, B).get(target, [])
+    assert got == read_window(cold, name, target, B) == (tuple(want), tuple(sum(map(abs, m)) for m in want))
+    if sum(map(abs, target)) > reach * wide:
+        assert target not in warm._table.windows
+    else:
+        assert warm._table.windows[target][1] == wide
+
+
+def test_second_beta_scans_only_targets_the_first_did_not_reach(monkeypatch):
+    """Windows depend on the fan and target, not on beta: on one fan, the
+    term-shift suite at a second beta scans exactly the targets within
+    reach that the first suite did not read, and each target is solved
+    once on the fan."""
+    solved, scanned = Counter(), []
+    real_solve, real_scan = gkz.solve_with_hnf, gkz._window_offsets
+
+    def solving(h, u, target):
+        solved[tuple(target)] += 1
+        return real_solve(h, u, target)
+
+    def scanning(part, plan, B):
+        scanned.append(tuple(sum(c * r[i] for c, r in zip(part, HEX5.rays)) for i in range(HEX5.rank)))
+        return real_scan(part, plan, B)
+
+    monkeypatch.setattr(gkz, "solve_with_hnf", solving)
+    monkeypatch.setattr(gkz, "_window_offsets", scanning)
+    fan, B = dataclasses.replace(HEX5), 4
+    reach = B * max(sum(map(abs, r)) for r in fan.rays)
+    reached = []
+    for beta in ((Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)), (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))):
+        inst, before = build_gkz(fan, beta), len(scanned)
+        for v in low_degree_points(fan, 1):
+            for j in sorted(fan.fan_indices()):
+                verify_term_shift(inst, v, j, B)
+        reached.append(set(inst._windows[B]))
+        assert len(scanned[before:]) == len(set(scanned[before:]))
+    new = {t for t in reached[1] - reached[0] if sum(map(abs, t)) <= reach}
+    assert reached[0] & reached[1] and new
+    assert set(scanned[len(scanned) - len(new):]) == new
+    assert set(solved.values()) == {1} and set(solved) == set(fan._table.windows)
+
+
+def test_unreachable_target_leaves_no_entry():
+    """A target past B max_i |v_i|_1 has an empty window, which the fan's
+    table does not keep; at a bound that reaches it, it is scanned and kept."""
+    fan = dataclasses.replace(F1)
+    inst = build_gkz(fan, (0, 0))
+    ((src, _, _),) = inst.correspondence.triples
+    v = (20, 0)
+    target = tuple(-a - n for a, n in zip(v, src.lattice_point))
+    assert enumerate_L(inst, src, v, 2) == ()
+    assert target not in fan._table.windows
+    assert enumerate_L(inst, src, v, 20) and fan._table.windows[target][1] == 20
+
+
+def test_a_copied_fan_starts_with_an_empty_window_table():
+    fan = dataclasses.replace(F1)
+    verify_term_shift(build_gkz(fan, (Fraction(1, 4), 0)), (0, 0), 1, 6)
+    assert fan._table.windows and fan._table.plan
+    copy = dataclasses.replace(fan)
+    assert copy == fan and copy._table.windows == {} and copy._table.plan is None
 
 
 def _suite(instance, x, offsets):
