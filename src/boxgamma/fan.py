@@ -51,8 +51,8 @@ class _ConeTable:
     first scan) and the fan's ValidationReport, whose deg the quotient reads.
     Their size is bounded by the fan's cones and markers, and a StackyFan is
     frozen, so no entry can go stale.  windows: each target's particular
-    solution and window at the largest B scanned (gkz._scan_window), disjoint
-    pieces of the l1 ball at the largest B asked, as each offset has one target.
+    solution, the largest B scanned and its views by B (gkz._window), the one
+    place a window is kept; disjoint pieces of the l1 ball, one target each.
     params is the parameter memo (see _memo), for two parameters, each
     under its form (linalg.Param): "collisions",
     "stabilize" and the quotients, keyed by xi.  stabilize fills a beta
@@ -421,6 +421,7 @@ def triangulate_from_heights(
     [v_i | H_i] on S, H = den * h the integer heights.  Markers on no
     integral degree-1 hyperplane raise ValueError before the search.
     """
+    points = as_sequence(points, "fan", "points")
     if not points:
         raise ValueError("fan: triangulation needs at least one point")
     d = len(read_exact(points[0], _integral, "fan", "point 1"))

@@ -132,21 +132,24 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     linear factors are multiplied back in.  A pole of Gamma at l + 1 makes
     one factor exactly zero, so the constant term comes out as an exact 0.0.
     Coefficient n is formed alike at every order above n.  ValueError names
-    an order that is not a positive integer and an l that is not finite;
-    SeriesOverflow names an l where 1/Gamma leaves the float range.
+    an order that is not a positive integer and an l that is not a finite
+    number; SeriesOverflow an l where a coefficient leaves the float range.
     """
     order = read_int(order, "series", "the jet order", 1)
-    z = complex(l) + 1
-    if not cmath.isfinite(z):
+    z = _complex(l)
+    if z is None:
         raise ValueError(f"series: the jet argument l is {l!r}, not a finite number")
-    m0 = max(0, math.ceil(1.5 - complex(l).real))
-    lg = log_gamma_jet(z + m0, order)
+    m0, z = max(0, math.ceil(1.5 - z.real)), z + 1
     try:
-        jet = exp_jet(tuple(-c for c in lg), order)
-    except OverflowError:
-        raise SeriesOverflow(f"series: 1/Gamma(l + 1) overflows at l={l!r}") from None
-    for j in range(m0):
+        jet = exp_jet(tuple(-c for c in log_gamma_jet(z + m0, order)), order)
+    except (OverflowError, ValueError):  # ValueError: log 0, where z + m0 rounds to 0
+        jet = (math.inf,)
+    for j in range(m0):  # stops at the first product past the float range
+        if not all(map(cmath.isfinite, jet)):
+            break
         jet = _times_linear(jet, z + j)
+    if not all(map(cmath.isfinite, jet)):
+        raise SeriesOverflow(f"series: 1/Gamma(l + 1) overflows at l={l!r}")
     return jet
 
 
@@ -159,10 +162,9 @@ class GkzInstance:
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
-    # caches, neither compared, hashed, shown nor copied by replace(): the memos (fan._memo)
-    # of the last point's series evaluator (_evaluator) and the last bound's windows (_window)
+    # a cache, neither compared, hashed, shown nor copied by replace(): the memo
+    # (fan._memo) of the last point's series evaluator (_evaluator)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
 
 def _window_plan(relations: IntRows, k: int) -> tuple:
     """The window scan's plan for k markers and relations h_0, h_1, ... in row
-    echelon form, built once per fan (see _scan_window): per row, the
+    echelon form, built once per fan (see _window): per row, the
     (column, entry) pairs that fixing c_i makes final, as no later row touches
     them, and the row's nonzero pairs; and the free columns, which no row touches.
     ValueError names a row that does not sum to 0, as the degree bound needs."""
@@ -332,37 +334,37 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     as the scan computed it.  B is the int linalg.read_int reads at every
     entry point, so B = 4.0 and B = 4 share one window in either order.
     The offsets depend on v and alpha only through the target -v - n, never
-    on beta: every instance on the fan reads the fan's entry for the target
-    (_scan_window), whichever series, shift check or box element reaches it,
-    and keeps only the last B's windows (fan._memo)."""
+    on beta: the fan's table keeps per target (fan._ConeTable) its solution,
+    top bound and views by B, views[top] the scan and views[B] its offsets of
+    norm <= B in order, built on the first read at B, as every window at
+    B' >= B holds the window at B; a larger B scans once and replaces all.
+    A target past B max_i |v_i|_1 has none, is kept nowhere and solved only
+    where the markers' Hermite form shows they miss a target."""
+    fan = instance.fan
     target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
-    return _memo(instance._windows, B, target, _scan_window, instance.fan, alpha, v, target, B, kept=1)
-
-
-def _scan_window(fan: StackyFan, alpha: BoxElement, v, target, B: int):
-    """The window at B: the offsets of norm <= B, in order, of the fan's entry
-    for the target (fan._ConeTable), scanned again only at a larger B, which
-    replaces it.  A target past B max_i |v_i|_1 has none, is kept nowhere and
-    solved only where the markers' Hermite form shows they miss a target."""
-    h, u, relations = _marker_lattice(fan)
-    part, top, offsets, norms = fan._table.windows.get(target) or (None, -1, (), ())
-    far = top < 0 and sum(map(abs, target)) > B * max(sum(map(abs, r)) for r in fan.rays)
-    # markers that generate Z^d reach every target, so a far one needs no solution
-    if part is None and not (far and [row[r] for r, row in enumerate(h[: fan.rank])] == [1] * fan.rank):
-        part = solve_with_hnf(h, u, target)
-        if part is None:
-            raise NoParticularSolution(
-                f"window: markers do not reach the target {target} of v={v}, "
-                f"n={alpha.lattice_point}; the marker lattice is degenerate"
-            )
-    plan = fan._table.plan = fan._table.plan or _window_plan(relations, fan.k)
-    if far or top == B:
-        return offsets, norms
-    if top > B:  # every window at B' >= B holds the window at B
+    part, top, views = fan._table.windows.get(target) or (None, -1, None)
+    if top < B:
+        h, u, relations = _marker_lattice(fan)
+        far = top < 0 and sum(map(abs, target)) > B * max(sum(map(abs, r)) for r in fan.rays)
+        # markers that generate Z^d reach every target, so a far one needs no solution
+        if part is None and not (far and [row[r] for r, row in enumerate(h[: fan.rank])] == [1] * fan.rank):
+            part = solve_with_hnf(h, u, target)
+            if part is None:
+                raise NoParticularSolution(
+                    f"window: markers do not reach the target {target} of v={v}, "
+                    f"n={alpha.lattice_point}; the marker lattice is degenerate"
+                )
+        plan = fan._table.plan = fan._table.plan or _window_plan(relations, fan.k)
+        if far:
+            return (), ()
+        top, views = B, {B: _window_offsets(part, plan, B)}
+        fan._table.windows[target] = (part, top, views)
+    view = views.get(B)
+    if view is None:
+        offsets, norms = views[top]
         kept = [i for i, n in enumerate(norms) if n <= B]
-        return tuple(offsets[i] for i in kept), tuple(norms[i] for i in kept)
-    entry = fan._table.windows[target] = (part, B, *_window_offsets(part, plan, B))
-    return entry[2:]
+        view = views[B] = (tuple(offsets[i] for i in kept), tuple(norms[i] for i in kept))
+    return view
 
 
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
@@ -657,12 +659,8 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
         right, right_out = [], []
         for m, nm in zip(*_window(instance, src, v2, B)):
             (right if nm <= core else right_out).append(m)
-        if left_out:
-            runs.append((src, v, tuple(left_out)))
-        if right_out:
-            runs.append((src, v2, tuple(right_out)))
-        if left != right:
-            ok = False
+        runs += [(src, w, tuple(out)) for w, out in ((v, left_out), (v2, right_out)) if out]
+        ok = ok and left == right
     return TermShiftReport(ok, tuple(runs))
 
 

@@ -102,8 +102,9 @@ def test_every_exact_input_is_read_by_one_reader(site, entry, same_as):
         (lambda: ModuleSpec(F1, "00"), "quotient: chi is '00', not a sequence"),
         (lambda: normalize_beta(F1, "12"), "box: beta is '12', not a sequence"),
         (lambda: gamma_series(INST, "10", X_F1, 4), "series: v is '10', not a sequence"),
+        (lambda: triangulate_from_heights("ab", (0, 1)), "fan: points is 'ab', not a sequence"),
     ],
-    ids=["rays", "chi", "beta", "v"],
+    ids=["rays", "chi", "beta", "v", "points"],
 )
 def test_a_string_is_not_read_as_its_characters(call, message):
     """Strings are exact entries, so "12" would read as the vector (1, 2)."""
@@ -172,8 +173,9 @@ def test_triangulation_points_of_the_wrong_length_raise(points, heights, message
             lambda: parse_fan({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": 1.5}),
             "fan: max_cones is 1.5, not a sequence",
         ),
+        (lambda: triangulate_from_heights(5, (0,)), "fan: points is 5, not a sequence"),
     ],
-    ids=["beta", "v", "x", "arg_offsets", "rays", "max_cones", "file max_cones"],
+    ids=["beta", "v", "x", "arg_offsets", "rays", "max_cones", "file max_cones", "points"],
 )
 def test_a_number_is_not_read_as_a_sequence(call, message):
     with pytest.raises(ValueError) as info:

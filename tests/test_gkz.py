@@ -163,8 +163,12 @@ def test_linear_factor_step_keeps_every_float():
         (0.5, 0, "series: the jet order is 0, not a positive integer"),
         (math.nan, 2, "series: the jet argument l is nan, not a finite number"),
         (-math.inf, 2, "series: the jet argument l is -inf, not a finite number"),
+        (True, 2, "series: the jet argument l is True, not a finite number"),
+        (None, 2, "series: the jet argument l is None, not a finite number"),
+        ("1", 2, "series: the jet argument l is '1', not a finite number"),
+        ([1], 2, "series: the jet argument l is [1], not a finite number"),
     ],
-    ids=["order 0", "nan", "inf"],
+    ids=["order 0", "nan", "inf", "bool", "None", "str", "list"],
 )
 def test_reciprocal_gamma_jet_names_its_domain(l, order, message):
     with pytest.raises(ValueError) as info:
@@ -511,10 +515,14 @@ def test_huge_integer_coordinate_is_named(x, offsets, message):
 def test_reciprocal_gamma_overflow_names_l():
     """1/Gamma(l + 1) at Im l = 600 is about e^935, beyond the float range:
     the jet raises SeriesOverflow naming l, and so does a series reaching
-    it from beta = (1/3 + 300i, 0), not a bare OverflowError."""
-    with pytest.raises(SeriesOverflow) as err:
-        reciprocal_gamma_jet(600j, 2)
-    assert str(err.value) == "series: 1/Gamma(l + 1) overflows at l=600j"
+    it from beta = (1/3 + 300i, 0), not a bare OverflowError.  So do the
+    jets whose log-Gamma part or walk back through the linear factors
+    leaves the float range, which once came out as nan; far left of 0 the
+    walk stops at the first product past it, not after -Re l factors."""
+    for l in (600j, -400.5, 25 + 1e307j, 1e200 + 1e200j, -1e6 + 0.5j):
+        with pytest.raises(SeriesOverflow) as err:
+            reciprocal_gamma_jet(l, 2)
+        assert str(err.value) == f"series: 1/Gamma(l + 1) overflows at l={l!r}"
     inst = build_gkz(F1, (GaussianRational(Fraction(1, 3), 300), 0))
     with pytest.raises(SeriesOverflow) as err:
         solution_system(inst, X_F1, 6, 1)

@@ -50,8 +50,9 @@ def test_cli_stdout_matches_golden(case, tmp_path):
 def test_cli_stdout_from_warm_window_tables(tmp_path, monkeypatch):
     """The gkz pins hold byte for byte on fans whose window tables an
     instance at beta = 0 filled first, in this process, at B = 13, between
-    the pins' two bounds: B = 12 reads the windows filtered from the table,
-    B = 15 scans its targets again and replaces their entries."""
+    the pins' two bounds: B = 12 reads views filtered from the table's
+    scans with no scan of its own, and B = 15 scans its targets again and
+    replaces their entries."""
     warm = []
     for name in ("f1", "square"):
         fan = parse_fan(SEED_FILES[f"fan_{name}.json"])
@@ -60,17 +61,25 @@ def test_cli_stdout_from_warm_window_tables(tmp_path, monkeypatch):
         for v in system.vs:
             for j in sorted(fan.fan_indices()):
                 verify_term_shift(inst, v, j, 13)
-        assert {top for _, top, _, _ in fan._table.windows.values()} == {13}
+        assert {top for _, top, _ in fan._table.windows.values()} == {13}
         warm.append(fan)
-    real, read, filtered = cli.parse_fan, gkz._scan_window, []
+    real, read, scan, filtered, scanned = cli.parse_fan, gkz._window, gkz._window_offsets, [], []
     monkeypatch.setattr(cli, "parse_fan", lambda doc: next((f for f in warm if f == real(doc)), real(doc)))
 
-    def reading(fan, alpha, v, target, B):
-        if fan._table.windows.get(target, (None, -1))[1] > B:
-            filtered.append(B)
-        return read(fan, alpha, v, target, B)
+    def reading(instance, alpha, v, B):
+        target, before = tuple(-a - n for a, n in zip(v, alpha.lattice_point)), len(scanned)
+        top = instance.fan._table.windows.get(target, (None, -1))[1]
+        window = read(instance, alpha, v, B)
+        if top > B:
+            filtered.append((B, len(scanned) - before))
+        return window
 
-    monkeypatch.setattr(gkz, "_scan_window", reading)
+    def scanning(part, plan, B):
+        scanned.append(B)
+        return scan(part, plan, B)
+
+    monkeypatch.setattr(gkz, "_window", reading)
+    monkeypatch.setattr(gkz, "_window_offsets", scanning)
     assert main(["seed-examples", "--dir", str(tmp_path), "--out", str(tmp_path / "m.json")]) == 0
     cases = [c for c in CLI_CASES if c["args"][0] in ("gkz-solve", "gkz-verify") and c["exit"] == 0]
     assert len(cases) == 8
@@ -79,9 +88,10 @@ def test_cli_stdout_from_warm_window_tables(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(buf):
             assert main([a.replace("{dir}", str(tmp_path)) for a in case["args"]]) == 0
         assert buf.getvalue().encode() == (DATA / "cli_golden" / f"{case['name']}.json").read_bytes(), case["name"]
-    assert set(filtered) == {12}
+    assert set(filtered) == {(12, 0)} and 15 in scanned
     for fan in warm:
-        assert {top for _, top, _, _ in fan._table.windows.values()} == {15}
+        assert {top for _, top, _ in fan._table.windows.values()} == {15}
+        assert {B for _, _, views in fan._table.windows.values() for B in views} == {12, 15}
 
 
 def _fan(doc):

@@ -251,11 +251,15 @@ TABLE_FANS = {"F1": (F1, 5), "SQUARE": (SQUARE, 5), "HEX5": (HEX5, 4), "tri2": (
 
 
 @functools.cache
+def table_instance(name):
+    fan = TABLE_FANS[name][0]
+    return build_gkz(fan, (0,) * fan.rank)
+
+
 def table_source(name):
     """A source box element of an instance on the fan; it names a target's
     lattice point n, so v = -target - n reaches the target."""
-    fan = TABLE_FANS[name][0]
-    return build_gkz(fan, (0,) * fan.rank).correspondence.triples[0][0]
+    return table_instance(name).correspondence.triples[0][0]
 
 
 @functools.cache
@@ -264,8 +268,19 @@ def table_ball(name, B):
 
 
 def read_window(fan, name, target, B):
+    """The window at the target, read by an instance on the given copy of the fan."""
     src = table_source(name)
-    return gkz._scan_window(fan, src, tuple(-t - n for t, n in zip(target, src.lattice_point)), target, B)
+    inst = dataclasses.replace(table_instance(name), fan=fan)
+    return gkz._window(inst, src, tuple(-t - n for t, n in zip(target, src.lattice_point)), B)
+
+
+def target_of(src, v):
+    return tuple(-a - n for a, n in zip(v, src.lattice_point))
+
+
+def tops(fan):
+    """The bound each target of the fan's window table was scanned at."""
+    return {top for _, top, _ in fan._table.windows.values()}
 
 
 # no max_examples here, so the "deep" profile (tests/conftest.py) raises it
@@ -273,29 +288,34 @@ def read_window(fan, name, target, B):
 @settings(deadline=None)
 @given(name=st.sampled_from(sorted(TABLE_FANS)), data=st.data())
 def test_window_table_filters_the_largest_bound(name, data):
-    """W(T, B) read after W(T, B') on one fan equals a fresh scan at B on
-    another copy and the l1 ball's window, offsets and norms in order.  The
-    target is the sum of B' signed markers, so W(T, B') is not empty, or any
-    vector, often past B' max_i |v_i|_1, which no window reaches and the
-    table does not keep."""
+    """W(T, B) read after W(T, B') on one fan, at every B <= B' in a drawn
+    order, equals a fresh scan at B on another copy and the l1 ball's
+    window, offsets and norms in order; it is the entry's view at B, which
+    a second read returns.  The target is the sum of B' signed markers, so
+    W(T, B') is not empty, or any vector, often past B' max_i |v_i|_1,
+    which no window reaches and the table does not keep."""
     fan, top = TABLE_FANS[name]
     wide = data.draw(st.integers(0, top))
-    B = data.draw(st.integers(0, wide))
     reach = max(sum(map(abs, r)) for r in fan.rays)
     if data.draw(st.booleans()):
         steps = data.draw(st.lists(st.tuples(st.sampled_from(fan.rays), st.sampled_from((-1, 1))), max_size=wide))
         target = tuple(sum(c * r[i] for r, c in steps) for i in range(fan.rank))
     else:
         target = data.draw(st.tuples(*[st.integers(-reach * wide, reach * wide)] * fan.rank))
-    warm, cold = dataclasses.replace(fan), dataclasses.replace(fan)
+    warm = dataclasses.replace(fan)
     read_window(warm, name, target, wide)
-    got = read_window(warm, name, target, B)
-    want = table_ball(name, B).get(target, [])
-    assert got == read_window(cold, name, target, B) == (tuple(want), tuple(sum(map(abs, m)) for m in want))
-    if sum(map(abs, target)) > reach * wide:
+    far = sum(map(abs, target)) > reach * wide
+    for B in data.draw(st.permutations(range(wide + 1))):
+        got = read_window(warm, name, target, B)
+        want = table_ball(name, B).get(target, [])
+        fresh = read_window(dataclasses.replace(fan), name, target, B)
+        assert got == fresh == (tuple(want), tuple(sum(map(abs, m)) for m in want))
+        assert far or read_window(warm, name, target, B) is got is warm._table.windows[target][2][B]
+    if far:
         assert target not in warm._table.windows
     else:
-        assert warm._table.windows[target][1] == wide
+        _, scanned, views = warm._table.windows[target]
+        assert scanned == wide and set(views) == set(range(wide + 1))
 
 
 def test_second_beta_scans_only_targets_the_first_did_not_reach(monkeypatch):
@@ -314,17 +334,23 @@ def test_second_beta_scans_only_targets_the_first_did_not_reach(monkeypatch):
         scanned.append(tuple(sum(c * r[i] for c, r in zip(part, HEX5.rays)) for i in range(HEX5.rank)))
         return real_scan(part, plan, B)
 
+    reached, real_read = [], gkz._window
+
+    def reading(instance, alpha, v, B):
+        reached[-1].add(target_of(alpha, v))
+        return real_read(instance, alpha, v, B)
+
     monkeypatch.setattr(gkz, "solve_with_hnf", solving)
     monkeypatch.setattr(gkz, "_window_offsets", scanning)
+    monkeypatch.setattr(gkz, "_window", reading)
     fan, B = dataclasses.replace(HEX5), 4
     reach = B * max(sum(map(abs, r)) for r in fan.rays)
-    reached = []
     for beta in ((Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)), (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))):
         inst, before = build_gkz(fan, beta), len(scanned)
+        reached.append(set())
         for v in low_degree_points(fan, 1):
             for j in sorted(fan.fan_indices()):
                 verify_term_shift(inst, v, j, B)
-        reached.append(set(inst._windows[B]))
         assert len(scanned[before:]) == len(set(scanned[before:]))
     new = {t for t in reached[1] - reached[0] if sum(map(abs, t)) <= reach}
     assert reached[0] & reached[1] and new
@@ -351,6 +377,54 @@ def test_a_copied_fan_starts_with_an_empty_window_table():
     assert fan._table.windows and fan._table.plan
     copy = dataclasses.replace(fan)
     assert copy == fan and copy._table.windows == {} and copy._table.plan is None
+
+
+def test_instances_at_two_betas_share_one_view():
+    """Two instances at different beta on one fan read the very same view
+    for a (target, B) they share, at the top bound and below it."""
+    fan = dataclasses.replace(F1)
+    a, b = build_gkz(fan, (Fraction(1, 4), 0)), build_gkz(fan, (Fraction(1, 3), Fraction(1, 2)))
+    sa, sb = a.correspondence.triples[0][0], b.correspondence.triples[0][0]
+    assert a.beta != b.beta and sa != sb
+    target = target_of(sa, (0, 0))
+    vb = tuple(-t - n for t, n in zip(target, sb.lattice_point))
+    for B in (6, 4):
+        window = gkz._window(a, sa, (0, 0), B)
+        assert window[0] and gkz._window(b, sb, vb, B) is window is fan._table.windows[target][2][B]
+
+
+def test_a_second_read_below_top_returns_the_first_view(monkeypatch):
+    """A read below the top bound builds its view once; the next read at
+    that bound, from any instance on the fan, returns it and scans nothing."""
+    fan = dataclasses.replace(HEX5)
+    inst = build_gkz(fan, (0, 0, 0))
+    src = inst.correspondence.triples[0][0]
+    top = gkz._window(inst, src, (0, 0, 0), 5)
+    first = gkz._window(inst, src, (0, 0, 0), 3)
+    assert first[0] and len(first[0]) < len(top[0])
+    monkeypatch.setattr(gkz, "_window_offsets", lambda part, plan, B: pytest.fail("scanned"))
+    again = build_gkz(fan, (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)))
+    assert gkz._window(again, src, (0, 0, 0), 3) is first and gkz._window(inst, src, (0, 0, 0), 5) is top
+    _, scanned, views = fan._table.windows[target_of(src, (0, 0, 0))]
+    assert scanned == 5 and views.keys() == {3, 5} and views[3] is first and views[5] is top
+
+
+def test_a_larger_bound_drops_the_smaller_views():
+    """A read past the top bound scans once and replaces the entry, its
+    views with it, keeping the particular solution; a later read below
+    the new top builds its view again, equal to the dropped one."""
+    fan = dataclasses.replace(HEX5)
+    inst = build_gkz(fan, (0, 0, 0))
+    src = inst.correspondence.triples[0][0]
+    target = target_of(src, (0, 0, 0))
+    old = {B: gkz._window(inst, src, (0, 0, 0), B) for B in (4, 2, 3)}
+    part, _, views = fan._table.windows[target]
+    assert views.keys() == {2, 3, 4}
+    wide = gkz._window(inst, src, (0, 0, 0), 6)
+    kept, scanned, views = fan._table.windows[target]
+    assert kept is part and scanned == 6 and views == {6: wide}
+    again = gkz._window(inst, src, (0, 0, 0), 3)
+    assert again == old[3] and again is not old[3] and views.keys() == {3, 6}
 
 
 def _suite(instance, x, offsets):
@@ -467,19 +541,24 @@ def test_cache_leaves_equality_and_hash_alone():
 
 
 def test_window_cache_keeps_the_last_bound():
-    a = build_gkz(F1, (Fraction(1, 4), 0))
+    """An instance keeps no windows, its one cache being the series memo:
+    the fan's table keeps the windows, scanned at the last and largest
+    bound read, and leaves the instance's equality, hash and repr alone."""
+    fan = dataclasses.replace(F1)
+    a = build_gkz(fan, (Fraction(1, 4), 0))
     before = hash(a)
+    assert [f.name for f in dataclasses.fields(a) if not f.compare] == ["_series"]
     for B in (4, 6):
         verify_term_shift(a, (0, 0), 1, B)
-        assert a._windows and set(a._windows) == {B}
-    assert hash(a) == before and "_windows" not in repr(a)
-    assert dataclasses.replace(a)._windows == {}
+        assert fan._table.windows and tops(fan) == {B}
+    assert hash(a) == before and "windows" not in repr(a) and dataclasses.replace(a) == a
 
 
 def test_series_values_follow_the_window_bound():
     """The evaluator keeps the gamma_series values of the last bound it
     summed at, whatever bound a later call moves the windows to."""
-    a = build_gkz(F1, (Fraction(1, 4), 0))
+    fan = dataclasses.replace(F1)
+    a = build_gkz(fan, (Fraction(1, 4), 0))
     for B in (4, 6):
         gamma_series(a, (0, 0), X_F1, B)
         kept = gamma_series(a, (1, 0), X_F1, B)
@@ -487,8 +566,9 @@ def test_series_values_follow_the_window_bound():
         ev = entry["evaluator"]
         assert set(ev.values) == {B} and len(ev.values[B]) == 2
     verify_term_shift(a, (0, 0), 1, 8)
-    assert set(a._windows) == {8} and set(ev.values) == {6}
-    assert gamma_series(a, (1, 0), X_F1, 6) is kept and set(a._windows) == {8}
+    moved = fan._table.windows[target_of(a.correspondence.triples[0][0], (0, 0))]
+    assert moved[1] == 8 and set(ev.values) == {6}
+    assert gamma_series(a, (1, 0), X_F1, 6) is kept and moved[1] == 8 and max(tops(fan)) == 8
 
 
 @pytest.fixture
@@ -527,10 +607,11 @@ def test_term_shift_report_keeps_its_own_bound():
     """A report read after its instance moved to another bound lists the
     vectors of the bound it was made at."""
     beta = (Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
-    a = build_gkz(HEX5, beta)
+    fan = dataclasses.replace(HEX5)
+    a = build_gkz(fan, beta)
     early = verify_term_shift(a, (0, 0, 0), 1, 4)
     later = verify_term_shift(a, (0, 0, 0), 1, 6)
-    assert set(a._windows) == {6}
+    assert tops(fan) == {6}
     want = reference_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 4)
     assert (early.ok, early.boundary) == want
     fresh = verify_term_shift(build_gkz(HEX5, beta), (0, 0, 0), 1, 6)
@@ -552,18 +633,22 @@ def test_unread_report_outlives_its_instance():
 
 
 def test_enumerate_L_rejects_a_foreign_element():
-    a = build_gkz(F1, (Fraction(1, 4), 0))
+    fan = dataclasses.replace(F1)
+    a = build_gkz(fan, (Fraction(1, 4), 0))
     src = a.correspondence.triples[0][0]
     assert enumerate_L(a, dataclasses.replace(src), (0, 0), 4)
     foreign = (
         dataclasses.replace(src, lattice_point=(src.lattice_point[0] + 1, src.lattice_point[1])),
         build_gkz(F1, (Fraction(1, 3), 0)).correspondence.triples[0][0],
     )
-    windows = {B: dict(entry) for B, entry in a._windows.items()}
+    def snapshot():
+        return {t: (part, top, dict(views)) for t, (part, top, views) in fan._table.windows.items()}
+
+    windows = snapshot()
     for alpha in foreign:
         with pytest.raises(ValueError, match="not a source box element of this instance"):
             enumerate_L(a, alpha, (0, 0), 4)
-    assert a._windows == windows
+    assert windows and snapshot() == windows
 
 
 def reference_term_shift(instance, v, j, B):
