@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .fan import ConeRef, StackyFan, _cone_residues, _full_cone, _memo, _minimal_face, _valid
+from .fan import ConeRef, StackyFan, _cone_residues, _full_cone, _memo, _valid
 from .linalg import Coord, GaussianRational, Param, _ZERO, _dot, _integral, format_gaussian, format_rational
 from .linalg import parse_rational, read_exact, read_param
 
@@ -187,7 +187,9 @@ def _correspondence(fan: StackyFan, param: Param, delta):
     the support.  A branch's raw cone coordinates are affine in beta: its image is the same
     branch at beta_delta, with floors + floor(x_i).  So each class at beta maps to the class at
     beta_delta of the image exponent, with the same branches; sorted by their integer keys, they
-    are in alpha_key's order.
+    are in alpha_key's order.  Each image must satisfy sum((alpha_delta)_i v_i) = n_delta +
+    beta_delta, checked in integers over xd * bd.den (image[2i] is (alpha_delta)_i over xd); on
+    the face supp alpha of a simplicial cone, that puts the point in the face's relative interior.
 
     The "do not biject" guard, on the sorted classes, cannot fire once every element has passed
     the support check, at any delta.  An image has at most its source's support: a real alpha_i
@@ -220,10 +222,9 @@ def _correspondence(fan: StackyFan, param: Param, delta):
         if tuple(i for i in range(fan.k) if image[2 * i]) != e.support:
             named = ", ".join(map(format_gaussian, e.alpha))
             raise DomainError(f"box: at delta {format_rational(delta)} the image of alpha=({named}) loses support")
-        # sum((alpha_delta)_i v_i) = n + beta_delta, as _cone_branches solves it
-        point = [x * bd.den + y for x, y in zip(n, bd.re)]
-        if _minimal_face(fan, point) != e.support:
-            raise RuntimeError("internal: point support differs from exponent support")
+        point = [x * bd.den + y for x, y in zip(n, bd.re)]  # n + beta_delta over bd.den
+        if any(_dot(image[::2], col) * bd.den != xd * c for col, c in zip(zip(*fan.rays), point)):
+            raise RuntimeError("internal: sum((alpha_delta)_i v_i) differs from n_delta + beta_delta")
         target = BoxElement(tuple(alpha), n, e.support)
         triples.append((e, target, tuple(Fraction(x, bd.den) for x in point)))
         images.append(tuple(image))

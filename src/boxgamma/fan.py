@@ -233,16 +233,6 @@ def _marker_lattice(fan: StackyFan) -> tuple[IntRows, IntRows, IntRows]:
     return lattice
 
 
-def _minimal_face(fan: StackyFan, nums: Sequence[int]):
-    """The smallest face of the fan holding the point nums / L, for integers
-    nums and any L > 0, as a ConeRef; None outside the support."""
-    for cone in fan.max_cones:
-        coords = _cone_inverse(fan, cone).numerators(nums)
-        if coords is not None and all(c >= 0 for c in coords):
-            return tuple(i for i, c in zip(cone, coords) if c)
-    return None
-
-
 def _tangent_test(fan: StackyFan, xi: Sequence) -> frozenset[int]:
     """The shadow filter as the set of faces (bitmasks) of the face table
     (_faces) it passes, xi solved once per maximal cone: for p in the

@@ -130,15 +130,18 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
     The argument is shifted into Re >= 1.5 by the functional equation, the
     reciprocal is exponentiated from the log-Gamma jet there, and the dropped
     linear factors are multiplied back in.  A pole of Gamma at l + 1 makes
-    one factor exactly zero, so the constant term comes out as an exact 0.0.
-    Coefficient n is formed alike at every order above n.  ValueError names
-    an order that is not a positive integer and an l that is not a finite
-    number; SeriesOverflow an l where a coefficient leaves the float range.
+    one factor exactly zero, so the constant term comes out as an exact 0.0,
+    and order 1 is (0j,) before the walk.  Coefficient n is formed alike at
+    every order above n.  ValueError names an order that is not a positive
+    integer and an l that is not a finite number; SeriesOverflow an l where a
+    coefficient leaves the float range, as (-l - 1)! does at a pole below -171.
     """
     order = read_int(order, "series", "the jet order", 1)
     z = _complex(l)
     if z is None:
         raise ValueError(f"series: the jet argument l is {l!r}, not a finite number")
+    if order == 1 and not z.imag and z.real < 0 and z.real.is_integer():
+        return (0j,)
     m0, z = max(0, math.ceil(1.5 - z.real)), z + 1
     try:
         jet = exp_jet(tuple(-c for c in log_gamma_jet(z + m0, order)), order)
@@ -222,6 +225,8 @@ class TermShiftReport:
 
 @dataclass(frozen=True)
 class SolutionSystem:
+    """The series matrix, a row per v, and its column-scaled singular values."""
+
     vs: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[complex, ...], ...]
     rank: int
@@ -686,7 +691,8 @@ def solution_system(
     instance: GkzInstance, x, B: int, v_degree_cap: int = 2, arg_offsets=None
 ) -> SolutionSystem:
     """Series values for all index points up to the degree cap, with the
-    numerical rank of the stacked matrix.
+    numerical rank: the singular values above 1e-9 * sigma_max of the matrix
+    with each column divided by its max-norm, which keeps the exact rank.
 
     rank_deficient flags rank < dim instead of raising: a too-small window is
     reported together with its tail estimate for diagnosis.  ValueError names
@@ -700,7 +706,8 @@ def solution_system(
     series = [gamma_series(instance, v, x, B, arg_offsets) for v in vs]
     rows = tuple(sv.value for sv in series)
     tail = max([0.0] + [sv.tail_estimate for sv in series])
-    svals = singular_values(rows)
+    norms = [max(map(abs, col)) or 1.0 for col in zip(*rows)]  # a zero column stays zero
+    svals = singular_values([[e / c for e, c in zip(row, norms)] for row in rows])
     dim = instance.quotient.dim
     top = svals[0] if svals else 0.0
     rank = sum(1 for s in svals if top > 0 and s > 1e-9 * top)

@@ -395,6 +395,14 @@ def wall(fan, beta):
     return bound
 
 
+def check_identity(fan, corr):
+    """Each triple's point is sum(target.alpha_i v_i) and target.lattice_point
+    + beta_delta, read from the correspondence's public fields."""
+    for _, target, point in corr.triples:
+        total = tuple(sum(a * c for a, c in zip(target.alpha, col)) for col in zip(*fan.rays))
+        assert total == point == tuple(n + b for n, b in zip(target.lattice_point, corr.beta_delta))
+
+
 def correspondence_outcome(call):
     """call()'s correspondence with its repr, or the error's type and text."""
     try:
@@ -412,12 +420,15 @@ def test_closed_form_matches_enumeration(name, data):
     """The closed-form image equals the box set at beta_delta enumerated and
     matched on a fresh copy of the fan, at any delta: below, at and above
     the wall, and <= 0.  Integral real parts give Re alpha_i = 0 with
-    Im alpha_i < 0, where the floor is -1."""
+    Im alpha_i < 0, where the floor is -1.  Every triple of a correspondence,
+    at rational, wall and Gaussian beta, satisfies the identity it writes
+    down (check_identity)."""
     fan = FANS[name]
     im = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6))
-    coord = st.builds(GaussianRational, st.integers(-2, 2).map(Fraction), im)
+    coord = st.builds(GaussianRational, real_part, im)
     beta = tuple(data.draw(coord) for _ in range(fan.rank))
     corr = stabilize(fan, beta)
+    check_identity(fan, corr)
     oracle = enumerated_correspondence(dataclasses.replace(fan), beta, corr.delta)
     assert (corr, repr(corr)) == (oracle, repr(oracle))
     w = wall(fan, beta)
@@ -430,6 +441,8 @@ def test_closed_form_matches_enumeration(name, data):
         st.integers(-2, 2),
     ))
     got = correspondence_outcome(lambda: correspondence_at(fan, beta, delta))
+    if not isinstance(got[0], type):
+        check_identity(fan, got[0])
     fresh = dataclasses.replace(fan)
     assert got == correspondence_outcome(lambda: enumerated_correspondence(fresh, beta, delta))
 

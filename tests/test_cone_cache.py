@@ -16,7 +16,7 @@ import pytest
 import boxgamma.fan as fanmod
 import boxgamma.linalg as linalg
 from boxgamma.box import box_of_fan, collisions, stabilize
-from boxgamma.fan import StackyFan, _minimal_face, triangulate_from_heights, validate
+from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz
 from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational
@@ -119,7 +119,8 @@ def test_table_size_is_bounded_by_the_cones():
         collisions(fan, beta)
         spectrum(fan, beta)
         build_gkz(fan, beta)
-        _minimal_face(fan, (7 * rng.randint(0, 9), 4 * rng.randint(0, 9)))  # (a/4, b/7), L = 28
+        # solves the point in every maximal cone's inverse
+        _tangent_test(fan, (Fraction(rng.randint(0, 9), 4), Fraction(rng.randint(0, 9), 7)))
         assert (len(fan._table.inverses), len(fan._table.residues)) == sizes
 
 

@@ -2,8 +2,8 @@
 
 Cones of 0..d + 1 generators in Z^d, d <= 4: the table's coordinates and
 span test against mat_inverse of the generators completed by unit vectors,
-the minimal face of a point and whether the shadow filter's set of passing
-faces holds it against a per-cone solve by that oracle (the filter on fans
+whether the shadow filter's set of passing faces holds a point's minimal
+face, against a per-cone solve by that oracle (the filter on fans
 validate accepts; on the rest it raises InvalidFan), that set against the
 oracle on every face of the ladder's fans and against each maximal cone's
 subsets, its one solve of xi per maximal cone, facet normals and den
@@ -38,7 +38,6 @@ from boxgamma.fan import (
     _cone_residues,
     _faces,
     _mask,
-    _minimal_face,
     _tangent_test,
     normalized_volume,
     triangulate_from_heights,
@@ -241,12 +240,11 @@ def cone_point(draw, fan):
 @settings(max_examples=300, deadline=None)
 @given(fan=st.one_of(small_fans(), regular_subfans()), data=st.data())
 def test_minimal_cone_and_tangent_member_match_per_cone_solve(fan, data):
-    """p's minimal face, read from p's integer numerators, and whether the
-    shadow filter passes that face, against the per-cone oracle."""
+    """Whether the shadow filter passes p's minimal face, found by the
+    per-cone oracle, against the per-cone rule."""
     p = cone_point(data.draw, fan)
     xi = cone_point(data.draw, fan)
-    face = _minimal_face(fan, scaled_numerators(p)[1])
-    assert face == oracle_minimal_cone(fan, p)
+    face = oracle_minimal_cone(fan, p)
     if not validate(fan).valid:
         # the face rule is exact only on a fan
         with pytest.raises(InvalidFan, match="^fan: "):
@@ -270,7 +268,7 @@ def test_shadow_filter_refuses_overlapping_cones():
     p, xi = (2, 0), (0, -1)
     assert oracle_tangent_member(fan, p, xi) is True
     first = StackyFan(rank=2, rays=rays, max_cones=((0, 1),))
-    assert _minimal_face(first, p) == (0,) and _mask((0,)) not in _tangent_test(first, xi)
+    assert oracle_minimal_cone(first, p) == (0,) and _mask((0,)) not in _tangent_test(first, xi)
     overlap = r"^fan: .*cones \(1, 2\) and \(3, 4\) do not intersect in a common face$"
     with pytest.raises(InvalidFan, match=overlap):
         _tangent_test(fan, xi)

@@ -12,7 +12,6 @@ from boxgamma.errors import DegenerateHeights, NotFullDimensional
 from boxgamma.fan import (
     StackyFan,
     _mask,
-    _minimal_face,
     _tangent_test,
     infer_deg,
     normalized_volume,
@@ -20,7 +19,7 @@ from boxgamma.fan import (
     validate,
 )
 from boxgamma.linalg import ConeInverse
-from exact_oracles import is_complete, primitive_direction
+from exact_oracles import is_complete, oracle_minimal_cone, primitive_direction
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -156,15 +155,6 @@ def test_validate_lower_dimensional_cones_rank_3(rays, cones, valid):
         assert rep.violations == ("cones (1, 2) and (3, 4) do not intersect in a common face",)
 
 
-def test_minimal_cone():
-    """_minimal_face reads a point as integer numerators over any L > 0."""
-    assert _minimal_face(F1, (1, 1)) == (1,)
-    assert _minimal_face(F1, (2, 3)) == (1, 2)
-    assert _minimal_face(F1, (0, 0)) == ()
-    assert _minimal_face(F1, (-1, 0)) is None
-    assert _minimal_face(F1, (5, 8)) == (1, 2)  # (5/4, 2) over L = 4
-
-
 @pytest.mark.parametrize("xi", [(0,), (0, -1, 5)])
 def test_tangent_member_rejects_a_wrong_length_xi(xi):
     """The face test would read (0,) as a direction with no second
@@ -222,7 +212,7 @@ def test_tangent_member():
     minimal face."""
 
     def passes(p, xi):
-        return _mask(_minimal_face(F1, p)) in _tangent_test(F1, xi)
+        return _mask(oracle_minimal_cone(F1, p)) in _tangent_test(F1, xi)
 
     assert passes((0, 0), (1, 1)) is True
     assert passes((0, 0), (-1, 0)) is False

@@ -27,8 +27,10 @@ from boxgamma.fan import (
     triangulate_from_heights,
     validate,
 )
+import boxgamma.gkz as gkz
 import boxgamma.linalg as linalg
 from boxgamma.gkz import (
+    SeriesValue,
     _times_linear,
     _window_offsets,
     _window_plan,
@@ -529,6 +531,22 @@ def test_reciprocal_gamma_overflow_names_l():
     assert str(err.value).startswith("series: 1/Gamma(l + 1) overflows at l=")
 
 
+def test_reciprocal_gamma_order_one_at_a_pole_is_zero(monkeypatch):
+    """1/Gamma(l + 1) is exactly 0 at an integer l <= -1, however far left
+    and whatever l's type: order 1 answers before the walk, which overflows
+    below -171.  Orders 2-5 there still raise: the eps coefficient is
+    +-(-l - 1)!, past the float range."""
+    poles = [*range(-200, 0), -10**3, -10**4, -10**6]
+    for order in range(2, 6):
+        for l in (-172, -200, -10**3, -10**6):
+            with pytest.raises(SeriesOverflow):
+                reciprocal_gamma_jet(l, order)
+    monkeypatch.setattr(gkz, "log_gamma_jet", None)  # no walk is taken
+    for l in poles:
+        for x in (l, float(l), Fraction(l), complex(l, 0)):
+            assert repr(reciprocal_gamma_jet(x, 1)) == "(0j,)", x
+
+
 def test_missing_base_element_is_domain_error():
     inst = build_gkz(F1, (-3, 0))
     calls = (
@@ -569,6 +587,36 @@ def test_solution_system_degenerate_truncation_flagged():
     sy = solution_system(inst, X_F1, 0)
     assert sy.rank < inst.quotient.dim
     assert sy.rank_deficient
+
+
+def test_solution_system_rank_ignores_the_columns_scale():
+    """F1 at beta = (20/11, -32/11), B = 15, x = (1, 10, 1): the columns'
+    max-norms are 2.9e4 and 1.3e-5, so the unscaled matrix read sigma =
+    (29885, 1.3e-5) and rank 1; each column scaled to max-norm 1 reads
+    sigma = (1.033, 1.021) and rank 2."""
+    inst = build_gkz(F1, (Fraction(20, 11), Fraction(-32, 11)))
+    sy = solution_system(inst, X_F1, 15, 1)
+    assert sy.rank == inst.quotient.dim == 2 and not sy.rank_deficient
+    assert min(sy.singular_values) > 0.5
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6, 0.0], ids=["copied column", "scaled copy", "zero column"])
+def test_solution_system_column_scaling_keeps_a_rank_drop(monkeypatch, factor):
+    """A second column that is a copy of the first, a multiple of it or zero
+    still reads rank 1 of 2: scaling each column by its max-norm keeps the
+    rank, and a zero column stays zero."""
+    inst = build_gkz(F1, BETA_QUARTER)
+    values = {}
+
+    def series(instance, v, x, B, arg_offsets=None):
+        k = values.setdefault(v, len(values))
+        entry = complex(k + 1, 1e-3 * k**2)
+        return SeriesValue(v, x, (entry, factor * entry), B, 0.0)
+
+    monkeypatch.setattr(gkz, "gamma_series", series)
+    sy = solution_system(inst, X_F1, 15, 1)
+    assert len(sy.vs) == 4 and inst.quotient.dim == 2
+    assert sy.rank == 1 and sy.rank_deficient
 
 
 def test_doubling_convergence():
