@@ -17,8 +17,7 @@ _HOME = {
         ("fan", ("StackyFan", "ValidationReport", "normalized_volume", "validate",
                  "triangulate_from_heights")),
         ("box", ("BoxElement", "CollisionClass", "DeltaCorrespondence", "box_of_cone",
-                 "box_of_fan", "collisions", "correspondence_at", "normalize_beta",
-                 "stabilize")),
+                 "box_of_fan", "collisions", "correspondence_at", "stabilize")),
         ("quotient", ("ModuleSpec", "QuotientAlgebra", "build_quotient", "graded_piece")),
         ("kring", ("KPoint", "WallRecord", "spectrum", "wall_report", "is_semisimple")),
         ("gkz", ("GkzInstance", "SeriesValue", "SolutionSystem", "build_gkz", "enumerate_L",

@@ -77,12 +77,6 @@ def alpha_key(alpha: Sequence[Coord]) -> tuple:
     return tuple((a.real, a.imag or _ZERO) for a in alpha)  # a Fraction's imag is the int 0
 
 
-def normalize_beta(fan: StackyFan, beta: Sequence) -> tuple[Coord, ...]:
-    """beta as canonical scalars, each entry an int, a Fraction, a
-    GaussianRational or what parse_gaussian reads; see linalg.read_param."""
-    return read_param(beta, "box", "beta", fan.rank).values
-
-
 def _cone_branches(fan, cone, param, common):
     """(key, residue, floors, BoxElement) quadruples in residue enumeration order.
 

@@ -30,7 +30,7 @@ from .errors import (
 from .fan import IntRows, StackyFan, _faces, _marker_lattice, _mask, _memo, validate
 from .linalg import Coord, Param, _complex, _integral, _real, format_gaussian, parse_rational, read_exact
 from .linalg import _dot, cone_inverse, read_int, read_param, singular_values, solve_with_hnf
-from .quotient import ModuleSpec, QuotientAlgebra, build_quotient, graded_piece
+from .quotient import ModuleSpec, QuotientAlgebra, _dense, build_quotient, graded_piece
 
 # B_2, B_4, ..., B_20; enough for double precision once Re z >= 20
 _BERNOULLI = (
@@ -346,7 +346,7 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     A target past B max_i |v_i|_1 has none, is kept nowhere and solved only
     where the markers' Hermite form shows they miss a target."""
     fan = instance.fan
-    target = tuple(-vr - nr for vr, nr in zip(v, alpha.lattice_point))
+    target = tuple(map(operator.neg, map(operator.add, v, alpha.lattice_point)))
     part, top, views = fan._table.windows.get(target) or (None, -1, None)
     if top < B:
         h, u, relations = _marker_lattice(fan)
@@ -442,7 +442,7 @@ class _SeriesEvaluator:
         self.xs, self.given = xs, given  # given: the x and offsets objects read to xs, offs
         self.logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
-        self.dmats = tuple(tuple(tuple(complex(float(entry)) for entry in row) for row in mat) for mat in q.dmats)
+        self.dmats = _dense(q, 0j, lambda x: complex(float(x)))
         self.rays = frozenset(instance.fan.fan_indices())
         # a summand's basis runs from its base element, of degree 0, upward
         self.orders = tuple(1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
@@ -642,22 +642,22 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
 
     Offsets of l1 size within B - 1 must match exactly; anything outside that
     core window is collected as the boundary, never silently dropped.  The
-    shifted norm |m - e_j|_1 is the window's norm of m with |m_j| traded for
-    |m_j - 1|.  Both windows are in lexicographic order, which m -> m - e_j
-    keeps, so the two cores are compared as lists.  No exact coordinate is
-    built here: the report keeps the boundary's offsets and builds its
-    LVectors when boundary is read (see TermShiftReport).
+    shifted norm |m - e_j|_1 is the window's norm of m, less 1 where m_j > 0
+    and plus 1 elsewhere.  Both windows are in lexicographic order, which
+    m -> m - e_j keeps, so the two cores are compared as lists.  No exact
+    coordinate is built here: the report keeps the boundary's offsets and
+    builds its LVectors when boundary is read (see TermShiftReport).
     """
     v = read_exact(v, _integral, "series", "v", instance.fan.rank)
     B = read_int(B, "window", "the bound B", 0)
     j = _check_ray(instance.fan, j)
-    v2 = tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
+    v2 = tuple(map(operator.add, v, instance.fan.rays[j]))
     core, ok, runs = B - 1, True, []
     for src, _, _ in instance.correspondence.triples:
         left, left_out = [], []
         for m, nm in zip(*_window(instance, src, v, B)):
             mj = m[j]
-            if nm - abs(mj) + abs(mj - 1) <= core:
+            if (nm - 1 if mj > 0 else nm + 1) <= core:
                 left.append(m[:j] + (mj - 1,) + m[j + 1 :])
             else:
                 left_out.append(m)
@@ -672,18 +672,16 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
 def verify_euler(instance: GkzInstance) -> bool:
     """True iff every degree functional kills the assembled shift operators,
     exactly: entry (a, b) of the r-th operator is sum_i (v_i)_r D_i[a][b] over
-    all k markers, so a D_i off the rays must vanish too.  Each entry sums its
-    nonzero terms as integers, c * numerator per denominator, and forms a
-    Fraction only from a nonzero sum."""
+    all k markers, so a D_i off the rays must vanish too.  It sums the stored
+    entries (QuotientAlgebra.entries) as integers, c * numerator per
+    denominator, and forms a Fraction only from a nonzero sum."""
     sums: dict = {}
-    for ray, mat in zip(instance.fan.rays, instance.quotient.dmats):
-        for a, row in enumerate(mat):
-            for b, x in enumerate(row):
-                if x:
-                    for r, c in enumerate(ray):
-                        if c:
-                            by_den = sums.setdefault((r, a, b), {})
-                            by_den[x.denominator] = by_den.get(x.denominator, 0) + c * x.numerator
+    for ray, entries in zip(instance.fan.rays, instance.quotient.entries):
+        for a, b, x in entries:
+            for r, c in enumerate(ray):
+                if c:
+                    by_den = sums.setdefault((r, a, b), {})
+                    by_den[x.denominator] = by_den.get(x.denominator, 0) + c * x.numerator
     return not any(sum(Fraction(n, d) for d, n in by_den.items() if n) for by_den in sums.values())
 
 

@@ -35,6 +35,8 @@ def format_rational(q: Fraction) -> str:
 def _integral(x) -> Optional[int]:
     """x as the int it equals, a string read as a rational, or None when it
     equals none (inf, nan, None, a bool, a complex or malformed value too)."""
+    if type(x) is int:  # the common case, read before the generic one
+        return x
     try:
         if isinstance(x, str):
             x = Fraction(x.strip())

@@ -67,16 +67,17 @@ class BasisElement:
 @dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
     """The graded quotient; build_quotient hands one instance to every caller
-    with the same fan and spec.  dims holds each summand's dimension and
-    bases the index in basis of its base element (degree 0, monomial 0) or
-    None, both in the order of alphas; summand_dims shows dims as a
-    read-only view keyed by alpha_key, built on first read, as its keys
-    hash Fraction pairs."""
+    with the same fan and spec.  entries holds each marker's D_i as its
+    nonzero (row, column, value), sorted.  dims holds each summand's
+    dimension and bases the index in basis of its base element (degree 0,
+    monomial 0) or None, both in the order of alphas.  Views built on first
+    read: dmats, each D_i dense (no library path reads it), and summand_dims,
+    dims keyed by alpha_key (its keys hash Fraction pairs)."""
 
     spec: ModuleSpec
     basis: tuple[BasisElement, ...]
     dim: int
-    dmats: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    entries: tuple[tuple[tuple[int, int, Fraction], ...], ...]
     dims: tuple[int, ...] = field(repr=False)
     alphas: tuple[BoxElement, ...] = ()
     bases: tuple[Optional[int], ...] = field(default=(), repr=False)
@@ -84,6 +85,16 @@ class QuotientAlgebra:
     @functools.cached_property
     def summand_dims(self) -> Mapping:
         return MappingProxyType({alpha_key(e.alpha): n for e, n in zip(self.alphas, self.dims)})
+
+    @functools.cached_property
+    def dmats(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return _dense(self, _ZERO, Fraction)
+
+
+def _dense(q: QuotientAlgebra, zero, read) -> tuple:
+    """Each D_i of q as a dense matrix of read(value), zero off its entries."""
+    cells = [{(a, b): read(x) for a, b, x in entries} for entries in q.entries]
+    return tuple(tuple(tuple(c.get((a, b), zero) for b in range(q.dim)) for a in range(q.dim)) for c in cells)
 
 
 def _check_graded(fan: StackyFan) -> tuple[int, ...]:
@@ -284,10 +295,7 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
             f"below the normalized volume {vol}"
         )
 
-    basis: list[BasisElement] = []
-    index: dict[tuple[int, int, int], int] = {}
-    bases: list[Optional[int]] = []
-    dims: list[int] = []
+    basis, index, bases, dims = [], {}, [], []  # index: (summand, degree, column) -> basis position
     for s_i, (a, s) in enumerate(zip(alphas, summands)):
         # the base element: degree 0 holds the monomial 0 alone, unless the shadow drops it
         bases.append(len(basis) if s.quot[0] else None)
@@ -300,22 +308,20 @@ def _build_quotient(spec: ModuleSpec) -> QuotientAlgebra:
                 index[(s_i, deg_t, c)] = len(basis)
                 basis.append(BasisElement(offset, n, a.alpha, m, deg_t))
         dims.append(sum(len(s.quot[deg_t]) for deg_t in range(t)))
-    dim = len(basis)
 
     # D_i sends a basis monomial to the reduced class of its move along ray i;
     # the last degree has no basis element, so every move is tabled
-    dmats = [[[_ZERO] * dim for _ in range(dim)] for _ in range(fan.k)]
+    entries = [[] for _ in range(fan.k)]
     for (s_i, deg_t, c), g_idx in index.items():
         s = summands[s_i]
         for i, c2 in s.moves[deg_t + 1][c]:
-            for q, value in s.classes[deg_t + 1][c2]:
-                dmats[i][index[(s_i, deg_t + 1, q)]][g_idx] = value
+            entries[i] += [(index[s_i, deg_t + 1, q], g_idx, value) for q, value in s.classes[deg_t + 1][c2]]
 
     return QuotientAlgebra(
         spec=spec,
         basis=tuple(basis),
-        dim=dim,
-        dmats=tuple(tuple(tuple(row) for row in mat) for mat in dmats),
+        dim=len(basis),
+        entries=tuple(tuple(sorted(e)) for e in entries),  # (row, column) pairs are distinct
         dims=tuple(dims),
         alphas=alphas,
         bases=tuple(bases),

@@ -16,8 +16,9 @@ two cones' intersection found with it and the fan report with every pair
 of maximal cones decided by them, Fourier-Motzkin elimination without
 Chernikov's rule, the graded pieces found by scanning a bounding box, the
 Gamma-series terms the support rule keeps, read on exact exponents, the
-truncated product of two jets, and the series summed as dim-long term
-vectors, every triple alike.  Only tests read them."""
+truncated product of two jets, the series summed as dim-long term
+vectors, every triple alike, the 13 fans of bench/ladder.py and a
+strategy for beta on them.  Only tests read them."""
 
 import cmath
 import dataclasses
@@ -31,6 +32,8 @@ from fractions import Fraction
 from typing import Sequence
 from unittest import mock
 
+from hypothesis import strategies as st
+
 from boxgamma import box as box_module
 from boxgamma import fan as fan_module
 from boxgamma.box import (
@@ -40,7 +43,6 @@ from boxgamma.box import (
     DeltaCorrespondence,
     alpha_key,
     box_of_fan,
-    normalize_beta,
 )
 from boxgamma.errors import DependentGenerators, DomainError
 from boxgamma.fan import (
@@ -49,6 +51,7 @@ from boxgamma.fan import (
     _cone_inverse,
     _mask,
     _tangent_test,
+    triangulate_from_heights,
 )
 from boxgamma.linalg import (
     ConeInverse,
@@ -530,7 +533,7 @@ def verify_def2_isomorphism(fan: StackyFan, beta, correspondence, max_offset: in
     recorded in the correspondence for that summand (nonzero exactly when a
     coordinate has real part zero and negative imaginary part).
     """
-    b = normalize_beta(fan, beta)
+    b = read_param(beta, "box", "beta", fan.rank).values
     amap = {}
     for src, tgt, _ in correspondence.triples:
         shift = tuple(
@@ -570,7 +573,7 @@ def enumerated_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondenc
     checking that the lookups hit every target exactly once.  delta is an
     int or a Fraction, kept as correspondence_at reads it: a Fraction."""
     delta = Fraction(delta)
-    b = normalize_beta(fan, beta)
+    b = read_param(beta, "box", "beta", fan.rank).values
     beta_delta = tuple(x.real + delta * x.imag for x in b)
     target = box_of_fan(fan, beta_delta)
     index = {alpha_key(e.alpha): i for i, e in enumerate(target)}
@@ -649,7 +652,7 @@ def fraction_correspondence(fan: StackyFan, beta, delta) -> DeltaCorrespondence:
     + delta*Im alpha_i, the image alpha_i = x_i - floor(x_i) and the lattice
     point n - sum(floor(x_i) v_i), with the same checks in the same order."""
     delta = Fraction(delta)
-    b = normalize_beta(fan, beta)
+    b = read_param(beta, "box", "beta", fan.rank).values
     beta_delta = tuple(x.real + delta * x.imag for x in b)
     triples = []
     for cls in fraction_keyed_collisions(fan, b):
@@ -865,3 +868,50 @@ def ball_by_image(rays, B):
         image = tuple(sum(mi * v[r] for mi, v in zip(m, rays) if mi) for r in range(d))
         images.setdefault(image, []).append(m)
     return {t: sorted(ms) for t, ms in images.items()}
+
+
+def cone_over(points):
+    """The ladder's cones over lattice points p: markers (1, p), lifting
+    heights |p|^2 + (i^2 + 1)/101."""
+    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
+    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
+
+
+def weighted_projective(*weights):
+    """Complete fan of P(1, w_1, ..., w_n)."""
+    n = len(weights) - 1
+    rays = [tuple(-w for w in weights[1:])]
+    rays += [tuple(int(r == i) for r in range(n)) for i in range(n)]
+    cones = tuple(itertools.combinations(range(n + 1), n))
+    return StackyFan(rank=n, rays=tuple(rays), max_cones=cones)
+
+
+LADDER = {
+    "F1": StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2))),
+    "F2": StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2))),
+    "SQUARE": triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0)),
+    "HEX5": cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
+    "tri2": cone_over([(a, b) for a in range(3) for b in range(3 - a)]),
+    "simplex3x2": cone_over([p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]),
+    "P(1,2,3)": weighted_projective(1, 2, 3),
+    "P(1,1,2,3)": weighted_projective(1, 1, 2, 3),
+}
+
+# LADDER with the ladder's tri3 and the other P(w) of bench/ladder.py
+FACE_FANS = {
+    **LADDER,
+    "tri3": cone_over([(a, b) for a in range(4) for b in range(4 - a)]),
+    "P(1,3,5)": weighted_projective(1, 3, 5),
+    "P(1,5,7)": weighted_projective(1, 5, 7),
+    "P(1,2,3,5)": weighted_projective(1, 2, 3, 5),
+    "P(1,3,4,7)": weighted_projective(1, 3, 4, 7),
+}
+
+
+def draw_beta(data, rank: int, kind: str) -> list:
+    """beta = 0, a rational beta, or a Gaussian one with Im beta_1 != 0, drawn from data."""
+    part = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    beta = [Fraction(0)] * rank if kind == "zero" else [data.draw(part) for _ in range(rank)]
+    if kind == "gaussian":
+        beta[0] = GaussianRational(beta[0], data.draw(part.filter(bool)))
+    return beta

@@ -18,7 +18,6 @@ from boxgamma.box import (
     alpha_key,
     box_of_fan,
     correspondence_at,
-    normalize_beta,
     stabilize,
 )
 from boxgamma.cli import main
@@ -33,7 +32,7 @@ from boxgamma.gkz import (
     verify_term_shift,
 )
 from boxgamma.kring import spectrum
-from boxgamma.linalg import GaussianRational
+from boxgamma.linalg import GaussianRational, read_param
 from boxgamma.quotient import ModuleSpec, build_quotient, graded_piece
 from exact_oracles import det_rational, mat_inverse, verify_def2_isomorphism
 
@@ -227,7 +226,7 @@ def test_criterion_3_box_examples():
 
 
 def quotient_for(fan, beta):
-    b = normalize_beta(fan, beta)
+    b = read_param(beta, "box", "beta", fan.rank).values
     corr = stabilize(fan, b)
     return build_quotient(ModuleSpec(fan, corr.beta_delta))
 
@@ -264,7 +263,7 @@ def test_criterion_5_stabilization():
     cases = [(F1, random_complex_beta(rng, 2)) for _ in range(5)]
     cases += [(F2, random_complex_beta(rng, 2)) for _ in range(5)]
     for fan, beta in cases:
-        b = normalize_beta(fan, beta)
+        b = read_param(beta, "box", "beta", fan.rank).values
         corr = stabilize(fan, b)
         halved = correspondence_at(fan, b, corr.delta / 2)
         assert pairing(corr) == pairing(halved), (fan.rays, beta)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxgamma.box import box_of_fan, normalize_beta, stabilize
+from boxgamma.box import box_of_fan, stabilize
 from boxgamma.errors import (
     DegenerateHeights,
     DependentGenerators,
@@ -47,10 +47,13 @@ from boxgamma.linalg import (
     ConeInverse,
     GaussianRational,
     cone_inverse,
+    read_param,
     scaled_numerators,
 )
 from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
 from exact_oracles import (
+    FACE_FANS,
+    LADDER,
     NotInSpan,
     all_pairs_report,
     cone_coords,
@@ -313,34 +316,6 @@ def test_shadow_filter_needs_a_fan_not_a_degree_one_functional():
     assert lattice(build_quotient(ModuleSpec(fan, chi, xi))) == [(1, 2), (1, 1)]
 
 
-def cone_over(points):
-    """The ladder's cones over lattice points p: markers (1, p), lifting
-    heights |p|^2 + (i^2 + 1)/101."""
-    heights = [sum(x * x for x in p) + Fraction(i * i + 1, 101) for i, p in enumerate(points)]
-    return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
-
-
-def weighted_projective(*weights):
-    """Complete fan of P(1, w_1, ..., w_n)."""
-    n = len(weights) - 1
-    rays = [tuple(-w for w in weights[1:])]
-    rays += [tuple(int(r == i) for r in range(n)) for i in range(n)]
-    cones = tuple(itertools.combinations(range(n + 1), n))
-    return StackyFan(rank=n, rays=tuple(rays), max_cones=cones)
-
-
-LADDER = {
-    "F1": F1,
-    "F2": F2,
-    "SQUARE": SQUARE,
-    "HEX5": cone_over(((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
-    "tri2": cone_over([(a, b) for a in range(3) for b in range(3 - a)]),
-    "simplex3x2": cone_over([p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]),
-    "P(1,2,3)": weighted_projective(1, 2, 3),
-    "P(1,1,2,3)": weighted_projective(1, 1, 2, 3),
-}
-
-
 def draw_xi(data, fan):
     """xi = 0, xi on a wall of a maximal cone (its coordinate on one
     generator zero) or any xi."""
@@ -374,17 +349,6 @@ def test_tangent_faces_match_the_per_cone_oracle(name, data):
         p = [Fraction(sum(fan.rays[i][r] for i in face)) for r in range(fan.rank)]
         assert (sum(1 << i for i in face) in passing) is oracle_tangent_member(fan, p, xi)
     assert passing <= _faces(fan).keys()
-
-
-# LADDER with the ladder's tri3 and the other P(w) of bench/ladder.py
-FACE_FANS = {
-    **LADDER,
-    "tri3": cone_over([(a, b) for a in range(4) for b in range(4 - a)]),
-    "P(1,3,5)": weighted_projective(1, 3, 5),
-    "P(1,5,7)": weighted_projective(1, 5, 7),
-    "P(1,2,3,5)": weighted_projective(1, 2, 3, 5),
-    "P(1,3,4,7)": weighted_projective(1, 3, 4, 7),
-}
 
 
 @st.composite
@@ -548,7 +512,7 @@ beta_coord = st.one_of(rational, st.builds(GaussianRational, rational, rational)
 @settings(max_examples=40, deadline=None)
 @given(fan=st.sampled_from([F1, F2, SQUARE]), data=st.data(), shadow=st.booleans())
 def test_quotient_from_stabilization_target(fan, data, shadow):
-    beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
+    beta = read_param([data.draw(beta_coord) for _ in range(fan.rank)], "box", "beta", fan.rank).values
     corr = stabilize(fan, beta)
     xi = tuple(b.real for b in beta) if shadow else None
     got = quotient_outcome(lambda: build_quotient(ModuleSpec(fan, corr.beta_delta, xi=xi)))

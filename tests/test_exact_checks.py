@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxgamma.gkz as gkz
-from boxgamma.errors import NoParticularSolution
-from boxgamma.fan import StackyFan, _marker_lattice, triangulate_from_heights
+from boxgamma.box import stabilize
+from boxgamma.errors import NoBaseElement, NoParticularSolution
+from boxgamma.fan import StackyFan, _marker_lattice, triangulate_from_heights, validate
 from boxgamma.gkz import (
     build_gkz,
     enumerate_L,
@@ -23,7 +24,10 @@ from boxgamma.gkz import (
     verify_euler,
     verify_term_shift,
 )
+from boxgamma.kring import spectrum
 from boxgamma.linalg import GaussianRational, hermite_normal_form
+from boxgamma.quotient import ModuleSpec, build_quotient
+from exact_oracles import FACE_FANS, draw_beta
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 SQUARE = triangulate_from_heights(((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), (0, 1, 1, 0))
@@ -80,7 +84,12 @@ def dense_euler(instance):
 
 
 def with_dmats(instance, dmats):
-    quotient = dataclasses.replace(instance.quotient, dmats=tuple(dmats))
+    """The instance whose quotient stores the nonzero entries of dmats, the
+    dense matrices given, as its ray operators."""
+    entries = tuple(
+        tuple((a, b, x) for a, row in enumerate(mat) for b, x in enumerate(row) if x) for mat in dmats
+    )
+    quotient = dataclasses.replace(instance.quotient, entries=entries)
     return dataclasses.replace(instance, quotient=quotient)
 
 
@@ -146,6 +155,40 @@ def test_sparse_euler_agrees_with_dense(name, data):
     elif kind == "two":
         inst = with_entries(inst, [data.draw(entry) + (value,), data.draw(entry) + (-value,)])
     assert verify_euler(inst) == dense_euler(inst)
+
+
+@pytest.mark.parametrize("name", sorted(FACE_FANS))
+@settings(max_examples=9, deadline=None)
+@given(kind=st.sampled_from(("zero", "rational", "gaussian")), data=st.data())
+def test_the_dense_view_shows_the_entries_and_no_library_path_builds_it(name, kind, data):
+    """On the ladder and the P(w), the nonzeros of the dense view dmats are
+    exactly the stored entries, each (row, column) once and in order.  The
+    library reads the entries alone: build_gkz, verify_euler,
+    solution_system and gamma_series_derivative on an eligible fan, and
+    spectrum on the others, leave the view unbuilt."""
+    fan = dataclasses.replace(FACE_FANS[name])  # a fresh table: no earlier read built a view
+    beta = draw_beta(data, fan.rank, kind)
+    if validate(fan).gkz_eligible:
+        inst = build_gkz(fan, beta)
+        q = inst.quotient
+        assert verify_euler(inst)
+        x = tuple(1 + i / 10 for i in range(fan.k))
+        try:
+            solution_system(inst, x, 2, 1)
+            gamma_series_derivative(inst, (0,) * fan.rank, x, 2, min(fan.fan_indices()))
+        except NoBaseElement:
+            pass
+    else:
+        spectrum(fan, beta)
+        q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta))
+    assert "dmats" not in vars(q)
+    assert len(q.entries) == fan.k
+    assert all(list(entries) == sorted({e[:2]: e for e in entries}.values()) for entries in q.entries)
+    stored = {(i, a, b, x) for i, entries in enumerate(q.entries) for a, b, x in entries}
+    assert stored == {
+        (i, a, b, x) for i, mat in enumerate(q.dmats) for a, row in enumerate(mat) for b, x in enumerate(row) if x
+    }
+    assert {type(x) for mat in q.dmats for row in mat for x in row} == {Fraction}
 
 
 def test_term_shift_fails_when_a_window_drops_an_offset(monkeypatch):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxgamma.box import box_of_fan, correspondence_at, normalize_beta, stabilize
+from boxgamma.box import box_of_fan, correspondence_at, stabilize
 from boxgamma.cli import SEED_FILES, main, parse_fan
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, enumerate_L, gamma_series, suggest_x, verify_term_shift
 from boxgamma.kring import spectrum
-from boxgamma.linalg import GaussianRational, format_gaussian, parse_gaussian
+from boxgamma.linalg import GaussianRational, format_gaussian, parse_gaussian, read_param
 from boxgamma.quotient import ModuleSpec
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
@@ -49,7 +49,10 @@ SITES = {
     "suggest_x": (lambda x: suggest_x(INST, (x, 0, 1)), "series: entry 1 of heights", RATIONAL, 1),
     "chi": (lambda x: ModuleSpec(F1, (0, x)), "quotient: entry 2 of chi", RATIONAL, 1),
     "xi": (lambda x: ModuleSpec(F1, (0, 0), xi=(x, 0)), "quotient: entry 1 of xi", RATIONAL, 1),
-    "normalize_beta": (lambda x: normalize_beta(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
+    # beta's scalars by read_param; the key is kept so this site's test ids stay the same
+    "normalize_beta": (
+        lambda x: read_param((x, 0), "box", "beta", 2).values, "box: entry 1 of beta", GAUSSIAN, 1
+    ),
     "box_of_fan": (lambda x: box_of_fan(F1, (x, 0)), "box: entry 1 of beta", GAUSSIAN, 1),
     "stabilize": (lambda x: stabilize(F1, (0, x)), "box: entry 2 of beta", GAUSSIAN, 1),
     "delta": (lambda x: correspondence_at(F1, BETA_C, x), "box: entry 1 of delta", RATIONAL, 1),
@@ -100,7 +103,7 @@ def test_every_exact_input_is_read_by_one_reader(site, entry, same_as):
     [
         (lambda: _fan(rays=("10", "11", "12")), "fan: ray 1 is '10', not a sequence"),
         (lambda: ModuleSpec(F1, "00"), "quotient: chi is '00', not a sequence"),
-        (lambda: normalize_beta(F1, "12"), "box: beta is '12', not a sequence"),
+        (lambda: read_param("12", "box", "beta", 2), "box: beta is '12', not a sequence"),
         (lambda: gamma_series(INST, "10", X_F1, 4), "series: v is '10', not a sequence"),
         (lambda: triangulate_from_heights("ab", (0, 1)), "fan: points is 'ab', not a sequence"),
     ],
@@ -163,7 +166,7 @@ def test_triangulation_points_of_the_wrong_length_raise(points, heights, message
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: normalize_beta(F1, 5), "box: beta is 5, not a sequence"),
+        (lambda: read_param(5, "box", "beta", 2), "box: beta is 5, not a sequence"),
         (lambda: gamma_series(INST, 10, X_F1, 4), "series: v is 10, not a sequence"),
         (lambda: gamma_series(INST, (0, 0), 3, 4), "series: x is 3, not a sequence"),
         (lambda: gamma_series(INST, (0, 0), X_F1, 4, 5), "series: arg_offsets is 5, not a sequence"),
@@ -227,7 +230,7 @@ def test_a_decimal_part_is_read_whole(text, re, im):
 def test_a_mapping_with_another_key_is_refused(entry):
     """A misspelt key is not read as a zero part."""
     with pytest.raises(ValueError) as info:
-        normalize_beta(F1, (entry, 0))
+        read_param((entry, 0), "box", "beta", 2)
     assert str(info.value) == f"box: entry 1 of beta is {entry!r}, not a Gaussian rational"
 
 

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgamma.box import alpha_key, box_of_fan, correspondence_at, normalize_beta, stabilize
+from boxgamma.box import alpha_key, box_of_fan, correspondence_at, stabilize
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, triangulate_from_heights
 from boxgamma.kring import spectrum, wall_report
-from boxgamma.linalg import GaussianRational
+from boxgamma.linalg import GaussianRational, read_param
 from boxgamma.quotient import ModuleSpec, build_quotient
 from exact_oracles import (
     fraction_correspondence,
@@ -114,7 +114,7 @@ def test_integer_path_matches_the_fraction_route(name, data):
     assert outcome(lambda: correspondence_at(fan, beta, delta)) == outcome(
         lambda: fraction_correspondence(fresh(), beta, delta)
     )
-    shadow = tuple(x.real for x in normalize_beta(fan, beta))
+    shadow = tuple(x.real for x in read_param(beta, "box", "beta", fan.rank).values)
     for xi in (None, shadow):
         got = outcome(lambda: quotient_maps(fan, corr.beta_delta, xi))
         assert got == outcome(lambda: oracle_maps(fresh(), corr.beta_delta, xi))

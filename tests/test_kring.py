@@ -1,11 +1,14 @@
 import cmath
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxgamma.box import alpha_key, normalize_beta
+from boxgamma.box import alpha_key
 from boxgamma.errors import PhaseOverflow
 from boxgamma.fan import StackyFan, normalized_volume
 from boxgamma.kring import (
@@ -14,8 +17,8 @@ from boxgamma.kring import (
     unit_phase,
     wall_report,
 )
-from boxgamma.linalg import GaussianRational
-from exact_oracles import minimal_non_faces
+from boxgamma.linalg import GaussianRational, read_param
+from exact_oracles import FACE_FANS, draw_beta, minimal_non_faces
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -175,7 +178,7 @@ def test_ring_relations():
             keys = [alpha_key(p.alpha_class.alpha) for p in pts]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
-            b = normalize_beta(fan, beta)
+            b = read_param(beta, "box", "beta", fan.rank).values
             for p in pts:
                 # monomial relations pinned to the parameter
                 for r in range(fan.rank):
@@ -196,3 +199,28 @@ def test_ring_relations():
                     for idx in face:
                         prod = prod * (1 - p.y[idx])
                     assert abs(prod) <= 1e-10
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", sorted(FACE_FANS))
+@settings(deadline=None)
+@given(kind=st.sampled_from(("zero", "rational", "gaussian")), data=st.data())
+def test_an_integer_shift_of_beta_keeps_the_spectrum(name, kind, data):
+    """The ring reads beta only through exp(2 pi i beta), so for n in Z^d the
+    multiset of (alpha, branch count, multiplicity) of spectrum(fan, beta + n)
+    is the one at beta, on the ladder and the P(w), at zero, rational and
+    Gaussian beta; no reference value is needed."""
+    fan = FACE_FANS[name]
+    beta = draw_beta(data, fan.rank, kind)
+    n = data.draw(st.lists(st.integers(-3, 3), min_size=fan.rank, max_size=fan.rank))
+    shifted = [
+        GaussianRational(b.re + c, b.im) if isinstance(b, GaussianRational) else b + c for b, c in zip(beta, n)
+    ]
+
+    def points(beta):
+        return Counter(
+            (alpha_key(p.alpha_class.alpha), len(p.alpha_class.branches), p.multiplicity)
+            for p in spectrum(fan, beta)
+        )
+
+    assert points(shifted) == points(beta)

@@ -21,7 +21,7 @@ import boxgamma.cli as cli
 import boxgamma.gkz as gkz
 import boxgamma.kring as kring
 import boxgamma.quotient as quotient
-from boxgamma.box import box_of_fan, collisions, normalize_beta, stabilize
+from boxgamma.box import box_of_fan, collisions, stabilize
 from boxgamma.errors import DomainError
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights
 from boxgamma.gkz import build_gkz, solution_system
@@ -77,7 +77,7 @@ def test_memo_matches_a_fresh_fan(name, data):
         if drawn and data.draw(st.booleans()):
             beta = data.draw(st.sampled_from(drawn))
         else:
-            beta = normalize_beta(fan, [data.draw(beta_coord) for _ in range(fan.rank)])
+            beta = read_param([data.draw(beta_coord) for _ in range(fan.rank)], "box", "beta", fan.rank).values
             drawn.append(beta)
         xi = tuple(b.real for b in beta) if data.draw(st.booleans()) else None
         m = data.draw(st.integers(-1, 2))
@@ -221,7 +221,7 @@ def test_quotient_does_not_depend_on_memo_order(name, data):
     small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
     coords = {"rational": st.one_of(small, rational), "gaussian": beta_coord, "shadow": small}
     for kind in data.draw(st.lists(kinds, min_size=1, max_size=5)):
-        beta = normalize_beta(fan, [data.draw(coords[kind]) for _ in range(fan.rank)])
+        beta = read_param([data.draw(coords[kind]) for _ in range(fan.rank)], "box", "beta", fan.rank).values
         chi = stabilize(dataclasses.replace(fan), beta).beta_delta
         xi = None
         if kind == "shadow":

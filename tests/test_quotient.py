@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxgamma.quotient as quotient
-from boxgamma.box import alpha_key, normalize_beta, stabilize
+from boxgamma.box import alpha_key, stabilize
 from boxgamma.errors import (
     DimensionOvershoot,
     NoStabilizationWindow,
@@ -16,7 +16,7 @@ from boxgamma.errors import (
 from boxgamma.fan import StackyFan, _tangent_test, triangulate_from_heights, validate
 from boxgamma.gkz import build_gkz
 from boxgamma.kring import spectrum
-from boxgamma.linalg import GaussianRational
+from boxgamma.linalg import GaussianRational, read_param
 from boxgamma.quotient import ModuleSpec, _Summand, build_quotient, graded_piece
 from exact_oracles import (
     TaggedPoint,
@@ -295,7 +295,7 @@ def fan_and_beta(draw):
 @example(case=(F1, (Fraction(-3), Fraction(0))), shadow=True)
 def test_quotient_ends_at_its_last_degree(case, shadow):
     fan, beta = case
-    beta = normalize_beta(fan, beta)
+    beta = read_param(beta, "box", "beta", fan.rank).values
     xi = tuple(b.real for b in beta) if shadow else None
     spec = ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi=xi)
     q = build_quotient(spec)
