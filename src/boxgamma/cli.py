@@ -147,10 +147,9 @@ def cmd_cohomology(args):
     fan, beta = _fan_beta(args)
     xi = _field(_load(args.shadow), "xi", "quotient") if args.shadow else None
     q = build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta, xi))
-    report = validate(fan)
     return {
         "dim": q.dim,
-        "volume": report.volume,
+        "volume": validate(fan).volume,
         "summands": [
             {"alpha": [format_gaussian(a) for a in be.alpha], "dim": dim}
             for be, dim in zip(q.alphas, q.dims)
@@ -195,10 +194,6 @@ def cmd_kring(args):
     }
 
 
-def _gap_value(gap: float):
-    return "infinity" if math.isinf(gap) else float(gap)
-
-
 def _solve(args):
     """The instance, x, its offsets and the solution system.  build_gkz runs
     before x is read, so an ineligible fan fails first."""
@@ -219,7 +214,7 @@ def cmd_gkz_solve(args):
         "dim": instance.quotient.dim,
         "rank_deficient": system.rank_deficient,
         "singular_values": [float(s) for s in system.singular_values],
-        "gap": _gap_value(system.gap),
+        "gap": "infinity" if system.gap else 0.0,
         "tail_estimate": float(system.tail_estimate),
     }
 
@@ -252,7 +247,7 @@ def cmd_gkz_verify(args):
         "rank": system.rank,
         "dim": instance.quotient.dim,
         "rank_deficient": system.rank_deficient,
-        "gap": _gap_value(system.gap),
+        "gap": "infinity" if system.gap else 0.0,
         "tail_estimate": float(system.tail_estimate),
         "passed": passed,
     }
@@ -335,8 +330,7 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     if "--seed-examples" in raw:
         raw[raw.index("--seed-examples")] = "seed-examples"
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = build_parser().parse_args(raw)
     try:
         result, code = args.func(args), 0
     except Exception as exc:  # 1: a domain error; 2: a usage, I/O or parse error; 3: an internal fault

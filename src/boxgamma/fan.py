@@ -47,8 +47,10 @@ class _ConeTable:
     residues, see _cone_residues), the face table, every face with its
     cover (see _faces; the one source of face facts, which the shadow
     filter _tangent_test reads), the markers' lattice (see _marker_lattice),
-    the window scan's plan for its relations (gkz._window_plan, built on the
-    first scan) and the fan's ValidationReport, whose deg the quotient reads.
+    the window scan's plan for its relations (gkz._window_plan) with the
+    far-target bound max_i |v_i|_1 and the unit Hermite diagonal test, built
+    on the first window read, and the fan's ValidationReport, whose deg the
+    quotient reads.  indices, the ray indices, is set when the fan is built.
     Their size is bounded by the fan's cones and markers, and a StackyFan is
     frozen, so no entry can go stale.  windows: each target's particular
     solution, the largest B scanned and its views by B (gkz._window), the one
@@ -69,8 +71,8 @@ class _ConeTable:
     A table belongs to one fan: replace() gives the copy a fresh one.
     """
 
-    __slots__ = ("inverses", "residues", "faces", "lattice", "plan", "windows", "report", "params", "graded",
-                 "blocks", "shadows")
+    __slots__ = ("inverses", "residues", "faces", "lattice", "plan", "indices", "windows", "report", "params",
+                 "graded", "blocks", "shadows")
 
     def __init__(self):
         self.inverses: dict[ConeRef, ConeInverse] = {}
@@ -131,6 +133,7 @@ class StackyFan:
                 raise ValueError(f"fan: entry {pos} of cone {r} is out of range for {len(rays)} markers")
             cones.append(tuple(sorted(cone)))
         object.__setattr__(self, "max_cones", tuple(cones))
+        self._table.indices = frozenset().union(*cones)
         if self.deg is not None:
             object.__setattr__(self, "deg", read_exact(self.deg, _integral, "fan", "deg", self.rank))
 
@@ -139,8 +142,8 @@ class StackyFan:
         return len(self.rays)
 
     def fan_indices(self) -> frozenset[int]:
-        """Indices of markers that generate rays of the fan."""
-        return frozenset().union(*self.max_cones)
+        """Indices of markers that generate rays of the fan, kept in its table."""
+        return self._table.indices
 
     def gens(self, cone: Sequence[int]) -> list[tuple[int, ...]]:
         return [self.rays[i] for i in cone]

@@ -159,15 +159,16 @@ def reciprocal_gamma_jet(l: complex, order: int) -> tuple[complex, ...]:
 @dataclass(frozen=True)
 class GkzInstance:
     """Eligible fan, parameter, its stabilization, and the shadow quotient;
-    the windows its series and checks sum over come from the fan's table."""
+    its series and checks read the fan's window table in rows (_row)."""
 
     fan: StackyFan
     beta: tuple[Coord, ...]
     correspondence: DeltaCorrespondence
     quotient: QuotientAlgebra
-    # a cache, neither compared, hashed, shown nor copied by replace(): the memo
-    # (fan._memo) of the last point's series evaluator (_evaluator)
+    # caches, neither compared, hashed, shown nor copied by replace(): the memos
+    # (fan._memo) of the last point's series evaluator and the last bound's rows
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,8 @@ class TermShiftReport:
 
 @dataclass(frozen=True)
 class SolutionSystem:
-    """The series matrix, a row per v, and its column-scaled singular values."""
+    """The series matrix, a row per v, and its column-scaled singular values.
+    gap is inf when sigma_dim > 0 and 0 otherwise: the matrix has dim columns."""
 
     vs: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[complex, ...], ...]
@@ -243,8 +245,7 @@ def build_gkz(fan: StackyFan, beta: Sequence) -> GkzInstance:
     if not report.gkz_eligible:
         notes = "; ".join(report.violations + report.gkz_notes)
         raise InvalidFan(f"fan: no extended hypergeometric system on this fan: {notes}")
-    param = read_param(beta, "box", "beta", fan.rank)
-    corr = _stabilized(fan, param)
+    corr = _stabilized(fan, read_param(beta, "box", "beta", fan.rank))
     quotient = build_quotient(ModuleSpec(fan, corr.beta_delta, tuple(b.real for b in corr.beta)))
     return GkzInstance(fan, corr.beta, corr, quotient)
 
@@ -344,22 +345,26 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     norm <= B in order, built on the first read at B, as every window at
     B' >= B holds the window at B; a larger B scans once and replaces all.
     A target past B max_i |v_i|_1 has none, is kept nowhere and solved only
-    where the markers' Hermite form shows they miss a target."""
+    where the markers' Hermite form shows they miss a target; that bound,
+    that test and the scan's plan are built once per fan (_ConeTable.plan)."""
     fan = instance.fan
     target = tuple(map(operator.neg, map(operator.add, v, alpha.lattice_point)))
     part, top, views = fan._table.windows.get(target) or (None, -1, None)
     if top < B:
-        h, u, relations = _marker_lattice(fan)
-        far = top < 0 and sum(map(abs, target)) > B * max(sum(map(abs, r)) for r in fan.rays)
+        if fan._table.plan is None:
+            h, _, relations = _marker_lattice(fan)
+            unit = [row[r] for r, row in enumerate(h[: fan.rank])] == [1] * fan.rank
+            fan._table.plan = _window_plan(relations, fan.k), max(sum(map(abs, r)) for r in fan.rays), unit
+        plan, reach, unit = fan._table.plan
+        far = top < 0 and sum(map(abs, target)) > B * reach
         # markers that generate Z^d reach every target, so a far one needs no solution
-        if part is None and not (far and [row[r] for r, row in enumerate(h[: fan.rank])] == [1] * fan.rank):
-            part = solve_with_hnf(h, u, target)
+        if part is None and not (far and unit):
+            part = solve_with_hnf(*_marker_lattice(fan)[:2], target)
             if part is None:
                 raise NoParticularSolution(
                     f"window: markers do not reach the target {target} of v={v}, "
                     f"n={alpha.lattice_point}; the marker lattice is degenerate"
                 )
-        plan = fan._table.plan = fan._table.plan or _window_plan(relations, fan.k)
         if far:
             return (), ()
         top, views = B, {B: _window_offsets(part, plan, B)}
@@ -372,6 +377,13 @@ def _window(instance: GkzInstance, alpha: BoxElement, v: tuple[int, ...], B: int
     return view
 
 
+def _row(instance: GkzInstance, v: tuple[int, ...], B: int) -> tuple:
+    """Each source's window view at index v (_window), in triple order, read
+    once per instance, v and B; the instance keeps the last B's (fan._memo)."""
+    windows = (_window(instance, src, v, B) for src, _, _ in instance.correspondence.triples)
+    return _memo(instance._rows, B, v, tuple, windows, kept=1)
+
+
 def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, ...]:
     """The LVectors l = alpha + m at the given offsets m of the window at v."""
     a = Param.of(alpha.alpha)
@@ -381,13 +393,14 @@ def _lvectors(alpha: BoxElement, v: tuple[int, ...], offsets) -> tuple[LVector, 
     )
 
 
-def _check_ray(fan: StackyFan, j) -> int:
-    """The ray index j as the int it equals, read as B is; ValueError names any other j."""
-    rays = fan.fan_indices()
-    n = read_int(j, "series", "j")
-    if n not in rays:
-        raise ValueError(f"series: j={j!r} is not a ray index of the fan; expected one of {sorted(rays)}")
-    return n
+def _read_point(fan: StackyFan, v, B, j=None) -> tuple:
+    """(v, B, j) as every series entry point reads them, in that order: B and
+    a given ray index j as the ints they equal; ValueError names any other j."""
+    v, B = read_exact(v, _integral, "series", "v", fan.rank), read_int(B, "window", "the bound B", 0)
+    n = j if j is None else read_int(j, "series", "j")
+    if j is not None and n not in fan.fan_indices():
+        raise ValueError(f"series: j={j!r} is not a ray index of the fan; expected one of {sorted(fan.fan_indices())}")
+    return v, B, n
 
 
 def enumerate_L(instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: int) -> tuple[LVector, ...]:
@@ -399,8 +412,7 @@ def enumerate_L(instance: GkzInstance, alpha: BoxElement, v: Sequence[int], B: i
     correspondence.triples): for any other element, l = alpha + m would not
     satisfy sum(l_i v_i) = beta - v, and ValueError is raised.
     """
-    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = read_int(B, "window", "the bound B", 0)
+    v, B, _ = _read_point(instance.fan, v, B)
     for src, _, _ in instance.correspondence.triples:
         if src == alpha:
             return _lvectors(src, v, _window(instance, src, v, B)[0])
@@ -443,7 +455,6 @@ class _SeriesEvaluator:
         self.logs = tuple(cmath.log(c) + 1j * o for c, o in zip(xs, offs))
         self.dim = q.dim
         self.dmats = _dense(q, 0j, lambda x: complex(float(x)))
-        self.rays = frozenset(instance.fan.fan_indices())
         # a summand's basis runs from its base element, of degree 0, upward
         self.orders = tuple(1 if q.bases[p] is None else 1 + q.basis[q.bases[p] + q.dims[p] - 1].degree
                             for p in corr.positions)
@@ -485,7 +496,7 @@ class _SeriesEvaluator:
         hit = self.entries.get((t, i, mi))
         if hit is None:
             re, im = self.parts[t][i]
-            r = (1 + 0j,) + (0j,) * ((self.orders[t] if i in self.rays else 1) - 1)
+            r = (1 + 0j,) + (0j,) * ((self.orders[t] if 1 << i in self.faces else 1) - 1)  # i a ray
             for k in range(mi + 1) if mi >= 0 else range(0, mi - 1, -1):
                 hit = self.entries.get((t, i, k))
                 if hit is None:
@@ -554,8 +565,7 @@ def _evaluator(instance: GkzInstance, x, arg_offsets) -> _SeriesEvaluator:
     if arg_offsets is not None:
         offs = read_exact(arg_offsets, _real, "series", "arg_offsets", len(xs))
     key = repr((xs, offs))  # repr tells 0.0 from -0.0, which == and hash do not
-    given = (x, arg_offsets)
-    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, given, kept=1)
+    return _memo(instance._series, key, "evaluator", _SeriesEvaluator, instance, xs, offs, (x, arg_offsets), kept=1)
 
 
 def _check_x(fan: StackyFan, x) -> tuple[complex, ...]:
@@ -577,8 +587,7 @@ def gamma_series(instance: GkzInstance, v: Sequence[int], x, B: int, arg_offsets
     present.  Each (v, B) is summed once per instance and point: the
     point's evaluator keeps the values of the last B (see _SeriesEvaluator).
     """
-    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = read_int(B, "window", "the bound B", 0)
+    v, B, _ = _read_point(instance.fan, v, B)
     ev = _evaluator(instance, x, arg_offsets)
     return _memo(ev.values, B, v, _summed, instance, ev, v, B, kept=1)
 
@@ -591,10 +600,10 @@ def _summed(instance: GkzInstance, ev: _SeriesEvaluator, v, B: int, j=None) -> S
     The tail reads each triple's shell, its kept terms at its top norm."""
     total, zero, shells = [0j] * ev.dim, (0j,) * ev.dim, []
     at = v if j is None else tuple(a + b for a, b in zip(v, instance.fan.rays[j]))
-    for t, (src, _, _) in enumerate(instance.correspondence.triples):
+    for t, window in enumerate(_row(instance, at, B)):
         k, scalar = ev.base(t), ev.orders[t] == 1
         acc, top, shell = (total[k], -1, 0j) if scalar else (total, -1, zero)
-        for m, nm in zip(*_window(instance, src, at, B)):
+        for m, nm in zip(*window):
             if j is not None:
                 m = m[:j] + (m[j] + 1,) + m[j + 1 :]
             if ev.vanishes(t, m):
@@ -630,9 +639,7 @@ def gamma_series_derivative(
     that Pochhammer step, the window alignment, D_j and the 1/x_j factor;
     the jet goldens and the series oracles check the T_alpha both share.
     """
-    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = read_int(B, "window", "the bound B", 0)
-    j = _check_ray(instance.fan, j)
+    v, B, j = _read_point(instance.fan, v, B, j)
     return _summed(instance, _evaluator(instance, x, arg_offsets), v, B, j)
 
 
@@ -648,21 +655,19 @@ def verify_term_shift(instance: GkzInstance, v: Sequence[int], j: int, B: int) -
     coordinate is built here: the report keeps the boundary's offsets and
     builds its LVectors when boundary is read (see TermShiftReport).
     """
-    v = read_exact(v, _integral, "series", "v", instance.fan.rank)
-    B = read_int(B, "window", "the bound B", 0)
-    j = _check_ray(instance.fan, j)
+    v, B, j = _read_point(instance.fan, v, B, j)
     v2 = tuple(map(operator.add, v, instance.fan.rays[j]))
     core, ok, runs = B - 1, True, []
-    for src, _, _ in instance.correspondence.triples:
+    for (src, _, _), lw, rw in zip(instance.correspondence.triples, _row(instance, v, B), _row(instance, v2, B)):
         left, left_out = [], []
-        for m, nm in zip(*_window(instance, src, v, B)):
+        for m, nm in zip(*lw):
             mj = m[j]
             if (nm - 1 if mj > 0 else nm + 1) <= core:
                 left.append(m[:j] + (mj - 1,) + m[j + 1 :])
             else:
                 left_out.append(m)
         right, right_out = [], []
-        for m, nm in zip(*_window(instance, src, v2, B)):
+        for m, nm in zip(*rw):
             (right if nm <= core else right_out).append(m)
         runs += [(src, w, tuple(out)) for w, out in ((v, left_out), (v2, right_out)) if out]
         ok = ok and left == right
@@ -709,9 +714,7 @@ def solution_system(
     dim = instance.quotient.dim
     top = svals[0] if svals else 0.0
     rank = sum(1 for s in svals if top > 0 and s > 1e-9 * top)
-    sd = svals[dim - 1] if dim - 1 < len(svals) else 0.0
-    sn = svals[dim] if dim < len(svals) else 0.0
-    gap = 0.0 if sd == 0.0 else math.inf if sn == 0.0 else sd / sn
+    gap = math.inf if dim - 1 < len(svals) and svals[dim - 1] > 0 else 0.0
     return SolutionSystem(vs, rows, rank, tuple(svals), gap, rank < dim, tail)
 
 

@@ -877,6 +877,16 @@ def cone_over(points):
     return triangulate_from_heights([(1,) + tuple(p) for p in points], heights)
 
 
+def relabel(fan: StackyFan, perm) -> StackyFan:
+    """The fan with marker i renamed perm[i]: each ray moved to its new
+    index, each cone's indices mapped, the same deg."""
+    rays = [None] * fan.k
+    for i, ray in enumerate(fan.rays):
+        rays[perm[i]] = ray
+    cones = tuple(tuple(perm[i] for i in cone) for cone in fan.max_cones)
+    return StackyFan(rank=fan.rank, rays=tuple(rays), max_cones=cones, deg=fan.deg)
+
+
 def weighted_projective(*weights):
     """Complete fan of P(1, w_1, ..., w_n)."""
     n = len(weights) - 1

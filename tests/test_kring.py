@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 from collections import Counter
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgamma.box import alpha_key
-from boxgamma.errors import PhaseOverflow
+from boxgamma.box import alpha_key, stabilize
+from boxgamma.errors import DomainError, PhaseOverflow
 from boxgamma.fan import StackyFan, normalized_volume
+from boxgamma.gkz import build_gkz, gamma_series
 from boxgamma.kring import (
     is_semisimple,
     spectrum,
@@ -18,7 +20,8 @@ from boxgamma.kring import (
     wall_report,
 )
 from boxgamma.linalg import GaussianRational, read_param
-from exact_oracles import FACE_FANS, draw_beta, minimal_non_faces
+from boxgamma.quotient import ModuleSpec, build_quotient
+from exact_oracles import FACE_FANS, draw_beta, minimal_non_faces, relabel
 
 F1 = StackyFan(rank=2, rays=((1, 0), (1, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
 F2 = StackyFan(rank=2, rays=((1, 0), (0, 1), (-2, -1)), max_cones=((0, 1), (1, 2), (0, 2)))
@@ -224,3 +227,66 @@ def test_an_integer_shift_of_beta_keeps_the_spectrum(name, kind, data):
         )
 
     assert points(shifted) == points(beta)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", sorted(FACE_FANS))
+@settings(deadline=None)
+@given(kind=st.sampled_from(("zero", "rational", "gaussian")), data=st.data())
+def test_a_marker_relabelling_keeps_the_spectrum(name, kind, data):
+    """Renaming the markers by a permutation (the cones mapped with it)
+    permutes each exponent vector alpha and changes nothing else: the
+    multiset of (alpha read back in the old order, branch count,
+    multiplicity) of the spectrum and the sorted summand dimensions of the
+    quotient at beta_delta are those of the fan as given, on the ladder and
+    the P(w), at zero, rational and Gaussian beta."""
+    fan = FACE_FANS[name]
+    beta = draw_beta(data, fan.rank, kind)
+    perm = data.draw(st.permutations(range(fan.k)))
+    moved = relabel(fan, perm)
+
+    def points(fan, order):
+        return Counter(
+            (alpha_key([p.alpha_class.alpha[i] for i in order]), len(p.alpha_class.branches), p.multiplicity)
+            for p in spectrum(fan, beta)
+        )
+
+    def dims(fan):
+        return sorted(build_quotient(ModuleSpec(fan, stabilize(fan, beta).beta_delta)).dims)
+
+    assert points(moved, perm) == points(fan, range(fan.k))
+    assert dims(moved) == dims(fan)
+
+
+def series_outcome(fan, beta):
+    """The name of the error gamma_series raises at v = 0, x = 1, B = 1, or "ok"."""
+    try:
+        gamma_series(build_gkz(fan, beta), (0,) * fan.rank, (1.0,) * fan.k, 1)
+    except DomainError as err:
+        return type(err).__name__
+    return "ok"
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", ["F1", "SQUARE"])
+@settings(deadline=None)
+@given(kind=st.sampled_from(("zero", "rational", "gaussian")), data=st.data())
+def test_a_marker_relabelling_keeps_the_missing_base_element(name, kind, data):
+    """Whether the shadow quotient lacks a base element for some target, so
+    that the series raises NoBaseElement, does not depend on the markers'
+    order: every relabelling of F1 and SQUARE gives the outcome of the fan
+    as given, at zero, rational and Gaussian beta."""
+    fan = FACE_FANS[name]
+    beta = draw_beta(data, fan.rank, kind)
+    want = series_outcome(fan, beta)
+    assert want in ("ok", "NoBaseElement")
+    for perm in itertools.permutations(range(fan.k)):
+        assert series_outcome(relabel(fan, perm), beta) == want, perm
+
+
+@pytest.mark.parametrize("name,beta", [("F1", (-3, 0)), ("SQUARE", (-3, 0, 0))])
+def test_every_relabelling_raises_no_base_element_where_the_fan_does(name, beta):
+    """A beta outside the support cone, where the fan as given has no base
+    element, has none under any relabelling either."""
+    fan = FACE_FANS[name]
+    assert {series_outcome(relabel(fan, p), beta) for p in itertools.permutations(range(fan.k))} == {"NoBaseElement"}

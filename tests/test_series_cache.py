@@ -427,6 +427,81 @@ def test_a_larger_bound_drops_the_smaller_views():
     assert again == old[3] and again is not old[3] and views.keys() == {3, 6}
 
 
+@pytest.fixture
+def window_reads(monkeypatch):
+    """Counts gkz._window calls by (source, index point, B)."""
+    reads = Counter()
+    real = gkz._window
+
+    def reading(instance, alpha, v, B):
+        reads[(alpha, v, B)] += 1
+        return real(instance, alpha, v, B)
+
+    monkeypatch.setattr(gkz, "_window", reading)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "fan,beta,x",
+    [
+        (F1, (GaussianRational(Fraction(1, 3), Fraction(1, 7)), Fraction(1, 5)), X_F1),
+        (SQUARE, (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)), X_SQUARE),
+        (HEX5, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)), (1.0,) * 5),
+    ],
+    ids=["F1", "SQUARE", "HEX5"],
+)
+def test_each_index_point_reads_its_windows_once(window_reads, fan, beta, x):
+    """The term-shift checks over every ray at one (v, B), then the series
+    and each derivative at v, read the fan's table once per (source, index
+    point), the index points being v and each v + v_j: every later read is
+    the instance's row."""
+    inst = build_gkz(dataclasses.replace(fan), beta)
+    v, B, rays = (1,) + (0,) * (fan.rank - 1), 4, sorted(fan.fan_indices())
+    for j in rays:
+        verify_term_shift(inst, v, j, B)
+    gamma_series(inst, v, x, B)
+    for j in rays:
+        gamma_series_derivative(inst, v, x, B, j)
+    points = [v] + [tuple(a + b for a, b in zip(v, fan.rays[j])) for j in rays]
+    sources = [src for src, _, _ in inst.correspondence.triples]
+    assert len(sources) > 1 or fan is F1
+    assert window_reads == Counter({(src, w, B): 1 for src in sources for w in points})
+
+
+def test_a_new_bound_rebuilds_the_rows(window_reads):
+    """The instance keeps the rows of the last bound only: a read at a new B
+    reads the table again, once per source and index point, its row holding
+    the table's views at that B, and a return to the old B reads it again."""
+    fan = dataclasses.replace(HEX5)
+    inst = build_gkz(fan, (Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
+    sources = [src for src, _, _ in inst.correspondence.triples]
+    for B in (4, 3, 4):
+        before = sum(window_reads.values())
+        for _ in range(2):
+            verify_term_shift(inst, (0, 0, 0), 1, B)
+        assert sum(window_reads.values()) - before == 2 * len(sources)
+        assert list(inst._rows) == [B] and set(inst._rows[B]) == {(0, 0, 0), fan.rays[1]}
+        for src, view in zip(sources, inst._rows[B][(0, 0, 0)]):
+            assert view is fan._table.windows[target_of(src, (0, 0, 0))][2][B]
+
+
+def test_instances_at_two_betas_read_one_row_of_views():
+    """A second instance at another beta on the fan reads into its row the
+    very view objects the first instance's row holds, at the top bound and
+    below it, and neither row is the other instance's."""
+    fan = dataclasses.replace(F1)
+    a, b = build_gkz(fan, (Fraction(1, 4), 0)), build_gkz(fan, (Fraction(1, 3), Fraction(1, 2)))
+    sa, sb = a.correspondence.triples[0][0], b.correspondence.triples[0][0]
+    vb = tuple(-t - n for t, n in zip(target_of(sa, (0, 0)), sb.lattice_point))
+    assert a.beta != b.beta and sa != sb
+    for B in (6, 4):
+        verify_term_shift(a, (0, 0), 1, B)
+        verify_term_shift(b, vb, 1, B)
+        view = a._rows[B][(0, 0)][0]
+        assert view[0] and b._rows[B][vb][0] is view is fan._table.windows[target_of(sa, (0, 0))][2][B]
+        assert a._rows is not b._rows and list(a._rows) == list(b._rows) == [B]
+
+
 def _suite(instance, x, offsets):
     """repr of every series, derivative and solution-system value at x."""
     fan = instance.fan
@@ -541,17 +616,18 @@ def test_cache_leaves_equality_and_hash_alone():
 
 
 def test_window_cache_keeps_the_last_bound():
-    """An instance keeps no windows, its one cache being the series memo:
-    the fan's table keeps the windows, scanned at the last and largest
-    bound read, and leaves the instance's equality, hash and repr alone."""
+    """An instance keeps no windows, its two caches being the series memo
+    and the rows of window views: the fan's table keeps the windows, scanned
+    at the last and largest bound read, and neither cache touches the
+    instance's equality, hash or repr."""
     fan = dataclasses.replace(F1)
     a = build_gkz(fan, (Fraction(1, 4), 0))
     before = hash(a)
-    assert [f.name for f in dataclasses.fields(a) if not f.compare] == ["_series"]
+    assert [f.name for f in dataclasses.fields(a) if not f.compare] == ["_series", "_rows"]
     for B in (4, 6):
         verify_term_shift(a, (0, 0), 1, B)
         assert fan._table.windows and tops(fan) == {B}
-    assert hash(a) == before and "windows" not in repr(a) and dataclasses.replace(a) == a
+    assert hash(a) == before and "windows" not in repr(a) and "rows" not in repr(a) and dataclasses.replace(a) == a
 
 
 def test_series_values_follow_the_window_bound():
